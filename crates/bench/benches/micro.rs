@@ -9,7 +9,7 @@ use cia_core::{CiaConfig, FlCia, ItemSetEvaluator};
 use cia_data::presets::{Preset, Scale};
 use cia_data::{jaccard_index, GroundTruth, LeaveOneOut, UserId};
 use cia_defenses::{DpConfig, DpMechanism, UpdateTransform};
-use cia_federated::{DeliveryPolicy, FedAvg, FedAvgConfig, NullObserver};
+use cia_federated::{FedAvg, FedAvgConfig, NullObserver};
 use cia_gossip::{GossipConfig, GossipSim, NullGossipObserver};
 use cia_models::params::{clip_l2, ema, sigmoid};
 use cia_models::{
@@ -518,18 +518,6 @@ fn bench_paper_scale(c: &mut Criterion) {
             FedAvgConfig { rounds: u64::MAX, local_epochs: 2, ..Default::default() },
         );
         b.iter(|| sim.step(&mut NullObserver));
-    });
-    // The same round on the event-driven runtime (typed messages under the
-    // virtual-clock scheduler, compat delivery policy). The pair quantifies
-    // the scheduler's dispatch overhead against the fused lockstep loop —
-    // budgeted at ≤15% (the per-message cost is one enum dispatch plus a
-    // heap push/pop; training dominates at paper scale).
-    c.bench_function(&format!("fedavg_round_paper_943x1682_evented{t}"), |b| {
-        let mut sim = FedAvg::new(
-            clients(),
-            FedAvgConfig { rounds: u64::MAX, local_epochs: 2, ..Default::default() },
-        );
-        b.iter(|| sim.step_evented(&mut NullObserver, DeliveryPolicy::Lockstep));
     });
     // Phase-annotated twin of the row above: a few instrumented rounds
     // attribute the median to sample/train/attack/aggregate/evaluate.

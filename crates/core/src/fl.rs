@@ -7,9 +7,8 @@ use crate::momentum::MomentumState;
 use cia_data::UserId;
 use cia_federated::{RoundObserver, RoundStats};
 use cia_models::parallel::{par_chunks_mut, par_map};
-use cia_models::SharedModel;
+use cia_models::{Checkpointable, LivenessEvent, SharedModel};
 use cia_obs::Recorder;
-use cia_runtime::{Checkpointable, LivenessEvent};
 use serde::{Deserialize, Serialize};
 
 /// CIA parameters (the paper defaults to `K = 50`, `β = 0.99`).

@@ -20,9 +20,8 @@ use crate::momentum::MomentumState;
 use cia_data::UserId;
 use cia_gossip::{GossipObserver, GossipRoundStats};
 use cia_models::parallel::{par_chunks_mut, par_map};
-use cia_models::SharedModel;
+use cia_models::{Checkpointable, LivenessEvent, SharedModel};
 use cia_obs::Recorder;
-use cia_runtime::{Checkpointable, LivenessEvent};
 
 /// Algorithm 2 with parameter momentum, for one adversary node or a coalition
 /// of colluders.

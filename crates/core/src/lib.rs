@@ -53,7 +53,7 @@ pub use momentum::MomentumState;
 pub use cia_obs as obs;
 pub use cia_obs::{Counter, Histogram, Metric, Recorder, SpanRec, TraceChunk};
 
-/// Runtime abstractions the attack engines implement (re-exported): the
-/// export/restore trait behind checkpointing and the protocol-agnostic
+/// Cross-protocol abstractions the attack engines implement (re-exported):
+/// the export/restore trait behind checkpointing and the protocol-agnostic
 /// liveness events observers receive.
-pub use cia_runtime::{Checkpointable, LivenessEvent};
+pub use cia_models::{Checkpointable, LivenessEvent};

@@ -47,16 +47,14 @@ use cia_models::parallel::par_zip_mut;
 use cia_models::params::weighted_mean;
 use cia_models::{ClientStore, Participant, SharedModel, UpdateTransform};
 use cia_obs::{Counter, Metric, Recorder};
-use cia_runtime::{Ctx, Msg, Node, Scheduler, SLOTS_PER_ROUND};
 
-// The runtime abstractions this crate's API surfaces (observer liveness
-// events, evented delivery policies).
-pub use cia_runtime::{DeliveryPolicy, LivenessEvent};
+// The cross-protocol observer event this crate's API surfaces, and the
+// selector the `step_evented` forward takes.
+pub use cia_models::{DeliveryPolicy, LivenessEvent};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// How client updates are weighted during aggregation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -201,16 +199,7 @@ pub struct FedAvg<P: Participant> {
     /// Shared with the client store in sharded mode so every materialized
     /// byte lands in one registry.
     obs: Recorder,
-    /// Invoked when the evented round's scheduled
-    /// [`Msg::GlobalBroadcast`] event fires: `(round, clients, global)`.
-    /// The scenario runner installs snapshot publication to `cia-serve`
-    /// here, making publication a scheduled event instead of an
-    /// out-of-band runner step.
-    publish_hook: Option<PublishHook<P>>,
 }
-
-/// Post-broadcast publication callback: `(round, clients, new_global)`.
-pub type PublishHook<P> = Box<dyn FnMut(u64, &[P], &[f32])>;
 
 /// Per-client per-round bookkeeping; `model` keeps its buffers across rounds.
 struct RoundSlot {
@@ -257,7 +246,6 @@ impl<P: Participant> FedAvg<P> {
             workspace: Vec::new(),
             snap_slot: empty_snap_slot(),
             obs: Recorder::new(),
-            publish_hook: None,
         }
     }
 
@@ -295,15 +283,7 @@ impl<P: Participant> FedAvg<P> {
             workspace: Vec::new(),
             snap_slot: empty_snap_slot(),
             obs,
-            publish_hook: None,
         }
-    }
-
-    /// Installs the post-broadcast publication hook (see [`PublishHook`]).
-    /// Only the evented path ([`FedAvg::step_evented`]) schedules the
-    /// [`Msg::GlobalBroadcast`] event that fires it.
-    pub fn set_publish_hook(&mut self, hook: PublishHook<P>) {
-        self.publish_hook = Some(hook);
     }
 
     /// Installs the metrics/trace sink this simulation (and, in sharded
@@ -696,357 +676,21 @@ impl<P: Participant> FedAvg<P> {
         stats
     }
 
-    /// Runs one round on the event-driven runtime: the server and every
-    /// client become [`cia_runtime::Node`]s exchanging typed
-    /// [`Msg::TrainRequest`]/[`Msg::ModelUpdate`] messages under the
-    /// deterministic virtual-clock scheduler, closed by a scheduled
-    /// [`Msg::GlobalBroadcast`].
-    ///
-    /// Compatibility contract: under *any* [`DeliveryPolicy`] this replays
-    /// [`FedAvg::step`]'s lockstep semantics bit for bit — same RNG streams,
-    /// same visit order, same float operations. Aggregation rides the
-    /// participant chain: each `TrainRequest` threads the shared sparse
-    /// accumulator to exactly one in-flight client, which folds its update
-    /// via the same fused [`Participant::fed_round`] sink the lockstep
-    /// single-thread path uses. Reordering is impossible by construction
-    /// (one message in flight), so interleaving seeds cannot change bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a sharded store — the lazy materialization path stays
-    /// lockstep (see [`FedAvg::sharded`]).
+    /// Forwards to [`FedAvg::step`]. Exists only for the benchmark tracer
+    /// (`perfbench/tracer`) and goes away in the next benchmark change.
+    #[doc(hidden)]
     pub fn step_evented(
         &mut self,
         observer: &mut dyn RoundObserver,
-        policy: DeliveryPolicy,
+        _: DeliveryPolicy,
     ) -> RoundStats {
-        assert!(
-            !self.store.is_sharded(),
-            "evented rounds need a dense store; sharded (million-scale) runs stay lockstep"
-        );
-        let t = self.round;
-        let obs = self.obs.clone();
-        let bytes0 = obs.counter(Counter::BytesMaterialized);
-        let base = t * SLOTS_PER_ROUND;
-        let mut stats_out = None;
-        let mut publish = false;
-        {
-            let FedAvg { store, global_agg, cfg, transform, slots, acc, .. } = &mut *self;
-            let clients = store.as_dense_mut().expect("dense step");
-            let cfg = *cfg;
-            let weights: Vec<f32> = clients
-                .iter()
-                .map(|c| match cfg.weighting {
-                    Weighting::Uniform => 1.0,
-                    Weighting::ByExamples => c.num_examples().max(1) as f32,
-                })
-                .collect();
-            let transform = transform.as_deref();
-            let mut sched = Scheduler::new(policy);
-            sched.set_recorder(obs.clone());
-            let mut nodes: Vec<FlNode<'_, P>> = Vec::with_capacity(clients.len() + 1);
-            nodes.push(FlNode::Server(ServerRound {
-                observer,
-                global: global_agg,
-                acc,
-                slots,
-                weights,
-                cfg,
-                obs: obs.clone(),
-                dp: transform.is_some(),
-                materialize: false,
-                chain: Vec::new(),
-                next: 0,
-                total: 0.0,
-                global_arc: Arc::new(Vec::new()),
-                bytes0,
-                stats: &mut stats_out,
-                publish: &mut publish,
-            }));
-            for (i, client) in clients.iter_mut().enumerate() {
-                nodes.push(FlNode::Client(ClientSeat {
-                    index: i,
-                    client,
-                    transform,
-                    cfg,
-                    obs: obs.clone(),
-                }));
-            }
-            sched.timer_at(base, SERVER, Msg::RoundStart { round: t });
-            sched.timer_at(base + 2, SERVER, Msg::RoundEnd { round: t });
-            sched.run_until(base, &mut nodes);
-            // The whole request/update chain lives at slot 1 — one "train"
-            // span covers it, exactly like the lockstep round.
-            let train_span = obs.span("train");
-            sched.run_until(base + 1, &mut nodes);
-            drop(train_span);
-            sched.run_until(base + 3, &mut nodes);
-            debug_assert_eq!(sched.pending_len(), 0, "FL rounds drain their queue");
-        }
-        self.round += 1;
-        let stats = stats_out.expect("RoundEnd produced stats");
-        if publish {
-            if let Some(mut hook) = self.publish_hook.take() {
-                hook(t, self.clients(), &self.global_agg);
-                self.publish_hook = Some(hook);
-            }
-        }
-        stats
+        self.step(observer)
     }
 
     /// Runs all configured rounds.
     pub fn run(&mut self, observer: &mut dyn RoundObserver) {
         for _ in 0..self.cfg.rounds {
             self.step(observer);
-        }
-    }
-}
-
-/// The server's node address in the FL scheduler (clients sit at `i + 1`).
-const SERVER: cia_runtime::NodeId = 0;
-
-/// One FL participant seat on the scheduler: the aggregation server (node 0)
-/// or a training client (node `index + 1`).
-enum FlNode<'a, P: Participant> {
-    Server(ServerRound<'a>),
-    Client(ClientSeat<'a, P>),
-}
-
-/// The server's per-round working state (borrows the simulation's persistent
-/// buffers so the evented round reuses exactly the lockstep allocations).
-struct ServerRound<'a> {
-    observer: &'a mut dyn RoundObserver,
-    global: &'a mut Vec<f32>,
-    acc: &'a mut Vec<f32>,
-    slots: &'a mut Vec<RoundSlot>,
-    /// Raw aggregation weight per client (pre-normalization).
-    weights: Vec<f32>,
-    cfg: FedAvgConfig,
-    obs: Recorder,
-    dp: bool,
-    materialize: bool,
-    /// Sampled client indices in visit (index) order.
-    chain: Vec<usize>,
-    /// Next chain position to dispatch.
-    next: usize,
-    total: f32,
-    global_arc: Arc<Vec<f32>>,
-    bytes0: u64,
-    stats: &'a mut Option<RoundStats>,
-    publish: &'a mut bool,
-}
-
-/// A client seat: the participant plus everything its handler needs.
-struct ClientSeat<'a, P: Participant> {
-    index: usize,
-    client: &'a mut P,
-    transform: Option<&'a dyn UpdateTransform>,
-    cfg: FedAvgConfig,
-    obs: Recorder,
-}
-
-impl ServerRound<'_> {
-    /// Dispatches a `TrainRequest` to the chain's next client, threading the
-    /// accumulator and a recycled snapshot carcass through the message.
-    fn dispatch(&mut self, round: u64, acc: Option<Vec<f32>>, ctx: &mut Ctx<'_>) {
-        let i = self.chain[self.next];
-        self.next += 1;
-        let snap = self
-            .materialize
-            .then(|| std::mem::replace(&mut self.slots[i].model, empty_snap_slot()));
-        let weight = if acc.is_some() { self.weights[i] / self.total } else { 0.0 };
-        ctx.send_at(
-            ctx.now().max(round * SLOTS_PER_ROUND + 1),
-            (i + 1) as cia_runtime::NodeId,
-            Msg::TrainRequest {
-                round,
-                epochs: self.cfg.local_epochs,
-                global: Arc::clone(&self.global_arc),
-                weight,
-                acc,
-                snap,
-            },
-        );
-    }
-
-    fn round_start(&mut self, t: u64, ctx: &mut Ctx<'_>) {
-        let n = self.slots.len();
-        let cfg = self.cfg;
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ t.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let sample_span = self.obs.span("sample");
-        let mut sampled: Vec<bool> = if cfg.participation >= 1.0 {
-            vec![true; n]
-        } else {
-            let k = ((n as f64 * cfg.participation).round() as usize).clamp(1, n);
-            let mut idx: Vec<usize> = (0..n).collect();
-            idx.shuffle(&mut rng);
-            let mut mask = vec![false; n];
-            for &i in idx.iter().take(k) {
-                mask[i] = true;
-            }
-            mask
-        };
-        self.observer.on_round_start(t);
-        self.observer.on_liveness(LivenessEvent::ActingSet { round: t, mask: &mut sampled });
-        self.observer.on_global(t, self.global);
-        drop(sample_span);
-
-        self.materialize = self.dp || self.observer.observes_models();
-        for (slot, &s) in self.slots.iter_mut().zip(&sampled) {
-            slot.sampled = s;
-            slot.loss = 0.0;
-        }
-        self.total = self.weights.iter().zip(&sampled).filter(|&(_, &s)| s).map(|(&w, _)| w).sum();
-        self.acc.resize(self.global.len(), 0.0);
-        self.acc.fill(0.0);
-        self.chain = sampled.iter().enumerate().filter(|&(_, &s)| s).map(|(i, _)| i).collect();
-        self.next = 0;
-        if self.chain.is_empty() {
-            return; // The already-scheduled RoundEnd closes the round.
-        }
-        self.global_arc = Arc::new(self.global.clone());
-        let acc = (!self.dp && self.total > 0.0).then(|| std::mem::take(self.acc));
-        self.dispatch(t, acc, ctx);
-    }
-
-    fn on_update(
-        &mut self,
-        round: u64,
-        client: u32,
-        loss: f32,
-        acc: Option<Vec<f32>>,
-        snap: Option<SharedModel>,
-        ctx: &mut Ctx<'_>,
-    ) {
-        let slot = &mut self.slots[client as usize];
-        slot.loss = loss;
-        if let Some(snap) = snap {
-            slot.model = snap;
-        }
-        if self.next < self.chain.len() {
-            self.dispatch(round, acc, ctx);
-        } else if let Some(acc) = acc {
-            *self.acc = acc;
-        }
-    }
-
-    fn round_end(&mut self, t: u64, ctx: &mut Ctx<'_>) {
-        // Observe in deterministic (index) order — byte-identical to the
-        // lockstep attack phase.
-        let attack_span = self.obs.span("attack");
-        let mut loss_sum = 0.0f32;
-        let mut participants = 0usize;
-        for slot in self.slots.iter() {
-            if slot.sampled {
-                if self.materialize {
-                    self.observer.on_client_model(&slot.model);
-                    self.obs.add(Counter::BytesMaterialized, 4 * slot.model.len() as u64);
-                }
-                loss_sum += slot.loss;
-                participants += 1;
-            }
-        }
-        drop(attack_span);
-        self.obs.add(Counter::ClientsTrained, participants as u64);
-        let aggregate_span = self.obs.span("aggregate");
-        if participants > 0 {
-            if !self.dp {
-                for (g, a) in self.global.iter_mut().zip(self.acc.iter()) {
-                    *g += a;
-                }
-            } else {
-                let mut rows: Vec<&[f32]> = Vec::with_capacity(participants);
-                let mut weights: Vec<f32> = Vec::with_capacity(participants);
-                for (slot, &w) in self.slots.iter().zip(&self.weights) {
-                    if slot.sampled {
-                        rows.push(&slot.model.agg);
-                        weights.push(w);
-                    }
-                }
-                let mut new_global = vec![0.0f32; self.global.len()];
-                weighted_mean(&mut new_global, &rows, &weights);
-                *self.global = new_global;
-            }
-        }
-        drop(aggregate_span);
-        let stats = RoundStats {
-            round: t,
-            participants,
-            mean_loss: (participants > 0).then(|| loss_sum / participants as f32),
-            bytes_materialized: self.obs.counter(Counter::BytesMaterialized) - self.bytes0,
-        };
-        let evaluate_span = self.obs.span("evaluate");
-        self.observer.on_round_end(&stats);
-        drop(evaluate_span);
-        *self.stats = Some(stats);
-        ctx.send(SERVER, Msg::GlobalBroadcast { round: t });
-    }
-}
-
-impl<P: Participant> ClientSeat<'_, P> {
-    /// The lockstep per-client body, verbatim: same RNG stream, same DP vs.
-    /// fused-sink split, same snapshot fill.
-    fn train(
-        &mut self,
-        round: u64,
-        global: &[f32],
-        weight: f32,
-        mut acc: Option<Vec<f32>>,
-        mut snap: Option<SharedModel>,
-        ctx: &mut Ctx<'_>,
-    ) {
-        let cfg = self.cfg;
-        let i = self.index;
-        let t0 = self.obs.clock();
-        let mut crng =
-            StdRng::seed_from_u64(cfg.seed ^ (round << 20) ^ (i as u64).wrapping_mul(0x5851_F42D));
-        let mut loss;
-        if let Some(tr) = self.transform {
-            self.client.absorb_agg(global);
-            let emb_before: Option<Vec<f32>> = self.client.owner_emb().map(<[f32]>::to_vec);
-            loss = 0.0;
-            for _ in 0..cfg.local_epochs.max(1) {
-                loss = self.client.train_local(&mut crng);
-            }
-            let snap = snap.as_mut().expect("DP rounds always materialize");
-            self.client.snapshot_into(round, snap);
-            apply_update_transform(tr, snap, global, emb_before.as_deref(), &mut crng);
-        } else {
-            let sink = acc.as_mut().map(|a| (weight, a.as_mut_slice()));
-            loss = self.client.fed_round(global, cfg.local_epochs, &mut crng, sink);
-            if let Some(snap) = &mut snap {
-                self.client.snapshot_into(round, snap);
-            }
-        }
-        self.obs.observe_since(Metric::TrainMicros, t0);
-        // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-        ctx.send(SERVER, Msg::ModelUpdate { round, client: i as u32, loss, acc, snap });
-    }
-}
-
-impl<P: Participant> Node for FlNode<'_, P> {
-    fn on_message(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
-        match (self, msg) {
-            (FlNode::Client(seat), Msg::TrainRequest { round, global, weight, acc, snap, .. }) => {
-                seat.train(round, &global, weight, acc, snap, ctx);
-            }
-            (FlNode::Server(srv), Msg::ModelUpdate { round, client, loss, acc, snap }) => {
-                srv.on_update(round, client, loss, acc, snap, ctx);
-            }
-            (FlNode::Server(srv), Msg::GlobalBroadcast { .. }) => *srv.publish = true,
-            (node, msg) => unreachable!(
-                "misrouted FL message {} to {}",
-                msg.label(),
-                if matches!(node, FlNode::Server(_)) { "server" } else { "client" }
-            ),
-        }
-    }
-
-    fn on_timer(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
-        match (self, msg) {
-            (FlNode::Server(srv), Msg::RoundStart { round }) => srv.round_start(round, ctx),
-            (FlNode::Server(srv), Msg::RoundEnd { round }) => srv.round_end(round, ctx),
-            (_, msg) => unreachable!("misrouted FL timer {}", msg.label()),
         }
     }
 }
@@ -1530,145 +1174,5 @@ mod tests {
         resumed.step(&mut NullObserver);
         resumed.step(&mut NullObserver);
         assert_eq!(resumed.global_agg(), straight.global_agg());
-    }
-
-    /// Runs lockstep and evented from identical state, comparing every
-    /// observable byte: the observed model stream, round stats, the final
-    /// global, and every client's private state.
-    fn assert_evented_matches_lockstep(
-        mut make: impl FnMut() -> FedAvg<cia_models::GmfClient>,
-        rounds: u64,
-        policy: DeliveryPolicy,
-    ) {
-        let mut lockstep = make();
-        let mut lock_tape = ModelTape::default();
-        for _ in 0..rounds {
-            lockstep.step(&mut lock_tape);
-        }
-
-        let mut evented = make();
-        let mut ev_tape = ModelTape::default();
-        for _ in 0..rounds {
-            evented.step_evented(&mut ev_tape, policy);
-        }
-
-        assert_eq!(lock_tape.models, ev_tape.models);
-        assert_eq!(lock_tape.stats, ev_tape.stats);
-        assert_eq!(lockstep.global_agg(), evented.global_agg());
-        for (l, e) in lockstep.clients().iter().zip(evented.clients()) {
-            assert_eq!(l.state_vec(), e.state_vec());
-        }
-    }
-
-    #[test]
-    fn evented_round_replays_lockstep_bit_for_bit() {
-        assert_evented_matches_lockstep(
-            || make_sim(10, 3, SharingPolicy::Full),
-            3,
-            DeliveryPolicy::Lockstep,
-        );
-    }
-
-    #[test]
-    fn evented_round_matches_lockstep_with_partial_participation() {
-        let make = || {
-            let mut sim = make_sim(12, 4, SharingPolicy::Full);
-            sim.cfg.participation = 0.5;
-            sim.cfg.weighting = Weighting::ByExamples;
-            sim
-        };
-        assert_evented_matches_lockstep(make, 4, DeliveryPolicy::Lockstep);
-    }
-
-    #[test]
-    fn evented_round_matches_lockstep_under_dp() {
-        use cia_defenses::{DpConfig, DpMechanism};
-        let make = || {
-            let mut sim = make_sim(8, 3, SharingPolicy::Full);
-            sim.set_update_transform(Box::new(DpMechanism::new(DpConfig {
-                clip: 1.0,
-                noise_multiplier: 0.5,
-            })));
-            sim
-        };
-        assert_evented_matches_lockstep(make, 3, DeliveryPolicy::Lockstep);
-    }
-
-    #[test]
-    fn interleaving_seeds_cannot_change_fl_bytes() {
-        // The request/update chain keeps exactly one message in flight, so
-        // any interleaving seed degenerates to the lockstep order.
-        for seed in [0u64, 7, 0xDEAD_BEEF] {
-            let make = || {
-                let mut sim = make_sim(9, 2, SharingPolicy::Full);
-                sim.cfg.participation = 0.6;
-                sim
-            };
-            assert_evented_matches_lockstep(make, 2, DeliveryPolicy::Interleaved { seed });
-        }
-    }
-
-    #[test]
-    fn evented_all_offline_round_keeps_global() {
-        let mut sim = make_sim(6, 1, SharingPolicy::Full);
-        let before = sim.global_agg().to_vec();
-        let stats = sim.step_evented(&mut Blackout, DeliveryPolicy::Lockstep);
-        assert_eq!(stats.participants, 0);
-        assert_eq!(stats.mean_loss, None);
-        assert_eq!(sim.global_agg(), before.as_slice());
-        assert_eq!(sim.round(), 1);
-    }
-
-    #[test]
-    fn evented_round_fires_publish_hook_after_broadcast() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        type Published = Rc<RefCell<Vec<(u64, Vec<f32>)>>>;
-        let published: Published = Rc::default();
-        let sink = Rc::clone(&published);
-        let mut sim = make_sim(5, 2, SharingPolicy::Full);
-        sim.set_publish_hook(Box::new(move |t, clients, global| {
-            assert_eq!(clients.len(), 5);
-            sink.borrow_mut().push((t, global.to_vec()));
-        }));
-        sim.step_evented(&mut NullObserver, DeliveryPolicy::Lockstep);
-        let after_first = sim.global_agg().to_vec();
-        sim.step_evented(&mut NullObserver, DeliveryPolicy::Lockstep);
-        let events = published.borrow();
-        assert_eq!(events.len(), 2, "one broadcast per round");
-        assert_eq!(events[0].0, 0);
-        assert_eq!(events[0].1, after_first, "hook sees the post-aggregation global");
-        assert_eq!(events[1].0, 1);
-        assert_eq!(events[1].1, sim.global_agg());
-    }
-
-    #[test]
-    fn evented_round_spans_phases_and_counts_like_lockstep() {
-        let mut sim = make_sim(10, 2, SharingPolicy::Full);
-        let rec = cia_obs::Recorder::new();
-        rec.set_detail(true);
-        sim.set_recorder(rec.clone());
-        for _ in 0..2 {
-            sim.step_evented(&mut NullObserver, DeliveryPolicy::Lockstep);
-        }
-        assert_eq!(rec.counter(Counter::ClientsTrained), 20);
-        assert_eq!(rec.histogram(Metric::TrainMicros).count(), 20);
-        let chunk = rec.drain();
-        for phase in ["sample", "train", "attack", "aggregate", "evaluate"] {
-            assert_eq!(
-                chunk.spans.iter().filter(|s| s.name == phase).count(),
-                2,
-                "one {phase} span per round"
-            );
-        }
-        // The per-message trace: every train request and model update gets
-        // its own span slice nested under the round's train phase.
-        for msg in ["msg:train_request", "msg:model_update"] {
-            assert_eq!(
-                chunk.spans.iter().filter(|s| s.name == msg).count(),
-                20,
-                "one {msg} span per sampled client per round"
-            );
-        }
     }
 }

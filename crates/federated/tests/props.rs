@@ -1,13 +1,16 @@
-//! Property tests for the evented FedAvg port: under any participation
-//! fraction, weighting, epoch count and seed, the event-driven round —
-//! including with a seeded interleaved delivery order — replays the fused
-//! lockstep round bit for bit, and a mid-run restore lands on the
+//! Property tests for the FedAvg round: under any participation fraction,
+//! weighting, epoch count, seed and DP setting, the round replays bit for
+//! bit whatever `CIA_THREADS` says, and a mid-run restore lands on the
 //! uninterrupted trajectory.
+//!
+//! `one_and_three_threads_give_identical_rounds` is the only test in this
+//! binary that sets `CIA_THREADS`. The other test may see the variable
+//! flip while it runs, which is harmless: thread count never changes a
+//! result, which is exactly the property under test.
 
 use cia_data::UserId;
-use cia_federated::{
-    DeliveryPolicy, FedAvg, FedAvgConfig, LivenessEvent, RoundObserver, RoundStats, Weighting,
-};
+use cia_defenses::{DpConfig, DpMechanism};
+use cia_federated::{FedAvg, FedAvgConfig, LivenessEvent, RoundObserver, RoundStats, Weighting};
 use cia_models::{Participant, SharedModel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -15,7 +18,7 @@ use rand::Rng;
 
 /// Deterministic toy client: params drift towards a per-community fixed
 /// point with a small RNG perturbation, so any divergence in RNG stream
-/// order between the lockstep and evented paths shows up in the parameters.
+/// order between thread counts shows up in the parameters.
 struct TestClient {
     user: UserId,
     params: Vec<f32>,
@@ -106,39 +109,52 @@ fn config(
     }
 }
 
+/// Runs `rounds` rounds under `CIA_THREADS=threads`, returning the tape, the
+/// final global and every client's parameters.
+fn run_with_threads(
+    threads: &str,
+    n: usize,
+    cfg: FedAvgConfig,
+    dp: bool,
+) -> (Tape, Vec<f32>, Vec<Vec<f32>>) {
+    std::env::set_var("CIA_THREADS", threads);
+    let mut s = sim(n, cfg);
+    if dp {
+        s.set_update_transform(Box::new(DpMechanism::new(DpConfig {
+            clip: 0.5,
+            noise_multiplier: 0.3,
+        })));
+    }
+    let mut tape = Tape::default();
+    for _ in 0..cfg.rounds {
+        s.step(&mut tape);
+    }
+    let params = s.clients().iter().map(|c| c.params.clone()).collect();
+    (tape, s.global_agg().to_vec(), params)
+}
+
 proptest! {
     #[test]
-    fn evented_round_replays_lockstep_under_any_interleaving(
+    fn one_and_three_threads_give_identical_rounds(
         n in 2usize..14,
         rounds in 1u64..5,
         participation in 0.2f64..1.0,
         epochs in 1usize..3,
         by_examples in any::<bool>(),
+        dp in any::<bool>(),
         seed in 0u64..(1 << 40),
-        interleave in any::<u64>(),
     ) {
         let cfg = config(rounds, participation, epochs, by_examples, seed);
-        let mut lockstep = sim(n, cfg);
-        let mut lock_tape = Tape::default();
-        for _ in 0..rounds {
-            lockstep.step(&mut lock_tape);
-        }
-        for policy in [DeliveryPolicy::Lockstep, DeliveryPolicy::Interleaved { seed: interleave }] {
-            let mut evented = sim(n, cfg);
-            let mut ev_tape = Tape::default();
-            for _ in 0..rounds {
-                evented.step_evented(&mut ev_tape, policy);
-            }
-            prop_assert_eq!(&ev_tape, &lock_tape, "policy {:?} drifted", policy);
-            prop_assert_eq!(evented.global_agg(), lockstep.global_agg());
-            for (a, b) in evented.clients().iter().zip(lockstep.clients()) {
-                prop_assert_eq!(&a.params, &b.params);
-            }
-        }
+        let serial = run_with_threads("1", n, cfg, dp);
+        let parallel = run_with_threads("3", n, cfg, dp);
+        std::env::remove_var("CIA_THREADS");
+        prop_assert_eq!(&parallel.0, &serial.0, "observer tape drifted");
+        prop_assert_eq!(&parallel.1, &serial.1, "global drifted");
+        prop_assert_eq!(&parallel.2, &serial.2, "client parameters drifted");
     }
 
     #[test]
-    fn mid_run_restore_replays_the_evented_trajectory(
+    fn mid_run_restore_replays_the_trajectory(
         n in 2usize..14,
         rounds in 2u64..6,
         cut in 1u64..5,
@@ -150,13 +166,13 @@ proptest! {
         let mut straight = sim(n, cfg);
         let mut straight_tape = Tape::default();
         for _ in 0..rounds {
-            straight.step_evented(&mut straight_tape, DeliveryPolicy::Lockstep);
+            straight.step(&mut straight_tape);
         }
 
         let mut first = sim(n, cfg);
         let mut tape = Tape::default();
         for _ in 0..cut {
-            first.step_evented(&mut tape, DeliveryPolicy::Lockstep);
+            first.step(&mut tape);
         }
         let global = first.global_agg().to_vec();
         let params: Vec<Vec<f32>> = first.clients().iter().map(Participant::state_vec).collect();
@@ -168,7 +184,7 @@ proptest! {
             node.restore_state(p);
         }
         for _ in cut..rounds {
-            resumed.step_evented(&mut tape, DeliveryPolicy::Lockstep);
+            resumed.step(&mut tape);
         }
         prop_assert_eq!(&tape, &straight_tape, "stitched tape diverged at cut {}", cut);
         prop_assert_eq!(resumed.global_agg(), straight.global_agg());

@@ -21,10 +21,11 @@ mod sim;
 
 pub use graph::{sample_exp_interval, ViewTable};
 pub use sim::{
-    GossipConfig, GossipObserver, GossipProtocol, GossipPublishHook, GossipRoundStats, GossipSim,
-    GossipSimState, NullGossipObserver, TrafficCounters,
+    GossipConfig, GossipObserver, GossipProtocol, GossipRoundStats, GossipSim, GossipSimState,
+    NullGossipObserver, TrafficCounters,
 };
 
-// The runtime abstractions this crate's API surfaces (observer liveness
-// events, the export/restore trait, evented delivery policies).
-pub use cia_runtime::{Checkpointable, DeliveryPolicy, LivenessEvent};
+// The cross-protocol abstractions this crate's API surfaces (observer
+// liveness events, the export/restore trait) and the selector the
+// `step_evented` forward takes.
+pub use cia_models::{Checkpointable, DeliveryPolicy, LivenessEvent};

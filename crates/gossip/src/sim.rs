@@ -3,12 +3,11 @@
 use crate::graph::{sample_exp_interval, ViewTable};
 use cia_data::UserId;
 use cia_models::parallel::par_zip_mut;
-use cia_models::{ClientStore, Participant, SharedModel, UpdateTransform};
-use cia_obs::{Counter, Metric, Recorder};
-use cia_runtime::{
-    Checkpointable, Ctx, DeliveryPolicy, LivenessEvent, Msg, Node, SavedEvent, Scheduler,
-    SLOTS_PER_ROUND,
+use cia_models::{
+    Checkpointable, ClientStore, DeliveryPolicy, LivenessEvent, Participant, SharedModel,
+    UpdateTransform,
 };
+use cia_obs::{Counter, Metric, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -146,12 +145,6 @@ pub struct GossipSimState {
     pub prev_sent: Vec<Option<Vec<f32>>>,
     /// Accumulated per-node traffic counters.
     pub traffic: TrafficCounters,
-    /// Undelivered scheduler events (the evented runtime's cross-round
-    /// in-flight messages and timers — view-refresh timers, chiefly). Empty
-    /// for lockstep runs and for checkpoints written before the evented
-    /// runtime existed; an empty queue re-derives refresh timers from
-    /// `refresh_at` on the next evented round.
-    pub pending: Vec<SavedEvent>,
 }
 
 /// Passive per-node traffic counters the simulation accumulates every round.
@@ -174,23 +167,14 @@ impl TrafficCounters {
     }
 }
 
-/// Per-node bookkeeping owned by the node itself (in the evented runtime a
-/// peer's seat borrows exactly this struct, so nothing here may be touched by
-/// the coordinator mid-round).
+/// Per-node bookkeeping, paired with the node in the parallel round passes.
 struct PeerCtl {
     inbox: Vec<SharedModel>,
     /// Reference shared vector for DP updates (last sent `[emb | agg]`).
     prev_sent: Option<Vec<f32>>,
-    /// `(sender, score)` entries produced while mixing this round's inbox;
-    /// drained into the simulation-level `heard` table at the round barrier
-    /// (lockstep) or via [`Msg::TrainReport`] (evented).
-    heard_scratch: Vec<(u32, f32)>,
-    /// Local snapshot-carcass pool (evented rounds recycle consumed inbox
-    /// buffers per peer; the lockstep path uses the shared pool instead).
-    stash: Vec<SharedModel>,
-    /// Local copy of the node's out-view (maintained by [`Msg::ViewPush`];
-    /// the authoritative table stays with the coordinator's graph).
-    view: Vec<u32>,
+    /// Pers-Gossip `(sender, score)` candidates heard since the node's last
+    /// view refresh, which consumes them.
+    heard: Vec<(u32, f32)>,
     awake: bool,
     loss: f32,
 }
@@ -204,25 +188,12 @@ pub struct GossipSim<P: Participant> {
     /// reconstructible from seed + global (see `cia_federated::FedAvg::sharded`).
     store: ClientStore<P>,
     ctl: Vec<PeerCtl>,
-    /// Pers-Gossip `(sender, score)` candidates heard since each node's last
-    /// view refresh. Lives on the simulation (the refresh phase consumes it
-    /// while peers own their [`PeerCtl`]s), filled from each peer's
-    /// `heard_scratch` at the round barrier.
-    heard: Vec<Vec<(u32, f32)>>,
     views: ViewTable,
     refresh_at: Vec<u64>,
     cfg: GossipConfig,
     transform: Option<Box<dyn UpdateTransform>>,
     traffic: TrafficCounters,
     round: u64,
-    /// Undelivered scheduler events carried between evented rounds (see
-    /// [`GossipSimState::pending`]). Lockstep rounds clear it — a later
-    /// evented round re-derives its timers from `refresh_at`.
-    pending: Vec<SavedEvent>,
-    /// Invoked when the evented round's scheduled [`Msg::GlobalBroadcast`]
-    /// fires: `(round, nodes)`. The scenario runner installs per-user
-    /// snapshot publication to `cia-serve` here.
-    publish_hook: Option<GossipPublishHook<P>>,
     /// Recycled model carcasses: aggregated inbox snapshots return here and
     /// the next round's outgoing snapshots reuse their buffers, so a steady
     /// round allocates no catalog-sized vectors.
@@ -233,9 +204,6 @@ pub struct GossipSim<P: Participant> {
     /// per-node mix/train latency histograms.
     obs: Recorder,
 }
-
-/// Post-round publication callback: `(round, nodes)`.
-pub type GossipPublishHook<P> = Box<dyn FnMut(u64, &[P])>;
 
 impl<P: Participant> GossipSim<P> {
     /// Creates a simulation over `nodes`.
@@ -264,39 +232,26 @@ impl<P: Participant> GossipSim<P> {
             .map(|_| PeerCtl {
                 inbox: Vec::new(),
                 prev_sent: None,
-                heard_scratch: Vec::new(),
-                stash: Vec::new(),
-                view: Vec::new(),
+                heard: Vec::new(),
                 awake: false,
                 loss: 0.0,
             })
             .collect();
-        let heard = vec![Vec::new(); nodes.len()];
         let traffic = TrafficCounters::zeroed(nodes.len());
         let outgoing = (0..nodes.len()).map(|_| None).collect();
         GossipSim {
             store: ClientStore::dense(nodes),
             ctl,
-            heard,
             views,
             refresh_at,
             cfg,
             transform: None,
             traffic,
             round: 0,
-            pending: Vec::new(),
-            publish_hook: None,
             pool: Vec::new(),
             outgoing,
             obs: Recorder::new(),
         }
-    }
-
-    /// Installs the post-round publication hook (see the `publish_hook`
-    /// field). Only the evented path ([`GossipSim::step_evented`]) schedules
-    /// the [`Msg::GlobalBroadcast`] event that fires it.
-    pub fn set_publish_hook(&mut self, hook: GossipPublishHook<P>) {
-        self.publish_hook = Some(hook);
     }
 
     /// Installs the metrics/trace sink this simulation reports into. The
@@ -369,10 +324,6 @@ impl<P: Participant> GossipSim<P> {
         let obs = self.obs.clone();
         let bytes0 = obs.counter(Counter::BytesOnWire);
         let n = self.store.len();
-        // Lockstep rounds invalidate any carried-over scheduler events; a
-        // later evented round re-derives its refresh timers from
-        // `refresh_at`, which this path keeps authoritative.
-        self.pending.clear();
         let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ t.wrapping_mul(0xA076_1D64_78BD_642F));
         observer.on_round_start(t);
 
@@ -392,7 +343,7 @@ impl<P: Participant> GossipSim<P> {
                 match self.cfg.protocol {
                     GossipProtocol::Rand => self.views.refresh_random(u, &mut rng),
                     GossipProtocol::Pers { .. } => {
-                        let mut scored = std::mem::take(&mut self.heard[u as usize]);
+                        let mut scored = std::mem::take(&mut self.ctl[u as usize].heard);
                         self.views.refresh_personalized(u, &mut scored, keep, &mut rng);
                     }
                 }
@@ -502,7 +453,7 @@ impl<P: Participant> GossipSim<P> {
                     let t0 = obs.clock();
                     if is_pers {
                         for m in &c.inbox {
-                            c.heard_scratch.push((m.owner.raw(), node.evaluate_model(m)));
+                            c.heard.push((m.owner.raw(), node.evaluate_model(m)));
                         }
                     }
                     let rows: Vec<&[f32]> = c.inbox.iter().map(|m| m.agg.as_slice()).collect();
@@ -523,16 +474,10 @@ impl<P: Participant> GossipSim<P> {
         }
         drop(train_span);
 
-        // Consumed inboxes drain into the pool, and each node's mixing
-        // evidence lands in the simulation-level `heard` table, afterwards
-        // (serially — pool and table are shared). The barrier append keeps
-        // `heard` byte-identical to in-pass pushes: it only ever gets
-        // consumed at a *later* round's view refresh.
-        for (u, c) in self.ctl.iter_mut().enumerate() {
-            self.heard[u].append(&mut c.heard_scratch);
-            if c.awake {
-                self.pool.append(&mut c.inbox);
-            }
+        // Consumed inboxes drain into the pool afterwards (serially — the
+        // pool is shared).
+        for c in self.ctl.iter_mut().filter(|c| c.awake) {
+            self.pool.append(&mut c.inbox);
         }
         self.pool.truncate(n);
 
@@ -560,132 +505,15 @@ impl<P: Participant> GossipSim<P> {
         }
     }
 
-    /// Runs one round on the event-driven runtime: a coordinator seat (node
-    /// 0) owns the graph and the round timeline, every gossip node becomes a
-    /// peer seat (node `i + 1`), and the round unfolds as typed messages —
-    /// [`Msg::RefreshTimer`]/[`Msg::ViewPush`] for view management,
-    /// [`Msg::WakeSend`]/[`Msg::ModelPush`] for the push path,
-    /// [`Msg::MixTrain`]/[`Msg::TrainReport`] for mixing and training —
-    /// under the deterministic virtual-clock scheduler.
-    ///
-    /// Compatibility contract: under *any* [`DeliveryPolicy`] this replays
-    /// [`GossipSim::step`]'s lockstep semantics bit for bit — same RNG
-    /// streams, same float operations, same observer callback order. Every
-    /// reorderable mailbox is sorted on a canonical key before any float is
-    /// touched (routing by ascending sender, inboxes by `(round, owner)`,
-    /// train reports by node), so interleaving seeds cannot change bytes.
-    ///
-    /// View-refresh timers are the events that legitimately cross rounds:
-    /// leftover queue contents persist on the simulation (and inside
-    /// checkpoints via [`GossipSimState::pending`]); an empty queue re-derives
-    /// them from `refresh_at`, which produces the identical firing schedule.
+    /// Forwards to [`GossipSim::step`]. Exists only for the benchmark tracer
+    /// (`perfbench/tracer`) and goes away in the next benchmark change.
+    #[doc(hidden)]
     pub fn step_evented(
         &mut self,
         observer: &mut dyn GossipObserver,
-        policy: DeliveryPolicy,
+        _: DeliveryPolicy,
     ) -> GossipRoundStats {
-        let t = self.round;
-        let obs = self.obs.clone();
-        let bytes0 = obs.counter(Counter::BytesOnWire);
-        let n = self.store.len();
-        let base = t * SLOTS_PER_ROUND;
-        let mut stats_out = None;
-        let mut publish = false;
-        {
-            let GossipSim {
-                store,
-                ctl,
-                heard,
-                views,
-                refresh_at,
-                cfg,
-                transform,
-                traffic,
-                pending,
-                ..
-            } = &mut *self;
-            let nodes = store.as_dense_mut().expect("gossip stores are dense");
-            let cfg = *cfg;
-            let transform = transform.as_deref();
-            let mut sched = Scheduler::new(policy);
-            sched.set_recorder(obs.clone());
-            if pending.is_empty() {
-                // First evented round, or resumed without a saved queue:
-                // derive each node's refresh timer from its scheduled round.
-                // `max(refresh_at, t)` folds overdue (deferred) refreshes
-                // into the current round, exactly like the lockstep
-                // `refresh_at <= t` scan.
-                // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                for u in 0..n as u32 {
-                    let at = refresh_at[u as usize].max(t) * SLOTS_PER_ROUND;
-                    sched.timer_at(at, COORD, Msg::RefreshTimer { node: u });
-                }
-            } else {
-                sched.install_pending(std::mem::take(pending));
-            }
-            sched.timer_at(base, COORD, Msg::RoundStart { round: t });
-            sched.timer_at(base + 2, COORD, Msg::RouteFlush { round: t });
-            sched.timer_at(base + 4, COORD, Msg::RoundEnd { round: t });
-
-            let mut seats: Vec<GlNode<'_, P>> = Vec::with_capacity(n + 1);
-            seats.push(GlNode::Coordinator(CoordRound {
-                observer,
-                views,
-                refresh_at,
-                heard,
-                traffic,
-                cfg,
-                obs: obs.clone(),
-                due: Vec::new(),
-                wake: Vec::new(),
-                buffer: Vec::new(),
-                reports: Vec::new(),
-                deliveries: 0,
-                bytes0,
-                stats: &mut stats_out,
-                publish: &mut publish,
-            }));
-            for (i, (node, c)) in nodes.iter_mut().zip(ctl.iter_mut()).enumerate() {
-                seats.push(GlNode::Peer(PeerSeat {
-                    index: i,
-                    node,
-                    ctl: c,
-                    transform,
-                    cfg,
-                    obs: obs.clone(),
-                }));
-            }
-
-            // Slot 0: due refresh timers, then the round opening (refresh +
-            // sample phases in its handler).
-            sched.run_until(base, &mut seats);
-            // Slot 1: view pushes + wake sends (peers snapshot and apply DP).
-            let send_span = obs.span("send");
-            sched.run_until(base + 1, &mut seats);
-            drop(send_span);
-            // Slot 2: model pushes buffer at the coordinator; the route-flush
-            // timer then routes them in canonical sender order.
-            let route_span = obs.span("route");
-            sched.run_until(base + 2, &mut seats);
-            drop(route_span);
-            // Slot 3: routed models land in peer inboxes, then every awake
-            // peer's mix+train timer fires.
-            let train_span = obs.span("train");
-            sched.run_until(base + 3, &mut seats);
-            drop(train_span);
-            // Slots 4–5: train reports, round closing, broadcast.
-            sched.run_until(base + 5, &mut seats);
-            *pending = sched.drain_pending();
-        }
-        self.round += 1;
-        let stats = stats_out.expect("RoundEnd produced stats");
-        if publish {
-            if let Some(mut hook) = self.publish_hook.take() {
-                hook(t, self.nodes());
-                self.publish_hook = Some(hook);
-            }
-        }
-        stats
+        self.step(observer)
     }
 }
 
@@ -693,7 +521,7 @@ impl<P: Participant> Checkpointable for GossipSim<P> {
     type State = GossipSimState;
 
     /// Snapshot of the protocol-side state — round counter, views, refresh
-    /// schedule, per-node mailboxes and the pending event queue. Per-round
+    /// schedule and per-node mailboxes. Per-round
     /// RNG streams are derived from `(seed, round)`, so no generator state
     /// needs saving; node parameters are captured separately via
     /// [`cia_models::Participant::state_vec`].
@@ -704,9 +532,8 @@ impl<P: Participant> Checkpointable for GossipSim<P> {
             views: self.views.views().to_vec(),
             inboxes: self.ctl.iter().map(|c| c.inbox.clone()).collect(),
             traffic: self.traffic.clone(),
-            heard: self.heard.clone(),
+            heard: self.ctl.iter().map(|c| c.heard.clone()).collect(),
             prev_sent: self.ctl.iter().map(|c| c.prev_sent.clone()).collect(),
-            pending: self.pending.clone(),
         }
     }
 
@@ -726,318 +553,23 @@ impl<P: Participant> Checkpointable for GossipSim<P> {
         self.views.restore_views(state.views);
         self.round = state.round;
         self.refresh_at = state.refresh_at;
-        self.heard = state.heard;
-        for ((c, inbox), prev) in self.ctl.iter_mut().zip(state.inboxes).zip(state.prev_sent) {
+        let per_node = state.inboxes.into_iter().zip(state.prev_sent).zip(state.heard);
+        for (c, ((inbox, prev), heard)) in self.ctl.iter_mut().zip(per_node) {
             c.inbox = inbox;
             c.prev_sent = prev;
+            c.heard = heard;
         }
         assert_eq!(state.traffic.received.len(), n, "one received counter per node");
         assert_eq!(state.traffic.view_in_degree.len(), n, "one in-degree counter per node");
         self.traffic = state.traffic;
-        self.pending = state.pending;
     }
 }
-
-/// The coordinator's node address in the gossip scheduler (peers sit at
-/// `i + 1`).
-const COORD: cia_runtime::NodeId = 0;
 
 /// Availability probe through the unified liveness hook.
 fn probe_available(observer: &mut dyn GossipObserver, round: u64, node: u32) -> bool {
     let mut available = true;
     observer.on_liveness(LivenessEvent::Probe { round, node, available: &mut available });
     available
-}
-
-/// One gossip seat on the scheduler: the coordinator (node 0, owning graph,
-/// routing and round control) or a peer (node `i + 1`, owning exactly its
-/// participant state and [`PeerCtl`]).
-enum GlNode<'a, P: Participant> {
-    Coordinator(CoordRound<'a>),
-    Peer(PeerSeat<'a, P>),
-}
-
-/// One buffered `TrainReport`: `(node, loss, heard)`.
-type TrainReportRow = (u32, f32, Vec<(u32, f32)>);
-
-/// The coordinator's per-round working state (borrows the simulation's
-/// persistent tables).
-struct CoordRound<'a> {
-    observer: &'a mut dyn GossipObserver,
-    views: &'a mut ViewTable,
-    refresh_at: &'a mut Vec<u64>,
-    heard: &'a mut Vec<Vec<(u32, f32)>>,
-    traffic: &'a mut TrafficCounters,
-    cfg: GossipConfig,
-    obs: Recorder,
-    /// Nodes whose refresh timers fired this round (processed sorted, which
-    /// reproduces the lockstep ascending scan).
-    due: Vec<u32>,
-    /// This round's final wake mask.
-    wake: Vec<bool>,
-    /// Buffered pushes awaiting the route flush: `(sender, dest, model)`.
-    buffer: Vec<(u32, u32, SharedModel)>,
-    /// Buffered train reports awaiting the round end: `(node, loss, heard)`.
-    reports: Vec<TrainReportRow>,
-    deliveries: usize,
-    bytes0: u64,
-    stats: &'a mut Option<GossipRoundStats>,
-    publish: &'a mut bool,
-}
-
-/// A peer seat: the participant plus its own control block.
-struct PeerSeat<'a, P: Participant> {
-    index: usize,
-    node: &'a mut P,
-    ctl: &'a mut PeerCtl,
-    transform: Option<&'a dyn UpdateTransform>,
-    cfg: GossipConfig,
-    obs: Recorder,
-}
-
-impl CoordRound<'_> {
-    fn round_start(&mut self, t: u64, ctx: &mut Ctx<'_>) {
-        let n = self.refresh_at.len();
-        let base = t * SLOTS_PER_ROUND;
-        let cfg = self.cfg;
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ t.wrapping_mul(0xA076_1D64_78BD_642F));
-        self.observer.on_round_start(t);
-
-        // Refresh phase: the due set arrived as timer events; sorted, it is
-        // exactly the lockstep ascending `refresh_at[u] <= t` scan.
-        let refresh_span = self.obs.span("refresh");
-        let keep = match cfg.protocol {
-            GossipProtocol::Rand => 0,
-            GossipProtocol::Pers { exploration } => {
-                ((1.0 - exploration) * cfg.out_degree as f64).ceil() as usize
-            }
-        };
-        self.due.sort_unstable();
-        for i in 0..self.due.len() {
-            let u = self.due[i];
-            debug_assert!(self.refresh_at[u as usize] <= t, "refresh timer fired early");
-            if probe_available(self.observer, t, u) {
-                match cfg.protocol {
-                    GossipProtocol::Rand => self.views.refresh_random(u, &mut rng),
-                    GossipProtocol::Pers { .. } => {
-                        let mut scored = std::mem::take(&mut self.heard[u as usize]);
-                        self.views.refresh_personalized(u, &mut scored, keep, &mut rng);
-                    }
-                }
-                self.refresh_at[u as usize] =
-                    t + sample_exp_interval(cfg.view_refresh_rate, &mut rng);
-                ctx.timer_at(
-                    self.refresh_at[u as usize] * SLOTS_PER_ROUND,
-                    COORD,
-                    Msg::RefreshTimer { node: u },
-                );
-                ctx.send_at(
-                    base + 1,
-                    u + 1,
-                    Msg::ViewPush { round: t, view: self.views.view_of(u).to_vec() },
-                );
-            } else {
-                // Deferred: `refresh_at` stays in the past; re-probe next
-                // round (the node's first available round acts on it).
-                ctx.timer_at((t + 1) * SLOTS_PER_ROUND, COORD, Msg::RefreshTimer { node: u });
-            }
-        }
-        self.due.clear();
-        // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-        for u in 0..n as u32 {
-            for &v in self.views.view_of(u) {
-                self.traffic.view_in_degree[v as usize] += 1;
-            }
-        }
-        drop(refresh_span);
-
-        // Wake sampling (drawn first to keep the RNG stream stable, then
-        // filtered through the observer's liveness hook).
-        let sample_span = self.obs.span("sample");
-        let mut wake: Vec<bool> = (0..n)
-            .map(|_| cfg.wake_fraction >= 1.0 || rng.gen::<f64>() < cfg.wake_fraction)
-            .collect();
-        self.observer.on_liveness(LivenessEvent::ActingSet { round: t, mask: &mut wake });
-        drop(sample_span);
-
-        // Destinations are drawn for every node — awake or not — exactly
-        // like the lockstep round (RNG stream parity).
-        let destinations: Vec<u32> =
-            // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-            (0..n).map(|u| self.views.random_neighbor(u as u32, &mut rng)).collect();
-        for (u, &w) in wake.iter().enumerate() {
-            if w {
-                ctx.send_at(
-                    base + 1,
-                    // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                    u as u32 + 1,
-                    Msg::WakeSend { round: t, dest: destinations[u], snap: None },
-                );
-            }
-        }
-        self.wake = wake;
-    }
-
-    fn route(&mut self, t: u64, ctx: &mut Ctx<'_>) {
-        let base = t * SLOTS_PER_ROUND;
-        // Canonical routing order: ascending sender, independent of how the
-        // delivery policy interleaved the pushes' arrival.
-        self.buffer.sort_unstable_by_key(|&(sender, _, _)| sender);
-        for (sender, dest, snap) in self.buffer.drain(..) {
-            self.obs.add(Counter::BytesOnWire, 4 * snap.len() as u64);
-            self.obs.inc(Counter::InboxDeliveries);
-            self.observer.on_delivery(t, UserId::new(dest), &snap);
-            self.traffic.received[dest as usize] += 1;
-            self.deliveries += 1;
-            ctx.send_at(base + 3, dest + 1, Msg::ModelPush { round: t, sender, dest, model: snap });
-        }
-        // Every awake peer mixes + trains once all routed models are in its
-        // inbox (the timer lane fires after same-slot messages).
-        for (u, &w) in self.wake.iter().enumerate() {
-            if w {
-                ctx.timer_at(
-                    base + 3,
-                    // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                    u as u32 + 1,
-                    Msg::MixTrain { round: t, epochs: self.cfg.local_epochs },
-                );
-            }
-        }
-    }
-
-    fn round_end(&mut self, t: u64, ctx: &mut Ctx<'_>) {
-        let awake_count = self.wake.iter().filter(|&&w| w).count();
-        debug_assert_eq!(self.reports.len(), awake_count, "one report per awake peer");
-        // Canonical report order: ascending node, which is the order the
-        // lockstep barrier reads losses and appends `heard` evidence in.
-        self.reports.sort_unstable_by_key(|&(node, _, _)| node);
-        let mut loss_sum = 0.0f32;
-        for (node, loss, mut heard) in self.reports.drain(..) {
-            self.heard[node as usize].append(&mut heard);
-            loss_sum += loss;
-        }
-        self.obs.add(Counter::ClientsTrained, awake_count as u64);
-        let stats = GossipRoundStats {
-            round: t,
-            awake: awake_count,
-            deliveries: self.deliveries,
-            mean_loss: (awake_count > 0).then(|| loss_sum / awake_count as f32),
-            bytes_materialized: self.obs.counter(Counter::BytesOnWire) - self.bytes0,
-        };
-        let evaluate_span = self.obs.span("evaluate");
-        self.observer.on_round_end(&stats);
-        drop(evaluate_span);
-        *self.stats = Some(stats);
-        ctx.send(COORD, Msg::GlobalBroadcast { round: t });
-    }
-}
-
-impl<P: Participant> PeerSeat<'_, P> {
-    /// The lockstep send-phase body for one node: snapshot into a recycled
-    /// carcass (local stash) and apply the DP transform on its own RNG
-    /// stream, then push to the drawn destination via the network.
-    fn wake_send(&mut self, t: u64, dest: u32, ctx: &mut Ctx<'_>) {
-        let i = self.index;
-        let mut snap = match self.ctl.stash.pop() {
-            Some(mut s) => {
-                self.node.snapshot_into(t, &mut s);
-                s
-            }
-            None => self.node.snapshot(t),
-        };
-        if let Some(tr) = self.transform {
-            let mut crng = StdRng::seed_from_u64(
-                self.cfg.seed ^ (t << 22) ^ (i as u64).wrapping_mul(0x2545_F491_4F6C_DD1D),
-            );
-            apply_gossip_transform(tr, &mut snap, &mut self.ctl.prev_sent, &mut crng);
-        }
-        ctx.send_at(
-            ctx.now() + 1,
-            COORD,
-            // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-            Msg::ModelPush { round: t, sender: i as u32, dest, model: snap },
-        );
-    }
-
-    /// The lockstep fused mix+train body for one node, on the canonically
-    /// ordered inbox.
-    fn mix_train(&mut self, t: u64, epochs: usize, ctx: &mut Ctx<'_>) {
-        let i = self.index;
-        // Canonical inbox order — `(round, owner)` ascending — is exactly the
-        // lockstep accumulation order (one push per sender per round, routed
-        // in ascending sender order, rounds appended in order), independent
-        // of how the delivery policy interleaved this round's arrivals.
-        self.ctl.inbox.sort_unstable_by_key(|m| (m.round, m.owner.raw()));
-        if !self.ctl.inbox.is_empty() {
-            let t0 = self.obs.clock();
-            if matches!(self.cfg.protocol, GossipProtocol::Pers { .. }) {
-                for m in &self.ctl.inbox {
-                    self.ctl.heard_scratch.push((m.owner.raw(), self.node.evaluate_model(m)));
-                }
-            }
-            let rows: Vec<&[f32]> = self.ctl.inbox.iter().map(|m| m.agg.as_slice()).collect();
-            self.node.mix_agg(&rows);
-            self.obs.observe_since(Metric::MixMicros, t0);
-        }
-        let t0 = self.obs.clock();
-        let mut crng = StdRng::seed_from_u64(
-            self.cfg.seed ^ (t << 24) ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
-        let mut loss = 0.0;
-        for _ in 0..epochs.max(1) {
-            loss = self.node.train_local(&mut crng);
-        }
-        self.ctl.loss = loss;
-        self.obs.observe_since(Metric::TrainMicros, t0);
-        // Consumed inbox buffers recycle into the local carcass stash (the
-        // shared pool stays a lockstep-only optimization).
-        self.ctl.stash.append(&mut self.ctl.inbox);
-        self.ctl.stash.truncate(2);
-        ctx.send_at(
-            ctx.now() + 1,
-            COORD,
-            Msg::TrainReport {
-                round: t,
-                // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                node: i as u32,
-                loss,
-                heard: std::mem::take(&mut self.ctl.heard_scratch),
-            },
-        );
-    }
-}
-
-impl<P: Participant> Node for GlNode<'_, P> {
-    fn on_message(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
-        match (self, msg) {
-            (GlNode::Peer(seat), Msg::ViewPush { view, .. }) => seat.ctl.view = view,
-            (GlNode::Peer(seat), Msg::WakeSend { round, dest, .. }) => {
-                seat.wake_send(round, dest, ctx);
-            }
-            (GlNode::Peer(seat), Msg::ModelPush { model, .. }) => seat.ctl.inbox.push(model),
-            (GlNode::Coordinator(co), Msg::ModelPush { sender, dest, model, .. }) => {
-                co.buffer.push((sender, dest, model));
-            }
-            (GlNode::Coordinator(co), Msg::TrainReport { node, loss, heard, .. }) => {
-                co.reports.push((node, loss, heard));
-            }
-            (GlNode::Coordinator(co), Msg::GlobalBroadcast { .. }) => *co.publish = true,
-            (_, msg) => unreachable!("misrouted gossip message {}", msg.label()),
-        }
-    }
-
-    fn on_timer(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
-        match (self, msg) {
-            (GlNode::Coordinator(co), Msg::RefreshTimer { node }) => co.due.push(node),
-            (GlNode::Coordinator(co), Msg::RoundStart { round }) => co.round_start(round, ctx),
-            (GlNode::Coordinator(co), Msg::RouteFlush { round }) => co.route(round, ctx),
-            (GlNode::Coordinator(co), Msg::RoundEnd { round }) => co.round_end(round, ctx),
-            (GlNode::Peer(seat), Msg::MixTrain { round, epochs }) => {
-                seat.mix_train(round, epochs, ctx);
-            }
-            (_, msg) => unreachable!("misrouted gossip timer {}", msg.label()),
-        }
-    }
 }
 
 /// DP in gossip: the outgoing `[emb | agg]` vector is treated as an update
@@ -1463,222 +995,5 @@ mod tests {
             assert_eq!(a.params, b.params);
         }
         assert_eq!(straight.round(), resumed.round());
-    }
-
-    /// Runs lockstep and evented from identical state under `observer`s
-    /// built by `make_obs`, comparing every observable byte: deliveries,
-    /// stats, views, node parameters.
-    fn assert_evented_matches_lockstep(
-        cfg: GossipConfig,
-        n: usize,
-        dp: bool,
-        policy: DeliveryPolicy,
-    ) {
-        let build = || {
-            let mut s = sim(n, cfg);
-            if dp {
-                use cia_defenses::{DpConfig, DpMechanism};
-                s.set_update_transform(Box::new(DpMechanism::new(DpConfig {
-                    clip: 0.5,
-                    noise_multiplier: 0.3,
-                })));
-            }
-            s
-        };
-        let mut lockstep = build();
-        let mut lock_tape = Recorder::default();
-        for _ in 0..cfg.rounds {
-            lockstep.step(&mut lock_tape);
-        }
-
-        let mut evented = build();
-        let mut ev_tape = Recorder::default();
-        for _ in 0..cfg.rounds {
-            evented.step_evented(&mut ev_tape, policy);
-        }
-
-        assert_eq!(lock_tape.deliveries, ev_tape.deliveries);
-        assert_eq!(lock_tape.stats, ev_tape.stats);
-        assert_eq!(lockstep.traffic(), evented.traffic());
-        // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-        for u in 0..n as u32 {
-            assert_eq!(lockstep.view_of(u), evented.view_of(u), "view of {u}");
-        }
-        for (a, b) in lockstep.nodes().iter().zip(evented.nodes()) {
-            assert_eq!(a.params, b.params);
-        }
-    }
-
-    #[test]
-    fn evented_round_replays_lockstep_bit_for_bit() {
-        let cfg = GossipConfig { rounds: 6, seed: 11, ..Default::default() };
-        assert_evented_matches_lockstep(cfg, 14, false, DeliveryPolicy::Lockstep);
-    }
-
-    #[test]
-    fn evented_matches_lockstep_under_pers_partial_wake_and_dp() {
-        let cfg = GossipConfig {
-            rounds: 8,
-            wake_fraction: 0.6,
-            protocol: GossipProtocol::Pers { exploration: 0.4 },
-            view_refresh_rate: 0.5,
-            seed: 17,
-            ..Default::default()
-        };
-        assert_evented_matches_lockstep(cfg, 16, true, DeliveryPolicy::Lockstep);
-    }
-
-    #[test]
-    fn interleaving_seeds_cannot_change_gossip_bytes() {
-        // Every reorderable mailbox is sorted on a canonical key before any
-        // float is touched, so a permuted delivery order must still replay
-        // the lockstep transcript exactly.
-        let cfg = GossipConfig {
-            rounds: 5,
-            wake_fraction: 0.7,
-            protocol: GossipProtocol::Pers { exploration: 0.4 },
-            view_refresh_rate: 0.8,
-            seed: 23,
-            ..Default::default()
-        };
-        for seed in [0u64, 9, 0xFEED_C0DE] {
-            assert_evented_matches_lockstep(cfg, 12, false, DeliveryPolicy::Interleaved { seed });
-        }
-    }
-
-    #[test]
-    fn evented_defers_refreshes_for_unavailable_nodes() {
-        // The Probe liveness event must defer node 5's refreshes under the
-        // evented runtime exactly like the lockstep availability query.
-        let cfg =
-            GossipConfig { rounds: 12, view_refresh_rate: 1.0, seed: 9, ..Default::default() };
-        let mut s = sim(16, cfg);
-        let initial: Vec<Vec<u32>> = (0..16).map(|u| s.view_of(u).to_vec()).collect();
-        for _ in 0..12 {
-            s.step_evented(&mut FiveOffline, DeliveryPolicy::Lockstep);
-        }
-        assert_eq!(s.view_of(5), initial[5].as_slice(), "offline node refreshed its view");
-        let changed = (0..16u32)
-            .filter(|&u| u != 5 && s.view_of(u) != initial[u as usize].as_slice())
-            .count();
-        assert!(changed > 10, "only {changed} available nodes refreshed");
-    }
-
-    #[test]
-    fn evented_resume_restores_the_pending_event_queue() {
-        // Kill/resume across a half-drained queue: after 3 evented rounds
-        // the queue holds future refresh timers; a restore must carry them
-        // (and produce the exact same continuation as an uninterrupted run).
-        let cfg = GossipConfig {
-            rounds: 8,
-            wake_fraction: 0.7,
-            view_refresh_rate: 0.5,
-            seed: 21,
-            ..Default::default()
-        };
-        let mut straight = sim(14, cfg);
-        for _ in 0..8 {
-            straight.step_evented(&mut NullGossipObserver, DeliveryPolicy::Lockstep);
-        }
-
-        let mut first = sim(14, cfg);
-        for _ in 0..3 {
-            first.step_evented(&mut NullGossipObserver, DeliveryPolicy::Lockstep);
-        }
-        let proto = first.export_state();
-        assert!(!proto.pending.is_empty(), "refresh timers should be in flight");
-        let params: Vec<Vec<f32>> = first.nodes().iter().map(Participant::state_vec).collect();
-
-        let mut resumed = sim(14, cfg);
-        resumed.restore_state(proto);
-        for (node, p) in resumed.nodes_mut().iter_mut().zip(&params) {
-            node.restore_state(p);
-        }
-        for _ in 3..8 {
-            resumed.step_evented(&mut NullGossipObserver, DeliveryPolicy::Lockstep);
-        }
-        for (a, b) in straight.nodes().iter().zip(resumed.nodes()) {
-            assert_eq!(a.params, b.params);
-        }
-        assert_eq!(straight.round(), resumed.round());
-    }
-
-    #[test]
-    fn lockstep_checkpoint_resumes_onto_the_evented_runtime() {
-        // Cross-mode resume: a checkpoint written by a lockstep run has an
-        // empty pending queue; the evented runtime re-derives refresh timers
-        // from `refresh_at` and must continue bit-identically.
-        let cfg =
-            GossipConfig { rounds: 8, view_refresh_rate: 0.5, seed: 31, ..Default::default() };
-        let mut straight = sim(12, cfg);
-        straight.run(&mut NullGossipObserver);
-
-        let mut first = sim(12, cfg);
-        for _ in 0..4 {
-            first.step(&mut NullGossipObserver);
-        }
-        let proto = first.export_state();
-        assert!(proto.pending.is_empty(), "lockstep rounds leave no queue");
-        let params: Vec<Vec<f32>> = first.nodes().iter().map(Participant::state_vec).collect();
-
-        let mut resumed = sim(12, cfg);
-        resumed.restore_state(proto);
-        for (node, p) in resumed.nodes_mut().iter_mut().zip(&params) {
-            node.restore_state(p);
-        }
-        for _ in 4..8 {
-            resumed.step_evented(&mut NullGossipObserver, DeliveryPolicy::Lockstep);
-        }
-        for (a, b) in straight.nodes().iter().zip(resumed.nodes()) {
-            assert_eq!(a.params, b.params);
-        }
-    }
-
-    #[test]
-    fn evented_round_fires_publish_hook_after_broadcast() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let published: Rc<RefCell<Vec<u64>>> = Rc::default();
-        let sink = Rc::clone(&published);
-        let mut s = sim(10, GossipConfig { rounds: 2, seed: 4, ..Default::default() });
-        s.set_publish_hook(Box::new(move |t, nodes| {
-            assert_eq!(nodes.len(), 10);
-            sink.borrow_mut().push(t);
-        }));
-        s.step_evented(&mut NullGossipObserver, DeliveryPolicy::Lockstep);
-        s.step_evented(&mut NullGossipObserver, DeliveryPolicy::Lockstep);
-        // Lockstep rounds do not schedule the broadcast event.
-        s.step(&mut NullGossipObserver);
-        assert_eq!(*published.borrow(), vec![0, 1]);
-    }
-
-    #[test]
-    fn evented_round_spans_phases_and_counts_like_lockstep() {
-        let rounds = 5u64;
-        let mut s = sim(20, GossipConfig { rounds, seed: 3, ..Default::default() });
-        let rec = cia_obs::Recorder::new();
-        rec.set_detail(true);
-        s.set_recorder(rec.clone());
-        let mut tape = Recorder::default();
-        for _ in 0..rounds {
-            s.step_evented(&mut tape, DeliveryPolicy::Lockstep);
-        }
-        assert_eq!(rec.counter(Counter::InboxDeliveries) as usize, tape.deliveries.len());
-        assert_eq!(rec.counter(Counter::ClientsTrained), rounds * 20);
-        assert_eq!(rec.counter(Counter::BytesOnWire), 32 * rec.counter(Counter::InboxDeliveries));
-        let stat_bytes: u64 = tape.stats.iter().map(|s| s.bytes_materialized).sum();
-        assert_eq!(stat_bytes, rec.counter(Counter::BytesOnWire));
-        assert_eq!(rec.histogram(Metric::TrainMicros).count(), rounds * 20);
-        let chunk = rec.drain();
-        for phase in ["refresh", "sample", "send", "route", "train", "evaluate"] {
-            assert_eq!(
-                chunk.spans.iter().filter(|s| s.name == phase).count(),
-                rounds as usize,
-                "one {phase} span per round"
-            );
-        }
-        // Per-message trace slices exist for the protocol messages.
-        let wake_sends = chunk.spans.iter().filter(|s| s.name == "msg:wake_send").count();
-        assert_eq!(wake_sends, (rounds * 20) as usize);
     }
 }

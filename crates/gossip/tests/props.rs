@@ -1,19 +1,23 @@
-//! Property tests for the evented gossip port — the two guarantees the
-//! scheduler redesign rests on:
+//! Property tests for the gossip round — the two guarantees the round
+//! engine rests on:
 //!
-//! 1. *Interleaving invariance*: any seed for
-//!    [`DeliveryPolicy::Interleaved`] reproduces the lockstep transcript
-//!    byte for byte (every reorderable mailbox is sorted on a canonical key
-//!    before a float is touched).
-//! 2. *Kill/resume across a live queue*: exporting state at an arbitrary
-//!    round cut — where per-node refresh timers are always still in flight —
-//!    and restoring into a fresh simulation replays the uninterrupted run
+//! 1. *Thread-count invariance*: `CIA_THREADS=1` and `CIA_THREADS=3` give
+//!    the same deliveries, stats, views, traffic and node parameters, under
+//!    partial wake, DP and Pers-Gossip.
+//! 2. *Kill/resume*: exporting state at an arbitrary round cut — where
+//!    per-node refreshes are always scheduled for later rounds — and
+//!    restoring into a fresh simulation replays the uninterrupted run
 //!    exactly.
+//!
+//! `one_and_three_threads_give_identical_rounds` is the only test in this
+//! binary that sets `CIA_THREADS`. The other test may see the variable
+//! flip while it runs, which is harmless: thread count never changes a
+//! result, which is exactly the property under test.
 
 use cia_data::UserId;
+use cia_defenses::{DpConfig, DpMechanism};
 use cia_gossip::{
-    Checkpointable, DeliveryPolicy, GossipConfig, GossipObserver, GossipProtocol, GossipRoundStats,
-    GossipSim,
+    Checkpointable, GossipConfig, GossipObserver, GossipProtocol, GossipRoundStats, GossipSim,
 };
 use cia_models::{Participant, SharedModel};
 use proptest::prelude::*;
@@ -22,8 +26,8 @@ use rand::Rng;
 
 /// A deterministic toy participant: params drift towards a per-community
 /// fixed point during "training" with a small RNG perturbation, so any
-/// divergence in RNG stream order between the lockstep and evented paths
-/// shows up in the parameters.
+/// divergence in RNG stream order between thread counts shows up in the
+/// parameters.
 struct TestNode {
     user: UserId,
     params: Vec<f32>,
@@ -93,17 +97,17 @@ impl GossipObserver for Tape {
     }
 }
 
+/// Node parameters, views and traffic counters of a finished simulation.
+type Observables = (Vec<Vec<f32>>, Vec<Vec<u32>>, cia_gossip::TrafficCounters);
+
 /// Every observable byte of a finished simulation.
-fn observables(
-    s: &GossipSim<TestNode>,
-) -> (Vec<Vec<f32>>, Vec<Vec<u32>>, cia_gossip::TrafficCounters) {
+fn observables(s: &GossipSim<TestNode>) -> Observables {
     let params = s.nodes().iter().map(|c| c.params.clone()).collect();
     // cia-lint: allow(D05, test/bench populations are tiny; ids fit u32 with orders of magnitude to spare)
     let views = (0..s.nodes().len() as u32).map(|u| s.view_of(u).to_vec()).collect();
     (params, views, s.traffic().clone())
 }
 
-#[allow(clippy::too_many_arguments)]
 fn config(rounds: u64, wake: f64, refresh: f64, pers: bool, seed: u64) -> GossipConfig {
     GossipConfig {
         rounds,
@@ -119,34 +123,45 @@ fn config(rounds: u64, wake: f64, refresh: f64, pers: bool, seed: u64) -> Gossip
     }
 }
 
+/// Runs every configured round under `CIA_THREADS=threads`, returning the
+/// tape and the finished simulation's observables.
+fn run_with_threads(threads: &str, n: usize, cfg: GossipConfig, dp: bool) -> (Tape, Observables) {
+    std::env::set_var("CIA_THREADS", threads);
+    let mut s = sim(n, cfg);
+    if dp {
+        s.set_update_transform(Box::new(DpMechanism::new(DpConfig {
+            clip: 0.5,
+            noise_multiplier: 0.3,
+        })));
+    }
+    let mut tape = Tape::default();
+    for _ in 0..cfg.rounds {
+        s.step(&mut tape);
+    }
+    (tape, observables(&s))
+}
+
 proptest! {
     #[test]
-    fn any_interleaving_seed_replays_the_lockstep_transcript(
+    fn one_and_three_threads_give_identical_rounds(
         n in 6usize..16,
         rounds in 2u64..6,
         wake in 0.3f64..1.0,
         refresh in 0.1f64..1.0,
         pers in any::<bool>(),
+        dp in any::<bool>(),
         seed in 0u64..(1 << 40),
-        interleave in any::<u64>(),
     ) {
         let cfg = config(rounds, wake, refresh, pers, seed);
-        let mut lockstep = sim(n, cfg);
-        let mut lock_tape = Tape::default();
-        for _ in 0..rounds {
-            lockstep.step(&mut lock_tape);
-        }
-        let mut evented = sim(n, cfg);
-        let mut ev_tape = Tape::default();
-        for _ in 0..rounds {
-            evented.step_evented(&mut ev_tape, DeliveryPolicy::Interleaved { seed: interleave });
-        }
-        prop_assert_eq!(&ev_tape, &lock_tape);
-        prop_assert_eq!(observables(&evented), observables(&lockstep));
+        let serial = run_with_threads("1", n, cfg, dp);
+        let parallel = run_with_threads("3", n, cfg, dp);
+        std::env::remove_var("CIA_THREADS");
+        prop_assert_eq!(&parallel.0, &serial.0, "observer tape drifted");
+        prop_assert_eq!(&parallel.1, &serial.1, "params, views or traffic drifted");
     }
 
     #[test]
-    fn kill_resume_across_a_live_event_queue_replays_exactly(
+    fn kill_resume_replays_exactly(
         n in 6usize..16,
         rounds in 3u64..8,
         cut in 1u64..7,
@@ -160,18 +175,19 @@ proptest! {
         let mut straight = sim(n, cfg);
         let mut straight_tape = Tape::default();
         for _ in 0..rounds {
-            straight.step_evented(&mut straight_tape, DeliveryPolicy::Lockstep);
+            straight.step(&mut straight_tape);
         }
 
         let mut first = sim(n, cfg);
         let mut tape = Tape::default();
         for _ in 0..cut {
-            first.step_evented(&mut tape, DeliveryPolicy::Lockstep);
+            first.step(&mut tape);
         }
         let state = first.export_state();
-        // The cut always catches a live queue: every node keeps a refresh
-        // timer in flight, so resume genuinely crosses pending events.
-        prop_assert!(!state.pending.is_empty(), "event queue empty at round {}", cut);
+        // The cut always lands between scheduled refreshes: every node is
+        // available here, so each due refresh ran and booked its next one
+        // for a round the resumed run has yet to play.
+        prop_assert!(state.refresh_at.iter().all(|&r| r >= cut), "refresh overdue at {}", cut);
         let params: Vec<Vec<f32>> = first.nodes().iter().map(Participant::state_vec).collect();
         drop(first);
 
@@ -181,9 +197,9 @@ proptest! {
             node.restore_state(p);
         }
         for _ in cut..rounds {
-            resumed.step_evented(&mut tape, DeliveryPolicy::Lockstep);
+            resumed.step(&mut tape);
         }
-        prop_assert_eq!(&tape, &straight_tape, "stitched event tape diverged at cut {}", cut);
+        prop_assert_eq!(&tape, &straight_tape, "stitched tape diverged at cut {}", cut);
         prop_assert_eq!(observables(&resumed), observables(&straight));
     }
 }

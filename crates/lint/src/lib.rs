@@ -1,10 +1,10 @@
 //! **cia-lint** — the repo's determinism & safety static-analysis pass.
 //!
 //! Every guarantee this reproduction makes — byte-identical transcripts
-//! under any `CIA_THREADS`, any `--delivery-seed`, and across kill/resume —
-//! is enforced downstream by golden and property tests. This crate enforces
-//! the same invariants at the *source* level: a lightweight Rust lexer
-//! ([`lexer`]) feeds a rule engine ([`rules`]) that walks every
+//! under any `CIA_THREADS` and across kill/resume — is enforced downstream
+//! by golden and property tests. This crate enforces the same invariants at
+//! the *source* level: a lightweight Rust lexer ([`lexer`]) feeds a rule
+//! engine ([`rules`]) that walks every
 //! `crates/**/*.rs` and `src/**/*.rs` file and flags the constructs that
 //! historically break those guarantees (unordered-map iteration, wall-clock
 //! reads, entropy-seeded RNGs, narrowing casts, undocumented `unsafe`,

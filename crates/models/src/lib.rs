@@ -38,6 +38,9 @@ pub use cia_data::parallel;
 pub use gmf::{GmfClient, GmfHyper, GmfSpec};
 pub use metrics::{f1_at_k, hit_ratio, ndcg, rank_of_primary, RankedEval};
 pub use mlp::{Mlp, MlpClient, MlpHyper, MlpScratch, MlpSpec};
-pub use participant::{Participant, RelevanceScorer, SharedModel, SharingPolicy, UpdateTransform};
+pub use participant::{
+    Checkpointable, DeliveryPolicy, LivenessEvent, Participant, RelevanceScorer, SharedModel,
+    SharingPolicy, UpdateTransform,
+};
 pub use prme::{PrmeClient, PrmeHyper, PrmeSpec};
 pub use store::{ClientFactory, ClientStore};

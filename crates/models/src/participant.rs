@@ -329,6 +329,70 @@ pub trait RelevanceScorer: Send + Sync {
     ) -> Option<Vec<f32>>;
 }
 
+/// The protocol-agnostic liveness/participation event both protocol
+/// observers consume — one enum instead of the former
+/// `RoundObserver::on_participants` / `GossipObserver::on_wake_set` /
+/// `GossipObserver::node_available` trio, so dynamics adapters and attack
+/// trackers stop special-casing the protocol they ride on.
+#[derive(Debug)]
+pub enum LivenessEvent<'a> {
+    /// The round's tentative acting set — FedAvg's sampled participants or
+    /// gossip's wake set. Observers may clear entries to model availability
+    /// (churn, stragglers, device dropout); setting entries is
+    /// ignored-at-your-own-risk, the protocol honors the final mask as-is.
+    ActingSet {
+        /// Round index.
+        round: u64,
+        /// The mutable mask (index = node).
+        mask: &'a mut [bool],
+    },
+    /// Availability probe for one node about to act on scheduled protocol
+    /// work (gossip consults it before a due view refresh: an offline device
+    /// cannot re-sample peers, so clearing `available` defers the refresh to
+    /// the node's next available round). Observers may clear `available`;
+    /// probes are only issued for work that is actually due.
+    Probe {
+        /// Round index.
+        round: u64,
+        /// The node being probed.
+        node: u32,
+        /// Availability answer (starts `true`; observers may clear).
+        available: &'a mut bool,
+    },
+}
+
+/// Uniform mid-run state capture: one trait the checkpoint codec drives
+/// instead of per-type `export_state`/`restore_state` pairs. `State` is the
+/// serializable snapshot type the codec already knows how to write.
+pub trait Checkpointable {
+    /// The serializable state snapshot.
+    type State;
+
+    /// Captures the current state (cheap, clone-based).
+    fn export_state(&self) -> Self::State;
+
+    /// Restores a previously captured state in place.
+    ///
+    /// # Panics
+    ///
+    /// Implementations panic when `state` is not aligned with the receiver
+    /// (wrong node count, malformed tables).
+    fn restore_state(&mut self, state: Self::State);
+}
+
+/// The round-engine selector the `step_evented` forwards take.
+///
+/// Exists only for the benchmark tracer (`perfbench/tracer`), which still
+/// calls `step_evented(&mut obs, DeliveryPolicy::Lockstep)`; goes away in
+/// the next benchmark change, together with those forwards.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum DeliveryPolicy {
+    /// The fused round loop — the only engine.
+    #[default]
+    Lockstep,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,7 +4,7 @@
 //! scenario run [--suite NAME|FILE] [--scale smoke|small|paper|million] [--seed N]
 //!              [--only NAME] [--out FILE] [--checkpoint-dir DIR]
 //!              [--checkpoint-every N] [--resume] [--stop-after N]
-//!              [--no-timing] [--trace-out FILE] [--lockstep] [--delivery-seed N]
+//!              [--no-timing] [--trace-out FILE]
 //! scenario serve [--suite NAME|FILE] [--scale ...] [--seed N] [--only NAME]
 //!                [--out FILE] [--no-timing] [--queries N] [--zipf-s X]
 //!                [--top-k K] [--cache-capacity N]
@@ -26,11 +26,9 @@
 //! rounds; a killed run continues with `--resume` and lands on the same
 //! final metrics as an uninterrupted one. `--trace-out` additionally writes
 //! a Chrome trace-event file (phase spans + counter tracks) loadable in
-//! Perfetto / `chrome://tracing`. Rounds execute on the event-driven node
-//! runtime by default (typed messages under a deterministic virtual-clock
-//! scheduler; transcripts are byte-identical to the fused loops);
-//! `--lockstep` switches back to the legacy fused round loops for A/B
-//! timing.
+//! Perfetto / `chrome://tracing`. Each protocol round runs as one fused
+//! loop that fans out over `CIA_THREADS` workers; the transcript is
+//! byte-identical for any thread count.
 //!
 //! `serve` runs the first selected scenario on a training thread while the
 //! main thread answers Zipf-distributed top-k queries against the model
@@ -77,7 +75,7 @@ fn usage() {
     eprintln!("  run      [--suite NAME|FILE] [--scale smoke|small|paper|million] [--seed N]");
     eprintln!("           [--only NAME] [--out FILE] [--checkpoint-dir DIR]");
     eprintln!("           [--checkpoint-every N] [--resume] [--stop-after N] [--no-timing]");
-    eprintln!("           [--trace-out FILE] [--lockstep] [--delivery-seed N]");
+    eprintln!("           [--trace-out FILE]");
     eprintln!("  serve    [--suite NAME|FILE] [--scale ...] [--seed N] [--only NAME]");
     eprintln!("           [--out FILE] [--no-timing] [--queries N] [--zipf-s X]");
     eprintln!("           [--top-k K] [--cache-capacity N]");
@@ -168,18 +166,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             "--no-timing" => {
                 parsed.opts.timing = false;
                 i += 1;
-            }
-            "--lockstep" => {
-                parsed.opts.lockstep = true;
-                i += 1;
-            }
-            "--delivery-seed" => {
-                parsed.opts.delivery_seed = Some(
-                    value(args, i, "--delivery-seed")?
-                        .parse()
-                        .map_err(|_| "--delivery-seed expects an integer")?,
-                );
-                i += 2;
             }
             "--queries" => {
                 parsed.serve.queries = value(args, i, "--queries")?

@@ -29,18 +29,14 @@ use cia_core::{CiaAttackState, MomentumState, PlacementsState, RoundPoint};
 use cia_data::UserId;
 use cia_gossip::{GossipSimState, TrafficCounters};
 use cia_models::SharedModel;
-use cia_runtime::{Msg, SavedEvent};
+use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 // The magic spells "CIAS".
 const MAGIC: u32 = 0x4349_4153;
-// v5: gossip state gained the evented runtime's pending event queue — the
-// in-flight [`cia_runtime::SavedEvent`]s (view-refresh timers scheduled for
-// future rounds, plus any undelivered protocol messages) drained from the
-// scheduler at the round boundary. The codec covers the full [`Msg`] surface
-// so a kill between any two rounds restores the queue verbatim; a lockstep
-// run writes an empty section.
+// v6: gossip state dropped v5's pending event-queue section — view refreshes
+// are scheduled by the per-node `refresh_at` rounds alone, which the gossip
+// section already carries.
 // v4: undelivered gossip inbox models are delta-encoded against the sender's
 // `prev_sent` reference (its momentum of clean outgoing state) — sparse
 // training touches a handful of item rows per round, so the last undelivered
@@ -54,7 +50,7 @@ const MAGIC: u32 = 0x4349_4153;
 // log). v2 added `upper_bound_online` to `RoundPoint`. Checkpoints from
 // older versions are refused with a version error rather than silently
 // misread.
-const VERSION: u32 = 5;
+const VERSION: u32 = 6;
 
 /// Protocol-side state, by protocol family.
 #[derive(Debug, Clone)]
@@ -195,10 +191,6 @@ impl Checkpoint {
                 }
                 w.u64s(&state.traffic.received);
                 w.u64s(&state.traffic.view_in_degree);
-                w.u64(state.pending.len() as u64);
-                for e in &state.pending {
-                    w.saved_event(e);
-                }
             }
         }
         match &self.attack {
@@ -318,11 +310,6 @@ impl Checkpoint {
                     heard.push(h);
                 }
                 let traffic = TrafficCounters { received: r.u64s()?, view_in_degree: r.u64s()? };
-                let n = r.len()?;
-                let mut pending = Vec::with_capacity(n);
-                for _ in 0..n {
-                    pending.push(r.saved_event()?);
-                }
                 ProtocolState::Gl(GossipSimState {
                     round,
                     refresh_at,
@@ -331,7 +318,6 @@ impl Checkpoint {
                     heard,
                     prev_sent,
                     traffic,
-                    pending,
                 })
             }
             tag => return Err(format!("unknown protocol state tag {tag}")),
@@ -414,26 +400,37 @@ impl Checkpoint {
         })
     }
 
-    /// Writes the checkpoint atomically (temp file + rename).
+    /// Writes the checkpoint durably and atomically: the bytes go to a temp
+    /// file that is synced to disk before it is renamed over `path`, and the
+    /// parent directory is synced after the rename. A crash at any point
+    /// leaves either the previous checkpoint or the new one, never a partial
+    /// file.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
         let tmp = path.with_extension("ckpt.tmp");
-        std::fs::write(&tmp, self.encode())?;
-        std::fs::rename(&tmp, path)
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(&self.encode())?;
+        file.sync_all()?;
+        drop(file);
+        std::fs::rename(&tmp, path)?;
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+        std::fs::File::open(dir)?.sync_all()
     }
 
     /// Loads and verifies a checkpoint file.
     ///
     /// # Errors
     ///
-    /// Returns a message for I/O, structural or fingerprint failures.
+    /// Returns a message naming the file for I/O, structural or fingerprint
+    /// failures.
     pub fn load(path: &Path, expect_fingerprint: u64) -> Result<Checkpoint, String> {
         let bytes =
             std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         Checkpoint::decode(&bytes, expect_fingerprint)
+            .map_err(|e| format!("{}: {e}", path.display()))
     }
 }
 
@@ -543,99 +540,6 @@ impl Writer {
             self.f64(p.best10);
             self.f64(p.upper_bound);
             self.f64(p.upper_bound_online);
-        }
-    }
-    fn opt_model(&mut self, m: Option<&SharedModel>) {
-        match m {
-            None => self.u8(0),
-            Some(m) => {
-                self.u8(1);
-                self.shared_model(m);
-            }
-        }
-    }
-    /// v5: one scheduler event drained at the round boundary.
-    fn saved_event(&mut self, e: &SavedEvent) {
-        self.u64(e.at);
-        self.u32(e.dst);
-        self.u8(u8::from(e.timer));
-        self.msg(&e.msg);
-    }
-    /// v5: the full typed-message surface, so any in-flight event — not just
-    /// the refresh timers that cross rounds in practice — survives a kill.
-    fn msg(&mut self, m: &Msg) {
-        match m {
-            Msg::TrainRequest { round, epochs, global, weight, acc, snap } => {
-                self.u8(0);
-                self.u64(*round);
-                self.u64(*epochs as u64);
-                self.f32s(global);
-                self.f32(*weight);
-                self.opt_f32s(acc.as_deref());
-                self.opt_model(snap.as_ref());
-            }
-            Msg::ModelUpdate { round, client, loss, acc, snap } => {
-                self.u8(1);
-                self.u64(*round);
-                self.u32(*client);
-                self.f32(*loss);
-                self.opt_f32s(acc.as_deref());
-                self.opt_model(snap.as_ref());
-            }
-            Msg::GlobalBroadcast { round } => {
-                self.u8(2);
-                self.u64(*round);
-            }
-            Msg::ViewPush { round, view } => {
-                self.u8(3);
-                self.u64(*round);
-                self.u32s(view);
-            }
-            Msg::ModelPush { round, sender, dest, model } => {
-                self.u8(4);
-                self.u64(*round);
-                self.u32(*sender);
-                self.u32(*dest);
-                self.shared_model(model);
-            }
-            Msg::RefreshTimer { node } => {
-                self.u8(5);
-                self.u32(*node);
-            }
-            Msg::WakeSend { round, dest, snap } => {
-                self.u8(6);
-                self.u64(*round);
-                self.u32(*dest);
-                self.opt_model(snap.as_ref());
-            }
-            Msg::MixTrain { round, epochs } => {
-                self.u8(7);
-                self.u64(*round);
-                self.u64(*epochs as u64);
-            }
-            Msg::TrainReport { round, node, loss, heard } => {
-                self.u8(8);
-                self.u64(*round);
-                self.u32(*node);
-                self.f32(*loss);
-                self.u64(heard.len() as u64);
-                for &(peer, score) in heard {
-                    self.u32(peer);
-                    self.f32(score);
-                }
-            }
-            Msg::RouteFlush { round } => {
-                self.u8(9);
-                self.u64(*round);
-            }
-            Msg::RoundStart { round } => {
-                self.u8(10);
-                self.u64(*round);
-            }
-            Msg::RoundEnd { round } => {
-                self.u8(11);
-                self.u64(*round);
-            }
         }
     }
 }
@@ -765,73 +669,6 @@ impl Reader<'_> {
         }
         Ok(v)
     }
-    fn opt_model(&mut self) -> Result<Option<SharedModel>, String> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.shared_model()?)),
-            tag => Err(format!("unknown snapshot tag {tag}")),
-        }
-    }
-    /// Inverse of [`Writer::saved_event`].
-    fn saved_event(&mut self) -> Result<SavedEvent, String> {
-        let at = self.u64()?;
-        let dst = self.u32()?;
-        let timer = match self.u8()? {
-            0 => false,
-            1 => true,
-            tag => return Err(format!("unknown event lane tag {tag}")),
-        };
-        let msg = self.msg()?;
-        Ok(SavedEvent { at, dst, timer, msg })
-    }
-    /// Inverse of [`Writer::msg`].
-    fn msg(&mut self) -> Result<Msg, String> {
-        Ok(match self.u8()? {
-            0 => Msg::TrainRequest {
-                round: self.u64()?,
-                epochs: self.u64()? as usize,
-                global: Arc::new(self.f32s()?),
-                weight: self.f32()?,
-                acc: self.opt_f32s()?,
-                snap: self.opt_model()?,
-            },
-            1 => Msg::ModelUpdate {
-                round: self.u64()?,
-                client: self.u32()?,
-                loss: self.f32()?,
-                acc: self.opt_f32s()?,
-                snap: self.opt_model()?,
-            },
-            2 => Msg::GlobalBroadcast { round: self.u64()? },
-            3 => Msg::ViewPush { round: self.u64()?, view: self.u32s()? },
-            4 => Msg::ModelPush {
-                round: self.u64()?,
-                sender: self.u32()?,
-                dest: self.u32()?,
-                model: self.shared_model()?,
-            },
-            5 => Msg::RefreshTimer { node: self.u32()? },
-            6 => Msg::WakeSend { round: self.u64()?, dest: self.u32()?, snap: self.opt_model()? },
-            7 => Msg::MixTrain { round: self.u64()?, epochs: self.u64()? as usize },
-            8 => {
-                let round = self.u64()?;
-                let node = self.u32()?;
-                let loss = self.f32()?;
-                let n = self.len()?;
-                let mut heard = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let peer = self.u32()?;
-                    let score = self.f32()?;
-                    heard.push((peer, score));
-                }
-                Msg::TrainReport { round, node, loss, heard }
-            }
-            9 => Msg::RouteFlush { round: self.u64()? },
-            10 => Msg::RoundStart { round: self.u64()? },
-            11 => Msg::RoundEnd { round: self.u64()? },
-            tag => return Err(format!("unknown message tag {tag}")),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -861,25 +698,6 @@ mod tests {
                 heard: vec![vec![(1, 0.25)], vec![]],
                 prev_sent: vec![None, Some(vec![3.0])],
                 traffic: TrafficCounters { received: vec![4, 0], view_in_degree: vec![12, 11] },
-                pending: vec![
-                    SavedEvent { at: 104, dst: 0, timer: true, msg: Msg::RefreshTimer { node: 1 } },
-                    SavedEvent {
-                        at: 99,
-                        dst: 0,
-                        timer: false,
-                        msg: Msg::ModelPush {
-                            round: 12,
-                            sender: 1,
-                            dest: 0,
-                            model: SharedModel {
-                                owner: UserId::new(1),
-                                round: 12,
-                                owner_emb: None,
-                                agg: vec![1.0e-40, 0.5],
-                            },
-                        },
-                    },
-                ],
             }),
             attack: AttackState::Cia(CiaAttackState {
                 momentum: vec![
@@ -925,7 +743,6 @@ mod tests {
                 assert_eq!(a.heard, b.heard);
                 assert_eq!(a.prev_sent, b.prev_sent);
                 assert_eq!(a.traffic, b.traffic);
-                assert_eq!(a.pending, b.pending);
             }
             _ => panic!("protocol family changed"),
         }
@@ -1048,6 +865,34 @@ mod tests {
         assert!(Checkpoint::decode(&bytes, 0xBAD).unwrap_err().contains("fingerprint"));
         assert!(Checkpoint::decode(&bytes[..10], 0xFEED).is_err());
         assert!(Checkpoint::decode(b"not a checkpoint", 0xFEED).is_err());
+    }
+
+    #[test]
+    fn load_names_the_file_for_empty_truncated_and_zeroed_checkpoints() {
+        let dir = std::env::temp_dir().join(format!("cia-ckpt-hostile-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let bytes = sample().encode();
+        let mut v5 = bytes.clone();
+        v5[4..8].copy_from_slice(&5u32.to_le_bytes());
+        let cases: [(&str, Vec<u8>, &[&str]); 4] = [
+            ("empty", Vec::new(), &["truncated"]),
+            ("half", bytes[..bytes.len() / 2].to_vec(), &["truncated", "exceeds remaining data"]),
+            ("zeroed", vec![0; bytes.len()], &["bad magic"]),
+            ("v5", v5, &["unsupported checkpoint version 5"]),
+        ];
+        for (name, contents, reasons) in cases {
+            let path = dir.join(format!("{name}.ckpt"));
+            std::fs::write(&path, contents).unwrap();
+            let err = Checkpoint::load(&path, 0xFEED).unwrap_err();
+            assert!(err.starts_with(&path.display().to_string()), "{name}: {err}");
+            assert!(reasons.iter().any(|r| err.contains(r)), "{name}: {err}");
+        }
+        // And a durable save loads back.
+        let path = dir.join("ok.ckpt");
+        sample().save(&path).unwrap();
+        assert_eq!(Checkpoint::load(&path, 0xFEED).unwrap().round, 12);
+        assert!(!path.with_extension("ckpt.tmp").exists(), "temp file left behind");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

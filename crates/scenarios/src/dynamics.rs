@@ -2,7 +2,7 @@
 //! per-round availability mask and threads it through the protocols'
 //! shared observer seam ([`RoundObserver::on_liveness`] /
 //! [`GossipObserver::on_liveness`], both carrying
-//! [`cia_runtime::LivenessEvent`]) — the training loops never learn that
+//! [`cia_models::LivenessEvent`]) — the training loops never learn that
 //! the population is moving.
 //!
 //! The process is deterministic: round `t`'s transitions are drawn from an
@@ -12,8 +12,7 @@
 use crate::spec::DynamicsSpec;
 use cia_federated::RoundObserver;
 use cia_gossip::GossipObserver;
-use cia_models::SharedModel;
-use cia_runtime::{Checkpointable, LivenessEvent};
+use cia_models::{Checkpointable, LivenessEvent, SharedModel};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};

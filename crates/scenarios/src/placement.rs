@@ -229,7 +229,7 @@ impl<O: GossipObserver> GossipObserver for PlacementObserver<'_, O> {
         self.inner.on_round_start(round);
     }
 
-    fn on_liveness(&mut self, event: cia_runtime::LivenessEvent<'_>) {
+    fn on_liveness(&mut self, event: cia_models::LivenessEvent<'_>) {
         self.inner.on_liveness(event);
     }
 

@@ -49,10 +49,9 @@ use cia_federated::{FedAvg, FedAvgConfig};
 use cia_gossip::{GossipConfig, GossipObserver, GossipProtocol, GossipRoundStats, GossipSim};
 use cia_models::parallel::par_map;
 use cia_models::{
-    f1_at_k, hit_ratio, GmfClient, GmfHyper, GmfSpec, Participant, PrmeClient, PrmeHyper, PrmeSpec,
-    RelevanceScorer, SharedModel,
+    f1_at_k, hit_ratio, Checkpointable, GmfClient, GmfHyper, GmfSpec, LivenessEvent, Participant,
+    PrmeClient, PrmeHyper, PrmeSpec, RelevanceScorer, SharedModel,
 };
-use cia_runtime::{Checkpointable, DeliveryPolicy, LivenessEvent};
 use cia_serve::{Snapshot, SnapshotHub};
 use std::io::Write;
 use std::path::PathBuf;
@@ -79,29 +78,6 @@ pub struct RunOptions {
     /// only *reads* quiesced round state — no RNG draws, no sink writes —
     /// so attaching a hub leaves the JSONL transcript byte-identical.
     pub publish: Option<Arc<SnapshotHub>>,
-    /// Run rounds on the legacy fused lockstep loops instead of the
-    /// event-driven scheduler. The default (evented, `DeliveryPolicy::
-    /// Lockstep`) replays lockstep semantics exactly — transcripts are
-    /// byte-identical either way; this switch exists as the compatibility
-    /// escape hatch and for A/B timing.
-    pub lockstep: bool,
-    /// Permute same-virtual-time message deliveries with this seed
-    /// (`DeliveryPolicy::Interleaved`). The protocol ports sort every
-    /// reorderable mailbox on a canonical key before touching a float, so
-    /// *any* seed reproduces the lockstep transcript byte for byte — the
-    /// property the suite pins with proptest. `None` (the default) delivers
-    /// FIFO. Ignored under `lockstep`.
-    pub delivery_seed: Option<u64>,
-}
-
-impl RunOptions {
-    /// The delivery policy the evented rounds run under.
-    fn delivery_policy(&self) -> DeliveryPolicy {
-        match self.delivery_seed {
-            Some(seed) => DeliveryPolicy::Interleaved { seed },
-            None => DeliveryPolicy::Lockstep,
-        }
-    }
 }
 
 /// Result of one scenario run.
@@ -519,18 +495,6 @@ where
     sim.set_recorder(rec.clone());
     attack.set_recorder(rec.clone());
     let mut traces: Vec<(u64, TraceChunk)> = Vec::new();
-    if let (Some(hub), false) = (&ctx.opts.publish, ctx.opts.lockstep) {
-        // Evented rounds publish from inside the scheduler: the hook runs in
-        // the post-broadcast quiesced window, replacing the runner's inline
-        // round-boundary publication below.
-        let hub = Arc::clone(hub);
-        let dim = setup.params.dim;
-        let publish_rec = rec.clone();
-        sim.set_publish_hook(Box::new(move |_round, clients: &[P], global: &[f32]| {
-            let _publish = publish_rec.span("publish");
-            hub.publish(Snapshot::shared(dim, clients.iter().map(Participant::owner_emb), global));
-        }));
-    }
 
     let mut emitted: usize = 0;
     if ctx.opts.resume {
@@ -563,26 +527,19 @@ where
         let round_span = rec.span("round");
         let stats = {
             let mut obs = FlDynamics { inner: &mut attack, dynamics: &mut dynamics };
-            if ctx.opts.lockstep {
-                sim.step(&mut obs)
-            } else {
-                sim.step_evented(&mut obs, ctx.opts.delivery_policy())
-            }
+            sim.step(&mut obs)
         };
-        if ctx.opts.lockstep {
-            if let Some(hub) = &ctx.opts.publish {
-                // Round boundary: the global model is quiesced, so this is
-                // the one point a serving snapshot can be cut without readers
-                // ever observing a mid-round mixture. (Evented rounds publish
-                // through the post-broadcast hook installed above instead.)
-                let publish_span = rec.span("publish");
-                hub.publish(Snapshot::shared(
-                    setup.params.dim,
-                    sim.clients().iter().map(Participant::owner_emb),
-                    sim.global_agg(),
-                ));
-                drop(publish_span);
-            }
+        if let Some(hub) = &ctx.opts.publish {
+            // Round boundary: the global model is quiesced, so this is the
+            // one point a serving snapshot can be cut without readers ever
+            // observing a mid-round mixture.
+            let publish_span = rec.span("publish");
+            hub.publish(Snapshot::shared(
+                setup.params.dim,
+                sim.clients().iter().map(Participant::owner_emb),
+                sim.global_agg(),
+            ));
+            drop(publish_span);
         }
         let emitted_before = emitted;
         let emit_span = rec.span("emit");
@@ -784,23 +741,6 @@ where
     let rec = Recorder::new();
     rec.set_detail(true);
     sim.set_recorder(rec.clone());
-    if let (Some(hub), false) = (&ctx.opts.publish, ctx.opts.lockstep) {
-        // Gossip has no global model: each node serves from its own local
-        // mixture, so the snapshot carries per-user agg rows. Under the
-        // evented runtime the coordinator publishes at the RoundEnd slot.
-        let hub = Arc::clone(hub);
-        let dim = setup.params.dim;
-        let publish_rec = rec.clone();
-        sim.set_publish_hook(Box::new(move |_round, nodes: &[P]| {
-            let _publish = publish_rec.span("publish");
-            let agg_len = nodes.first().map_or(0, |c| c.agg().len());
-            hub.publish(Snapshot::per_user(
-                dim,
-                agg_len,
-                nodes.iter().map(|c| (c.owner_emb(), c.agg())),
-            ));
-        }));
-    }
     let mut traces: Vec<(u64, TraceChunk)> = Vec::new();
 
     // Sybil coalitions (always-online adversary nodes) and the legacy
@@ -879,25 +819,19 @@ where
         let stats = {
             let mut obs = PlacementObserver { inner: &mut attack, engine: &mut placement };
             let mut obs = GlDynamics { inner: &mut obs, dynamics: &mut dynamics };
-            if ctx.opts.lockstep {
-                sim.step(&mut obs)
-            } else {
-                sim.step_evented(&mut obs, ctx.opts.delivery_policy())
-            }
+            sim.step(&mut obs)
         };
-        if ctx.opts.lockstep {
-            if let Some(hub) = &ctx.opts.publish {
-                // Gossip has no global model: each node serves from its own
-                // local mixture, so the snapshot carries per-user agg rows.
-                let publish_span = rec.span("publish");
-                let agg_len = sim.nodes().first().map_or(0, |c| c.agg().len());
-                hub.publish(Snapshot::per_user(
-                    setup.params.dim,
-                    agg_len,
-                    sim.nodes().iter().map(|c| (c.owner_emb(), c.agg())),
-                ));
-                drop(publish_span);
-            }
+        if let Some(hub) = &ctx.opts.publish {
+            // Gossip has no global model: each node serves from its own local
+            // mixture, so the snapshot carries per-user agg rows.
+            let publish_span = rec.span("publish");
+            let agg_len = sim.nodes().first().map_or(0, |c| c.agg().len());
+            hub.publish(Snapshot::per_user(
+                setup.params.dim,
+                agg_len,
+                sim.nodes().iter().map(|c| (c.owner_emb(), c.agg())),
+            ));
+            drop(publish_span);
         }
         let emitted_before = emitted;
         let emit_span = rec.span("emit");

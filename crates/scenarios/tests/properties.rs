@@ -8,8 +8,7 @@ use cia_core::{CiaAttackState, MomentumState, PlacementsState, RoundPoint};
 use cia_data::presets::{Preset, Scale};
 use cia_data::UserId;
 use cia_gossip::{GossipSimState, TrafficCounters};
-use cia_models::SharedModel;
-use cia_runtime::{Checkpointable, Msg, SavedEvent};
+use cia_models::{Checkpointable, SharedModel};
 use cia_scenarios::checkpoint::{AttackState, Checkpoint, ProtocolState};
 use cia_scenarios::dynamics::{DynamicsState, ParticipantDynamics};
 use cia_scenarios::placement::PlacementState;
@@ -163,25 +162,6 @@ fn build_checkpoint(seed: u64) -> Checkpoint {
                 received: (0..n).map(|_| rng.gen_range(0u64..200)).collect(),
                 view_in_degree: (0..n).map(|_| rng.gen_range(0u64..2000)).collect(),
             },
-            pending: (0..rng.gen_range(0usize..4))
-                .map(|_| SavedEvent {
-                    at: rng.gen_range(0u64..800),
-                    // cia-lint: allow(D05, test/bench populations are tiny; ids fit u32 with orders of magnitude to spare)
-                    dst: rng.gen_range(0u32..n as u32),
-                    timer: rng.gen_bool(0.5),
-                    msg: if rng.gen_bool(0.5) {
-                        // cia-lint: allow(D05, test/bench populations are tiny; ids fit u32 with orders of magnitude to spare)
-                        Msg::RefreshTimer { node: rng.gen_range(0u32..n as u32) }
-                    } else {
-                        Msg::WakeSend {
-                            round: rng.gen_range(0u64..50),
-                            // cia-lint: allow(D05, test/bench populations are tiny; ids fit u32 with orders of magnitude to spare)
-                            dest: rng.gen_range(0u32..n as u32),
-                            snap: None,
-                        }
-                    },
-                })
-                .collect(),
         })
     };
     let history_len = rng.gen_range(0usize..5);

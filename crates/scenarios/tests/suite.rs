@@ -207,44 +207,11 @@ fn adaptive_run_killed_after_the_relocation_resumes_exactly() {
 }
 
 #[test]
-fn evented_and_lockstep_streams_are_byte_identical() {
-    // The event-driven runtime is the default; the legacy fused loops stay
-    // behind `lockstep: true`. Both must produce the same JSONL stream for
-    // the full builtin suite (FL + gossip + coalition scenarios) — the
-    // compatibility guarantee the whole port rests on.
-    let (_, evented) = run_builtin(42);
-    let suite = builtin_suite(Scale::Smoke, 42);
-    let mut lockstep = Vec::new();
-    let opts = RunOptions { lockstep: true, ..RunOptions::default() };
-    let outcomes = run_suite(&suite, &opts, &mut lockstep).unwrap();
-    assert!(outcomes.iter().all(|o| o.completed));
-    assert_eq!(evented, lockstep, "evented and lockstep streams diverged");
-}
-
-#[test]
-fn interleaved_delivery_seeds_reproduce_the_transcript() {
-    // Permuting same-virtual-time deliveries must be unobservable: every
-    // reorderable mailbox in the protocol ports is sorted on a canonical key
-    // before a float is touched. (The 256-case sweeps live in the gossip /
-    // federated crates' proptests; this pins the property end-to-end through
-    // the runner and JSONL layer.)
-    let (_, reference) = run_builtin(42);
-    for delivery_seed in [1u64, 0xDEAD_BEEF, u64::MAX] {
-        let suite = builtin_suite(Scale::Smoke, 42);
-        let mut buf = Vec::new();
-        let opts = RunOptions { delivery_seed: Some(delivery_seed), ..RunOptions::default() };
-        run_suite(&suite, &opts, &mut buf).unwrap();
-        assert_eq!(buf, reference, "delivery seed {delivery_seed:#x} changed the stream");
-    }
-}
-
-#[test]
-fn gossip_checkpoint_carries_the_live_event_queue() {
-    // Gossip refresh timers straddle every round boundary, so a mid-run
-    // checkpoint must serialize in-flight scheduler events — and the resume
-    // that re-installs them must land on the uninterrupted stream. Kill at
-    // an off-cadence round (checkpoint_every does not divide it) to force
-    // the stop-time checkpoint path.
+fn gossip_off_cadence_kill_resumes_with_future_refreshes_scheduled() {
+    // Kill at an off-cadence round (checkpoint_every does not divide it) to
+    // force the stop-time checkpoint path. Gossip view refreshes straddle
+    // every round boundary, so the checkpoint must carry each node's next
+    // refresh round — and the resume must land on the uninterrupted stream.
     use cia_scenarios::checkpoint::{Checkpoint, ProtocolState};
     let suite = builtin_suite(Scale::Smoke, 42);
     let spec = suite.expanded().unwrap()[2].clone(); // colluding-sybils, 40 rounds
@@ -252,7 +219,7 @@ fn gossip_checkpoint_carries_the_live_event_queue() {
     let mut straight_out = Vec::new();
     run_scenario(&spec, "t", &RunOptions::default(), &mut straight_out).unwrap();
 
-    let dir = TempDir::new("gl-live-queue");
+    let dir = TempDir::new("gl-off-cadence");
     let ckpt = RunOptions {
         checkpoint_dir: Some(dir.0.clone()),
         checkpoint_every: 4,
@@ -273,11 +240,12 @@ fn gossip_checkpoint_carries_the_live_event_queue() {
         .find(|p| p.extension().is_some_and(|e| e == "ckpt"))
         .expect("killed run left a checkpoint");
     let saved = Checkpoint::load(&ckpt_file, spec.fingerprint()).unwrap();
+    assert_eq!(saved.round, 7, "the stop-time checkpoint, not the round-4 one");
     let ProtocolState::Gl(state) = &saved.protocol else { panic!("expected gossip state") };
-    assert!(!state.pending.is_empty(), "checkpoint lost the in-flight events");
     assert!(
-        state.pending.iter().any(|e| e.timer),
-        "expected at least one pending refresh timer across the cut"
+        state.refresh_at.iter().any(|&r| r >= saved.round),
+        "checkpoint holds no refresh scheduled past the cut: {:?}",
+        state.refresh_at
     );
 
     let mut resumed_out = Vec::new();
@@ -286,7 +254,7 @@ fn gossip_checkpoint_carries_the_live_event_queue() {
     assert!(resumed.completed);
     let mut stitched = partial_out;
     stitched.extend_from_slice(&resumed_out);
-    assert_eq!(stitched, straight_out, "resume across the live queue diverged");
+    assert_eq!(stitched, straight_out, "off-cadence resume diverged");
 }
 
 #[test]

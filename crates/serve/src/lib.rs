@@ -10,9 +10,9 @@
 //! * [`Snapshot`] — an immutable, flat-array copy of everything a query
 //!   needs (user embeddings plus the aggregatable item parameters), stamped
 //!   with a monotonically increasing *epoch*. Snapshots are built once per
-//!   round boundary from a quiesced model (under the event-driven runtime,
-//!   the trainer's publish hook fires on the scheduler's `RoundEnd` event);
-//!   readers can never observe a mid-round mixture.
+//!   round boundary from a quiesced model (the runner publishes right after
+//!   a round's `step` returns); readers can never observe a mid-round
+//!   mixture.
 //! * [`SnapshotHub`] — the swap point. The trainer [`publishes`]
 //!   (`SnapshotHub::publish`) a fresh snapshot at each round boundary; the
 //!   hub wraps it in an [`Arc`] and atomically replaces the previous one.

@@ -30,23 +30,6 @@ cargo bench -p cia-bench -- --test
 echo "== scenario engine smoke (suites + sweeps + grid cell + schema + resume)"
 scripts/scenario_smoke.sh
 
-# Scheduler-vs-lockstep golden equality: the event-driven runtime is the
-# default round executor; the legacy fused loops remain behind --lockstep.
-# Both must produce byte-identical deterministic transcripts for the full
-# builtin suite — the compatibility contract of the evented port.
-echo "== evented vs lockstep transcript equality (builtin suite, seed 42)"
-mkdir -p target/bench-smoke
-cargo run --release -q -p cia-scenarios --bin scenario -- \
-    run --suite builtin --scale smoke --seed 42 --no-timing \
-    --out target/bench-smoke/evented.jsonl >/dev/null
-cargo run --release -q -p cia-scenarios --bin scenario -- \
-    run --suite builtin --scale smoke --seed 42 --no-timing --lockstep \
-    --out target/bench-smoke/lockstep.jsonl >/dev/null
-cmp target/bench-smoke/evented.jsonl target/bench-smoke/lockstep.jsonl || {
-    echo "error: evented scheduler diverged from the lockstep transcript" >&2
-    exit 1
-}
-
 # Observability smoke: a timed single-scenario run must emit trace records
 # that `scenario report` can aggregate, plus a Chrome trace file that
 # parses. Artifacts land in target/bench-smoke/ (CI uploads trace.json on a

@@ -29,9 +29,9 @@ summary() {
     echo "== step timing summary"
     local i
     for i in "${!step_names[@]}"; do
-        printf '   %-14s %5ss\n' "${step_names[$i]}" "${step_secs[$i]}"
+        printf '   %-16s %5ss\n' "${step_names[$i]}" "${step_secs[$i]}"
     done
-    printf '   %-14s %5ss\n' "total" "$((SECONDS - total_start))"
+    printf '   %-16s %5ss\n' "total" "$((SECONDS - total_start))"
     if [ -n "$fail_step" ]; then
         echo "FAILED at step: $fail_step"
     fi
@@ -110,6 +110,9 @@ step fmt-check cargo fmt --all --check
 step lint run_cia_lint
 step build cargo build --release --workspace
 step test run_with_peak_rss cargo test --workspace -q
+# The benchmark harness's own unit tests (the compare rule and its
+# fixtures); stdlib-only Python, no build needed.
+step perfbench-tests python3 -m unittest discover -s perfbench/tests
 # fmt-check, cia-lint and the workspace tests already ran above; tell
 # bench_smoke.sh not to repeat them.
 CIA_SKIP_REDUNDANT_GATES=1 step bench-smoke scripts/bench_smoke.sh
