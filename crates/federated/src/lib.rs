@@ -394,22 +394,10 @@ impl<P: Participant> FedAvg<P> {
         let clients = store.as_dense_mut().expect("dense step");
         let n = clients.len();
         let cfg = *cfg;
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ t.wrapping_mul(0x9E37_79B9_7F4A_7C15));
 
         // Sample participants.
         let sample_span = obs.span("sample");
-        let mut sampled: Vec<bool> = if cfg.participation >= 1.0 {
-            vec![true; n]
-        } else {
-            let k = ((n as f64 * cfg.participation).round() as usize).clamp(1, n);
-            let mut idx: Vec<usize> = (0..n).collect();
-            idx.shuffle(&mut rng);
-            let mut mask = vec![false; n];
-            for &i in idx.iter().take(k) {
-                mask[i] = true;
-            }
-            mask
-        };
+        let mut sampled = sample_participants(n, &cfg, t);
 
         observer.on_round_start(t);
         observer.on_liveness(LivenessEvent::ActingSet { round: t, mask: &mut sampled });
@@ -579,21 +567,9 @@ impl<P: Participant> FedAvg<P> {
         let bytes0 = obs.counter(Counter::BytesMaterialized);
         let n = self.store.len();
         let cfg = self.cfg;
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ t.wrapping_mul(0x9E37_79B9_7F4A_7C15));
 
         let sample_span = obs.span("sample");
-        let mut sampled: Vec<bool> = if cfg.participation >= 1.0 {
-            vec![true; n]
-        } else {
-            let k = ((n as f64 * cfg.participation).round() as usize).clamp(1, n);
-            let mut idx: Vec<usize> = (0..n).collect();
-            idx.shuffle(&mut rng);
-            let mut mask = vec![false; n];
-            for &i in idx.iter().take(k) {
-                mask[i] = true;
-            }
-            mask
-        };
+        let mut sampled = sample_participants(n, &cfg, t);
 
         observer.on_round_start(t);
         observer.on_liveness(LivenessEvent::ActingSet { round: t, mask: &mut sampled });
@@ -693,6 +669,24 @@ impl<P: Participant> FedAvg<P> {
             self.step(observer);
         }
     }
+}
+
+/// Round `t`'s participant mask: everyone at full participation, otherwise
+/// the first `round(n · participation)` ids (at least one) of a shuffle
+/// seeded by `(seed, t)`.
+fn sample_participants(n: usize, cfg: &FedAvgConfig, t: u64) -> Vec<bool> {
+    if cfg.participation >= 1.0 {
+        return vec![true; n];
+    }
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ t.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let k = ((n as f64 * cfg.participation).round() as usize).clamp(1, n);
+    let mut idx: Vec<usize> = (0..n).collect();
+    idx.shuffle(&mut rng);
+    let mut mask = vec![false; n];
+    for &i in idx.iter().take(k) {
+        mask[i] = true;
+    }
+    mask
 }
 
 /// An empty reusable snapshot slot (overwritten by `snapshot_into` before

@@ -400,24 +400,17 @@ impl Checkpoint {
         })
     }
 
-    /// Writes the checkpoint durably and atomically: the bytes go to a temp
-    /// file that is synced to disk before it is renamed over `path`, and the
-    /// parent directory is synced after the rename. A crash at any point
-    /// leaves either the previous checkpoint or the new one, never a partial
-    /// file.
+    /// Writes the checkpoint durably and atomically, creating the parent
+    /// directory if needed: the bytes go to a temp file that is synced to
+    /// disk before it is renamed over `path`, and the parent directory is
+    /// synced after the rename. A crash at any point leaves either the
+    /// previous checkpoint or the new one, never a partial file.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        let tmp = path.with_extension("ckpt.tmp");
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(&self.encode())?;
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&tmp, path)?;
-        let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
-        std::fs::File::open(dir)?.sync_all()
+        write_durably(path, &self.encode())
     }
 
     /// Loads and verifies a checkpoint file.
@@ -432,6 +425,28 @@ impl Checkpoint {
         Checkpoint::decode(&bytes, expect_fingerprint)
             .map_err(|e| format!("{}: {e}", path.display()))
     }
+}
+
+/// Writes `bytes` to `path` durably and atomically, creating the parent
+/// directory if needed: they go to a `<path>.tmp` file that is synced to
+/// disk before it is renamed over `path`, and the parent directory is synced
+/// after the rename. A crash at any point leaves either the previous file or
+/// the new one, never a partial file.
+///
+/// # Errors
+///
+/// Propagates filesystem errors.
+pub(crate) fn write_durably(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    std::fs::create_dir_all(dir)?;
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(&tmp, path)?;
+    std::fs::File::open(dir)?.sync_all()
 }
 
 #[derive(Default)]

@@ -217,14 +217,14 @@ fn greedy_cover(seen: &[Vec<u32>], traffic: &TrafficCounters, coalition: usize) 
 
 /// Observer adapter feeding routed deliveries into the engine's warm-up log
 /// before forwarding them to the attack.
-pub struct PlacementObserver<'a, O: GossipObserver> {
+pub struct PlacementObserver<'a, O: GossipObserver + ?Sized> {
     /// The wrapped observer (the attack engine).
     pub inner: &'a mut O,
     /// The placement decision process.
     pub engine: &'a mut PlacementEngine,
 }
 
-impl<O: GossipObserver> GossipObserver for PlacementObserver<'_, O> {
+impl<O: GossipObserver + ?Sized> GossipObserver for PlacementObserver<'_, O> {
     fn on_round_start(&mut self, round: u64) {
         self.inner.on_round_start(round);
     }

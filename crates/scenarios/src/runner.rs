@@ -31,7 +31,7 @@
 //! tracing layer stays *active* (every scenario runs with a detail-enabled
 //! recorder), it just never writes into the deterministic stream.
 
-use crate::checkpoint::{AttackState, Checkpoint, ProtocolState};
+use crate::checkpoint::{write_durably, AttackState, Checkpoint, ProtocolState};
 use crate::dynamics::{FlDynamics, GlDynamics, ParticipantDynamics};
 use crate::json::{Json, ObjBuilder};
 use crate::placement::{PlacementEngine, PlacementObserver, PlacementState};
@@ -46,11 +46,11 @@ use cia_data::presets::Scale;
 use cia_data::UserId;
 use cia_defenses::{DpConfig, DpMechanism};
 use cia_federated::{FedAvg, FedAvgConfig};
-use cia_gossip::{GossipConfig, GossipObserver, GossipProtocol, GossipRoundStats, GossipSim};
+use cia_gossip::{GossipConfig, GossipObserver, GossipProtocol, GossipSim};
 use cia_models::parallel::par_map;
 use cia_models::{
-    f1_at_k, hit_ratio, Checkpointable, GmfClient, GmfHyper, GmfSpec, LivenessEvent, Participant,
-    PrmeClient, PrmeHyper, PrmeSpec, RelevanceScorer, SharedModel,
+    f1_at_k, hit_ratio, Checkpointable, GmfClient, GmfHyper, GmfSpec, Participant, PrmeClient,
+    PrmeHyper, PrmeSpec, RelevanceScorer,
 };
 use cia_serve::{Snapshot, SnapshotHub};
 use std::io::Write;
@@ -176,7 +176,12 @@ pub fn run_scenario(
     spec.validate()?;
     // cia-lint: allow(D02, feeds only the timing-gated elapsed_ms fields and the printed summary; --no-timing never reads it)
     let start = Instant::now();
-    let ctx = Ctx { spec, suite, opts, start };
+    // One recorder per scenario, detail always on: `--no-timing` byte
+    // identity is a property of the *emission* gate, not of tracing being
+    // compiled out or disabled. Never checkpointed — see `crate::checkpoint`.
+    let rec = Recorder::new();
+    rec.set_detail(true);
+    let ctx = Ctx { spec, suite, opts, start, rec };
     if opts.resume {
         if let Some(dir) = &opts.checkpoint_dir {
             // Accept checkpoints and completion markers written under the
@@ -188,16 +193,13 @@ pub fn run_scenario(
     // their records already in the stream; the completion marker stops a
     // resume from re-running them and appending duplicates.
     if opts.resume && ctx.completion_marker_matches() {
+        let attack = cia_core::AttackTracker::new(1, 0).outcome();
+        let outcome = scenario_outcome(spec, attack, None, "", 0, Vec::new());
         return Ok(ScenarioOutcome {
-            name: spec.name.clone(),
-            attack: cia_core::AttackTracker::new(1, 0).outcome(),
-            utility: None,
-            utility_metric: "",
-            rounds_done: 0,
             completed: true,
             skipped: true,
             elapsed: start.elapsed(),
-            traces: Vec::new(),
+            ..outcome
         });
     }
     // The scenario path keeps every client resident (attacks observe the
@@ -228,6 +230,9 @@ struct Ctx<'a> {
     suite: &'a str,
     opts: &'a RunOptions,
     start: Instant,
+    /// The scenario's recorder, shared by the protocol, the attack and the
+    /// phase spans of [`drive`].
+    rec: Recorder,
 }
 
 impl Ctx<'_> {
@@ -246,22 +251,6 @@ impl Ctx<'_> {
                 .is_ok_and(|text| text.trim() == format!("{:016x}", self.spec.fingerprint()))
         })
     }
-
-    /// Whether a checkpoint should be written after `done` rounds. Rounds
-    /// that emitted records always checkpoint, keeping the stream's record
-    /// count in lockstep with the checkpoint's `emitted` counter — a kill
-    /// can then duplicate at most the current round's records on resume.
-    fn checkpoint_due(&self, done: u64, stopping: bool, emitted_now: bool) -> bool {
-        self.opts.checkpoint_dir.is_some()
-            && (stopping
-                || emitted_now
-                || (self.opts.checkpoint_every > 0
-                    && done.is_multiple_of(self.opts.checkpoint_every)))
-    }
-
-    fn stopping_at(&self, done: u64) -> bool {
-        self.opts.stop_after_rounds.is_some_and(|limit| done >= limit)
-    }
 }
 
 /// The GMF scorer every scenario run uses, with the runner's hyper choices —
@@ -278,12 +267,10 @@ pub fn prme_scorer(num_items: u32, dim: usize) -> PrmeSpec {
     PrmeSpec::new(num_items, dim, PrmeHyper { lr: 0.05, ..PrmeHyper::default() })
 }
 
-fn gmf_spec(setup: &RecsysSetup) -> GmfSpec {
-    gmf_scorer(setup.data.num_items(), setup.params.dim)
-}
-
-fn prme_spec(setup: &RecsysSetup) -> PrmeSpec {
-    prme_scorer(setup.data.num_items(), setup.params.dim)
+/// Client `u`'s id and model seed (the spec seed salted by the id).
+fn client_id_and_seed(spec: &ScenarioSpec, u: usize) -> (UserId, u64) {
+    // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
+    (UserId::new(u as u32), spec.seed ^ (u as u64).wrapping_mul(0xD6E8_FEB8))
 }
 
 fn run_gmf(
@@ -291,7 +278,7 @@ fn run_gmf(
     setup: &RecsysSetup,
     sink: &mut dyn Write,
 ) -> Result<ScenarioOutcome, String> {
-    let model_spec = gmf_spec(setup);
+    let model_spec = gmf_scorer(setup.data.num_items(), setup.params.dim);
     let policy = ctx.spec.defense.policy();
     let clients: Vec<GmfClient> = setup
         .split
@@ -299,13 +286,8 @@ fn run_gmf(
         .iter()
         .enumerate()
         .map(|(u, items)| {
-            model_spec.build_client(
-                // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                UserId::new(u as u32),
-                items.clone(),
-                policy,
-                ctx.spec.seed ^ (u as u64).wrapping_mul(0xD6E8_FEB8),
-            )
+            let (id, seed) = client_id_and_seed(ctx.spec, u);
+            model_spec.build_client(id, items.clone(), policy, seed)
         })
         .collect();
     let eval_instances = setup.split.eval_instances().to_vec();
@@ -333,7 +315,7 @@ fn run_prme(
     setup: &RecsysSetup,
     sink: &mut dyn Write,
 ) -> Result<ScenarioOutcome, String> {
-    let model_spec = prme_spec(setup);
+    let model_spec = prme_scorer(setup.data.num_items(), setup.params.dim);
     let policy = ctx.spec.defense.policy();
     let clients: Vec<PrmeClient> = setup
         .split
@@ -342,14 +324,8 @@ fn run_prme(
         .zip(setup.split.train_sequences())
         .enumerate()
         .map(|(u, (items, seq))| {
-            model_spec.build_client(
-                // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                UserId::new(u as u32),
-                items.clone(),
-                seq.clone(),
-                policy,
-                ctx.spec.seed ^ (u as u64).wrapping_mul(0xD6E8_FEB8),
-            )
+            let (id, seed) = client_id_and_seed(ctx.spec, u);
+            model_spec.build_client(id, items.clone(), seq.clone(), policy, seed)
         })
         .collect();
     let eval_instances = setup.split.eval_instances().to_vec();
@@ -445,287 +421,25 @@ where
     };
     let dynamics = ParticipantDynamics::new(&spec.dynamics, n, spec.seed ^ 0xD11A);
     let evaluator = ItemSetEvaluator::new(scorer, targets, share_less);
-    match spec.protocol {
-        ProtocolKind::Fl => {
-            run_fl(ctx, setup, cia, evaluator, clients, utility, utility_metric, dynamics, sink)
+    let total = setup.params.rounds(spec.protocol);
+    if !spec.protocol.is_gossip() {
+        let mut attack = FlCia::new(cia, evaluator, n, setup.truth_table(), setup.owner_table());
+        let mut sim = FedAvg::new(
+            clients,
+            FedAvgConfig {
+                rounds: total,
+                local_epochs: setup.params.local_epochs,
+                seed: spec.seed,
+                ..Default::default()
+            },
+        );
+        if let Some(m) = build_dp(spec, total) {
+            sim.set_update_transform(Box::new(m));
         }
-        ProtocolKind::RandGossip | ProtocolKind::PersGossip => {
-            run_gl(ctx, setup, cia, evaluator, clients, utility, utility_metric, dynamics, sink)
-        }
+        sim.set_recorder(ctx.rec.clone());
+        attack.set_recorder(ctx.rec.clone());
+        return drive(ctx, setup, FlRun { sim, attack }, dynamics, utility, utility_metric, sink);
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_fl<S, P>(
-    ctx: &Ctx,
-    setup: &RecsysSetup,
-    cia: CiaConfig,
-    evaluator: ItemSetEvaluator<S>,
-    clients: Vec<P>,
-    utility: impl Fn(&[P]) -> f64,
-    utility_metric: &'static str,
-    mut dynamics: ParticipantDynamics,
-    sink: &mut dyn Write,
-) -> Result<ScenarioOutcome, String>
-where
-    S: RelevanceScorer + Clone + 'static,
-    P: Participant,
-{
-    let spec = ctx.spec;
-    let n = setup.data.num_users();
-    let total = setup.params.fl_rounds;
-    let mut attack = FlCia::new(cia, evaluator, n, setup.truth_table(), setup.owner_table());
-    let mut sim = FedAvg::new(
-        clients,
-        FedAvgConfig {
-            rounds: total,
-            local_epochs: setup.params.local_epochs,
-            seed: spec.seed,
-            ..Default::default()
-        },
-    );
-    if let Some(m) = build_dp(spec, total) {
-        sim.set_update_transform(Box::new(m));
-    }
-    // One recorder per scenario, detail always on: `--no-timing` byte
-    // identity is a property of the *emission* gate, not of tracing being
-    // compiled out or disabled. Never checkpointed — see `crate::checkpoint`.
-    let rec = Recorder::new();
-    rec.set_detail(true);
-    sim.set_recorder(rec.clone());
-    attack.set_recorder(rec.clone());
-    let mut traces: Vec<(u64, TraceChunk)> = Vec::new();
-
-    let mut emitted: usize = 0;
-    if ctx.opts.resume {
-        if let Some(path) = ctx.checkpoint_path() {
-            if path.exists() {
-                let ck = Checkpoint::load(&path, spec.fingerprint())?;
-                let ProtocolState::Fl { global } = ck.protocol else {
-                    return Err(format!("{}: checkpoint protocol family mismatch", spec.name));
-                };
-                let AttackState::Cia(attack_state) = ck.attack else {
-                    return Err(format!("{}: checkpoint attack family mismatch", spec.name));
-                };
-                if ck.clients.len() != n {
-                    return Err(format!("{}: checkpoint population mismatch", spec.name));
-                }
-                for (c, s) in sim.clients_mut().iter_mut().zip(&ck.clients) {
-                    c.restore_state(s);
-                }
-                sim.restore(ck.round, global);
-                attack.restore_state(attack_state);
-                attack.evaluator_mut().restore_adversary_embeddings(ck.adversary_embs);
-                dynamics.restore_state(ck.dynamics);
-                emitted = ck.emitted as usize;
-            }
-        }
-    }
-
-    let rb = random_bound(setup.k, n.saturating_sub(1));
-    while sim.round() < total {
-        let round_span = rec.span("round");
-        let stats = {
-            let mut obs = FlDynamics { inner: &mut attack, dynamics: &mut dynamics };
-            sim.step(&mut obs)
-        };
-        if let Some(hub) = &ctx.opts.publish {
-            // Round boundary: the global model is quiesced, so this is the
-            // one point a serving snapshot can be cut without readers ever
-            // observing a mid-round mixture.
-            let publish_span = rec.span("publish");
-            hub.publish(Snapshot::shared(
-                setup.params.dim,
-                sim.clients().iter().map(Participant::owner_emb),
-                sim.global_agg(),
-            ));
-            drop(publish_span);
-        }
-        let emitted_before = emitted;
-        let emit_span = rec.span("emit");
-        while emitted < attack.history().len() {
-            let p = attack.history()[emitted].clone();
-            emit_round_eval(
-                ctx,
-                sink,
-                &p,
-                rb,
-                dynamics.online_count(),
-                stats.participants,
-                stats.mean_loss,
-                stats.bytes_materialized,
-            )?;
-            emitted += 1;
-        }
-        drop(emit_span);
-        let done = sim.round();
-        let stopping = ctx.stopping_at(done);
-        if ctx.checkpoint_due(done, stopping, emitted > emitted_before) {
-            let checkpoint_span = rec.span("checkpoint");
-            let ck = Checkpoint {
-                fingerprint: spec.fingerprint(),
-                round: done,
-                emitted: emitted as u64,
-                clients: sim.clients().iter().map(Participant::state_vec).collect(),
-                protocol: ProtocolState::Fl { global: sim.global_agg().to_vec() },
-                attack: AttackState::Cia(attack.export_state()),
-                adversary_embs: attack.evaluator().adversary_embeddings().to_vec(),
-                dynamics: dynamics.export_state(),
-                placement: PlacementState::default(),
-            };
-            save_checkpoint(ctx, &ck)?;
-            drop(checkpoint_span);
-        }
-        drop(round_span);
-        let chunk = rec.drain();
-        if ctx.opts.timing {
-            emit_trace(ctx, sink, done - 1, &chunk)?;
-        }
-        traces.push((done - 1, chunk));
-        if stopping {
-            return Ok(partial_outcome(spec, attack.outcome(), utility_metric, done, traces));
-        }
-    }
-
-    let utility_span = rec.span("utility");
-    sim.sync_clients_to_global();
-    let utility_value = utility(sim.clients());
-    drop(utility_span);
-    let chunk = rec.drain();
-    if ctx.opts.timing {
-        emit_trace(ctx, sink, total, &chunk)?;
-    }
-    traces.push((total, chunk));
-    let outcome = attack.outcome();
-    emit_summary(ctx, sink, &outcome, utility_value, utility_metric, total, emitted)?;
-    clear_checkpoint(ctx);
-    Ok(ScenarioOutcome {
-        name: spec.name.clone(),
-        attack: outcome,
-        utility: Some(utility_value),
-        utility_metric,
-        rounds_done: total,
-        completed: true,
-        skipped: false,
-        elapsed: Duration::ZERO,
-        traces,
-    })
-}
-
-/// Either gossip attack engine behind one observer surface.
-enum GlAttack<S: RelevanceScorer> {
-    Coalition(GlCiaCoalition<ItemSetEvaluator<S>>),
-    All(GlCiaAllPlacements<ItemSetEvaluator<S>>),
-}
-
-impl<S: RelevanceScorer> GlAttack<S> {
-    fn history(&self) -> &[RoundPoint] {
-        match self {
-            GlAttack::Coalition(a) => a.history(),
-            GlAttack::All(a) => a.history(),
-        }
-    }
-
-    fn outcome(&self) -> AttackOutcome {
-        match self {
-            GlAttack::Coalition(a) => a.outcome(),
-            GlAttack::All(a) => a.outcome(),
-        }
-    }
-
-    fn export_state(&self) -> AttackState {
-        match self {
-            GlAttack::Coalition(a) => AttackState::Cia(a.export_state()),
-            GlAttack::All(a) => AttackState::Placements(a.export_state()),
-        }
-    }
-
-    fn restore_state(&mut self, state: AttackState, name: &str) -> Result<(), String> {
-        match (self, state) {
-            (GlAttack::Coalition(a), AttackState::Cia(s)) => {
-                a.restore_state(s);
-                Ok(())
-            }
-            (GlAttack::All(a), AttackState::Placements(s)) => {
-                a.restore_state(s);
-                Ok(())
-            }
-            _ => Err(format!("{name}: checkpoint attack family mismatch")),
-        }
-    }
-
-    fn adversary_embeddings(&self) -> Vec<Option<Vec<f32>>> {
-        match self {
-            GlAttack::Coalition(a) => a.evaluator().adversary_embeddings().to_vec(),
-            GlAttack::All(a) => a.evaluator().adversary_embeddings().to_vec(),
-        }
-    }
-
-    fn restore_adversary_embeddings(&mut self, embs: Vec<Option<Vec<f32>>>) {
-        match self {
-            GlAttack::Coalition(a) => a.evaluator_mut().restore_adversary_embeddings(embs),
-            GlAttack::All(a) => a.evaluator_mut().restore_adversary_embeddings(embs),
-        }
-    }
-
-    fn set_recorder(&mut self, rec: Recorder) {
-        match self {
-            GlAttack::Coalition(a) => a.set_recorder(rec),
-            GlAttack::All(a) => a.set_recorder(rec),
-        }
-    }
-}
-
-impl<S: RelevanceScorer> GossipObserver for GlAttack<S> {
-    fn on_round_start(&mut self, round: u64) {
-        match self {
-            GlAttack::Coalition(a) => a.on_round_start(round),
-            GlAttack::All(a) => a.on_round_start(round),
-        }
-    }
-
-    fn on_liveness(&mut self, event: LivenessEvent<'_>) {
-        // The dynamics-filtered wake set feeds the engines' online bound.
-        match self {
-            GlAttack::Coalition(a) => a.on_liveness(event),
-            GlAttack::All(a) => a.on_liveness(event),
-        }
-    }
-
-    fn on_delivery(&mut self, round: u64, receiver: UserId, model: &SharedModel) {
-        match self {
-            GlAttack::Coalition(a) => a.on_delivery(round, receiver, model),
-            GlAttack::All(a) => a.on_delivery(round, receiver, model),
-        }
-    }
-
-    fn on_round_end(&mut self, stats: &GossipRoundStats) {
-        match self {
-            GlAttack::Coalition(a) => a.on_round_end(stats),
-            GlAttack::All(a) => a.on_round_end(stats),
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_gl<S, P>(
-    ctx: &Ctx,
-    setup: &RecsysSetup,
-    cia: CiaConfig,
-    evaluator: ItemSetEvaluator<S>,
-    clients: Vec<P>,
-    utility: impl Fn(&[P]) -> f64,
-    utility_metric: &'static str,
-    mut dynamics: ParticipantDynamics,
-    sink: &mut dyn Write,
-) -> Result<ScenarioOutcome, String>
-where
-    S: RelevanceScorer + Clone + 'static,
-    P: Participant,
-{
-    let spec = ctx.spec;
-    let n = setup.data.num_users();
-    let total = setup.params.gl_rounds;
     let protocol = match spec.protocol {
         ProtocolKind::PersGossip => GossipProtocol::Pers { exploration: 0.4 },
         _ => GossipProtocol::Rand,
@@ -737,11 +451,7 @@ where
     if let Some(m) = build_dp(spec, total) {
         sim.set_update_transform(Box::new(m));
     }
-    // One recorder per scenario, detail always on (see `run_fl`).
-    let rec = Recorder::new();
-    rec.set_detail(true);
-    sim.set_recorder(rec.clone());
-    let mut traces: Vec<(u64, TraceChunk)> = Vec::new();
+    sim.set_recorder(ctx.rec.clone());
 
     // Sybil coalitions (always-online adversary nodes) and the legacy
     // `colluders` knob both run the paper-exact coalition engine; a lone
@@ -754,19 +464,16 @@ where
         // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
         (0..coalition).map(|i| (i * n / coalition.max(1)) as u32).collect()
     };
-    let mut attack = if members.is_empty() {
-        GlAttack::All(GlCiaAllPlacements::new(cia, evaluator, n, setup.truth_table()))
+    let attack: Box<dyn GlAttack> = if members.is_empty() {
+        let mut a = GlCiaAllPlacements::new(cia, evaluator, n, setup.truth_table());
+        a.set_recorder(ctx.rec.clone());
+        Box::new(a)
     } else {
-        GlAttack::Coalition(GlCiaCoalition::new(
-            cia,
-            evaluator,
-            n,
-            &members,
-            setup.truth_table(),
-            setup.owner_table(),
-        ))
+        let (truths, owners) = (setup.truth_table(), setup.owner_table());
+        let mut a = GlCiaCoalition::new(cia, evaluator, n, &members, truths, owners);
+        a.set_recorder(ctx.rec.clone());
+        Box::new(a)
     };
-    attack.set_recorder(rec.clone());
     // Adaptive sybil placement: passive traffic observation from the static
     // positions during the warm-up window, one relocation at its end. A
     // warm-up at or beyond the horizon can never fire — run the engine as
@@ -777,149 +484,340 @@ where
     } else {
         spec.dynamics.placement
     };
-    let mut placement = PlacementEngine::new(strategy, spec.dynamics.placement_warmup, members, n);
+    let placement = PlacementEngine::new(strategy, spec.dynamics.placement_warmup, members, n);
+    let run = GlRun { sim, attack, placement };
+    drive(ctx, setup, run, dynamics, utility, utility_metric, sink)
+}
 
-    let mut emitted: usize = 0;
-    if ctx.opts.resume {
-        if let Some(path) = ctx.checkpoint_path() {
-            if path.exists() {
-                let ck = Checkpoint::load(&path, spec.fingerprint())?;
-                let ProtocolState::Gl(state) = ck.protocol else {
-                    return Err(format!("{}: checkpoint protocol family mismatch", spec.name));
-                };
-                if ck.clients.len() != n {
-                    return Err(format!("{}: checkpoint population mismatch", spec.name));
-                }
-                for (c, s) in sim.nodes_mut().iter_mut().zip(&ck.clients) {
-                    c.restore_state(s);
-                }
-                sim.restore_state(state);
-                attack.restore_state(ck.attack, &spec.name)?;
-                attack.restore_adversary_embeddings(ck.adversary_embs);
-                placement.restore_state(ck.placement);
-                if placement.relocated() {
-                    // Re-apply the relocation to the tables rebuilt from the
-                    // spec — before the dynamics state restore, whose online
-                    // bitmap already reflects post-relocation churn.
-                    apply_relocation(&mut attack, &mut dynamics, placement.members());
-                }
-                dynamics.restore_state(ck.dynamics);
-                emitted = ck.emitted as usize;
+/// What one protocol round reports into its `round_eval` records.
+struct StepReport {
+    /// Clients that acted: FL participants, gossip wakers.
+    participants: usize,
+    mean_loss: Option<f32>,
+    bytes_materialized: u64,
+}
+
+/// What a protocol contributes to the scenario loop ([`drive`]): one round
+/// with its observer stack, its serving snapshot and its checkpoint
+/// sections. Resume, emission, checkpoint cadence and assembly, tracing, the
+/// stop path, utility and the summary belong to the loop.
+trait ProtocolRun {
+    /// The participant type the protocol trains.
+    type Client: Participant;
+
+    /// The participants (resume restores their state in place).
+    fn clients(&mut self) -> &mut [Self::Client];
+    /// The attack engine (resume restores it in place).
+    fn attack(&mut self) -> &mut dyn Attack;
+    /// Runs one round with the dynamics layer and the attack observing.
+    fn step(&mut self, dynamics: &mut ParticipantDynamics) -> StepReport;
+    /// The serving snapshot at the current round boundary.
+    fn snapshot(&self, dim: usize) -> Snapshot;
+    /// The protocol and placement checkpoint sections.
+    fn export(&self) -> (ProtocolState, PlacementState);
+    /// Restores [`ProtocolRun::export`]'s sections, saved after `round`
+    /// rounds — after the attack's restore, before the dynamics state's.
+    /// Refuses the other protocol family's state.
+    fn restore(
+        &mut self,
+        round: u64,
+        protocol: ProtocolState,
+        placement: PlacementState,
+        dynamics: &mut ParticipantDynamics,
+    ) -> Result<(), &'static str>;
+    /// Prepares the participants for the final utility evaluation.
+    fn before_utility(&mut self) {}
+}
+
+/// The adversary's Share-less fictive embeddings, one slot per user.
+type Embeddings = Vec<Option<Vec<f32>>>;
+
+/// The attack-engine surface [`drive`] needs, shared by [`FlCia`] and both
+/// gossip engines.
+trait Attack {
+    fn history(&self) -> &[RoundPoint];
+    fn outcome(&self) -> AttackOutcome;
+    /// The engine's checkpoint section and the adversary's embeddings.
+    fn export(&self) -> (AttackState, Embeddings);
+    /// Restores [`Attack::export`]'s sections; refuses another engine's state.
+    fn restore(&mut self, state: AttackState, embs: Embeddings) -> Result<(), &'static str>;
+    /// Moves a gossip coalition onto relocated ids. The FL attack and the
+    /// all-placements sweep have no coalition to move.
+    fn set_members(&mut self, _members: &[u32]) {}
+}
+
+/// Implements [`Attack`] for an engine whose checkpoint section is the
+/// `AttackState::$state` variant, forwarding `set_members` when given.
+macro_rules! impl_attack {
+    ($engine:ident, $state:ident $(, $set_members:ident)?) => {
+        impl<S: RelevanceScorer> Attack for $engine<ItemSetEvaluator<S>> {
+            fn history(&self) -> &[RoundPoint] {
+                $engine::history(self)
             }
+
+            fn outcome(&self) -> AttackOutcome {
+                $engine::outcome(self)
+            }
+
+            fn export(&self) -> (AttackState, Embeddings) {
+                let embs = self.evaluator().adversary_embeddings().to_vec();
+                (AttackState::$state(self.export_state()), embs)
+            }
+
+            fn restore(&mut self, state: AttackState, embs: Embeddings) -> Result<(), &'static str> {
+                let AttackState::$state(state) = state else { return Err("attack family") };
+                self.restore_state(state);
+                self.evaluator_mut().restore_adversary_embeddings(embs);
+                Ok(())
+            }
+
+            $(fn set_members(&mut self, members: &[u32]) {
+                $engine::$set_members(self, members);
+            })?
+        }
+    };
+}
+
+impl_attack!(FlCia, Cia);
+impl_attack!(GlCiaCoalition, Cia, set_members);
+impl_attack!(GlCiaAllPlacements, Placements);
+
+/// Either gossip engine behind one trait object: the paper-exact coalition
+/// or the all-placements sweep.
+trait GlAttack: Attack + GossipObserver {}
+
+impl<T: Attack + GossipObserver> GlAttack for T {}
+
+/// FedAvg with the FL attack observing the server.
+struct FlRun<S: RelevanceScorer, P: Participant> {
+    sim: FedAvg<P>,
+    attack: FlCia<ItemSetEvaluator<S>>,
+}
+
+impl<S: RelevanceScorer, P: Participant> ProtocolRun for FlRun<S, P> {
+    type Client = P;
+
+    fn clients(&mut self) -> &mut [P] {
+        self.sim.clients_mut()
+    }
+
+    fn attack(&mut self) -> &mut dyn Attack {
+        &mut self.attack
+    }
+
+    fn step(&mut self, dynamics: &mut ParticipantDynamics) -> StepReport {
+        let stats = self.sim.step(&mut FlDynamics { inner: &mut self.attack, dynamics });
+        StepReport {
+            participants: stats.participants,
+            mean_loss: stats.mean_loss,
+            bytes_materialized: stats.bytes_materialized,
         }
     }
 
-    let rb = random_bound(setup.k, n.saturating_sub(1));
-    while sim.round() < total {
-        let round_span = rec.span("round");
-        if let Some(new_members) = placement.maybe_relocate(sim.round(), sim.traffic()) {
-            let new_members = new_members.to_vec();
-            apply_relocation(&mut attack, &mut dynamics, &new_members);
+    fn snapshot(&self, dim: usize) -> Snapshot {
+        let owners = self.sim.clients().iter().map(Participant::owner_emb);
+        Snapshot::shared(dim, owners, self.sim.global_agg())
+    }
+
+    fn export(&self) -> (ProtocolState, PlacementState) {
+        (ProtocolState::Fl { global: self.sim.global_agg().to_vec() }, PlacementState::default())
+    }
+
+    fn restore(
+        &mut self,
+        round: u64,
+        protocol: ProtocolState,
+        _placement: PlacementState,
+        _dynamics: &mut ParticipantDynamics,
+    ) -> Result<(), &'static str> {
+        let ProtocolState::Fl { global } = protocol else { return Err("protocol family") };
+        self.sim.restore(round, global);
+        Ok(())
+    }
+
+    fn before_utility(&mut self) {
+        // The deployed model is the final global one.
+        self.sim.sync_clients_to_global();
+    }
+}
+
+/// Gossip learning with a gossip attack engine and the sybil placement
+/// engine observing the deliveries.
+struct GlRun<P: Participant> {
+    sim: GossipSim<P>,
+    attack: Box<dyn GlAttack>,
+    placement: PlacementEngine,
+}
+
+impl<P: Participant> ProtocolRun for GlRun<P> {
+    type Client = P;
+
+    fn clients(&mut self) -> &mut [P] {
+        self.sim.nodes_mut()
+    }
+
+    fn attack(&mut self) -> &mut dyn Attack {
+        &mut *self.attack
+    }
+
+    fn step(&mut self, dynamics: &mut ParticipantDynamics) -> StepReport {
+        if let Some(members) = self.placement.maybe_relocate(self.sim.round(), self.sim.traffic()) {
+            relocate(&mut *self.attack, dynamics, members);
         }
-        let stats = {
-            let mut obs = PlacementObserver { inner: &mut attack, engine: &mut placement };
-            let mut obs = GlDynamics { inner: &mut obs, dynamics: &mut dynamics };
-            sim.step(&mut obs)
-        };
-        if let Some(hub) = &ctx.opts.publish {
-            // Gossip has no global model: each node serves from its own local
-            // mixture, so the snapshot carries per-user agg rows.
-            let publish_span = rec.span("publish");
-            let agg_len = sim.nodes().first().map_or(0, |c| c.agg().len());
-            hub.publish(Snapshot::per_user(
-                setup.params.dim,
-                agg_len,
-                sim.nodes().iter().map(|c| (c.owner_emb(), c.agg())),
-            ));
-            drop(publish_span);
-        }
-        let emitted_before = emitted;
-        let emit_span = rec.span("emit");
-        while emitted < attack.history().len() {
-            let p = attack.history()[emitted].clone();
-            emit_round_eval(
-                ctx,
-                sink,
-                &p,
-                rb,
-                dynamics.online_count(),
-                stats.awake,
-                stats.mean_loss,
-                stats.bytes_materialized,
-            )?;
-            emitted += 1;
-        }
-        drop(emit_span);
-        let done = sim.round();
-        let stopping = ctx.stopping_at(done);
-        if ctx.checkpoint_due(done, stopping, emitted > emitted_before) {
-            let checkpoint_span = rec.span("checkpoint");
-            let ck = Checkpoint {
-                fingerprint: spec.fingerprint(),
-                round: done,
-                emitted: emitted as u64,
-                clients: sim.nodes().iter().map(Participant::state_vec).collect(),
-                protocol: ProtocolState::Gl(sim.export_state()),
-                attack: attack.export_state(),
-                adversary_embs: attack.adversary_embeddings(),
-                dynamics: dynamics.export_state(),
-                placement: placement.export_state(),
-            };
-            save_checkpoint(ctx, &ck)?;
-            drop(checkpoint_span);
-        }
-        drop(round_span);
-        let chunk = rec.drain();
-        if ctx.opts.timing {
-            emit_trace(ctx, sink, done - 1, &chunk)?;
-        }
-        traces.push((done - 1, chunk));
-        if stopping {
-            return Ok(partial_outcome(spec, attack.outcome(), utility_metric, done, traces));
+        let mut obs = PlacementObserver { inner: &mut *self.attack, engine: &mut self.placement };
+        let stats = self.sim.step(&mut GlDynamics { inner: &mut obs, dynamics });
+        StepReport {
+            participants: stats.awake,
+            mean_loss: stats.mean_loss,
+            bytes_materialized: stats.bytes_materialized,
         }
     }
 
-    let utility_span = rec.span("utility");
-    let utility_value = utility(sim.nodes());
-    drop(utility_span);
-    let chunk = rec.drain();
-    if ctx.opts.timing {
-        emit_trace(ctx, sink, total, &chunk)?;
+    fn snapshot(&self, dim: usize) -> Snapshot {
+        // Gossip has no global model: each node serves from its own local
+        // mixture, so the snapshot carries per-user agg rows.
+        let nodes = self.sim.nodes();
+        let agg_len = nodes.first().map_or(0, |c| c.agg().len());
+        Snapshot::per_user(dim, agg_len, nodes.iter().map(|c| (c.owner_emb(), c.agg())))
     }
-    traces.push((total, chunk));
-    let outcome = attack.outcome();
-    emit_summary(ctx, sink, &outcome, utility_value, utility_metric, total, emitted)?;
-    clear_checkpoint(ctx);
-    Ok(ScenarioOutcome {
-        name: spec.name.clone(),
-        attack: outcome,
-        utility: Some(utility_value),
-        utility_metric,
-        rounds_done: total,
-        completed: true,
-        skipped: false,
-        elapsed: Duration::ZERO,
-        traces,
-    })
+
+    fn export(&self) -> (ProtocolState, PlacementState) {
+        (ProtocolState::Gl(self.sim.export_state()), self.placement.export_state())
+    }
+
+    fn restore(
+        &mut self,
+        _round: u64,
+        protocol: ProtocolState,
+        placement: PlacementState,
+        dynamics: &mut ParticipantDynamics,
+    ) -> Result<(), &'static str> {
+        let ProtocolState::Gl(state) = protocol else { return Err("protocol family") };
+        self.sim.restore_state(state);
+        self.placement.restore_state(placement);
+        if self.placement.relocated() {
+            // Re-apply the relocation to the tables rebuilt from the spec —
+            // before the dynamics state restore, whose online bitmap already
+            // reflects post-relocation churn.
+            relocate(&mut *self.attack, dynamics, self.placement.members());
+        }
+        Ok(())
+    }
 }
 
 /// Applies a coalition relocation: the attack engine's delivery filter and
 /// the dynamics layer's always-online sybil table move to the new ids
 /// together (sender-keyed momentum state survives untouched).
-fn apply_relocation<S: RelevanceScorer>(
-    attack: &mut GlAttack<S>,
-    dynamics: &mut ParticipantDynamics,
-    members: &[u32],
-) {
-    if let GlAttack::Coalition(a) = attack {
-        a.set_members(members);
-    }
+fn relocate(attack: &mut dyn GlAttack, dynamics: &mut ParticipantDynamics, members: &[u32]) {
+    attack.set_members(members);
     dynamics.set_sybil_members(members);
 }
 
-fn partial_outcome(
+/// The scenario loop, shared by both protocols: resumes from a checkpoint,
+/// then per round steps the protocol, publishes a snapshot, emits the new
+/// `round_eval` records, checkpoints and drains the trace — until the stop
+/// limit, or until the horizon, where it evaluates utility and emits the
+/// summary.
+fn drive<R: ProtocolRun>(
+    ctx: &Ctx,
+    setup: &RecsysSetup,
+    mut proto: R,
+    mut dynamics: ParticipantDynamics,
+    utility: impl Fn(&[R::Client]) -> f64,
+    utility_metric: &'static str,
+    sink: &mut dyn Write,
+) -> Result<ScenarioOutcome, String> {
+    let spec = ctx.spec;
+    let n = setup.data.num_users();
+    let total = setup.params.rounds(spec.protocol);
+    let mut traces: Vec<(u64, TraceChunk)> = Vec::new();
+
+    let (mut done, mut emitted) = (0u64, 0usize);
+    if let Some(path) = ctx.checkpoint_path().filter(|p| ctx.opts.resume && p.exists()) {
+        let ck = Checkpoint::load(&path, spec.fingerprint())?;
+        let mismatch = |part: &str| format!("{}: checkpoint {part} mismatch", spec.name);
+        if ck.clients.len() != n {
+            return Err(mismatch("population"));
+        }
+        proto.attack().restore(ck.attack, ck.adversary_embs).map_err(mismatch)?;
+        proto.restore(ck.round, ck.protocol, ck.placement, &mut dynamics).map_err(mismatch)?;
+        for (c, s) in proto.clients().iter_mut().zip(&ck.clients) {
+            c.restore_state(s);
+        }
+        dynamics.restore_state(ck.dynamics);
+        (done, emitted) = (ck.round, ck.emitted as usize);
+    }
+
+    let rb = random_bound(setup.k, n.saturating_sub(1));
+    while done < total {
+        let round_span = ctx.rec.span("round");
+        let step = proto.step(&mut dynamics);
+        done += 1;
+        if let Some(hub) = &ctx.opts.publish {
+            // Round boundary: the models are quiesced, so this is the one
+            // point a serving snapshot can be cut without readers ever
+            // observing a mid-round mixture.
+            let publish_span = ctx.rec.span("publish");
+            hub.publish(proto.snapshot(setup.params.dim));
+            drop(publish_span);
+        }
+        let emitted_before = emitted;
+        let emit_span = ctx.rec.span("emit");
+        while let Some(p) = proto.attack().history().get(emitted) {
+            emit_round_eval(ctx, sink, p, rb, dynamics.online_count(), &step)?;
+            emitted += 1;
+        }
+        drop(emit_span);
+        let stopping = ctx.opts.stop_after_rounds.is_some_and(|limit| done >= limit);
+        // Rounds that emitted records always checkpoint, keeping the stream's
+        // record count in lockstep with the checkpoint's `emitted` counter —
+        // a kill can then duplicate at most the current round's records on
+        // resume.
+        let every = ctx.opts.checkpoint_every;
+        let due = stopping || emitted > emitted_before || (every > 0 && done.is_multiple_of(every));
+        if let Some(path) = ctx.checkpoint_path().filter(|_| due) {
+            let checkpoint_span = ctx.rec.span("checkpoint");
+            let (protocol, placement) = proto.export();
+            let (attack, adversary_embs) = proto.attack().export();
+            let ck = Checkpoint {
+                fingerprint: spec.fingerprint(),
+                round: done,
+                emitted: emitted as u64,
+                clients: proto.clients().iter().map(Participant::state_vec).collect(),
+                protocol,
+                attack,
+                adversary_embs,
+                dynamics: dynamics.export_state(),
+                placement,
+            };
+            ck.save(&path).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+            drop(checkpoint_span);
+        }
+        drop(round_span);
+        trace_round(ctx, sink, done - 1, &mut traces)?;
+        if stopping {
+            let attack = proto.attack().outcome();
+            return Ok(scenario_outcome(spec, attack, None, utility_metric, done, traces));
+        }
+    }
+
+    let utility_span = ctx.rec.span("utility");
+    proto.before_utility();
+    let utility_value = utility(proto.clients());
+    drop(utility_span);
+    trace_round(ctx, sink, total, &mut traces)?;
+    let outcome = proto.attack().outcome();
+    emit_summary(ctx, sink, &outcome, utility_value, utility_metric, total, emitted)?;
+    clear_checkpoint(ctx)?;
+    Ok(scenario_outcome(spec, outcome, Some(utility_value), utility_metric, total, traces))
+}
+
+/// The outcome of a run that completed (with its utility) or stopped early
+/// (without).
+fn scenario_outcome(
     spec: &ScenarioSpec,
     attack: AttackOutcome,
+    utility: Option<f64>,
     utility_metric: &'static str,
     rounds_done: u64,
     traces: Vec<(u64, TraceChunk)>,
@@ -927,39 +825,32 @@ fn partial_outcome(
     ScenarioOutcome {
         name: spec.name.clone(),
         attack,
-        utility: None,
+        utility,
         utility_metric,
         rounds_done,
-        completed: false,
+        completed: utility.is_some(),
         skipped: false,
         elapsed: Duration::ZERO,
         traces,
     }
 }
 
-fn save_checkpoint(ctx: &Ctx, ck: &Checkpoint) -> Result<(), String> {
-    let path = ctx.checkpoint_path().expect("checkpoint_due implies a directory");
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    }
-    ck.save(&path).map_err(|e| format!("cannot write {}: {e}", path.display()))
-}
-
-/// Removes the scenario's checkpoint after successful completion and leaves
-/// a fingerprinted `.done` marker in its place, so a suite resume skips the
-/// scenario (its records are already in the stream) instead of re-running it
-/// and appending duplicates.
-fn clear_checkpoint(ctx: &Ctx) {
-    if let Some(path) = ctx.checkpoint_path() {
-        let _ = std::fs::remove_file(path);
-    }
-    if let Some(marker) = ctx.completion_marker_path() {
-        if let Some(dir) = marker.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        let _ = std::fs::write(marker, format!("{:016x}\n", ctx.spec.fingerprint()));
-    }
+/// Marks the scenario complete with a fingerprinted `.done` marker, then
+/// removes its checkpoint. A suite resume checks the marker first and skips
+/// the scenario (its records are already in the stream) instead of re-running
+/// it and appending duplicates. The marker is written durably *before* the
+/// checkpoint goes, so a kill in between still leaves one of the two; a
+/// marker that cannot be written is an error, and the checkpoint stays.
+fn clear_checkpoint(ctx: &Ctx) -> Result<(), String> {
+    let (Some(path), Some(marker)) = (ctx.checkpoint_path(), ctx.completion_marker_path()) else {
+        return Ok(());
+    };
+    write_durably(&marker, format!("{:016x}\n", ctx.spec.fingerprint()).as_bytes())
+        .map_err(|e| format!("cannot write completion marker {}: {e}", marker.display()))?;
+    // The marker wins on resume, so a checkpoint that is left behind (or
+    // was never written) is harmless.
+    let _ = std::fs::remove_file(path);
+    Ok(())
 }
 
 fn base_record(ctx: &Ctx, kind: &str) -> ObjBuilder {
@@ -980,16 +871,13 @@ fn write_record(sink: &mut dyn Write, record: &Json) -> Result<(), String> {
     sink.write_all(line.as_bytes()).map_err(|e| format!("cannot write record: {e}"))
 }
 
-#[allow(clippy::too_many_arguments)]
 fn emit_round_eval(
     ctx: &Ctx,
     sink: &mut dyn Write,
     p: &RoundPoint,
     random_bound: f64,
     online: usize,
-    participants: usize,
-    mean_loss: Option<f32>,
-    bytes_materialized: u64,
+    step: &StepReport,
 ) -> Result<(), String> {
     let mut b = base_record(ctx, "round_eval")
         .num("round", p.round as f64)
@@ -999,11 +887,11 @@ fn emit_round_eval(
         .num("upper_bound_online", p.upper_bound_online)
         .num("random_bound", random_bound)
         .num("online", online as f64)
-        .num("participants", participants as f64);
+        .num("participants", step.participants as f64);
     // An all-offline round has no losses to average; the field is omitted
     // rather than written as a `0.0` sentinel (which would read as perfect
     // convergence and deflate report-level loss means).
-    if let Some(loss) = mean_loss {
+    if let Some(loss) = step.mean_loss {
         b = b.num("mean_loss", f64::from(loss));
     }
     if ctx.opts.timing {
@@ -1011,7 +899,7 @@ fn emit_round_eval(
         // them): wall clock, the protocol's own materialization meter and
         // the OS-charged peak RSS.
         b = b.num("elapsed_ms", ctx.start.elapsed().as_millis() as f64);
-        b = b.num("bytes_materialized", bytes_materialized as f64);
+        b = b.num("bytes_materialized", step.bytes_materialized as f64);
         if let Some(rss) = crate::mem::peak_rss_bytes() {
             b = b.num("peak_rss_bytes", rss as f64);
         }
@@ -1019,15 +907,25 @@ fn emit_round_eval(
     write_record(sink, &b.build())
 }
 
-/// Emits one timing-gated `trace` record from a drained [`TraceChunk`]:
-/// phase µs (with the round's unattributed remainder as `other`), counter
-/// deltas and histogram summaries.
-fn emit_trace(
+/// Drains the recorder into `traces` under `round` and, when timing is on,
+/// emits the chunk as one `trace` record: phase µs (with the round's
+/// unattributed remainder as `other`), counter deltas and histogram
+/// summaries.
+fn trace_round(
     ctx: &Ctx,
     sink: &mut dyn Write,
     round: u64,
-    chunk: &TraceChunk,
+    traces: &mut Vec<(u64, TraceChunk)>,
 ) -> Result<(), String> {
+    let chunk = ctx.rec.drain();
+    if ctx.opts.timing {
+        write_record(sink, &trace_record(ctx, round, &chunk))?;
+    }
+    traces.push((round, chunk));
+    Ok(())
+}
+
+fn trace_record(ctx: &Ctx, round: u64, chunk: &TraceChunk) -> Json {
     // Phases in first-completion order. Depth-0 spans other than the
     // runner's `round` envelope (e.g. the final `utility` pass) count as
     // phases too; deeper nesting rolls up into its depth-1 parent.
@@ -1083,7 +981,7 @@ fn emit_trace(
         }
         b = b.value("hist", hists_b.build());
     }
-    write_record(sink, &b.build())
+    b.build()
 }
 
 fn emit_summary(
@@ -1153,6 +1051,24 @@ pub fn validate_jsonl(input: &str) -> Result<(usize, usize), String> {
             }
             Ok(())
         };
+        let integral = |key: &str| -> Result<(), String> {
+            v.get(key)
+                .and_then(Json::as_u64)
+                .map(drop)
+                .ok_or_else(|| fail(format!("missing integral `{key}`")))
+        };
+        // The online bound counts a subset of the members the static bound
+        // counts; a violation means a producer bug.
+        let bounds_ordered = || -> Result<(), String> {
+            let upper = v.get("upper_bound").and_then(Json::as_f64).expect("checked");
+            let online = v.get("upper_bound_online").and_then(Json::as_f64).expect("checked");
+            if online > upper + 1e-9 {
+                return Err(fail(format!(
+                    "`upper_bound_online` {online} exceeds `upper_bound` {upper}"
+                )));
+            }
+            Ok(())
+        };
         // Timing-class fields are optional (absent under `--no-timing`) but
         // must be integral counters when present.
         let timing = |key: &str| -> Result<(), String> {
@@ -1166,25 +1082,13 @@ pub fn validate_jsonl(input: &str) -> Result<(usize, usize), String> {
         };
         match kind {
             "round_eval" => {
-                v.get("round")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| fail("missing integral `round`".to_string()))?;
+                integral("round")?;
                 for key in ["aac", "best10", "upper_bound", "upper_bound_online", "random_bound"] {
                     unit(key)?;
                 }
-                // The online bound counts a subset of the members the static
-                // bound counts; a violation means a producer bug.
-                let upper = v.get("upper_bound").and_then(Json::as_f64).expect("checked");
-                let online = v.get("upper_bound_online").and_then(Json::as_f64).expect("checked");
-                if online > upper + 1e-9 {
-                    return Err(fail(format!(
-                        "`upper_bound_online` {online} exceeds `upper_bound` {upper}"
-                    )));
-                }
+                bounds_ordered()?;
                 for key in ["online", "participants"] {
-                    v.get(key)
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| fail(format!("missing integral `{key}`")))?;
+                    integral(key)?;
                 }
                 // Absent on all-offline rounds (no participants, nothing to
                 // average); when present it must be numeric.
@@ -1203,17 +1107,9 @@ pub fn validate_jsonl(input: &str) -> Result<(usize, usize), String> {
                 {
                     unit(key)?;
                 }
-                let upper = v.get("upper_bound").and_then(Json::as_f64).expect("checked");
-                let online = v.get("upper_bound_online").and_then(Json::as_f64).expect("checked");
-                if online > upper + 1e-9 {
-                    return Err(fail(format!(
-                        "`upper_bound_online` {online} exceeds `upper_bound` {upper}"
-                    )));
-                }
+                bounds_ordered()?;
                 for key in ["max_round", "rounds", "evals"] {
-                    v.get(key)
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| fail(format!("missing integral `{key}`")))?;
+                    integral(key)?;
                 }
                 v.get("utility")
                     .and_then(Json::as_f64)
@@ -1232,9 +1128,7 @@ pub fn validate_jsonl(input: &str) -> Result<(usize, usize), String> {
             "trace" => {
                 // Trace records only exist in timed streams; everything in
                 // them is an integral µs/count value.
-                v.get("round")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| fail("missing integral `round`".to_string()))?;
+                integral("round")?;
                 timing("round_us")?;
                 for key in ["span_us", "counters"] {
                     let obj = v

@@ -164,6 +164,34 @@ fn dp_gossip_with_delta_encoded_inboxes_resumes_exactly() {
 }
 
 #[test]
+fn pers_gossip_all_placements_run_with_churn_resumes_exactly() {
+    // pers-churn: Pers-Gossip under churn with no coalition, so the
+    // all-placements engine runs and the checkpoint carries its score-EMA
+    // state. Killed at round 20 of 40.
+    resume_matches_uninterrupted(
+        cia_scenarios::pers_gossip_churn_suite(Scale::Smoke, 42),
+        1,
+        20,
+        10,
+        "pers-churn",
+    );
+}
+
+#[test]
+fn share_less_prme_fl_run_resumes_exactly() {
+    // PRME clients on Foursquare under Share-less: the checkpoint carries
+    // PRME client state and the adversary's fictive embeddings. Killed at
+    // round 4 of 8.
+    use cia_data::presets::Preset;
+    use cia_scenarios::{DefenseKind, ModelKind, ProtocolKind, ScenarioSpec};
+    let mut spec =
+        ScenarioSpec::new(Preset::Foursquare, ModelKind::Prme, ProtocolKind::Fl, Scale::Smoke);
+    spec.name = "fl-prme-share-less".to_string();
+    spec.defense = DefenseKind::ShareLess { tau: 0.3 };
+    resume_spec_matches_uninterrupted(&spec, 4, 2, "fl-prme-share-less");
+}
+
+#[test]
 fn sweep_expanded_scenario_resumes_exactly() {
     // participation-0.5, a scenario that only exists after sweep expansion:
     // killed at round 4 of 8, resumed, must land on the uninterrupted
@@ -366,4 +394,74 @@ fn resume_refuses_a_different_spec() {
     )
     .unwrap_err();
     assert!(err.contains("fingerprint"), "unexpected error: {err}");
+}
+
+#[test]
+fn hostile_checkpoints_fail_with_a_named_mismatch() {
+    // A checkpoint carrying the spec's own fingerprint but another protocol
+    // family, another attack family or another client count must be refused
+    // with the matching error, never a panic — for both protocols.
+    use cia_core::PlacementsState;
+    use cia_scenarios::checkpoint::{AttackState, Checkpoint};
+    let specs = builtin_suite(Scale::Smoke, 42).expanded().unwrap();
+    let (fl, gl) = (&specs[1], &specs[2]); // churn-20pct (FL), colluding-sybils (gossip)
+    let dir = TempDir::new("hostile");
+    let opts = RunOptions {
+        checkpoint_dir: Some(dir.0.clone()),
+        checkpoint_every: 2,
+        ..RunOptions::default()
+    };
+    let genuine = |spec: &cia_scenarios::ScenarioSpec| {
+        let killed = RunOptions { stop_after_rounds: Some(2), ..opts.clone() };
+        run_scenario(spec, "t", &killed, &mut Vec::new()).unwrap();
+        Checkpoint::load(&Checkpoint::path_for(&dir.0, &spec.name), spec.fingerprint()).unwrap()
+    };
+    let (fl_ck, gl_ck) = (genuine(fl), genuine(gl));
+    let placements = || {
+        AttackState::Placements(PlacementsState {
+            s_ema: Vec::new(),
+            history: Vec::new(),
+            prepared: false,
+        })
+    };
+    let hostile = [
+        (fl, Checkpoint { protocol: gl_ck.protocol.clone(), ..fl_ck.clone() }, "protocol family"),
+        (fl, Checkpoint { attack: placements(), ..fl_ck.clone() }, "attack family"),
+        (fl, Checkpoint { clients: fl_ck.clients[1..].to_vec(), ..fl_ck.clone() }, "population"),
+        (gl, Checkpoint { protocol: fl_ck.protocol.clone(), ..gl_ck.clone() }, "protocol family"),
+        (gl, Checkpoint { attack: placements(), ..gl_ck.clone() }, "attack family"),
+        (gl, Checkpoint { clients: gl_ck.clients[1..].to_vec(), ..gl_ck.clone() }, "population"),
+    ];
+    for (spec, ck, part) in hostile {
+        ck.save(&Checkpoint::path_for(&dir.0, &spec.name)).unwrap();
+        let resume = RunOptions { resume: true, ..opts.clone() };
+        let err = run_scenario(spec, "t", &resume, &mut Vec::new()).unwrap_err();
+        assert!(
+            err.contains(&format!("checkpoint {part} mismatch")),
+            "{}: expected a {part} mismatch, got: {err}",
+            spec.name
+        );
+    }
+}
+
+#[test]
+fn unwritable_completion_marker_fails_the_run_and_keeps_the_checkpoint() {
+    // The `.done` marker is written before the checkpoint is removed, and a
+    // failed write is an error: otherwise a finished scenario would leave
+    // neither file and the next resume would re-run it, duplicating records.
+    use cia_scenarios::checkpoint::Checkpoint;
+    let spec = builtin_suite(Scale::Smoke, 42).expanded().unwrap()[0].clone();
+    let dir = TempDir::new("marker-fail");
+    let ckpt = Checkpoint::path_for(&dir.0, &spec.name);
+    let marker = ckpt.with_extension("done");
+    // A directory at the marker path makes the marker's final rename fail.
+    std::fs::create_dir_all(&marker).unwrap();
+    let opts = RunOptions {
+        checkpoint_dir: Some(dir.0.clone()),
+        checkpoint_every: 2,
+        ..RunOptions::default()
+    };
+    let err = run_scenario(&spec, "t", &opts, &mut Vec::new()).unwrap_err();
+    assert!(err.contains(&marker.display().to_string()), "error does not name the marker: {err}");
+    assert!(ckpt.exists(), "the checkpoint is gone although no marker was written");
 }

@@ -109,6 +109,12 @@ step fmt-check cargo fmt --all --check
 # fails the pipeline in seconds.
 step lint run_cia_lint
 step build cargo build --release --workspace
+# The benchmark tracer is its own package built against the workspace
+# crates' public API; building it here catches an API break before the
+# benchmark pipeline does. Its own target dir stays under the ignored,
+# cached target/.
+CARGO_TARGET_DIR=target/tracer step tracer-build \
+    cargo build --release --offline --manifest-path perfbench/tracer/Cargo.toml
 step test run_with_peak_rss cargo test --workspace -q
 # The benchmark harness's own unit tests (the compare rule and its
 # fixtures); stdlib-only Python, no build needed.
