@@ -1,5 +1,5 @@
 //! One Criterion benchmark per paper table/figure: the cost of regenerating
-//! each artifact at smoke scale (see `DESIGN.md` §4 for the index).
+//! each artifact at smoke scale (the `repro` binary lists the artifacts).
 
 use cia_bench::run_experiment;
 use cia_data::presets::Scale;

@@ -1,5 +1,6 @@
-//! CIA in the federated setting (Algorithm 1): the adversary controls the
-//! server and attacks with the models received from sampled users each round.
+//! The momentum CIA shared by Algorithms 1 and 2, and its federated vantage
+//! (Algorithm 1): the adversary controls the server and attacks with the
+//! models received from sampled users each round.
 
 use crate::evaluator::RelevanceEvaluator;
 use crate::metrics::{community_accuracy, AttackOutcome, AttackTracker};
@@ -47,12 +48,11 @@ pub struct CiaAttackState {
     pub prepared: bool,
 }
 
-/// Algorithm 1: the server-side Community Inference Attack.
-///
-/// Plug an instance into [`cia_federated::FedAvg::run`] as the observer; the
-/// attack maintains one momentum model per user and at every evaluation round
-/// ranks users by the relevance their averaged model assigns to each target.
-pub struct FlCia<E: RelevanceEvaluator> {
+/// The momentum CIA: one Eq. 4 momentum model per sender, ranked at every
+/// evaluation round by the relevance it assigns to each target. The vantage
+/// `V` decides only which models reach the adversary: [`FlCia`] (the server)
+/// or [`crate::GlCiaCoalition`] (gossip colluders).
+pub struct MomentumCia<E: RelevanceEvaluator, V> {
     cfg: CiaConfig,
     evaluator: E,
     /// Truth community per target, aligned with the evaluator's targets.
@@ -60,41 +60,37 @@ pub struct FlCia<E: RelevanceEvaluator> {
     /// Per-target owner to exclude from candidates (the user whose train set
     /// is the target), if any.
     owners: Vec<Option<UserId>>,
+    /// Per-sender momentum, a dense slab indexed by sender id (`None` =
+    /// sender never observed).
     momentum: Vec<Option<MomentumState>>,
     /// Flat `num_users × num_targets` relevance matrix, reused across
     /// evaluation rounds (rows of never-seen users stay untouched and are
     /// skipped at ranking time).
     rel: Vec<f32>,
-    /// The most recent acting-set mask delivered through
-    /// [`RoundObserver::on_liveness`] — the dynamics layer's live set,
-    /// feeding the per-round online upper bound. All-true until a mask
-    /// arrives (static populations never shrink it).
+    /// The most recent acting-set mask delivered through `on_liveness` —
+    /// the dynamics layer's live set, feeding the per-round online upper
+    /// bound. All-true until a mask arrives (static populations never shrink
+    /// it).
     live: Vec<bool>,
     tracker: AttackTracker,
-    last_global: Option<Vec<f32>>,
+    /// Last public parameters seen, the reference `prepare` runs against.
+    pub(crate) reference: Option<Vec<f32>>,
     prepared: bool,
     /// Metrics sink for the attack-phase spans (prepare/score/rank/update);
     /// a detached default until the runner wires in the shared recorder.
     obs: Recorder,
+    pub(crate) vantage: V,
 }
 
-impl<E: RelevanceEvaluator> FlCia<E> {
-    /// Creates the attack for `num_users` participants.
-    ///
-    /// `truths[t]` is the ground-truth community of the evaluator's target
-    /// `t` (Eq. 5); `owners[t]` optionally excludes the target's donor user
-    /// from the candidate ranking.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the truth/owner tables are not aligned with the evaluator's
-    /// targets or `k == 0`.
-    pub fn new(
+impl<E: RelevanceEvaluator, V> MomentumCia<E, V> {
+    /// The constructor behind each vantage's `new`.
+    pub(crate) fn with_vantage(
         cfg: CiaConfig,
         evaluator: E,
         num_users: usize,
         truths: Vec<Vec<UserId>>,
         owners: Vec<Option<UserId>>,
+        vantage: V,
     ) -> Self {
         assert!(cfg.k > 0, "community size must be positive");
         assert!(cfg.eval_every > 0, "eval_every must be positive");
@@ -102,7 +98,7 @@ impl<E: RelevanceEvaluator> FlCia<E> {
         assert_eq!(truths.len(), evaluator.num_targets(), "one truth per target");
         assert_eq!(owners.len(), evaluator.num_targets(), "one owner entry per target");
         let candidates = num_users.saturating_sub(usize::from(owners.iter().any(Option::is_some)));
-        FlCia {
+        MomentumCia {
             tracker: AttackTracker::new(cfg.k, candidates),
             rel: vec![0.0; num_users * evaluator.num_targets()],
             live: vec![true; num_users],
@@ -111,9 +107,10 @@ impl<E: RelevanceEvaluator> FlCia<E> {
             truths,
             owners,
             momentum: (0..num_users).map(|_| None).collect(),
-            last_global: None,
+            reference: None,
             prepared: false,
             obs: Recorder::new(),
+            vantage,
         }
     }
 
@@ -144,11 +141,43 @@ impl<E: RelevanceEvaluator> FlCia<E> {
         &mut self.evaluator
     }
 
+    /// Number of distinct senders observed so far.
+    pub fn senders_seen(&self) -> usize {
+        self.momentum.iter().flatten().count()
+    }
+
     /// Predicted community for target `t` at the last evaluation (requires at
     /// least one evaluation round). Exposed for the motivating example.
     pub fn predict(&mut self, target: usize) -> Vec<UserId> {
         self.refresh_relevance();
         self.rank_all()[target].clone()
+    }
+
+    /// Folds one observed model into its sender's momentum (Eq. 4; the first
+    /// sighting copies the model).
+    pub(crate) fn observe(&mut self, model: &SharedModel) {
+        let _update = self.obs.span("attack_update");
+        match &mut self.momentum[model.owner.index()] {
+            Some(state) => state.update(self.cfg.beta, model),
+            slot @ None => *slot = Some(MomentumState::from_snapshot(model)),
+        }
+    }
+
+    /// Tracks the dynamics layer's live set for the online upper bound.
+    pub(crate) fn observe_liveness(&mut self, event: LivenessEvent<'_>) {
+        if let LivenessEvent::ActingSet { mask, .. } = event {
+            // One entry per participant; a length mismatch is a wiring bug
+            // and must fail loudly rather than leave part of the live set
+            // stale.
+            self.live.copy_from_slice(mask);
+        }
+    }
+
+    /// Evaluates at the end of every `eval_every`-th round.
+    pub(crate) fn end_round(&mut self, round: u64) {
+        if (round + 1).is_multiple_of(self.cfg.eval_every) {
+            self.evaluate(round);
+        }
     }
 
     /// Scores every seen user's momentum model against every target, into the
@@ -167,35 +196,35 @@ impl<E: RelevanceEvaluator> FlCia<E> {
     }
 
     /// Runs the ranking for every target against the relevance matrix
-    /// ([`FlCia::refresh_relevance`] must have run since the last momentum
-    /// update).
+    /// ([`MomentumCia::refresh_relevance`] must have run since the last
+    /// momentum update).
     fn rank_all(&self) -> Vec<Vec<UserId>> {
         let num_targets = self.evaluator.num_targets();
+        let (momentum, owners, rel, k) = (&self.momentum, &self.owners, &self.rel, self.cfg.k);
         par_map(num_targets, |t| {
-            let mut scored: Vec<(f32, u32)> = self
-                .momentum
+            let mut scored: Vec<(f32, u32)> = momentum
                 .iter()
                 .enumerate()
                 .filter_map(|(u, m)| {
                     // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                    if m.is_none() || self.owners[t] == Some(UserId::new(u as u32)) {
+                    if m.is_none() || owners[t] == Some(UserId::new(u as u32)) {
                         return None;
                     }
                     // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                    Some((self.rel[u * num_targets + t], u as u32))
+                    Some((rel[u * num_targets + t], u as u32))
                 })
                 .collect();
             scored.sort_by(crate::metrics::rank_desc);
-            scored.into_iter().take(self.cfg.k).map(|(_, u)| UserId::new(u)).collect()
+            scored.into_iter().take(k).map(|(_, u)| UserId::new(u)).collect()
         })
     }
 
     fn evaluate(&mut self, round: u64) {
         let obs = self.obs.clone();
-        if let Some(global) = &self.last_global {
+        if let Some(reference) = &self.reference {
             if !self.prepared || round.is_multiple_of((self.cfg.eval_every * 4).max(1)) {
                 let _prepare = obs.span("attack_prepare");
-                self.evaluator.prepare(global, self.cfg.seed ^ round);
+                self.evaluator.prepare(reference, self.cfg.seed ^ round);
                 self.prepared = true;
             }
         }
@@ -227,14 +256,14 @@ impl<E: RelevanceEvaluator> FlCia<E> {
 /// Evaluator-side state (fictive embeddings) is captured separately through
 /// the evaluator accessors. Restoring panics if the momentum table is not
 /// aligned with the participants.
-impl<E: RelevanceEvaluator> Checkpointable for FlCia<E> {
+impl<E: RelevanceEvaluator, V> Checkpointable for MomentumCia<E, V> {
     type State = CiaAttackState;
 
     fn export_state(&self) -> CiaAttackState {
         CiaAttackState {
             momentum: self.momentum.clone(),
             history: self.tracker.history().to_vec(),
-            last_global: self.last_global.clone(),
+            last_global: self.reference.clone(),
             prepared: self.prepared,
         }
     }
@@ -243,38 +272,59 @@ impl<E: RelevanceEvaluator> Checkpointable for FlCia<E> {
         assert_eq!(state.momentum.len(), self.momentum.len(), "momentum table size");
         self.momentum = state.momentum;
         self.tracker.restore_history(state.history);
-        self.last_global = state.last_global;
+        self.reference = state.last_global;
         self.prepared = state.prepared;
+    }
+}
+
+/// The FL vantage: the adversary is the server and observes every sampled
+/// user's upload, preparing against the global model it broadcasts.
+pub struct ServerVantage;
+
+/// Algorithm 1: the server-side Community Inference Attack.
+///
+/// Plug an instance into [`cia_federated::FedAvg::run`] as the observer; the
+/// attack maintains one momentum model per user and at every evaluation round
+/// ranks users by the relevance their averaged model assigns to each target.
+pub type FlCia<E> = MomentumCia<E, ServerVantage>;
+
+impl<E: RelevanceEvaluator> FlCia<E> {
+    /// Creates the attack for `num_users` participants.
+    ///
+    /// `truths[t]` is the ground-truth community of the evaluator's target
+    /// `t` (Eq. 5); `owners[t]` optionally excludes the target's donor user
+    /// from the candidate ranking.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the truth/owner tables are not aligned with the evaluator's
+    /// targets, `k == 0`, `eval_every == 0` or `beta` is outside `[0, 1]`.
+    pub fn new(
+        cfg: CiaConfig,
+        evaluator: E,
+        num_users: usize,
+        truths: Vec<Vec<UserId>>,
+        owners: Vec<Option<UserId>>,
+    ) -> Self {
+        Self::with_vantage(cfg, evaluator, num_users, truths, owners, ServerVantage)
     }
 }
 
 impl<E: RelevanceEvaluator> RoundObserver for FlCia<E> {
     fn on_liveness(&mut self, event: LivenessEvent<'_>) {
-        if let LivenessEvent::ActingSet { mask, .. } = event {
-            // One entry per participant; a length mismatch is a wiring bug
-            // and must fail loudly rather than leave part of the live set
-            // stale.
-            self.live.copy_from_slice(mask);
-        }
+        self.observe_liveness(event);
     }
 
     fn on_global(&mut self, _round: u64, global_agg: &[f32]) {
-        self.last_global = Some(global_agg.to_vec());
+        self.reference = Some(global_agg.to_vec());
     }
 
     fn on_client_model(&mut self, model: &SharedModel) {
-        let _update = self.obs.span("attack_update");
-        let u = model.owner.index();
-        match &mut self.momentum[u] {
-            Some(state) => state.update(self.cfg.beta, model),
-            slot @ None => *slot = Some(MomentumState::from_snapshot(model)),
-        }
+        self.observe(model);
     }
 
     fn on_round_end(&mut self, stats: &RoundStats) {
-        if (stats.round + 1).is_multiple_of(self.cfg.eval_every) {
-            self.evaluate(stats.round);
-        }
+        self.end_round(stats.round);
     }
 }
 

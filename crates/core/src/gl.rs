@@ -1,55 +1,35 @@
 //! CIA in the gossip setting (Algorithm 2): adversaries attack with the
 //! models delivered to the node(s) they control.
 //!
-//! Two engines are provided:
-//!
-//! * [`GlCiaCoalition`] — paper-exact parameter momentum for a single
-//!   adversary or a colluding coalition. Colluders multicast received models
-//!   to each other (line 14 of Algorithm 2), modeled as one momentum table
-//!   shared by the coalition.
+//! * [`GlCiaCoalition`] — the one momentum attack ([`MomentumCia`]) seen from
+//!   a single adversary or a colluding coalition. Colluders multicast
+//!   received models to each other (line 14 of Algorithm 2), modeled as one
+//!   momentum table shared by the coalition; this module adds only the
+//!   membership filter ([`CoalitionVantage`]).
 //! * [`GlCiaAllPlacements`] — every node simultaneously plays the adversary
 //!   with its own train set as the target (the paper's Table III protocol).
-//!   To avoid O(N²) model copies the momentum (Eq. 4) is applied to
-//!   relevance *scores* instead of parameters; `DESIGN.md` §3 documents the
-//!   substitution and the test below checks the two engines agree.
+//!   The momentum (Eq. 4) is applied to relevance *scores* instead of
+//!   parameters, because per-(observer, sender) parameter momentum for every
+//!   placement at once would need O(N²) model copies; the test below checks
+//!   the two attacks agree.
 
 use crate::evaluator::RelevanceEvaluator;
-use crate::fl::{CiaAttackState, CiaConfig};
+use crate::fl::{CiaConfig, MomentumCia};
 use crate::metrics::{community_accuracy, AttackOutcome, AttackTracker, RoundPoint};
-use crate::momentum::MomentumState;
 use cia_data::UserId;
 use cia_gossip::{GossipObserver, GossipRoundStats};
-use cia_models::parallel::{par_chunks_mut, par_map};
+use cia_models::parallel::par_map;
 use cia_models::{Checkpointable, LivenessEvent, SharedModel};
 use cia_obs::Recorder;
 
+/// The GL vantage: the membership mask (one entry per node) of the nodes
+/// the adversary controls. The coalition observes every model delivered to a
+/// member and prepares against the last delivered public parameters.
+pub struct CoalitionVantage(Vec<bool>);
+
 /// Algorithm 2 with parameter momentum, for one adversary node or a coalition
 /// of colluders.
-pub struct GlCiaCoalition<E: RelevanceEvaluator> {
-    cfg: CiaConfig,
-    evaluator: E,
-    truths: Vec<Vec<UserId>>,
-    owners: Vec<Option<UserId>>,
-    members: Vec<bool>,
-    /// Shared momentum table, a dense slab indexed by sender id (`None` =
-    /// sender never observed). The coalition multicasts received models, so
-    /// all colluders share one view.
-    momentum: Vec<Option<MomentumState>>,
-    /// Flat `num_users × num_targets` relevance matrix reused across
-    /// evaluation rounds; rows of unseen senders stay untouched.
-    rel: Vec<f32>,
-    /// The most recent wake mask delivered through
-    /// [`GossipObserver::on_liveness`] — the dynamics layer's live set,
-    /// feeding the per-round online upper bound. All-true until a mask
-    /// arrives.
-    live: Vec<bool>,
-    tracker: AttackTracker,
-    last_agg: Option<Vec<f32>>,
-    prepared: bool,
-    /// Metrics sink for the attack-phase spans (prepare/score/rank/update);
-    /// a detached default until the runner wires in the shared recorder.
-    obs: Recorder,
-}
+pub type GlCiaCoalition<E> = MomentumCia<E, CoalitionVantage>;
 
 impl<E: RelevanceEvaluator> GlCiaCoalition<E> {
     /// Creates the attack. `members` lists the node ids the adversary
@@ -57,7 +37,9 @@ impl<E: RelevanceEvaluator> GlCiaCoalition<E> {
     ///
     /// # Panics
     ///
-    /// Panics on empty coalitions, misaligned truth tables, or `k == 0`.
+    /// Panics on empty coalitions, member ids outside the population,
+    /// misaligned truth tables, `k == 0`, `eval_every == 0` or `beta`
+    /// outside `[0, 1]`.
     pub fn new(
         cfg: CiaConfig,
         evaluator: E,
@@ -66,67 +48,17 @@ impl<E: RelevanceEvaluator> GlCiaCoalition<E> {
         truths: Vec<Vec<UserId>>,
         owners: Vec<Option<UserId>>,
     ) -> Self {
-        assert!(cfg.k > 0, "community size must be positive");
-        assert!(cfg.eval_every > 0, "eval_every must be positive");
-        assert!(!members.is_empty(), "coalition needs at least one member");
-        assert_eq!(truths.len(), evaluator.num_targets(), "one truth per target");
-        assert_eq!(owners.len(), evaluator.num_targets(), "one owner entry per target");
-        let mut mask = vec![false; num_users];
-        for &m in members {
-            mask[m as usize] = true;
-        }
-        let candidates = num_users.saturating_sub(usize::from(owners.iter().any(Option::is_some)));
-        GlCiaCoalition {
-            tracker: AttackTracker::new(cfg.k, candidates),
-            rel: vec![0.0; num_users * evaluator.num_targets()],
-            live: vec![true; num_users],
-            cfg,
-            evaluator,
-            truths,
-            owners,
-            members: mask,
-            momentum: (0..num_users).map(|_| None).collect(),
-            last_agg: None,
-            prepared: false,
-            obs: Recorder::new(),
-        }
-    }
-
-    /// Routes the attack's spans into a shared recorder (the default sink is
-    /// detached). Clones are cheap; all clones share one registry.
-    pub fn set_recorder(&mut self, obs: Recorder) {
-        self.obs = obs;
-    }
-
-    /// The attack summary.
-    pub fn outcome(&self) -> AttackOutcome {
-        self.tracker.outcome()
-    }
-
-    /// The evaluated per-round history so far.
-    pub fn history(&self) -> &[RoundPoint] {
-        self.tracker.history()
-    }
-
-    /// The relevance evaluator (checkpoint access to evaluator-side state).
-    pub fn evaluator(&self) -> &E {
-        &self.evaluator
-    }
-
-    /// Mutable access to the relevance evaluator (checkpoint resume).
-    pub fn evaluator_mut(&mut self) -> &mut E {
-        &mut self.evaluator
-    }
-
-    /// Number of distinct senders observed so far.
-    pub fn senders_seen(&self) -> usize {
-        self.momentum.iter().flatten().count()
+        let vantage = CoalitionVantage(vec![false; num_users]);
+        let mut attack = Self::with_vantage(cfg, evaluator, num_users, truths, owners, vantage);
+        attack.set_members(members);
+        attack
     }
 
     /// The node ids the coalition currently controls, ascending.
     pub fn members(&self) -> Vec<u32> {
+        let members = &self.vantage.0;
         // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-        self.members.iter().enumerate().filter_map(|(i, &m)| m.then_some(i as u32)).collect()
+        members.iter().enumerate().filter_map(|(i, &m)| m.then_some(i as u32)).collect()
     }
 
     /// Reassigns the coalition's controlled node ids mid-run (adaptive sybil
@@ -140,126 +72,41 @@ impl<E: RelevanceEvaluator> GlCiaCoalition<E> {
     /// Panics on an empty membership or an out-of-range node id.
     pub fn set_members(&mut self, members: &[u32]) {
         assert!(!members.is_empty(), "coalition needs at least one member");
-        self.members.iter_mut().for_each(|m| *m = false);
+        let mask = &mut self.vantage.0;
+        let n = mask.len();
+        mask.fill(false);
         for &m in members {
-            self.members[m as usize] = true;
+            assert!(
+                (m as usize) < n,
+                "coalition member {m} is outside the population of {n} nodes"
+            );
+            mask[m as usize] = true;
         }
-    }
-
-    fn evaluate(&mut self, round: u64) {
-        if self.momentum.iter().all(Option::is_none) {
-            self.tracker.record(round, &[0.0], &[0.0]);
-            return;
-        }
-        let obs = self.obs.clone();
-        let live = &self.live;
-        if let Some(agg) = &self.last_agg {
-            if !self.prepared || round.is_multiple_of((self.cfg.eval_every * 4).max(1)) {
-                let _prepare = obs.span("attack_prepare");
-                self.evaluator.prepare(agg, self.cfg.seed ^ round);
-                self.prepared = true;
-            }
-        }
-        let num_targets = self.evaluator.num_targets();
-        if num_targets > 0 {
-            let _score = obs.span("attack_score");
-            let (rel, momentum, evaluator) = (&mut self.rel, &self.momentum, &self.evaluator);
-            par_chunks_mut(rel, num_targets, |sender, row| {
-                if let Some(m) = &momentum[sender] {
-                    evaluator.relevance_all(m.emb(), m.agg(), row);
-                }
-            });
-        }
-        let _rank = obs.span("attack_rank");
-        let mut accs = Vec::with_capacity(num_targets);
-        let mut uppers = Vec::with_capacity(num_targets);
-        let mut uppers_online = Vec::with_capacity(num_targets);
-        for t in 0..num_targets {
-            let mut scored: Vec<(f32, u32)> = self
-                .momentum
-                .iter()
-                .enumerate()
-                .filter_map(|(sender, m)| {
-                    // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                    if m.is_none() || self.owners[t] == Some(UserId::new(sender as u32)) {
-                        None
-                    } else {
-                        // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                        Some((self.rel[sender * num_targets + t], sender as u32))
-                    }
-                })
-                .collect();
-            scored.sort_by(crate::metrics::rank_desc);
-            let predicted: Vec<UserId> =
-                scored.into_iter().take(self.cfg.k).map(|(_, u)| UserId::new(u)).collect();
-            accs.push(community_accuracy(&predicted, &self.truths[t], self.cfg.k));
-            let seen = self.truths[t].iter().filter(|u| self.momentum[u.index()].is_some()).count();
-            let seen_live = self.truths[t]
-                .iter()
-                .filter(|u| self.momentum[u.index()].is_some() && live[u.index()])
-                .count();
-            uppers.push(seen as f64 / self.cfg.k as f64);
-            uppers_online.push(seen_live as f64 / self.cfg.k as f64);
-        }
-        self.tracker.record_with_online(round, &accs, &uppers, &uppers_online);
-    }
-}
-
-/// Snapshot/restore of the coalition's mutable state for checkpoint/resume
-/// (`last_global` carries the last observed delivery's parameters). Restoring
-/// panics if the momentum table is not aligned with the participants.
-impl<E: RelevanceEvaluator> Checkpointable for GlCiaCoalition<E> {
-    type State = CiaAttackState;
-
-    fn export_state(&self) -> CiaAttackState {
-        CiaAttackState {
-            momentum: self.momentum.clone(),
-            history: self.tracker.history().to_vec(),
-            last_global: self.last_agg.clone(),
-            prepared: self.prepared,
-        }
-    }
-
-    fn restore_state(&mut self, state: CiaAttackState) {
-        assert_eq!(state.momentum.len(), self.momentum.len(), "momentum table size");
-        self.momentum = state.momentum;
-        self.tracker.restore_history(state.history);
-        self.last_agg = state.last_global;
-        self.prepared = state.prepared;
     }
 }
 
 impl<E: RelevanceEvaluator> GossipObserver for GlCiaCoalition<E> {
     fn on_liveness(&mut self, event: LivenessEvent<'_>) {
-        if let LivenessEvent::ActingSet { mask, .. } = event {
-            // One entry per node; mismatches must panic, not truncate.
-            self.live.copy_from_slice(mask);
-        }
+        self.observe_liveness(event);
     }
 
     fn on_delivery(&mut self, _round: u64, receiver: UserId, model: &SharedModel) {
-        if !self.members[receiver.index()] {
+        if !self.vantage.0[receiver.index()] {
             return;
         }
-        let _update = self.obs.span("attack_update");
         // Colluders never rank themselves... but they do observe each other's
         // honest models; keep those (they are genuine participants).
-        self.last_agg = Some(model.agg.clone());
-        match &mut self.momentum[model.owner.index()] {
-            Some(state) => state.update(self.cfg.beta, model),
-            slot @ None => *slot = Some(MomentumState::from_snapshot(model)),
-        }
+        self.reference = Some(model.agg.clone());
+        self.observe(model);
     }
 
     fn on_round_end(&mut self, stats: &GossipRoundStats) {
-        if (stats.round + 1).is_multiple_of(self.cfg.eval_every) {
-            self.evaluate(stats.round);
-        }
+        self.end_round(stats.round);
     }
 }
 
 /// Serializable snapshot of an all-placements sweep's mutable state
-/// (checkpoint/resume counterpart of [`CiaAttackState`]).
+/// (checkpoint/resume counterpart of [`crate::CiaAttackState`]).
 #[derive(Debug, Clone)]
 pub struct PlacementsState {
     /// Dense score EMAs (`NaN` = never seen).
@@ -280,7 +127,7 @@ pub struct GlCiaAllPlacements<E: RelevanceEvaluator> {
     /// Dense score EMAs: `s[observer * n + sender]`, NaN = never seen.
     s_ema: Vec<f32>,
     num_users: usize,
-    /// Latest wake mask (see [`GlCiaCoalition`]'s `live` field).
+    /// Latest wake mask (the live set feeding the online upper bound).
     live: Vec<bool>,
     tracker: AttackTracker,
     prepared: bool,
@@ -598,13 +445,14 @@ mod tests {
         let pred_scores: Vec<u32> = from_scores.into_iter().take(s.k).map(|(_, u)| u).collect();
 
         let mut from_params: Vec<(f32, u32)> = coal
+            .export_state()
             .momentum
             .iter()
             .enumerate()
             // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
             .filter_map(|(u, m)| m.as_ref().map(|m| (u as u32, m)))
             .filter(|(u, _)| *u != adversary)
-            .map(|(u, m)| (coal.evaluator.relevance_one(m.emb(), m.agg(), adversary as usize), u))
+            .map(|(u, m)| (coal.evaluator().relevance_one(m.emb(), m.agg(), adversary as usize), u))
             .collect();
         from_params.sort_by(crate::metrics::rank_desc);
         let pred_params: Vec<u32> = from_params.into_iter().take(s.k).map(|(_, u)| u).collect();
@@ -830,5 +678,26 @@ mod tests {
         });
         let out = coal.outcome();
         assert_eq!(out.max_aac, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "beta must be in [0, 1]")]
+    fn coalition_rejects_beta_outside_unit_interval() {
+        let s = setup(12, 2, 3);
+        let evaluator = ItemSetEvaluator::new(s.spec.clone(), s.train_sets.clone(), false);
+        let owners = vec![None; s.users];
+        let cfg = CiaConfig { k: 2, beta: 1.5, eval_every: 1, seed: 0 };
+        let _ = GlCiaCoalition::new(cfg, evaluator, s.users, &[0], s.truths.clone(), owners);
+    }
+
+    #[test]
+    #[should_panic(expected = "coalition member 12 is outside the population of 12 nodes")]
+    fn coalition_rejects_member_outside_population() {
+        let s = setup(12, 2, 3);
+        let evaluator = ItemSetEvaluator::new(s.spec.clone(), s.train_sets.clone(), false);
+        let owners = vec![None; s.users];
+        let cfg = CiaConfig { k: 2, beta: 0.9, eval_every: 1, seed: 0 };
+        let mut coal = GlCiaCoalition::new(cfg, evaluator, s.users, &[0], s.truths.clone(), owners);
+        coal.set_members(&[3, 12]);
     }
 }

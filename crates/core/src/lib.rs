@@ -10,13 +10,17 @@
 //!
 //! Components:
 //!
-//! * [`FlCia`] — Algorithm 1, implemented as a [`cia_federated::RoundObserver`];
-//! * [`GlCiaCoalition`] — Algorithm 2 with parameter momentum, for a single
-//!   adversary or a colluding coalition that multicasts received models;
+//! * [`MomentumCia`] — the one momentum attack of Algorithms 1 and 2. Its
+//!   vantage parameter decides which models reach the adversary:
+//!   * [`FlCia`] — the FL server ([`ServerVantage`]), implemented as a
+//!     [`cia_federated::RoundObserver`] observing every sampled upload;
+//!   * [`GlCiaCoalition`] — a single gossip adversary or a colluding
+//!     coalition ([`CoalitionVantage`]) that multicasts received models,
+//!     implemented as a [`cia_gossip::GossipObserver`];
 //! * [`GlCiaAllPlacements`] — the all-placements sweep used for Table III,
-//!   applying the momentum to relevance *scores* (substitution documented in
-//!   `DESIGN.md` §3: per-(observer, sender) parameter momentum for every
-//!   placement at once would need O(N²) model copies);
+//!   applying the momentum to relevance *scores*, because per-(observer,
+//!   sender) parameter momentum for every placement at once would need
+//!   O(N²) model copies;
 //! * [`ItemSetEvaluator`] — relevance of a model for item-set targets,
 //!   including the Share-less adaptation that trains a fictive adversary
 //!   embedding (§IV-C);
@@ -42,8 +46,8 @@ mod momentum;
 
 pub use aia::{AiaCommunityAttack, AiaConfig};
 pub use evaluator::{ItemSetEvaluator, RelevanceEvaluator, RelevanceKind};
-pub use fl::{CiaAttackState, CiaConfig, FlCia};
-pub use gl::{GlCiaAllPlacements, GlCiaCoalition, PlacementsState};
+pub use fl::{CiaAttackState, CiaConfig, FlCia, MomentumCia, ServerVantage};
+pub use gl::{CoalitionVantage, GlCiaAllPlacements, GlCiaCoalition, PlacementsState};
 pub use metrics::{AttackOutcome, AttackTracker, RoundPoint, TopK};
 pub use mia::{membership_entropy, MiaCommunityAttack, MiaConfig};
 pub use momentum::MomentumState;

@@ -7,7 +7,7 @@
 //! presets match the user counts and per-user interaction densities of the
 //! paper's Table I (see [`presets`]). Planted communities of interest give the
 //! attack a measurable signal, and the ground truth is computed exactly as in
-//! the paper (Jaccard top-K, Eq. 5 — see [`jaccard`]).
+//! the paper (Jaccard top-K, Eq. 5 — see [`GroundTruth`]).
 //!
 //! # Example
 //!

@@ -8,9 +8,9 @@
 //!
 //! At [`Scale::Paper`] the user counts and per-user densities match Table I;
 //! the two POI catalogs are scaled down (38 333 → 4 000, 32 924 → 3 500) so
-//! that the `N` momentum models of CIA's Algorithm 1 fit in laptop memory
-//! (substitution documented in `DESIGN.md` §3). Smaller profiles preserve the
-//! community structure for tests, examples and benches.
+//! that the `N` momentum models of CIA's Algorithm 1 fit in laptop memory.
+//! Smaller profiles preserve the community structure for tests, examples and
+//! benches.
 
 use crate::{CategoryPlan, Dataset, SyntheticConfig};
 use serde::{Deserialize, Serialize};
@@ -22,7 +22,7 @@ pub enum Scale {
     Smoke,
     /// Tens-of-seconds configs for examples and quick reproductions.
     Small,
-    /// Table I user counts (item catalogs scaled per `DESIGN.md` §3).
+    /// Table I user counts (POI catalogs scaled down; see the module docs).
     Paper,
     /// 10⁶ users × 10⁵ items: the memory-budget stress profile. Every preset
     /// shares one shape at this scale; runs are only tractable through the

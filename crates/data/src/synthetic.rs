@@ -1,10 +1,10 @@
 //! Community-structured synthetic dataset generator.
 //!
-//! Substitutes the paper's real datasets (see `DESIGN.md` §3): users are
-//! partitioned into *communities of interest*; each community has a primary
-//! topic cluster of items, and a user draws each interaction from their own
-//! cluster with probability [`SyntheticConfig::topic_affinity`] (Zipf-skewed
-//! within the cluster) and from the global catalog otherwise. This reproduces
+//! Substitutes the paper's real datasets, which are not redistributable:
+//! users are partitioned into *communities of interest*; each community has a
+//! primary topic cluster of items, and a user draws each interaction from
+//! their own cluster with probability [`SyntheticConfig::topic_affinity`]
+//! (Zipf-skewed within the cluster) and from the global catalog otherwise. This reproduces
 //! the property CIA exploits — users from the same community rate the same
 //! items — while letting the ground truth be recomputed from the data itself
 //! exactly as in the paper (Jaccard top-K, Eq. 5).

@@ -1,4 +1,5 @@
-//! One module per paper artifact; see `DESIGN.md` §4 for the index.
+//! One module per paper artifact, named after the table or figure it
+//! regenerates; the `repro` binary (`src/bin/repro.rs`) lists them all.
 
 pub mod ablation;
 pub mod aia;

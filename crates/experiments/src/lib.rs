@@ -7,7 +7,8 @@
 //! cargo run --release -p cia-experiments --bin repro -- table2 --scale small
 //! ```
 //!
-//! The experiment ↔ paper mapping is indexed in `DESIGN.md` §4.
+//! Modules are named after the table or figure they regenerate; the `repro`
+//! usage (`src/bin/repro.rs`) lists every experiment name.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

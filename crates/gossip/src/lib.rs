@@ -5,8 +5,8 @@
 //! local model; at every round awake nodes *cast* their model to one randomly
 //! sampled out-neighbor, aggregate whatever arrived in their inbox since the
 //! last wake, and take local training steps. Views are refreshed by a random
-//! peer-sampling service at intervals drawn from Exp(0.1) [19]; Pers-Gossip
-//! [5] additionally retains neighbors whose models performed well locally,
+//! peer-sampling service at intervals drawn from Exp(0.1) \[19\]; Pers-Gossip
+//! \[5\] additionally retains neighbors whose models performed well locally,
 //! exploring randomly with a configurable ratio (0.4 in the paper, §V-B).
 //!
 //! The [`GossipObserver`] hook exposes every model delivery — the vantage

@@ -15,9 +15,9 @@ use serde::{Deserialize, Serialize};
 /// Which gossip protocol to simulate.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum GossipProtocol {
-    /// Rand-Gossip [12]: uniform random peer sampling.
+    /// Rand-Gossip \[12\]: uniform random peer sampling.
     Rand,
-    /// Pers-Gossip [5]: performance-aware peer retention with uniform
+    /// Pers-Gossip \[5\]: performance-aware peer retention with uniform
     /// exploration.
     Pers {
         /// Fraction of the view refilled uniformly at random on refresh

@@ -88,7 +88,7 @@ impl GmfSpec {
     /// # Panics
     ///
     /// Panics if `num_items == 0`, `dim == 0`, or `hyper.negatives` exceeds
-    /// [`MAX_NEGATIVES`].
+    /// `MAX_NEGATIVES`.
     pub fn new(num_items: u32, dim: usize, hyper: GmfHyper) -> Self {
         assert!(num_items > 0, "catalog must be non-empty");
         assert!(dim > 0, "embedding dimension must be positive");

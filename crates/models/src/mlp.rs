@@ -158,7 +158,7 @@ impl MlpSpec {
 ///
 /// Holds the flat per-layer activations, the two delta buffers backprop
 /// ping-pongs between, the gradient accumulator, and the precomputed layer
-/// offsets. [`MlpScratch::ensure`] sizes everything on first use (or on a
+/// offsets. `MlpScratch::ensure` sizes everything on first use (or on a
 /// spec change); after that, training and inference allocate nothing per
 /// sample.
 #[derive(Debug, Clone, Default)]

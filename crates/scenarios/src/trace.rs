@@ -1,6 +1,6 @@
 //! Chrome trace-event export for scenario runs.
 //!
-//! Converts the per-round [`TraceChunk`]s a scenario run drains from its
+//! Converts the per-round [`TraceChunk`](cia_core::TraceChunk)s a scenario run drains from its
 //! recorder into the Chrome trace-event JSON format — loadable in
 //! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev) — so a
 //! paper-scale round's phase structure can be inspected on a real timeline

@@ -13,9 +13,10 @@
 //!   round boundary from a quiesced model (the runner publishes right after
 //!   a round's `step` returns); readers can never observe a mid-round
 //!   mixture.
-//! * [`SnapshotHub`] — the swap point. The trainer [`publishes`]
-//!   (`SnapshotHub::publish`) a fresh snapshot at each round boundary; the
-//!   hub wraps it in an [`Arc`] and atomically replaces the previous one.
+//! * [`SnapshotHub`] — the swap point. The trainer
+//!   [`publishes`](SnapshotHub::publish) a fresh snapshot at each round
+//!   boundary; the hub wraps it in an [`Arc`] and atomically replaces the
+//!   previous one.
 //!   Readers [`load`](SnapshotHub::load) the current `Arc` (a brief
 //!   read-lock on a pointer, never held across scoring) and keep scoring
 //!   against it even while the next swap happens — the old snapshot stays

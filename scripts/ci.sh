@@ -109,6 +109,9 @@ step fmt-check cargo fmt --all --check
 # fails the pipeline in seconds.
 step lint run_cia_lint
 step build cargo build --release --workspace
+# Rustdoc gate: a broken, unresolved or private intra-doc link (one a
+# rename or merge left behind) fails the pipeline instead of rotting.
+RUSTDOCFLAGS="-D warnings" step doc cargo doc --workspace --no-deps --offline
 # The benchmark tracer is its own package built against the workspace
 # crates' public API; building it here catches an API break before the
 # benchmark pipeline does. Its own target dir stays under the ignored,
