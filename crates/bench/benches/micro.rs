@@ -13,7 +13,7 @@ use cia_federated::{FedAvg, FedAvgConfig, NullObserver};
 use cia_gossip::{GossipConfig, GossipSim, NullGossipObserver};
 use cia_models::params::{clip_l2, ema, sigmoid};
 use cia_models::{
-    kernel, ClientStore, GmfHyper, GmfSpec, Mlp, MlpHyper, MlpSpec, RelevanceScorer, SharingPolicy,
+    kernel, GmfHyper, GmfSpec, Mlp, MlpHyper, MlpSpec, RelevanceScorer, SharingPolicy,
 };
 use cia_scenarios::runner::gmf_scorer;
 use cia_scenarios::{DynamicsSpec, FlDynamics, ParticipantDynamics};
@@ -339,37 +339,6 @@ fn bench_protocol_rounds(c: &mut Criterion) {
         );
         b.iter(|| sim.step(&mut NullGossipObserver));
     });
-    // The sharded lazy-materialization round at smoke scale, ungated so the
-    // `cargo bench -- --test` smoke gate (scripts/bench_smoke.sh) exercises
-    // the materialize/train/retire hot path on every run. Shell clients
-    // rebuild from the factory, train inside the shared workspace, and
-    // retire to d-float descriptors; 25% participation keeps the round
-    // representative of a sampled cohort.
-    let lazy_train = split.train_sets().to_vec();
-    // cia-lint: allow(D05, test/bench populations are tiny; ids fit u32 with orders of magnitude to spare)
-    let lazy_examples: Vec<u32> = lazy_train.iter().map(|t| t.len() as u32).collect();
-    let lazy_spec = spec.clone();
-    let lazy_store = ClientStore::sharded(
-        16,
-        lazy_examples,
-        Box::new(move |i| {
-            lazy_spec.build_shell(
-                // cia-lint: allow(D05, test/bench populations are tiny; ids fit u32 with orders of magnitude to spare)
-                UserId::new(i as u32),
-                lazy_train[i].clone(),
-                SharingPolicy::Full,
-                i as u64,
-            )
-        }),
-    );
-    let mut lazy_sim = FedAvg::sharded(
-        lazy_store,
-        spec.init_agg(&mut StdRng::seed_from_u64(3)),
-        FedAvgConfig { rounds: u64::MAX, participation: 0.25, ..Default::default() },
-    );
-    c.bench_function("fedavg_round_lazy_48x160", |b| {
-        b.iter(|| lazy_sim.step(&mut NullObserver));
-    });
     // The same FedAvg round with the scenario engine's churn/straggler
     // dynamics threaded through the observer seam — measures what the
     // availability layer costs on top of a bare round.
@@ -683,73 +652,6 @@ fn thread_suffix() -> String {
     }
 }
 
-fn bench_million_scale(c: &mut Criterion) {
-    // Million-user scale (10⁶ users × 10⁵ items, `--scale million`): the
-    // sharded lazy FedAvg round at 1% participation. A dense run would hold
-    // ~3 TiB of client state; the sharded store materializes only the ~10⁴
-    // sampled clients per round and retires each to an 8-float descriptor,
-    // and this bench enforces the 8 GiB peak-RSS budget after timing.
-    // Gated behind CIA_BENCH_MILLION_SCALE — `scripts/bench_kernels.sh
-    // --scale million` sets it — because dataset generation alone costs
-    // minutes, so the `cargo bench -- --test` smoke gate never pays for it.
-    if std::env::var_os("CIA_BENCH_MILLION_SCALE").is_none() {
-        return;
-    }
-    let data = Preset::MovieLens.generate(Scale::Million, 3);
-    // ScaleParams::of(Million): 100 eval negatives, embedding dim 8.
-    let split = LeaveOneOut::new(&data, 100, 3).unwrap();
-    let train = split.train_sets().to_vec();
-    // cia-lint: allow(D05, test/bench populations are tiny; ids fit u32 with orders of magnitude to spare)
-    let examples: Vec<u32> = train.iter().map(|t| t.len() as u32).collect();
-    let spec = GmfSpec::new(data.num_items(), 8, GmfHyper::default());
-    let initial = spec.init_agg(&mut StdRng::seed_from_u64(3));
-    // Only the per-client train sets survive into the round: the catalog
-    // split (eval instances, negatives) and the raw dataset are setup-only.
-    drop(split);
-    drop(data);
-    let store = ClientStore::sharded(
-        4096,
-        examples,
-        Box::new(move |i| {
-            // cia-lint: allow(D05, test/bench populations are tiny; ids fit u32 with orders of magnitude to spare)
-            spec.build_shell(UserId::new(i as u32), train[i].clone(), SharingPolicy::Full, i as u64)
-        }),
-    );
-    let mut sim = FedAvg::sharded(
-        store,
-        initial,
-        FedAvgConfig {
-            rounds: u64::MAX,
-            participation: 0.01,
-            local_epochs: 2,
-            seed: 7,
-            ..Default::default()
-        },
-    );
-    c.bench_function("fedavg_round_million_1000000x100000", |b| {
-        b.iter(|| sim.step(&mut NullObserver));
-    });
-    // Phase-annotated rows for the same sim (the sharded store keeps its
-    // lazy state, so extra rounds stay representative of the timed ones).
-    {
-        let rec = cia_core::Recorder::new();
-        rec.set_detail(true);
-        sim.set_recorder(rec.clone());
-        const PHASE_ROUNDS: u64 = 3;
-        for _ in 0..PHASE_ROUNDS {
-            sim.step(&mut NullObserver);
-        }
-        emit_phase_rows("fedavg_round_million_1000000x100000", &rec, PHASE_ROUNDS);
-    }
-    let peak = cia_scenarios::peak_rss_bytes().unwrap_or(0);
-    let gib = peak as f64 / f64::from(1u32 << 30);
-    println!("million-scale peak RSS: {gib:.2} GiB (budget 8 GiB)");
-    assert!(
-        peak < 8 * (1u64 << 30),
-        "million-scale round exceeded the 8 GiB peak-RSS budget: {gib:.2} GiB"
-    );
-}
-
 fn config() -> Criterion {
     // Paper-scale rounds run tens of milliseconds on a shared single-core
     // container whose load wobbles ±10%; a longer measurement window keeps
@@ -761,16 +663,6 @@ fn config() -> Criterion {
         .measurement_time(Duration::from_secs(4))
 }
 
-fn million_config() -> Criterion {
-    // A million-user round runs whole seconds; ten samples bound the
-    // (already env-gated) run to a few minutes while the median stays
-    // robust to single-neighbor noise.
-    Criterion::default()
-        .sample_size(10)
-        .warm_up_time(Duration::from_secs(1))
-        .measurement_time(Duration::from_secs(10))
-}
-
 criterion_group! {
     name = benches;
     config = config();
@@ -778,9 +670,4 @@ criterion_group! {
               bench_protocol_rounds, bench_attack_eval, bench_ground_truth, bench_serve,
               bench_paper_scale
 }
-criterion_group! {
-    name = million_benches;
-    config = million_config();
-    targets = bench_million_scale
-}
-criterion_main!(benches, million_benches);
+criterion_main!(benches);

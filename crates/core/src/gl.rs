@@ -142,11 +142,12 @@ impl<E: RelevanceEvaluator> GlCiaAllPlacements<E> {
     ///
     /// # Panics
     ///
-    /// Panics if the evaluator's target count differs from `num_users` or
-    /// the truth table is misaligned.
+    /// Panics if `beta` is outside `[0, 1]`, the evaluator's target count
+    /// differs from `num_users` or the truth table is misaligned.
     pub fn new(cfg: CiaConfig, evaluator: E, num_users: usize, truths: Vec<Vec<UserId>>) -> Self {
         assert!(cfg.k > 0, "community size must be positive");
         assert!(cfg.eval_every > 0, "eval_every must be positive");
+        assert!((0.0..=1.0).contains(&cfg.beta), "beta must be in [0, 1]");
         assert_eq!(evaluator.num_targets(), num_users, "one target per node");
         assert_eq!(truths.len(), num_users, "one truth per node");
         GlCiaAllPlacements {
@@ -688,6 +689,15 @@ mod tests {
         let owners = vec![None; s.users];
         let cfg = CiaConfig { k: 2, beta: 1.5, eval_every: 1, seed: 0 };
         let _ = GlCiaCoalition::new(cfg, evaluator, s.users, &[0], s.truths.clone(), owners);
+    }
+
+    #[test]
+    #[should_panic(expected = "beta must be in [0, 1]")]
+    fn all_placements_rejects_beta_outside_unit_interval() {
+        let s = setup(12, 2, 3);
+        let evaluator = ItemSetEvaluator::new(s.spec.clone(), s.train_sets.clone(), false);
+        let cfg = CiaConfig { k: 2, beta: 1.5, eval_every: 1, seed: 0 };
+        let _ = GlCiaAllPlacements::new(cfg, evaluator, s.users, s.truths.clone());
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! samples as `clamp(prototype + gaussian noise)` — preserving exactly what
 //! the experiment needs: ten separable classes and strongly non-iid clients.
 
+use crate::gaussian;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -117,14 +118,6 @@ impl ImageDataset {
         }
         clients
     }
-}
-
-/// One draw from the standard normal distribution (Box–Muller on top of
-/// `rand`, so no distributions crate is needed).
-fn gaussian(rng: &mut StdRng) -> f32 {
-    let u1: f32 = rng.gen::<f32>().max(f32::MIN_POSITIVE);
-    let u2: f32 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
 }
 
 #[cfg(test)]

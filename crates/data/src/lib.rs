@@ -54,3 +54,12 @@ pub use jaccard::{jaccard_index, top_k_similar, GroundTruth};
 pub use split::{sample_negatives, EvalInstance, LeaveOneOut};
 pub use synthetic::{SyntheticConfig, SyntheticConfigBuilder};
 pub use zipf::Zipf;
+
+/// One draw from the standard normal distribution (Box–Muller on top of
+/// `rand`, so no distributions crate is needed).
+pub fn gaussian(rng: &mut rand::rngs::StdRng) -> f32 {
+    use rand::Rng;
+    let u1: f32 = rng.gen::<f32>().max(f32::MIN_POSITIVE);
+    let u2: f32 = rng.gen();
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
+}

@@ -24,20 +24,15 @@ pub enum Scale {
     Small,
     /// Table I user counts (POI catalogs scaled down; see the module docs).
     Paper,
-    /// 10⁶ users × 10⁵ items: the memory-budget stress profile. Every preset
-    /// shares one shape at this scale; runs are only tractable through the
-    /// sharded lazy client store (see `cia-models::store`).
-    Million,
 }
 
 impl Scale {
-    /// Parses `"smoke" | "small" | "paper" | "million"` (case-insensitive).
+    /// Parses `"smoke" | "small" | "paper"` (case-insensitive).
     pub fn parse(s: &str) -> Option<Scale> {
         match s.to_ascii_lowercase().as_str() {
             "smoke" => Some(Scale::Smoke),
             "small" => Some(Scale::Small),
             "paper" => Some(Scale::Paper),
-            "million" => Some(Scale::Million),
             _ => None,
         }
     }
@@ -49,7 +44,6 @@ impl std::fmt::Display for Scale {
             Scale::Smoke => "smoke",
             Scale::Small => "small",
             Scale::Paper => "paper",
-            Scale::Million => "million",
         };
         f.write_str(s)
     }
@@ -115,10 +109,6 @@ fn dims(
         Scale::Paper => paper,
         Scale::Small => small,
         Scale::Smoke => (48, 160, 12),
-        // One shared shape for all presets: the profile exists to stress the
-        // memory budget of a round, not to model a specific Table I dataset.
-        // ~12 interactions/user keeps generation (~12M zipf draws) in seconds.
-        Scale::Million => (1_000_000, 100_000, 12),
     }
 }
 
@@ -191,7 +181,7 @@ mod tests {
 
     #[test]
     fn scale_parsing_roundtrips() {
-        for s in [Scale::Smoke, Scale::Small, Scale::Paper, Scale::Million] {
+        for s in [Scale::Smoke, Scale::Small, Scale::Paper] {
             assert_eq!(Scale::parse(&s.to_string()), Some(s));
         }
         assert_eq!(Scale::parse("bogus"), None);

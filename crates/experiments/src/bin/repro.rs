@@ -66,13 +66,6 @@ fn main() -> ExitCode {
                     eprintln!("error: --scale expects smoke|small|paper");
                     return ExitCode::FAILURE;
                 };
-                if v == Scale::Million {
-                    eprintln!(
-                        "error: repro caps at --scale paper; the million profile is \
-                         bench-only (scripts/bench_kernels.sh --scale million)"
-                    );
-                    return ExitCode::FAILURE;
-                }
                 scale = v;
                 i += 2;
             }

@@ -22,8 +22,7 @@ fn fl_max_aac(scale: Scale, seed: u64, affinity: f64, beta: f32) -> (f64, f64) {
     let (users, items, ipu) = match scale {
         Scale::Smoke => (48, 160, 12),
         Scale::Small => (200, 400, 30),
-        // Experiments cap at the paper shape; `Scale::Million` is bench-only.
-        Scale::Paper | Scale::Million => (943, 1682, 106),
+        Scale::Paper => (943, 1682, 106),
     };
     let data = SyntheticConfig::builder()
         .name(format!("ablation affinity={affinity}"))

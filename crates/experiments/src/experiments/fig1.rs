@@ -23,9 +23,7 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
     let (users, items, ipu) = match scale {
         Scale::Smoke => (48, 240, 24),
         Scale::Small => (220, 600, 40),
-        // Experiments cap at the paper shape; `Scale::Million` is a
-        // bench-only memory profile (`repro` rejects it at the CLI).
-        Scale::Paper | Scale::Million => (1083, 4000, 185),
+        Scale::Paper => (1083, 4000, 185),
     };
     let k = 3;
     let planting = HealthPlanting { num_users: k, health_fraction: 0.68 };

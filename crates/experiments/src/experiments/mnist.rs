@@ -72,8 +72,7 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
         Scale::Smoke => (3, 12, 4, 5, 32),
         Scale::Small => (6, 30, 8, 10, 64),
         // The paper's setting: 100 clients, one hidden layer of 100 units.
-        // (`Scale::Million` is a bench-only recsys profile; cap at paper.)
-        Scale::Paper | Scale::Million => (10, 60, 10, 15, 100),
+        Scale::Paper => (10, 60, 10, 15, 100),
     };
     let data = Arc::new(ImageDataset::generate(&ImageGenConfig {
         samples_per_class: train_per_class + probe_per_class,

@@ -42,10 +42,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use cia_data::UserId;
 use cia_models::parallel::par_zip_mut;
 use cia_models::params::weighted_mean;
-use cia_models::{ClientStore, Participant, SharedModel, UpdateTransform};
+use cia_models::{Participant, SharedModel, UpdateTransform};
 use cia_obs::{Counter, Metric, Recorder};
 
 // The cross-protocol observer event this crate's API surfaces, and the
@@ -105,10 +104,8 @@ pub struct RoundStats {
     /// participated (an all-offline round has no losses to average — a `0.0`
     /// sentinel would be indistinguishable from perfect convergence).
     pub mean_loss: Option<f32>,
-    /// Bytes of client model state materialized for this round: rebuilt lazy
-    /// clients plus observer snapshots (sharded stores), or the snapshot
-    /// buffers refilled for the observer (dense stores, where client state
-    /// is permanently resident).
+    /// Bytes of client model state materialized for this round: the snapshot
+    /// buffers refilled for the observer or the DP transform.
     pub bytes_materialized: u64,
 }
 
@@ -176,28 +173,19 @@ impl RoundObserver for NullObserver {
 
 /// The FedAvg simulation.
 pub struct FedAvg<P: Participant> {
-    store: ClientStore<P>,
+    clients: Vec<P>,
     global_agg: Vec<f32>,
     cfg: FedAvgConfig,
     transform: Option<Box<dyn UpdateTransform>>,
     round: u64,
-    /// Per-client round slots (dense stores), persistent across rounds so
-    /// snapshots reuse their buffers instead of re-allocating a full model
-    /// per client per round.
+    /// Per-client round slots, persistent across rounds so snapshots reuse
+    /// their buffers instead of re-allocating a full model per client per
+    /// round.
     slots: Vec<RoundSlot>,
     /// Reused aggregation accumulator.
     acc: Vec<f32>,
-    /// Sharded-mode shared training workspace — one catalog-sized buffer
-    /// lent to every sampled client in turn (see
-    /// [`Participant::fed_round_shared`]).
-    workspace: Vec<f32>,
-    /// Sharded-mode reusable observer snapshot slot (clients are observed
-    /// one at a time, in index order, so one slot serves the cohort).
-    snap_slot: SharedModel,
     /// The observability sink: phase spans, event counters (clients trained,
     /// bytes materialized) and the per-client training-latency histogram.
-    /// Shared with the client store in sharded mode so every materialized
-    /// byte lands in one registry.
     obs: Recorder,
 }
 
@@ -236,62 +224,21 @@ impl<P: Participant> FedAvg<P> {
             })
             .collect();
         FedAvg {
-            store: ClientStore::dense(clients),
+            clients,
             global_agg,
             cfg,
             transform: None,
             round: 0,
             slots,
             acc: Vec::new(),
-            workspace: Vec::new(),
-            snap_slot: empty_snap_slot(),
             obs: Recorder::new(),
         }
     }
 
-    /// Creates a simulation over a sharded, lazily materialized client store
-    /// (see `cia_models::ClientStore`). `initial_global` seeds the global
-    /// model — shell clients carry no aggregatable buffer, so the caller
-    /// supplies the value a dense run would read off its first client.
-    ///
-    /// Sharded rounds run the shared-workspace serial path: bit-identical to
-    /// the dense path for the same seed, but only the sampled clients are
-    /// ever resident. Update transforms (DP) require a dense store.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the store is empty or dense, or `participation` is out of
-    /// range.
-    pub fn sharded(store: ClientStore<P>, initial_global: Vec<f32>, cfg: FedAvgConfig) -> Self {
-        assert!(!store.is_empty(), "need at least one client");
-        assert!(store.is_sharded(), "FedAvg::sharded needs a sharded store; use FedAvg::new");
-        assert!(
-            cfg.participation > 0.0 && cfg.participation <= 1.0,
-            "participation must be in (0, 1]"
-        );
-        let obs = Recorder::new();
-        let mut store = store;
-        store.set_recorder(obs.clone());
-        FedAvg {
-            store,
-            global_agg: initial_global,
-            cfg,
-            transform: None,
-            round: 0,
-            slots: Vec::new(),
-            acc: Vec::new(),
-            workspace: Vec::new(),
-            snap_slot: empty_snap_slot(),
-            obs,
-        }
-    }
-
-    /// Installs the metrics/trace sink this simulation (and, in sharded
-    /// mode, its client store) reports into. The scenario runner installs
-    /// one recorder per scenario; standalone simulations keep their own
-    /// default recorder.
+    /// Installs the metrics/trace sink this simulation reports into. The
+    /// scenario runner installs one recorder per scenario; standalone
+    /// simulations keep their own default recorder.
     pub fn set_recorder(&mut self, recorder: Recorder) {
-        self.store.set_recorder(recorder.clone());
         self.obs = recorder;
     }
 
@@ -302,13 +249,7 @@ impl<P: Participant> FedAvg<P> {
 
     /// Installs a local update transform (DP-SGD) applied to every outgoing
     /// client update.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a sharded store: the DP path aggregates dense transformed
-    /// snapshots of every participant, which defeats lazy materialization.
     pub fn set_update_transform(&mut self, transform: Box<dyn UpdateTransform>) {
-        assert!(!self.store.is_sharded(), "update transforms (DP) require a dense client store");
         self.transform = Some(transform);
     }
 
@@ -317,19 +258,9 @@ impl<P: Participant> FedAvg<P> {
         &self.cfg
     }
 
-    /// The client store.
-    pub fn store(&self) -> &ClientStore<P> {
-        &self.store
-    }
-
     /// The clients (evaluation access).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a sharded store — lazy clients are not resident; use
-    /// [`FedAvg::store`].
     pub fn clients(&self) -> &[P] {
-        self.store.as_dense().expect("clients() needs a dense store; use store()")
+        &self.clients
     }
 
     /// The current global public parameters.
@@ -344,12 +275,8 @@ impl<P: Participant> FedAvg<P> {
 
     /// Mutable access to the clients (checkpoint resume restores each
     /// participant's private state in place).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a sharded store — lazy clients are not resident.
     pub fn clients_mut(&mut self) -> &mut [P] {
-        self.store.as_dense_mut().expect("clients_mut() needs a dense store")
+        &mut self.clients
     }
 
     /// Restores the protocol-side state — the round counter and the current
@@ -370,28 +297,19 @@ impl<P: Participant> FedAvg<P> {
 
     /// Loads the current global model into every client (used before utility
     /// evaluation, mirroring the broadcast deployment of the final model).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a sharded store — materialize individual clients instead.
     pub fn sync_clients_to_global(&mut self) {
-        let global = self.global_agg.clone();
-        for c in self.store.as_dense_mut().expect("sync needs a dense store") {
-            c.absorb_agg(&global);
+        for c in &mut self.clients {
+            c.absorb_agg(&self.global_agg);
         }
     }
 
     /// Runs one round: sample, broadcast, local training, transform,
     /// observe, aggregate.
     pub fn step(&mut self, observer: &mut dyn RoundObserver) -> RoundStats {
-        if self.store.is_sharded() {
-            return self.step_sharded(observer);
-        }
         let t = self.round;
         let obs = self.obs.clone();
         let bytes0 = obs.counter(Counter::BytesMaterialized);
-        let FedAvg { store, global_agg, cfg, transform, slots, acc, .. } = &mut *self;
-        let clients = store.as_dense_mut().expect("dense step");
+        let FedAvg { clients, global_agg, cfg, transform, slots, acc, .. } = &mut *self;
         let n = clients.len();
         let cfg = *cfg;
 
@@ -493,9 +411,9 @@ impl<P: Participant> FedAvg<P> {
         }
         drop(train_span);
 
-        // Observe in deterministic (user-id) order. Dense clients are
-        // permanently resident, so the round's materialization cost is the
-        // snapshot buffers refilled for the observer / DP transform.
+        // Observe in deterministic (user-id) order. The round's
+        // materialization cost is the snapshot buffers refilled for the
+        // observer / DP transform.
         let attack_span = obs.span("attack");
         let mut loss_sum = 0.0f32;
         let mut participants = 0usize;
@@ -555,103 +473,6 @@ impl<P: Participant> FedAvg<P> {
         stats
     }
 
-    /// One round over a sharded store: identical sampling, RNG streams,
-    /// visit order and aggregation math as the dense single-thread path —
-    /// bit-identical results — but each sampled client is rebuilt on demand,
-    /// trains inside the shared workspace, and retires back to its compact
-    /// descriptor before the next client materializes.
-    fn step_sharded(&mut self, observer: &mut dyn RoundObserver) -> RoundStats {
-        debug_assert!(self.transform.is_none(), "transforms are rejected at install time");
-        let t = self.round;
-        let obs = self.obs.clone();
-        let bytes0 = obs.counter(Counter::BytesMaterialized);
-        let n = self.store.len();
-        let cfg = self.cfg;
-
-        let sample_span = obs.span("sample");
-        let mut sampled = sample_participants(n, &cfg, t);
-
-        observer.on_round_start(t);
-        observer.on_liveness(LivenessEvent::ActingSet { round: t, mask: &mut sampled });
-        observer.on_global(t, &self.global_agg);
-        drop(sample_span);
-        let materialize = observer.observes_models();
-
-        let weight_of = |store: &ClientStore<P>, i: usize| match cfg.weighting {
-            Weighting::Uniform => 1.0,
-            Weighting::ByExamples => store.num_examples_of(i).max(1) as f32,
-        };
-        let total: f32 = sampled
-            .iter()
-            .enumerate()
-            .filter(|&(_, &s)| s)
-            .map(|(i, _)| weight_of(&self.store, i))
-            .sum();
-        self.acc.resize(self.global_agg.len(), 0.0);
-        self.acc.fill(0.0);
-        // The cohort's shared workspace starts bit-identical to the
-        // broadcast global; every `fed_round_shared` returns it that way.
-        self.workspace.resize(self.global_agg.len(), 0.0);
-        self.workspace.copy_from_slice(&self.global_agg);
-
-        // Training and observation are fused per client here (the snapshot
-        // slot is reused client to client), so one "train" span covers the
-        // materialize → train → observe → retire chain.
-        let train_span = obs.span("train");
-        let mut loss_sum = 0.0f32;
-        let mut participants = 0usize;
-        for (i, _) in sampled.iter().enumerate().filter(|&(_, &s)| s) {
-            let t0 = obs.clock();
-            let mut client = self.store.materialize(i);
-            let mut crng =
-                StdRng::seed_from_u64(cfg.seed ^ (t << 20) ^ (i as u64).wrapping_mul(0x5851_F42D));
-            let sink = if total > 0.0 {
-                Some((weight_of(&self.store, i) / total, self.acc.as_mut_slice()))
-            } else {
-                None
-            };
-            let snap = if materialize { Some((t, &mut self.snap_slot)) } else { None };
-            let loss = client.fed_round_shared(
-                &mut self.workspace,
-                &self.global_agg,
-                cfg.local_epochs,
-                &mut crng,
-                sink,
-                snap,
-            );
-            obs.observe_since(Metric::TrainMicros, t0);
-            if materialize {
-                obs.add(Counter::BytesMaterialized, 4 * self.snap_slot.len() as u64);
-                observer.on_client_model(&self.snap_slot);
-            }
-            loss_sum += loss;
-            participants += 1;
-            self.store.retire(i, client);
-        }
-        drop(train_span);
-        obs.add(Counter::ClientsTrained, participants as u64);
-
-        let aggregate_span = obs.span("aggregate");
-        if participants > 0 {
-            for (g, a) in self.global_agg.iter_mut().zip(&self.acc) {
-                *g += a;
-            }
-        }
-        drop(aggregate_span);
-
-        let stats = RoundStats {
-            round: t,
-            participants,
-            mean_loss: (participants > 0).then(|| loss_sum / participants as f32),
-            bytes_materialized: obs.counter(Counter::BytesMaterialized) - bytes0,
-        };
-        let evaluate_span = obs.span("evaluate");
-        observer.on_round_end(&stats);
-        drop(evaluate_span);
-        self.round += 1;
-        stats
-    }
-
     /// Forwards to [`FedAvg::step`]. Exists only for the benchmark tracer
     /// (`perfbench/tracer`) and goes away in the next benchmark change.
     #[doc(hidden)]
@@ -687,12 +508,6 @@ fn sample_participants(n: usize, cfg: &FedAvgConfig, t: u64) -> Vec<bool> {
         mask[i] = true;
     }
     mask
-}
-
-/// An empty reusable snapshot slot (overwritten by `snapshot_into` before
-/// every observer call).
-fn empty_snap_slot() -> SharedModel {
-    SharedModel { owner: UserId::new(0), round: 0, owner_emb: None, agg: Vec::new() }
 }
 
 /// Applies a DP-style transform to the *update* encoded by `snap` relative to
@@ -951,179 +766,6 @@ mod tests {
         assert_eq!(stats.participants, 0);
         assert_eq!(stats.mean_loss, None);
         assert_eq!(sim.global_agg(), before.as_slice());
-    }
-
-    /// One observed snapshot: (round, owner, owner_emb, agg).
-    type TapedModel = (u64, u32, Option<Vec<f32>>, Vec<f32>);
-
-    /// Records the full model stream (owner, round, byte-exact agg) so dense
-    /// and lazy runs can be compared snapshot for snapshot.
-    #[derive(Default)]
-    struct ModelTape {
-        models: Vec<TapedModel>,
-        stats: Vec<RoundStats>,
-    }
-
-    impl RoundObserver for ModelTape {
-        fn on_client_model(&mut self, m: &SharedModel) {
-            self.models.push((m.round, m.owner.raw(), m.owner_emb.clone(), m.agg.clone()));
-        }
-        fn on_round_end(&mut self, stats: &RoundStats) {
-            self.stats.push(stats.clone());
-        }
-    }
-
-    fn dense_vs_lazy(
-        users: usize,
-        items: u32,
-        policy: SharingPolicy,
-        cfg: FedAvgConfig,
-        data: cia_data::Dataset,
-    ) {
-        let split = LeaveOneOut::new(&data, 20, 1).unwrap();
-        let spec = GmfSpec::new(items, 8, GmfHyper::default());
-        let train = split.train_sets().to_vec();
-
-        let clients: Vec<_> = train
-            .iter()
-            .enumerate()
-            // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-            .map(|(u, it)| spec.build_client(UserId::new(u as u32), it.clone(), policy, u as u64))
-            .collect();
-        let mut dense = FedAvg::new(clients, cfg);
-        let mut dense_tape = ModelTape::default();
-        dense.run(&mut dense_tape);
-
-        let initial = spec.build_client(UserId::new(0), train[0].clone(), policy, 0).agg().to_vec();
-        // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-        let examples: Vec<u32> = train.iter().map(|s| s.len() as u32).collect();
-        let factory_spec = spec.clone();
-        let store = cia_models::ClientStore::sharded(
-            64,
-            examples,
-            Box::new(move |i| {
-                // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                factory_spec.build_shell(UserId::new(i as u32), train[i].clone(), policy, i as u64)
-            }),
-        );
-        let mut lazy = FedAvg::sharded(store, initial, cfg);
-        let mut lazy_tape = ModelTape::default();
-        lazy.run(&mut lazy_tape);
-
-        // Byte-identical: the lazy shared-workspace round replays the dense
-        // round exactly — global model, observed snapshots, and losses.
-        assert_eq!(dense.global_agg(), lazy.global_agg());
-        assert_eq!(dense_tape.models, lazy_tape.models);
-        for (d, l) in dense_tape.stats.iter().zip(&lazy_tape.stats) {
-            assert_eq!(
-                (d.round, d.participants, d.mean_loss),
-                (l.round, l.participants, l.mean_loss)
-            );
-        }
-        assert!(lazy_tape.stats.iter().all(|s| s.bytes_materialized > 0));
-        // Only the sampled shards' descriptor blocks ever materialized.
-        assert!(lazy.store().resident_shards() <= users.div_ceil(64));
-    }
-
-    #[test]
-    fn sharded_lazy_round_matches_dense_at_paper_scale() {
-        use cia_data::presets::{Preset, Scale};
-        let data = Preset::MovieLens.generate(Scale::Paper, 11);
-        let users = data.num_users();
-        let items = data.num_items();
-        let cfg = FedAvgConfig {
-            rounds: 3,
-            participation: 0.01,
-            local_epochs: 2,
-            seed: 7,
-            ..Default::default()
-        };
-        dense_vs_lazy(users, items, SharingPolicy::Full, cfg, data);
-    }
-
-    #[test]
-    fn sharded_lazy_round_matches_dense_under_share_less() {
-        let data = SyntheticConfig::builder()
-            .users(30)
-            .items(80)
-            .communities(4)
-            .interactions_per_user(10)
-            .seed(4)
-            .build()
-            .generate();
-        let cfg = FedAvgConfig {
-            rounds: 4,
-            participation: 0.3,
-            local_epochs: 2,
-            seed: 13,
-            weighting: Weighting::Uniform,
-        };
-        dense_vs_lazy(30, 80, SharingPolicy::ShareLess { tau: 0.4 }, cfg, data);
-    }
-
-    #[test]
-    #[should_panic(expected = "dense client store")]
-    fn sharded_store_rejects_update_transform() {
-        use cia_defenses::{DpConfig, DpMechanism};
-        let spec = GmfSpec::new(40, 8, GmfHyper::default());
-        let store = cia_models::ClientStore::sharded(
-            8,
-            vec![2u32; 16],
-            Box::new(move |i| {
-                // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                spec.build_shell(UserId::new(i as u32), vec![1, 2], SharingPolicy::Full, i as u64)
-            }),
-        );
-        let initial = vec![0.0f32; 40 * 8 + 8];
-        let mut sim = FedAvg::sharded(store, initial, FedAvgConfig::default());
-        sim.set_update_transform(Box::new(DpMechanism::new(DpConfig {
-            clip: 1.0,
-            noise_multiplier: 1.0,
-        })));
-    }
-
-    #[test]
-    fn sharded_bytes_materialized_matches_pre_registry_baseline() {
-        // Equivalence pin: the per-round `bytes_materialized` stats were
-        // captured *before* the store's ad-hoc byte meter moved onto the
-        // `cia_obs` counter registry. The registry-backed path must
-        // reproduce them bit-identically (stats are within-step counter
-        // deltas, so the refactor is observable only if it miscounts).
-        let data = SyntheticConfig::builder()
-            .users(30)
-            .items(80)
-            .communities(4)
-            .interactions_per_user(10)
-            .seed(4)
-            .build()
-            .generate();
-        let split = LeaveOneOut::new(&data, 20, 1).unwrap();
-        let spec = GmfSpec::new(80, 8, GmfHyper::default());
-        let train = split.train_sets().to_vec();
-        let policy = SharingPolicy::Full;
-        let initial = spec.build_client(UserId::new(0), train[0].clone(), policy, 0).agg().to_vec();
-        // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-        let examples: Vec<u32> = train.iter().map(|s| s.len() as u32).collect();
-        let factory_spec = spec.clone();
-        let store = cia_models::ClientStore::sharded(
-            8,
-            examples,
-            Box::new(move |i| {
-                // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                factory_spec.build_shell(UserId::new(i as u32), train[i].clone(), policy, i as u64)
-            }),
-        );
-        let cfg = FedAvgConfig {
-            rounds: 4,
-            participation: 0.3,
-            local_epochs: 2,
-            seed: 13,
-            weighting: Weighting::Uniform,
-        };
-        let mut lazy = FedAvg::sharded(store, initial, cfg);
-        let bytes: Vec<u64> =
-            (0..4).map(|_| lazy.step(&mut NullObserver).bytes_materialized).collect();
-        assert_eq!(bytes, vec![288, 384, 448, 480]);
     }
 
     #[test]

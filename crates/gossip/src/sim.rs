@@ -4,8 +4,7 @@ use crate::graph::{sample_exp_interval, ViewTable};
 use cia_data::UserId;
 use cia_models::parallel::par_zip_mut;
 use cia_models::{
-    Checkpointable, ClientStore, DeliveryPolicy, LivenessEvent, Participant, SharedModel,
-    UpdateTransform,
+    Checkpointable, DeliveryPolicy, LivenessEvent, Participant, SharedModel, UpdateTransform,
 };
 use cia_obs::{Counter, Metric, Recorder};
 use rand::rngs::StdRng;
@@ -181,12 +180,9 @@ struct PeerCtl {
 
 /// The gossip learning simulation.
 pub struct GossipSim<P: Participant> {
-    /// Node storage. Gossip requires a dense (fully resident) store: every
-    /// round each awake node mixes its neighbors' models into its *own*
-    /// persistent parameters, so there is no global aggregate to rebuild a
-    /// lazy client from — unlike FedAvg, where untouched clients are exactly
-    /// reconstructible from seed + global (see `cia_federated::FedAvg::sharded`).
-    store: ClientStore<P>,
+    /// The nodes, indexed by user id. Every round each awake node mixes its
+    /// neighbors' models into its own persistent parameters.
+    nodes: Vec<P>,
     ctl: Vec<PeerCtl>,
     views: ViewTable,
     refresh_at: Vec<u64>,
@@ -240,7 +236,7 @@ impl<P: Participant> GossipSim<P> {
         let traffic = TrafficCounters::zeroed(nodes.len());
         let outgoing = (0..nodes.len()).map(|_| None).collect();
         GossipSim {
-            store: ClientStore::dense(nodes),
+            nodes,
             ctl,
             views,
             refresh_at,
@@ -277,23 +273,9 @@ impl<P: Participant> GossipSim<P> {
         &self.cfg
     }
 
-    /// Creates a simulation from a [`ClientStore`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the store is sharded — gossip has no global aggregate to
-    /// lazily rebuild clients from (see the `store` field docs) — plus
-    /// everything [`GossipSim::new`] panics on.
-    pub fn from_store(mut store: ClientStore<P>, cfg: GossipConfig) -> Self {
-        let nodes = store.as_dense_mut().map(std::mem::take).expect(
-            "gossip requires a dense client store: nodes mix neighbors into resident state",
-        );
-        Self::new(nodes, cfg)
-    }
-
     /// The nodes (evaluation access).
     pub fn nodes(&self) -> &[P] {
-        self.store.as_dense().expect("gossip stores are dense")
+        &self.nodes
     }
 
     /// Rounds completed so far.
@@ -315,7 +297,7 @@ impl<P: Participant> GossipSim<P> {
     /// Mutable access to the nodes (checkpoint resume restores each
     /// participant's private state in place).
     pub fn nodes_mut(&mut self) -> &mut [P] {
-        self.store.as_dense_mut().expect("gossip stores are dense")
+        &mut self.nodes
     }
 
     /// Runs one gossip round: refresh views, send, route, aggregate, train.
@@ -323,7 +305,7 @@ impl<P: Participant> GossipSim<P> {
         let t = self.round;
         let obs = self.obs.clone();
         let bytes0 = obs.counter(Counter::BytesOnWire);
-        let n = self.store.len();
+        let n = self.nodes.len();
         let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ t.wrapping_mul(0xA076_1D64_78BD_642F));
         observer.on_round_start(t);
 
@@ -390,7 +372,7 @@ impl<P: Participant> GossipSim<P> {
             }
         }
         {
-            let nodes = self.store.as_dense().expect("gossip stores are dense");
+            let nodes = &self.nodes;
             let ctl = &mut self.ctl;
             // Parallel over (ctl, outgoing) pairs; nodes are read-only here.
             par_zip_mut(ctl, &mut self.outgoing, |i, c, slot| {
@@ -444,8 +426,7 @@ impl<P: Participant> GossipSim<P> {
         let is_pers = matches!(self.cfg.protocol, GossipProtocol::Pers { .. });
         let train_span = obs.span("train");
         {
-            let nodes = self.store.as_dense_mut().expect("gossip stores are dense");
-            par_zip_mut(nodes, &mut self.ctl, |i, node, c| {
+            par_zip_mut(&mut self.nodes, &mut self.ctl, |i, node, c| {
                 if !c.awake {
                     return;
                 }
@@ -545,7 +526,7 @@ impl<P: Participant> Checkpointable for GossipSim<P> {
     /// Panics if any table is not aligned with the node count or the views
     /// are malformed.
     fn restore_state(&mut self, state: GossipSimState) {
-        let n = self.store.len();
+        let n = self.nodes.len();
         assert_eq!(state.refresh_at.len(), n, "one refresh time per node");
         assert_eq!(state.inboxes.len(), n, "one inbox per node");
         assert_eq!(state.heard.len(), n, "one heard list per node");

@@ -161,42 +161,6 @@ impl GmfSpec {
         }
     }
 
-    /// Builds a lazily materialized "shell" client for `user`: identical to
-    /// [`GmfSpec::build_client`] except that the catalog-sized aggregatable
-    /// buffer is never allocated — the client trains inside the borrowed
-    /// workspace of [`Participant::fed_round_shared`] instead. The private
-    /// user embedding comes off the same RNG stream as `build_client` draws
-    /// it (before the aggregatable init there), so a shell and a dense client
-    /// built from the same seed carry bit-identical private state.
-    pub fn build_shell(
-        &self,
-        user: UserId,
-        train_items: Vec<u32>,
-        policy: SharingPolicy,
-        seed: u64,
-    ) -> GmfClient {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut user_emb = vec![0.0f32; self.dim];
-        init_uniform(&mut user_emb, self.hyper.init_scale, &mut rng);
-        let mut train_mask = vec![0u8; self.num_items as usize];
-        for &j in &train_items {
-            train_mask[j as usize] = 1;
-        }
-        GmfClient {
-            spec: self.clone(),
-            user,
-            user_emb,
-            agg: Vec::new(),
-            train_items,
-            policy,
-            ref_items: None,
-            train_mask,
-            order: Vec::new(),
-            touched: Vec::new(),
-            touched_mask: vec![0u8; self.num_items as usize],
-        }
-    }
-
     #[inline]
     fn item_slice<'a>(&self, agg: &'a [f32], j: u32) -> &'a [f32] {
         let d = self.dim;
@@ -686,75 +650,6 @@ impl Participant for GmfClient {
                 slot @ None => *slot = Some(self.agg[..items_len].to_vec()),
             }
         }
-    }
-
-    fn fed_round_shared(
-        &mut self,
-        workspace: &mut Vec<f32>,
-        global: &[f32],
-        epochs: usize,
-        rng: &mut StdRng,
-        acc: Option<(f32, &mut [f32])>,
-        snapshot: Option<(u64, &mut SharedModel)>,
-    ) -> f32 {
-        if !self.agg.is_empty() {
-            // Dense client: it owns a buffer and never reads the workspace;
-            // the fused owned-buffer round trivially preserves the contract.
-            let loss = self.fed_round(global, epochs, rng, acc);
-            if let Some((round, slot)) = snapshot {
-                self.snapshot_into(round, slot);
-            }
-            return loss;
-        }
-        assert_eq!(workspace.len(), global.len(), "workspace/global size mismatch");
-        assert_eq!(workspace.len(), self.spec.agg_len(), "workspace size");
-        // Swapping the workspace in is `absorb_agg(global)` without the
-        // catalog-sized memcpy: the caller guarantees it is bit-identical to
-        // `global`. The Share-less reference bookkeeping mirrors absorb.
-        std::mem::swap(&mut self.agg, workspace);
-        debug_assert!(self.touched.is_empty(), "shell client starts untouched");
-        if self.policy.tau() > 0.0 {
-            let items_len = self.spec.num_items as usize * self.spec.dim;
-            match &mut self.ref_items {
-                Some(r) => r.copy_from_slice(&global[..items_len]),
-                slot @ None => *slot = Some(global[..items_len].to_vec()),
-            }
-        }
-        let mut loss = 0.0;
-        for _ in 0..epochs.max(1) {
-            loss = self.train_local(rng);
-        }
-        if let Some((weight, acc)) = acc {
-            self.accumulate_update(global, weight, acc);
-        }
-        if let Some((round, slot)) = snapshot {
-            self.snapshot_into(round, slot);
-        }
-        // Repair: local training modified only the touched item rows, the
-        // `h` tail and the private user embedding, so restoring those from
-        // `global` leaves the workspace bit-identical to `global` again.
-        let d = self.spec.dim;
-        let items_len = self.spec.num_items as usize * d;
-        for &j in &self.touched {
-            let start = j as usize * d;
-            self.agg[start..][..d].copy_from_slice(&global[start..][..d]);
-        }
-        self.agg[items_len..].copy_from_slice(&global[items_len..]);
-        self.clear_touched();
-        std::mem::swap(&mut self.agg, workspace);
-        loss
-    }
-
-    fn private_state(&self) -> Vec<f32> {
-        // Between sampled FedAvg rounds only the user embedding persists:
-        // the aggregatable buffer and the Share-less reference are both
-        // re-derived from the incoming global at the next round start.
-        self.user_emb.clone()
-    }
-
-    fn restore_private_state(&mut self, state: &[f32]) {
-        assert_eq!(state.len(), self.spec.dim, "GMF private state size");
-        self.user_emb.copy_from_slice(state);
     }
 
     fn snapshot(&self, round: u64) -> SharedModel {

@@ -29,7 +29,6 @@ mod mlp;
 pub mod params;
 mod participant;
 mod prme;
-mod store;
 
 /// Data-parallel helpers, re-exported from `cia-data` (they moved there so
 /// the similarity ground truth can parallelize without a dependency cycle).
@@ -43,4 +42,3 @@ pub use participant::{
     SharingPolicy, UpdateTransform,
 };
 pub use prme::{PrmeClient, PrmeHyper, PrmeSpec};
-pub use store::{ClientFactory, ClientStore};

@@ -77,12 +77,8 @@ pub fn add_gaussian_noise(x: &mut [f32], std: f32, rng: &mut StdRng) {
     }
 }
 
-/// One standard normal draw (Box–Muller).
-pub fn gaussian(rng: &mut StdRng) -> f32 {
-    let u1: f32 = rng.gen::<f32>().max(f32::MIN_POSITIVE);
-    let u2: f32 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
-}
+/// One standard normal draw (Box–Muller), shared with the image generator.
+pub use cia_data::gaussian;
 
 /// Uniform initialization in `[-scale, scale]`, the classic embedding init.
 pub fn init_uniform(out: &mut [f32], scale: f32, rng: &mut StdRng) {

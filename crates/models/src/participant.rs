@@ -139,51 +139,6 @@ pub trait Participant: Send + Sync {
         loss
     }
 
-    /// [`Participant::fed_round`] against a *borrowed* aggregate buffer: the
-    /// caller lends `workspace`, bit-identical to `global`, for the duration
-    /// of the round, and the implementation must leave it bit-identical to
-    /// `global` on return. Implementations that keep no aggregatable buffer
-    /// of their own (lazily materialized "shell" clients) swap the workspace
-    /// in, train, and repair the rows they touched — so a sampled cohort
-    /// shares one catalog-sized buffer instead of owning one each. When
-    /// `snapshot` is given, the post-training model is written into the slot
-    /// (as [`Participant::snapshot_into`] would) *before* the workspace is
-    /// repaired. The default ignores the workspace and runs the owned-buffer
-    /// [`Participant::fed_round`], which trivially preserves the contract.
-    fn fed_round_shared(
-        &mut self,
-        workspace: &mut Vec<f32>,
-        global: &[f32],
-        epochs: usize,
-        rng: &mut StdRng,
-        acc: Option<(f32, &mut [f32])>,
-        snapshot: Option<(u64, &mut SharedModel)>,
-    ) -> f32 {
-        let _ = workspace;
-        let loss = self.fed_round(global, epochs, rng, acc);
-        if let Some((round, slot)) = snapshot {
-            self.snapshot_into(round, slot);
-        }
-        loss
-    }
-
-    /// The compact state that must survive *between sampled FedAvg rounds*,
-    /// on top of what the next round re-derives anyway (the constructor plus
-    /// the round-start [`Participant::absorb_agg`] / reference refresh). The
-    /// lazily materialized client store persists only this per client. The
-    /// default is the full [`Participant::state_vec`] encoding — always
-    /// correct, never smaller; participants with a private/public split (e.g.
-    /// GMF's user embedding) should override with the private part only.
-    fn private_state(&self) -> Vec<f32> {
-        self.state_vec()
-    }
-
-    /// Restores [`Participant::private_state`] onto a freshly constructed
-    /// participant of the same spec and constructor seed.
-    fn restore_private_state(&mut self, state: &[f32]) {
-        self.restore_state(state);
-    }
-
     /// Produces the outgoing snapshot under the participant's sharing policy.
     fn snapshot(&self, round: u64) -> SharedModel;
 

@@ -45,27 +45,24 @@ pub enum Counter {
     ClientsTrained = 0,
     /// Bytes of model snapshots routed between gossip nodes.
     BytesOnWire = 1,
-    /// Bytes of client model state brought into residence (lazy rebuilds,
-    /// retired-descriptor restores, observer snapshot buffers).
+    /// Bytes of FedAvg client snapshots refilled for the observer or the DP
+    /// transform.
     BytesMaterialized = 2,
     /// Model deliveries pushed into gossip inboxes.
     InboxDeliveries = 3,
-    /// Descriptor shard blocks allocated by a sharded `ClientStore`.
-    ShardAllocations = 4,
     /// Serve-path ranking-cache hits ((user, snapshot-epoch) key matched).
-    ServeCacheHits = 5,
+    ServeCacheHits = 4,
     /// Serve-path ranking-cache misses (fresh tiled scoring pass ran).
-    ServeCacheMisses = 6,
+    ServeCacheMisses = 5,
 }
 
 impl Counter {
     /// Every counter, in registry order.
-    pub const ALL: [Counter; 7] = [
+    pub const ALL: [Counter; 6] = [
         Counter::ClientsTrained,
         Counter::BytesOnWire,
         Counter::BytesMaterialized,
         Counter::InboxDeliveries,
-        Counter::ShardAllocations,
         Counter::ServeCacheHits,
         Counter::ServeCacheMisses,
     ];
@@ -77,7 +74,6 @@ impl Counter {
             Counter::BytesOnWire => "bytes_on_wire",
             Counter::BytesMaterialized => "bytes_materialized",
             Counter::InboxDeliveries => "inbox_deliveries",
-            Counter::ShardAllocations => "shard_allocations",
             Counter::ServeCacheHits => "serve_cache_hits",
             Counter::ServeCacheMisses => "serve_cache_misses",
         }

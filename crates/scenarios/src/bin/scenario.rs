@@ -1,7 +1,7 @@
 //! `scenario` — run declarative scenario suites.
 //!
 //! ```text
-//! scenario run [--suite NAME|FILE] [--scale smoke|small|paper|million] [--seed N]
+//! scenario run [--suite NAME|FILE] [--scale smoke|small|paper] [--seed N]
 //!              [--only NAME] [--out FILE] [--checkpoint-dir DIR]
 //!              [--checkpoint-every N] [--resume] [--stop-after N]
 //!              [--no-timing] [--trace-out FILE]
@@ -72,7 +72,7 @@ use std::time::{Duration, Instant};
 
 fn usage() {
     eprintln!("usage: scenario <run|serve|list|validate|report|rss-probe> [options]");
-    eprintln!("  run      [--suite NAME|FILE] [--scale smoke|small|paper|million] [--seed N]");
+    eprintln!("  run      [--suite NAME|FILE] [--scale smoke|small|paper] [--seed N]");
     eprintln!("           [--only NAME] [--out FILE] [--checkpoint-dir DIR]");
     eprintln!("           [--checkpoint-every N] [--resume] [--stop-after N] [--no-timing]");
     eprintln!("           [--trace-out FILE]");
@@ -120,7 +120,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             }
             "--scale" => {
                 parsed.scale = Scale::parse(&value(args, i, "--scale")?)
-                    .ok_or("--scale expects smoke|small|paper|million")?;
+                    .ok_or("--scale expects smoke|small|paper")?;
                 i += 2;
             }
             "--seed" => {

@@ -1,10 +1,9 @@
-//! Process memory accounting for the timing records and the scale benches.
+//! Process memory accounting for the timing records.
 //!
-//! The million-user preset only earns its keep if a round demonstrably fits
-//! in a memory budget, so the runner records two numbers per evaluated round
-//! when `--timing` is on: `bytes_materialized` (what the protocol itself
-//! brought into residence — see `cia_models::ClientStore`) and
-//! `peak_rss_bytes` (what the OS actually charged the process). Both are
+//! The runner records two numbers per evaluated round when timing is on:
+//! `bytes_materialized` (the model snapshots the protocol copied that round)
+//! and `peak_rss_bytes` (what the OS actually charged the process), so a
+//! memory regression shows up next to the round that caused it. Both are
 //! timing-class fields: golden transcripts run `--no-timing` and never see
 //! them.
 

@@ -42,7 +42,6 @@ use cia_core::{
     AttackOutcome, CiaConfig, FlCia, GlCiaAllPlacements, GlCiaCoalition, ItemSetEvaluator,
     Recorder, RoundPoint, TopK, TraceChunk,
 };
-use cia_data::presets::Scale;
 use cia_data::UserId;
 use cia_defenses::{DpConfig, DpMechanism};
 use cia_federated::{FedAvg, FedAvgConfig};
@@ -201,18 +200,6 @@ pub fn run_scenario(
             elapsed: start.elapsed(),
             ..outcome
         });
-    }
-    // The scenario path keeps every client resident (attacks observe the
-    // whole population); the million profile only exists for the sharded
-    // lazy round and would need terabytes here — reject it up front with a
-    // pointer to the path that can run it.
-    if matches!(spec.scale, Scale::Million) {
-        return Err(format!(
-            "{}: --scale million exceeds the dense scenario runner's supported range \
-             (10\u{2076} resident clients); use scripts/bench_kernels.sh --scale million \
-             for the sharded lazy round",
-            spec.name
-        ));
     }
     let setup = try_build_setup(spec.preset, spec.scale, spec.k_override, spec.seed)
         .map_err(|e| format!("{}: {e}", spec.name))?;
@@ -1167,16 +1154,6 @@ mod tests {
     use super::*;
     use crate::spec::builtin_suite;
     use cia_data::presets::{Preset, Scale};
-
-    #[test]
-    fn million_scale_is_a_clear_error_not_a_panic() {
-        let spec =
-            ScenarioSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::Fl, Scale::Million);
-        let mut sink = std::io::sink();
-        let err = run_scenario(&spec, "t", &RunOptions::default(), &mut sink).unwrap_err();
-        assert!(err.contains("supported range"), "unhelpful error: {err}");
-        assert!(err.contains("bench_kernels.sh"), "no remediation pointer: {err}");
-    }
 
     #[test]
     fn quiet_fl_gmf_run_matches_legacy_contract() {

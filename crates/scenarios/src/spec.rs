@@ -169,20 +169,6 @@ impl ScaleParams {
                 eval_negatives: 100,
                 poi_holdout: 5,
             },
-            // Memory-budget stress profile: a handful of rounds is enough to
-            // exercise the sharded lazy round path; full attack sweeps at this
-            // scale are out of scope (use the env-gated bench instead).
-            Scale::Million => ScaleParams {
-                fl_rounds: 3,
-                gl_rounds: 50,
-                fl_eval_every: 1,
-                gl_eval_every: 10,
-                local_epochs: 1,
-                dim: 8,
-                k: 50,
-                eval_negatives: 100,
-                poi_holdout: 5,
-            },
         }
     }
 
@@ -1542,5 +1528,15 @@ mod tests {
         assert!(SuiteSpec::parse(doc).unwrap_err().contains("colluderz"));
         let doc = r#"{"suite": "t", "sede": 1, "scenarios": [{"name": "x"}]}"#;
         assert!(SuiteSpec::parse(doc).unwrap_err().contains("sede"));
+    }
+
+    #[test]
+    fn million_is_an_unknown_scale() {
+        let obj = Json::parse(r#"{"name": "x", "scale": "million"}"#).unwrap();
+        let err = ScenarioSpec::from_json(&obj, Scale::Smoke, 1).unwrap_err();
+        assert!(err.contains("unknown `scale`"), "{err}");
+        let doc = r#"{"suite": "t", "scale": "million", "scenarios": [{"name": "x"}]}"#;
+        let err = SuiteSpec::parse(doc).unwrap_err();
+        assert!(err.contains("unknown `scale`"), "{err}");
     }
 }

@@ -23,11 +23,6 @@
 # carries a `qps` field alongside the per-query median). The small serving
 # rows (serve_query_cold_1682 / serve_query_hot_1682) run at every scale.
 #
-# `--scale million` unlocks the million-user (10⁶×10⁵) sharded lazy FedAvg
-# round (fedavg_round_million_1000000x100000, 1% participation). The bench
-# asserts the 8 GiB peak-RSS budget itself; dataset generation costs minutes,
-# so run `scripts/bench_kernels.sh --scale million million` to refresh only
-# that row.
 # The default (smoke) run always includes the small-scale trend rows
 # (fedavg_round_small_200x400, gossip_round_small_200x400) — the same round
 # hot path at ~1% of the work — so round-cost drift shows up without paying
@@ -46,10 +41,9 @@ while [ $# -gt 0 ]; do
     --scale)
         case "${2:-}" in
         paper) export CIA_BENCH_PAPER_SCALE=1 ;;
-        million) export CIA_BENCH_MILLION_SCALE=1 ;;
-        smoke) unset CIA_BENCH_PAPER_SCALE CIA_BENCH_MILLION_SCALE ;;
+        smoke) unset CIA_BENCH_PAPER_SCALE ;;
         *)
-            echo "--scale expects smoke|paper|million, got \`${2:-}\`" >&2
+            echo "--scale expects smoke|paper, got \`${2:-}\`" >&2
             exit 1
             ;;
         esac

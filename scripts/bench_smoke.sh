@@ -20,10 +20,7 @@ if [ "${CIA_SKIP_REDUNDANT_GATES:-0}" != 1 ]; then
         --json --out target/cia-lint.json
 fi
 
-# Every ungated bench body runs once, including the sharded
-# lazy-materialization round (fedavg_round_lazy_48x160) — the smoke-sized
-# twin of the `--scale million` lazy round, so the materialize/train/retire
-# path cannot bit-rot between full-scale runs.
+# Every ungated bench body runs once.
 echo "== cargo bench -- --test (every benchmark body, one iteration)"
 cargo bench -p cia-bench -- --test
 
