@@ -85,7 +85,7 @@ fn bench_scoring(c: &mut Criterion) {
     let emb = vec![0.05f32; DIM];
     let mut out = vec![0.0f32; ITEMS as usize];
     c.bench_function("gmf_score_full_catalog_1682x16", |b| {
-        b.iter(|| spec.score_items(Some(&emb), &agg, std::hint::black_box(&mut out)));
+        b.iter(|| spec.score_item_range(Some(&emb), &agg, 0, std::hint::black_box(&mut out)));
     });
     // The pre-kernel scalar path: heap-allocate w = p_u ⊙ h, then a serial
     // dependency-chained dot per item. The dimension is opaque to the

@@ -10,7 +10,7 @@
 //! locally trained gradients do not match FL-round gradients.
 
 use crate::fl::CiaConfig;
-use crate::metrics::{community_accuracy, AttackOutcome, AttackTracker};
+use crate::metrics::{community_accuracy, coverage, top_k_users, AttackOutcome, AttackTracker};
 use cia_data::UserId;
 use cia_federated::{RoundObserver, RoundStats};
 use cia_models::params::l2_norm;
@@ -189,27 +189,18 @@ impl AiaCommunityAttack {
             self.classifier = Some(clf);
         }
         let clf = self.classifier.as_ref().expect("trained above");
-        let mut scored: Vec<(f32, u32)> = self
-            .updates
-            .iter()
-            .enumerate()
-            .filter_map(|(u, upd)| {
-                // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                if self.owner == Some(UserId::new(u as u32)) {
-                    return None;
-                }
-                // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                upd.as_ref().map(|v| (clf.prob_binary(v), u as u32))
-            })
-            .collect();
-        if scored.is_empty() {
+        let k = self.cfg.cia.k;
+        let candidates = (0u32..)
+            .zip(&self.updates)
+            .filter(|&(id, _)| self.owner != Some(UserId::new(id)))
+            .filter_map(|(id, upd)| upd.as_ref().map(|v| (clf.prob_binary(v), id)));
+        let predicted = top_k_users(k, candidates);
+        if predicted.is_empty() {
             return;
         }
-        scored.sort_by(crate::metrics::rank_desc);
-        let predicted: Vec<UserId> =
-            scored.into_iter().take(self.cfg.cia.k).map(|(_, u)| UserId::new(u)).collect();
-        let acc = community_accuracy(&predicted, &self.truth, self.cfg.cia.k);
-        self.tracker.record(round, &[acc], &[1.0]);
+        let acc = community_accuracy(&predicted, &self.truth, k);
+        let upper = coverage(&self.truth, k, |u| self.updates[u.index()].is_some());
+        self.tracker.record(round, &[acc], &[upper]);
     }
 }
 
@@ -249,10 +240,11 @@ mod tests {
     use super::*;
     use cia_data::{GroundTruth, LeaveOneOut, SyntheticConfig};
     use cia_federated::{FedAvg, FedAvgConfig};
-    use cia_models::GmfHyper;
+    use cia_models::{GmfClient, GmfHyper};
 
-    #[test]
-    fn aia_proxy_runs_end_to_end() {
+    /// An 18-user synthetic population as FedAvg clients, and an AIA
+    /// against user 0's train set evaluating every `eval_every` rounds.
+    fn fixture(eval_every: u64) -> (Vec<GmfClient>, AiaCommunityAttack) {
         let users = 18;
         let data = SyntheticConfig::builder()
             .users(users)
@@ -284,9 +276,9 @@ mod tests {
                 )
             })
             .collect();
-        let mut attack = AiaCommunityAttack::new(
+        let attack = AiaCommunityAttack::new(
             AiaConfig {
-                cia: CiaConfig { k, beta: 0.99, eval_every: 3, seed: 1 },
+                cia: CiaConfig { k, beta: 0.99, eval_every, seed: 1 },
                 n_member: 8,
                 m_nonmember: 8,
                 subset_size: 8,
@@ -300,12 +292,32 @@ mod tests {
             truth,
             Some(UserId::new(0)),
         );
+        (clients, attack)
+    }
+
+    #[test]
+    fn aia_proxy_runs_end_to_end() {
+        let (clients, mut attack) = fixture(3);
         let mut sim =
             FedAvg::new(clients, FedAvgConfig { rounds: 7, seed: 6, ..Default::default() });
         sim.run(&mut attack);
         let out = attack.outcome();
         assert!(!out.history.is_empty());
         assert!((0.0..=1.0).contains(&out.max_aac));
+    }
+
+    #[test]
+    fn upper_bound_counts_only_sampled_community_members() {
+        // With partial participation the bound counts only the community
+        // members whose updates the server has received.
+        let (clients, mut attack) = fixture(1);
+        let cfg = FedAvgConfig { rounds: 1, participation: 0.3, seed: 6, ..Default::default() };
+        FedAvg::new(clients, cfg).run(&mut attack);
+        let k = attack.cfg.cia.k;
+        let sampled = attack.truth.iter().filter(|u| attack.updates[u.index()].is_some()).count();
+        let expected = sampled as f64 / k as f64;
+        assert!(expected < 1.0, "fixture must leave part of the community unsampled");
+        assert_eq!(attack.outcome().history[0].upper_bound, expected);
     }
 
     #[test]

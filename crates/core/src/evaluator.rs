@@ -6,19 +6,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::RefCell;
 
-/// Reusable catalog-sized buffers for [`ItemSetEvaluator::relevance_all`].
-#[derive(Default)]
-struct EvalScratch {
-    scores: Vec<f32>,
-    ranks: Vec<f32>,
-    order: Vec<u32>,
-}
-
 thread_local! {
-    /// Per-thread scratch: the `relevance_all` call sites run inside
+    /// Per-thread catalog-sized score buffer for
+    /// [`ItemSetEvaluator::relevance_all`]: its call sites run inside
     /// `par_chunks_mut` workers (one model per row), so a thread-local buffer
     /// makes per-model evaluation allocation-free once each worker is warm.
-    static EVAL_SCRATCH: RefCell<EvalScratch> = RefCell::new(EvalScratch::default());
+    static EVAL_SCORES: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Computes `Ŷ(Θ, V_target)` for every registered target given one
@@ -53,20 +46,6 @@ pub trait RelevanceEvaluator: Send + Sync {
     }
 }
 
-/// How `Ŷ(Θ, V_target)` aggregates per-item scores (§IV-B notes the
-/// relevance "can be any recommendation quality metric").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RelevanceKind {
-    /// Mean raw score over the target items (the paper's default).
-    #[default]
-    MeanScore,
-    /// Mean normalized rank of the target items in the model's full catalog
-    /// ranking: `mean(1 − rank(i)/|V|)`. Invariant to monotone score
-    /// transformations, so models whose scores saturate (late training, DP
-    /// noise) remain comparable.
-    MeanNormalizedRank,
-}
-
 /// The recommender-system evaluator: targets are item sets, relevance is the
 /// mean per-item score assigned by the model (§IV-B).
 ///
@@ -80,7 +59,6 @@ pub struct ItemSetEvaluator<S: RelevanceScorer> {
     targets: Vec<Vec<u32>>,
     share_less: bool,
     adversary_embs: Vec<Option<Vec<f32>>>,
-    kind: RelevanceKind,
 }
 
 impl<S: RelevanceScorer> ItemSetEvaluator<S> {
@@ -91,24 +69,6 @@ impl<S: RelevanceScorer> ItemSetEvaluator<S> {
     ///
     /// Panics if any target references an item outside the scorer's catalog.
     pub fn new(scorer: S, targets: Vec<Vec<u32>>, share_less: bool) -> Self {
-        Self::with_relevance(scorer, targets, share_less, RelevanceKind::MeanScore)
-    }
-
-    /// Like [`ItemSetEvaluator::new`] with an explicit relevance
-    /// aggregation. [`RelevanceKind::MeanNormalizedRank`] requires full
-    /// sharing (the rank is computed once per model, not per target
-    /// embedding).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any target references an item outside the scorer's catalog,
-    /// or rank relevance is combined with Share-less.
-    pub fn with_relevance(
-        scorer: S,
-        targets: Vec<Vec<u32>>,
-        share_less: bool,
-        kind: RelevanceKind,
-    ) -> Self {
         let n = scorer.num_items();
         for (i, t) in targets.iter().enumerate() {
             assert!(
@@ -116,12 +76,8 @@ impl<S: RelevanceScorer> ItemSetEvaluator<S> {
                 "target {i} references an item outside the catalog"
             );
         }
-        assert!(
-            !(share_less && kind == RelevanceKind::MeanNormalizedRank),
-            "rank relevance requires full sharing"
-        );
         let adversary_embs = vec![None; targets.len()];
-        ItemSetEvaluator { scorer, targets, share_less, adversary_embs, kind }
+        ItemSetEvaluator { scorer, targets, share_less, adversary_embs }
     }
 
     /// The registered target item sets.
@@ -178,11 +134,6 @@ impl<S: RelevanceScorer> RelevanceEvaluator for ItemSetEvaluator<S> {
     }
 
     fn relevance_one(&self, owner_emb: Option<&[f32]>, agg: &[f32], target: usize) -> f32 {
-        if self.kind == RelevanceKind::MeanNormalizedRank {
-            let mut out = vec![0.0f32; self.targets.len()];
-            self.relevance_all(owner_emb, agg, &mut out);
-            return out[target];
-        }
         let emb = if self.share_less { self.adversary_embs[target].as_deref() } else { owner_emb };
         self.scorer.mean_relevance(emb, agg, &self.targets[target])
     }
@@ -198,38 +149,17 @@ impl<S: RelevanceScorer> RelevanceEvaluator for ItemSetEvaluator<S> {
         // Fast path: score the catalog once into per-thread scratch (no
         // catalog-sized allocation per model), then aggregate per target.
         let n = self.scorer.num_items() as usize;
-        EVAL_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            let EvalScratch { scores, ranks, order } = scratch;
+        EVAL_SCORES.with(|cell| {
+            let scores = &mut *cell.borrow_mut();
             scores.resize(n, 0.0);
-            self.scorer.score_items(owner_emb, agg, scores);
-            let per_item: &[f32] = match self.kind {
-                RelevanceKind::MeanScore => scores,
-                RelevanceKind::MeanNormalizedRank => {
-                    // rank(i) = position in the descending score order.
-                    order.clear();
-                    // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                    order.extend(0..n as u32);
-                    order.sort_by(|&a, &b| {
-                        crate::metrics::rank_desc(
-                            &(scores[a as usize], a),
-                            &(scores[b as usize], b),
-                        )
-                    });
-                    ranks.resize(n, 0.0);
-                    for (pos, &item) in order.iter().enumerate() {
-                        ranks[item as usize] = 1.0 - pos as f32 / n as f32;
-                    }
-                    ranks
-                }
-            };
+            self.scorer.score_item_range(owner_emb, agg, 0, scores);
             for (t, o) in out.iter_mut().enumerate() {
                 let items = &self.targets[t];
                 *o = if items.is_empty() {
                     0.0
                 } else {
                     // cia-lint: allow(D07, sequential left-to-right fold over a slice in index order; the reduction order is fixed)
-                    items.iter().map(|&i| per_item[i as usize]).sum::<f32>() / items.len() as f32
+                    items.iter().map(|&i| scores[i as usize]).sum::<f32>() / items.len() as f32
                 };
             }
         });
@@ -311,60 +241,5 @@ mod tests {
     fn rejects_out_of_range_targets() {
         let spec = GmfSpec::new(10, 4, GmfHyper::default());
         let _ = ItemSetEvaluator::new(spec, vec![vec![99]], false);
-    }
-
-    #[test]
-    fn rank_relevance_agrees_with_score_relevance_on_ordering() {
-        let (spec, snap) = trained_gmf();
-        let targets = vec![vec![1u32, 2, 3], vec![30, 31, 32]];
-        let score_ev = ItemSetEvaluator::new(spec.clone(), targets.clone(), false);
-        let rank_ev = ItemSetEvaluator::with_relevance(
-            spec,
-            targets,
-            false,
-            RelevanceKind::MeanNormalizedRank,
-        );
-        let mut s = vec![0.0f32; 2];
-        let mut r = vec![0.0f32; 2];
-        score_ev.relevance_all(snap.owner_emb.as_deref(), &snap.agg, &mut s);
-        rank_ev.relevance_all(snap.owner_emb.as_deref(), &snap.agg, &mut r);
-        // Both agree: the model's own items outrank the foreign ones.
-        assert!(s[0] > s[1]);
-        assert!(r[0] > r[1]);
-        // Rank relevance is normalized to (0, 1].
-        assert!(r.iter().all(|v| (0.0..=1.0).contains(v)));
-    }
-
-    #[test]
-    fn rank_relevance_is_invariant_to_score_scaling() {
-        // Two models whose scores differ by a monotone transformation must
-        // produce identical rank relevances. Simulate by comparing the rank
-        // relevance computed from a model against itself — and checking that
-        // relevance_one matches relevance_all (the shared-path contract).
-        let (spec, snap) = trained_gmf();
-        let rank_ev = ItemSetEvaluator::with_relevance(
-            spec,
-            vec![vec![1u32, 2], vec![20, 21]],
-            false,
-            RelevanceKind::MeanNormalizedRank,
-        );
-        let mut all = vec![0.0f32; 2];
-        rank_ev.relevance_all(snap.owner_emb.as_deref(), &snap.agg, &mut all);
-        for (t, &batched) in all.iter().enumerate() {
-            let one = rank_ev.relevance_one(snap.owner_emb.as_deref(), &snap.agg, t);
-            assert!((one - batched).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "rank relevance requires full sharing")]
-    fn rank_relevance_rejects_share_less() {
-        let spec = GmfSpec::new(10, 4, GmfHyper::default());
-        let _ = ItemSetEvaluator::with_relevance(
-            spec,
-            vec![vec![1]],
-            true,
-            RelevanceKind::MeanNormalizedRank,
-        );
     }
 }

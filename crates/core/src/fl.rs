@@ -3,7 +3,7 @@
 //! models received from sampled users each round.
 
 use crate::evaluator::RelevanceEvaluator;
-use crate::metrics::{community_accuracy, AttackOutcome, AttackTracker};
+use crate::metrics::{community_accuracy, coverage, top_k_users, AttackOutcome, AttackTracker};
 use crate::momentum::MomentumState;
 use cia_data::UserId;
 use cia_federated::{RoundObserver, RoundStats};
@@ -202,20 +202,10 @@ impl<E: RelevanceEvaluator, V> MomentumCia<E, V> {
         let num_targets = self.evaluator.num_targets();
         let (momentum, owners, rel, k) = (&self.momentum, &self.owners, &self.rel, self.cfg.k);
         par_map(num_targets, |t| {
-            let mut scored: Vec<(f32, u32)> = momentum
-                .iter()
-                .enumerate()
-                .filter_map(|(u, m)| {
-                    // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                    if m.is_none() || owners[t] == Some(UserId::new(u as u32)) {
-                        return None;
-                    }
-                    // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                    Some((rel[u * num_targets + t], u as u32))
-                })
-                .collect();
-            scored.sort_by(crate::metrics::rank_desc);
-            scored.into_iter().take(k).map(|(_, u)| UserId::new(u)).collect()
+            let candidates = (0u32..)
+                .zip(momentum)
+                .filter(|&(id, m)| m.is_some() && owners[t] != Some(UserId::new(id)));
+            top_k_users(k, candidates.map(|(id, _)| (rel[id as usize * num_targets + t], id)))
         })
     }
 
@@ -237,16 +227,11 @@ impl<E: RelevanceEvaluator, V> MomentumCia<E, V> {
         let mut accs = Vec::with_capacity(predictions.len());
         let mut uppers = Vec::with_capacity(predictions.len());
         let mut uppers_online = Vec::with_capacity(predictions.len());
-        for (t, pred) in predictions.iter().enumerate() {
-            let truth = &self.truths[t];
-            accs.push(community_accuracy(pred, truth, self.cfg.k));
-            let seen = truth.iter().filter(|u| self.momentum[u.index()].is_some()).count();
-            let seen_live = truth
-                .iter()
-                .filter(|u| self.momentum[u.index()].is_some() && self.live[u.index()])
-                .count();
-            uppers.push(seen as f64 / self.cfg.k as f64);
-            uppers_online.push(seen_live as f64 / self.cfg.k as f64);
+        let (k, seen) = (self.cfg.k, |u: &UserId| self.momentum[u.index()].is_some());
+        for (pred, truth) in predictions.iter().zip(&self.truths) {
+            accs.push(community_accuracy(pred, truth, k));
+            uppers.push(coverage(truth, k, seen));
+            uppers_online.push(coverage(truth, k, |u| seen(u) && self.live[u.index()]));
         }
         self.tracker.record_with_online(round, &accs, &uppers, &uppers_online);
     }

@@ -15,7 +15,9 @@
 
 use crate::evaluator::RelevanceEvaluator;
 use crate::fl::{CiaConfig, MomentumCia};
-use crate::metrics::{community_accuracy, AttackOutcome, AttackTracker, RoundPoint};
+use crate::metrics::{
+    community_accuracy, coverage, top_k_users, AttackOutcome, AttackTracker, RoundPoint,
+};
 use cia_data::UserId;
 use cia_gossip::{GossipObserver, GossipRoundStats};
 use cia_models::parallel::par_map;
@@ -200,26 +202,14 @@ impl<E: RelevanceEvaluator> GlCiaAllPlacements<E> {
         // bound would conflate "offline" with "zero coverage".
         let results: Vec<(f64, Option<(f64, f64)>)> = par_map(n, |obs| {
             let row = &self.s_ema[obs * n..(obs + 1) * n];
-            let mut scored: Vec<(f32, u32)> = row
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| !s.is_nan())
-                // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                .map(|(u, &s)| (s, u as u32))
-                .collect();
-            if scored.is_empty() {
+            let candidates = (0u32..).zip(row).filter(|(_, s)| !s.is_nan());
+            let predicted = top_k_users(k, candidates.map(|(u, &s)| (s, u)));
+            if predicted.is_empty() {
                 return (0.0, None);
             }
-            scored.sort_by(crate::metrics::rank_desc);
-            let predicted: Vec<UserId> =
-                scored.into_iter().take(k).map(|(_, u)| UserId::new(u)).collect();
-            let acc = community_accuracy(&predicted, &self.truths[obs], k);
-            let seen = self.truths[obs].iter().filter(|u| !row[u.index()].is_nan()).count();
-            let seen_live = self.truths[obs]
-                .iter()
-                .filter(|u| !row[u.index()].is_nan() && self.live[u.index()])
-                .count();
-            (acc, Some((seen as f64 / k as f64, seen_live as f64 / k as f64)))
+            let (truth, seen) = (&self.truths[obs], |u: &UserId| !row[u.index()].is_nan());
+            let online = coverage(truth, k, |u| seen(u) && self.live[u.index()]);
+            (community_accuracy(&predicted, truth, k), Some((coverage(truth, k, seen), online)))
         });
         let accs: Vec<f64> = results.iter().map(|r| r.0).collect();
         let uppers: Vec<f64> = results.iter().filter_map(|r| r.1.map(|b| b.0)).collect();
@@ -261,7 +251,8 @@ impl<E: RelevanceEvaluator> GossipObserver for GlCiaAllPlacements<E> {
         let _update = self.obs.span("attack_update");
         if !self.prepared {
             // Share-less fictive embeddings need public parameters; the first
-            // delivered model provides them (refreshed lazily afterwards).
+            // delivered model provides them, and they are trained only this
+            // once (never refreshed for the rest of the run).
             self.evaluator.prepare(&model.agg, self.cfg.seed);
             self.prepared = true;
         }

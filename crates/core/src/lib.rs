@@ -45,7 +45,7 @@ mod mia;
 mod momentum;
 
 pub use aia::{AiaCommunityAttack, AiaConfig};
-pub use evaluator::{ItemSetEvaluator, RelevanceEvaluator, RelevanceKind};
+pub use evaluator::{ItemSetEvaluator, RelevanceEvaluator};
 pub use fl::{CiaAttackState, CiaConfig, FlCia, MomentumCia, ServerVantage};
 pub use gl::{CoalitionVantage, GlCiaAllPlacements, GlCiaCoalition, PlacementsState};
 pub use metrics::{AttackOutcome, AttackTracker, RoundPoint, TopK};

@@ -2,6 +2,7 @@
 //! (AAC), Max AAC over rounds, Best-10% AAC, the hyper-geometric random bound
 //! and the observation-coverage upper bound.
 
+use cia_data::UserId;
 use serde::{Deserialize, Serialize};
 
 /// Accuracy of one predicted community (Eq. 6): `|Ĉ ∩ C| / K`.
@@ -104,6 +105,22 @@ impl TopK {
     pub fn into_ids(self) -> Vec<u32> {
         self.buf.into_iter().map(|(_, id)| id).collect()
     }
+}
+
+/// The best `k` candidates of one attack ranking, as users: every attack
+/// streams its `(score, user id)` candidates through [`TopK`].
+pub(crate) fn top_k_users(k: usize, scored: impl IntoIterator<Item = (f32, u32)>) -> Vec<UserId> {
+    let mut sel = TopK::new(k);
+    for (score, id) in scored {
+        sel.push(score, id);
+    }
+    sel.into_ids().into_iter().map(UserId::new).collect()
+}
+
+/// The observation-coverage bound of one target: the observed members of
+/// its true community as a fraction of `k`.
+pub(crate) fn coverage(truth: &[UserId], k: usize, observed: impl Fn(&UserId) -> bool) -> f64 {
+    truth.iter().filter(|u| observed(u)).count() as f64 / k as f64
 }
 
 /// One evaluated round.
@@ -368,20 +385,29 @@ mod tests {
 
     #[test]
     fn topk_sinks_nan_and_breaks_ties_on_id() {
-        // Same fixture as the runner's historical `top_k_by_score` tests:
+        let top = |k: usize, pairs: &[(f32, u32)]| {
+            let mut sel = TopK::new(k);
+            for &(s, id) in pairs {
+                sel.push(s, id);
+            }
+            sel.into_ids()
+        };
         // NaN sinks below everything, equal scores order by ascending id.
         let pairs = [(1.0, 0), (f32::NAN, 1), (2.0, 2), (2.0, 3), (1.0, 4)];
-        let mut sel = TopK::new(3);
-        for &(s, id) in &pairs {
-            sel.push(s, id);
-        }
-        assert_eq!(sel.into_ids(), vec![2, 3, 0]);
+        assert_eq!(top(3, &pairs), vec![2, 3, 0]);
         // With k ≥ n the NaN still lands dead last.
-        let mut sel = TopK::new(8);
-        for &(s, id) in &pairs {
-            sel.push(s, id);
-        }
-        assert_eq!(sel.into_ids(), vec![2, 3, 0, 4, 1]);
+        assert_eq!(top(8, &pairs), vec![2, 3, 0, 4, 1]);
+        // Duplicated scores must not leave the cut-off dependent on
+        // iteration order: ties break on ascending id whatever the input
+        // order.
+        let mut ties = vec![(0.5f32, 9u32), (0.7, 4), (0.5, 2), (0.7, 1), (0.5, 7)];
+        assert_eq!(top(3, &ties), vec![1, 4, 2], "descending score, then ascending id");
+        ties.reverse();
+        assert_eq!(top(3, &ties), vec![1, 4, 2], "input order leaked into the ranking");
+        // Several NaN scores (a DP-destroyed model) sink below every finite
+        // score and among themselves order by id.
+        let with_nan = [(f32::NAN, 0u32), (0.1, 5), (f32::NAN, 3), (0.2, 8)];
+        assert_eq!(top(3, &with_nan), vec![8, 5, 0]);
     }
 
     #[test]

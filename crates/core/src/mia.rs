@@ -8,7 +8,7 @@
 //! than CIA (Table VIII).
 
 use crate::fl::CiaConfig;
-use crate::metrics::{community_accuracy, AttackOutcome, AttackTracker};
+use crate::metrics::{community_accuracy, coverage, top_k_users, AttackOutcome, AttackTracker};
 use crate::momentum::MomentumState;
 use cia_data::UserId;
 use cia_federated::{RoundObserver, RoundStats};
@@ -64,7 +64,8 @@ impl<S: RelevanceScorer> MiaCommunityAttack<S> {
     ///
     /// # Panics
     ///
-    /// Panics on misaligned tables or `k == 0`.
+    /// Panics on misaligned tables, `k == 0`, `eval_every == 0` or `beta`
+    /// outside `[0, 1]`.
     pub fn new(
         cfg: MiaConfig,
         scorer: S,
@@ -76,6 +77,7 @@ impl<S: RelevanceScorer> MiaCommunityAttack<S> {
     ) -> Self {
         assert!(cfg.cia.k > 0, "community size must be positive");
         assert!(cfg.cia.eval_every > 0, "eval_every must be positive");
+        assert!((0.0..=1.0).contains(&cfg.cia.beta), "beta must be in [0, 1]");
         assert_eq!(truths.len(), targets.len(), "one truth per target");
         assert_eq!(owners.len(), targets.len(), "one owner entry per target");
         assert_eq!(train_sets.len(), num_users, "one train set per user");
@@ -113,7 +115,7 @@ impl<S: RelevanceScorer> MiaCommunityAttack<S> {
         let member_frac: Vec<Option<(Vec<f32>, f64)>> = par_map(self.momentum.len(), |u| {
             let state = self.momentum[u].as_ref()?;
             let mut scores = vec![0.0f32; num_items];
-            self.scorer.score_items(state.emb(), state.agg(), &mut scores);
+            self.scorer.score_item_range(state.emb(), state.agg(), 0, &mut scores);
             // The entropy rule needs calibrated probabilities; scorers emit
             // raw relevance (GMF: pre-sigmoid logits), so calibrate here.
             // Confident-positive rule: low entropy alone cannot separate a
@@ -161,27 +163,16 @@ impl<S: RelevanceScorer> MiaCommunityAttack<S> {
             Some((fracs, precision))
         });
 
+        let k = self.cfg.cia.k;
         let mut accs = Vec::with_capacity(self.targets.len());
         let mut uppers = Vec::with_capacity(self.targets.len());
-        for t in 0..self.targets.len() {
-            let mut scored: Vec<(f32, u32)> = member_frac
-                .iter()
-                .enumerate()
-                .filter_map(|(u, r)| {
-                    // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                    if self.owners[t] == Some(UserId::new(u as u32)) {
-                        return None;
-                    }
-                    // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                    r.as_ref().map(|(fracs, _)| (fracs[t], u as u32))
-                })
-                .collect();
-            scored.sort_by(crate::metrics::rank_desc);
-            let predicted: Vec<UserId> =
-                scored.into_iter().take(self.cfg.cia.k).map(|(_, u)| UserId::new(u)).collect();
-            accs.push(community_accuracy(&predicted, &self.truths[t], self.cfg.cia.k));
-            let seen = self.truths[t].iter().filter(|u| self.momentum[u.index()].is_some()).count();
-            uppers.push(seen as f64 / self.cfg.cia.k as f64);
+        for (t, truth) in self.truths.iter().enumerate() {
+            let candidates = (0u32..)
+                .zip(&member_frac)
+                .filter(|&(id, _)| self.owners[t] != Some(UserId::new(id)))
+                .filter_map(|(id, r)| r.as_ref().map(|(fracs, _)| (fracs[t], id)));
+            accs.push(community_accuracy(&top_k_users(k, candidates), truth, k));
+            uppers.push(coverage(truth, k, |u| self.momentum[u.index()].is_some()));
         }
         self.tracker.record(round, &accs, &uppers);
 
@@ -278,5 +269,20 @@ mod tests {
         assert!(out.history.len() == 5);
         let p = attack.precision_at_max();
         assert!((0.0..=1.0).contains(&p));
+    }
+
+    #[test]
+    #[should_panic(expected = "beta must be in [0, 1]")]
+    fn rejects_beta_outside_unit_interval() {
+        let cia = CiaConfig { k: 1, beta: 1.5, eval_every: 1, seed: 0 };
+        let _ = MiaCommunityAttack::new(
+            MiaConfig { cia, rho: 0.4 },
+            GmfSpec::new(10, 4, GmfHyper::default()),
+            vec![vec![1]],
+            2,
+            vec![vec![]],
+            vec![None],
+            vec![vec![], vec![]],
+        );
     }
 }

@@ -9,8 +9,8 @@
 //! slice is everything after the user embedding.
 //!
 //! **Scoring works on pre-sigmoid logits.** The sigmoid is monotone, so
-//! every *per-item ranking* consumer — HR@20, F1@20, normalized-rank
-//! relevance — is exactly invariant to dropping it, and `exp()` dominated
+//! every *per-item ranking* consumer — HR@20, F1@20, serve top-k — is
+//! exactly invariant to dropping it, and `exp()` dominated
 //! per-item scoring cost (the "sigmoid-bound" plateau in
 //! `BENCH_kernels.json`). The mean-score relevance `Ŷ(Θ, V_target)` is *not*
 //! invariant (a mean does not commute with a per-item monotone transform):
@@ -211,22 +211,6 @@ impl RelevanceScorer for GmfSpec {
         self.dim
     }
 
-    fn score_items(&self, user_emb: Option<&[f32]>, agg: &[f32], out: &mut [f32]) {
-        let user = user_emb.expect("GMF scoring needs a user embedding");
-        assert_eq!(out.len(), self.num_items as usize, "output buffer size");
-        assert_eq!(agg.len(), GmfSpec::agg_len(self), "agg size");
-        let d = self.dim;
-        let h = self.h_slice(agg);
-        // Logit z_j = (p_u ⊙ h) · q_j: w is hoisted once (stack, no
-        // allocation) and every item is one chunked dot. σ is monotone, so
-        // ranking and relevance means never need it (module docs).
-        with_user_h(user, h, |w| {
-            for (q, o) in agg[..self.num_items as usize * d].chunks_exact(d).zip(out.iter_mut()) {
-                *o = dot(w, q);
-            }
-        });
-    }
-
     fn score_item_range(&self, user_emb: Option<&[f32]>, agg: &[f32], start: u32, out: &mut [f32]) {
         let user = user_emb.expect("GMF scoring needs a user embedding");
         let (start, end) = (start as usize, start as usize + out.len());
@@ -234,10 +218,11 @@ impl RelevanceScorer for GmfSpec {
         assert_eq!(agg.len(), GmfSpec::agg_len(self), "agg size");
         let d = self.dim;
         let h = self.h_slice(agg);
-        // Item embeddings are row-major by id, so the tile is one dense
-        // `out.len() × d` sub-matrix: a single fused gemv against
-        // w = p_u ⊙ h. Each row is the same chunked `dot` as
-        // `score_items`, so the two paths agree bit for bit.
+        // Logit z_j = (p_u ⊙ h) · q_j: w is hoisted once (stack, no
+        // allocation). Item embeddings are row-major by id, so the tile is
+        // one dense `out.len() × d` sub-matrix: a single fused gemv whose
+        // rows are independent chunked `dot`s. σ is monotone, so ranking
+        // and relevance means never need it (module docs).
         with_user_h(user, h, |w| gemv(out, &agg[start * d..end * d], w, None, false));
     }
 
@@ -882,12 +867,12 @@ mod tests {
     }
 
     #[test]
-    fn score_items_matches_mean_relevance() {
+    fn full_range_scores_match_mean_relevance() {
         let s = spec();
         let c = s.build_client(UserId::new(1), vec![0, 1], SharingPolicy::Full, 9);
         let snap = c.snapshot(0);
         let mut all = vec![0.0f32; 30];
-        s.score_items(snap.owner_emb.as_deref(), &snap.agg, &mut all);
+        s.score_item_range(snap.owner_emb.as_deref(), &snap.agg, 0, &mut all);
         let items = [3u32, 7, 9];
         // cia-lint: allow(D07, sequential left-to-right fold over a slice in index order; the reduction order is fixed)
         let mean: f32 = items.iter().map(|&i| all[i as usize]).sum::<f32>() / 3.0;
@@ -896,22 +881,26 @@ mod tests {
     }
 
     #[test]
-    fn score_item_range_matches_score_items_bitwise() {
+    fn score_item_range_tiles_match_one_full_range_call() {
         let s = spec();
         let c = s.build_client(UserId::new(3), vec![0, 2, 5], SharingPolicy::Full, 21);
         let snap = c.snapshot(0);
-        let mut all = vec![0.0f32; 30];
-        s.score_items(snap.owner_emb.as_deref(), &snap.agg, &mut all);
-        for (start, len) in [(0usize, 30usize), (0, 7), (4, 13), (29, 1), (11, 0)] {
-            let mut tile = vec![f32::NAN; len];
-            // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-            s.score_item_range(snap.owner_emb.as_deref(), &snap.agg, start as u32, &mut tile);
-            assert_eq!(
-                tile.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                all[start..start + len].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "tile {start}+{len} diverged from full scoring"
-            );
+        let (emb, agg) = (snap.owner_emb.as_deref(), &snap.agg);
+        let mut full = vec![0.0f32; 30];
+        s.score_item_range(emb, agg, 0, &mut full);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Serving tiles the catalog; the concatenated tiles must equal the
+        // full-catalog evaluation bit for bit, whatever the tile width.
+        for width in [1usize, 7, 13, 29, 30] {
+            let mut tiled = Vec::new();
+            for (start, chunk) in (0u32..).step_by(width).zip(full.chunks(width)) {
+                let mut tile = vec![f32::NAN; chunk.len()];
+                s.score_item_range(emb, agg, start, &mut tile);
+                tiled.extend(tile);
+            }
+            assert_eq!(bits(&tiled), bits(&full), "{width}-item tiles diverged");
         }
+        s.score_item_range(emb, agg, 11, &mut []);
     }
 
     #[test]

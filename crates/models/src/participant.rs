@@ -228,25 +228,20 @@ pub trait RelevanceScorer: Send + Sync {
     /// Dimensionality of the user embedding (0 if the model has none).
     fn user_emb_len(&self) -> usize;
 
-    /// Scores every item in the catalog into `out` (higher = more relevant).
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if `out.len() != num_items()` or the
-    /// parameter slices have unexpected lengths.
-    fn score_items(&self, user_emb: Option<&[f32]>, agg: &[f32], out: &mut [f32]);
-
     /// Scores the contiguous catalog id range `[start, start + out.len())`
-    /// into `out` — the tile primitive behind streaming top-k paths (serve
-    /// queries, catalog evaluation), which never materialize a
-    /// catalog-length score vector. Item parameters are stored row-major by
-    /// item id, so a contiguous range is a dense sub-matrix and
+    /// into `out` (higher = more relevant) — the one catalog-scoring method.
+    /// A full-catalog score is `score_item_range(u, agg, 0, all)` with
+    /// `all.len() == num_items()`; streaming top-k paths (serve queries,
+    /// utility evaluation) walk the catalog in tiles instead and never
+    /// materialize a catalog-length score vector. Item parameters are stored
+    /// row-major by item id, so a contiguous range is a dense sub-matrix and
     /// implementations batch it through the vectorized kernels
     /// ([`crate::kernel::gemv`] for dot-product models).
     ///
-    /// Must agree exactly with [`RelevanceScorer::score_items`]:
-    /// `score_item_range(u, agg, s, out)` equals
-    /// `score_items(u, agg, all); all[s..s+out.len()]` bit for bit.
+    /// Each item's score depends only on that item's parameters, so
+    /// concatenating the tiles of any split of the catalog equals one
+    /// full-range call bit for bit — serving relies on this to match the
+    /// attack's full-catalog evaluation exactly.
     ///
     /// # Panics
     ///
@@ -254,16 +249,9 @@ pub trait RelevanceScorer: Send + Sync {
     /// parameter slices have unexpected lengths.
     fn score_item_range(&self, user_emb: Option<&[f32]>, agg: &[f32], start: u32, out: &mut [f32]);
 
-    /// Mean relevance over an item set — `Ŷ(Θ, V_target)` in the paper.
-    fn mean_relevance(&self, user_emb: Option<&[f32]>, agg: &[f32], items: &[u32]) -> f32 {
-        if items.is_empty() {
-            return 0.0;
-        }
-        let mut all = vec![0.0f32; self.num_items() as usize];
-        self.score_items(user_emb, agg, &mut all);
-        // cia-lint: allow(D07, sequential left-to-right fold over a slice in index order; the reduction order is fixed)
-        items.iter().map(|&i| all[i as usize]).sum::<f32>() / items.len() as f32
-    }
+    /// Mean relevance over an item set — `Ŷ(Θ, V_target)` in the paper
+    /// (0 for an empty set). Implementations score only the listed items.
+    fn mean_relevance(&self, user_emb: Option<&[f32]>, agg: &[f32], items: &[u32]) -> f32;
 
     /// Trains a fictive adversary user embedding that "likes" `target_items`,
     /// given public parameters `agg` (the Share-less adaptation of §IV-C).

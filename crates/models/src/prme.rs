@@ -172,25 +172,15 @@ impl RelevanceScorer for PrmeSpec {
         self.dim
     }
 
-    fn score_items(&self, user_emb: Option<&[f32]>, agg: &[f32], out: &mut [f32]) {
-        let user = user_emb.expect("PRME scoring needs a user embedding");
-        assert_eq!(out.len(), self.num_items as usize, "output buffer size");
-        assert_eq!(agg.len(), PrmeSpec::agg_len(self), "agg size");
-        for (j, o) in out.iter_mut().enumerate() {
-            // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-            let x = self.pref(agg, j as u32);
-            *o = -Self::sq_dist(user, x);
-        }
-    }
-
     fn score_item_range(&self, user_emb: Option<&[f32]>, agg: &[f32], start: u32, out: &mut [f32]) {
         let user = user_emb.expect("PRME scoring needs a user embedding");
         let end = start as usize + out.len();
         assert!(end <= self.num_items as usize, "item range exceeds catalog");
         assert_eq!(agg.len(), PrmeSpec::agg_len(self), "agg size");
         let d = self.dim;
-        // Preference vectors are row-major by id: walk the tile's dense
-        // sub-matrix with the same per-item distance as `score_items`.
+        // Relevance is the negative squared distance to each item's
+        // preference vector; those are row-major by id, so the tile is one
+        // dense sub-matrix walked row by row.
         for (x, o) in agg[start as usize * d..end * d].chunks_exact(d).zip(out.iter_mut()) {
             *o = -Self::sq_dist(user, x);
         }
@@ -653,29 +643,33 @@ mod tests {
         let c = client(9);
         let snap = c.snapshot(0);
         let mut out = vec![0.0f32; 30];
-        s.score_items(snap.owner_emb.as_deref(), &snap.agg, &mut out);
+        s.score_item_range(snap.owner_emb.as_deref(), &snap.agg, 0, &mut out);
         assert!(out.iter().all(|&v| v <= 0.0));
         let m = s.mean_relevance(snap.owner_emb.as_deref(), &snap.agg, &[0, 1]);
         assert!(((out[0] + out[1]) / 2.0 - m).abs() < 1e-6);
     }
 
     #[test]
-    fn score_item_range_matches_score_items_bitwise() {
+    fn score_item_range_tiles_match_one_full_range_call() {
         let s = spec();
         let c = client(17);
         let snap = c.snapshot(0);
-        let mut all = vec![0.0f32; 30];
-        s.score_items(snap.owner_emb.as_deref(), &snap.agg, &mut all);
-        for (start, len) in [(0usize, 30usize), (0, 7), (4, 13), (29, 1), (11, 0)] {
-            let mut tile = vec![f32::NAN; len];
-            // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-            s.score_item_range(snap.owner_emb.as_deref(), &snap.agg, start as u32, &mut tile);
-            assert_eq!(
-                tile.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                all[start..start + len].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "tile {start}+{len} diverged from full scoring"
-            );
+        let (emb, agg) = (snap.owner_emb.as_deref(), &snap.agg);
+        let mut full = vec![0.0f32; 30];
+        s.score_item_range(emb, agg, 0, &mut full);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Serving tiles the catalog; the concatenated tiles must equal the
+        // full-catalog evaluation bit for bit, whatever the tile width.
+        for width in [1usize, 7, 13, 29, 30] {
+            let mut tiled = Vec::new();
+            for (start, chunk) in (0u32..).step_by(width).zip(full.chunks(width)) {
+                let mut tile = vec![f32::NAN; chunk.len()];
+                s.score_item_range(emb, agg, start, &mut tile);
+                tiled.extend(tile);
+            }
+            assert_eq!(bits(&tiled), bits(&full), "{width}-item tiles diverged");
         }
+        s.score_item_range(emb, agg, 11, &mut []);
     }
 
     #[test]

@@ -104,38 +104,15 @@ impl Checkpoint {
     /// scenarios whose names sanitize identically (`a.b` vs `a_b`) never
     /// share a file. (An earlier format truncated the hash to 32 bits, which
     /// let two suite cells collide in one checkpoint directory and silently
-    /// resume from the wrong state — see
-    /// [`Checkpoint::migrate_legacy_names`].)
+    /// resume from the wrong state.)
     pub fn path_for(dir: &Path, scenario: &str) -> PathBuf {
-        let (safe, h) = Self::name_parts(scenario);
-        dir.join(format!("{safe}-{h:016x}.ckpt"))
-    }
-
-    /// Sanitized file stem and full name hash for `scenario` (names come
-    /// from specs; keep the file name tame).
-    fn name_parts(scenario: &str) -> (String, u64) {
+        // Names come from specs; keep the file name tame.
         let safe: String = scenario
             .chars()
             .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
             .collect();
-        (safe, crate::spec::fnv1a64(scenario.bytes()))
-    }
-
-    /// Renames checkpoint/completion-marker files written under the legacy
-    /// truncated-hash naming (`{name}-{hash as u32:08x}`) to the current
-    /// full-hash names, so resumes accept checkpoints from older runs. Does
-    /// nothing when no legacy file exists or the new name is already taken
-    /// (a current-format file always wins over a legacy one).
-    pub fn migrate_legacy_names(dir: &Path, scenario: &str) {
-        let (safe, h) = Self::name_parts(scenario);
-        for ext in ["ckpt", "done"] {
-            // cia-lint: allow(D05, deliberate truncation: the legacy checkpoint-name format was 32-bit by definition, this shim reconstructs it)
-            let legacy = dir.join(format!("{safe}-{:08x}.{ext}", h as u32));
-            let current = dir.join(format!("{safe}-{h:016x}.{ext}"));
-            if legacy.exists() && !current.exists() {
-                let _ = std::fs::rename(&legacy, &current);
-            }
-        }
+        let h = crate::spec::fnv1a64(scenario.bytes());
+        dir.join(format!("{safe}-{h:016x}.ckpt"))
     }
 
     /// Serializes the checkpoint.
@@ -787,31 +764,6 @@ mod tests {
         let stem = name.file_stem().unwrap().to_string_lossy().into_owned();
         let (_, hash) = stem.rsplit_once('-').unwrap();
         assert_eq!(hash.len(), 16, "full 64-bit hash in {stem}");
-    }
-
-    #[test]
-    fn legacy_names_migrate_ckpt_and_done_files() {
-        let tmp = std::env::temp_dir().join(format!("cia-ckpt-migrate-{}", std::process::id()));
-        std::fs::create_dir_all(&tmp).unwrap();
-        let current = Checkpoint::path_for(&tmp, "scenario.x");
-        let stem = current.file_stem().unwrap().to_string_lossy().into_owned();
-        let (prefix, hash16) = stem.rsplit_once('-').unwrap();
-        let legacy = tmp.join(format!("{prefix}-{}.ckpt", &hash16[8..]));
-        let legacy_done = legacy.with_extension("done");
-        std::fs::write(&legacy, b"ckpt").unwrap();
-        std::fs::write(&legacy_done, b"done").unwrap();
-
-        Checkpoint::migrate_legacy_names(&tmp, "scenario.x");
-        assert!(!legacy.exists() && !legacy_done.exists(), "legacy files left behind");
-        assert_eq!(std::fs::read(&current).unwrap(), b"ckpt");
-        assert_eq!(std::fs::read(current.with_extension("done")).unwrap(), b"done");
-
-        // A current-format file always wins: a second migration with a new
-        // legacy file must not clobber it.
-        std::fs::write(&legacy, b"stale").unwrap();
-        Checkpoint::migrate_legacy_names(&tmp, "scenario.x");
-        assert_eq!(std::fs::read(&current).unwrap(), b"ckpt", "migration clobbered");
-        let _ = std::fs::remove_dir_all(&tmp);
     }
 
     /// A checkpoint whose one undelivered inbox model differs from the

@@ -181,13 +181,6 @@ pub fn run_scenario(
     let rec = Recorder::new();
     rec.set_detail(true);
     let ctx = Ctx { spec, suite, opts, start, rec };
-    if opts.resume {
-        if let Some(dir) = &opts.checkpoint_dir {
-            // Accept checkpoints and completion markers written under the
-            // legacy truncated-hash file names.
-            Checkpoint::migrate_legacy_names(dir, &spec.name);
-        }
-    }
     // A suite killed in scenario N leaves scenarios 1..N completed with
     // their records already in the stream; the completion marker stops a
     // resume from re-running them and appending duplicates.
@@ -356,22 +349,6 @@ fn run_prme(
 /// tile's ids + scores stay cache-resident, large enough to amortize the
 /// per-call setup of the vectorized scoring kernels.
 const EVAL_TILE: usize = 512;
-
-/// Ranks `(score, item)` candidates by descending score with an ascending
-/// item-id tie-break and returns the top `k` item ids — the same
-/// deterministic, NaN-sinking order as every other rank site
-/// ([`cia_core::metrics::rank_desc`], `cia_data::jaccard`). Equal scores
-/// must never leave the cut-off at the mercy of catalog iteration order,
-/// and NaN scores (a DP-destroyed model) rank last instead of panicking.
-/// Built on the `O(k)`-memory streaming [`TopK`] selector, which returns
-/// exactly the full-sort prefix under that order.
-pub fn top_k_by_score(ranked: Vec<(f32, u32)>, k: usize) -> Vec<u32> {
-    let mut sel = TopK::new(k);
-    for (score, item) in ranked {
-        sel.push(score, item);
-    }
-    sel.into_ids()
-}
 
 fn build_dp(spec: &ScenarioSpec, rounds: u64) -> Option<DpMechanism> {
     match spec.defense {
@@ -1211,25 +1188,6 @@ mod tests {
             }
         }
         assert!(saw_partial, "churn never took anyone offline");
-    }
-
-    #[test]
-    fn top_k_breaks_score_ties_by_item_id() {
-        // Regression: the F1@20 ranking used to sort with `partial_cmp`
-        // alone, so duplicated scores left the top-k dependent on catalog
-        // iteration order. Ties must break on ascending item id regardless
-        // of input order.
-        let scores = vec![(0.5f32, 9u32), (0.7, 4), (0.5, 2), (0.7, 1), (0.5, 7)];
-        let mut reversed = scores.clone();
-        reversed.reverse();
-        let a = top_k_by_score(scores, 3);
-        let b = top_k_by_score(reversed, 3);
-        assert_eq!(a, vec![1, 4, 2], "descending score, then ascending id");
-        assert_eq!(a, b, "input order leaked into the ranking");
-        // NaN scores (a DP-destroyed model) sink below every finite score
-        // instead of panicking the utility evaluation.
-        let with_nan = vec![(f32::NAN, 0u32), (0.1, 5), (f32::NAN, 3), (0.2, 8)];
-        assert_eq!(top_k_by_score(with_nan, 3), vec![8, 5, 0]);
     }
 
     #[test]

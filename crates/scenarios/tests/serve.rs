@@ -3,9 +3,10 @@
 //! evaluator's bit for bit — at paper scale (943 users x 1682 items), on
 //! the snapshots a real scenario run publishes.
 
+use cia_core::TopK;
 use cia_data::presets::Scale;
 use cia_models::RelevanceScorer;
-use cia_scenarios::runner::{gmf_scorer, run_scenario, run_suite, top_k_by_score, RunOptions};
+use cia_scenarios::runner::{gmf_scorer, run_scenario, run_suite, RunOptions};
 use cia_scenarios::spec::named_suite;
 use cia_scenarios::try_build_setup;
 use cia_serve::{QueryWorkload, ServeEngine, SnapshotHub};
@@ -63,9 +64,10 @@ fn transcript_byte_identical_with_racing_server_attached() {
     assert_eq!(plain, with_server, "server attachment changed the transcript");
 }
 
-/// A served top-k must equal the offline evaluator path — full-catalog
-/// `score_items` plus the shared rank order — exactly, scores included, on
-/// a paper-scale (943 x 1682) snapshot published by a real FL run.
+/// A served top-k must equal the offline evaluator path — one full-catalog
+/// `score_item_range` call plus the shared `TopK` rank order — exactly,
+/// scores included, on a paper-scale (943 x 1682) snapshot published by a
+/// real FL run.
 #[test]
 fn serve_matches_offline_topk_at_paper_scale() {
     let suite = named_suite("builtin", Scale::Paper, 42).expect("builtin suite");
@@ -92,10 +94,12 @@ fn serve_matches_offline_topk_at_paper_scale() {
     for user in [0u32, 1, 42, 500, 942] {
         let reply = engine.top_k(user, 20).expect("servable user");
         let mut all = vec![0.0f32; num_items as usize];
-        scorer.score_items(snap.user_emb(user), snap.agg_of(user), &mut all);
-        let offline =
-            // cia-lint: allow(D05, test/bench populations are tiny; ids fit u32 with orders of magnitude to spare)
-            top_k_by_score(all.iter().enumerate().map(|(i, &s)| (s, i as u32)).collect(), 20);
+        scorer.score_item_range(snap.user_emb(user), snap.agg_of(user), 0, &mut all);
+        let mut sel = TopK::new(20);
+        for (id, &score) in (0u32..).zip(&all) {
+            sel.push(score, id);
+        }
+        let offline = sel.into_ids();
         assert_eq!(reply.ids(), offline, "user {user}: served ids diverge from offline");
         for &(score, id) in reply.ranked() {
             assert_eq!(

@@ -322,56 +322,6 @@ fn kill_and_resume_under_parallel_execution_matches_serial() {
 }
 
 #[test]
-fn legacy_truncated_hash_checkpoints_migrate_on_resume() {
-    // Checkpoint files used to truncate the name hash to 32 bits; a resume
-    // must accept (rename) files written under the old naming instead of
-    // silently starting from scratch.
-    let suite = builtin_suite(Scale::Smoke, 42);
-    let spec = suite.expanded().unwrap()[1].clone();
-
-    let mut straight_out = Vec::new();
-    let straight = run_scenario(&spec, "t", &RunOptions::default(), &mut straight_out).unwrap();
-
-    let dir = TempDir::new("legacy-names");
-    let ckpt = RunOptions {
-        checkpoint_dir: Some(dir.0.clone()),
-        checkpoint_every: 2,
-        ..RunOptions::default()
-    };
-    let mut partial_out = Vec::new();
-    run_scenario(
-        &spec,
-        "t",
-        &RunOptions { stop_after_rounds: Some(4), ..ckpt.clone() },
-        &mut partial_out,
-    )
-    .unwrap();
-
-    // Rewrite the produced checkpoint to the legacy name: the stem ends in
-    // the 16-hex-digit hash; the old format kept only the low 32 bits (the
-    // trailing 8 digits).
-    let entries: Vec<std::path::PathBuf> =
-        std::fs::read_dir(&dir.0).unwrap().map(|e| e.unwrap().path()).collect();
-    assert_eq!(entries.len(), 1);
-    let current = &entries[0];
-    let stem = current.file_stem().unwrap().to_string_lossy().into_owned();
-    let (prefix, hash16) = stem.rsplit_once('-').unwrap();
-    assert_eq!(hash16.len(), 16, "checkpoint names carry the full 64-bit hash");
-    let legacy = dir.0.join(format!("{prefix}-{}.ckpt", &hash16[8..]));
-    std::fs::rename(current, &legacy).unwrap();
-
-    // The resume must pick the legacy file up and complete identically.
-    let mut resumed_out = Vec::new();
-    let resumed =
-        run_scenario(&spec, "t", &RunOptions { resume: true, ..ckpt }, &mut resumed_out).unwrap();
-    assert!(resumed.completed);
-    assert_eq!(resumed.attack.history, straight.attack.history);
-    let mut stitched = partial_out;
-    stitched.extend_from_slice(&resumed_out);
-    assert_eq!(stitched, straight_out, "stitched JSONL diverged after migration");
-}
-
-#[test]
 fn resume_refuses_a_different_spec() {
     let suite = builtin_suite(Scale::Smoke, 42);
     let spec = suite.expanded().unwrap()[0].clone();

@@ -23,10 +23,12 @@
 //!   alive until its last reader drops it, so readers never block training
 //!   and training never blocks readers.
 //! * [`ServeEngine`] — answers top-k queries against whatever snapshot is
-//!   current: tiled scoring through the model's vectorized
-//!   [`score_item_range`](cia_models::RelevanceScorer::score_item_range)
-//!   kernel path into a streaming [`TopK`] selector (O(k) memory — no
-//!   catalog-length score vector), fronted by a per-epoch ranking cache
+//!   current: tiled scoring through
+//!   [`score_item_range`](cia_models::RelevanceScorer::score_item_range),
+//!   the scorer's one catalog-scoring method (the attack evaluator calls it
+//!   once over the full catalog), into a streaming [`TopK`] selector, the
+//!   ranking every attack uses (O(k) memory — no catalog-length score
+//!   vector), fronted by a per-epoch ranking cache
 //!   keyed on `(user, k)` that a snapshot swap invalidates wholesale.
 //!   Hit/miss counters and a `serve_us` latency histogram report into a
 //!   [`cia_obs::Recorder`].
@@ -342,9 +344,11 @@ impl<S: RelevanceScorer> ServeEngine<S> {
     /// is outside the snapshot, or when the model needs a user embedding the
     /// snapshot doesn't hold for this user (Share-less participants).
     ///
-    /// Ranking order matches the offline evaluator exactly: descending
-    /// score with ascending item id breaking ties (the [`TopK`] total
-    /// order), so a served ranking equals the full-sort prefix bit for bit.
+    /// Ranking matches offline evaluation exactly: the tiles concatenate to
+    /// one full-catalog `score_item_range` call bit for bit, and the order
+    /// is descending score with ascending item id breaking ties (the
+    /// [`TopK`] total order), so a served ranking equals the full-sort
+    /// prefix, scores included.
     pub fn top_k(&self, user: u32, k: usize) -> Option<ServeReply> {
         let snap = self.hub.load()?;
         if user as usize >= snap.num_users() {
