@@ -111,6 +111,38 @@ fn bench_scoring(c: &mut Criterion) {
     c.bench_function("gmf_mean_relevance_100_items", |b| {
         b.iter(|| std::hint::black_box(spec.mean_relevance(Some(&emb), &agg, &target)));
     });
+    // The Share-less attack's per-(model, target) pass at paper shape: d = 8,
+    // the full catalog, and ~85 scattered target items (a MovieLens user's
+    // mean train-set size), sorted and deduplicated as evaluator targets are.
+    const PAPER_DIM: usize = 8;
+    let spec8 = GmfSpec::new(ITEMS, PAPER_DIM, GmfHyper::default());
+    let agg8 = spec8.init_agg(&mut rng);
+    let emb8: Vec<f32> = (0..PAPER_DIM).map(|_| rng.gen_range(-0.1f32..0.1)).collect();
+    let mut target8: Vec<u32> = (0..86).map(|_| rng.gen_range(0..ITEMS)).collect();
+    target8.sort_unstable();
+    target8.dedup();
+    c.bench_function("gmf_mean_relevance_paper_d8", |b| {
+        b.iter(|| std::hint::black_box(spec8.mean_relevance(Some(&emb8), &agg8, &target8)));
+    });
+    // The previous library body: `w = p_u ⊙ h` hoisted on the stack, then a
+    // runtime-length `kernel::dot` per target item, with `d` opaque to the
+    // optimizer as the runtime field was.
+    c.bench_function("gmf_mean_relevance_paper_d8_scalar_ref", |b| {
+        b.iter(|| {
+            let d = std::hint::black_box(PAPER_DIM);
+            let h = &agg8[ITEMS as usize * d..];
+            let mut buf = [0.0f32; 64];
+            for ((w, u), hh) in buf.iter_mut().zip(&emb8).zip(h) {
+                *w = u * hh;
+            }
+            let w = &buf[..d];
+            let mut acc = 0.0f32;
+            for &j in &target8 {
+                acc += kernel::dot(w, &agg8[j as usize * d..(j as usize + 1) * d]);
+            }
+            std::hint::black_box(acc / target8.len() as f32)
+        });
+    });
 }
 
 fn bench_momentum_and_dp(c: &mut Criterion) {

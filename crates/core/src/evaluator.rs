@@ -67,10 +67,13 @@ impl<S: RelevanceScorer> ItemSetEvaluator<S> {
     ///
     /// # Panics
     ///
-    /// Panics if any target references an item outside the scorer's catalog.
+    /// Panics if any target is not strictly ascending (the fictive-embedding
+    /// training binary-searches it) or references an item outside the
+    /// scorer's catalog.
     pub fn new(scorer: S, targets: Vec<Vec<u32>>, share_less: bool) -> Self {
         let n = scorer.num_items();
         for (i, t) in targets.iter().enumerate() {
+            assert!(t.windows(2).all(|p| p[0] < p[1]), "target {i} is not sorted and deduplicated");
             assert!(
                 t.iter().all(|&it| it < n),
                 "target {i} references an item outside the catalog"
@@ -172,8 +175,8 @@ mod tests {
     use cia_data::UserId;
     use cia_models::{GmfHyper, GmfSpec, Participant, SharingPolicy};
 
-    fn trained_gmf() -> (GmfSpec, cia_models::SharedModel) {
-        let spec = GmfSpec::new(40, 4, GmfHyper { lr: 0.1, ..GmfHyper::default() });
+    fn trained_gmf(dim: usize) -> (GmfSpec, cia_models::SharedModel) {
+        let spec = GmfSpec::new(40, dim, GmfHyper { lr: 0.1, ..GmfHyper::default() });
         let mut c = spec.build_client(UserId::new(0), vec![1, 2, 3], SharingPolicy::Full, 5);
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..40 {
@@ -185,20 +188,63 @@ mod tests {
 
     #[test]
     fn relevance_all_matches_relevance_one() {
-        let (spec, snap) = trained_gmf();
-        let ev = ItemSetEvaluator::new(spec, vec![vec![1, 2], vec![10, 11, 12], vec![]], false);
-        let mut out = vec![0.0f32; 3];
-        ev.relevance_all(snap.owner_emb.as_deref(), &snap.agg, &mut out);
-        for (t, &batched) in out.iter().enumerate() {
-            let one = ev.relevance_one(snap.owner_emb.as_deref(), &snap.agg, t);
-            assert!((batched - one).abs() < 1e-6, "target {t}: {batched} vs {one}");
+        // The full-catalog gemv + in-order mean and `mean_relevance` run the
+        // same dots and the same sum order: they agree bit for bit, on every
+        // GMF dimension arm.
+        for dim in [3, 4, 8, 16, 80] {
+            let (spec, snap) = trained_gmf(dim);
+            let targets = vec![vec![1, 2], vec![10, 11, 12], vec![], vec![0, 5, 17, 38, 39]];
+            let ev = ItemSetEvaluator::new(spec, targets, false);
+            let mut out = vec![0.0f32; 4];
+            ev.relevance_all(snap.owner_emb.as_deref(), &snap.agg, &mut out);
+            for (t, &batched) in out.iter().enumerate() {
+                let one = ev.relevance_one(snap.owner_emb.as_deref(), &snap.agg, t);
+                assert_eq!(
+                    batched.to_bits(),
+                    one.to_bits(),
+                    "d={dim} target {t}: {batched} vs {one}"
+                );
+            }
+            assert_eq!(out[2], 0.0);
         }
-        assert_eq!(out[2], 0.0);
+    }
+
+    #[test]
+    fn share_less_relevance_all_matches_naive_reference() {
+        let (spec, snap) = trained_gmf(4);
+        let (n, d) = (spec.num_items() as usize, spec.dim());
+        let targets = vec![vec![1, 2, 3], vec![0, 7, 19, 33, 39], vec![]];
+        let mut ev = ItemSetEvaluator::new(spec, targets.clone(), true);
+        ev.prepare(&snap.agg, 9);
+        let mut out = vec![f32::NAN; targets.len()];
+        ev.relevance_all(None, &snap.agg, &mut out);
+        // Naive reference: each target's fictive embedding, `w = e_A ⊙ h`,
+        // one `dot` per target item summed in order.
+        let h = &snap.agg[n * d..];
+        for (t, items) in targets.iter().enumerate() {
+            let emb = ev.adversary_embs[t].as_deref().expect("prepared embedding");
+            let w: Vec<f32> = emb.iter().zip(h).map(|(e, hh)| e * hh).collect();
+            let expected = if items.is_empty() {
+                0.0
+            } else {
+                let mut acc = 0.0f32;
+                for &j in items {
+                    acc += cia_models::kernel::dot(&w, &snap.agg[j as usize * d..][..d]);
+                }
+                acc / items.len() as f32
+            };
+            assert_eq!(
+                out[t].to_bits(),
+                expected.to_bits(),
+                "target {t}: {} vs {expected}",
+                out[t]
+            );
+        }
     }
 
     #[test]
     fn own_items_outscore_foreign_items() {
-        let (spec, snap) = trained_gmf();
+        let (spec, snap) = trained_gmf(4);
         let ev = ItemSetEvaluator::new(spec, vec![vec![1, 2, 3], vec![30, 31, 32]], false);
         let mut out = vec![0.0f32; 2];
         ev.relevance_all(snap.owner_emb.as_deref(), &snap.agg, &mut out);
@@ -207,7 +253,7 @@ mod tests {
 
     #[test]
     fn share_less_uses_fictive_embeddings() {
-        let (spec, snap) = trained_gmf();
+        let (spec, snap) = trained_gmf(4);
         let mut ev = ItemSetEvaluator::new(spec, vec![vec![1, 2, 3]], true);
         ev.prepare(&snap.agg, 9);
         // Share-less models come without an embedding; scoring must work.
@@ -234,6 +280,20 @@ mod tests {
             swapped.relevance_one(None, &snap.agg, 0)
         };
         assert!(on > emb0_on_foreign, "on {on} !> foreign {emb0_on_foreign}");
+    }
+
+    #[test]
+    #[should_panic(expected = "target 1 is not sorted and deduplicated")]
+    fn rejects_unsorted_targets() {
+        let spec = GmfSpec::new(10, 4, GmfHyper::default());
+        let _ = ItemSetEvaluator::new(spec, vec![vec![1, 2], vec![5, 3]], true);
+    }
+
+    #[test]
+    #[should_panic(expected = "target 0 is not sorted and deduplicated")]
+    fn rejects_duplicate_target_items() {
+        let spec = GmfSpec::new(10, 4, GmfHyper::default());
+        let _ = ItemSetEvaluator::new(spec, vec![vec![4, 4]], false);
     }
 
     #[test]

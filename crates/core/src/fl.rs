@@ -301,7 +301,8 @@ impl<E: RelevanceEvaluator> RoundObserver for FlCia<E> {
     }
 
     fn on_global(&mut self, _round: u64, global_agg: &[f32]) {
-        self.reference = Some(global_agg.to_vec());
+        // Reuses the reference buffer: no allocation per round.
+        global_agg.clone_into(self.reference.get_or_insert_with(Vec::new));
     }
 
     fn on_client_model(&mut self, model: &SharedModel) {

@@ -98,7 +98,8 @@ impl<E: RelevanceEvaluator> GossipObserver for GlCiaCoalition<E> {
         }
         // Colluders never rank themselves... but they do observe each other's
         // honest models; keep those (they are genuine participants).
-        self.reference = Some(model.agg.clone());
+        // Reuses the reference buffer: no allocation per delivery.
+        self.reference.get_or_insert_with(Vec::new).clone_from(&model.agg);
         self.observe(model);
     }
 

@@ -24,6 +24,14 @@
 //! the BCE training loss, the adversary-embedding gradient, and the MIA
 //! proxy's entropy rule. Use [`crate::params::sigmoid`] explicitly to report
 //! a calibrated score.
+//!
+//! **Hot loops are monomorphised on the embedding dimension.** Local
+//! training (`train_epoch`) and the mean-logit relevance behind
+//! [`RelevanceScorer::mean_relevance`] (`mean_logit`, the Share-less attack's
+//! per-target pass) each have one body generic over a `const D: usize`,
+//! dispatched as `8 | 16 | runtime d`. With a constant `D` every row dot
+//! unrolls and its bounds checks fold away; the accumulation order is the
+//! same on every arm, so the result is bit-identical whatever the dispatch.
 
 use crate::kernel::{dot, dot3, gemv};
 use crate::params::{init_uniform, sigmoid};
@@ -232,12 +240,14 @@ impl RelevanceScorer for GmfSpec {
             return 0.0;
         }
         let h = self.h_slice(agg);
-        with_user_h(user, h, |w| {
-            let mut acc = 0.0f32;
-            for &j in items {
-                acc += dot(w, self.item_slice(agg, j));
-            }
-            acc / items.len() as f32
+        let rows = &agg[..self.num_items as usize * self.dim];
+        // One monomorphised body per paper dimension (the same dispatch as
+        // `train_local`); every other `d` runs the identical runtime-length
+        // body.
+        with_user_h(user, h, |w| match self.dim {
+            8 => mean_logit::<8>(w, rows, items),
+            16 => mean_logit::<16>(w, rows, items),
+            _ => mean_logit::<0>(w, rows, items),
         })
     }
 
@@ -567,6 +577,26 @@ fn dot_pinned(a: &[f32], b: &[f32]) -> f32 {
         sum += a[k] * b[k];
     }
     sum
+}
+
+/// Mean logit `Σ_j (w · q_j) / |items|` over the item rows `rows` (row-major
+/// by id, `d` floats each) for a non-empty item list.
+///
+/// `D` is the compile-time embedding dimension (0 = runtime dimension from
+/// `w.len()`). With a constant `D` each row's [`dot_pinned`] fully unrolls
+/// and its slice bounds fold away, so a per-target pass is a tight gather
+/// loop. The logits are summed into one serial accumulator in item order,
+/// and [`dot_pinned`] is bit-identical to [`dot`], so the result is
+/// bit-identical to a plain `acc += dot(w, q_j)` loop.
+#[inline]
+fn mean_logit<const D: usize>(w: &[f32], rows: &[f32], items: &[u32]) -> f32 {
+    let d = if D == 0 { w.len() } else { D };
+    let w = &w[..d];
+    let mut acc = 0.0f32;
+    for &j in items {
+        acc += dot_pinned(w, &rows[j as usize * d..][..d]);
+    }
+    acc / items.len() as f32
 }
 
 /// Folds a remaining BCE probability product into accumulated nats.

@@ -250,7 +250,13 @@ pub trait RelevanceScorer: Send + Sync {
     fn score_item_range(&self, user_emb: Option<&[f32]>, agg: &[f32], start: u32, out: &mut [f32]);
 
     /// Mean relevance over an item set — `Ŷ(Θ, V_target)` in the paper
-    /// (0 for an empty set). Implementations score only the listed items.
+    /// (0 for an empty set). Implementations score only the listed items,
+    /// summing their scores into one accumulator in list order, so the result
+    /// is bit-identical to averaging the matching [`Self::score_item_range`]
+    /// outputs left to right. This is the Share-less attack's per-(model,
+    /// target) hot path: GMF hoists `w = p_u ⊙ h` once per call and runs one
+    /// body monomorphised on the embedding dimension, so each item costs one
+    /// fully unrolled row dot.
     fn mean_relevance(&self, user_emb: Option<&[f32]>, agg: &[f32], items: &[u32]) -> f32;
 
     /// Trains a fictive adversary user embedding that "likes" `target_items`,

@@ -5,7 +5,10 @@
 
 use cia_models::kernel;
 use cia_models::params::{axpy, clip_l2, ema, l2_norm, scale, weighted_mean};
+use cia_models::{GmfHyper, GmfSpec, RelevanceScorer};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn vec32(len: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-100.0f32..100.0, len..=len)
@@ -15,6 +18,11 @@ fn anyvec(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
     // Unit-scale values over lengths straddling the 8-lane chunk boundary.
     proptest::collection::vec(-1.0f32..1.0, 0..max_len)
 }
+
+/// Embedding dimensions covering every GMF mean-relevance arm: the runtime
+/// body below, between and beyond the two monomorphised dimensions (8, 16),
+/// and past the stack budget of the hoisted `w = p_u ⊙ h` (80 > 64).
+const GMF_DIMS: [usize; 6] = [1, 3, 8, 16, 17, 80];
 
 /// Tolerance for comparing a chunked f32 reduction against an f64 scalar
 /// reference: 1e-5, scaled by the sum of absolute terms (f32 rounding is
@@ -176,5 +184,52 @@ proptest! {
                 "gemv row {o}: {} vs scalar {z}", out[o]
             );
         }
+    }
+
+    // ---- GMF mean relevance: bitwise against a naive reference ----
+
+    #[test]
+    fn gmf_mean_relevance_matches_naive_reference_bitwise(
+        dim_idx in 0usize..GMF_DIMS.len(),
+        num_items in 1u32..40,
+        list_len in 0usize..60,
+        special_every in 0u32..4,
+        seed in any::<u64>(),
+    ) {
+        let d = GMF_DIMS[dim_idx];
+        let spec = GmfSpec::new(num_items, d, GmfHyper::default());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let user: Vec<f32> = (0..d).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        // DP-destroyed models carry NaN and ±inf coordinates; sprinkle them
+        // (densely when `special_every` is 1) into the rows and into `h`.
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let agg: Vec<f32> = (0..spec.agg_len())
+            .map(|_| {
+                if special_every > 0 && rng.gen_range(0..special_every * 8) == 0 {
+                    specials[rng.gen_range(0..specials.len())]
+                } else {
+                    rng.gen_range(-2.0f32..2.0)
+                }
+            })
+            .collect();
+        // Scattered ids in arbitrary order, repeats included.
+        let items: Vec<u32> = (0..list_len).map(|_| rng.gen_range(0..num_items)).collect();
+
+        let h = &agg[num_items as usize * d..];
+        let w: Vec<f32> = user.iter().zip(h).map(|(u, hh)| u * hh).collect();
+        let expected = if items.is_empty() {
+            0.0
+        } else {
+            let mut acc = 0.0f32;
+            for &j in &items {
+                acc += kernel::dot(&w, &agg[j as usize * d..(j as usize + 1) * d]);
+            }
+            acc / items.len() as f32
+        };
+        let got = spec.mean_relevance(Some(&user), &agg, &items);
+        prop_assert!(
+            got.to_bits() == expected.to_bits() || (got.is_nan() && expected.is_nan()),
+            "d={d} items={items:?}: {got} vs naive {expected}"
+        );
     }
 }
