@@ -28,10 +28,12 @@
 //! **Hot loops are monomorphised on the embedding dimension.** Local
 //! training (`train_epoch`) and the mean-logit relevance behind
 //! [`RelevanceScorer::mean_relevance`] (`mean_logit`, the Share-less attack's
-//! per-target pass) each have one body generic over a `const D: usize`,
-//! dispatched as `8 | 16 | runtime d`. With a constant `D` every row dot
-//! unrolls and its bounds checks fold away; the accumulation order is the
-//! same on every arm, so the result is bit-identical whatever the dispatch.
+//! per-target pass) each have one body generic over a `const D: usize`.
+//! Training dispatches `8 | 16 | runtime d`; the mean logit dispatches
+//! `8 | runtime d`, since d = 8 is the only dimension any scenario runs. With
+//! a constant `D` every row dot unrolls and its bounds checks fold away; the
+//! accumulation order is the same on every arm, so the result is
+//! bit-identical whatever the dispatch.
 
 use crate::kernel::{dot, dot3, gemv};
 use crate::params::{init_uniform, sigmoid};
@@ -236,17 +238,18 @@ impl RelevanceScorer for GmfSpec {
 
     fn mean_relevance(&self, user_emb: Option<&[f32]>, agg: &[f32], items: &[u32]) -> f32 {
         let user = user_emb.expect("GMF scoring needs a user embedding");
+        // Checked once per call: `mean_logit` slices rows by `self.dim` and
+        // its `dot_pinned` only debug-asserts lengths.
+        assert_eq!(user.len(), self.dim, "user embedding length");
         if items.is_empty() {
             return 0.0;
         }
         let h = self.h_slice(agg);
         let rows = &agg[..self.num_items as usize * self.dim];
-        // One monomorphised body per paper dimension (the same dispatch as
-        // `train_local`); every other `d` runs the identical runtime-length
-        // body.
+        // One monomorphised body at the paper dimension; every other `d` runs
+        // the identical runtime-length body.
         with_user_h(user, h, |w| match self.dim {
             8 => mean_logit::<8>(w, rows, items),
-            16 => mean_logit::<16>(w, rows, items),
             _ => mean_logit::<0>(w, rows, items),
         })
     }
@@ -585,16 +588,19 @@ fn dot_pinned(a: &[f32], b: &[f32]) -> f32 {
 /// `D` is the compile-time embedding dimension (0 = runtime dimension from
 /// `w.len()`). With a constant `D` each row's [`dot_pinned`] fully unrolls
 /// and its slice bounds fold away, so a per-target pass is a tight gather
-/// loop. The logits are summed into one serial accumulator in item order,
-/// and [`dot_pinned`] is bit-identical to [`dot`], so the result is
-/// bit-identical to a plain `acc += dot(w, q_j)` loop.
+/// loop. The runtime arm keeps [`dot`]'s chunked loop, which is faster than
+/// an indexed loop with a runtime bound. The logits are summed into one
+/// serial accumulator in item order, and [`dot_pinned`] is bit-identical to
+/// [`dot`], so the result is bit-identical to a plain `acc += dot(w, q_j)`
+/// loop on every arm.
 #[inline]
 fn mean_logit<const D: usize>(w: &[f32], rows: &[f32], items: &[u32]) -> f32 {
     let d = if D == 0 { w.len() } else { D };
     let w = &w[..d];
     let mut acc = 0.0f32;
     for &j in items {
-        acc += dot_pinned(w, &rows[j as usize * d..][..d]);
+        let q = &rows[j as usize * d..][..d];
+        acc += if D == 0 { dot(w, q) } else { dot_pinned(w, q) };
     }
     acc / items.len() as f32
 }
@@ -894,6 +900,22 @@ mod tests {
     fn rejects_oversized_negative_sampling() {
         let _ =
             GmfSpec::new(10, 4, GmfHyper { negatives: MAX_NEGATIVES + 1, ..GmfHyper::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "user embedding length")]
+    fn mean_relevance_rejects_a_long_embedding_at_the_paper_dimension() {
+        let s = GmfSpec::new(20, 8, GmfHyper::default());
+        let agg = s.init_agg(&mut StdRng::seed_from_u64(3));
+        let _ = s.mean_relevance(Some(&[0.1; 9]), &agg, &[1, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "user embedding length")]
+    fn mean_relevance_rejects_a_long_embedding_at_a_runtime_dimension() {
+        let s = GmfSpec::new(20, 4, GmfHyper::default());
+        let agg = s.init_agg(&mut StdRng::seed_from_u64(3));
+        let _ = s.mean_relevance(Some(&[0.1; 5]), &agg, &[1, 4]);
     }
 
     #[test]

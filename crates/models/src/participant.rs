@@ -255,8 +255,8 @@ pub trait RelevanceScorer: Send + Sync {
     /// is bit-identical to averaging the matching [`Self::score_item_range`]
     /// outputs left to right. This is the Share-less attack's per-(model,
     /// target) hot path: GMF hoists `w = p_u ⊙ h` once per call and runs one
-    /// body monomorphised on the embedding dimension, so each item costs one
-    /// fully unrolled row dot.
+    /// body monomorphised at the paper dimension (d = 8), so there each item
+    /// costs one fully unrolled row dot.
     fn mean_relevance(&self, user_emb: Option<&[f32]>, agg: &[f32], items: &[u32]) -> f32;
 
     /// Trains a fictive adversary user embedding that "likes" `target_items`,

@@ -20,8 +20,9 @@ fn anyvec(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
 }
 
 /// Embedding dimensions covering every GMF mean-relevance arm: the runtime
-/// body below, between and beyond the two monomorphised dimensions (8, 16),
-/// and past the stack budget of the hoisted `w = p_u ⊙ h` (80 > 64).
+/// body below and above the monomorphised paper dimension (8), including a
+/// multiple of the kernel width (16), and past the stack budget of the
+/// hoisted `w = p_u ⊙ h` (80 > 64).
 const GMF_DIMS: [usize; 6] = [1, 3, 8, 16, 17, 80];
 
 /// Tolerance for comparing a chunked f32 reduction against an f64 scalar
