@@ -545,9 +545,13 @@ fn bench_paper_scale(c: &mut Criterion) {
     // cost: mix+train stay fused in one cache-hot pass (PR 7), so mixing
     // never gets its own span — its distribution surfaces only through the
     // `mix_us` histogram, recorded here as `<base>_mix_us_p50`/`_p99` rows.
+    // One untraced warm-up round fills the model pool first, so the rows
+    // attribute a steady round, like the timed row above, rather than the
+    // cold round's one-off buffer allocation.
     {
         let mut sim =
             GossipSim::new(clients(), GossipConfig { rounds: u64::MAX, ..Default::default() });
+        sim.step(&mut NullGossipObserver);
         let rec = cia_core::Recorder::new();
         rec.set_detail(true);
         sim.set_recorder(rec.clone());

@@ -421,7 +421,9 @@ impl<P: Participant> FedAvg<P> {
             if slot.sampled {
                 if materialize {
                     observer.on_client_model(&slot.model);
-                    obs.add(Counter::BytesMaterialized, 4 * slot.model.len() as u64);
+                    let bytes = 4 * slot.model.len() as u64;
+                    obs.add(Counter::BytesMaterialized, bytes);
+                    obs.add(Counter::BytesCopied, bytes);
                 }
                 loss_sum += slot.loss;
                 participants += 1;

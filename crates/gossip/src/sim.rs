@@ -74,9 +74,10 @@ pub struct GossipRoundStats {
     /// sentinel would be indistinguishable from perfect convergence and
     /// silently deflate downstream loss averages).
     pub mean_loss: Option<f32>,
-    /// Bytes of model state materialized for this round: the outgoing
-    /// snapshot copies routed into inboxes (node state itself is permanently
-    /// resident in gossip — every round mixes neighbors in place).
+    /// Bytes of model state delivered this round: the wire volume of the
+    /// routed pushes (the round's `bytes_on_wire` delta). Most pushes lend
+    /// the sender's buffer instead of copying it; the copies a round does
+    /// make are metered by `Counter::BytesCopied`.
     pub bytes_materialized: u64,
 }
 
@@ -166,11 +167,15 @@ impl TrafficCounters {
     }
 }
 
-/// Per-node bookkeeping, paired with the node in the parallel round passes.
+/// Per-node receive-side bookkeeping, paired with the node in the merge
+/// pass.
 struct PeerCtl {
+    /// Copies of the models delivered while the node slept, in delivery
+    /// order; the node mixes them on its next wake.
     inbox: Vec<SharedModel>,
-    /// Reference shared vector for DP updates (last sent `[emb | agg]`).
-    prev_sent: Option<Vec<f32>>,
+    /// Senders whose pushes reach the node this round (awake receivers
+    /// only), in delivery order. The models stay in the senders' outboxes.
+    mail: Vec<u32>,
     /// Pers-Gossip `(sender, score)` candidates heard since the node's last
     /// view refresh, which consumes them.
     heard: Vec<(u32, f32)>,
@@ -178,24 +183,49 @@ struct PeerCtl {
     loss: f32,
 }
 
+/// Per-node send-side state, paired with the node in the send pass and
+/// read by every receiver in the merge pass.
+#[derive(Default)]
+struct Outbox {
+    /// This round's push (`None` while the node sleeps). When `lent`, its
+    /// aggregate is the node's own pre-round buffer until the merge.
+    sent: Option<SharedModel>,
+    /// Whether the node lent its aggregate to `sent` instead of copying it.
+    lent: bool,
+    /// Reference shared vector for DP updates (last sent clean
+    /// `[emb | agg]`).
+    prev_sent: Option<Vec<f32>>,
+}
+
+impl Outbox {
+    /// The node's clean pre-round aggregate: the pushed one, or under DP,
+    /// which rewrote the push, the tail of the reference it just set.
+    fn own(&self, dp: bool) -> &[f32] {
+        let sent = &self.sent.as_ref().expect("an awake node pushed a model").agg;
+        match &self.prev_sent {
+            Some(prev) if dp => &prev[prev.len() - sent.len()..],
+            _ => sent,
+        }
+    }
+}
+
 /// The gossip learning simulation.
 pub struct GossipSim<P: Participant> {
-    /// The nodes, indexed by user id. Every round each awake node mixes its
-    /// neighbors' models into its own persistent parameters.
+    /// The nodes, indexed by user id. Every round each awake node rebuilds
+    /// its persistent parameters from its push and its neighbors' models.
     nodes: Vec<P>,
     ctl: Vec<PeerCtl>,
+    outbox: Vec<Outbox>,
     views: ViewTable,
     refresh_at: Vec<u64>,
     cfg: GossipConfig,
     transform: Option<Box<dyn UpdateTransform>>,
     traffic: TrafficCounters,
     round: u64,
-    /// Recycled model carcasses: aggregated inbox snapshots return here and
-    /// the next round's outgoing snapshots reuse their buffers, so a steady
-    /// round allocates no catalog-sized vectors.
+    /// Recycled model carcasses: merged pushes and drained held inboxes
+    /// return here, and the next round's pushes and held copies reuse their
+    /// buffers, so a steady round allocates no catalog-sized vectors.
     pool: Vec<SharedModel>,
-    /// Reused per-round outgoing-slot table.
-    outgoing: Vec<Option<SharedModel>>,
     /// The observability sink: phase spans, wire/delivery counters and the
     /// per-node mix/train latency histograms.
     obs: Recorder,
@@ -227,17 +257,18 @@ impl<P: Participant> GossipSim<P> {
         let ctl = (0..nodes.len())
             .map(|_| PeerCtl {
                 inbox: Vec::new(),
-                prev_sent: None,
+                mail: Vec::new(),
                 heard: Vec::new(),
                 awake: false,
                 loss: 0.0,
             })
             .collect();
         let traffic = TrafficCounters::zeroed(nodes.len());
-        let outgoing = (0..nodes.len()).map(|_| None).collect();
+        let outbox = (0..nodes.len()).map(|_| Outbox::default()).collect();
         GossipSim {
             nodes,
             ctl,
+            outbox,
             views,
             refresh_at,
             cfg,
@@ -245,7 +276,6 @@ impl<P: Participant> GossipSim<P> {
             traffic,
             round: 0,
             pool: Vec::new(),
-            outgoing,
             obs: Recorder::new(),
         }
     }
@@ -356,113 +386,129 @@ impl<P: Participant> GossipSim<P> {
         }
         drop(sample_span);
 
-        // 3. Send phase: snapshot (+ DP transform) in parallel. Outgoing
-        // slots are seeded with recycled carcasses from the pool so
-        // `snapshot_into` reuses their buffers.
+        // 3. Send phase, in parallel: each awake node lends its aggregate
+        // to its push (a recycled pool carcass) instead of copying it — the
+        // push is read only by its receiver and by the sender's own merge,
+        // which writes a different buffer. The DP transform then rewrites
+        // the push in place.
         let cfg = self.cfg;
         let transform = self.transform.as_deref();
-        let awake: Vec<bool> = self.ctl.iter().map(|c| c.awake).collect();
         let destinations: Vec<u32> =
             // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
             (0..n).map(|u| self.views.random_neighbor(u as u32, &mut rng)).collect();
         let send_span = obs.span("send");
-        for (slot, &w) in self.outgoing.iter_mut().zip(&awake) {
-            if w && slot.is_none() {
-                *slot = self.pool.pop();
+        for (o, &w) in self.outbox.iter_mut().zip(&wake) {
+            if w {
+                o.sent = self.pool.pop();
             }
         }
-        {
-            let nodes = &self.nodes;
-            let ctl = &mut self.ctl;
-            // Parallel over (ctl, outgoing) pairs; nodes are read-only here.
-            par_zip_mut(ctl, &mut self.outgoing, |i, c, slot| {
-                if !c.awake {
-                    *slot = None;
-                    return;
-                }
-                match slot {
-                    Some(snap) => nodes[i].snapshot_into(t, snap),
-                    None => *slot = Some(nodes[i].snapshot(t)),
-                }
-                let snap = slot.as_mut().expect("just filled");
-                if let Some(tr) = transform {
-                    let mut crng = StdRng::seed_from_u64(
-                        cfg.seed ^ (t << 22) ^ (i as u64).wrapping_mul(0x2545_F491_4F6C_DD1D),
-                    );
-                    apply_gossip_transform(tr, snap, &mut c.prev_sent, &mut crng);
-                }
-            });
-        }
+        par_zip_mut(&mut self.nodes, &mut self.outbox, |i, node, o| {
+            if !wake[i] {
+                return;
+            }
+            let snap = o.sent.get_or_insert_with(empty_model);
+            o.lent = node.lend_snapshot(t, snap);
+            // A lender copies only the owner embedding; a copying push, all.
+            let mut copied = if o.lent { snap.len() - snap.agg.len() } else { snap.len() };
+            if let Some(tr) = transform {
+                let mut crng = StdRng::seed_from_u64(
+                    cfg.seed ^ (t << 22) ^ (i as u64).wrapping_mul(0x2545_F491_4F6C_DD1D),
+                );
+                copied += apply_gossip_transform(tr, snap, &mut o.prev_sent, &mut crng);
+            }
+            obs.add(Counter::BytesCopied, 4 * copied as u64);
+        });
         drop(send_span);
 
-        // 4. Routing (serial: observer callbacks + inbox pushes). Each
-        // delivered snapshot is a fresh materialization of model state for
-        // this round — the pool only recycles allocations, not contents.
+        // 4. Routing (serial: observer callbacks in sender order). An awake
+        // receiver records the sender and reads the push in place at its
+        // merge; an asleep one holds a copy until it wakes.
         let route_span = obs.span("route");
         let mut deliveries = 0usize;
-        for (u, slot) in self.outgoing.iter_mut().enumerate() {
-            if let Some(snap) = slot.take() {
-                let dest = destinations[u];
-                obs.add(Counter::BytesOnWire, 4 * snap.len() as u64);
-                obs.inc(Counter::InboxDeliveries);
-                observer.on_delivery(t, UserId::new(dest), &snap);
-                self.ctl[dest as usize].inbox.push(snap);
-                self.traffic.received[dest as usize] += 1;
-                deliveries += 1;
+        for ((u, o), &dest) in (0u32..).zip(&self.outbox).zip(&destinations) {
+            let Some(snap) = &o.sent else { continue };
+            obs.add(Counter::BytesOnWire, 4 * snap.len() as u64);
+            obs.inc(Counter::InboxDeliveries);
+            observer.on_delivery(t, UserId::new(dest), snap);
+            let dest = dest as usize;
+            let receiver = &mut self.ctl[dest];
+            if receiver.awake {
+                receiver.mail.push(u);
+            } else {
+                let mut held = self.pool.pop().unwrap_or_else(empty_model);
+                copy_model(&mut held, snap);
+                obs.add(Counter::BytesCopied, 4 * snap.len() as u64);
+                receiver.inbox.push(held);
             }
+            self.traffic.received[dest] += 1;
+            deliveries += 1;
         }
         drop(route_span);
 
-        // 5. Neighbor mixing + local training on awake nodes, in one fused
-        // parallel pass under the `train` span. The in-place `mix_agg`
-        // replaces materializing the neighborhood mean. Mix and train stay
-        // fused deliberately: a node's aggregate is catalog-sized (~54 KB
-        // at paper scale), so training right after mixing reuses it while
-        // cache-hot — separate passes stream the whole population's state
-        // through memory twice (~13% slower on the paper-scale round). The
-        // per-node mix/train cost split is still observable through the
-        // `mix_us` / `train_us` histograms, which bracket the two halves
-        // with detail-gated clock reads.
+        // 5. Merge + local training on awake nodes, in one fused parallel
+        // pass under the `train` span. Each node writes its new aggregate
+        // out of place — the uniform mean of its push's clean parameters and
+        // its mail (held copies first, then this round's pushes in sender
+        // order) — or, with no mail, takes its parameters back. Merge and
+        // train stay fused deliberately: a node's aggregate is
+        // catalog-sized (~54 KB at paper scale), so training right after
+        // the merge reuses it while cache-hot — separate passes stream the
+        // whole population's state through memory twice. The per-node
+        // merge/train cost split is still observable through the `mix_us` /
+        // `train_us` histograms, which bracket the two halves with
+        // detail-gated clock reads.
         let is_pers = matches!(self.cfg.protocol, GossipProtocol::Pers { .. });
+        let dp = transform.is_some();
+        let outbox = &self.outbox;
         let train_span = obs.span("train");
-        {
-            par_zip_mut(&mut self.nodes, &mut self.ctl, |i, node, c| {
-                if !c.awake {
-                    return;
+        par_zip_mut(&mut self.nodes, &mut self.ctl, |i, node, c| {
+            if !c.awake {
+                return;
+            }
+            let own = outbox[i].own(dp);
+            if c.inbox.is_empty() && c.mail.is_empty() {
+                node.merge_agg(own, &[]);
+                if outbox[i].lent {
+                    obs.add(Counter::BytesCopied, 4 * own.len() as u64);
                 }
-                if !c.inbox.is_empty() {
-                    let t0 = obs.clock();
-                    if is_pers {
-                        for m in &c.inbox {
-                            c.heard.push((m.owner.raw(), node.evaluate_model(m)));
-                        }
-                    }
-                    let rows: Vec<&[f32]> = c.inbox.iter().map(|m| m.agg.as_slice()).collect();
-                    node.mix_agg(&rows);
-                    obs.observe_since(Metric::MixMicros, t0);
-                }
+            } else {
                 let t0 = obs.clock();
-                let mut crng = StdRng::seed_from_u64(
-                    cfg.seed ^ (t << 24) ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                );
-                let mut loss = 0.0;
-                for _ in 0..cfg.local_epochs.max(1) {
-                    loss = node.train_local(&mut crng);
+                let pushed = c.mail.iter().map(|&s| {
+                    outbox[s as usize].sent.as_ref().expect("a mailed sender pushed a model")
+                });
+                let mail: Vec<&SharedModel> = c.inbox.iter().chain(pushed).collect();
+                if is_pers {
+                    for m in &mail {
+                        c.heard.push((m.owner.raw(), node.evaluate_model(m)));
+                    }
                 }
-                c.loss = loss;
-                obs.observe_since(Metric::TrainMicros, t0);
-            });
-        }
+                let rows: Vec<&[f32]> = mail.iter().map(|m| m.agg.as_slice()).collect();
+                node.merge_agg(own, &rows);
+                c.mail.clear();
+                obs.observe_since(Metric::MixMicros, t0);
+            }
+            let t0 = obs.clock();
+            let mut crng = StdRng::seed_from_u64(
+                cfg.seed ^ (t << 24) ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            );
+            let mut loss = 0.0;
+            for _ in 0..cfg.local_epochs.max(1) {
+                loss = node.train_local(&mut crng);
+            }
+            c.loss = loss;
+            obs.observe_since(Metric::TrainMicros, t0);
+        });
         drop(train_span);
 
-        // Consumed inboxes drain into the pool afterwards (serially — the
-        // pool is shared).
-        for c in self.ctl.iter_mut().filter(|c| c.awake) {
+        // Merged pushes and consumed held inboxes drain into the pool
+        // afterwards (serially — the pool is shared).
+        for (c, o) in self.ctl.iter_mut().zip(&mut self.outbox).filter(|(c, _)| c.awake) {
             self.pool.append(&mut c.inbox);
+            self.pool.extend(o.sent.take());
         }
         self.pool.truncate(n);
 
-        let awake_count = awake.iter().filter(|&&a| a).count();
+        let awake_count = wake.iter().filter(|&&a| a).count();
         obs.add(Counter::ClientsTrained, awake_count as u64);
         let loss_sum: f32 = self.ctl.iter().filter(|c| c.awake).map(|c| c.loss).sum();
         let stats = GossipRoundStats {
@@ -484,6 +530,54 @@ impl<P: Participant> GossipSim<P> {
         for _ in 0..self.cfg.rounds {
             self.step(observer);
         }
+    }
+
+    /// Checks that a captured state fits this simulation before
+    /// [`Checkpointable::restore_state`] takes it: one table entry per node,
+    /// every held inbox model from a real node with that node's embedding
+    /// length and this layout's aggregate length, every DP reference
+    /// `[emb | agg]`-long, and every Pers-Gossip candidate a real node.
+    /// Returns the first misfit by name (`"inbox of node 5"`), so a hostile
+    /// checkpoint is refused up front instead of panicking mid-run or being
+    /// silently truncated by the DP update.
+    ///
+    /// # Errors
+    ///
+    /// Names the first table or node whose state does not fit.
+    pub fn check_state(&self, state: &GossipSimState) -> Result<(), String> {
+        let n = self.nodes.len();
+        let tables = [
+            ("refresh table", state.refresh_at.len()),
+            ("view table", state.views.len()),
+            ("inbox table", state.inboxes.len()),
+            ("heard table", state.heard.len()),
+            ("DP reference table", state.prev_sent.len()),
+            ("received-traffic table", state.traffic.received.len()),
+            ("in-degree table", state.traffic.view_in_degree.len()),
+        ];
+        if let Some((name, _)) = tables.iter().find(|&&(_, len)| len != n) {
+            return Err((*name).to_string());
+        }
+        let agg_len = self.nodes[0].agg_len();
+        let emb_len = |u: usize| self.nodes[u].owner_emb().map_or(0, <[f32]>::len);
+        for u in 0..n {
+            let model_fits = |m: &SharedModel| {
+                let owner = m.owner.raw() as usize;
+                owner < n
+                    && m.agg.len() == agg_len
+                    && m.owner_emb.as_ref().map_or(0, Vec::len) == emb_len(owner)
+            };
+            if !state.inboxes[u].iter().all(model_fits) {
+                return Err(format!("inbox of node {u}"));
+            }
+            if state.prev_sent[u].as_ref().is_some_and(|p| p.len() != emb_len(u) + agg_len) {
+                return Err(format!("DP reference of node {u}"));
+            }
+            if state.heard[u].iter().any(|&(v, _)| v as usize >= n) {
+                return Err(format!("heard list of node {u}"));
+            }
+        }
+        Ok(())
     }
 
     /// Forwards to [`GossipSim::step`]. Exists only for the benchmark tracer
@@ -514,7 +608,7 @@ impl<P: Participant> Checkpointable for GossipSim<P> {
             inboxes: self.ctl.iter().map(|c| c.inbox.clone()).collect(),
             traffic: self.traffic.clone(),
             heard: self.ctl.iter().map(|c| c.heard.clone()).collect(),
-            prev_sent: self.ctl.iter().map(|c| c.prev_sent.clone()).collect(),
+            prev_sent: self.outbox.iter().map(|o| o.prev_sent.clone()).collect(),
         }
     }
 
@@ -523,25 +617,23 @@ impl<P: Participant> Checkpointable for GossipSim<P> {
     ///
     /// # Panics
     ///
-    /// Panics if any table is not aligned with the node count or the views
-    /// are malformed.
+    /// Panics if [`GossipSim::check_state`] rejects `state` or the views are
+    /// malformed.
     fn restore_state(&mut self, state: GossipSimState) {
-        let n = self.nodes.len();
-        assert_eq!(state.refresh_at.len(), n, "one refresh time per node");
-        assert_eq!(state.inboxes.len(), n, "one inbox per node");
-        assert_eq!(state.heard.len(), n, "one heard list per node");
-        assert_eq!(state.prev_sent.len(), n, "one DP reference per node");
+        if let Err(part) = self.check_state(&state) {
+            panic!("gossip state {part} mismatch");
+        }
         self.views.restore_views(state.views);
         self.round = state.round;
         self.refresh_at = state.refresh_at;
         let per_node = state.inboxes.into_iter().zip(state.prev_sent).zip(state.heard);
-        for (c, ((inbox, prev), heard)) in self.ctl.iter_mut().zip(per_node) {
+        for ((c, o), ((inbox, prev), heard)) in
+            self.ctl.iter_mut().zip(&mut self.outbox).zip(per_node)
+        {
             c.inbox = inbox;
-            c.prev_sent = prev;
+            o.prev_sent = prev;
             c.heard = heard;
         }
-        assert_eq!(state.traffic.received.len(), n, "one received counter per node");
-        assert_eq!(state.traffic.view_in_degree.len(), n, "one in-degree counter per node");
         self.traffic = state.traffic;
     }
 }
@@ -553,23 +645,42 @@ fn probe_available(observer: &mut dyn GossipObserver, round: u64, node: u32) -> 
     available
 }
 
+/// An empty model carcass for a push or a held copy when the pool is dry.
+fn empty_model() -> SharedModel {
+    SharedModel { owner: UserId::new(0), round: 0, owner_emb: None, agg: Vec::new() }
+}
+
+/// Copies `src` into `dst`, reusing `dst`'s buffers.
+fn copy_model(dst: &mut SharedModel, src: &SharedModel) {
+    dst.owner = src.owner;
+    dst.round = src.round;
+    dst.owner_emb.clone_from(&src.owner_emb);
+    dst.agg.clone_from(&src.agg);
+}
+
 /// DP in gossip: the outgoing `[emb | agg]` vector is treated as an update
 /// relative to the previously sent vector (zero for the first send), clipped
 /// and noised, then rewritten. `prev_sent` is updated to the new clean value.
+/// Returns how many floats it copied (the clean vector, plus its clone on a
+/// node's first send).
 fn apply_gossip_transform(
     transform: &dyn UpdateTransform,
     snap: &mut SharedModel,
     prev_sent: &mut Option<Vec<f32>>,
     rng: &mut StdRng,
-) {
+) -> usize {
     let emb_len = snap.owner_emb.as_ref().map_or(0, Vec::len);
     let mut current = vec![0.0f32; emb_len + snap.agg.len()];
     if let Some(emb) = &snap.owner_emb {
         current[..emb_len].copy_from_slice(emb);
     }
     current[emb_len..].copy_from_slice(&snap.agg);
+    let mut copied = current.len();
 
-    let reference = prev_sent.get_or_insert_with(|| current.clone());
+    let reference = prev_sent.get_or_insert_with(|| {
+        copied += current.len();
+        current.clone()
+    });
     let mut update: Vec<f32> = current.iter().zip(reference.iter()).map(|(c, r)| c - r).collect();
     transform.transform(&mut update, rng);
 
@@ -582,6 +693,7 @@ fn apply_gossip_transform(
         *a = reference[emb_len + k] + update[emb_len + k];
     }
     *prev_sent = Some(current);
+    copied
 }
 
 #[cfg(test)]
@@ -591,7 +703,9 @@ mod tests {
     /// A deterministic toy participant: params drift towards a per-community
     /// fixed point during "training", and `evaluate_model` prefers models
     /// close to the node's own fixed point — enough to exercise the protocol
-    /// without real ML.
+    /// without real ML. It lends its parameters to its pushes like the real
+    /// models do (the copying trait defaults are covered by
+    /// `tests/props.rs` and `tests/lend_vs_copy.rs`).
     struct TestNode {
         user: UserId,
         params: Vec<f32>,
@@ -629,6 +743,17 @@ mod tests {
         }
         fn snapshot(&self, round: u64) -> SharedModel {
             SharedModel { owner: self.user, round, owner_emb: None, agg: self.params.clone() }
+        }
+        fn lend_snapshot(&mut self, round: u64, slot: &mut SharedModel) -> bool {
+            slot.owner = self.user;
+            slot.round = round;
+            slot.owner_emb = None;
+            slot.agg.resize(self.params.len(), 0.0);
+            std::mem::swap(&mut self.params, &mut slot.agg);
+            true
+        }
+        fn merge_agg(&mut self, own: &[f32], others: &[&[f32]]) {
+            cia_models::kernel::uniform_mix_into(&mut self.params, own, others);
         }
         fn num_examples(&self) -> usize {
             1
@@ -922,6 +1047,68 @@ mod tests {
                 "one {phase} span per round"
             );
         }
+    }
+
+    #[test]
+    fn lent_pushes_copy_only_for_mail_less_nodes() {
+        // Under full wake every push lends its sender's buffer and nobody
+        // sleeps, so the only copies a round makes are the take-backs of the
+        // nodes nobody pushed to: 4 bytes · agg_len (8) for each.
+        let n = 20;
+        let rounds = 6u64;
+        let mut s = sim(n, GossipConfig { rounds, seed: 3, ..Default::default() });
+        let rec = cia_obs::Recorder::new();
+        s.set_recorder(rec.clone());
+        let mut tape = Recorder::default();
+        let mut total_mail_less = 0;
+        for t in 0..rounds {
+            let before = rec.counter(Counter::BytesCopied);
+            s.step(&mut tape);
+            let mut has_mail = vec![false; n];
+            for &(_, recv, _) in tape.deliveries.iter().filter(|d| d.0 == t) {
+                has_mail[recv as usize] = true;
+            }
+            let mail_less = has_mail.iter().filter(|&&m| !m).count() as u64;
+            total_mail_less += mail_less;
+            assert_eq!(rec.counter(Counter::BytesCopied) - before, 4 * 8 * mail_less, "round {t}");
+        }
+        assert!(total_mail_less > 0, "no round had a mail-less node; the test proves nothing");
+    }
+
+    #[test]
+    fn check_state_names_the_misfit_node() {
+        let cfg = GossipConfig { rounds: 4, wake_fraction: 0.5, seed: 1, ..Default::default() };
+        let mut s = sim(12, cfg);
+        s.run(&mut NullGossipObserver);
+        let good = s.export_state();
+        assert_eq!(s.check_state(&good), Ok(()));
+        fn model(owner: u32, len: usize) -> SharedModel {
+            SharedModel {
+                owner: UserId::new(owner),
+                round: 0,
+                owner_emb: None,
+                agg: vec![0.0; len],
+            }
+        }
+        type Corruption = fn(&mut GossipSimState);
+        let cases: [(Corruption, &str); 6] = [
+            (|st| st.inboxes[5].push(model(1, 7)), "inbox of node 5"),
+            (|st| st.inboxes[3].push(model(12, 8)), "inbox of node 3"),
+            (|st| st.prev_sent[2] = Some(vec![0.0; 9]), "DP reference of node 2"),
+            (|st| st.heard[4].push((40, 0.0)), "heard list of node 4"),
+            (|st| st.refresh_at.truncate(11), "refresh table"),
+            (|st| st.traffic.received.truncate(11), "received-traffic table"),
+        ];
+        for (corrupt, part) in cases {
+            let mut bad = good.clone();
+            corrupt(&mut bad);
+            assert_eq!(s.check_state(&bad).unwrap_err(), part);
+        }
+        // A well-formed held model and DP reference pass.
+        let mut fine = good;
+        fine.inboxes[5].push(model(1, 8));
+        fine.prev_sent[2] = Some(vec![0.0; 8]);
+        assert_eq!(s.check_state(&fine), Ok(()));
     }
 
     #[test]

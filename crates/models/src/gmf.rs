@@ -37,7 +37,9 @@
 
 use crate::kernel::{dot, dot3, gemv};
 use crate::params::{init_uniform, sigmoid};
-use crate::participant::{Participant, RelevanceScorer, SharedModel, SharingPolicy};
+use crate::participant::{
+    stamp_snapshot, Participant, RelevanceScorer, SharedModel, SharingPolicy,
+};
 use cia_data::UserId;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -656,13 +658,17 @@ impl Participant for GmfClient {
         }
     }
 
-    fn mix_agg(&mut self, others: &[&[f32]]) {
-        // In-place uniform mean: one read-modify-write pass over the own
-        // parameters instead of materializing the mean and absorbing it.
-        // Bit-identical to the default (`w·x` commutes; the default's first
-        // axpy adds onto exact zeros, and `uniform_mix` preserves the
-        // per-coordinate addition order).
-        crate::kernel::uniform_mix(&mut self.agg, others);
+    fn merge_agg(&mut self, own: &[f32], others: &[&[f32]]) {
+        if others.is_empty() {
+            // No mail: take the lent parameters back unchanged; the node
+            // did not mix, so its references stay as they are.
+            self.agg.copy_from_slice(own);
+            return;
+        }
+        // Out-of-place uniform mean into the buffer the lend left here:
+        // one pass, no intermediate mean (bit-identical to the default,
+        // which materializes the same `uniform_mix_into` and absorbs it).
+        crate::kernel::uniform_mix_into(&mut self.agg, own, others);
         self.clear_touched();
         if self.policy.tau() > 0.0 {
             let items_len = self.spec.num_items as usize * self.spec.dim;
@@ -683,21 +689,16 @@ impl Participant for GmfClient {
     }
 
     fn snapshot_into(&self, round: u64, slot: &mut SharedModel) {
-        slot.owner = self.user;
-        slot.round = round;
+        stamp_snapshot(slot, self.user, round, self.owner_emb());
         slot.agg.resize(self.agg.len(), 0.0);
         slot.agg.copy_from_slice(&self.agg);
-        if self.policy.shares_user_embedding() {
-            match &mut slot.owner_emb {
-                Some(e) => {
-                    e.resize(self.user_emb.len(), 0.0);
-                    e.copy_from_slice(&self.user_emb);
-                }
-                emb @ None => *emb = Some(self.user_emb.clone()),
-            }
-        } else {
-            slot.owner_emb = None;
-        }
+    }
+
+    fn lend_snapshot(&mut self, round: u64, slot: &mut SharedModel) -> bool {
+        stamp_snapshot(slot, self.user, round, self.owner_emb());
+        slot.agg.resize(self.agg.len(), 0.0);
+        std::mem::swap(&mut self.agg, &mut slot.agg);
+        true
     }
 
     fn accumulate_update(&self, reference: &[f32], weight: f32, out: &mut [f32]) {

@@ -218,36 +218,44 @@ pub fn fast_exp(x: f32) -> f32 {
     p * scale
 }
 
-/// In-place uniform mean `y ← w·y + Σᵢ w·rowsᵢ` with `w = 1/(rows.len()+1)`
-/// — gossip neighborhood averaging in a single read-modify-write pass.
+/// Out-of-place uniform mean `y ← w·own + Σᵢ w·rowsᵢ` with
+/// `w = 1/(rows.len()+1)` — gossip neighborhood averaging (Algorithm 2,
+/// line 7) written into a buffer that is neither input, so the node's own
+/// parameters can stay readable in the model it pushed this round.
 ///
-/// The per-coordinate addition order matches a `scale` followed by one
-/// `axpy` per row (`(w·y + w·r₁) + w·r₂ + …`), so the fusion is
-/// bit-identical to the unfused sequence while halving the memory traffic.
+/// The per-coordinate addition order is that of a `scale` followed by one
+/// `axpy` per row (`(w·own + w·r₁) + w·r₂ + …`), so the result is
+/// bit-identical to copying `own` into `y` and folding the rows in place.
+/// With no rows `w` is 1 and `y` receives `1·own`.
 ///
 /// # Panics
 ///
-/// Panics if any row length differs from `y`.
-pub fn uniform_mix(y: &mut [f32], rows: &[&[f32]]) {
+/// Panics if `own` or any row differs in length from `y`.
+pub fn uniform_mix_into(y: &mut [f32], own: &[f32], rows: &[&[f32]]) {
     let w = 1.0 / (rows.len() + 1) as f32;
+    assert_eq!(own.len(), y.len(), "uniform_mix_into length mismatch");
     for row in rows {
-        assert_eq!(row.len(), y.len(), "uniform_mix length mismatch");
+        assert_eq!(row.len(), y.len(), "uniform_mix_into length mismatch");
     }
     match rows {
-        [] => scale_in_place(y, w),
+        [] => {
+            for (v, &o) in y.iter_mut().zip(own) {
+                *v = w * o;
+            }
+        }
         [r0] => {
-            for (k, v) in y.iter_mut().enumerate() {
-                *v = w * *v + w * r0[k];
+            for ((v, &o), &a) in y.iter_mut().zip(own).zip(*r0) {
+                *v = w * o + w * a;
             }
         }
         [r0, r1] => {
-            for (k, v) in y.iter_mut().enumerate() {
-                *v = (w * *v + w * r0[k]) + w * r1[k];
+            for (((v, &o), &a), &b) in y.iter_mut().zip(own).zip(*r0).zip(*r1) {
+                *v = (w * o + w * a) + w * b;
             }
         }
         _ => {
-            for (k, v) in y.iter_mut().enumerate() {
-                let mut acc = w * *v;
+            for (k, (v, &o)) in y.iter_mut().zip(own).enumerate() {
+                let mut acc = w * o;
                 for row in rows {
                     acc += w * row[k];
                 }

@@ -36,6 +36,26 @@ impl SharedModel {
     }
 }
 
+/// Stamps `slot` with everything but the aggregate: owner, round and — when
+/// `emb` is given — a copy of the owner embedding reusing the slot's buffer.
+pub(crate) fn stamp_snapshot(
+    slot: &mut SharedModel,
+    owner: UserId,
+    round: u64,
+    emb: Option<&[f32]>,
+) {
+    slot.owner = owner;
+    slot.round = round;
+    match (emb, &mut slot.owner_emb) {
+        (Some(src), Some(e)) => {
+            e.resize(src.len(), 0.0);
+            e.copy_from_slice(src);
+        }
+        (Some(src), e @ None) => *e = Some(src.to_vec()),
+        (None, e) => *e = None,
+    }
+}
+
 /// Which parameters leave the device.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum SharingPolicy {
@@ -68,9 +88,16 @@ impl SharingPolicy {
 /// A participant in a collaborative learning protocol: owns local data and a
 /// model whose public part can be exchanged.
 ///
-/// The protocols drive participants through a strict round structure:
-/// `absorb_agg` (load the aggregate), `train_local` (one local epoch, possibly
-/// repeated), `snapshot` (produce the outgoing model).
+/// The protocols drive participants through a strict round structure.
+///
+/// * **FedAvg:** `absorb_agg` (load the global aggregate), `train_local`
+///   (one local epoch, possibly repeated), then `snapshot_into` when an
+///   observer or the DP transform consumes the client's model.
+/// * **Gossip:** `lend_snapshot` (push the pre-round model), then
+///   `merge_agg` (rebuild the aggregate from the pushed parameters and the
+///   neighbors' models), then `train_local`. Between the two hooks the
+///   participant's own aggregate may sit in the pushed model; nothing reads
+///   [`Participant::agg`] in that window.
 pub trait Participant: Send + Sync {
     /// The participant's user id.
     fn user(&self) -> UserId;
@@ -88,27 +115,11 @@ pub trait Participant: Send + Sync {
         None
     }
 
-    /// Replaces the aggregatable parameters (server broadcast in FL, mixed
-    /// neighborhood average in GL). Also records the incoming values as the
-    /// Share-less reference embeddings where applicable.
+    /// Replaces the aggregatable parameters (server broadcast in FL, the
+    /// neighborhood mean in the default [`Participant::merge_agg`]). Also
+    /// records the incoming values as the Share-less reference embeddings
+    /// where applicable.
     fn absorb_agg(&mut self, agg: &[f32]);
-
-    /// Replaces the aggregatable parameters with the uniform mean of the own
-    /// parameters and `others` (gossip neighborhood averaging, line 7 of the
-    /// paper's Algorithm 2), with the same Share-less reference bookkeeping
-    /// as [`Participant::absorb_agg`]. The default materializes the mean and
-    /// absorbs it; implementations may mix in place to halve the memory
-    /// traffic of a paper-scale gossip round.
-    fn mix_agg(&mut self, others: &[&[f32]]) {
-        let mut rows: Vec<&[f32]> = Vec::with_capacity(others.len() + 1);
-        rows.push(self.agg());
-        rows.extend_from_slice(others);
-        let weights = vec![1.0f32; rows.len()];
-        let mut mixed = vec![0.0f32; self.agg_len()];
-        crate::params::weighted_mean(&mut mixed, &rows, &weights);
-        drop(rows);
-        self.absorb_agg(&mixed);
-    }
 
     /// Runs one local training epoch; returns the mean training loss.
     fn train_local(&mut self, rng: &mut StdRng) -> f32;
@@ -148,6 +159,48 @@ pub trait Participant: Send + Sync {
     /// allocation-free once warm.
     fn snapshot_into(&self, round: u64, slot: &mut SharedModel) {
         *slot = self.snapshot(round);
+    }
+
+    /// Fills `slot` with the outgoing gossip push and returns whether the
+    /// participant *lent* its aggregate to it.
+    ///
+    /// A lending implementation swaps its aggregate buffer with `slot.agg`
+    /// (a recycled buffer, resized to [`Participant::agg_len`] first)
+    /// instead of copying it, and copies only the owner embedding. Its own
+    /// aggregate is then unspecified until [`Participant::merge_agg`]
+    /// rebuilds it from the lent parameters, so the pushed model is the only
+    /// copy of them. [`Participant::evaluate_model`] may run in that window
+    /// and must not read the own aggregate.
+    ///
+    /// The default copies through [`Participant::snapshot_into`] and returns
+    /// `false`.
+    fn lend_snapshot(&mut self, round: u64, slot: &mut SharedModel) -> bool {
+        self.snapshot_into(round, slot);
+        false
+    }
+
+    /// Rebuilds the aggregate after a gossip push.
+    ///
+    /// `own` holds the clean parameters pushed by
+    /// [`Participant::lend_snapshot`] (before any DP rewrite), `others` the
+    /// neighbors' models received since the node last merged, in delivery
+    /// order. With mail, the aggregate
+    /// becomes the uniform mean of `own` and `others` (line 7 of the paper's
+    /// Algorithm 2, [`crate::kernel::uniform_mix_into`]), with the same
+    /// Share-less reference bookkeeping as [`Participant::absorb_agg`].
+    /// Without mail the node keeps its parameters: a lender copies `own`
+    /// back with no bookkeeping.
+    ///
+    /// The default pairs with the copying `lend_snapshot`: it does nothing
+    /// without mail (the aggregate never left), and otherwise materializes
+    /// the mean and absorbs it.
+    fn merge_agg(&mut self, own: &[f32], others: &[&[f32]]) {
+        if others.is_empty() {
+            return;
+        }
+        let mut mixed = vec![0.0f32; own.len()];
+        crate::kernel::uniform_mix_into(&mut mixed, own, others);
+        self.absorb_agg(&mixed);
     }
 
     /// Accumulates `weight · (agg − reference)` into `out` — the

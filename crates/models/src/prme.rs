@@ -18,7 +18,9 @@
 //! distance is exactly the personal-taste component CIA exploits.
 
 use crate::params::init_uniform;
-use crate::participant::{Participant, RelevanceScorer, SharedModel, SharingPolicy};
+use crate::participant::{
+    stamp_snapshot, Participant, RelevanceScorer, SharedModel, SharingPolicy,
+};
 use cia_data::UserId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -410,10 +412,14 @@ impl Participant for PrmeClient {
         }
     }
 
-    fn mix_agg(&mut self, others: &[&[f32]]) {
-        // In-place uniform mean (see the GMF counterpart; bit-identical to
-        // the default path).
-        crate::kernel::uniform_mix(&mut self.agg, others);
+    fn merge_agg(&mut self, own: &[f32], others: &[&[f32]]) {
+        if others.is_empty() {
+            // No mail: take the lent parameters back unchanged (see the GMF
+            // counterpart).
+            self.agg.copy_from_slice(own);
+            return;
+        }
+        crate::kernel::uniform_mix_into(&mut self.agg, own, others);
         self.clear_touched();
         if self.policy.tau() > 0.0 {
             match &mut self.ref_items {
@@ -468,21 +474,16 @@ impl Participant for PrmeClient {
     }
 
     fn snapshot_into(&self, round: u64, slot: &mut SharedModel) {
-        slot.owner = self.user;
-        slot.round = round;
+        stamp_snapshot(slot, self.user, round, self.owner_emb());
         slot.agg.resize(self.agg.len(), 0.0);
         slot.agg.copy_from_slice(&self.agg);
-        if self.policy.shares_user_embedding() {
-            match &mut slot.owner_emb {
-                Some(e) => {
-                    e.resize(self.user_emb.len(), 0.0);
-                    e.copy_from_slice(&self.user_emb);
-                }
-                emb @ None => *emb = Some(self.user_emb.clone()),
-            }
-        } else {
-            slot.owner_emb = None;
-        }
+    }
+
+    fn lend_snapshot(&mut self, round: u64, slot: &mut SharedModel) -> bool {
+        stamp_snapshot(slot, self.user, round, self.owner_emb());
+        slot.agg.resize(self.agg.len(), 0.0);
+        std::mem::swap(&mut self.agg, &mut slot.agg);
+        true
     }
 
     fn accumulate_update(&self, reference: &[f32], weight: f32, out: &mut [f32]) {

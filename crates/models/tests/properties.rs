@@ -187,6 +187,64 @@ proptest! {
         }
     }
 
+    // ---- Gossip merge: bitwise against the in-place fold it replaced ----
+
+    #[test]
+    fn uniform_mix_into_matches_copy_then_in_place_fold_bitwise(
+        len in 0usize..40,
+        num_rows in 1usize..6,
+        special_every in 0u32..4,
+        seed in any::<u64>(),
+    ) {
+        // Lengths straddle the 8-lane width; 1–5 rows cover the kernel's
+        // one-row, two-row and general arms. DP-destroyed models carry NaN
+        // and ±inf coordinates, sprinkled in (densely when `special_every`
+        // is 1).
+        let mut rng = StdRng::seed_from_u64(seed);
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let draw = |rng: &mut StdRng| -> Vec<f32> {
+            (0..len)
+                .map(|_| {
+                    if special_every > 0 && rng.gen_range(0..special_every * 8) == 0 {
+                        specials[rng.gen_range(0..specials.len())]
+                    } else {
+                        rng.gen_range(-2.0f32..2.0)
+                    }
+                })
+                .collect()
+        };
+        let own = draw(&mut rng);
+        let rows: Vec<Vec<f32>> = (0..num_rows).map(|_| draw(&mut rng)).collect();
+        let row_refs: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
+
+        // The naive reference: copy `own`, then the old in-place fold
+        // `(w·y + w·r₁) + w·r₂ + …` one coordinate at a time.
+        let w = 1.0 / (num_rows + 1) as f32;
+        let mut expected = own.clone();
+        for (k, v) in expected.iter_mut().enumerate() {
+            let mut acc = w * *v;
+            for row in &rows {
+                acc += w * row[k];
+            }
+            *v = acc;
+        }
+        let mut got = vec![0.0f32; len];
+        kernel::uniform_mix_into(&mut got, &own, &row_refs);
+        for (k, (g, e)) in got.iter().zip(&expected).enumerate() {
+            prop_assert!(
+                g.to_bits() == e.to_bits() || (g.is_nan() && e.is_nan()),
+                "coordinate {k} of {len} with {num_rows} rows: {g} vs naive {e}"
+            );
+        }
+    }
+
+    #[test]
+    fn uniform_mix_into_without_rows_copies_own(own in anyvec(33)) {
+        let mut y = vec![f32::NAN; own.len()];
+        kernel::uniform_mix_into(&mut y, &own, &[]);
+        prop_assert_eq!(y, own);
+    }
+
     // ---- GMF mean relevance: bitwise against a naive reference ----
 
     #[test]

@@ -54,17 +54,23 @@ pub enum Counter {
     ServeCacheHits = 4,
     /// Serve-path ranking-cache misses (fresh tiled scoring pass ran).
     ServeCacheMisses = 5,
+    /// Bytes of model state memcpy'd by a protocol round: FedAvg snapshot
+    /// refills; in gossip, pushes that copy instead of lending, held copies
+    /// for asleep receivers, lenders with no mail taking their parameters
+    /// back, and the DP transform's clean-vector copies.
+    BytesCopied = 6,
 }
 
 impl Counter {
     /// Every counter, in registry order.
-    pub const ALL: [Counter; 6] = [
+    pub const ALL: [Counter; 7] = [
         Counter::ClientsTrained,
         Counter::BytesOnWire,
         Counter::BytesMaterialized,
         Counter::InboxDeliveries,
         Counter::ServeCacheHits,
         Counter::ServeCacheMisses,
+        Counter::BytesCopied,
     ];
 
     /// The counter's stable snake_case name (JSONL / trace-file key).
@@ -76,6 +82,7 @@ impl Counter {
             Counter::InboxDeliveries => "inbox_deliveries",
             Counter::ServeCacheHits => "serve_cache_hits",
             Counter::ServeCacheMisses => "serve_cache_misses",
+            Counter::BytesCopied => "bytes_copied",
         }
     }
 }
@@ -86,7 +93,8 @@ impl Counter {
 pub enum Metric {
     /// Per-client local-training wall time, in microseconds.
     TrainMicros = 0,
-    /// Per-node neighbor-mix wall time (gossip `mix_agg`), in microseconds.
+    /// Per-node neighbor-mix wall time (gossip `merge_agg` with mail), in
+    /// microseconds.
     MixMicros = 1,
     /// Per-query serve-path wall time (snapshot load + score + rank), in
     /// microseconds.

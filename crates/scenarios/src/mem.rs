@@ -1,8 +1,8 @@
 //! Process memory accounting for the timing records.
 //!
 //! The runner records two numbers per evaluated round when timing is on:
-//! `bytes_materialized` (the model snapshots the protocol copied that round)
-//! and `peak_rss_bytes` (what the OS actually charged the process), so a
+//! `bytes_materialized` (the FedAvg snapshots refilled that round, or the
+//! gossip pushes delivered) and `peak_rss_bytes` (what the OS actually charged the process), so a
 //! memory regression shows up next to the round that caused it. Both are
 //! timing-class fields: golden transcripts run `--no-timing` and never see
 //! them.

@@ -481,14 +481,15 @@ trait ProtocolRun {
     fn export(&self) -> (ProtocolState, PlacementState);
     /// Restores [`ProtocolRun::export`]'s sections, saved after `round`
     /// rounds — after the attack's restore, before the dynamics state's.
-    /// Refuses the other protocol family's state.
+    /// Refuses the other protocol family's state, or state that does not
+    /// fit the rebuilt simulation, naming the misfit part.
     fn restore(
         &mut self,
         round: u64,
         protocol: ProtocolState,
         placement: PlacementState,
         dynamics: &mut ParticipantDynamics,
-    ) -> Result<(), &'static str>;
+    ) -> Result<(), String>;
     /// Prepares the participants for the final utility evaluation.
     fn before_utility(&mut self) {}
 }
@@ -593,8 +594,10 @@ impl<S: RelevanceScorer, P: Participant> ProtocolRun for FlRun<S, P> {
         protocol: ProtocolState,
         _placement: PlacementState,
         _dynamics: &mut ParticipantDynamics,
-    ) -> Result<(), &'static str> {
-        let ProtocolState::Fl { global } = protocol else { return Err("protocol family") };
+    ) -> Result<(), String> {
+        let ProtocolState::Fl { global } = protocol else {
+            return Err("protocol family".to_string());
+        };
         self.sim.restore(round, global);
         Ok(())
     }
@@ -655,8 +658,11 @@ impl<P: Participant> ProtocolRun for GlRun<P> {
         protocol: ProtocolState,
         placement: PlacementState,
         dynamics: &mut ParticipantDynamics,
-    ) -> Result<(), &'static str> {
-        let ProtocolState::Gl(state) = protocol else { return Err("protocol family") };
+    ) -> Result<(), String> {
+        let ProtocolState::Gl(state) = protocol else {
+            return Err("protocol family".to_string());
+        };
+        self.sim.check_state(&state)?;
         self.sim.restore_state(state);
         self.placement.restore_state(placement);
         if self.placement.relocated() {
@@ -704,7 +710,9 @@ fn drive<R: ProtocolRun>(
             return Err(mismatch("population"));
         }
         proto.attack().restore(ck.attack, ck.adversary_embs).map_err(mismatch)?;
-        proto.restore(ck.round, ck.protocol, ck.placement, &mut dynamics).map_err(mismatch)?;
+        proto
+            .restore(ck.round, ck.protocol, ck.placement, &mut dynamics)
+            .map_err(|part| mismatch(&part))?;
         for (c, s) in proto.clients().iter_mut().zip(&ck.clients) {
             c.restore_state(s);
         }

@@ -395,6 +395,46 @@ fn hostile_checkpoints_fail_with_a_named_mismatch() {
 }
 
 #[test]
+fn hostile_gossip_mailboxes_fail_with_a_named_node() {
+    // A gossip checkpoint whose held inbox model or DP reference does not
+    // fit the model layout must be refused at resume, naming the node —
+    // never panic mid-run in the merge, never be silently truncated by the
+    // DP update.
+    use cia_data::UserId;
+    use cia_models::SharedModel;
+    use cia_scenarios::checkpoint::{Checkpoint, ProtocolState};
+    let gl = builtin_suite(Scale::Smoke, 42).expanded().unwrap()[2].clone(); // colluding-sybils
+    let dir = TempDir::new("hostile-mailbox");
+    let opts = RunOptions {
+        checkpoint_dir: Some(dir.0.clone()),
+        checkpoint_every: 2,
+        ..RunOptions::default()
+    };
+    let killed = RunOptions { stop_after_rounds: Some(2), ..opts.clone() };
+    run_scenario(&gl, "t", &killed, &mut Vec::new()).unwrap();
+    let path = Checkpoint::path_for(&dir.0, &gl.name);
+    let genuine = Checkpoint::load(&path, gl.fingerprint()).unwrap();
+    let short = SharedModel { owner: UserId::new(1), round: 1, owner_emb: None, agg: vec![0.5; 3] };
+    let corrupt = |edit: &dyn Fn(&mut cia_gossip::GossipSimState)| {
+        let ProtocolState::Gl(mut state) = genuine.protocol.clone() else {
+            panic!("expected gossip state")
+        };
+        edit(&mut state);
+        Checkpoint { protocol: ProtocolState::Gl(state), ..genuine.clone() }
+    };
+    let hostile = [
+        (corrupt(&|st| st.inboxes[5].push(short.clone())), "inbox of node 5"),
+        (corrupt(&|st| st.prev_sent[7] = Some(vec![0.0; 3])), "DP reference of node 7"),
+    ];
+    for (ck, part) in hostile {
+        ck.save(&path).unwrap();
+        let resume = RunOptions { resume: true, ..opts.clone() };
+        let err = run_scenario(&gl, "t", &resume, &mut Vec::new()).unwrap_err();
+        assert_eq!(err, format!("{}: checkpoint {part} mismatch", gl.name));
+    }
+}
+
+#[test]
 fn unwritable_completion_marker_fails_the_run_and_keeps_the_checkpoint() {
     // The `.done` marker is written before the checkpoint is removed, and a
     // failed write is an error: otherwise a finished scenario would leave
