@@ -14,6 +14,16 @@
 //!     --out crates/scenarios/tests/golden/$s-smoke.jsonl
 //! done
 //! ```
+//!
+//! The PRME suite lives in a suite file next to its transcript (no built-in
+//! suite runs PRME):
+//!
+//! ```text
+//! cargo run --release -q -p cia-scenarios --bin scenario -- \
+//!   run --suite crates/scenarios/tests/golden/prme-smoke.suite.json \
+//!   --scale smoke --seed 42 --no-timing \
+//!   --out crates/scenarios/tests/golden/prme-smoke.jsonl
+//! ```
 
 use cia_data::presets::Scale;
 use cia_scenarios::runner::{run_suite, validate_jsonl, RunOptions};
@@ -64,3 +74,12 @@ golden_test!(participation_sweep_matches_golden, "participation-sweep");
 golden_test!(defense_dynamics_grid_matches_golden, "defense-dynamics-grid");
 golden_test!(pers_gossip_churn_matches_golden, "pers-gossip-churn");
 golden_test!(adaptive_sybils_matches_golden, "adaptive-sybils");
+
+/// GMF and PRME share one client implementation; this transcript pins the
+/// PRME half (FL Full, Share-less and DP, Rand-Gossip Full, Pers-Gossip
+/// Share-less on Foursquare).
+#[test]
+fn prme_smoke_suite_matches_golden() {
+    let suite = SuiteSpec::parse(include_str!("golden/prme-smoke.suite.json")).unwrap();
+    assert_matches_golden(suite, include_str!("golden/prme-smoke.jsonl"), "prme-smoke");
+}

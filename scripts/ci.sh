@@ -47,17 +47,21 @@ collect_golden_diffs() {
     local outdir=target/golden-diff
     rm -rf "$outdir"
     mkdir -p "$outdir"
-    local s
-    for s in builtin participation-sweep defense-dynamics-grid pers-gossip-churn adaptive-sybils; do
+    local s name
+    # Built-in suites go by name; the PRME suite is a committed suite file
+    # whose golden sits next to it (prme-smoke.suite.json → prme-smoke.jsonl).
+    for s in builtin participation-sweep defense-dynamics-grid pers-gossip-churn adaptive-sybils \
+        crates/scenarios/tests/golden/prme-smoke.suite.json; do
+        name=$(basename "$s" -smoke.suite.json)
         cargo run --release -q -p cia-scenarios --bin scenario -- \
             run --suite "$s" --scale smoke --seed 42 --no-timing \
-            --out "$outdir/$s-smoke.actual.jsonl" || continue
-        if diff -u "crates/scenarios/tests/golden/$s-smoke.jsonl" \
-            "$outdir/$s-smoke.actual.jsonl" > "$outdir/$s-smoke.diff"; then
+            --out "$outdir/$name-smoke.actual.jsonl" || continue
+        if diff -u "crates/scenarios/tests/golden/$name-smoke.jsonl" \
+            "$outdir/$name-smoke.actual.jsonl" > "$outdir/$name-smoke.diff"; then
             # No drift in this suite; keep the artifact directory small.
-            rm -f "$outdir/$s-smoke.diff" "$outdir/$s-smoke.actual.jsonl"
+            rm -f "$outdir/$name-smoke.diff" "$outdir/$name-smoke.actual.jsonl"
         else
-            echo "   golden drift: $s (see $outdir/$s-smoke.diff)"
+            echo "   golden drift: $name (see $outdir/$name-smoke.diff)"
         fi
     done
 }
