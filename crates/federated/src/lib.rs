@@ -807,7 +807,7 @@ mod tests {
         let mut resumed = make_sim(8, 4, SharingPolicy::Full);
         resumed.restore(round, global);
         for (c, s) in resumed.clients_mut().iter_mut().zip(&states) {
-            c.restore_state(s);
+            c.restore_state(s).unwrap();
         }
         resumed.step(&mut NullObserver);
         resumed.step(&mut NullObserver);

@@ -54,8 +54,8 @@ impl Participant for TestClient {
         }
         dist
     }
-    fn snapshot(&self, round: u64) -> SharedModel {
-        SharedModel { owner: self.user, round, owner_emb: None, agg: self.params.clone() }
+    fn snapshot_into(&self, round: u64, slot: &mut SharedModel) {
+        *slot = SharedModel { owner: self.user, round, owner_emb: None, agg: self.params.clone() };
     }
     fn num_examples(&self) -> usize {
         1 + self.user.raw() as usize % 3
@@ -181,7 +181,7 @@ proptest! {
         let mut resumed = sim(n, cfg);
         resumed.restore(cut, global);
         for (node, p) in resumed.clients_mut().iter_mut().zip(&params) {
-            node.restore_state(p);
+            node.restore_state(p).unwrap();
         }
         for _ in cut..rounds {
             resumed.step(&mut tape);

@@ -741,8 +741,9 @@ mod tests {
             }
             dist
         }
-        fn snapshot(&self, round: u64) -> SharedModel {
-            SharedModel { owner: self.user, round, owner_emb: None, agg: self.params.clone() }
+        fn snapshot_into(&self, round: u64, slot: &mut SharedModel) {
+            *slot =
+                SharedModel { owner: self.user, round, owner_emb: None, agg: self.params.clone() };
         }
         fn lend_snapshot(&mut self, round: u64, slot: &mut SharedModel) -> bool {
             slot.owner = self.user;
@@ -1154,7 +1155,7 @@ mod tests {
         let mut resumed = sim(14, cfg);
         resumed.restore_state(proto);
         for (node, p) in resumed.nodes_mut().iter_mut().zip(&params) {
-            node.restore_state(p);
+            node.restore_state(p).unwrap();
         }
         for _ in 3..8 {
             resumed.step(&mut NullGossipObserver);

@@ -53,9 +53,6 @@ impl<P: Participant> Participant for Copying<P> {
     ) -> f32 {
         self.0.fed_round(global, epochs, rng, acc)
     }
-    fn snapshot(&self, round: u64) -> SharedModel {
-        self.0.snapshot(round)
-    }
     fn snapshot_into(&self, round: u64, slot: &mut SharedModel) {
         self.0.snapshot_into(round, slot);
     }
@@ -71,8 +68,8 @@ impl<P: Participant> Participant for Copying<P> {
     fn state_vec(&self) -> Vec<f32> {
         self.0.state_vec()
     }
-    fn restore_state(&mut self, state: &[f32]) {
-        self.0.restore_state(state);
+    fn restore_state(&mut self, state: &[f32]) -> Result<(), String> {
+        self.0.restore_state(state)
     }
 }
 

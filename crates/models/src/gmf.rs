@@ -6,7 +6,8 @@
 //! sampling, as in the paper (§V-A, §V-B).
 //!
 //! Flat parameter layout: `[ p_u (d) | Q (|V|·d) | h (d) ]`; the aggregatable
-//! slice is everything after the user embedding.
+//! slice is everything after the user embedding: in the shared
+//! [`FactorClient`] layout, the `|V|`-row region `Q` and the tail `h`.
 //!
 //! **Scoring works on pre-sigmoid logits.** The sigmoid is monotone, so
 //! every *per-item ranking* consumer — HR@20, F1@20, serve top-k — is
@@ -16,7 +17,7 @@
 //! invariant (a mean does not commute with a per-item monotone transform):
 //! the attack now ranks by mean logit instead of mean probability, and
 //! Pers-Gossip's peer-personalization score
-//! ([`Participant::evaluate_model`]) contrasts mean logits instead of mean
+//! ([`crate::Participant::evaluate_model`]) contrasts mean logits instead of mean
 //! probabilities — deliberate substitutions, valid under §IV-B's "any
 //! recommendation quality metric", that avoid sigmoid saturation compressing
 //! late-training scores into indistinguishability.
@@ -35,15 +36,14 @@
 //! accumulation order is the same on every arm, so the result is
 //! bit-identical whatever the dispatch.
 
+use crate::factor::{FactorClient, FactorModel};
 use crate::kernel::{dot, dot3, gemv};
 use crate::params::{init_uniform, sigmoid};
-use crate::participant::{
-    stamp_snapshot, Participant, RelevanceScorer, SharedModel, SharingPolicy,
-};
+use crate::participant::{RelevanceScorer, SharingPolicy};
 use cia_data::UserId;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// GMF hyper-parameters (defaults follow the original work where stated).
@@ -150,27 +150,7 @@ impl GmfSpec {
         policy: SharingPolicy,
         seed: u64,
     ) -> GmfClient {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut user_emb = vec![0.0f32; self.dim];
-        init_uniform(&mut user_emb, self.hyper.init_scale, &mut rng);
-        let agg = self.init_agg(&mut rng);
-        let mut train_mask = vec![0u8; self.num_items as usize];
-        for &j in &train_items {
-            train_mask[j as usize] = 1;
-        }
-        GmfClient {
-            spec: self.clone(),
-            user,
-            user_emb,
-            agg,
-            train_items,
-            policy,
-            ref_items: None,
-            train_mask,
-            order: Vec::new(),
-            touched: Vec::new(),
-            touched_mask: vec![0u8; self.num_items as usize],
-        }
+        FactorClient::new(self, user, train_items, policy, seed, Vec::new())
     }
 
     #[inline]
@@ -304,40 +284,39 @@ impl GmfSpec {
     }
 }
 
-/// A GMF participant: one user's local model and training data.
-#[derive(Debug, Clone)]
-pub struct GmfClient {
-    spec: GmfSpec,
-    user: UserId,
-    user_emb: Vec<f32>,
-    agg: Vec<f32>,
-    train_items: Vec<u32>,
-    policy: SharingPolicy,
-    /// Share-less reference item embeddings (the values received at the start
-    /// of the round; Eq. 2's `e_j^t`, or `e_ju^{t-1}` in GL).
-    ref_items: Option<Vec<f32>>,
-    /// O(1) membership test for negative sampling (`1` = training item).
-    train_mask: Vec<u8>,
+/// A GMF participant: one user's local model and training data. The row
+/// region is the `|V|` item rows, the tail is `h`.
+pub type GmfClient = FactorClient<GmfSpec>;
+
+impl FactorModel for GmfSpec {
     /// Scratch for the per-epoch shuffled visit order (no per-epoch alloc).
-    order: Vec<u32>,
-    /// Item rows modified since the last absorb/mix (sparse-aggregation
-    /// vantage: untouched rows still equal the absorbed reference).
-    touched: Vec<u32>,
-    /// Dedup mask for `touched`.
-    touched_mask: Vec<u8>,
+    type Local = Vec<u32>;
+
+    fn rows(&self) -> usize {
+        self.num_items as usize
+    }
+
+    fn init_scale(&self) -> f32 {
+        self.hyper.init_scale
+    }
+
+    fn init_agg(&self, rng: &mut StdRng) -> Vec<f32> {
+        GmfSpec::init_agg(self, rng)
+    }
+
+    fn train_local(client: &mut GmfClient, rng: &mut StdRng) -> f32 {
+        // Monomorphize the hot epoch on the embedding dimension: with a
+        // const `d` every per-coordinate loop unrolls and vectorizes (the
+        // generic fallback keeps identical structure with a runtime bound).
+        match client.spec.dim {
+            8 => client.train_epoch::<8>(rng),
+            16 => client.train_epoch::<16>(rng),
+            _ => client.train_epoch::<0>(rng),
+        }
+    }
 }
 
 impl GmfClient {
-    /// The model spec this client was built from.
-    pub fn spec(&self) -> &GmfSpec {
-        &self.spec
-    }
-
-    /// The client's own (private) user embedding.
-    pub fn user_emb(&self) -> &[f32] {
-        &self.user_emb
-    }
-
     /// Scores candidate items with the client's own model (utility
     /// evaluation). Returns pre-sigmoid logits — apply
     /// [`crate::params::sigmoid`] for calibrated probabilities; ranking
@@ -349,24 +328,9 @@ impl GmfClient {
         })
     }
 
-    /// Resets the touched-row tracking (the absorbed parameters become the
-    /// new sparse-update reference).
-    fn clear_touched(&mut self) {
-        // A paper-scale round touches ~half the catalog: one sequential
-        // memset beats hundreds of scattered byte-clears into a cold mask.
-        if self.touched.len() * 4 >= self.touched_mask.len() {
-            self.touched_mask.fill(0);
-        } else {
-            for &j in &self.touched {
-                self.touched_mask[j as usize] = 0;
-            }
-        }
-        self.touched.clear();
-    }
-
     /// One local training epoch over the shuffled item set, in sampling
     /// groups of one positive plus the configured negatives (the
-    /// dimension-monomorphized body of [`Participant::train_local`]).
+    /// dimension-monomorphized body of [`FactorModel::train_local`]).
     fn train_epoch<const D: usize>(&mut self, rng: &mut StdRng) -> f32 {
         let d = if D == 0 { self.spec.dim } else { D };
         let lr = self.spec.hyper.lr;
@@ -376,7 +340,7 @@ impl GmfClient {
         let num_items = self.spec.num_items;
         // Reused scratch: shuffled visit order, taken out of `self` so the
         // group steps can borrow `self` mutably.
-        let mut order = std::mem::take(&mut self.order);
+        let mut order = std::mem::take(&mut self.local);
         order.clear();
         order.extend_from_slice(&self.train_items);
         order.shuffle(rng);
@@ -443,7 +407,7 @@ impl GmfClient {
             steps += len;
         }
         self.user_emb.copy_from_slice(u);
-        self.order = order;
+        self.local = order;
         if steps == 0 {
             0.0
         } else {
@@ -612,186 +576,11 @@ fn flush_loss(loss: f32, prod: f64) -> f32 {
     loss + -(prod.ln() as f32)
 }
 
-impl Participant for GmfClient {
-    fn user(&self) -> UserId {
-        self.user
-    }
-
-    fn agg_len(&self) -> usize {
-        self.spec.agg_len()
-    }
-
-    fn agg(&self) -> &[f32] {
-        &self.agg
-    }
-
-    fn owner_emb(&self) -> Option<&[f32]> {
-        self.policy.shares_user_embedding().then_some(self.user_emb.as_slice())
-    }
-
-    fn absorb_agg(&mut self, agg: &[f32]) {
-        assert_eq!(agg.len(), self.agg.len(), "agg size mismatch");
-        self.agg.copy_from_slice(agg);
-        self.clear_touched();
-        if self.policy.tau() > 0.0 {
-            let items_len = self.spec.num_items as usize * self.spec.dim;
-            match &mut self.ref_items {
-                Some(r) => r.copy_from_slice(&agg[..items_len]),
-                slot @ None => *slot = Some(agg[..items_len].to_vec()),
-            }
-        }
-    }
-
-    fn train_local(&mut self, rng: &mut StdRng) -> f32 {
-        if self.policy.tau() > 0.0 && self.ref_items.is_none() {
-            // First round in GL: regularize towards the pre-training values.
-            let items_len = self.spec.num_items as usize * self.spec.dim;
-            self.ref_items = Some(self.agg[..items_len].to_vec());
-        }
-        // Monomorphize the hot epoch on the embedding dimension: with a
-        // const `d` every per-coordinate loop unrolls and vectorizes (the
-        // generic fallback keeps identical structure with a runtime bound).
-        match self.spec.dim {
-            8 => self.train_epoch::<8>(rng),
-            16 => self.train_epoch::<16>(rng),
-            _ => self.train_epoch::<0>(rng),
-        }
-    }
-
-    fn merge_agg(&mut self, own: &[f32], others: &[&[f32]]) {
-        if others.is_empty() {
-            // No mail: take the lent parameters back unchanged; the node
-            // did not mix, so its references stay as they are.
-            self.agg.copy_from_slice(own);
-            return;
-        }
-        // Out-of-place uniform mean into the buffer the lend left here:
-        // one pass, no intermediate mean (bit-identical to the default,
-        // which materializes the same `uniform_mix_into` and absorbs it).
-        crate::kernel::uniform_mix_into(&mut self.agg, own, others);
-        self.clear_touched();
-        if self.policy.tau() > 0.0 {
-            let items_len = self.spec.num_items as usize * self.spec.dim;
-            match &mut self.ref_items {
-                Some(r) => r.copy_from_slice(&self.agg[..items_len]),
-                slot @ None => *slot = Some(self.agg[..items_len].to_vec()),
-            }
-        }
-    }
-
-    fn snapshot(&self, round: u64) -> SharedModel {
-        SharedModel {
-            owner: self.user,
-            round,
-            owner_emb: self.policy.shares_user_embedding().then(|| self.user_emb.clone()),
-            agg: self.agg.clone(),
-        }
-    }
-
-    fn snapshot_into(&self, round: u64, slot: &mut SharedModel) {
-        stamp_snapshot(slot, self.user, round, self.owner_emb());
-        slot.agg.resize(self.agg.len(), 0.0);
-        slot.agg.copy_from_slice(&self.agg);
-    }
-
-    fn lend_snapshot(&mut self, round: u64, slot: &mut SharedModel) -> bool {
-        stamp_snapshot(slot, self.user, round, self.owner_emb());
-        slot.agg.resize(self.agg.len(), 0.0);
-        std::mem::swap(&mut self.agg, &mut slot.agg);
-        true
-    }
-
-    fn accumulate_update(&self, reference: &[f32], weight: f32, out: &mut [f32]) {
-        let d = self.spec.dim;
-        let items_len = self.spec.num_items as usize * d;
-        assert_eq!(self.agg.len(), reference.len(), "reference length mismatch");
-        assert_eq!(self.agg.len(), out.len(), "output length mismatch");
-        // Local training modifies only the visited item rows and `h`;
-        // untouched rows still equal the absorbed reference, so their delta
-        // is exactly zero and the pass skips them. Equal-length row slices
-        // keep the inner loop free of bounds checks.
-        for &j in &self.touched {
-            let start = j as usize * d;
-            let o = &mut out[start..][..d];
-            let a = &self.agg[start..][..d];
-            let r = &reference[start..][..d];
-            for k in 0..d {
-                o[k] += weight * (a[k] - r[k]);
-            }
-        }
-        let o = &mut out[items_len..];
-        let a = &self.agg[items_len..];
-        let r = &reference[items_len..];
-        for k in 0..o.len() {
-            o[k] += weight * (a[k] - r[k]);
-        }
-    }
-
-    fn num_examples(&self) -> usize {
-        self.train_items.len()
-    }
-
-    fn evaluate_model(&self, model: &SharedModel) -> f32 {
-        // Contrast the received public parameters against this node's taste:
-        // mean relevance of own train items minus a deterministic probe of
-        // the catalog, both scored with the node's own embedding.
-        let spec = &self.spec;
-        let on = RelevanceScorer::mean_relevance(
-            spec,
-            Some(&self.user_emb),
-            &model.agg,
-            &self.train_items,
-        );
-        let stride = (spec.num_items() / 64).max(1);
-        let probe: Vec<u32> = (0..spec.num_items()).step_by(stride as usize).collect();
-        let off = RelevanceScorer::mean_relevance(spec, Some(&self.user_emb), &model.agg, &probe);
-        on - off
-    }
-
-    fn state_vec(&self) -> Vec<f32> {
-        // [ user_emb | agg | ref_flag | ref_items? ] — decoded only by
-        // `restore_state` below.
-        let d = self.spec.dim;
-        let items_len = self.spec.num_items as usize * d;
-        let mut state = Vec::with_capacity(
-            d + self.agg.len() + 1 + self.ref_items.as_ref().map_or(0, Vec::len),
-        );
-        state.extend_from_slice(&self.user_emb);
-        state.extend_from_slice(&self.agg);
-        match &self.ref_items {
-            Some(r) => {
-                debug_assert_eq!(r.len(), items_len);
-                state.push(1.0);
-                state.extend_from_slice(r);
-            }
-            None => state.push(0.0),
-        }
-        state
-    }
-
-    fn restore_state(&mut self, state: &[f32]) {
-        self.clear_touched();
-        let d = self.spec.dim;
-        let items_len = self.spec.num_items as usize * d;
-        let agg_len = self.agg.len();
-        assert!(state.len() > d + agg_len, "GMF state too short");
-        self.user_emb.copy_from_slice(&state[..d]);
-        self.agg.copy_from_slice(&state[d..d + agg_len]);
-        let flag = state[d + agg_len];
-        self.ref_items = if flag == 1.0 {
-            let r = &state[d + agg_len + 1..];
-            assert_eq!(r.len(), items_len, "GMF reference-items state size");
-            Some(r.to_vec())
-        } else {
-            assert_eq!(state.len(), d + agg_len + 1, "GMF state size");
-            None
-        };
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Participant;
+    use rand::SeedableRng;
 
     fn spec() -> GmfSpec {
         GmfSpec::new(30, 4, GmfHyper { lr: 0.1, ..GmfHyper::default() })
@@ -1043,7 +832,7 @@ mod tests {
         }
         let state = c.state_vec();
         let mut fresh = s.build_client(UserId::new(3), vec![1, 2, 3], SharingPolicy::Full, 6);
-        fresh.restore_state(&state);
+        fresh.restore_state(&state).unwrap();
         assert_eq!(fresh.user_emb(), c.user_emb());
         assert_eq!(fresh.agg(), c.agg());
         // Share-less clients carry reference items in the state too.
@@ -1055,7 +844,7 @@ mod tests {
         let state = sl.state_vec();
         let mut fresh =
             s.build_client(UserId::new(4), vec![1, 2], SharingPolicy::ShareLess { tau: 0.5 }, 7);
-        fresh.restore_state(&state);
+        fresh.restore_state(&state).unwrap();
         assert_eq!(fresh.ref_items, sl.ref_items);
         assert_eq!(fresh.agg(), sl.agg());
     }

@@ -10,6 +10,15 @@
 //!   by (negative) distance in two metric embedding spaces, trained with a
 //!   pairwise ranking loss over check-in successor pairs.
 //!
+//! Both run through **one factor-model client**, [`FactorClient`]: a single
+//! [`Participant`] implementation owns the user embedding, the Share-less
+//! reference, the sparse touched-row update and the send, merge and
+//! checkpoint bookkeeping. The aggregate is a *row region* of `rows × d`
+//! floats (GMF's `|V|` item rows; PRME's `|V|` preference then `|V|`
+//! sequential rows) followed by a dense *tail* (GMF's `h`; empty for PRME).
+//! Each model supplies only its scorer, its local epoch and its own state
+//! through [`FactorModel`].
+//!
 //! A small [`MlpSpec`] multi-layer perceptron supports the MNIST universality
 //! experiment (§VIII-E) and the AIA gradient classifier (§VIII-C2).
 //!
@@ -22,6 +31,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod factor;
 mod gmf;
 pub mod kernel;
 mod metrics;
@@ -34,6 +44,7 @@ mod prme;
 /// the similarity ground truth can parallelize without a dependency cycle).
 pub use cia_data::parallel;
 
+pub use factor::{FactorClient, FactorModel};
 pub use gmf::{GmfClient, GmfHyper, GmfSpec};
 pub use metrics::{f1_at_k, hit_ratio, ndcg, rank_of_primary, RankedEval};
 pub use mlp::{Mlp, MlpClient, MlpHyper, MlpScratch, MlpSpec};

@@ -9,7 +9,7 @@
 
 use crate::kernel;
 use crate::params::init_uniform;
-use crate::participant::{Participant, SharedModel};
+use crate::participant::{stamp_snapshot, Participant, SharedModel};
 use cia_data::{ImageDataset, UserId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -483,8 +483,9 @@ impl Participant for MlpClient {
         }
     }
 
-    fn snapshot(&self, round: u64) -> SharedModel {
-        SharedModel { owner: self.user, round, owner_emb: None, agg: self.model.params.clone() }
+    fn snapshot_into(&self, round: u64, slot: &mut SharedModel) {
+        stamp_snapshot(slot, self.user, round, None);
+        slot.agg.clone_from(&self.model.params);
     }
 
     fn num_examples(&self) -> usize {

@@ -150,15 +150,17 @@ pub trait Participant: Send + Sync {
         loss
     }
 
-    /// Produces the outgoing snapshot under the participant's sharing policy.
-    fn snapshot(&self, round: u64) -> SharedModel;
-
-    /// Writes the outgoing snapshot into `slot`, reusing its buffers. The
-    /// default delegates to [`Participant::snapshot`]; implementations
-    /// should override to copy in place so protocol rounds stay
+    /// Writes the outgoing snapshot under the participant's sharing policy
+    /// into `slot`, reusing its buffers, so protocol rounds stay
     /// allocation-free once warm.
-    fn snapshot_into(&self, round: u64, slot: &mut SharedModel) {
-        *slot = self.snapshot(round);
+    fn snapshot_into(&self, round: u64, slot: &mut SharedModel);
+
+    /// The outgoing snapshot in a fresh [`SharedModel`], built by
+    /// [`Participant::snapshot_into`].
+    fn snapshot(&self, round: u64) -> SharedModel {
+        let mut slot = SharedModel { owner: self.user(), round, owner_emb: None, agg: Vec::new() };
+        self.snapshot_into(round, &mut slot);
+        slot
     }
 
     /// Fills `slot` with the outgoing gossip push and returns whether the
@@ -248,12 +250,18 @@ pub trait Participant: Send + Sync {
     /// Restores state previously produced by [`Participant::state_vec`] on a
     /// participant constructed with the same spec and constructor seed.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Implementations may panic when `state` was produced by a different
-    /// participant layout.
-    fn restore_state(&mut self, state: &[f32]) {
+    /// Returns a description of the misfit, leaving the participant
+    /// unchanged, when `state` does not fit the participant's layout (a
+    /// truncated or foreign checkpoint). The default accepts exactly
+    /// [`Participant::agg_len`] floats.
+    fn restore_state(&mut self, state: &[f32]) -> Result<(), String> {
+        if state.len() != self.agg_len() {
+            return Err(format!("state of {} floats, expected {}", state.len(), self.agg_len()));
+        }
         self.absorb_agg(state);
+        Ok(())
     }
 }
 

@@ -11,19 +11,19 @@
 //! pairs. As in the paper, PRME is evaluated only on the POI datasets.
 //!
 //! Flat parameter layout: `[ p_u (d) | X (|V|·d) | S (|V|·d) ]`; the
-//! aggregatable slice holds both item tables.
+//! aggregatable slice holds both item tables, the `2|V|`-row region of the
+//! shared [`FactorClient`] layout (its tail is empty).
 //!
 //! For the attack, relevance is the negative *preference* distance: the
 //! adversary has no knowledge of a victim's current location, and preference
 //! distance is exactly the personal-taste component CIA exploits.
 
+use crate::factor::{FactorClient, FactorModel};
 use crate::params::init_uniform;
-use crate::participant::{
-    stamp_snapshot, Participant, RelevanceScorer, SharedModel, SharingPolicy,
-};
+use crate::participant::{RelevanceScorer, SharingPolicy};
 use cia_data::UserId;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// PRME hyper-parameters.
@@ -120,27 +120,7 @@ impl PrmeSpec {
         policy: SharingPolicy,
         seed: u64,
     ) -> PrmeClient {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut user_emb = vec![0.0f32; self.dim];
-        init_uniform(&mut user_emb, self.hyper.init_scale, &mut rng);
-        let agg = self.init_agg(&mut rng);
-        let mut train_mask = vec![0u8; self.num_items as usize];
-        for &j in &train_items {
-            train_mask[j as usize] = 1;
-        }
-        PrmeClient {
-            spec: self.clone(),
-            user,
-            user_emb,
-            agg,
-            train_items,
-            train_sequence,
-            policy,
-            ref_items: None,
-            train_mask,
-            touched: Vec::new(),
-            touched_mask: vec![0u8; 2 * self.num_items as usize],
-        }
+        FactorClient::new(self, user, train_items, policy, seed, train_sequence)
     }
 
     #[inline]
@@ -242,42 +222,67 @@ impl RelevanceScorer for PrmeSpec {
     }
 }
 
-/// A PRME participant: one user's local model and check-in history.
-#[derive(Debug, Clone)]
-pub struct PrmeClient {
-    spec: PrmeSpec,
-    user: UserId,
-    user_emb: Vec<f32>,
-    agg: Vec<f32>,
-    train_items: Vec<u32>,
-    train_sequence: Vec<u32>,
-    policy: SharingPolicy,
-    ref_items: Option<Vec<f32>>,
-    /// O(1) membership test for negative sampling (`1` = training item).
-    train_mask: Vec<u8>,
-    /// Embedding rows (preference row `j`, sequential row `|V| + j`)
-    /// modified since the last absorb/mix.
-    touched: Vec<u32>,
-    /// Dedup mask for `touched`.
-    touched_mask: Vec<u8>,
+/// A PRME participant: one user's local model and check-in history. The
+/// row region is the preference rows (`j`) then the sequential rows
+/// (`|V| + j`); the tail is empty.
+pub type PrmeClient = FactorClient<PrmeSpec>;
+
+impl FactorModel for PrmeSpec {
+    /// The client's check-in sequence.
+    type Local = Vec<u32>;
+
+    fn rows(&self) -> usize {
+        2 * self.num_items as usize
+    }
+
+    fn init_scale(&self) -> f32 {
+        self.hyper.init_scale
+    }
+
+    fn init_agg(&self, rng: &mut StdRng) -> Vec<f32> {
+        PrmeSpec::init_agg(self, rng)
+    }
+
+    fn train_local(client: &mut PrmeClient, rng: &mut StdRng) -> f32 {
+        let lr = client.spec.hyper.lr;
+        let negatives = client.spec.hyper.negatives;
+        let num_items = client.spec.num_items;
+        let mut loss = 0.0f32;
+        let mut steps = 0usize;
+        // Successor pairs from the check-in sequence (`client.local`); fall
+        // back to item-set
+        // self-pairs when no sequence exists. Indexed access keeps the pair
+        // iteration allocation-free.
+        let seq_pairs = client.local.len().saturating_sub(1);
+        let pair_count = if seq_pairs > 0 { seq_pairs } else { client.train_items.len() };
+        for i in 0..pair_count {
+            let (l, pos) = if seq_pairs > 0 {
+                (client.local[i], client.local[i + 1])
+            } else {
+                (client.train_items[i], client.train_items[i])
+            };
+            for _ in 0..negatives {
+                let neg = rng.gen_range(0..num_items);
+                if client.train_mask[neg as usize] == 0 {
+                    loss += client.pair_step(l, pos, neg, lr);
+                    steps += 1;
+                }
+            }
+        }
+        if steps == 0 {
+            0.0
+        } else {
+            loss / steps as f32
+        }
+    }
 }
 
 impl PrmeClient {
-    /// The model spec this client was built from.
-    pub fn spec(&self) -> &PrmeSpec {
-        &self.spec
-    }
-
-    /// The client's own (private) user embedding.
-    pub fn user_emb(&self) -> &[f32] {
-        &self.user_emb
-    }
-
     /// Scores candidates with the full model (preference + sequential from
     /// the last training check-in), for utility evaluation. Higher is better.
     pub fn score_candidates(&self, items: &[u32]) -> Vec<f32> {
         let alpha = self.spec.hyper.alpha;
-        let last = self.train_sequence.last().or_else(|| self.train_items.last()).copied();
+        let last = self.local.last().or_else(|| self.train_items.last()).copied();
         items
             .iter()
             .map(|&j| {
@@ -293,31 +298,12 @@ impl PrmeClient {
             .collect()
     }
 
-    /// Resets the touched-row tracking (the absorbed parameters become the
-    /// new sparse-update reference).
-    fn clear_touched(&mut self) {
-        for &r in &self.touched {
-            self.touched_mask[r as usize] = 0;
-        }
-        self.touched.clear();
-    }
-
-    /// Marks an embedding row (`pref` row `j` or `seq` row `|V| + j`) dirty.
-    fn touch_row(&mut self, row: u32) {
-        if self.touched_mask[row as usize] == 0 {
-            self.touched_mask[row as usize] = 1;
-            self.touched.push(row);
-        }
-    }
-
     /// One pairwise step on successor pair `(l → pos)` against negative `neg`.
     fn pair_step(&mut self, l: u32, pos: u32, neg: u32, lr: f32) -> f32 {
         let n = self.spec.num_items;
-        self.touch_row(pos);
-        self.touch_row(neg);
-        self.touch_row(n + l);
-        self.touch_row(n + pos);
-        self.touch_row(n + neg);
+        for row in [pos, neg, n + l, n + pos, n + neg] {
+            self.touch_row(row);
+        }
         let d = self.spec.dim;
         let alpha = self.spec.hyper.alpha;
         let wd = self.spec.hyper.weight_decay;
@@ -383,185 +369,11 @@ impl PrmeClient {
     }
 }
 
-impl Participant for PrmeClient {
-    fn user(&self) -> UserId {
-        self.user
-    }
-
-    fn agg_len(&self) -> usize {
-        self.spec.agg_len()
-    }
-
-    fn agg(&self) -> &[f32] {
-        &self.agg
-    }
-
-    fn owner_emb(&self) -> Option<&[f32]> {
-        self.policy.shares_user_embedding().then_some(self.user_emb.as_slice())
-    }
-
-    fn absorb_agg(&mut self, agg: &[f32]) {
-        assert_eq!(agg.len(), self.agg.len(), "agg size mismatch");
-        self.agg.copy_from_slice(agg);
-        self.clear_touched();
-        if self.policy.tau() > 0.0 {
-            match &mut self.ref_items {
-                Some(r) => r.copy_from_slice(agg),
-                slot @ None => *slot = Some(agg.to_vec()),
-            }
-        }
-    }
-
-    fn merge_agg(&mut self, own: &[f32], others: &[&[f32]]) {
-        if others.is_empty() {
-            // No mail: take the lent parameters back unchanged (see the GMF
-            // counterpart).
-            self.agg.copy_from_slice(own);
-            return;
-        }
-        crate::kernel::uniform_mix_into(&mut self.agg, own, others);
-        self.clear_touched();
-        if self.policy.tau() > 0.0 {
-            match &mut self.ref_items {
-                Some(r) => r.copy_from_slice(&self.agg),
-                slot @ None => *slot = Some(self.agg.clone()),
-            }
-        }
-    }
-
-    fn train_local(&mut self, rng: &mut StdRng) -> f32 {
-        if self.policy.tau() > 0.0 && self.ref_items.is_none() {
-            self.ref_items = Some(self.agg.clone());
-        }
-        let lr = self.spec.hyper.lr;
-        let negatives = self.spec.hyper.negatives;
-        let num_items = self.spec.num_items;
-        let mut loss = 0.0f32;
-        let mut steps = 0usize;
-        // Successor pairs from the check-in sequence; fall back to item-set
-        // self-pairs when no sequence exists. Indexed access keeps the pair
-        // iteration allocation-free.
-        let seq_pairs = self.train_sequence.len().saturating_sub(1);
-        let pair_count = if seq_pairs > 0 { seq_pairs } else { self.train_items.len() };
-        for i in 0..pair_count {
-            let (l, pos) = if seq_pairs > 0 {
-                (self.train_sequence[i], self.train_sequence[i + 1])
-            } else {
-                (self.train_items[i], self.train_items[i])
-            };
-            for _ in 0..negatives {
-                let neg = rng.gen_range(0..num_items);
-                if self.train_mask[neg as usize] == 0 {
-                    loss += self.pair_step(l, pos, neg, lr);
-                    steps += 1;
-                }
-            }
-        }
-        if steps == 0 {
-            0.0
-        } else {
-            loss / steps as f32
-        }
-    }
-
-    fn snapshot(&self, round: u64) -> SharedModel {
-        SharedModel {
-            owner: self.user,
-            round,
-            owner_emb: self.policy.shares_user_embedding().then(|| self.user_emb.clone()),
-            agg: self.agg.clone(),
-        }
-    }
-
-    fn snapshot_into(&self, round: u64, slot: &mut SharedModel) {
-        stamp_snapshot(slot, self.user, round, self.owner_emb());
-        slot.agg.resize(self.agg.len(), 0.0);
-        slot.agg.copy_from_slice(&self.agg);
-    }
-
-    fn lend_snapshot(&mut self, round: u64, slot: &mut SharedModel) -> bool {
-        stamp_snapshot(slot, self.user, round, self.owner_emb());
-        slot.agg.resize(self.agg.len(), 0.0);
-        std::mem::swap(&mut self.agg, &mut slot.agg);
-        true
-    }
-
-    fn accumulate_update(&self, reference: &[f32], weight: f32, out: &mut [f32]) {
-        let d = self.spec.dim;
-        assert_eq!(self.agg.len(), reference.len(), "reference length mismatch");
-        assert_eq!(self.agg.len(), out.len(), "output length mismatch");
-        // Training modifies only the visited preference/sequential rows;
-        // untouched rows still equal the absorbed reference.
-        for &r in &self.touched {
-            let s = r as usize * d;
-            for k in s..s + d {
-                out[k] += weight * (self.agg[k] - reference[k]);
-            }
-        }
-    }
-
-    fn num_examples(&self) -> usize {
-        self.train_items.len()
-    }
-
-    fn evaluate_model(&self, model: &SharedModel) -> f32 {
-        // Contrast the received public parameters against this node's taste:
-        // mean relevance of own train items minus a deterministic probe of
-        // the catalog, both scored with the node's own embedding.
-        let spec = &self.spec;
-        let on = RelevanceScorer::mean_relevance(
-            spec,
-            Some(&self.user_emb),
-            &model.agg,
-            &self.train_items,
-        );
-        let stride = (spec.num_items() / 64).max(1);
-        let probe: Vec<u32> = (0..spec.num_items()).step_by(stride as usize).collect();
-        let off = RelevanceScorer::mean_relevance(spec, Some(&self.user_emb), &model.agg, &probe);
-        on - off
-    }
-
-    fn state_vec(&self) -> Vec<f32> {
-        // [ user_emb | agg | ref_flag | ref_items? ] — decoded only by
-        // `restore_state` below (PRME references span the full agg slice).
-        let d = self.spec.dim;
-        let mut state = Vec::with_capacity(
-            d + self.agg.len() + 1 + self.ref_items.as_ref().map_or(0, Vec::len),
-        );
-        state.extend_from_slice(&self.user_emb);
-        state.extend_from_slice(&self.agg);
-        match &self.ref_items {
-            Some(r) => {
-                state.push(1.0);
-                state.extend_from_slice(r);
-            }
-            None => state.push(0.0),
-        }
-        state
-    }
-
-    fn restore_state(&mut self, state: &[f32]) {
-        self.clear_touched();
-        let d = self.spec.dim;
-        let agg_len = self.agg.len();
-        assert!(state.len() > d + agg_len, "PRME state too short");
-        self.user_emb.copy_from_slice(&state[..d]);
-        self.agg.copy_from_slice(&state[d..d + agg_len]);
-        let flag = state[d + agg_len];
-        self.ref_items = if flag == 1.0 {
-            let r = &state[d + agg_len + 1..];
-            assert_eq!(r.len(), agg_len, "PRME reference state size");
-            Some(r.to_vec())
-        } else {
-            assert_eq!(state.len(), d + agg_len + 1, "PRME state size");
-            None
-        };
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Participant;
+    use rand::SeedableRng;
 
     fn spec() -> PrmeSpec {
         PrmeSpec::new(30, 4, PrmeHyper { lr: 0.05, ..PrmeHyper::default() })

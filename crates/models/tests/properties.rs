@@ -1,11 +1,16 @@
 //! Property-based tests for the flat parameter algebra — the code path every
 //! aggregation, momentum, clipping and noising operation flows through — and
 //! for the chunked kernels, proving the vectorized paths are drop-in for a
-//! straightforward scalar reference.
+//! straightforward scalar reference. The factor clients' sparse FedAvg
+//! update is checked bit for bit against the trait's dense default.
 
+use cia_data::UserId;
 use cia_models::kernel;
 use cia_models::params::{axpy, clip_l2, ema, l2_norm, scale, weighted_mean};
-use cia_models::{GmfHyper, GmfSpec, RelevanceScorer};
+use cia_models::{
+    GmfHyper, GmfSpec, Participant, PrmeHyper, PrmeSpec, RelevanceScorer, SharedModel,
+    SharingPolicy,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -290,5 +295,108 @@ proptest! {
             got.to_bits() == expected.to_bits() || (got.is_nan() && expected.is_nan()),
             "d={d} items={items:?}: {got} vs naive {expected}"
         );
+    }
+}
+
+/// A read-only view that forwards only the required [`Participant`] hooks,
+/// so its `accumulate_update` is the trait's dense default pass.
+struct Dense<'a>(&'a dyn Participant);
+
+impl Participant for Dense<'_> {
+    fn user(&self) -> UserId {
+        self.0.user()
+    }
+    fn agg_len(&self) -> usize {
+        self.0.agg_len()
+    }
+    fn agg(&self) -> &[f32] {
+        self.0.agg()
+    }
+    fn absorb_agg(&mut self, _agg: &[f32]) {
+        unreachable!("read-only view")
+    }
+    fn train_local(&mut self, _rng: &mut StdRng) -> f32 {
+        unreachable!("read-only view")
+    }
+    fn snapshot_into(&self, round: u64, slot: &mut SharedModel) {
+        self.0.snapshot_into(round, slot);
+    }
+    fn num_examples(&self) -> usize {
+        self.0.num_examples()
+    }
+}
+
+/// Folds the client's update against `reference` into the same non-zero
+/// accumulator through its sparse override and through the dense default.
+fn assert_sparse_accumulate_is_dense(c: &dyn Participant, reference: &[f32], label: &str) {
+    let mut rng = StdRng::seed_from_u64(99);
+    let start: Vec<f32> = (0..reference.len()).map(|_| rng.gen_range(0.5f32..1.5)).collect();
+    let (mut sparse, mut dense) = (start.clone(), start);
+    c.accumulate_update(reference, 0.37, &mut sparse);
+    Dense(c).accumulate_update(reference, 0.37, &mut dense);
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert!(bits(&sparse) == bits(&dense), "{label}: sparse update differs from the dense pass");
+}
+
+#[test]
+fn factor_sparse_accumulate_matches_the_dense_default_bitwise() {
+    // GMF and PRME, Full and Share-less, at the monomorphised (8) and a
+    // runtime (3) dimension; 2 or 12 train items on a 60-item catalog so
+    // the touched-row reset runs both its scatter and its memset branch.
+    const ITEMS: u32 = 60;
+    for d in [3usize, 8] {
+        for policy in [SharingPolicy::Full, SharingPolicy::ShareLess { tau: 0.3 }] {
+            for n in [2u32, 12] {
+                let gmf = GmfSpec::new(ITEMS, d, GmfHyper { lr: 0.1, ..GmfHyper::default() });
+                let prme = PrmeSpec::new(ITEMS, d, PrmeHyper { lr: 0.1, ..PrmeHyper::default() });
+                let items = |u: u32| {
+                    let mut v: Vec<u32> = (0..n).map(|k| (u * 7 + k * 5) % ITEMS).collect();
+                    v.sort_unstable();
+                    v.dedup();
+                    v
+                };
+                let make = |prme_model: bool, u: u32| -> Box<dyn Participant> {
+                    let seed = u64::from(u) + 1;
+                    if prme_model {
+                        let sequence = items(u).into_iter().rev().collect();
+                        Box::new(prme.build_client(
+                            UserId::new(u),
+                            items(u),
+                            sequence,
+                            policy,
+                            seed,
+                        ))
+                    } else {
+                        Box::new(gmf.build_client(UserId::new(u), items(u), policy, seed))
+                    }
+                };
+                for prme_model in [false, true] {
+                    let label = format!("prme={prme_model} d={d} {policy:?} n={n}");
+                    let (mut a, b, c) =
+                        (make(prme_model, 0), make(prme_model, 1), make(prme_model, 2));
+                    let mut rng = StdRng::seed_from_u64(d as u64 * 31 + u64::from(n));
+                    // FedAvg: absorb a global aggregate, then one or two epochs.
+                    let global = b.agg().to_vec();
+                    a.absorb_agg(&global);
+                    for epoch in 1..=2 {
+                        a.train_local(&mut rng);
+                        assert_sparse_accumulate_is_dense(
+                            &*a,
+                            &global,
+                            &format!("{label} e{epoch}"),
+                        );
+                    }
+                    // Gossip: lend, merge with mail, train; the merged
+                    // aggregate is the new reference.
+                    let mut slot =
+                        SharedModel { owner: a.user(), round: 0, owner_emb: None, agg: Vec::new() };
+                    a.lend_snapshot(1, &mut slot);
+                    a.merge_agg(&slot.agg, &[b.agg(), c.agg()]);
+                    let merged = a.agg().to_vec();
+                    a.train_local(&mut rng);
+                    assert_sparse_accumulate_is_dense(&*a, &merged, &format!("{label} merge"));
+                }
+            }
+        }
     }
 }

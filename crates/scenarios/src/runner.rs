@@ -713,8 +713,8 @@ fn drive<R: ProtocolRun>(
         proto
             .restore(ck.round, ck.protocol, ck.placement, &mut dynamics)
             .map_err(|part| mismatch(&part))?;
-        for (c, s) in proto.clients().iter_mut().zip(&ck.clients) {
-            c.restore_state(s);
+        for (i, (c, s)) in proto.clients().iter_mut().zip(&ck.clients).enumerate() {
+            c.restore_state(s).map_err(|_| mismatch(&format!("state of client {i}")))?;
         }
         dynamics.restore_state(ck.dynamics);
         (done, emitted) = (ck.round, ck.emitted as usize);

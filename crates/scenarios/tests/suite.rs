@@ -349,8 +349,9 @@ fn resume_refuses_a_different_spec() {
 #[test]
 fn hostile_checkpoints_fail_with_a_named_mismatch() {
     // A checkpoint carrying the spec's own fingerprint but another protocol
-    // family, another attack family or another client count must be refused
-    // with the matching error, never a panic — for both protocols.
+    // family, another attack family, another client count or a truncated
+    // client state must be refused with the matching error, never a panic —
+    // for both protocols.
     use cia_core::PlacementsState;
     use cia_scenarios::checkpoint::{AttackState, Checkpoint};
     let specs = builtin_suite(Scale::Smoke, 42).expanded().unwrap();
@@ -374,6 +375,11 @@ fn hostile_checkpoints_fail_with_a_named_mismatch() {
             prepared: false,
         })
     };
+    let truncated = |ck: &Checkpoint, node: usize| {
+        let mut clients = ck.clients.clone();
+        clients[node].truncate(5);
+        Checkpoint { clients, ..ck.clone() }
+    };
     let hostile = [
         (fl, Checkpoint { protocol: gl_ck.protocol.clone(), ..fl_ck.clone() }, "protocol family"),
         (fl, Checkpoint { attack: placements(), ..fl_ck.clone() }, "attack family"),
@@ -381,6 +387,8 @@ fn hostile_checkpoints_fail_with_a_named_mismatch() {
         (gl, Checkpoint { protocol: fl_ck.protocol.clone(), ..gl_ck.clone() }, "protocol family"),
         (gl, Checkpoint { attack: placements(), ..gl_ck.clone() }, "attack family"),
         (gl, Checkpoint { clients: gl_ck.clients[1..].to_vec(), ..gl_ck.clone() }, "population"),
+        (fl, truncated(&fl_ck, 3), "state of client 3"),
+        (gl, truncated(&gl_ck, 6), "state of client 6"),
     ];
     for (spec, ck, part) in hostile {
         ck.save(&Checkpoint::path_for(&dir.0, &spec.name)).unwrap();
