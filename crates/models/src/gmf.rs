@@ -850,6 +850,35 @@ mod tests {
     }
 
     #[test]
+    fn restore_state_rejects_misfit_states_and_keeps_the_client() {
+        let s = spec();
+        let mut c =
+            s.build_client(UserId::new(4), vec![1, 2], SharingPolicy::ShareLess { tau: 0.5 }, 7);
+        c.train_local(&mut StdRng::seed_from_u64(1));
+        let good = c.state_vec();
+        let params = 4 + s.agg_len();
+        let with_flag = |flag: f32, reference: usize| {
+            let mut v = good[..params].to_vec();
+            v.push(flag);
+            v.extend(std::iter::repeat(0.25).take(reference));
+            v
+        };
+        let region = 30 * 4;
+        for bad in [
+            good[..params].to_vec(),
+            good[..params - 1].to_vec(),
+            with_flag(0.5, 0),
+            with_flag(1.0, region - 1),
+            with_flag(0.0, region),
+        ] {
+            assert!(c.restore_state(&bad).is_err(), "accepted {} floats", bad.len());
+            assert_eq!(c.state_vec(), good, "a refused restore changed the client");
+        }
+        c.restore_state(&with_flag(1.0, region)).unwrap();
+        assert_eq!(c.ref_items, Some(vec![0.25; region]));
+    }
+
+    #[test]
     fn absorb_agg_roundtrip() {
         let s = spec();
         let mut a = s.build_client(UserId::new(0), vec![1], SharingPolicy::Full, 1);

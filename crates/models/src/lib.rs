@@ -10,14 +10,11 @@
 //!   by (negative) distance in two metric embedding spaces, trained with a
 //!   pairwise ranking loss over check-in successor pairs.
 //!
-//! Both run through **one factor-model client**, [`FactorClient`]: a single
-//! [`Participant`] implementation owns the user embedding, the Share-less
-//! reference, the sparse touched-row update and the send, merge and
-//! checkpoint bookkeeping. The aggregate is a *row region* of `rows × d`
-//! floats (GMF's `|V|` item rows; PRME's `|V|` preference then `|V|`
-//! sequential rows) followed by a dense *tail* (GMF's `h`; empty for PRME).
-//! Each model supplies only its scorer, its local epoch and its own state
-//! through [`FactorModel`].
+//! Both run through **one factor-model client**, [`FactorClient`], with a
+//! single [`Participant`] implementation over a *row region* of `rows × d`
+//! floats (GMF's `|V|` item rows; PRME's preference then sequential rows)
+//! and a dense *tail* (GMF's `h`; empty for PRME). Each model supplies only
+//! its scorer, its local epoch and its own state through [`FactorModel`].
 //!
 //! A small [`MlpSpec`] multi-layer perceptron supports the MNIST universality
 //! experiment (§VIII-E) and the AIA gradient classifier (§VIII-C2).

@@ -593,4 +593,22 @@ mod tests {
         assert!(snap.owner_emb.is_none());
         assert_eq!(snap.agg.len(), client.agg_len());
     }
+
+    #[test]
+    fn default_restore_takes_exactly_the_parameter_vector() {
+        let data = Arc::new(ImageDataset::generate(&ImageGenConfig {
+            samples_per_class: 2,
+            noise_std: 0.2,
+            seed: 9,
+        }));
+        let spec = MlpSpec::new(vec![cia_data::IMAGE_DIM, 4, 10]);
+        let mut client =
+            MlpClient::new(spec, MlpHyper::default(), UserId::new(0), data, vec![0, 1], 1);
+        let state = client.state_vec();
+        assert!(client.restore_state(&state[1..]).is_err());
+        assert!(client.restore_state(&[state.as_slice(), &[0.0]].concat()).is_err());
+        assert_eq!(client.agg(), &state[..]);
+        client.restore_state(&vec![0.5; state.len()]).unwrap();
+        assert!(client.agg().iter().all(|&x| x == 0.5));
+    }
 }

@@ -250,9 +250,8 @@ impl FactorModel for PrmeSpec {
         let mut loss = 0.0f32;
         let mut steps = 0usize;
         // Successor pairs from the check-in sequence (`client.local`); fall
-        // back to item-set
-        // self-pairs when no sequence exists. Indexed access keeps the pair
-        // iteration allocation-free.
+        // back to item-set self-pairs when no sequence exists. Indexed
+        // access keeps the pair iteration allocation-free.
         let seq_pairs = client.local.len().saturating_sub(1);
         let pair_count = if seq_pairs > 0 { seq_pairs } else { client.train_items.len() };
         for i in 0..pair_count {
