@@ -860,7 +860,7 @@ mod tests {
         let with_flag = |flag: f32, reference: usize| {
             let mut v = good[..params].to_vec();
             v.push(flag);
-            v.extend(std::iter::repeat(0.25).take(reference));
+            v.resize(params + 1 + reference, 0.25);
             v
         };
         let region = 30 * 4;
