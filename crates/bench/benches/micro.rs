@@ -15,14 +15,11 @@ use cia_models::params::{clip_l2, ema, sigmoid};
 use cia_models::{
     kernel, GmfHyper, GmfSpec, Mlp, MlpHyper, MlpSpec, RelevanceScorer, SharingPolicy,
 };
-use cia_scenarios::runner::gmf_scorer;
 use cia_scenarios::{DynamicsSpec, FlDynamics, ParticipantDynamics};
-use cia_serve::{QueryWorkload, ServeEngine, Snapshot, SnapshotHub};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const ITEMS: u32 = 1682; // MovieLens catalog size
 const DIM: usize = 16;
@@ -446,44 +443,6 @@ fn bench_ground_truth(c: &mut Criterion) {
     });
 }
 
-/// A published snapshot over random GMF parameters — serving cost depends
-/// only on shapes, not on how trained the parameters are.
-fn serve_hub(users: usize, items: u32, dim: usize, seed: u64) -> Arc<SnapshotHub> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let agg = gmf_scorer(items, dim).init_agg(&mut rng);
-    let embs: Vec<Vec<f32>> =
-        (0..users).map(|_| (0..dim).map(|_| rng.gen::<f32>() - 0.5).collect()).collect();
-    let hub = Arc::new(SnapshotHub::new());
-    hub.publish(Snapshot::shared(dim, embs.iter().map(|e| Some(e.as_slice())), &agg));
-    hub
-}
-
-fn bench_serve(c: &mut Criterion) {
-    // Cold path: every query misses the ranking cache (capacity 0) and pays
-    // the full tiled gemv scan + streaming top-k over the catalog.
-    let users = 100u32;
-    let hub = serve_hub(users as usize, ITEMS, DIM, 5);
-    let cold = ServeEngine::new(gmf_scorer(ITEMS, DIM), Arc::clone(&hub), 0);
-    let mut u = 0u32;
-    c.bench_function("serve_query_cold_1682", |b| {
-        b.iter(|| {
-            u = (u + 1) % users;
-            cold.top_k(u, 20).expect("servable")
-        });
-    });
-    // Hot path: the same queries answered out of the per-epoch cache.
-    let hot = ServeEngine::new(gmf_scorer(ITEMS, DIM), hub, users as usize);
-    for w in 0..users {
-        hot.top_k(w, 20).expect("servable");
-    }
-    c.bench_function("serve_query_hot_1682", |b| {
-        b.iter(|| {
-            u = (u + 1) % users;
-            hot.top_k(u, 20).expect("servable")
-        });
-    });
-}
-
 fn bench_paper_scale(c: &mut Criterion) {
     // Paper-scale (943 users × 1682 items, Table I) end-to-end round cost.
     // Gated behind CIA_BENCH_PAPER_SCALE — `scripts/bench_kernels.sh
@@ -562,54 +521,6 @@ fn bench_paper_scale(c: &mut Criterion) {
         emit_mix_hist_rows(&format!("gossip_round_paper_943x1682{t}"), &rec);
         emit_phase_rows(&format!("gossip_round_paper_943x1682{t}"), &rec, PHASE_ROUNDS);
     }
-    // Serving at paper scale: per-query cold cost, plus a sustained-QPS row
-    // over the deterministic Zipf workload (hot users mostly hit the
-    // ranking cache, as a real request log would).
-    let hub = serve_hub(943, 1682, 8, 17);
-    let cold = ServeEngine::new(gmf_scorer(1682, 8), Arc::clone(&hub), 0);
-    let mut u = 0u32;
-    c.bench_function(&format!("serve_query_paper_943x1682{t}"), |b| {
-        b.iter(|| {
-            u = (u + 1) % 943;
-            cold.top_k(u, 20).expect("servable")
-        });
-    });
-    emit_serve_qps_row(&format!("serve_qps_paper_943x1682{t}"), &hub);
-}
-
-/// Appends the sustained-throughput row to the `CRITERION_JSON` stream:
-/// `QUERIES` Zipf-distributed queries (exponent 1.1, the synthetic
-/// generator's skew) against a cache-fronted engine, reported as both
-/// ns/query (`median_ns`, so the row folds into `BENCH_kernels.json` like
-/// any other) and queries/second (`qps`).
-fn emit_serve_qps_row(name: &str, hub: &Arc<SnapshotHub>) {
-    let Some(path) = std::env::var_os("CRITERION_JSON") else {
-        return;
-    };
-    const QUERIES: u64 = 200_000;
-    let engine = ServeEngine::new(gmf_scorer(1682, 8), Arc::clone(hub), 1024);
-    let mut workload = QueryWorkload::new(943, 1.1, 29).expect("workload");
-    // Warm-up pass fills the cache the steady state would have.
-    for _ in 0..10_000 {
-        engine.top_k(workload.next_user(), 20).expect("servable");
-    }
-    // cia-lint: allow(D02, bench-harness wall clock for the QPS row; benches emit no deterministic transcripts)
-    let start = Instant::now();
-    for _ in 0..QUERIES {
-        engine.top_k(workload.next_user(), 20).expect("servable");
-    }
-    let secs = start.elapsed().as_secs_f64();
-    let ns_per_query = secs * 1e9 / QUERIES as f64;
-    let qps = QUERIES as f64 / secs;
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .expect("CRITERION_JSON path is writable");
-    use std::io::Write as _;
-    writeln!(file, r#"{{"name": "{name}", "median_ns": {ns_per_query:.1}, "qps": {qps:.0}}}"#)
-        .expect("CRITERION_JSON stream is writable");
-    println!("{name}: {qps:.0} queries/s ({ns_per_query:.0} ns/query)");
 }
 
 /// Appends per-phase breakdown rows (`<base>_phase_<name>`) to the
@@ -703,7 +614,7 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_kernels, bench_scoring, bench_momentum_and_dp, bench_mlp_train,
-              bench_protocol_rounds, bench_attack_eval, bench_ground_truth, bench_serve,
+              bench_protocol_rounds, bench_attack_eval, bench_ground_truth,
               bench_paper_scale
 }
 criterion_main!(benches);

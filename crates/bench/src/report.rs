@@ -13,9 +13,6 @@ pub struct Measurement {
     pub name: String,
     /// Median nanoseconds per iteration.
     pub median_ns: f64,
-    /// Sustained queries per second, for throughput rows (the serve
-    /// benchmark emits it alongside the per-query median).
-    pub qps: Option<f64>,
 }
 
 /// Suffixes marking a benchmark as the scalar/naive baseline of its pair.
@@ -25,13 +22,13 @@ const BASELINE_SUFFIXES: [&str; 2] = ["_scalar_ref", "_naive"];
 /// appends. Later duplicates win (a re-run overwrites the previous result).
 #[must_use]
 pub fn parse_jsonl(input: &str) -> Vec<Measurement> {
-    let mut seen: BTreeMap<String, (f64, Option<f64>)> = BTreeMap::new();
+    let mut seen: BTreeMap<String, f64> = BTreeMap::new();
     for line in input.lines() {
         let Some(name) = field_str(line, "name") else { continue };
         let Some(median) = field_num(line, "median_ns") else { continue };
-        seen.insert(name, (median, field_num(line, "qps")));
+        seen.insert(name, median);
     }
-    seen.into_iter().map(|(name, (median_ns, qps))| Measurement { name, median_ns, qps }).collect()
+    seen.into_iter().map(|(name, median_ns)| Measurement { name, median_ns }).collect()
 }
 
 fn field_str(line: &str, key: &str) -> Option<String> {
@@ -78,9 +75,6 @@ pub fn render_report(measurements: &[Measurement]) -> String {
                 base / m.median_ns
             );
         }
-        if let Some(qps) = m.qps {
-            let _ = write!(out, ", \"qps\": {qps:.0}");
-        }
         out.push('}');
     }
     out.push_str("\n]\n");
@@ -96,13 +90,12 @@ mod tests {
 {"name": "gt_topk", "median_ns": 50.0, "min_ns": 49.0, "max_ns": 52.0}
 {"name": "gt_topk_naive", "median_ns": 500.0, "min_ns": 480.0, "max_ns": 520.0}
 {"name": "lonely_bench", "median_ns": 7.5, "min_ns": 7.0, "max_ns": 8.0}
-{"name": "serve_qps", "median_ns": 2000.0, "qps": 500000}
 "#;
 
     #[test]
     fn parses_and_pairs_baselines() {
         let ms = parse_jsonl(SAMPLE);
-        assert_eq!(ms.len(), 6);
+        assert_eq!(ms.len(), 5);
         let report = render_report(&ms);
         assert!(report.contains("\"name\": \"kernel_dot_1024\""));
         assert!(report.contains("\"speedup\": 4.00"));
@@ -111,8 +104,6 @@ mod tests {
         assert!(!report.contains("\"name\": \"kernel_dot_1024_scalar_ref\""));
         // Unpaired benchmarks appear without a speedup field.
         assert!(report.contains("\"name\": \"lonely_bench\", \"median_ns\": 7.5}"));
-        // Throughput rows carry their qps field through.
-        assert!(report.contains("\"name\": \"serve_qps\", \"median_ns\": 2000.0, \"qps\": 500000}"));
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::lexer::{tokenize, Token, TokenKind};
 /// Crates whose output feeds the byte-identical transcript contract. D01
 /// (unordered containers) and D07 (float iterator sums) apply only here.
 pub const DETERMINISTIC_PATH_CRATES: &[&str] =
-    &["core", "federated", "gossip", "models", "scenarios", "serve"];
+    &["core", "federated", "gossip", "models", "scenarios"];
 
 /// Rule IDs in report order, with one-line summaries (mirrored in the
 /// README and pinned by the fixture tests).
@@ -31,7 +31,7 @@ pub const RULES: &[(&str, &str)] = &[
     ("D03", "RNG constructed from OS entropy instead of an explicit seed"),
     ("D04", "unsafe block without a `// SAFETY:` comment on the preceding line"),
     ("D05", "narrowing `as` cast to a small integer type"),
-    ("D06", "std::thread::spawn outside the parallel module and cia-serve"),
+    ("D06", "std::thread::spawn outside the parallel module"),
     ("D07", "float .sum::<f32/f64>() over an iterator in a deterministic-path crate"),
     ("L00", "malformed cia-lint allow comment (missing reason or unknown rule)"),
     ("L01", "allow comment that suppresses no violation"),
@@ -57,15 +57,13 @@ pub struct Diagnostic {
 /// path. The engine itself never touches the filesystem.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileClass<'a> {
-    /// Crate name (`core`, `serve`, …), `root` for `src/`, or the first
+    /// Crate name (`core`, `gossip`, …), `root` for `src/`, or the first
     /// path segment otherwise.
     pub krate: &'a str,
     /// D01/D07 apply.
     pub deterministic_path: bool,
     /// D02 exempt: the detail-gated clock shim lives here.
     pub is_obs: bool,
-    /// D06 exempt: `cia-serve` owns its query thread.
-    pub is_serve: bool,
     /// D06 exempt: the scoped-thread fan-out helper itself.
     pub is_parallel_module: bool,
 }
@@ -86,7 +84,6 @@ impl<'a> FileClass<'a> {
             krate,
             deterministic_path: DETERMINISTIC_PATH_CRATES.contains(&krate),
             is_obs: krate == "obs",
-            is_serve: krate == "serve",
             is_parallel_module: path.ends_with("data/src/parallel.rs"),
         }
     }
@@ -328,8 +325,7 @@ fn check_determinism_rules(
             }
         }
         // D06 — unmanaged threads.
-        if !class.is_serve
-            && !class.is_parallel_module
+        if !class.is_parallel_module
             && t == "thread"
             && is(i + 1, ":")
             && is(i + 2, ":")
@@ -339,8 +335,8 @@ fn check_determinism_rules(
                 "D06",
                 tok.line,
                 tok.col,
-                "`std::thread::spawn` outside cia-data::parallel and cia-serve: unmanaged \
-                 threads bypass the deterministic fan-out helpers"
+                "`std::thread::spawn` outside cia-data::parallel: unmanaged threads bypass \
+                 the deterministic fan-out helpers"
                     .to_string(),
             ));
         }
@@ -427,7 +423,7 @@ mod tests {
     #[test]
     fn file_classification() {
         let c = FileClass::of("crates/gossip/src/sim.rs");
-        assert!(c.deterministic_path && !c.is_obs && !c.is_serve);
+        assert!(c.deterministic_path && !c.is_obs && !c.is_parallel_module);
         assert!(FileClass::of("crates/obs/src/lib.rs").is_obs);
         assert!(FileClass::of("crates/data/src/parallel.rs").is_parallel_module);
         assert!(!FileClass::of("src/lib.rs").deterministic_path);
@@ -444,7 +440,7 @@ mod tests {
     #[test]
     fn d01_skips_use_declarations() {
         let src = "use std::collections::HashMap;\nfn f(m: &HashMap<u32, u32>) { m.len(); }";
-        assert_eq!(rules_at("crates/serve/src/x.rs", src), [("D01", 2)]);
+        assert_eq!(rules_at("crates/gossip/src/x.rs", src), [("D01", 2)]);
     }
 
     #[test]
@@ -488,10 +484,10 @@ mod tests {
     }
 
     #[test]
-    fn d06_exempts_serve_and_parallel() {
+    fn d06_exempts_only_the_parallel_module() {
         let src = "fn f() { std::thread::spawn(|| {}); }";
         assert_eq!(rules_at("crates/federated/src/x.rs", src), [("D06", 1)]);
-        assert_eq!(rules_at("crates/serve/src/lib.rs", src), []);
+        assert_eq!(rules_at("crates/scenarios/src/bin/x.rs", src), [("D06", 1)]);
         assert_eq!(rules_at("crates/data/src/parallel.rs", src), []);
     }
 

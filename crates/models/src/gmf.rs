@@ -10,10 +10,9 @@
 //! [`FactorClient`] layout, the `|V|`-row region `Q` and the tail `h`.
 //!
 //! **Scoring works on pre-sigmoid logits.** The sigmoid is monotone, so
-//! every *per-item ranking* consumer — HR@20, F1@20, serve top-k — is
-//! exactly invariant to dropping it, and `exp()` dominated
-//! per-item scoring cost (the "sigmoid-bound" plateau in
-//! `BENCH_kernels.json`). The mean-score relevance `Ŷ(Θ, V_target)` is *not*
+//! every *per-item ranking* consumer — HR@20, F1@20 — is exactly invariant
+//! to dropping it, and `exp()` dominated per-item scoring cost (the
+//! "sigmoid-bound" plateau in `BENCH_kernels.json`). The mean-score relevance `Ŷ(Θ, V_target)` is *not*
 //! invariant (a mean does not commute with a per-item monotone transform):
 //! the attack now ranks by mean logit instead of mean probability, and
 //! Pers-Gossip's peer-personalization score
@@ -731,8 +730,8 @@ mod tests {
         let mut full = vec![0.0f32; 30];
         s.score_item_range(emb, agg, 0, &mut full);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        // Serving tiles the catalog; the concatenated tiles must equal the
-        // full-catalog evaluation bit for bit, whatever the tile width.
+        // A tiled catalog walk must equal the full-catalog evaluation bit
+        // for bit, whatever the tile width.
         for width in [1usize, 7, 13, 29, 30] {
             let mut tiled = Vec::new();
             for (start, chunk) in (0u32..).step_by(width).zip(full.chunks(width)) {

@@ -292,17 +292,17 @@ pub trait RelevanceScorer: Send + Sync {
     /// Scores the contiguous catalog id range `[start, start + out.len())`
     /// into `out` (higher = more relevant) — the one catalog-scoring method.
     /// A full-catalog score is `score_item_range(u, agg, 0, all)` with
-    /// `all.len() == num_items()`; streaming top-k paths (serve queries,
-    /// utility evaluation) walk the catalog in tiles instead and never
-    /// materialize a catalog-length score vector. Item parameters are stored
+    /// `all.len() == num_items()`; a streaming caller may instead walk the
+    /// catalog in tiles and never materialize a catalog-length score
+    /// vector. Item parameters are stored
     /// row-major by item id, so a contiguous range is a dense sub-matrix and
     /// implementations batch it through the vectorized kernels
     /// ([`crate::kernel::gemv`] for dot-product models).
     ///
     /// Each item's score depends only on that item's parameters, so
     /// concatenating the tiles of any split of the catalog equals one
-    /// full-range call bit for bit — serving relies on this to match the
-    /// attack's full-catalog evaluation exactly.
+    /// full-range call bit for bit, so a tiled caller ranks exactly as the
+    /// attack's full-catalog evaluation does.
     ///
     /// # Panics
     ///

@@ -470,8 +470,8 @@ mod tests {
         let mut full = vec![0.0f32; 30];
         s.score_item_range(emb, agg, 0, &mut full);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        // Serving tiles the catalog; the concatenated tiles must equal the
-        // full-catalog evaluation bit for bit, whatever the tile width.
+        // A tiled catalog walk must equal the full-catalog evaluation bit
+        // for bit, whatever the tile width.
         for width in [1usize, 7, 13, 29, 30] {
             let mut tiled = Vec::new();
             for (start, chunk) in (0u32..).step_by(width).zip(full.chunks(width)) {

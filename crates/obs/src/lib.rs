@@ -50,26 +50,20 @@ pub enum Counter {
     BytesMaterialized = 2,
     /// Model deliveries pushed into gossip inboxes.
     InboxDeliveries = 3,
-    /// Serve-path ranking-cache hits ((user, snapshot-epoch) key matched).
-    ServeCacheHits = 4,
-    /// Serve-path ranking-cache misses (fresh tiled scoring pass ran).
-    ServeCacheMisses = 5,
     /// Bytes of model state memcpy'd by a protocol round: FedAvg snapshot
     /// refills; in gossip, pushes that copy instead of lending, held copies
     /// for asleep receivers, lenders with no mail taking their parameters
     /// back, and the DP transform's clean-vector copies.
-    BytesCopied = 6,
+    BytesCopied = 4,
 }
 
 impl Counter {
     /// Every counter, in registry order.
-    pub const ALL: [Counter; 7] = [
+    pub const ALL: [Counter; 5] = [
         Counter::ClientsTrained,
         Counter::BytesOnWire,
         Counter::BytesMaterialized,
         Counter::InboxDeliveries,
-        Counter::ServeCacheHits,
-        Counter::ServeCacheMisses,
         Counter::BytesCopied,
     ];
 
@@ -80,8 +74,6 @@ impl Counter {
             Counter::BytesOnWire => "bytes_on_wire",
             Counter::BytesMaterialized => "bytes_materialized",
             Counter::InboxDeliveries => "inbox_deliveries",
-            Counter::ServeCacheHits => "serve_cache_hits",
-            Counter::ServeCacheMisses => "serve_cache_misses",
             Counter::BytesCopied => "bytes_copied",
         }
     }
@@ -96,21 +88,17 @@ pub enum Metric {
     /// Per-node neighbor-mix wall time (gossip `merge_agg` with mail), in
     /// microseconds.
     MixMicros = 1,
-    /// Per-query serve-path wall time (snapshot load + score + rank), in
-    /// microseconds.
-    ServeMicros = 2,
 }
 
 impl Metric {
     /// Every metric, in registry order.
-    pub const ALL: [Metric; 3] = [Metric::TrainMicros, Metric::MixMicros, Metric::ServeMicros];
+    pub const ALL: [Metric; 2] = [Metric::TrainMicros, Metric::MixMicros];
 
     /// The metric's stable snake_case name (JSONL / trace-file key).
     pub fn name(self) -> &'static str {
         match self {
             Metric::TrainMicros => "train_us",
             Metric::MixMicros => "mix_us",
-            Metric::ServeMicros => "serve_us",
         }
     }
 }

@@ -5,9 +5,6 @@
 //!              [--only NAME] [--out FILE] [--checkpoint-dir DIR]
 //!              [--checkpoint-every N] [--resume] [--stop-after N]
 //!              [--no-timing] [--trace-out FILE]
-//! scenario serve [--suite NAME|FILE] [--scale ...] [--seed N] [--only NAME]
-//!                [--out FILE] [--no-timing] [--queries N] [--zipf-s X]
-//!                [--top-k K] [--cache-capacity N]
 //! scenario list [--scale ...] [--seed N]
 //! scenario validate FILE
 //! scenario report [--check-trace FILE] FILE...
@@ -30,14 +27,6 @@
 //! loop that fans out over `CIA_THREADS` workers; the transcript is
 //! byte-identical for any thread count.
 //!
-//! `serve` runs the first selected scenario on a training thread while the
-//! main thread answers Zipf-distributed top-k queries against the model
-//! snapshot the runner publishes at every round boundary (`cia-serve`) —
-//! proving queries and training coexist — then prints query, cache-hit and
-//! latency statistics. The training transcript (written to `--out`) is
-//! byte-identical to a `run` of the same scenario: publication only reads
-//! quiesced round state.
-//!
 //! `report` aggregates one or more run JSONL streams into per-phase
 //! mean/p50/p99 tables, counter totals and the RSS trajectory;
 //! `--check-trace` also validates a Chrome trace file's structure.
@@ -53,32 +42,21 @@
 // the rss-probe subcommand reads peak RSS through a raw `getrusage` FFI
 // call (the container ships no /usr/bin/time). The single unsafe block is
 // SAFETY-documented and policed by cia-lint rule D04.
-use cia_core::{Counter, Metric, Recorder};
 use cia_data::presets::Scale;
-use cia_models::RelevanceScorer;
-use cia_scenarios::runner::{
-    gmf_scorer, prme_scorer, run_scenario, validate_jsonl, RunOptions, ScenarioOutcome,
-};
-use cia_scenarios::spec::{named_suite, ModelKind, ServeWorkload, BUILTIN_SUITE_NAMES};
-use cia_scenarios::{
-    chrome_trace, render_report, summarize, try_build_setup, validate_chrome_trace, SuiteSpec,
-};
-use cia_serve::{QueryWorkload, ServeEngine, SnapshotHub};
+use cia_scenarios::runner::{run_scenario, validate_jsonl, RunOptions, ScenarioOutcome};
+use cia_scenarios::spec::{named_suite, BUILTIN_SUITE_NAMES};
+use cia_scenarios::{chrome_trace, render_report, summarize, validate_chrome_trace, SuiteSpec};
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn usage() {
-    eprintln!("usage: scenario <run|serve|list|validate|report|rss-probe> [options]");
+    eprintln!("usage: scenario <run|list|validate|report|rss-probe> [options]");
     eprintln!("  run      [--suite NAME|FILE] [--scale smoke|small|paper] [--seed N]");
     eprintln!("           [--only NAME] [--out FILE] [--checkpoint-dir DIR]");
     eprintln!("           [--checkpoint-every N] [--resume] [--stop-after N] [--no-timing]");
     eprintln!("           [--trace-out FILE]");
-    eprintln!("  serve    [--suite NAME|FILE] [--scale ...] [--seed N] [--only NAME]");
-    eprintln!("           [--out FILE] [--no-timing] [--queries N] [--zipf-s X]");
-    eprintln!("           [--top-k K] [--cache-capacity N]");
     eprintln!("  list     [--suite NAME|FILE] [--scale ...] [--seed N]");
     eprintln!("  validate FILE");
     eprintln!("  report   [--check-trace FILE] FILE...");
@@ -94,7 +72,6 @@ struct Args {
     out: Option<PathBuf>,
     trace_out: Option<PathBuf>,
     opts: RunOptions,
-    serve: ServeWorkload,
 }
 
 fn parse_args(args: &[String]) -> Result<Args, String> {
@@ -106,7 +83,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         out: None,
         trace_out: None,
         opts: RunOptions { timing: true, checkpoint_every: 5, ..RunOptions::default() },
-        serve: ServeWorkload::default(),
     };
     let mut i = 0;
     let value = |args: &[String], i: usize, flag: &str| -> Result<String, String> {
@@ -167,28 +143,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                 parsed.opts.timing = false;
                 i += 1;
             }
-            "--queries" => {
-                parsed.serve.queries = value(args, i, "--queries")?
-                    .parse()
-                    .map_err(|_| "--queries expects an integer")?;
-                i += 2;
-            }
-            "--zipf-s" => {
-                parsed.serve.zipf_s =
-                    value(args, i, "--zipf-s")?.parse().map_err(|_| "--zipf-s expects a number")?;
-                i += 2;
-            }
-            "--top-k" => {
-                parsed.serve.top_k =
-                    value(args, i, "--top-k")?.parse().map_err(|_| "--top-k expects an integer")?;
-                i += 2;
-            }
-            "--cache-capacity" => {
-                parsed.serve.cache_capacity = value(args, i, "--cache-capacity")?
-                    .parse()
-                    .map_err(|_| "--cache-capacity expects an integer")?;
-                i += 2;
-            }
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
@@ -206,6 +160,11 @@ fn load_suite(args: &Args) -> Result<SuiteSpec, String> {
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
+    // Without checkpoints a resumed run restarts at round 0, and appending
+    // it to `--out` would duplicate every record already in the stream.
+    if args.opts.resume && args.opts.checkpoint_dir.is_none() {
+        return Err("--resume needs --checkpoint-dir (there is nothing to resume from)".into());
+    }
     let suite = load_suite(args)?;
     // Sweeps expand before filtering, so `--only` addresses the concrete
     // scenarios a sweep generates (e.g. `participation-0.5`).
@@ -275,142 +234,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         eprintln!("trace: {} (load in Perfetto / chrome://tracing)", path.display());
     }
     Ok(())
-}
-
-fn cmd_serve(args: &Args) -> Result<(), String> {
-    let suite = load_suite(args)?;
-    let mut scenarios = suite.expanded()?;
-    if let Some(only) = &args.only {
-        scenarios.retain(|s| &s.name == only);
-    }
-    let Some(spec) = scenarios.into_iter().next() else {
-        return Err(match &args.only {
-            Some(only) => format!("no scenario named `{only}` in suite `{}`", suite.name),
-            None => format!("suite `{}` is empty", suite.name),
-        });
-    };
-    spec.validate()?;
-    // The dimensions the engine scores with; the training thread rebuilds
-    // its own setup from the same (preset, scale, seed), so these match the
-    // published snapshots exactly.
-    let setup = try_build_setup(spec.preset, spec.scale, spec.k_override, spec.seed)
-        .map_err(|e| format!("{}: {e}", spec.name))?;
-    let num_users = setup.data.num_users();
-    let num_items = setup.data.num_items();
-    let dim = setup.params.dim;
-    drop(setup);
-
-    let hub = Arc::new(SnapshotHub::new());
-    let mut opts = args.opts.clone();
-    opts.checkpoint_dir = None;
-    opts.publish = Some(Arc::clone(&hub));
-    let suite_name = suite.name.clone();
-    let out = args.out.clone();
-    let train_spec = spec.clone();
-    // cia-lint: allow(D06, the one serve trainer thread, joined before exit; transcript byte-equality under a racing reader is pinned by tests/serve.rs)
-    let trainer = std::thread::spawn(move || -> Result<ScenarioOutcome, String> {
-        match &out {
-            Some(path) => {
-                let mut file = std::fs::File::create(path)
-                    .map_err(|e| format!("cannot open {}: {e}", path.display()))?;
-                run_scenario(&train_spec, &suite_name, &opts, &mut file)
-            }
-            None => run_scenario(&train_spec, &suite_name, &opts, &mut std::io::sink()),
-        }
-    });
-
-    let outcome = match spec.model {
-        ModelKind::Gmf => {
-            let engine =
-                ServeEngine::new(gmf_scorer(num_items, dim), hub, args.serve.cache_capacity);
-            serve_queries(engine, trainer, num_users, &args.serve, spec.seed)
-        }
-        ModelKind::Prme => {
-            let engine =
-                ServeEngine::new(prme_scorer(num_items, dim), hub, args.serve.cache_capacity);
-            serve_queries(engine, trainer, num_users, &args.serve, spec.seed)
-        }
-    }?;
-    eprintln!(
-        "[{}] {} rounds, max AAC {:.1}%, {}={:.3}, {:.1}s (trained while serving)",
-        outcome.name,
-        outcome.rounds_done,
-        outcome.attack.max_aac * 100.0,
-        outcome.utility_metric,
-        outcome.utility.unwrap_or(f64::NAN),
-        outcome.elapsed.as_secs_f64(),
-    );
-    Ok(())
-}
-
-/// Drives the Zipf query stream against `engine` while the training thread
-/// runs, then drains the remaining query budget against the final snapshot
-/// and prints serve statistics.
-fn serve_queries<S: RelevanceScorer>(
-    mut engine: ServeEngine<S>,
-    trainer: std::thread::JoinHandle<Result<ScenarioOutcome, String>>,
-    num_users: usize,
-    w: &ServeWorkload,
-    seed: u64,
-) -> Result<ScenarioOutcome, String> {
-    let rec = Recorder::new();
-    rec.set_detail(true);
-    engine.set_recorder(rec.clone());
-    let mut workload =
-        QueryWorkload::new(num_users, w.zipf_s, seed ^ 0x5E27E).map_err(|e| e.to_string())?;
-    // cia-lint: allow(D02, serve-mode latency summary printed after the run; the transcript stream never sees it)
-    let started = Instant::now();
-    let mut answered = 0u64;
-    let mut unanswerable = 0u64;
-    // Phase 1: query concurrently with training. `None` with epoch 0 means
-    // no snapshot exists yet (first round still running) — back off instead
-    // of spinning; `None` after that is a user the model cannot serve
-    // (Share-less participants publish no embedding).
-    while !trainer.is_finished() {
-        let user = workload.next_user();
-        match engine.top_k(user, w.top_k) {
-            Some(_) => answered += 1,
-            None if engine.hub().epoch() == 0 => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            None => unanswerable += 1,
-        }
-    }
-    let concurrent = answered;
-    // Phase 2: drain the remaining budget against the final snapshot. The
-    // draw bound keeps a fully unservable population (e.g. Share-less for
-    // every user) from looping forever.
-    let mut draws = 0u64;
-    while answered < w.queries && draws < w.queries.saturating_mul(64) && engine.hub().epoch() > 0 {
-        draws += 1;
-        let user = workload.next_user();
-        match engine.top_k(user, w.top_k) {
-            Some(_) => answered += 1,
-            None => unanswerable += 1,
-        }
-    }
-    let elapsed = started.elapsed();
-    let outcome = trainer.join().map_err(|_| "training thread panicked".to_string())??;
-
-    let hits = rec.counter(Counter::ServeCacheHits);
-    let misses = rec.counter(Counter::ServeCacheMisses);
-    let lookups = hits + misses;
-    let hist = rec.histogram(Metric::ServeMicros);
-    println!(
-        "serve: {answered} queries answered over {} snapshot epochs \
-         ({concurrent} concurrent with training, {unanswerable} unanswerable)",
-        engine.hub().epoch()
-    );
-    println!(
-        "serve: cache {hits} hits / {misses} misses ({:.1}% hit rate), \
-         p50 {}us p99 {}us, {:.0} queries/s",
-        if lookups > 0 { 100.0 * hits as f64 / lookups as f64 } else { 0.0 },
-        hist.quantile(0.5),
-        hist.quantile(0.99),
-        answered as f64 / elapsed.as_secs_f64().max(1e-9),
-    );
-    println!("serve: OK");
-    Ok(outcome)
 }
 
 fn cmd_report(args: &[String]) -> Result<(), String> {
@@ -645,9 +468,8 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let result = match command {
-        "run" | "serve" | "list" => match parse_args(&argv[1..]) {
+        "run" | "list" => match parse_args(&argv[1..]) {
             Ok(args) if command == "run" => cmd_run(&args),
-            Ok(args) if command == "serve" => cmd_serve(&args),
             Ok(args) => cmd_list(&args),
             Err(e) => Err(e),
         },

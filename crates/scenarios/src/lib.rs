@@ -61,7 +61,7 @@ pub use setup::{build_setup, try_build_setup, validate_scale_params, RecsysSetup
 pub use spec::{
     adaptive_sybils_suite, builtin_suite, defense_dynamics_grid_suite, named_suite,
     participation_sweep_suite, pers_gossip_churn_suite, DefenseKind, DynamicsSpec, ModelKind,
-    PlacementStrategy, ProtocolKind, ScaleParams, ScenarioSpec, ServeWorkload, SuiteEntry,
-    SuiteSpec, SweepField, BUILTIN_SUITE_NAMES,
+    PlacementStrategy, ProtocolKind, ScaleParams, ScenarioSpec, SuiteEntry, SuiteSpec, SweepField,
+    BUILTIN_SUITE_NAMES,
 };
 pub use trace::{chrome_trace, validate_chrome_trace};

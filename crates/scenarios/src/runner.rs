@@ -51,10 +51,8 @@ use cia_models::{
     f1_at_k, hit_ratio, Checkpointable, GmfClient, GmfHyper, GmfSpec, Participant, PrmeClient,
     PrmeHyper, PrmeSpec, RelevanceScorer,
 };
-use cia_serve::{Snapshot, SnapshotHub};
 use std::io::Write;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How a suite run behaves around its JSONL stream and checkpoints.
@@ -72,11 +70,6 @@ pub struct RunOptions {
     /// Stop (checkpointing first, when enabled) once this many rounds have
     /// completed — simulates a killed run; `None` runs to completion.
     pub stop_after_rounds: Option<u64>,
-    /// Publish an immutable model snapshot into this hub at every round
-    /// boundary, for concurrent top-k serving (`cia-serve`). Publication
-    /// only *reads* quiesced round state — no RNG draws, no sink writes —
-    /// so attaching a hub leaves the JSONL transcript byte-identical.
-    pub publish: Option<Arc<SnapshotHub>>,
 }
 
 /// Result of one scenario run.
@@ -234,17 +227,11 @@ impl Ctx<'_> {
 }
 
 /// The GMF scorer every scenario run uses, with the runner's hyper choices —
-/// public so serving paths (`scenario serve`, benches, tests) score with the
-/// exact spec the training run built its clients from.
+/// public so the benchmark tracer (`perfbench/tracer`) builds its clients
+/// from the exact spec a scenario run trains.
 #[must_use]
 pub fn gmf_scorer(num_items: u32, dim: usize) -> GmfSpec {
     GmfSpec::new(num_items, dim, GmfHyper { lr: 0.1, ..GmfHyper::default() })
-}
-
-/// The PRME scorer every scenario run uses (see [`gmf_scorer`]).
-#[must_use]
-pub fn prme_scorer(num_items: u32, dim: usize) -> PrmeSpec {
-    PrmeSpec::new(num_items, dim, PrmeHyper { lr: 0.05, ..PrmeHyper::default() })
 }
 
 /// Client `u`'s id and model seed (the spec seed salted by the id).
@@ -295,7 +282,11 @@ fn run_prme(
     setup: &RecsysSetup,
     sink: &mut dyn Write,
 ) -> Result<ScenarioOutcome, String> {
-    let model_spec = prme_scorer(setup.data.num_items(), setup.params.dim);
+    let model_spec = PrmeSpec::new(
+        setup.data.num_items(),
+        setup.params.dim,
+        PrmeHyper { lr: 0.05, ..PrmeHyper::default() },
+    );
     let policy = ctx.spec.defense.policy();
     let clients: Vec<PrmeClient> = setup
         .split
@@ -462,9 +453,9 @@ struct StepReport {
 }
 
 /// What a protocol contributes to the scenario loop ([`drive`]): one round
-/// with its observer stack, its serving snapshot and its checkpoint
-/// sections. Resume, emission, checkpoint cadence and assembly, tracing, the
-/// stop path, utility and the summary belong to the loop.
+/// with its observer stack, plus its checkpoint sections. Resume, emission,
+/// checkpoint cadence and assembly, tracing, the stop path, utility and the
+/// summary belong to the loop.
 trait ProtocolRun {
     /// The participant type the protocol trains.
     type Client: Participant;
@@ -475,8 +466,6 @@ trait ProtocolRun {
     fn attack(&mut self) -> &mut dyn Attack;
     /// Runs one round with the dynamics layer and the attack observing.
     fn step(&mut self, dynamics: &mut ParticipantDynamics) -> StepReport;
-    /// The serving snapshot at the current round boundary.
-    fn snapshot(&self, dim: usize) -> Snapshot;
     /// The protocol and placement checkpoint sections.
     fn export(&self) -> (ProtocolState, PlacementState);
     /// Restores [`ProtocolRun::export`]'s sections, saved after `round`
@@ -579,11 +568,6 @@ impl<S: RelevanceScorer, P: Participant> ProtocolRun for FlRun<S, P> {
         }
     }
 
-    fn snapshot(&self, dim: usize) -> Snapshot {
-        let owners = self.sim.clients().iter().map(Participant::owner_emb);
-        Snapshot::shared(dim, owners, self.sim.global_agg())
-    }
-
     fn export(&self) -> (ProtocolState, PlacementState) {
         (ProtocolState::Fl { global: self.sim.global_agg().to_vec() }, PlacementState::default())
     }
@@ -640,14 +624,6 @@ impl<P: Participant> ProtocolRun for GlRun<P> {
         }
     }
 
-    fn snapshot(&self, dim: usize) -> Snapshot {
-        // Gossip has no global model: each node serves from its own local
-        // mixture, so the snapshot carries per-user agg rows.
-        let nodes = self.sim.nodes();
-        let agg_len = nodes.first().map_or(0, |c| c.agg().len());
-        Snapshot::per_user(dim, agg_len, nodes.iter().map(|c| (c.owner_emb(), c.agg())))
-    }
-
     fn export(&self) -> (ProtocolState, PlacementState) {
         (ProtocolState::Gl(self.sim.export_state()), self.placement.export_state())
     }
@@ -684,10 +660,9 @@ fn relocate(attack: &mut dyn GlAttack, dynamics: &mut ParticipantDynamics, membe
 }
 
 /// The scenario loop, shared by both protocols: resumes from a checkpoint,
-/// then per round steps the protocol, publishes a snapshot, emits the new
-/// `round_eval` records, checkpoints and drains the trace — until the stop
-/// limit, or until the horizon, where it evaluates utility and emits the
-/// summary.
+/// then per round steps the protocol, emits the new `round_eval` records,
+/// checkpoints and drains the trace — until the stop limit, or until the
+/// horizon, where it evaluates utility and emits the summary.
 fn drive<R: ProtocolRun>(
     ctx: &Ctx,
     setup: &RecsysSetup,
@@ -725,14 +700,6 @@ fn drive<R: ProtocolRun>(
         let round_span = ctx.rec.span("round");
         let step = proto.step(&mut dynamics);
         done += 1;
-        if let Some(hub) = &ctx.opts.publish {
-            // Round boundary: the models are quiesced, so this is the one
-            // point a serving snapshot can be cut without readers ever
-            // observing a mid-round mixture.
-            let publish_span = ctx.rec.span("publish");
-            hub.publish(proto.snapshot(setup.params.dim));
-            drop(publish_span);
-        }
         let emitted_before = emitted;
         let emit_span = ctx.rec.span("emit");
         while let Some(p) = proto.attack().history().get(emitted) {

@@ -303,31 +303,6 @@ impl DynamicsSpec {
     }
 }
 
-/// The synthetic query workload a `scenario serve` run drives against a
-/// training scenario — who asks, how often, how much is remembered.
-///
-/// Kept beside (not inside) [`ScenarioSpec`]: serving is read-only and must
-/// never perturb a training transcript, so the workload is deliberately
-/// outside the spec fingerprint and the JSONL spec echo.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeWorkload {
-    /// Minimum number of queries to answer (the stream keeps going while
-    /// training runs, then drains any remainder against the final snapshot).
-    pub queries: u64,
-    /// Zipf exponent of the user popularity skew (0 = uniform).
-    pub zipf_s: f64,
-    /// Ranking length per query.
-    pub top_k: usize,
-    /// Per-epoch ranking cache bound (entries).
-    pub cache_capacity: usize,
-}
-
-impl Default for ServeWorkload {
-    fn default() -> Self {
-        ServeWorkload { queries: 2000, zipf_s: 1.1, top_k: 20, cache_capacity: 256 }
-    }
-}
-
 /// One scenario: everything needed to run a workload end to end.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioSpec {

@@ -1,0 +1,88 @@
+//! End-to-end tests of the `scenario` binary's command line: argument
+//! refusals, and the `rss-probe` subcommand.
+
+use std::process::{Command, Output};
+
+fn scenario(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_scenario")).args(args).output().expect("scenario binary runs")
+}
+
+/// `serve` is no subcommand: it falls through to the usage text, and the
+/// query-workload flags are unknown arguments to `run`.
+#[test]
+fn retired_serve_surface_is_refused() {
+    let out = scenario(&["serve"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "`scenario serve` succeeded: {stderr}");
+    assert!(stderr.starts_with("usage: scenario <run|"), "no usage text: {stderr}");
+    assert!(!stderr.contains("serve"), "usage still lists serve: {stderr}");
+
+    let out = scenario(&["run", "--queries", "5"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "`run --queries` succeeded: {stderr}");
+    assert!(stderr.contains("unknown argument `--queries`"), "unexpected error: {stderr}");
+}
+
+/// Without a checkpoint directory there is nothing to resume: the run would
+/// restart at round 0 and append a second transcript to `--out`. The
+/// combination is refused before the stream is touched.
+#[test]
+fn resume_without_checkpoint_dir_is_refused() {
+    let dir = std::env::temp_dir().join(format!("cia-cli-test-resume-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let out_path = dir.join("run.jsonl");
+    let out_arg = out_path.to_str().expect("utf8 path");
+    let common = ["run", "--only", "baseline-static", "--no-timing", "--out", out_arg];
+
+    let first = scenario(&[&common[..], &["--stop-after", "3"]].concat());
+    assert!(first.status.success(), "{}", String::from_utf8_lossy(&first.stderr));
+    let before = std::fs::read(&out_path).expect("stream written");
+    assert!(!before.is_empty(), "the stopped run wrote no records");
+
+    let resumed = scenario(&[&common[..], &["--resume"]].concat());
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert!(!resumed.status.success(), "resume without checkpoints succeeded: {stderr}");
+    assert!(
+        stderr.contains("--resume") && stderr.contains("--checkpoint-dir"),
+        "error does not name both flags: {stderr}"
+    );
+    let after = std::fs::read(&out_path).expect("stream still there");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(before, after, "the refused resume changed the stream");
+}
+
+/// The probe must count a child that allocates and exits faster than any
+/// RSS poll could observe: with sampling effectively disabled, only the
+/// `getrusage(RUSAGE_CHILDREN)` fold at reap time can report the peak.
+#[test]
+fn rss_probe_counts_short_lived_children() {
+    let hog_mib = 150;
+    let candidates: [(&str, String); 2] = [
+        ("python3", format!("x=bytearray({hog_mib}*1024*1024)")),
+        ("perl", format!("$x = \"a\" x ({hog_mib}*1024*1024);")),
+    ];
+    for (interp, body) in &candidates {
+        let flag = if *interp == "python3" { "-c" } else { "-e" };
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_scenario"))
+            .env("CIA_RSS_POLL_MS", "600000")
+            .args(["rss-probe", "--", interp, flag, body])
+            .output()
+            .expect("probe binary runs");
+        if !out.status.success() {
+            continue; // interpreter missing here; try the next one
+        }
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let kib: u64 = stdout
+            .rsplit('(')
+            .next()
+            .and_then(|s| s.split(' ').next())
+            .and_then(|s| s.parse().ok())
+            .unwrap_or_else(|| panic!("unparseable probe output: {stdout}"));
+        assert!(
+            kib >= (hog_mib - 30) * 1024,
+            "probe reported {kib} KiB; the short-lived {hog_mib} MiB child was missed"
+        );
+        return;
+    }
+    panic!("no interpreter available to spawn a memory-hungry child");
+}

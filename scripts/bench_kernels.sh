@@ -17,12 +17,6 @@
 # thread-scaling sweep accumulates rows instead of overwriting the
 # single-thread baseline.
 #
-# `--scale paper` also refreshes the serving rows: serve_query_paper_943x1682
-# (cold per-query cost against a paper-scale snapshot) and
-# serve_qps_paper_943x1682 (sustained Zipf-workload throughput; the row
-# carries a `qps` field alongside the per-query median). The small serving
-# rows (serve_query_cold_1682 / serve_query_hot_1682) run at every scale.
-#
 # The default (smoke) run always includes the small-scale trend rows
 # (fedavg_round_small_200x400, gossip_round_small_200x400) — the same round
 # hot path at ~1% of the work — so round-cost drift shows up without paying

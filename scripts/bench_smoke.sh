@@ -46,16 +46,6 @@ if echo "$report_out" | grep -q "no trace records"; then
     exit 1
 fi
 
-# Serving smoke: answer top-k queries concurrently with a training run and
-# require the `serve: OK` marker (printed only after the query budget drains
-# and the trainer exits cleanly). Exercises snapshot publication, the hot
-# ranking cache, and the serve-side latency histogram end to end.
-echo "== scenario serve smoke (concurrent queries against a training run)"
-cargo run --release -q -p cia-scenarios --bin scenario -- \
-    serve --suite builtin --scale smoke --seed 42 --only baseline-static \
-    --no-timing --queries 200 | tee target/bench-smoke/serve-smoke.txt
-grep -q "serve: OK" target/bench-smoke/serve-smoke.txt
-
 if [ "${CIA_SKIP_REDUNDANT_GATES:-0}" != 1 ]; then
     echo "== cargo test --workspace -q"
     cargo test --workspace -q

@@ -107,12 +107,27 @@ run_cia_lint() {
         --json --out target/cia-lint.json
 }
 
+# The CI cache keys on the hash of Cargo.lock, so a stale committed lockfile
+# must fail the run. Any cargo command (fmt and the lint run included)
+# silently rewrites it, e.g. dropping a deleted crate's entry, and
+# `--locked` does not reject such an entry. So snapshot it before the first
+# cargo command and compare once the build has resolved the workspace.
+mkdir -p target
+cp Cargo.lock target/Cargo.lock.committed
+lockfile_unchanged() {
+    if ! diff -u target/Cargo.lock.committed Cargo.lock; then
+        echo "error: the build rewrote Cargo.lock; commit the rewritten lockfile" >&2
+        return 1
+    fi
+}
+
 step fmt-check cargo fmt --all --check
 # The determinism & safety pass gates ahead of everything expensive: it
 # compiles only the dependency-free cia-lint crate, so a rule violation
 # fails the pipeline in seconds.
 step lint run_cia_lint
 step build cargo build --release --workspace
+step lockfile lockfile_unchanged
 # Rustdoc gate: a broken, unresolved or private intra-doc link (one a
 # rename or merge left behind) fails the pipeline instead of rotting.
 RUSTDOCFLAGS="-D warnings" step doc cargo doc --workspace --no-deps --offline
