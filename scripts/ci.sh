@@ -7,9 +7,10 @@
 # workspace never touches a registry, and CARGO_NET_OFFLINE defends against
 # accidental fetches.
 #
-# On a test or bench-smoke failure the suspected golden-JSONL drift is
-# collected into target/golden-diff/ (actual transcripts + unified diffs
-# against crates/scenarios/tests/golden/), which CI uploads as an artifact.
+# On a test or bench-smoke failure the suspected golden drift is collected
+# into target/golden-diff/ (actual transcripts and tables + unified diffs
+# against crates/scenarios/tests/golden/ and
+# crates/experiments/tests/golden/), which CI uploads as an artifact.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,12 +39,12 @@ summary() {
 }
 trap summary EXIT
 
-# Regenerates each built-in suite transcript and diffs it against the
-# committed golden, so a red CI run ships the drift as an artifact instead
+# Regenerates each built-in suite transcript and each experiment table and
+# diffs it against the committed golden, so a red CI run ships the drift as an artifact instead
 # of a bare assertion failure. Best-effort: only meaningful once the
 # workspace builds.
 collect_golden_diffs() {
-    echo "== collecting golden JSONL diffs into target/golden-diff"
+    echo "== collecting golden diffs into target/golden-diff"
     local outdir=target/golden-diff
     rm -rf "$outdir"
     mkdir -p "$outdir"
@@ -60,6 +61,19 @@ collect_golden_diffs() {
             "$outdir/$name-smoke.actual.jsonl" > "$outdir/$name-smoke.diff"; then
             # No drift in this suite; keep the artifact directory small.
             rm -f "$outdir/$name-smoke.diff" "$outdir/$name-smoke.actual.jsonl"
+        else
+            echo "   golden drift: $name (see $outdir/$name-smoke.diff)"
+        fi
+    done
+    # Table goldens: `repro` prints the tables, then a timing line that is
+    # not part of the golden.
+    local golden
+    for golden in crates/experiments/tests/golden/*-smoke.txt; do
+        name=$(basename "$golden" -smoke.txt)
+        cargo run --release -q -p cia-experiments --bin repro -- "$name" --scale smoke --seed 42 \
+            | sed '/^\[.* completed in .*\]$/,$d' > "$outdir/$name-smoke.actual.txt" || continue
+        if diff -u "$golden" "$outdir/$name-smoke.actual.txt" > "$outdir/$name-smoke.diff"; then
+            rm -f "$outdir/$name-smoke.diff" "$outdir/$name-smoke.actual.txt"
         else
             echo "   golden drift: $name (see $outdir/$name-smoke.diff)"
         fi
