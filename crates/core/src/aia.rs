@@ -19,10 +19,9 @@ use cia_models::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// AIA proxy configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AiaConfig {
     /// The CIA-compatible parameters (community size, cadence; momentum is
     /// unused — the classifier sees per-round updates).

@@ -12,10 +12,8 @@
 //! | MIA | `O(T_M) + O(I_M · |U| · D_max)` |
 //! | AIA | `O(T_M · (N + M)) + O(T_C) + O(I_C · |U|)` |
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the analytic cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Training time of one recommendation model (`T_M`).
     pub t_model: f64,

@@ -10,10 +10,9 @@ use cia_federated::{RoundObserver, RoundStats};
 use cia_models::parallel::{par_chunks_mut, par_map};
 use cia_models::{Checkpointable, LivenessEvent, SharedModel};
 use cia_obs::Recorder;
-use serde::{Deserialize, Serialize};
 
 /// CIA parameters (the paper defaults to `K = 50`, `β = 0.99`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CiaConfig {
     /// Community size `K`.
     pub k: usize,

@@ -3,7 +3,6 @@
 //! and the observation-coverage upper bound.
 
 use cia_data::UserId;
-use serde::{Deserialize, Serialize};
 
 /// Accuracy of one predicted community (Eq. 6): `|Ĉ ∩ C| / K`.
 pub fn community_accuracy<T: PartialEq>(predicted: &[T], truth: &[T], k: usize) -> f64 {
@@ -124,7 +123,7 @@ pub(crate) fn coverage(truth: &[UserId], k: usize, observed: impl Fn(&UserId) ->
 }
 
 /// One evaluated round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundPoint {
     /// Round index.
     pub round: u64,
@@ -154,7 +153,7 @@ pub struct RoundPoint {
 /// assert_eq!(out.max_aac, 0.6);
 /// assert_eq!(out.max_round, 1);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AttackTracker {
     k: usize,
     candidates: usize,
@@ -253,7 +252,7 @@ impl AttackTracker {
 }
 
 /// Final attack report, matching the columns of the paper's tables.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttackOutcome {
     /// Community size `K`.
     pub k: usize,

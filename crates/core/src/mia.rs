@@ -14,7 +14,6 @@ use cia_data::UserId;
 use cia_federated::{RoundObserver, RoundStats};
 use cia_models::parallel::par_map;
 use cia_models::{RelevanceScorer, SharedModel};
-use serde::{Deserialize, Serialize};
 
 /// Binary prediction entropy `−p·ln p − (1−p)·ln(1−p)` (nats; max ln 2).
 ///
@@ -32,7 +31,7 @@ pub fn membership_entropy(p: f32) -> f32 {
 }
 
 /// MIA proxy configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MiaConfig {
     /// The CIA-compatible parameters (community size, momentum, cadence).
     pub cia: CiaConfig,

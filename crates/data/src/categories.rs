@@ -7,8 +7,6 @@
 //! recovers them from models alone. [`CategoryPlan`] reproduces that setup on
 //! the synthetic catalog.
 
-use serde::{Deserialize, Serialize};
-
 /// The synthetic semantic taxonomy (10 categories, mirroring the coarse
 /// Foursquare categorization used in the paper's motivating example).
 pub const CATEGORY_NAMES: [&str; 10] = [
@@ -28,7 +26,7 @@ pub const CATEGORY_NAMES: [&str; 10] = [
 pub const HEALTH_CATEGORY: u8 = 0;
 
 /// Maps every item to one of the semantic categories.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CategoryMap {
     labels: Vec<u8>,
 }
@@ -88,7 +86,7 @@ impl CategoryMap {
 }
 
 /// How to assign categories to the catalog when generating a dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CategoryPlan {
     /// Fraction of the catalog assigned to the health category. The paper's
     /// base rate of health visits is 6.7%, so the default is `0.067`.
@@ -104,7 +102,7 @@ impl Default for CategoryPlan {
 }
 
 /// Plants a "health-vulnerable" community as in the paper's Figure 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealthPlanting {
     /// Number of health-vulnerable users (the paper's example finds 3).
     pub num_users: usize,

@@ -1,6 +1,5 @@
 //! Typed identifiers for users and items.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a participant (client/user) in the collaborative system.
@@ -13,7 +12,7 @@ use std::fmt;
 /// let u = UserId::new(3);
 /// assert_eq!(u.index(), 3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct UserId(u32);
 
 impl UserId {
@@ -52,7 +51,7 @@ impl From<u32> for UserId {
 /// let i = ItemId::new(10);
 /// assert_eq!(i.raw(), 10);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ItemId(u32);
 
 impl ItemId {

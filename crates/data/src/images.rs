@@ -10,7 +10,6 @@
 use crate::gaussian;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Flattened image dimensionality (28 × 28).
 pub const IMAGE_DIM: usize = 28 * 28;
@@ -19,7 +18,7 @@ pub const IMAGE_DIM: usize = 28 * 28;
 pub const NUM_CLASSES: usize = 10;
 
 /// Configuration of the synthetic image generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImageGenConfig {
     /// Samples generated per class.
     pub samples_per_class: usize,
@@ -36,7 +35,7 @@ impl Default for ImageGenConfig {
 }
 
 /// A labelled image dataset stored as flat `f32` pixels in `[0, 1]`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ImageDataset {
     pixels: Vec<f32>,
     labels: Vec<u8>,

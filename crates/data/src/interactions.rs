@@ -8,10 +8,9 @@
 
 use crate::categories::CategoryMap;
 use crate::{DataError, ItemId, UserId};
-use serde::{Deserialize, Serialize};
 
 /// Interactions of a single user.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UserRecord {
     /// Sorted, deduplicated observed item ids.
     items: Vec<u32>,
@@ -68,7 +67,7 @@ impl UserRecord {
 /// assert_eq!(data.num_users(), 2);
 /// assert_eq!(data.user(cia_data::UserId::new(0)).items(), &[0, 1, 2]);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dataset {
     name: String,
     num_items: u32,
@@ -207,7 +206,7 @@ impl Dataset {
 }
 
 /// Summary statistics of a dataset (one row of the paper's Table I).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetStats {
     /// Dataset name.
     pub name: String,

@@ -7,7 +7,6 @@
 
 use crate::parallel::par_map;
 use crate::UserId;
-use serde::{Deserialize, Serialize};
 
 /// Jaccard index `|a ∩ b| / |a ∪ b|` of two **sorted, deduplicated** slices.
 ///
@@ -66,7 +65,7 @@ pub fn top_k_similar<'a>(
 /// Ground-truth communities for every possible adversary target
 /// (the paper runs one experiment per user, using that user's train set as
 /// `V_target`; see §V-C).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GroundTruth {
     k: usize,
     /// `communities[u]` = the true community when user `u`'s train set is the

@@ -13,10 +13,9 @@
 //! benches.
 
 use crate::{CategoryPlan, Dataset, SyntheticConfig};
-use serde::{Deserialize, Serialize};
 
 /// How large a preset instantiation should be.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scale {
     /// Seconds-scale configs for unit/integration tests and Criterion benches.
     Smoke,
@@ -50,7 +49,7 @@ impl std::fmt::Display for Scale {
 }
 
 /// The three dataset shapes evaluated in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Preset {
     /// MovieLens-100k-like: dense ratings, no sequences.
     MovieLens,

@@ -7,7 +7,6 @@
 use crate::{DataError, Dataset, UserId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A leave-one-out split: per user, all interactions but a small holdout are
 /// kept for training; the held-out items plus sampled negatives form the
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// let split = LeaveOneOut::new(&data, 20, 99).unwrap();
 /// assert_eq!(split.train_sets().len(), 20);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LeaveOneOut {
     train_sets: Vec<Vec<u32>>,
     train_sequences: Vec<Vec<u32>>,
@@ -31,7 +30,7 @@ pub struct LeaveOneOut {
 
 /// One user's ranking evaluation instance: the held-out positives and a pool
 /// of sampled negatives.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvalInstance {
     /// The held-out test items (at least one). The first is the *primary*
     /// positive used by hit-ratio metrics.

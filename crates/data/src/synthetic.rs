@@ -14,7 +14,6 @@ use crate::{DataError, Dataset, UserRecord, Zipf};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Configuration of the synthetic generator. Build with
@@ -34,7 +33,7 @@ use std::collections::BTreeSet;
 /// assert_eq!(data.num_users(), 40);
 /// assert!(data.num_interactions() > 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticConfig {
     name: String,
     users: usize,

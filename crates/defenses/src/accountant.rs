@@ -12,8 +12,6 @@
 //! per round, so the exact `q = 1` path is the one exercised by the
 //! experiments.
 
-use serde::{Deserialize, Serialize};
-
 /// Accounts the privacy budget of `rounds` composed (subsampled) Gaussian
 /// mechanism releases with a given noise multiplier.
 ///
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// let eps = acc.epsilon(1e-6);
 /// assert!(eps > 0.0 && eps.is_finite());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RdpAccountant {
     noise_multiplier: f64,
     rounds: u64,

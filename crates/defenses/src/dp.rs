@@ -7,13 +7,12 @@
 use crate::RdpAccountant;
 use cia_models::params::{add_gaussian_noise, clip_l2};
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 pub use cia_models::UpdateTransform;
 
 /// DP-SGD parameters. The paper's Figure 5 uses `clip = 2`, `δ = 1e-6` and
 /// sweeps ε over `{∞, 1000, 100, 10, 1}`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DpConfig {
     /// L2 clipping threshold `C`.
     pub clip: f32,
@@ -34,7 +33,7 @@ pub struct DpConfig {
 /// // The deterministic part of the transform bounds the norm at clip;
 /// // noise is then added on top.
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DpMechanism {
     cfg: DpConfig,
 }

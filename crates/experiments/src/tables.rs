@@ -1,6 +1,5 @@
 //! Plain-text and CSV rendering of result tables.
 
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// A rendered experiment result: headers plus rows of cells.
@@ -12,7 +11,7 @@ use std::fmt::Write as _;
 /// assert!(t.to_text().contains("Demo"));
 /// assert_eq!(t.to_csv().lines().count(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     /// Table title (e.g. "Table II — CIA on FedRecs").
     pub title: String,

@@ -53,10 +53,9 @@ pub use cia_models::{DeliveryPolicy, LivenessEvent};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// How client updates are weighted during aggregation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Weighting {
     /// Every participating client weighs the same.
     Uniform,
@@ -66,7 +65,7 @@ pub enum Weighting {
 }
 
 /// FedAvg configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FedAvgConfig {
     /// Number of communication rounds `T`.
     pub rounds: u64,
@@ -94,7 +93,7 @@ impl Default for FedAvgConfig {
 }
 
 /// Per-round statistics handed to observers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundStats {
     /// The completed round index.
     pub round: u64,

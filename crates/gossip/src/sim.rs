@@ -9,10 +9,9 @@ use cia_models::{
 use cia_obs::{Counter, Metric, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Which gossip protocol to simulate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GossipProtocol {
     /// Rand-Gossip \[12\]: uniform random peer sampling.
     Rand,
@@ -27,7 +26,7 @@ pub enum GossipProtocol {
 
 /// Gossip simulation configuration (paper defaults: `P = 3`, view refresh
 /// `~ Exp(0.1)`, exploration 0.4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GossipConfig {
     /// Number of rounds.
     pub rounds: u64,
@@ -61,7 +60,7 @@ impl Default for GossipConfig {
 }
 
 /// Per-round statistics handed to observers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GossipRoundStats {
     /// The completed round index.
     pub round: u64,

@@ -43,10 +43,9 @@ use cia_data::UserId;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// GMF hyper-parameters (defaults follow the original work where stated).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GmfHyper {
     /// SGD learning rate.
     pub lr: f32,
@@ -86,7 +85,7 @@ impl Default for GmfHyper {
 /// let spec = GmfSpec::new(100, 8, GmfHyper::default());
 /// assert_eq!(spec.agg_len(), 100 * 8 + 8);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GmfSpec {
     num_items: u32,
     dim: usize,

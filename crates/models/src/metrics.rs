@@ -4,8 +4,6 @@
 //! NDCG is included for completeness (it is standard alongside HR in the NCF
 //! evaluation protocol).
 
-use serde::{Deserialize, Serialize};
-
 /// Rank of the positive among `[positive] + negatives`, 0-based: the number
 /// of negatives scoring strictly higher, plus half the ties (rounded down).
 /// The fractional tie handling keeps degenerate models — e.g. DP-noised ones
@@ -61,7 +59,7 @@ pub fn f1_at_k(recommended: &[u32], relevant: &[u32]) -> f64 {
 }
 
 /// Accumulates per-user ranking evaluations into mean HR@K / NDCG@K.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RankedEval {
     hits: usize,
     ndcg_sum: f64,

@@ -14,11 +14,10 @@ use cia_data::{ImageDataset, UserId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// MLP hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MlpHyper {
     /// SGD learning rate.
     pub lr: f32,
@@ -41,7 +40,7 @@ impl Default for MlpHyper {
 /// let spec = MlpSpec::new(vec![4, 3, 2]);
 /// assert_eq!(spec.param_len(), 4 * 3 + 3 + 3 * 2 + 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MlpSpec {
     layers: Vec<usize>,
 }

@@ -3,7 +3,6 @@
 
 use cia_data::UserId;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 /// What a participant shares with the server (FL) or a neighbor (GL).
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// protocols average. Under full sharing the snapshot also carries the
 /// owner's user embedding — the paper's default, and the leak the Share-less
 /// policy closes by setting `owner_emb` to `None` (§III-D).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SharedModel {
     /// Which participant produced the snapshot.
     pub owner: UserId,
@@ -57,7 +56,7 @@ pub(crate) fn stamp_snapshot(
 }
 
 /// Which parameters leave the device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SharingPolicy {
     /// Full model sharing — the paper's default setting.
     Full,

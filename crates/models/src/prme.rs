@@ -24,10 +24,9 @@ use crate::participant::{RelevanceScorer, SharingPolicy};
 use cia_data::UserId;
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// PRME hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrmeHyper {
     /// SGD learning rate.
     pub lr: f32,
@@ -69,7 +68,7 @@ impl Default for PrmeHyper {
 /// let spec = PrmeSpec::new(50, 8, PrmeHyper::default());
 /// assert_eq!(spec.agg_len(), 2 * 50 * 8);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrmeSpec {
     num_items: u32,
     dim: usize,

@@ -1,8 +1,7 @@
 //! A small, dependency-free JSON codec.
 //!
-//! The build environment has no `serde_json` (the vendored `serde` is a
-//! no-op marker — see `vendor/README.md`), so the scenario engine carries its
-//! own codec: a recursive-descent parser for spec files and a *deterministic*
+//! The build environment has no `serde_json`, so the scenario engine
+//! carries its own codec: a recursive-descent parser for spec files and a *deterministic*
 //! writer for the JSONL result stream. Objects preserve insertion order and
 //! floats render through Rust's shortest-roundtrip `Display`, so the same
 //! run always produces byte-identical output.

@@ -14,10 +14,9 @@
 use crate::json::{fmt_f64, Json, ObjBuilder};
 use cia_data::presets::{Preset, Scale};
 use cia_models::SharingPolicy;
-use serde::{Deserialize, Serialize};
 
 /// Which recommendation model to train.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// Generalized matrix factorization (evaluated on all three datasets).
     Gmf,
@@ -45,7 +44,7 @@ impl ModelKind {
 }
 
 /// Which collaborative protocol to train over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProtocolKind {
     /// FedAvg federated learning.
     Fl,
@@ -82,7 +81,7 @@ impl ProtocolKind {
 }
 
 /// Which defense the participants deploy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DefenseKind {
     /// Full model sharing, no defense.
     None,
@@ -110,7 +109,7 @@ impl DefenseKind {
 }
 
 /// Scale-dependent simulation parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScaleParams {
     /// FL communication rounds.
     pub fl_rounds: u64,
@@ -199,7 +198,7 @@ impl ScaleParams {
 /// observes traffic for a warm-up window, then relocates its sybil
 /// identities onto the top-scoring positions before the attack proper
 /// begins. Momentum state for retained members survives the relocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlacementStrategy {
     /// Evenly spaced node ids, fixed for the whole run (the paper's rule).
     Static,
@@ -243,7 +242,7 @@ impl PlacementStrategy {
 /// How the participant population behaves over time. The default block is
 /// fully static — every scenario is a dynamics scenario, most with the
 /// identity dynamics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DynamicsSpec {
     /// Per-round probability that an online participant goes offline
     /// (churn). The stationary offline fraction is
@@ -304,7 +303,7 @@ impl DynamicsSpec {
 }
 
 /// One scenario: everything needed to run a workload end to end.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Scenario name (JSONL records and checkpoint files key on it).
     pub name: String,
@@ -703,7 +702,7 @@ fn parse_preset(s: &str) -> Option<Preset> {
 /// A scenario field a sweep may range over. Numeric values are applied
 /// through [`SweepField::apply`]; integer-valued fields reject fractional
 /// sweep values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepField {
     /// `dynamics.participation` — the Fig. 1 axis (per-round sample size).
     Participation,
@@ -839,7 +838,7 @@ impl SweepField {
 /// One entry of a suite: a single scenario, or a generator that expands into
 /// one scenario per sweep value. A suite is a list of *generators*, not a
 /// flat scenario list — [`SuiteSpec::expanded`] materializes it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SuiteEntry {
     /// A single scenario, run as-is.
     One(ScenarioSpec),
@@ -916,7 +915,7 @@ impl SuiteEntry {
 
 /// A named collection of scenario generators, run back to back into one
 /// JSONL stream after [`SuiteSpec::expanded`] materializes the sweeps.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SuiteSpec {
     /// Suite name (stamped on every record).
     pub name: String,
