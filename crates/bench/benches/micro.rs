@@ -310,8 +310,7 @@ fn bench_protocol_rounds(c: &mut Criterion) {
             .enumerate()
             .map(|(u, items)| {
                 spec.build_client(
-                    // cia-lint: allow(D05, test/bench populations are tiny; ids fit u32 with orders of magnitude to spare)
-                    UserId::new(u as u32),
+                    UserId::from_index(u),
                     items.clone(),
                     SharingPolicy::Full,
                     u as u64,
@@ -345,8 +344,7 @@ fn bench_protocol_rounds(c: &mut Criterion) {
             .enumerate()
             .map(|(u, items)| {
                 small_spec.build_client(
-                    // cia-lint: allow(D05, test/bench populations are tiny; ids fit u32 with orders of magnitude to spare)
-                    UserId::new(u as u32),
+                    UserId::from_index(u),
                     items.clone(),
                     SharingPolicy::Full,
                     u as u64,
@@ -403,17 +401,14 @@ fn bench_attack_eval(c: &mut Criterion) {
         .iter()
         .enumerate()
         .map(|(u, items)| {
-            // cia-lint: allow(D05, test/bench populations are tiny; ids fit u32 with orders of magnitude to spare)
-            spec.build_client(UserId::new(u as u32), items.clone(), SharingPolicy::Full, u as u64)
+            spec.build_client(UserId::from_index(u), items.clone(), SharingPolicy::Full, u as u64)
         })
         .collect();
     c.bench_function("cia_fl_round_with_eval_48_users", |b| {
         let evaluator = ItemSetEvaluator::new(spec.clone(), split.train_sets().to_vec(), false);
         let truths: Vec<_> =
-            // cia-lint: allow(D05, test/bench populations are tiny; ids fit u32 with orders of magnitude to spare)
-            (0..users as u32).map(|u| gt.community_of(UserId::new(u)).to_vec()).collect();
-        // cia-lint: allow(D05, test/bench populations are tiny; ids fit u32 with orders of magnitude to spare)
-        let owners: Vec<_> = (0..users as u32).map(|u| Some(UserId::new(u))).collect();
+            (0..users).map(|u| gt.community_of(UserId::from_index(u)).to_vec()).collect();
+        let owners: Vec<_> = (0..users).map(|u| Some(UserId::from_index(u))).collect();
         let mut attack = FlCia::new(
             CiaConfig { k, beta: 0.99, eval_every: 1, seed: 0 },
             evaluator,
@@ -461,8 +456,7 @@ fn bench_paper_scale(c: &mut Criterion) {
             .enumerate()
             .map(|(u, items)| {
                 spec.build_client(
-                    // cia-lint: allow(D05, test/bench populations are tiny; ids fit u32 with orders of magnitude to spare)
-                    UserId::new(u as u32),
+                    UserId::from_index(u),
                     items.clone(),
                     SharingPolicy::Full,
                     u as u64,

@@ -1,8 +1,8 @@
 //! One Criterion benchmark per paper table/figure: the cost of regenerating
-//! each artifact at smoke scale (the `repro` binary lists the artifacts).
+//! each artifact at smoke scale, for every entry of `ARTIFACTS`.
 
-use cia_bench::run_experiment;
 use cia_data::presets::Scale;
+use cia_experiments::ARTIFACTS;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 
@@ -12,12 +12,9 @@ fn bench_artifacts(c: &mut Criterion) {
         .sample_size(10)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(3));
-    for name in [
-        "table1", "table2", "table3", "table4", "table5", "table6", "table7", "table8", "table9",
-        "fig1", "fig3", "fig4", "fig5", "aia", "mnist", "ablation",
-    ] {
+    for (name, run) in ARTIFACTS {
         group.bench_function(name, |b| {
-            b.iter(|| std::hint::black_box(run_experiment(name, Scale::Smoke, 42)));
+            b.iter(|| std::hint::black_box(run(Scale::Smoke, 42)));
         });
     }
     group.finish();

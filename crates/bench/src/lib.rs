@@ -28,51 +28,3 @@
 #![warn(missing_docs)]
 
 pub mod report;
-
-use cia_data::presets::Scale;
-use cia_experiments::tables::Table;
-
-/// Runs one named experiment at the given scale (shared by the benches).
-///
-/// # Panics
-///
-/// Panics on unknown experiment names.
-pub fn run_experiment(name: &str, scale: Scale, seed: u64) -> Vec<Table> {
-    use cia_experiments::experiments as exp;
-    match name {
-        "table1" => exp::table1::run(scale, seed),
-        "table2" => exp::table2::run(scale, seed),
-        "table3" => exp::table3::run(scale, seed),
-        "table4" => exp::table4::run(scale, seed),
-        "table5" => exp::table5::run(scale, seed),
-        "table6" => exp::table6::run(scale, seed),
-        "table7" => exp::table7::run(scale, seed),
-        "table8" => exp::table8::run(scale, seed),
-        "table9" => exp::table9::run(scale, seed),
-        "fig1" => exp::fig1::run(scale, seed),
-        "fig3" => exp::fig3::run(scale, seed),
-        "fig4" => exp::fig4::run(scale, seed),
-        "fig5" => exp::fig5::run(scale, seed),
-        "aia" => exp::aia::run(scale, seed),
-        "mnist" => exp::mnist::run(scale, seed),
-        "ablation" => exp::ablation::run(scale, seed),
-        other => panic!("unknown experiment `{other}`"),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn dispatch_covers_table1() {
-        let t = run_experiment("table1", Scale::Smoke, 1);
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown experiment")]
-    fn dispatch_rejects_unknown() {
-        let _ = run_experiment("nope", Scale::Smoke, 1);
-    }
-}

@@ -267,8 +267,7 @@ mod tests {
             .enumerate()
             .map(|(u, items)| {
                 spec.build_client(
-                    // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                    UserId::new(u as u32),
+                    UserId::from_index(u),
                     items.clone(),
                     SharingPolicy::Full,
                     u as u64,

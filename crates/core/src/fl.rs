@@ -344,8 +344,7 @@ mod tests {
             .enumerate()
             .map(|(u, items)| {
                 spec.build_client(
-                    // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                    UserId::new(u as u32),
+                    UserId::from_index(u),
                     items.clone(),
                     SharingPolicy::Full,
                     u as u64,
@@ -355,10 +354,8 @@ mod tests {
 
         let evaluator = ItemSetEvaluator::new(spec.clone(), split.train_sets().to_vec(), false);
         let truths: Vec<Vec<UserId>> =
-            // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-            (0..users).map(|u| gt.community_of(UserId::new(u as u32)).to_vec()).collect();
-        // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-        let owners: Vec<Option<UserId>> = (0..users).map(|u| Some(UserId::new(u as u32))).collect();
+            (0..users).map(|u| gt.community_of(UserId::from_index(u)).to_vec()).collect();
+        let owners: Vec<Option<UserId>> = (0..users).map(|u| Some(UserId::from_index(u))).collect();
         let mut attack = FlCia::new(
             CiaConfig { k, beta: 0.9, eval_every: 2, seed: 0 },
             evaluator,
@@ -412,8 +409,7 @@ mod tests {
             .enumerate()
             .map(|(u, items)| {
                 spec.build_client(
-                    // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                    UserId::new(u as u32),
+                    UserId::from_index(u),
                     items.clone(),
                     SharingPolicy::Full,
                     u as u64,
@@ -421,10 +417,8 @@ mod tests {
             })
             .collect();
         let truths: Vec<Vec<UserId>> =
-            // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-            (0..users).map(|u| gt.community_of(UserId::new(u as u32)).to_vec()).collect();
-        // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-        let owners = (0..users).map(|u| Some(UserId::new(u as u32))).collect();
+            (0..users).map(|u| gt.community_of(UserId::from_index(u)).to_vec()).collect();
+        let owners = (0..users).map(|u| Some(UserId::from_index(u))).collect();
         let evaluator = ItemSetEvaluator::new(spec, split.train_sets().to_vec(), false);
         let attack = FlCia::new(
             CiaConfig { k, beta: 0.99, eval_every: 1, seed: 0 },
@@ -498,8 +492,7 @@ mod tests {
             .enumerate()
             .map(|(u, items)| {
                 spec.build_client(
-                    // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                    UserId::new(u as u32),
+                    UserId::from_index(u),
                     items.clone(),
                     SharingPolicy::Full,
                     u as u64,

@@ -147,7 +147,7 @@ impl<S: RelevanceScorer> MiaCommunityAttack<S> {
             let mut fp = 0usize;
             let mut negs = 0usize;
             for i in (0..num_items).step_by(stride) {
-                // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
+                // cia-lint: allow(D05, i < num_items, and item ids are u32)
                 if train.binary_search(&(i as u32)).is_err() {
                     negs += 1;
                     if member[i] {
@@ -238,8 +238,7 @@ mod tests {
             .enumerate()
             .map(|(u, items)| {
                 spec.build_client(
-                    // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                    UserId::new(u as u32),
+                    UserId::from_index(u),
                     items.clone(),
                     SharingPolicy::Full,
                     u as u64,
@@ -247,10 +246,8 @@ mod tests {
             })
             .collect();
         let truths: Vec<Vec<UserId>> =
-            // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-            (0..users).map(|u| gt.community_of(UserId::new(u as u32)).to_vec()).collect();
-        // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-        let owners: Vec<Option<UserId>> = (0..users).map(|u| Some(UserId::new(u as u32))).collect();
+            (0..users).map(|u| gt.community_of(UserId::from_index(u)).to_vec()).collect();
+        let owners: Vec<Option<UserId>> = (0..users).map(|u| Some(UserId::from_index(u))).collect();
         let mut attack = MiaCommunityAttack::new(
             MiaConfig { cia: CiaConfig { k, beta: 0.9, eval_every: 2, seed: 0 }, rho: 0.4 },
             spec,

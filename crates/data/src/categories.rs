@@ -70,7 +70,7 @@ impl CategoryMap {
             .iter()
             .enumerate()
             .filter(|(_, &l)| l == category)
-            // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
+            // cia-lint: allow(D05, i is a catalog position, and item ids are u32)
             .map(|(i, _)| i as u32)
             .collect()
     }

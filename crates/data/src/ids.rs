@@ -21,6 +21,16 @@ impl UserId {
         UserId(index)
     }
 
+    /// Creates a user id from a `usize` position in a population vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` does not fit in `u32` — a population that large
+    /// cannot be indexed by user id at all.
+    pub fn from_index(index: usize) -> Self {
+        UserId(u32::try_from(index).expect("user index overflows the u32 id space"))
+    }
+
     /// Returns the raw dense index.
     pub fn raw(self) -> u32 {
         self.0
@@ -94,6 +104,13 @@ mod tests {
         assert_eq!(u.index(), 42);
         assert_eq!(u, UserId::from(42));
         assert_eq!(u.to_string(), "u42");
+        assert_eq!(UserId::from_index(42), u);
+    }
+
+    #[test]
+    #[should_panic(expected = "user index overflows the u32 id space")]
+    fn from_index_refuses_overflow() {
+        let _ = UserId::from_index(usize::MAX);
     }
 
     #[test]

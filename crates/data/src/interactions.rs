@@ -152,8 +152,7 @@ impl Dataset {
 
     /// Iterates over `(UserId, &UserRecord)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (UserId, &UserRecord)> {
-        // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-        self.users.iter().enumerate().map(|(i, r)| (UserId::new(i as u32), r))
+        self.users.iter().enumerate().map(|(i, r)| (UserId::from_index(i), r))
     }
 
     /// All user records, indexed by user id.

@@ -104,7 +104,7 @@ impl GroundTruth {
         for (u, set) in train_sets.iter().enumerate() {
             debug_assert!(set.windows(2).all(|w| w[0] < w[1]), "train sets must be sorted unique");
             for &item in set {
-                // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
+                // cia-lint: allow(D05, u indexes one train set per user; posting lists hold u32 user ids)
                 postings[item as usize].push(u as u32);
             }
         }
@@ -122,8 +122,7 @@ impl GroundTruth {
                     let i = inter[v] as usize;
                     let union = own.len() + train_sets[v].len() - i;
                     let j = if union == 0 { 0.0 } else { i as f64 / union as f64 };
-                    // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                    (j, UserId::new(v as u32))
+                    (j, UserId::from_index(v))
                 })
                 .collect();
             // Same ordering as `top_k_similar`: descending similarity,
@@ -148,8 +147,7 @@ impl GroundTruth {
                         .iter()
                         .enumerate()
                         .filter(|&(u, _)| u != owner)
-                        // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                        .map(|(u, items)| (UserId::new(u as u32), items.as_slice())),
+                        .map(|(u, items)| (UserId::from_index(u), items.as_slice())),
                     k,
                 )
             })
@@ -166,8 +164,7 @@ impl GroundTruth {
             train_sets
                 .iter()
                 .enumerate()
-                // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                .map(|(u, items)| (UserId::new(u as u32), items.as_slice())),
+                .map(|(u, items)| (UserId::from_index(u), items.as_slice())),
             k,
         )
     }
@@ -218,8 +215,7 @@ mod tests {
         ];
         let got = top_k_similar(
             &[1, 2, 3],
-            // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-            sets.iter().enumerate().map(|(u, s)| (UserId::new(u as u32), s.as_slice())),
+            sets.iter().enumerate().map(|(u, s)| (UserId::from_index(u), s.as_slice())),
             3,
         );
         assert_eq!(got, vec![UserId::new(0), UserId::new(1), UserId::new(2)]);

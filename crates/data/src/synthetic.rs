@@ -118,7 +118,7 @@ impl SyntheticConfig {
         // Community assignment: shuffled round-robin so community sizes are
         // balanced but user ids carry no community information.
         let mut community_of: Vec<u32> =
-            // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
+            // cia-lint: allow(D05, a remainder modulo the community count, which is at most the user count)
             (0..self.users).map(|u| (u % self.communities) as u32).collect();
         community_of.shuffle(&mut rng);
 

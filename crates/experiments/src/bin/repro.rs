@@ -4,49 +4,21 @@
 //! repro <experiment|all> [--scale smoke|small|paper] [--seed N] [--out DIR]
 //! ```
 //!
-//! Experiments: `table1 table2 table3 table4 table5 table6 table7 table8
-//! table9 fig1 fig3 fig4 fig5 aia mnist ablation`.
+//! The experiments are the names in `cia_experiments::ARTIFACTS`; the usage
+//! text lists them.
 
 #![forbid(unsafe_code)]
 
 use cia_data::presets::Scale;
-use cia_experiments::experiments as exp;
-use cia_experiments::tables::Table;
+use cia_experiments::ARTIFACTS;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-const EXPERIMENTS: [&str; 16] = [
-    "table1", "table2", "table3", "table4", "table5", "table6", "table7", "table8", "table9",
-    "fig1", "fig3", "fig4", "fig5", "aia", "mnist", "ablation",
-];
-
-fn dispatch(name: &str, scale: Scale, seed: u64) -> Option<Vec<Table>> {
-    let tables = match name {
-        "table1" => exp::table1::run(scale, seed),
-        "table2" => exp::table2::run(scale, seed),
-        "table3" => exp::table3::run(scale, seed),
-        "table4" => exp::table4::run(scale, seed),
-        "table5" => exp::table5::run(scale, seed),
-        "table6" => exp::table6::run(scale, seed),
-        "table7" => exp::table7::run(scale, seed),
-        "table8" => exp::table8::run(scale, seed),
-        "table9" => exp::table9::run(scale, seed),
-        "fig1" => exp::fig1::run(scale, seed),
-        "fig3" => exp::fig3::run(scale, seed),
-        "fig4" => exp::fig4::run(scale, seed),
-        "fig5" => exp::fig5::run(scale, seed),
-        "aia" => exp::aia::run(scale, seed),
-        "mnist" => exp::mnist::run(scale, seed),
-        "ablation" => exp::ablation::run(scale, seed),
-        _ => return None,
-    };
-    Some(tables)
-}
-
 fn usage() {
     eprintln!("usage: repro <experiment|all> [--scale smoke|small|paper] [--seed N] [--out DIR]");
-    eprintln!("experiments: {}", EXPERIMENTS.join(" "));
+    let names: Vec<&str> = ARTIFACTS.iter().map(|&(name, _)| name).collect();
+    eprintln!("experiments: {}", names.join(" "));
 }
 
 fn main() -> ExitCode {
@@ -93,15 +65,13 @@ fn main() -> ExitCode {
         }
     }
 
-    let names: Vec<&str> = if which == "all" {
-        EXPERIMENTS.to_vec()
-    } else if EXPERIMENTS.contains(&which.as_str()) {
-        vec![which.as_str()]
-    } else {
+    let selected: Vec<_> =
+        ARTIFACTS.iter().filter(|(name, _)| which == "all" || *name == which).collect();
+    if selected.is_empty() {
         eprintln!("error: unknown experiment `{which}`");
         usage();
         return ExitCode::FAILURE;
-    };
+    }
 
     if let Some(dir) = &out_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
@@ -110,10 +80,10 @@ fn main() -> ExitCode {
         }
     }
 
-    for name in names {
+    for &(name, run) in selected {
         // cia-lint: allow(D02, CLI progress timing printed to the console; experiments emit no deterministic transcripts)
         let start = Instant::now();
-        let tables = dispatch(name, scale, seed).expect("validated above");
+        let tables = run(scale, seed);
         let elapsed = start.elapsed();
         for (i, table) in tables.iter().enumerate() {
             println!("{}", table.to_text());

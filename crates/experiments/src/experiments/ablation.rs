@@ -9,13 +9,14 @@
 //! (b) sweeps β of Eq. 4 in the federated setting, quantifying the
 //! anchor-on-early-models effect discussed in `EXPERIMENTS.md` (Table VI).
 
-use crate::runner::ScaleParams;
 use crate::tables::{pct, Table};
 use cia_core::{CiaConfig, FlCia, ItemSetEvaluator};
 use cia_data::presets::Scale;
 use cia_data::{GroundTruth, LeaveOneOut, SyntheticConfig, UserId};
 use cia_federated::{FedAvg, FedAvgConfig};
-use cia_models::{GmfHyper, GmfSpec, SharingPolicy};
+use cia_models::SharingPolicy;
+use cia_scenarios::runner::gmf_scorer;
+use cia_scenarios::ScaleParams;
 
 fn fl_max_aac(scale: Scale, seed: u64, affinity: f64, beta: f32) -> (f64, f64) {
     let params = ScaleParams::of(scale);
@@ -37,28 +38,12 @@ fn fl_max_aac(scale: Scale, seed: u64, affinity: f64, beta: f32) -> (f64, f64) {
     let split = LeaveOneOut::new(&data, params.eval_negatives, seed ^ 0x5EED).unwrap();
     let k = params.k.min(users - 2);
     let truth = GroundTruth::from_train_sets(split.train_sets(), k);
-    let spec =
-        GmfSpec::new(data.num_items(), params.dim, GmfHyper { lr: 0.1, ..GmfHyper::default() });
-    let clients: Vec<_> = split
-        .train_sets()
-        .iter()
-        .enumerate()
-        .map(|(u, its)| {
-            spec.build_client(
-                // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                UserId::new(u as u32),
-                its.clone(),
-                SharingPolicy::Full,
-                seed ^ (u as u64).wrapping_mul(0xD6E8_FEB8),
-            )
-        })
-        .collect();
+    let spec = gmf_scorer(data.num_items(), params.dim);
+    let clients = spec.build_clients(split.train_sets(), SharingPolicy::Full, seed);
     let evaluator = ItemSetEvaluator::new(spec, split.train_sets().to_vec(), false);
-    let truths: Vec<_> =
-        // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-        (0..users as u32).map(|u| truth.community_of(UserId::new(u)).to_vec()).collect();
-    // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-    let owners: Vec<_> = (0..users as u32).map(|u| Some(UserId::new(u))).collect();
+    let ids = (0..users).map(UserId::from_index);
+    let truths: Vec<_> = ids.clone().map(|u| truth.community_of(u).to_vec()).collect();
+    let owners: Vec<_> = ids.map(Some).collect();
     let mut attack = FlCia::new(
         CiaConfig { k, beta, eval_every: params.fl_eval_every, seed },
         evaluator,

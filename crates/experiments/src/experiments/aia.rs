@@ -1,13 +1,14 @@
 //! §VIII-C2 — the AIA gradient classifier as a community-inference proxy,
 //! compared against CIA on the same targets.
 
-use crate::runner::{build_setup, ScaleParams};
 use crate::tables::{pct, Table};
 use cia_core::{AiaCommunityAttack, AiaConfig, CiaConfig, FlCia, ItemSetEvaluator};
 use cia_data::presets::{Preset, Scale};
 use cia_data::UserId;
 use cia_federated::{FedAvg, FedAvgConfig};
-use cia_models::{GmfHyper, GmfSpec, SharingPolicy};
+use cia_models::SharingPolicy;
+use cia_scenarios::runner::gmf_scorer;
+use cia_scenarios::{build_setup, ScaleParams};
 
 /// Regenerates the AIA-vs-CIA comparison (single randomly selected target
 /// community, as in the paper).
@@ -15,35 +16,15 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
     let setup = build_setup(Preset::MovieLens, scale, None, seed);
     let params = ScaleParams::of(scale);
     let users = setup.data.num_users();
-    let spec = GmfSpec::new(
-        setup.data.num_items(),
-        params.dim,
-        GmfHyper { lr: 0.1, ..GmfHyper::default() },
-    );
+    let spec = gmf_scorer(setup.data.num_items(), params.dim);
     // "Randomly selected community": the target donor is derived from the
     // seed so reruns with other seeds pick other communities.
     let target_user = (seed as usize * 7 + 3) % users;
+    let target_id = UserId::from_index(target_user);
     let target = setup.split.train_sets()[target_user].clone();
-    // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-    let truth = setup.truth.community_of(UserId::new(target_user as u32)).to_vec();
+    let truth = setup.truth.community_of(target_id).to_vec();
 
-    let build_clients = || -> Vec<_> {
-        setup
-            .split
-            .train_sets()
-            .iter()
-            .enumerate()
-            .map(|(u, items)| {
-                spec.build_client(
-                    // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                    UserId::new(u as u32),
-                    items.clone(),
-                    SharingPolicy::Full,
-                    seed ^ (u as u64).wrapping_mul(0xD6E8_FEB8),
-                )
-            })
-            .collect()
-    };
+    let build_clients = || spec.build_clients(setup.split.train_sets(), SharingPolicy::Full, seed);
     let fed_cfg = FedAvgConfig {
         rounds: params.fl_rounds,
         local_epochs: params.local_epochs,
@@ -61,8 +42,7 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
         target.clone(),
         users,
         truth.clone(),
-        // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-        Some(UserId::new(target_user as u32)),
+        Some(target_id),
     );
     let mut sim = FedAvg::new(build_clients(), fed_cfg);
     sim.run(&mut aia);
@@ -75,8 +55,7 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
         evaluator,
         users,
         vec![truth],
-        // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-        vec![Some(UserId::new(target_user as u32))],
+        vec![Some(target_id)],
     );
     let mut sim = FedAvg::new(build_clients(), fed_cfg);
     sim.run(&mut cia);

@@ -6,7 +6,6 @@
 //! from the *public* category catalog (all Health-and-Medicine items) and
 //! runs CIA with K = 3.
 
-use crate::runner::ScaleParams;
 use crate::tables::{pct, Table};
 use cia_core::{CiaConfig, FlCia, ItemSetEvaluator};
 use cia_data::presets::Scale;
@@ -15,7 +14,9 @@ use cia_data::{
     HEALTH_CATEGORY,
 };
 use cia_federated::{FedAvg, FedAvgConfig};
-use cia_models::{GmfHyper, GmfSpec, SharingPolicy};
+use cia_models::SharingPolicy;
+use cia_scenarios::runner::gmf_scorer;
+use cia_scenarios::ScaleParams;
 
 /// Regenerates the Figure 1 experiment.
 pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
@@ -45,22 +46,8 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
     let health_items = categories.items_in(HEALTH_CATEGORY);
     let truth = GroundTruth::for_target(&health_items, split.train_sets(), k);
 
-    let spec =
-        GmfSpec::new(data.num_items(), params.dim, GmfHyper { lr: 0.1, ..GmfHyper::default() });
-    let clients: Vec<_> = split
-        .train_sets()
-        .iter()
-        .enumerate()
-        .map(|(u, items)| {
-            spec.build_client(
-                // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                UserId::new(u as u32),
-                items.clone(),
-                SharingPolicy::Full,
-                seed ^ (u as u64).wrapping_mul(0xD6E8_FEB8),
-            )
-        })
-        .collect();
+    let spec = gmf_scorer(data.num_items(), params.dim);
+    let clients = spec.build_clients(split.train_sets(), SharingPolicy::Full, seed);
 
     let evaluator = ItemSetEvaluator::new(spec, vec![health_items.clone()], false);
     let mut attack = FlCia::new(
@@ -89,8 +76,7 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
     let community_frac: f64 =
         predicted.iter().map(|&u| frac_of(u)).sum::<f64>() / predicted.len().max(1) as f64;
     let overall_frac: f64 =
-        // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-        (0..users as u32).map(|u| frac_of(UserId::new(u))).sum::<f64>() / users as f64;
+        (0..users).map(|u| frac_of(UserId::from_index(u))).sum::<f64>() / users as f64;
 
     let mut t = Table::new(
         format!("Figure 1 — CIA targeting health-vulnerable users ({scale} scale)"),

@@ -1,9 +1,9 @@
 //! Figure 3 — privacy/utility trade-off of the Share-less strategy on GMF:
 //! Max AAC vs HR@20 for every protocol and dataset.
 
-use crate::runner::{run_recsys, DefenseKind, ModelKind, ProtocolKind, RunSpec};
 use crate::tables::{f3, pct, Table};
 use cia_data::presets::{Preset, Scale};
+use cia_scenarios::{run_quiet, DefenseKind, ModelKind, ProtocolKind, ScenarioSpec};
 
 /// Runs the trade-off sweep for one model across datasets and protocols
 /// (shared by Figures 3 and 4).
@@ -24,10 +24,10 @@ pub fn tradeoff(
                 ("No defense", DefenseKind::None),
                 ("Share less", DefenseKind::ShareLess { tau: 0.3 }),
             ] {
-                let mut spec = RunSpec::new(preset, model, protocol, scale);
+                let mut spec = ScenarioSpec::new(preset, model, protocol, scale);
                 spec.seed = seed;
                 spec.defense = defense;
-                let r = run_recsys(&spec);
+                let r = run_quiet(&spec);
                 t.row(vec![
                     preset.name().to_string(),
                     protocol.name().to_string(),

@@ -2,9 +2,9 @@
 //! (F1-score utility, POI datasets only).
 
 use crate::experiments::fig3::tradeoff;
-use crate::runner::ModelKind;
 use crate::tables::Table;
 use cia_data::presets::{Preset, Scale};
+use cia_scenarios::ModelKind;
 
 /// Regenerates Figure 4 (as a table of the plotted series).
 pub fn run(scale: Scale, seed: u64) -> Vec<Table> {

@@ -1,10 +1,10 @@
 //! Figure 5 — utility and empirical privacy under DP-SGD on MovieLens
 //! (δ = 1e-6, clip = 2), for FL and Rand-Gossip.
 
-use crate::runner::{run_recsys, DefenseKind, ModelKind, ProtocolKind, RunSpec, ScaleParams};
 use crate::tables::{f3, pct, Table};
 use cia_data::presets::{Preset, Scale};
 use cia_defenses::RdpAccountant;
+use cia_scenarios::{run_quiet, DefenseKind, ModelKind, ProtocolKind, ScaleParams, ScenarioSpec};
 
 /// The privacy budgets swept by the paper (`None` = ε = ∞).
 pub const EPSILONS: [Option<f64>; 5] = [None, Some(1000.0), Some(100.0), Some(10.0), Some(1.0)];
@@ -22,10 +22,10 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
             _ => params.gl_rounds,
         };
         for eps in EPSILONS {
-            let mut spec = RunSpec::new(Preset::MovieLens, ModelKind::Gmf, protocol, scale);
+            let mut spec = ScenarioSpec::new(Preset::MovieLens, ModelKind::Gmf, protocol, scale);
             spec.seed = seed;
             spec.defense = DefenseKind::Dp { epsilon: eps };
-            let r = run_recsys(&spec);
+            let r = run_quiet(&spec);
             let sigma = match eps {
                 Some(e) => RdpAccountant::calibrate_noise(e, 1e-6, rounds, 1.0),
                 None => 0.0,

@@ -13,7 +13,7 @@ use cia_core::{CiaConfig, FlCia, RelevanceEvaluator};
 use cia_data::presets::Scale;
 use cia_data::{ImageDataset, ImageGenConfig, UserId, IMAGE_DIM, NUM_CLASSES};
 use cia_federated::{FedAvg, FedAvgConfig};
-use cia_models::{MlpClient, MlpHyper, MlpScratch, MlpSpec};
+use cia_models::{client_id_and_seed, MlpClient, MlpHyper, MlpScratch, MlpSpec};
 use std::sync::Arc;
 
 /// Relevance of an MLP for a class-probe target: the mean log-softmax
@@ -102,14 +102,14 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
         .iter()
         .enumerate()
         .map(|(u, samples)| {
+            let (id, seed) = client_id_and_seed(u, seed);
             MlpClient::new(
                 spec.clone(),
                 MlpHyper::default(),
-                // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                UserId::new(u as u32),
+                id,
                 Arc::clone(&data),
                 samples.clone(),
-                seed ^ (u as u64).wrapping_mul(0xD6E8_FEB8),
+                seed,
             )
         })
         .collect();
@@ -117,10 +117,7 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
     // Truth: the community of class c is exactly the clients holding class c.
     let truths: Vec<Vec<UserId>> = (0..NUM_CLASSES)
         .map(|c| {
-            (0..clients_per_class)
-                // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                .map(|i| UserId::new((c * clients_per_class + i) as u32))
-                .collect()
+            (0..clients_per_class).map(|i| UserId::from_index(c * clients_per_class + i)).collect()
         })
         .collect();
     let evaluator = MnistEvaluator { spec: spec.clone(), data: Arc::clone(&data), targets: probes };

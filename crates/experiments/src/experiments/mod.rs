@@ -1,5 +1,5 @@
 //! One module per paper artifact, named after the table or figure it
-//! regenerates; the `repro` binary (`src/bin/repro.rs`) lists them all.
+//! regenerates; [`crate::ARTIFACTS`] lists them all.
 
 pub mod ablation;
 pub mod aia;

@@ -1,9 +1,9 @@
 //! Table II — CIA on FedRecs: Max AAC and Best-10% AAC for every
 //! dataset × model configuration in the federated setting.
 
-use crate::runner::{run_recsys, ModelKind, ProtocolKind, RunSpec};
 use crate::tables::{pct, Table};
 use cia_data::presets::{Preset, Scale};
+use cia_scenarios::{run_quiet, ModelKind, ProtocolKind, ScenarioSpec};
 
 /// The five dataset × model configurations of Table II (PRME is only
 /// evaluated on the POI datasets, as in the paper).
@@ -22,9 +22,9 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
         &["Dataset", "Random bound %", "Model", "Max AAC %", "Best 10% AAC %", "Utility"],
     );
     for (preset, model) in CONFIGS {
-        let mut spec = RunSpec::new(preset, model, ProtocolKind::Fl, scale);
+        let mut spec = ScenarioSpec::new(preset, model, ProtocolKind::Fl, scale);
         spec.seed = seed;
-        let r = run_recsys(&spec);
+        let r = run_quiet(&spec);
         t.row(vec![
             preset.name().to_string(),
             pct(r.attack.random_bound),

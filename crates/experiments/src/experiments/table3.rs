@@ -2,9 +2,9 @@
 //! dataset × model configurations, every adversary placement evaluated.
 
 use crate::experiments::table2::CONFIGS;
-use crate::runner::{run_recsys, ProtocolKind, RunSpec};
 use crate::tables::{pct, Table};
 use cia_data::presets::Scale;
+use cia_scenarios::{run_quiet, ProtocolKind, ScenarioSpec};
 
 /// Regenerates Table III.
 pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
@@ -22,9 +22,9 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
     );
     for protocol in [ProtocolKind::RandGossip, ProtocolKind::PersGossip] {
         for (preset, model) in CONFIGS {
-            let mut spec = RunSpec::new(preset, model, protocol, scale);
+            let mut spec = ScenarioSpec::new(preset, model, protocol, scale);
             spec.seed = seed;
-            let r = run_recsys(&spec);
+            let r = run_quiet(&spec);
             t.row(vec![
                 protocol.name().to_string(),
                 preset.name().to_string(),

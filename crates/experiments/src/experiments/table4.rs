@@ -1,14 +1,16 @@
 //! Table IV — effect of colluders in GL (Rand-Gossip, GMF, MovieLens).
 
-use crate::runner::{build_setup, run_recsys, DefenseKind, ModelKind, ProtocolKind, RunSpec};
 use crate::tables::{pct, Table};
 use cia_data::presets::{Preset, Scale};
+use cia_scenarios::{build_setup, run_quiet, DefenseKind, ModelKind, ProtocolKind, ScenarioSpec};
 
 /// The colluder fractions evaluated by the paper (0 = single adversary).
 pub const COLLUDER_FRACTIONS: [f64; 4] = [0.0, 0.05, 0.10, 0.20];
 
 /// Runs the colluder sweep with a given defense (shared by Tables IV and V)
-/// and momentum coefficient (shared with Table VI).
+/// and momentum coefficient (shared with Table VI). The colluders are a
+/// `dynamics.sybils` coalition on evenly spaced ids; 0 runs the single
+/// adversary at every placement.
 pub fn sweep(scale: Scale, seed: u64, defense: DefenseKind, beta: f32, title: String) -> Table {
     let n = build_setup(Preset::MovieLens, scale, None, seed).data.num_users();
     let mut t = Table::new(
@@ -18,12 +20,12 @@ pub fn sweep(scale: Scale, seed: u64, defense: DefenseKind, beta: f32, title: St
     for frac in COLLUDER_FRACTIONS {
         let colluders = if frac == 0.0 { 0 } else { ((n as f64 * frac).round() as usize).max(2) };
         let mut spec =
-            RunSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::RandGossip, scale);
+            ScenarioSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::RandGossip, scale);
         spec.seed = seed;
         spec.defense = defense;
         spec.beta = beta;
-        spec.colluders = colluders;
-        let r = run_recsys(&spec);
+        spec.dynamics.sybils = colluders;
+        let r = run_quiet(&spec);
         let setting = if frac == 0.0 {
             "Single adversary".to_string()
         } else {

@@ -1,9 +1,9 @@
 //! Table V — collusion in GL under the Share-less strategy.
 
 use crate::experiments::table4::sweep;
-use crate::runner::DefenseKind;
 use crate::tables::Table;
 use cia_data::presets::Scale;
+use cia_scenarios::DefenseKind;
 
 /// Regenerates Table V.
 pub fn run(scale: Scale, seed: u64) -> Vec<Table> {

@@ -6,9 +6,9 @@
 //! paper's large momentum gain does not reproduce; a moderate β shows a mild
 //! gain while β = 0.99 over-anchors on early, under-trained snapshots.
 
-use crate::runner::{build_setup, run_recsys, ModelKind, ProtocolKind, RunSpec};
 use crate::tables::{pct, Table};
 use cia_data::presets::{Preset, Scale};
+use cia_scenarios::{build_setup, run_quiet, ModelKind, ProtocolKind, ScenarioSpec};
 
 /// Regenerates Table VI.
 pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
@@ -20,12 +20,16 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
     for beta in [0.0f32, 0.5, 0.99] {
         let mut cells = vec![format!("beta = {beta}")];
         for frac in [0.05f64, 0.10, 0.20] {
-            let mut spec =
-                RunSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::RandGossip, scale);
+            let mut spec = ScenarioSpec::new(
+                Preset::MovieLens,
+                ModelKind::Gmf,
+                ProtocolKind::RandGossip,
+                scale,
+            );
             spec.seed = seed;
             spec.beta = beta;
-            spec.colluders = ((n as f64 * frac).round() as usize).max(2);
-            let r = run_recsys(&spec);
+            spec.dynamics.sybils = ((n as f64 * frac).round() as usize).max(2);
+            let r = run_quiet(&spec);
             cells.push(pct(r.attack.max_aac));
         }
         t.row(cells);

@@ -5,9 +5,9 @@
 //! scales we keep the same *fractions* of the population so the random bound
 //! rows stay comparable.
 
-use crate::runner::{build_setup, run_recsys, DefenseKind, ModelKind, ProtocolKind, RunSpec};
 use crate::tables::{pct, Table};
 use cia_data::presets::{Preset, Scale};
+use cia_scenarios::{build_setup, run_quiet, DefenseKind, ModelKind, ProtocolKind, ScenarioSpec};
 
 /// The paper's K values as fractions of N = 943.
 pub const K_FRACTIONS: [f64; 6] =
@@ -30,11 +30,12 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
     {
         let mut cells = vec![label.to_string()];
         for &k in &ks {
-            let mut spec = RunSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::Fl, scale);
+            let mut spec =
+                ScenarioSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::Fl, scale);
             spec.seed = seed;
             spec.defense = defense;
             spec.k_override = Some(k);
-            let r = run_recsys(&spec);
+            let r = run_quiet(&spec);
             cells.push(pct(r.attack.max_aac));
         }
         t.row(cells);

@@ -1,13 +1,13 @@
 //! Table VIII — the entropy-based MIA as a community-inference proxy
 //! (FL, GMF, MovieLens), compared against CIA.
 
-use crate::runner::{build_setup, run_recsys, ModelKind, ProtocolKind, RunSpec, ScaleParams};
 use crate::tables::{pct, Table};
 use cia_core::{CiaConfig, MiaCommunityAttack, MiaConfig};
 use cia_data::presets::{Preset, Scale};
-use cia_data::UserId;
 use cia_federated::{FedAvg, FedAvgConfig};
-use cia_models::{GmfHyper, GmfSpec, SharingPolicy};
+use cia_models::SharingPolicy;
+use cia_scenarios::runner::gmf_scorer;
+use cia_scenarios::{build_setup, run_quiet, ModelKind, ProtocolKind, ScaleParams, ScenarioSpec};
 
 /// The entropy thresholds of Table VIII.
 pub const RHOS: [f32; 5] = [0.2, 0.4, 0.6, 0.8, 1.0];
@@ -17,11 +17,7 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
     let setup = build_setup(Preset::MovieLens, scale, None, seed);
     let params = ScaleParams::of(scale);
     let users = setup.data.num_users();
-    let spec = GmfSpec::new(
-        setup.data.num_items(),
-        params.dim,
-        GmfHyper { lr: 0.1, ..GmfHyper::default() },
-    );
+    let spec = gmf_scorer(setup.data.num_items(), params.dim);
 
     let mut t = Table::new(
         format!(
@@ -31,21 +27,7 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
     );
 
     for rho in RHOS {
-        let clients: Vec<_> = setup
-            .split
-            .train_sets()
-            .iter()
-            .enumerate()
-            .map(|(u, items)| {
-                spec.build_client(
-                    // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                    UserId::new(u as u32),
-                    items.clone(),
-                    SharingPolicy::Full,
-                    seed ^ (u as u64).wrapping_mul(0xD6E8_FEB8),
-                )
-            })
-            .collect();
+        let clients = spec.build_clients(setup.split.train_sets(), SharingPolicy::Full, seed);
         let mut attack = MiaCommunityAttack::new(
             MiaConfig {
                 cia: CiaConfig { k: setup.k, beta: 0.99, eval_every: params.fl_eval_every, seed },
@@ -78,9 +60,10 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
     }
 
     // CIA reference row on the identical setting.
-    let mut cia_spec = RunSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::Fl, scale);
+    let mut cia_spec =
+        ScenarioSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::Fl, scale);
     cia_spec.seed = seed;
-    let cia = run_recsys(&cia_spec);
+    let cia = run_quiet(&cia_spec);
     t.row(vec!["CIA".into(), "-".into(), "-".into(), pct(cia.attack.max_aac)]);
     vec![t]
 }

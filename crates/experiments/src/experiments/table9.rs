@@ -2,11 +2,11 @@
 //! the analytic cost model instantiated with unit costs *measured on this
 //! machine*.
 
-use crate::runner::{build_setup, ScaleParams};
 use crate::tables::Table;
 use cia_core::complexity::CostModel;
 use cia_data::presets::{Preset, Scale};
 use cia_models::{GmfHyper, GmfSpec, Mlp, MlpHyper, MlpSpec, RelevanceScorer};
+use cia_scenarios::{build_setup, ScaleParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;

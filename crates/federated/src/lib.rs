@@ -24,7 +24,7 @@
 //!     .iter()
 //!     .enumerate()
 //!     .map(|(u, items)| {
-//!         spec.build_client(UserId::new(u as u32), items.clone(), SharingPolicy::Full, u as u64)
+//!         spec.build_client(UserId::from_index(u), items.clone(), SharingPolicy::Full, u as u64)
 //!     })
 //!     .collect();
 //!
@@ -333,46 +333,40 @@ impl<P: Participant> FedAvg<P> {
             slot.sampled = s;
             slot.loss = 0.0;
         }
-        let per_client =
-            |i: usize, client: &mut P, slot: &mut RoundSlot, acc: Option<(f32, &mut [f32])>| {
-                if !slot.sampled {
-                    return;
-                }
-                let t0 = obs.clock();
-                let mut crng = StdRng::seed_from_u64(
-                    cfg.seed ^ (t << 20) ^ (i as u64).wrapping_mul(0x5851_F42D),
+        let per_client = |i: usize, client: &mut P, slot: &mut RoundSlot| {
+            if !slot.sampled {
+                return;
+            }
+            let t0 = obs.clock();
+            let mut crng =
+                StdRng::seed_from_u64(cfg.seed ^ (t << 20) ^ (i as u64).wrapping_mul(0x5851_F42D));
+            client.absorb_agg(global);
+            // The DP transform needs the pre-round embedding.
+            let emb_before: Option<Vec<f32>> =
+                transform.and_then(|_| client.owner_emb().map(<[f32]>::to_vec));
+            for _ in 0..cfg.local_epochs.max(1) {
+                slot.loss = client.train_local(&mut crng);
+            }
+            if materialize {
+                client.snapshot_into(t, &mut slot.model);
+            }
+            if let Some(tr) = transform {
+                // DP rewrites the materialized snapshot.
+                apply_update_transform(
+                    tr,
+                    &mut slot.model,
+                    global,
+                    emb_before.as_deref(),
+                    &mut crng,
                 );
-                if let Some(tr) = transform {
-                    // DP path: the transform needs the pre-round embedding
-                    // and rewrites the materialized snapshot.
-                    client.absorb_agg(global);
-                    let emb_before: Option<Vec<f32>> = client.owner_emb().map(<[f32]>::to_vec);
-                    let mut loss = 0.0;
-                    for _ in 0..cfg.local_epochs.max(1) {
-                        loss = client.train_local(&mut crng);
-                    }
-                    slot.loss = loss;
-                    client.snapshot_into(t, &mut slot.model);
-                    apply_update_transform(
-                        tr,
-                        &mut slot.model,
-                        global,
-                        emb_before.as_deref(),
-                        &mut crng,
-                    );
-                } else {
-                    slot.loss = client.fed_round(global, cfg.local_epochs, &mut crng, acc);
-                    if materialize {
-                        client.snapshot_into(t, &mut slot.model);
-                    }
-                }
-                obs.observe_since(Metric::TrainMicros, t0);
-            };
-        // Pre-compute the sparse-aggregation weights so the single-thread
-        // path can fold each client's contribution while its parameters are
-        // still cache-hot. The parallel path runs the same accumulation as a
-        // separate pass; both visit clients in index order over identical
-        // inputs, so the result is bit-identical for every thread count.
+            }
+            obs.observe_since(Metric::TrainMicros, t0);
+        };
+        let train_span = obs.span("train");
+        par_zip_mut(clients, slots, per_client);
+        // Fold each sampled client's sparse update into `acc` in client
+        // index order over identical inputs, so the sum is bit-identical for
+        // every thread count.
         let weight_of = |client: &P| match cfg.weighting {
             Weighting::Uniform => 1.0,
             Weighting::ByExamples => client.num_examples().max(1) as f32,
@@ -386,25 +380,10 @@ impl<P: Participant> FedAvg<P> {
             .sum();
         acc.resize(global.len(), 0.0);
         acc.fill(0.0);
-        let train_span = obs.span("train");
-        if cia_models::parallel::num_threads() <= 1 {
-            for (i, (client, slot)) in clients.iter_mut().zip(slots.iter_mut()).enumerate() {
-                let sink = if sparse_agg && total > 0.0 {
-                    Some((weight_of(client) / total, acc.as_mut_slice()))
-                } else {
-                    None
-                };
-                per_client(i, client, slot, sink);
-            }
-        } else {
-            par_zip_mut(clients, slots, |i, client, slot| {
-                per_client(i, client, slot, None);
-            });
-            if sparse_agg && total > 0.0 {
-                for (client, slot) in clients.iter().zip(&*slots) {
-                    if slot.sampled {
-                        client.accumulate_update(global, weight_of(client) / total, acc);
-                    }
+        if sparse_agg && total > 0.0 {
+            for (client, slot) in clients.iter().zip(&*slots) {
+                if slot.sampled {
+                    client.accumulate_update(global, weight_of(client) / total, acc);
                 }
             }
         }
@@ -567,8 +546,7 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(u, items)| {
-                // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                spec.build_client(UserId::new(u as u32), items.clone(), policy, u as u64)
+                spec.build_client(UserId::from_index(u), items.clone(), policy, u as u64)
             })
             .collect();
         FedAvg::new(clients, FedAvgConfig { rounds, seed: 9, ..Default::default() })
@@ -646,8 +624,7 @@ mod tests {
             .enumerate()
             .map(|(u, items)| {
                 spec.build_client(
-                    // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                    UserId::new(u as u32),
+                    UserId::from_index(u),
                     items.clone(),
                     SharingPolicy::Full,
                     u as u64,

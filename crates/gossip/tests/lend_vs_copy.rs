@@ -44,15 +44,6 @@ impl<P: Participant> Participant for Copying<P> {
     fn train_local(&mut self, rng: &mut StdRng) -> f32 {
         self.0.train_local(rng)
     }
-    fn fed_round(
-        &mut self,
-        global: &[f32],
-        epochs: usize,
-        rng: &mut StdRng,
-        acc: Option<(f32, &mut [f32])>,
-    ) -> f32 {
-        self.0.fed_round(global, epochs, rng, acc)
-    }
     fn snapshot_into(&self, round: u64, slot: &mut SharedModel) {
         self.0.snapshot_into(round, slot);
     }

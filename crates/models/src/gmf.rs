@@ -38,7 +38,7 @@
 use crate::factor::{FactorClient, FactorModel};
 use crate::kernel::{dot, dot3, gemv};
 use crate::params::{init_uniform, sigmoid};
-use crate::participant::{RelevanceScorer, SharingPolicy};
+use crate::participant::{client_id_and_seed, RelevanceScorer, SharingPolicy};
 use cia_data::UserId;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -149,6 +149,24 @@ impl GmfSpec {
         seed: u64,
     ) -> GmfClient {
         FactorClient::new(self, user, train_items, policy, seed, Vec::new())
+    }
+
+    /// Builds one client per training set: client `u` owns `train_sets[u]`
+    /// under the id and seed [`client_id_and_seed`] derives from `seed`.
+    pub fn build_clients(
+        &self,
+        train_sets: &[Vec<u32>],
+        policy: SharingPolicy,
+        seed: u64,
+    ) -> Vec<GmfClient> {
+        train_sets
+            .iter()
+            .enumerate()
+            .map(|(u, items)| {
+                let (id, seed) = client_id_and_seed(u, seed);
+                self.build_client(id, items.clone(), policy, seed)
+            })
+            .collect()
     }
 
     #[inline]

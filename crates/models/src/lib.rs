@@ -46,7 +46,7 @@ pub use gmf::{GmfClient, GmfHyper, GmfSpec};
 pub use metrics::{f1_at_k, hit_ratio, ndcg, rank_of_primary, RankedEval};
 pub use mlp::{Mlp, MlpClient, MlpHyper, MlpScratch, MlpSpec};
 pub use participant::{
-    Checkpointable, DeliveryPolicy, LivenessEvent, Participant, RelevanceScorer, SharedModel,
-    SharingPolicy, UpdateTransform,
+    client_id_and_seed, Checkpointable, DeliveryPolicy, LivenessEvent, Participant,
+    RelevanceScorer, SharedModel, SharingPolicy, UpdateTransform,
 };
 pub use prme::{PrmeClient, PrmeHyper, PrmeSpec};

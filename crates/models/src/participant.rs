@@ -35,6 +35,17 @@ impl SharedModel {
     }
 }
 
+/// Client `u`'s id and model seed in a population built from one run seed:
+/// the seed salted by the index, so every client draws its own
+/// initialization and sampling stream.
+///
+/// # Panics
+///
+/// Panics if `u` does not fit a [`UserId`].
+pub fn client_id_and_seed(u: usize, seed: u64) -> (UserId, u64) {
+    (UserId::from_index(u), seed ^ (u as u64).wrapping_mul(0xD6E8_FEB8))
+}
+
 /// Stamps `slot` with everything but the aggregate: owner, round and — when
 /// `emb` is given — a copy of the owner embedding reusing the slot's buffer.
 pub(crate) fn stamp_snapshot(
@@ -122,32 +133,6 @@ pub trait Participant: Send + Sync {
 
     /// Runs one local training epoch; returns the mean training loss.
     fn train_local(&mut self, rng: &mut StdRng) -> f32;
-
-    /// One fused FedAvg client round: absorb `global`, run `epochs` local
-    /// epochs, and — when `acc` is given — fold `weight · (agg − global)`
-    /// into it as [`Participant::accumulate_update`] would. Returns the last
-    /// epoch's mean loss. The RNG usage matches the unfused
-    /// absorb/train/accumulate sequence exactly, so both produce identical
-    /// parameters; the fusion exists so the single-thread FedAvg path can
-    /// accumulate each client's sparse update while its parameters are still
-    /// cache-hot.
-    fn fed_round(
-        &mut self,
-        global: &[f32],
-        epochs: usize,
-        rng: &mut StdRng,
-        acc: Option<(f32, &mut [f32])>,
-    ) -> f32 {
-        self.absorb_agg(global);
-        let mut loss = 0.0;
-        for _ in 0..epochs.max(1) {
-            loss = self.train_local(rng);
-        }
-        if let Some((weight, acc)) = acc {
-            self.accumulate_update(global, weight, acc);
-        }
-        loss
-    }
 
     /// Writes the outgoing snapshot under the participant's sharing policy
     /// into `slot`, reusing its buffers, so protocol rounds stay

@@ -20,7 +20,7 @@
 
 use crate::factor::{FactorClient, FactorModel};
 use crate::params::init_uniform;
-use crate::participant::{RelevanceScorer, SharingPolicy};
+use crate::participant::{client_id_and_seed, RelevanceScorer, SharingPolicy};
 use cia_data::UserId;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -120,6 +120,27 @@ impl PrmeSpec {
         seed: u64,
     ) -> PrmeClient {
         FactorClient::new(self, user, train_items, policy, seed, train_sequence)
+    }
+
+    /// Builds one client per training set: client `u` owns `train_sets[u]`
+    /// and `sequences[u]` under the id and seed [`client_id_and_seed`]
+    /// derives from `seed`.
+    pub fn build_clients(
+        &self,
+        train_sets: &[Vec<u32>],
+        sequences: &[Vec<u32>],
+        policy: SharingPolicy,
+        seed: u64,
+    ) -> Vec<PrmeClient> {
+        train_sets
+            .iter()
+            .zip(sequences)
+            .enumerate()
+            .map(|(u, (items, seq))| {
+                let (id, seed) = client_id_and_seed(u, seed);
+                self.build_client(id, items.clone(), seq.clone(), policy, seed)
+            })
+            .collect()
     }
 
     #[inline]

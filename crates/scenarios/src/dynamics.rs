@@ -90,7 +90,7 @@ impl ParticipantDynamics {
 
     /// The sybil coalition's node ids (attack construction).
     pub fn sybil_members(&self) -> Vec<u32> {
-        // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
+        // cia-lint: allow(D05, i indexes the per-participant sybil flags; participant ids are u32)
         self.sybil.iter().enumerate().filter_map(|(i, &s)| s.then_some(i as u32)).collect()
     }
 

@@ -158,7 +158,7 @@ impl PlacementEngine {
 /// All node ids in descending traffic order: accumulated view in-degree,
 /// ties by delivered-message count, then ascending id.
 fn degree_order(traffic: &TrafficCounters) -> Vec<u32> {
-    // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
+    // cia-lint: allow(D05, one in-degree per gossip node, and gossip node ids are u32)
     let mut ids: Vec<u32> = (0..traffic.view_in_degree.len() as u32).collect();
     ids.sort_by_key(|&v| {
         (

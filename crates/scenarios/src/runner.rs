@@ -42,7 +42,6 @@ use cia_core::{
     AttackOutcome, CiaConfig, FlCia, GlCiaAllPlacements, GlCiaCoalition, ItemSetEvaluator,
     Recorder, RoundPoint, TopK, TraceChunk,
 };
-use cia_data::UserId;
 use cia_defenses::{DpConfig, DpMechanism};
 use cia_federated::{FedAvg, FedAvgConfig};
 use cia_gossip::{GossipConfig, GossipObserver, GossipProtocol, GossipSim};
@@ -234,12 +233,6 @@ pub fn gmf_scorer(num_items: u32, dim: usize) -> GmfSpec {
     GmfSpec::new(num_items, dim, GmfHyper { lr: 0.1, ..GmfHyper::default() })
 }
 
-/// Client `u`'s id and model seed (the spec seed salted by the id).
-fn client_id_and_seed(spec: &ScenarioSpec, u: usize) -> (UserId, u64) {
-    // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-    (UserId::new(u as u32), spec.seed ^ (u as u64).wrapping_mul(0xD6E8_FEB8))
-}
-
 fn run_gmf(
     ctx: &Ctx,
     setup: &RecsysSetup,
@@ -247,16 +240,7 @@ fn run_gmf(
 ) -> Result<ScenarioOutcome, String> {
     let model_spec = gmf_scorer(setup.data.num_items(), setup.params.dim);
     let policy = ctx.spec.defense.policy();
-    let clients: Vec<GmfClient> = setup
-        .split
-        .train_sets()
-        .iter()
-        .enumerate()
-        .map(|(u, items)| {
-            let (id, seed) = client_id_and_seed(ctx.spec, u);
-            model_spec.build_client(id, items.clone(), policy, seed)
-        })
-        .collect();
+    let clients = model_spec.build_clients(setup.split.train_sets(), policy, ctx.spec.seed);
     let eval_instances = setup.split.eval_instances().to_vec();
     let utility = move |clients: &[GmfClient]| -> f64 {
         // Clients evaluate independently in parallel; a hit count is
@@ -288,17 +272,13 @@ fn run_prme(
         PrmeHyper { lr: 0.05, ..PrmeHyper::default() },
     );
     let policy = ctx.spec.defense.policy();
-    let clients: Vec<PrmeClient> = setup
-        .split
-        .train_sets()
-        .iter()
-        .zip(setup.split.train_sequences())
-        .enumerate()
-        .map(|(u, (items, seq))| {
-            let (id, seed) = client_id_and_seed(ctx.spec, u);
-            model_spec.build_client(id, items.clone(), seq.clone(), policy, seed)
-        })
-        .collect();
+    let split = &setup.split;
+    let clients = model_spec.build_clients(
+        split.train_sets(),
+        split.train_sequences(),
+        policy,
+        ctx.spec.seed,
+    );
     let eval_instances = setup.split.eval_instances().to_vec();
     let train_sets = setup.split.train_sets().to_vec();
     let num_items = setup.data.num_items();
@@ -319,7 +299,7 @@ fn run_prme(
             let mut tile: Vec<u32> = Vec::with_capacity(EVAL_TILE);
             let mut start = 0u32;
             while start < num_items {
-                // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
+                // cia-lint: allow(D05, EVAL_TILE is the constant 512)
                 let end = num_items.min(start + EVAL_TILE as u32);
                 tile.clear();
                 tile.extend((start..end).filter(|j| train.binary_search(j).is_err()));
@@ -408,17 +388,10 @@ where
     }
     sim.set_recorder(ctx.rec.clone());
 
-    // Sybil coalitions (always-online adversary nodes) and the legacy
-    // `colluders` knob both run the paper-exact coalition engine; a lone
-    // adversary (or none specified) runs the all-placements sweep.
-    // `coalition_size` is the single source of the precedence rule.
-    let coalition = spec.coalition_size();
-    let members: Vec<u32> = if spec.dynamics.sybils > 0 {
-        dynamics.sybil_members()
-    } else {
-        // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-        (0..coalition).map(|i| (i * n / coalition.max(1)) as u32).collect()
-    };
+    // A sybil coalition (always-online adversary nodes) runs the
+    // paper-exact coalition engine; without sybils a lone adversary runs the
+    // all-placements sweep.
+    let members = dynamics.sybil_members();
     let attack: Box<dyn GlAttack> = if members.is_empty() {
         let mut a = GlCiaAllPlacements::new(cia, evaluator, n, setup.truth_table());
         a.set_recorder(ctx.rec.clone());
@@ -1104,7 +1077,7 @@ pub fn validate_jsonl(input: &str) -> Result<(usize, usize), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::builtin_suite;
+    use crate::spec::{builtin_suite, DynamicsSpec};
     use cia_data::presets::{Preset, Scale};
 
     #[test]
@@ -1115,6 +1088,41 @@ mod tests {
         assert!(r.attack.max_aac > r.attack.random_bound, "attack below random");
         assert!(r.utility > 0.0, "HR must be positive");
         assert_eq!(r.utility_metric, "HR@20");
+    }
+
+    #[test]
+    fn online_bound_matches_static_bound_without_dynamics() {
+        // Every paper table is a static-population scenario, so the
+        // dynamics-aware bound must coincide with the paper's coverage
+        // bound — tables keep reporting one number.
+        let spec =
+            ScenarioSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::Fl, Scale::Smoke);
+        let r = run_quiet(&spec);
+        assert_eq!(r.attack.upper_bound_online, r.attack.upper_bound);
+        for p in &r.attack.history {
+            assert_eq!(p.upper_bound_online, p.upper_bound);
+        }
+    }
+
+    #[test]
+    fn online_bound_separates_under_churn() {
+        let mut spec =
+            ScenarioSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::Fl, Scale::Smoke);
+        spec.dynamics = DynamicsSpec {
+            leave_prob: 0.2,
+            join_prob: 0.3,
+            initial_online: 0.8,
+            ..Default::default()
+        };
+        let r = run_quiet(&spec);
+        assert!(
+            r.attack.history.iter().all(|p| p.upper_bound_online <= p.upper_bound + 1e-12),
+            "online bound exceeded the static bound"
+        );
+        assert!(
+            r.attack.history.iter().any(|p| p.upper_bound_online < p.upper_bound),
+            "churn never separated the bounds"
+        );
     }
 
     #[test]

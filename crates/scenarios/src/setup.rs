@@ -24,15 +24,13 @@ impl RecsysSetup {
     /// Truth table aligned with per-user targets.
     pub fn truth_table(&self) -> Vec<Vec<UserId>> {
         (0..self.data.num_users())
-            // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-            .map(|u| self.truth.community_of(UserId::new(u as u32)).to_vec())
+            .map(|u| self.truth.community_of(UserId::from_index(u)).to_vec())
             .collect()
     }
 
     /// Owner table (each per-user target excludes its donor).
     pub fn owner_table(&self) -> Vec<Option<UserId>> {
-        // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-        (0..self.data.num_users()).map(|u| Some(UserId::new(u as u32))).collect()
+        (0..self.data.num_users()).map(|u| Some(UserId::from_index(u))).collect()
     }
 }
 

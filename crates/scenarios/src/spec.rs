@@ -315,10 +315,6 @@ pub struct ScenarioSpec {
     pub protocol: ProtocolKind,
     /// Deployed defense.
     pub defense: DefenseKind,
-    /// Number of adversary-controlled gossip nodes when no sybil block is
-    /// given (0 or 1 = single adversary via the all-placements sweep; ≥ 2 =
-    /// a colluding coalition with parameter momentum). Ignored in FL.
-    pub colluders: usize,
     /// Momentum coefficient β (Eq. 4).
     pub beta: f32,
     /// Community size override (defaults to the scale's `k` when `None`).
@@ -346,7 +342,6 @@ impl ScenarioSpec {
             model,
             protocol,
             defense: DefenseKind::None,
-            colluders: 0,
             beta: 0.99,
             k_override: None,
             scale,
@@ -355,17 +350,11 @@ impl ScenarioSpec {
         }
     }
 
-    /// Size of the adversarial coalition the gossip runner will actually
-    /// field: the sybil block wins over the legacy `colluders` knob, and 0
-    /// or 1 colluder means the all-placements sweep (no coalition engine).
+    /// Size of the adversarial coalition the gossip runner fields: the
+    /// sybil count, where 0 means a single adversary evaluated at every
+    /// placement (no coalition engine).
     pub fn coalition_size(&self) -> usize {
-        if self.dynamics.sybils > 0 {
-            self.dynamics.sybils
-        } else if self.colluders >= 2 {
-            self.colluders
-        } else {
-            0
-        }
+        self.dynamics.sybils
     }
 
     /// Checks the spec for internal consistency.
@@ -415,12 +404,6 @@ impl ScenarioSpec {
         if d.sybils > 0 && !self.protocol.is_gossip() {
             return Err(format!(
                 "{}: sybil coalitions need a gossip protocol (the FL adversary is the server)",
-                self.name
-            ));
-        }
-        if d.sybils > 0 && self.colluders > 0 {
-            return Err(format!(
-                "{}: set either dynamics.sybils or colluders, not both",
                 self.name
             ));
         }
@@ -474,7 +457,6 @@ impl ScenarioSpec {
             .str("model", &self.model.name().to_ascii_lowercase())
             .str("protocol", &self.protocol.name().to_ascii_lowercase())
             .value("defense", defense)
-            .num("colluders", self.colluders as f64)
             .num("beta", f64::from(self.beta));
         if let Some(k) = self.k_override {
             b = b.num("k", k as f64);
@@ -503,16 +485,7 @@ impl ScenarioSpec {
         check_keys(
             v,
             &[
-                "name",
-                "preset",
-                "model",
-                "protocol",
-                "defense",
-                "colluders",
-                "beta",
-                "k",
-                "scale",
-                "seed",
+                "name", "preset", "model", "protocol", "defense", "beta", "k", "scale", "seed",
                 "dynamics",
             ],
             &format!("scenario `{name}`"),
@@ -647,7 +620,6 @@ impl ScenarioSpec {
             model,
             protocol,
             defense,
-            colluders: int_field(v, "colluders", "")?.unwrap_or(0) as usize,
             beta: num_field(v, "beta", "")?.unwrap_or(0.99) as f32,
             k_override: int_field(v, "k", "")?.map(|k| k as usize),
             scale,
@@ -720,8 +692,6 @@ pub enum SweepField {
     Sybils,
     /// `dynamics.placement_warmup` (integer) — adaptive-placement bases.
     PlacementWarmup,
-    /// `colluders` (integer).
-    Colluders,
     /// Momentum coefficient `beta`.
     Beta,
     /// Community-size override `k` (integer).
@@ -746,7 +716,6 @@ impl SweepField {
             SweepField::StragglerMeanDelay => "dynamics.straggler_mean_delay",
             SweepField::Sybils => "dynamics.sybils",
             SweepField::PlacementWarmup => "dynamics.placement_warmup",
-            SweepField::Colluders => "colluders",
             SweepField::Beta => "beta",
             SweepField::K => "k",
             SweepField::Seed => "seed",
@@ -776,7 +745,6 @@ impl SweepField {
             return dynamics_field(rest);
         }
         dynamics_field(s).or(match s {
-            "colluders" => Some(SweepField::Colluders),
             "beta" => Some(SweepField::Beta),
             "k" => Some(SweepField::K),
             "seed" => Some(SweepField::Seed),
@@ -810,7 +778,6 @@ impl SweepField {
             SweepField::StragglerMeanDelay => d.straggler_mean_delay = value,
             SweepField::Sybils => d.sybils = as_count(value)?,
             SweepField::PlacementWarmup => d.placement_warmup = as_count(value)? as u64,
-            SweepField::Colluders => spec.colluders = as_count(value)?,
             SweepField::Beta => spec.beta = value as f32,
             SweepField::K => spec.k_override = Some(as_count(value)?),
             SweepField::Seed => spec.seed = as_count(value)? as u64,
@@ -1315,6 +1282,20 @@ mod tests {
     }
 
     #[test]
+    fn colluders_key_is_refused() {
+        // `dynamics.sybils` is the one coalition knob; the retired
+        // `colluders` key must fail by name, not fall back to a default.
+        let doc = r#"{"suite": "s", "scenarios":
+            [{"name": "x", "protocol": "rand-gossip", "colluders": 3}]}"#;
+        let err = SuiteSpec::parse(doc).unwrap_err();
+        assert!(err.contains("unknown key `colluders`"), "{err}");
+        let doc = r#"{"suite": "s", "scenarios": [{"name": "x", "protocol": "rand-gossip",
+            "sweep": {"field": "colluders", "values": [2]}}]}"#;
+        let err = SuiteSpec::parse(doc).unwrap_err();
+        assert!(err.contains("unknown field `colluders`"), "{err}");
+    }
+
+    #[test]
     fn malformed_sweeps_fail_at_parse_time() {
         let doc = r#"{"suite": "s", "scenarios":
             [{"name": "x", "sweep": {"field": "bogus", "values": [1]}}]}"#;
@@ -1377,9 +1358,6 @@ mod tests {
         assert!(s.validate().unwrap_err().contains("gossip"));
         s.protocol = ProtocolKind::RandGossip;
         s.validate().unwrap();
-        s.colluders = 2;
-        assert!(s.validate().unwrap_err().contains("not both"));
-        s.colluders = 0;
         s.dynamics.leave_prob = 0.5;
         s.dynamics.join_prob = 0.0;
         assert!(s.validate().unwrap_err().contains("drains"));

@@ -84,7 +84,7 @@ fn build_spec(
                 };
                 spec.dynamics.placement_warmup = 1 + u64::from(coalition_pick) % 40;
             }
-            2 => spec.colluders = 2 + (coalition_pick / 3) as usize % 4,
+            2 => spec.dynamics.sybils = 2 + (coalition_pick / 3) as usize % 4,
             _ => {}
         }
     }

@@ -157,7 +157,7 @@ fn dp_gossip_with_delta_encoded_inboxes_resumes_exactly() {
     );
     spec.name = "gl-dp-delta-inboxes".to_string();
     spec.defense = DefenseKind::Dp { epsilon: None };
-    spec.colluders = 3;
+    spec.dynamics.sybils = 3;
     spec.dynamics.leave_prob = 0.3;
     spec.dynamics.join_prob = 0.4;
     resume_spec_matches_uninterrupted(&spec, 20, 10, "gl-dp-delta");

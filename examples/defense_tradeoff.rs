@@ -5,8 +5,9 @@
 //! cargo run --release --example defense_tradeoff
 //! ```
 
-use community_inference::experiments::{
-    run_recsys, DefenseKind, ModelKind, Preset, ProtocolKind, RunSpec, Scale,
+use community_inference::data::presets::{Preset, Scale};
+use community_inference::scenarios::{
+    run_quiet, DefenseKind, ModelKind, ProtocolKind, ScenarioSpec,
 };
 
 fn main() {
@@ -23,9 +24,9 @@ fn main() {
     ];
     for (label, defense) in cases {
         let mut spec =
-            RunSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::Fl, Scale::Small);
+            ScenarioSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::Fl, Scale::Small);
         spec.defense = defense;
-        let r = run_recsys(&spec);
+        let r = run_quiet(&spec);
         println!(
             "{:<28} {:>8.1}% {:>9.3} {:>11.1}x",
             label,

@@ -30,13 +30,13 @@ fn run(colluders: usize, beta: f32) -> AttackOutcome {
         .iter()
         .enumerate()
         .map(|(u, items)| {
-            spec.build_client(UserId::new(u as u32), items.clone(), SharingPolicy::Full, u as u64)
+            spec.build_client(UserId::from_index(u), items.clone(), SharingPolicy::Full, u as u64)
         })
         .collect();
 
     let truths: Vec<_> =
-        (0..users as u32).map(|u| truth.community_of(UserId::new(u)).to_vec()).collect();
-    let owners: Vec<_> = (0..users as u32).map(|u| Some(UserId::new(u))).collect();
+        (0..users).map(|u| truth.community_of(UserId::from_index(u)).to_vec()).collect();
+    let owners: Vec<_> = (0..users).map(|u| Some(UserId::from_index(u))).collect();
     let members: Vec<u32> = (0..colluders).map(|i| (i * users / colluders) as u32).collect();
     let evaluator = ItemSetEvaluator::new(spec, split.train_sets().to_vec(), false);
     let mut attack = GlCiaCoalition::new(

@@ -31,7 +31,7 @@ fn main() {
         .iter()
         .enumerate()
         .map(|(u, items)| {
-            spec.build_client(UserId::new(u as u32), items.clone(), SharingPolicy::Full, u as u64)
+            spec.build_client(UserId::from_index(u), items.clone(), SharingPolicy::Full, u as u64)
         })
         .collect();
 
@@ -39,8 +39,8 @@ fn main() {
     // taste profile at once (the paper's evaluation protocol).
     let evaluator = ItemSetEvaluator::new(spec, split.train_sets().to_vec(), false);
     let truths: Vec<_> =
-        (0..users as u32).map(|u| truth.community_of(UserId::new(u)).to_vec()).collect();
-    let owners: Vec<_> = (0..users as u32).map(|u| Some(UserId::new(u))).collect();
+        (0..users).map(|u| truth.community_of(UserId::from_index(u)).to_vec()).collect();
+    let owners: Vec<_> = (0..users).map(|u| Some(UserId::from_index(u))).collect();
     let mut attack = FlCia::new(
         CiaConfig { k, beta: 0.99, eval_every: 2, seed: 0 },
         evaluator,

@@ -13,7 +13,8 @@
 //! * [`scenarios`] — the declarative scenario engine: spec-driven suites
 //!   with participant dynamics (churn, stragglers, sybils) and resumable
 //!   runs (`cargo run --release -p cia-scenarios --bin scenario -- run`);
-//! * [`experiments`] — runners regenerating every table and figure.
+//! * [`experiments`] — every table and figure of the paper, named in
+//!   [`experiments::ARTIFACTS`]; the recsys ones are scenario runs.
 //!
 //! # Quickstart
 //!
@@ -49,7 +50,7 @@
 //! let spec = GmfSpec::new(100, 8, GmfHyper::default());
 //! let clients: Vec<_> = split.train_sets().iter().enumerate()
 //!     .map(|(u, items)| spec.build_client(
-//!         UserId::new(u as u32), items.clone(), SharingPolicy::Full, u as u64))
+//!         UserId::from_index(u), items.clone(), SharingPolicy::Full, u as u64))
 //!     .collect();
 //!
 //! // 3. The server-side adversary.
