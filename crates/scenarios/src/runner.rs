@@ -226,8 +226,8 @@ impl Ctx<'_> {
 }
 
 /// The GMF scorer every scenario run uses, with the runner's hyper choices —
-/// public so the benchmark tracer (`perfbench/tracer`) builds its clients
-/// from the exact spec a scenario run trains.
+/// public so the hand-wired experiments and the benchmark tracer
+/// (`perfbench/tracer`) train the exact spec a scenario run trains.
 #[must_use]
 pub fn gmf_scorer(num_items: u32, dim: usize) -> GmfSpec {
     GmfSpec::new(num_items, dim, GmfHyper { lr: 0.1, ..GmfHyper::default() })
