@@ -7,56 +7,53 @@
 //! To regenerate after an *intentional* output change:
 //!
 //! ```text
-//! for a in table1 table2 table3 table4 table5 table6 table7 table8 \
-//!          fig1 fig3 fig4 fig5 aia mnist ablation; do
-//!   cargo run --release -q -p cia-experiments --bin repro -- $a --scale smoke --seed 42 \
-//!     | sed '/^\[.* completed in .*\]$/,$d' > crates/experiments/tests/golden/$a-smoke.txt
+//! for f in crates/experiments/tests/golden/*-smoke.txt; do
+//!   cargo run --release -q -p cia-experiments --bin repro -- "$(basename "$f" -smoke.txt)" \
+//!     --scale smoke --seed 42 | sed '/^\[.* completed in .*\]$/,$d' > "$f"
 //! done
 //! ```
 
 use cia_data::presets::Scale;
-use cia_experiments::tables::Table;
 use cia_experiments::ARTIFACTS;
+use std::path::Path;
 
 /// The one artifact without a golden: its cells are wall-clock timings.
 const UNPINNED: &str = "table9";
 
-fn run_artifact(name: &str) -> Vec<Table> {
-    let (_, run) = ARTIFACTS.iter().find(|(n, _)| *n == name).expect("registered artifact");
-    run(Scale::Smoke, 42)
+fn golden_dir() -> &'static Path {
+    Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden"))
 }
-
-fn assert_matches_golden(name: &str, golden: &str) {
-    let actual: String = run_artifact(name).iter().map(|t| t.to_text() + "\n").collect();
-    for (i, (a, g)) in actual.lines().zip(golden.lines()).enumerate() {
-        assert_eq!(a, g, "{name}: line {} drifted from the golden tables", i + 1);
-    }
-    assert_eq!(actual, golden, "{name}: output length drifted from the golden tables");
-}
-
-macro_rules! golden_tests {
-    ($($artifact:ident),* $(,)?) => {
-        const PINNED: &[&str] = &[$(stringify!($artifact)),*];
-        $(
-            #[test]
-            fn $artifact() {
-                assert_matches_golden(
-                    stringify!($artifact),
-                    include_str!(concat!("golden/", stringify!($artifact), "-smoke.txt")),
-                );
-            }
-        )*
-    };
-}
-
-golden_tests!(
-    table1, table2, table3, table4, table5, table6, table7, table8, fig1, fig3, fig4, fig5, aia,
-    mnist, ablation,
-);
 
 #[test]
-fn every_artifact_but_table9_is_pinned() {
-    let registered: Vec<&str> =
-        ARTIFACTS.iter().map(|&(name, _)| name).filter(|&name| name != UNPINNED).collect();
-    assert_eq!(registered, PINNED);
+fn every_artifact_but_table9_matches_its_golden() {
+    let mut drifted = Vec::new();
+    for &(name, run) in ARTIFACTS.iter().filter(|&&(name, _)| name != UNPINNED) {
+        let path = golden_dir().join(format!("{name}-smoke.txt"));
+        let golden = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("{name}: cannot read {}: {e}", path.display()));
+        let actual: String = run(Scale::Smoke, 42).iter().map(|t| t.to_text() + "\n").collect();
+        if actual != golden {
+            let line = actual.lines().zip(golden.lines()).position(|(a, g)| a != g);
+            let at = line.map_or("its length".to_string(), |i| format!("line {}", i + 1));
+            drifted.push(format!("{name} ({at})"));
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "drifted from the golden tables (regenerate if intentional — see module docs): {}",
+        drifted.join(", ")
+    );
+}
+
+#[test]
+fn every_golden_names_a_registered_artifact() {
+    for entry in std::fs::read_dir(golden_dir()).expect("golden directory") {
+        let file = entry.expect("directory entry").file_name();
+        let file = file.to_string_lossy();
+        let name = file.strip_suffix("-smoke.txt").unwrap_or(&file);
+        assert!(
+            name != UNPINNED && ARTIFACTS.iter().any(|&(n, _)| n == name),
+            "stray golden `{file}`"
+        );
+    }
 }
