@@ -7,7 +7,7 @@
 
 use cia_core::{CiaConfig, FlCia, ItemSetEvaluator};
 use cia_data::presets::{Preset, Scale};
-use cia_data::{jaccard_index, GroundTruth, LeaveOneOut, UserId};
+use cia_data::{gaussian, jaccard_index, GroundTruth, LeaveOneOut, UserId};
 use cia_defenses::{DpConfig, DpMechanism, UpdateTransform};
 use cia_federated::{FedAvg, FedAvgConfig, NullObserver};
 use cia_gossip::{GossipConfig, GossipSim, NullGossipObserver};
@@ -165,6 +165,17 @@ fn bench_momentum_and_dp(c: &mut Criterion) {
         b.iter(|| {
             let mut upd = theta.clone();
             dp.transform(&mut upd, &mut rng);
+            std::hint::black_box(upd)
+        });
+    });
+    // The pre-batch path: clip, then one libm Box–Muller draw per coordinate.
+    c.bench_function("dp_clip_noise_27k_params_scalar_ref", |b| {
+        b.iter(|| {
+            let mut upd = theta.clone();
+            clip_l2(&mut upd, 2.0);
+            for v in &mut upd {
+                *v += gaussian(&mut rng) * 2.0;
+            }
             std::hint::black_box(upd)
         });
     });

@@ -7,7 +7,7 @@
 //! samples as `clamp(prototype + gaussian noise)` — preserving exactly what
 //! the experiment needs: ten separable classes and strongly non-iid clients.
 
-use crate::gaussian;
+use crate::add_gaussian_noise;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -64,11 +64,14 @@ impl ImageDataset {
         let n = cfg.samples_per_class * NUM_CLASSES;
         let mut pixels = Vec::with_capacity(n * IMAGE_DIM);
         let mut labels = Vec::with_capacity(n);
-        for c in 0..NUM_CLASSES {
+        for (c, proto) in prototypes.chunks_exact(IMAGE_DIM).enumerate() {
             for _ in 0..cfg.samples_per_class {
-                for p in 0..IMAGE_DIM {
-                    let noise = gaussian(&mut rng) * cfg.noise_std;
-                    pixels.push((prototypes[c * IMAGE_DIM + p] + noise).clamp(0.0, 1.0));
+                let start = pixels.len();
+                pixels.extend_from_slice(proto);
+                let row = &mut pixels[start..];
+                add_gaussian_noise(row, cfg.noise_std, &mut rng);
+                for p in row {
+                    *p = p.clamp(0.0, 1.0);
                 }
                 // cia-lint: allow(D05, MNIST class labels are 0..=9)
                 labels.push(c as u8);

@@ -39,6 +39,7 @@ mod ids;
 mod images;
 mod interactions;
 mod jaccard;
+mod noise;
 pub mod parallel;
 pub mod presets;
 mod split;
@@ -51,15 +52,7 @@ pub use ids::{ItemId, UserId};
 pub use images::{ImageDataset, ImageGenConfig, IMAGE_DIM, NUM_CLASSES};
 pub use interactions::{Dataset, DatasetStats, UserRecord};
 pub use jaccard::{jaccard_index, top_k_similar, GroundTruth};
+pub use noise::{add_gaussian_noise, gaussian};
 pub use split::{sample_negatives, EvalInstance, LeaveOneOut};
 pub use synthetic::{SyntheticConfig, SyntheticConfigBuilder};
 pub use zipf::Zipf;
-
-/// One draw from the standard normal distribution (Box–Muller on top of
-/// `rand`, so no distributions crate is needed).
-pub fn gaussian(rng: &mut rand::rngs::StdRng) -> f32 {
-    use rand::Rng;
-    let u1: f32 = rng.gen::<f32>().max(f32::MIN_POSITIVE);
-    let u2: f32 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
-}

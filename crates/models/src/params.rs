@@ -66,19 +66,9 @@ pub fn weighted_mean(out: &mut [f32], rows: &[&[f32]], weights: &[f32]) {
     }
 }
 
-/// Adds i.i.d. Gaussian noise of standard deviation `std` to `x`
-/// (Box–Muller on top of `rand`, so no distributions crate is needed).
-pub fn add_gaussian_noise(x: &mut [f32], std: f32, rng: &mut StdRng) {
-    if std == 0.0 {
-        return;
-    }
-    for v in x.iter_mut() {
-        *v += gaussian(rng) * std;
-    }
-}
-
-/// One standard normal draw (Box–Muller), shared with the image generator.
-pub use cia_data::gaussian;
+/// Batched Box–Muller noise (the DP write path) and its scalar reference,
+/// shared with the image generator; see [`cia_data::add_gaussian_noise`].
+pub use cia_data::{add_gaussian_noise, gaussian};
 
 /// Uniform initialization in `[-scale, scale]`, the classic embedding init.
 pub fn init_uniform(out: &mut [f32], scale: f32, rng: &mut StdRng) {

@@ -10,8 +10,8 @@
 //! — resuming replays the exact rounds an uninterrupted run would have run.
 //!
 //! The format is a private little-endian binary encoding (`f32`/`f64` as raw
-//! bits, so restores are bit-exact), guarded by a magic, a version and the
-//! scenario spec's fingerprint.
+//! bits, so restores are bit-exact), guarded by a magic, a version, the
+//! scenario spec's fingerprint and a trailing FNV-1a-64 checksum.
 //!
 //! **Recorder state is deliberately *not* checkpointed.** The observability
 //! layer (`cia_obs::Recorder`) holds wall-clock span logs, latency
@@ -34,6 +34,9 @@ use std::path::{Path, PathBuf};
 
 // The magic spells "CIAS".
 const MAGIC: u32 = 0x4349_4153;
+// v7: an 8-byte trailer holds the FNV-1a-64 of every byte before it, so a
+// flipped bit anywhere is refused instead of resuming from a silently
+// different state.
 // v6: gossip state dropped v5's pending event-queue section — view refreshes
 // are scheduled by the per-node `refresh_at` rounds alone, which the gossip
 // section already carries.
@@ -50,7 +53,7 @@ const MAGIC: u32 = 0x4349_4153;
 // log). v2 added `upper_bound_online` to `RoundPoint`. Checkpoints from
 // older versions are refused with a version error rather than silently
 // misread.
-const VERSION: u32 = 6;
+const VERSION: u32 = 7;
 
 /// Protocol-side state, by protocol family.
 #[derive(Debug, Clone)]
@@ -214,14 +217,18 @@ impl Checkpoint {
         for log in &self.placement.seen {
             w.u32s(log);
         }
+        let sum = crate::spec::fnv1a64(w.buf.iter().copied());
+        w.u64(sum);
         w.buf
     }
 
-    /// Deserializes a checkpoint, verifying magic, version and fingerprint.
+    /// Deserializes a checkpoint, verifying magic, version, checksum and
+    /// fingerprint.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first structural problem — including a
+    /// Returns a description of the first problem — including a checksum
+    /// mismatch, which means the bytes were truncated or corrupted, and a
     /// fingerprint mismatch, which means the checkpoint belongs to a
     /// different spec.
     pub fn decode(bytes: &[u8], expect_fingerprint: u64) -> Result<Checkpoint, String> {
@@ -233,6 +240,13 @@ impl Checkpoint {
         if version != VERSION {
             return Err(format!("unsupported checkpoint version {version}"));
         }
+        let (body, sum) = bytes.split_last_chunk::<8>().ok_or("checkpoint truncated")?;
+        if crate::spec::fnv1a64(body.iter().copied()) != u64::from_le_bytes(*sum) {
+            return Err(
+                "checkpoint checksum mismatch: the file is truncated or corrupted".to_string()
+            );
+        }
+        r.bytes = body;
         let fingerprint = r.u64()?;
         if fingerprint != expect_fingerprint {
             return Err("checkpoint belongs to a different scenario spec (fingerprint mismatch)"
@@ -350,7 +364,7 @@ impl Checkpoint {
         for _ in 0..n {
             seen.push(r.u32s()?);
         }
-        if r.pos != bytes.len() {
+        if r.pos != body.len() {
             return Err("trailing bytes in checkpoint".to_string());
         }
         // The placement section feeds indexing (sybil tables, delivery
@@ -394,8 +408,8 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the file for I/O, structural or fingerprint
-    /// failures.
+    /// Returns a message naming the file for I/O, structural, checksum or
+    /// fingerprint failures.
     pub fn load(path: &Path, expect_fingerprint: u64) -> Result<Checkpoint, String> {
         let bytes =
             std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
@@ -841,11 +855,14 @@ mod tests {
         let bytes = sample().encode();
         let mut v5 = bytes.clone();
         v5[4..8].copy_from_slice(&5u32.to_le_bytes());
-        let cases: [(&str, Vec<u8>, &[&str]); 4] = [
+        let mut v6 = bytes.clone();
+        v6[4..8].copy_from_slice(&6u32.to_le_bytes());
+        let cases: [(&str, Vec<u8>, &[&str]); 5] = [
             ("empty", Vec::new(), &["truncated"]),
             ("half", bytes[..bytes.len() / 2].to_vec(), &["truncated", "exceeds remaining data"]),
             ("zeroed", vec![0; bytes.len()], &["bad magic"]),
             ("v5", v5, &["unsupported checkpoint version 5"]),
+            ("v6", v6, &["unsupported checkpoint version 6"]),
         ];
         for (name, contents, reasons) in cases {
             let path = dir.join(format!("{name}.ckpt"));
@@ -860,6 +877,15 @@ mod tests {
         assert_eq!(Checkpoint::load(&path, 0xFEED).unwrap().round, 12);
         assert!(!path.with_extension("ckpt.tmp").exists(), "temp file left behind");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checksum_refuses_a_flipped_payload_bit() {
+        let mut bytes = sample().encode();
+        // A round-counter bit: the payload still parses, only the trailer
+        // notices.
+        bytes[16] ^= 1;
+        assert!(Checkpoint::decode(&bytes, 0xFEED).unwrap_err().contains("checksum mismatch"));
     }
 
     #[test]

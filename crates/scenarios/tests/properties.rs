@@ -307,12 +307,12 @@ proptest! {
         // Truncation at any point must error, never panic.
         let cut_at = (bytes.len() as f64 * cut) as usize;
         prop_assert!(Checkpoint::decode(&bytes[..cut_at.min(bytes.len() - 1)], ck.fingerprint).is_err());
-        // A single flipped bit anywhere must produce Ok or Err — decoding is
-        // total. (Flips in the payload may legitimately still decode.)
+        // A single flipped bit anywhere must be refused: the checksum
+        // trailer covers every byte before it.
         let mut mangled = bytes.clone();
         let at = (mangled.len() as f64 * flip) as usize % mangled.len();
         mangled[at] ^= 1 << flip_bit;
-        let _ = Checkpoint::decode(&mangled, ck.fingerprint);
+        prop_assert!(Checkpoint::decode(&mangled, ck.fingerprint).is_err());
     }
 
     #[test]
