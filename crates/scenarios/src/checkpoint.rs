@@ -682,6 +682,8 @@ mod tests {
     use super::*;
     use crate::dynamics::DynamicsState;
 
+    /// A small checkpoint touching every section. Scalars of one width hold
+    /// distinct values, so the layout pin below notices two swapped fields.
     fn sample() -> Checkpoint {
         Checkpoint {
             fingerprint: 0xFEED,
@@ -689,7 +691,7 @@ mod tests {
             emitted: 3,
             clients: vec![vec![1.0, -2.5], vec![0.0; 4]],
             protocol: ProtocolState::Gl(GossipSimState {
-                round: 12,
+                round: 14,
                 refresh_at: vec![13, 20],
                 views: vec![vec![1], vec![0]],
                 inboxes: vec![
@@ -715,7 +717,7 @@ mod tests {
                     aac: 0.5,
                     best10: 0.75,
                     upper_bound: 1.0,
-                    upper_bound_online: 0.5,
+                    upper_bound_online: 0.625,
                 }],
                 last_global: Some(vec![9.0]),
                 prepared: true,
@@ -761,6 +763,69 @@ mod tests {
             }
             _ => panic!("attack family changed"),
         }
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn v7_layout_is_pinned() {
+        // Recorded from the hand-written v7 codec. Any reordered, resized or
+        // retagged field changes these bytes; a real format change bumps
+        // `VERSION` and records new literals.
+        assert_eq!(
+            hex(&sample().encode()),
+            concat!(
+                "5341494307000000edfe0000000000000c000000000000000300000000000000",
+                "020000000000000002000000000000000000803f000020c00400000000000000",
+                "00000000000000000000000000000000010e0000000000000002000000000000",
+                "000d000000000000001400000000000000020000000000000001000000000000",
+                "0001000000010000000000000000000000020000000000000000010100000000",
+                "000000000040400200000000000000010000000000000000010000000b000000",
+                "000000000101000000000000000000003f02000000000000000000803f000000",
+                "4000000000000000000200000000000000010000000000000001000000000080",
+                "3e00000000000000000200000000000000040000000000000000000000000000",
+                "0002000000000000000c000000000000000b0000000000000000020000000000",
+                "00000001010100000000000000cdcccc3d0200000000000000cdcc4c3e9a9999",
+                "3e040000000000000001000000000000000500000000000000000000000000e0",
+                "3f000000000000e83f000000000000f03f000000000000e43f01010000000000",
+                "000000001041010200000000000000000102000000000000000000a03f000000",
+                "bf02000000000000000100020000000000000000000000000000001100000000",
+                "0000000001000000000000000000000002000000000000000100000000000000",
+                "01000000000000000000000078ba9064294794f1",
+            )
+        );
+        assert_eq!(
+            hex(&sparse_inbox_sample(&[(17, -9.0)]).encode()),
+            concat!(
+                "5341494307000000edfe0000000000000c000000000000000300000000000000",
+                "020000000000000002000000000000000000803f000020c00400000000000000",
+                "00000000000000000000000000000000010e0000000000000002000000000000",
+                "000d000000000000001400000000000000020000000000000001000000000000",
+                "0001000000010000000000000000000000020000000000000000014000000000",
+                "000000000000000000003f0000803f0000c03f00000040000020400000404000",
+                "00604000008040000090400000a0400000b0400000c0400000d0400000e04000",
+                "00f0400000004100000841000010410000184100002041000028410000304100",
+                "0038410000404100004841000050410000584100006041000068410000704100",
+                "00784100008041000084410000884100008c4100009041000094410000984100",
+                "009c410000a0410000a4410000a8410000ac410000b0410000b4410000b84100",
+                "00bc410000c0410000c4410000c8410000cc410000d0410000d4410000d84100",
+                "00dc410000e0410000e4410000e8410000ec410000f0410000f4410000f84100",
+                "00fc410200000000000000010000000000000001010000000b00000000000000",
+                "010400000000000000010000000000000011000000000010c100000000000000",
+                "0002000000000000000100000000000000010000000000803e00000000000000",
+                "0002000000000000000400000000000000000000000000000002000000000000",
+                "000c000000000000000b00000000000000000200000000000000000101010000",
+                "0000000000cdcccc3d0200000000000000cdcc4c3e9a99993e04000000000000",
+                "0001000000000000000500000000000000000000000000e03f000000000000e8",
+                "3f000000000000f03f000000000000e43f010100000000000000000010410102",
+                "00000000000000000102000000000000000000a03f000000bf02000000000000",
+                "0001000200000000000000000000000000000011000000000000000001000000",
+                "0000000000000000020000000000000001000000000000000100000000000000",
+                "00000000dfabbc7afa986f52",
+            )
+        );
     }
 
     #[test]
