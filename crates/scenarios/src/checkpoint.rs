@@ -25,6 +25,7 @@
 //! stream is unaffected — per-round stats are derived from within-round
 //! counter deltas, which do not depend on the counter's absolute value).
 
+use crate::placement::PlacementState;
 use cia_core::{CiaAttackState, MomentumState, PlacementsState, RoundPoint};
 use cia_data::UserId;
 use cia_gossip::{GossipSimState, TrafficCounters};
@@ -120,106 +121,15 @@ impl Checkpoint {
 
     /// Serializes the checkpoint.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::default();
-        w.u32(MAGIC);
-        w.u32(VERSION);
-        w.u64(self.fingerprint);
-        w.u64(self.round);
-        w.u64(self.emitted);
-        w.u64(self.clients.len() as u64);
-        for c in &self.clients {
-            w.f32s(c);
-        }
-        match &self.protocol {
-            ProtocolState::Fl { global } => {
-                w.u8(0);
-                w.f32s(global);
-            }
-            ProtocolState::Gl(state) => {
-                w.u8(1);
-                w.u64(state.round);
-                w.u64(state.refresh_at.len() as u64);
-                for &r in &state.refresh_at {
-                    w.u64(r);
-                }
-                w.u64(state.views.len() as u64);
-                for view in &state.views {
-                    w.u32s(view);
-                }
-                // v4: sender references first, then the inboxes that delta
-                // against them.
-                w.u64(state.prev_sent.len() as u64);
-                for prev in &state.prev_sent {
-                    w.opt_f32s(prev.as_deref());
-                }
-                w.u64(state.inboxes.len() as u64);
-                for inbox in &state.inboxes {
-                    w.u64(inbox.len() as u64);
-                    for m in inbox {
-                        let reference =
-                            state.prev_sent.get(m.owner.raw() as usize).and_then(|p| p.as_deref());
-                        w.delta_model(m, reference);
-                    }
-                }
-                w.u64(state.heard.len() as u64);
-                for heard in &state.heard {
-                    w.u64(heard.len() as u64);
-                    for &(peer, score) in heard {
-                        w.u32(peer);
-                        w.f32(score);
-                    }
-                }
-                w.u64s(&state.traffic.received);
-                w.u64s(&state.traffic.view_in_degree);
-            }
-        }
-        match &self.attack {
-            AttackState::Cia(state) => {
-                w.u8(0);
-                w.u64(state.momentum.len() as u64);
-                for m in &state.momentum {
-                    match m {
-                        None => w.u8(0),
-                        Some(m) => {
-                            w.u8(1);
-                            w.opt_f32s(m.emb());
-                            w.f32s(m.agg());
-                            w.u64(m.updates());
-                        }
-                    }
-                }
-                w.round_points(&state.history);
-                w.opt_f32s(state.last_global.as_deref());
-                w.u8(u8::from(state.prepared));
-            }
-            AttackState::Placements(state) => {
-                w.u8(1);
-                w.f32s(&state.s_ema);
-                w.round_points(&state.history);
-                w.u8(u8::from(state.prepared));
-            }
-        }
-        w.u64(self.adversary_embs.len() as u64);
-        for e in &self.adversary_embs {
-            w.opt_f32s(e.as_deref());
-        }
-        w.u64(self.dynamics.online.len() as u64);
-        for &b in &self.dynamics.online {
-            w.u8(u8::from(b));
-        }
-        w.u64(self.dynamics.straggler_until.len() as u64);
-        for &t in &self.dynamics.straggler_until {
-            w.u64(t);
-        }
-        w.u8(u8::from(self.placement.relocated));
-        w.u32s(&self.placement.members);
-        w.u64(self.placement.seen.len() as u64);
-        for log in &self.placement.seen {
-            w.u32s(log);
-        }
-        let sum = crate::spec::fnv1a64(w.buf.iter().copied());
-        w.u64(sum);
-        w.buf
+        let mut w = Vec::new();
+        let (dynamics, placement) = (&self.dynamics, &self.placement);
+        put!(&mut w, &MAGIC, &VERSION, &self.fingerprint, &self.round, &self.emitted);
+        put!(&mut w, &self.clients, &self.protocol, &self.attack, &self.adversary_embs);
+        put!(&mut w, &dynamics.online, &dynamics.straggler_until);
+        put!(&mut w, &placement.relocated, &placement.members, &placement.seen);
+        let sum = crate::spec::fnv1a64(w.iter().copied());
+        sum.put(&mut w);
+        w
     }
 
     /// Deserializes a checkpoint, verifying magic, version, checksum and
@@ -233,10 +143,10 @@ impl Checkpoint {
     /// different spec.
     pub fn decode(bytes: &[u8], expect_fingerprint: u64) -> Result<Checkpoint, String> {
         let mut r = Reader { bytes, pos: 0 };
-        if r.u32()? != MAGIC {
+        if r.get::<u32>()? != MAGIC {
             return Err("not a scenario checkpoint (bad magic)".to_string());
         }
-        let version = r.u32()?;
+        let version: u32 = r.get()?;
         if version != VERSION {
             return Err(format!("unsupported checkpoint version {version}"));
         }
@@ -247,129 +157,31 @@ impl Checkpoint {
             );
         }
         r.bytes = body;
-        let fingerprint = r.u64()?;
-        if fingerprint != expect_fingerprint {
+        if r.get::<u64>()? != expect_fingerprint {
             return Err("checkpoint belongs to a different scenario spec (fingerprint mismatch)"
                 .to_string());
         }
-        let round = r.u64()?;
-        let emitted = r.u64()?;
-        let n_clients = r.len()?;
-        let mut clients = Vec::with_capacity(n_clients);
-        for _ in 0..n_clients {
-            clients.push(r.f32s()?);
-        }
-        let protocol = match r.u8()? {
-            0 => ProtocolState::Fl { global: r.f32s()? },
-            1 => {
-                let round = r.u64()?;
-                let n = r.len()?;
-                let mut refresh_at = Vec::with_capacity(n);
-                for _ in 0..n {
-                    refresh_at.push(r.u64()?);
-                }
-                let n = r.len()?;
-                let mut views = Vec::with_capacity(n);
-                for _ in 0..n {
-                    views.push(r.u32s()?);
-                }
-                let n = r.len()?;
-                let mut prev_sent = Vec::with_capacity(n);
-                for _ in 0..n {
-                    prev_sent.push(r.opt_f32s()?);
-                }
-                let n = r.len()?;
-                let mut inboxes = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let len = r.len()?;
-                    let mut inbox = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        inbox.push(r.delta_model(&prev_sent)?);
-                    }
-                    inboxes.push(inbox);
-                }
-                let n = r.len()?;
-                let mut heard = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let len = r.len()?;
-                    let mut h = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        let peer = r.u32()?;
-                        let score = r.f32()?;
-                        h.push((peer, score));
-                    }
-                    heard.push(h);
-                }
-                let traffic = TrafficCounters { received: r.u64s()?, view_in_degree: r.u64s()? };
-                ProtocolState::Gl(GossipSimState {
-                    round,
-                    refresh_at,
-                    views,
-                    inboxes,
-                    heard,
-                    prev_sent,
-                    traffic,
-                })
-            }
-            tag => return Err(format!("unknown protocol state tag {tag}")),
+        // Struct fields evaluate in the order written: the v7 layout order.
+        let ck = Checkpoint {
+            fingerprint: expect_fingerprint,
+            round: r.get()?,
+            emitted: r.get()?,
+            clients: r.get()?,
+            protocol: r.get()?,
+            attack: r.get()?,
+            adversary_embs: r.get()?,
+            dynamics: crate::dynamics::DynamicsState {
+                online: r.get()?,
+                straggler_until: r.get()?,
+            },
+            placement: PlacementState { relocated: r.get()?, members: r.get()?, seen: r.get()? },
         };
-        let attack = match r.u8()? {
-            0 => {
-                let n = r.len()?;
-                let mut momentum = Vec::with_capacity(n);
-                for _ in 0..n {
-                    momentum.push(match r.u8()? {
-                        0 => None,
-                        1 => {
-                            let emb = r.opt_f32s()?;
-                            let agg = r.f32s()?;
-                            let updates = r.u64()?;
-                            Some(MomentumState::from_parts(emb, agg, updates))
-                        }
-                        tag => return Err(format!("unknown momentum tag {tag}")),
-                    });
-                }
-                let history = r.round_points()?;
-                let last_global = r.opt_f32s()?;
-                let prepared = r.u8()? == 1;
-                AttackState::Cia(CiaAttackState { momentum, history, last_global, prepared })
-            }
-            1 => {
-                let s_ema = r.f32s()?;
-                let history = r.round_points()?;
-                let prepared = r.u8()? == 1;
-                AttackState::Placements(PlacementsState { s_ema, history, prepared })
-            }
-            tag => return Err(format!("unknown attack state tag {tag}")),
-        };
-        let n = r.len()?;
-        let mut adversary_embs = Vec::with_capacity(n);
-        for _ in 0..n {
-            adversary_embs.push(r.opt_f32s()?);
-        }
-        let n = r.len()?;
-        let mut online = Vec::with_capacity(n);
-        for _ in 0..n {
-            online.push(r.u8()? == 1);
-        }
-        let n = r.len()?;
-        let mut straggler_until = Vec::with_capacity(n);
-        for _ in 0..n {
-            straggler_until.push(r.u64()?);
-        }
-        let relocated = r.u8()? == 1;
-        let members = r.u32s()?;
-        let n = r.len()?;
-        let mut seen = Vec::with_capacity(n);
-        for _ in 0..n {
-            seen.push(r.u32s()?);
-        }
         if r.pos != body.len() {
             return Err("trailing bytes in checkpoint".to_string());
         }
         // The placement section feeds indexing (sybil tables, delivery
         // logs); a corrupted id must be refused here, not panic at resume.
-        let population = clients.len();
+        let (population, PlacementState { members, seen, .. }) = (ck.clients.len(), &ck.placement);
         if members.len() > population || members.iter().any(|&m| m as usize >= population) {
             return Err("placement members out of range".to_string());
         }
@@ -378,17 +190,7 @@ impl Checkpoint {
         {
             return Err("placement delivery log malformed".to_string());
         }
-        Ok(Checkpoint {
-            fingerprint,
-            round,
-            emitted,
-            clients,
-            protocol,
-            attack,
-            adversary_embs,
-            dynamics: crate::dynamics::DynamicsState { online, straggler_until },
-            placement: crate::placement::PlacementState { relocated, members, seen },
-        })
+        Ok(ck)
     }
 
     /// Writes the checkpoint durably and atomically, creating the parent
@@ -440,113 +242,278 @@ pub(crate) fn write_durably(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     std::fs::File::open(dir)?.sync_all()
 }
 
-#[derive(Default)]
-struct Writer {
-    buf: Vec<u8>,
+/// One value's place in the v7 byte layout: `put` appends it, `get` reads it
+/// back. Every encoded type implements it once, so the two directions cannot
+/// drift apart.
+trait Codec: Sized {
+    fn put(&self, w: &mut Vec<u8>);
+    fn get(r: &mut Reader) -> Result<Self, String>;
 }
 
-impl Writer {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f32(&mut self, v: f32) {
-        self.u32(v.to_bits());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn f32s(&mut self, v: &[f32]) {
-        self.u64(v.len() as u64);
-        for &x in v {
-            self.f32(x);
-        }
-    }
-    fn u32s(&mut self, v: &[u32]) {
-        self.u64(v.len() as u64);
-        for &x in v {
-            self.u32(x);
-        }
-    }
-    fn u64s(&mut self, v: &[u64]) {
-        self.u64(v.len() as u64);
-        for &x in v {
-            self.u64(x);
-        }
-    }
-    fn opt_f32s(&mut self, v: Option<&[f32]>) {
-        match v {
-            None => self.u8(0),
-            Some(v) => {
-                self.u8(1);
-                self.f32s(v);
+/// Puts each borrowed value in turn.
+macro_rules! put {
+    ($w:expr, $($v:expr),+ $(,)?) => {{
+        $(Codec::put($v, $w);)+
+    }};
+}
+use put;
+
+/// Little-endian integers; floats as their raw bits, so restores are
+/// bit-exact (NaN payloads included).
+macro_rules! le_codec {
+    ($($t:ty),+) => {$(
+        impl Codec for $t {
+            fn put(&self, w: &mut Vec<u8>) {
+                w.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(r: &mut Reader) -> Result<Self, String> {
+                Ok(<$t>::from_le_bytes(r.take()?))
             }
         }
+    )+};
+}
+le_codec!(u8, u32, u64, f32, f64);
+
+impl Codec for bool {
+    fn put(&self, w: &mut Vec<u8>) {
+        u8::from(*self).put(w);
     }
-    fn shared_model(&mut self, m: &SharedModel) {
-        self.u32(m.owner.raw());
-        self.u64(m.round);
-        self.opt_f32s(m.owner_emb.as_deref());
-        self.f32s(&m.agg);
-    }
-    /// v4 inbox-model encoding: a sparse bit-exact delta against the
-    /// sender's `prev_sent` reference (tag 1) when one exists and the diff
-    /// is genuinely sparse — sparse local training leaves most of the `agg`
-    /// slots untouched between sends — or the dense [`Writer::shared_model`]
-    /// layout (tag 0) otherwise.
-    fn delta_model(&mut self, m: &SharedModel, reference: Option<&[f32]>) {
-        let emb_len = m.owner_emb.as_ref().map_or(0, Vec::len);
-        let total = emb_len + m.agg.len();
-        // `[emb | agg]` concatenation, matching the reference's layout.
-        let concat = || m.owner_emb.as_deref().unwrap_or(&[]).iter().chain(&m.agg);
-        let diffs: Option<Vec<(u32, u32)>> = reference
-            .filter(|r| r.len() == total)
-            .map(|r| {
-                concat()
-                    .zip(r)
-                    .enumerate()
-                    // Raw-bit comparison: bit-exact restores, NaN included.
-                    .filter(|(_, (have, want))| have.to_bits() != want.to_bits())
-                    // cia-lint: allow(D05, parameter index into one model vector; model lengths are catalog-bounded and fit u32)
-                    .map(|(k, (have, _))| (k as u32, have.to_bits()))
-                    .collect()
-            })
-            // A diff entry costs 8 bytes vs 4 for a dense slot — only
-            // encode sparsely when it actually shrinks the model.
-            .filter(|d: &Vec<_>| d.len() * 2 < total);
-        match diffs {
-            Some(diffs) => {
-                self.u8(1);
-                self.u32(m.owner.raw());
-                self.u64(m.round);
-                self.u8(u8::from(m.owner_emb.is_some()));
-                self.u64(emb_len as u64);
-                self.u64(diffs.len() as u64);
-                for (k, bits) in diffs {
-                    self.u32(k);
-                    self.u32(bits);
-                }
-            }
-            None => {
-                self.u8(0);
-                self.shared_model(m);
-            }
+    fn get(r: &mut Reader) -> Result<Self, String> {
+        match r.get::<u8>()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            byte => Err(format!("invalid bool byte {byte}")),
         }
     }
-    fn round_points(&mut self, points: &[RoundPoint]) {
-        self.u64(points.len() as u64);
-        for p in points {
-            self.u64(p.round);
-            self.f64(p.aac);
-            self.f64(p.best10);
-            self.f64(p.upper_bound);
-            self.f64(p.upper_bound_online);
+}
+
+/// A `u64` length, then the elements.
+fn put_seq<T: Codec>(w: &mut Vec<u8>, v: &[T]) {
+    (v.len() as u64).put(w);
+    for x in v {
+        x.put(w);
+    }
+}
+
+/// Reads a `u64` length, then that many elements with `get`.
+fn get_seq<T>(
+    r: &mut Reader,
+    mut get: impl FnMut(&mut Reader) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let n = r.len()?;
+    let mut v = Vec::with_capacity(n);
+    for _ in 0..n {
+        v.push(get(r)?);
+    }
+    Ok(v)
+}
+
+impl<T: Codec> Codec for Vec<T> {
+    fn put(&self, w: &mut Vec<u8>) {
+        put_seq(w, self);
+    }
+    fn get(r: &mut Reader) -> Result<Self, String> {
+        get_seq(r, T::get)
+    }
+}
+
+/// A tag byte (`0` none, `1` some), then the value.
+impl<T: Codec> Codec for Option<T> {
+    fn put(&self, w: &mut Vec<u8>) {
+        self.is_some().put(w);
+        if let Some(v) = self {
+            v.put(w);
         }
+    }
+    fn get(r: &mut Reader) -> Result<Self, String> {
+        match r.get::<u8>()? {
+            0 => Ok(None),
+            1 => Ok(Some(r.get()?)),
+            tag => Err(format!("unknown option tag {tag}")),
+        }
+    }
+}
+
+impl<A: Codec, B: Codec> Codec for (A, B) {
+    fn put(&self, w: &mut Vec<u8>) {
+        put!(w, &self.0, &self.1);
+    }
+    fn get(r: &mut Reader) -> Result<Self, String> {
+        Ok((r.get()?, r.get()?))
+    }
+}
+
+impl Codec for RoundPoint {
+    fn put(&self, w: &mut Vec<u8>) {
+        put!(w, &self.round, &self.aac, &self.best10, &self.upper_bound, &self.upper_bound_online);
+    }
+    fn get(r: &mut Reader) -> Result<Self, String> {
+        Ok(RoundPoint {
+            round: r.get()?,
+            aac: r.get()?,
+            best10: r.get()?,
+            upper_bound: r.get()?,
+            upper_bound_online: r.get()?,
+        })
+    }
+}
+
+impl Codec for MomentumState {
+    fn put(&self, w: &mut Vec<u8>) {
+        // The `Option<Vec<f32>>` layout, from the borrowed slice.
+        self.emb().is_some().put(w);
+        if let Some(emb) = self.emb() {
+            put_seq(w, emb);
+        }
+        put_seq(w, self.agg());
+        self.updates().put(w);
+    }
+    fn get(r: &mut Reader) -> Result<Self, String> {
+        Ok(MomentumState::from_parts(r.get()?, r.get()?, r.get()?))
+    }
+}
+
+impl Codec for SharedModel {
+    fn put(&self, w: &mut Vec<u8>) {
+        put!(w, &self.owner.raw(), &self.round, &self.owner_emb, &self.agg);
+    }
+    fn get(r: &mut Reader) -> Result<Self, String> {
+        Ok(SharedModel {
+            owner: UserId::new(r.get()?),
+            round: r.get()?,
+            owner_emb: r.get()?,
+            agg: r.get()?,
+        })
+    }
+}
+
+impl Codec for AttackState {
+    fn put(&self, w: &mut Vec<u8>) {
+        match self {
+            AttackState::Cia(s) => {
+                put!(w, &0u8, &s.momentum, &s.history, &s.last_global, &s.prepared);
+            }
+            AttackState::Placements(s) => put!(w, &1u8, &s.s_ema, &s.history, &s.prepared),
+        }
+    }
+    fn get(r: &mut Reader) -> Result<Self, String> {
+        Ok(match r.get::<u8>()? {
+            0 => AttackState::Cia(CiaAttackState {
+                momentum: r.get()?,
+                history: r.get()?,
+                last_global: r.get()?,
+                prepared: r.get()?,
+            }),
+            1 => AttackState::Placements(PlacementsState {
+                s_ema: r.get()?,
+                history: r.get()?,
+                prepared: r.get()?,
+            }),
+            tag => return Err(format!("unknown attack state tag {tag}")),
+        })
+    }
+}
+
+impl Codec for ProtocolState {
+    fn put(&self, w: &mut Vec<u8>) {
+        let s = match self {
+            ProtocolState::Fl { global } => return put!(w, &0u8, global),
+            ProtocolState::Gl(s) => s,
+        };
+        // v4: sender references first, then the inboxes that delta against
+        // them.
+        put!(w, &1u8, &s.round, &s.refresh_at, &s.views, &s.prev_sent);
+        (s.inboxes.len() as u64).put(w);
+        for inbox in &s.inboxes {
+            (inbox.len() as u64).put(w);
+            for m in inbox {
+                let reference = s.prev_sent.get(m.owner.raw() as usize).and_then(|p| p.as_deref());
+                put_delta(w, m, reference);
+            }
+        }
+        put!(w, &s.heard, &s.traffic.received, &s.traffic.view_in_degree);
+    }
+    fn get(r: &mut Reader) -> Result<Self, String> {
+        match r.get::<u8>()? {
+            0 => Ok(ProtocolState::Fl { global: r.get()? }),
+            1 => {
+                let (round, refresh_at, views) = (r.get()?, r.get()?, r.get()?);
+                let prev_sent: Vec<Option<Vec<f32>>> = r.get()?;
+                let inboxes = get_seq(r, |r| get_seq(r, |r| get_delta(r, &prev_sent)))?;
+                Ok(ProtocolState::Gl(GossipSimState {
+                    round,
+                    refresh_at,
+                    views,
+                    inboxes,
+                    heard: r.get()?,
+                    prev_sent,
+                    traffic: TrafficCounters { received: r.get()?, view_in_degree: r.get()? },
+                }))
+            }
+            tag => Err(format!("unknown protocol state tag {tag}")),
+        }
+    }
+}
+
+/// v4 inbox-model encoding: a sparse bit-exact delta against the sender's
+/// `prev_sent` reference (tag 1) when one exists and the diff is genuinely
+/// sparse — sparse local training leaves most of the `agg` slots untouched
+/// between sends — or the dense [`SharedModel`] layout (tag 0) otherwise.
+fn put_delta(w: &mut Vec<u8>, m: &SharedModel, reference: Option<&[f32]>) {
+    let emb_len = m.owner_emb.as_ref().map_or(0, Vec::len);
+    let total = emb_len + m.agg.len();
+    // `[emb | agg]` concatenation, matching the reference's layout.
+    let concat = || m.owner_emb.as_deref().unwrap_or(&[]).iter().chain(&m.agg);
+    let diffs: Option<Vec<(u32, u32)>> = reference
+        .filter(|r| r.len() == total)
+        .map(|r| {
+            concat()
+                .zip(r)
+                .enumerate()
+                // Raw-bit comparison: bit-exact restores, NaN included.
+                .filter(|(_, (have, want))| have.to_bits() != want.to_bits())
+                // cia-lint: allow(D05, parameter index into one model vector; model lengths are catalog-bounded and fit u32)
+                .map(|(k, (have, _))| (k as u32, have.to_bits()))
+                .collect()
+        })
+        // A diff entry costs 8 bytes vs 4 for a dense slot — only
+        // encode sparsely when it actually shrinks the model.
+        .filter(|d: &Vec<_>| d.len() * 2 < total);
+    match diffs {
+        Some(diffs) => {
+            let has_emb = m.owner_emb.is_some();
+            put!(w, &1u8, &m.owner.raw(), &m.round, &has_emb, &(emb_len as u64), &diffs);
+        }
+        None => put!(w, &0u8, m),
+    }
+}
+
+/// Inverse of [`put_delta`]: expands a sparse delta against the sender's
+/// `prev_sent` reference, or reads the dense layout.
+fn get_delta(r: &mut Reader, prev_sent: &[Option<Vec<f32>>]) -> Result<SharedModel, String> {
+    match r.get::<u8>()? {
+        0 => r.get(),
+        1 => {
+            let (owner, round, has_emb): (_, _, bool) = (UserId::new(r.get()?), r.get()?, r.get()?);
+            let emb_len = r.get::<u64>()? as usize;
+            if !has_emb && emb_len != 0 {
+                return Err("delta model claims embedding slots without one".to_string());
+            }
+            let mut full = prev_sent
+                .get(owner.raw() as usize)
+                .and_then(std::clone::Clone::clone)
+                .ok_or("delta-encoded inbox model without a sender reference")?;
+            if emb_len > full.len() {
+                return Err("delta model embedding exceeds the reference".to_string());
+            }
+            for (k, bits) in r.get::<Vec<(u32, u32)>>()? {
+                *full.get_mut(k as usize).ok_or("delta index outside the reference")? =
+                    f32::from_bits(bits);
+            }
+            let agg = full.split_off(emb_len);
+            Ok(SharedModel { owner, round, owner_emb: has_emb.then_some(full), agg })
+        }
+        tag => Err(format!("unknown inbox model tag {tag}")),
     }
 }
 
@@ -556,124 +523,24 @@ struct Reader<'a> {
 }
 
 impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], String> {
-        let end = self.pos.checked_add(n).ok_or("checkpoint length overflow")?;
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], String> {
+        let end = self.pos.checked_add(N).ok_or("checkpoint length overflow")?;
         let slice = self.bytes.get(self.pos..end).ok_or("checkpoint truncated")?;
         self.pos = end;
-        Ok(slice)
+        Ok(slice.try_into().expect("N bytes"))
     }
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
+    fn get<T: Codec>(&mut self) -> Result<T, String> {
+        T::get(self)
     }
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-    fn f32(&mut self) -> Result<f32, String> {
-        Ok(f32::from_bits(self.u32()?))
-    }
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
-    }
+    /// A sequence length. It can never exceed the remaining bytes (every
+    /// element is at least one byte), so a larger one is refused before it
+    /// over-allocates.
     fn len(&mut self) -> Result<usize, String> {
-        let n = self.u64()?;
-        // A length can never exceed the remaining bytes (every element is at
-        // least one byte) — reject early instead of over-allocating.
+        let n: u64 = self.get()?;
         if n as usize > self.bytes.len().saturating_sub(self.pos) {
             return Err("checkpoint length field exceeds remaining data".to_string());
         }
         Ok(n as usize)
-    }
-    fn f32s(&mut self) -> Result<Vec<f32>, String> {
-        let n = self.len()?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.f32()?);
-        }
-        Ok(v)
-    }
-    fn u32s(&mut self) -> Result<Vec<u32>, String> {
-        let n = self.len()?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.u32()?);
-        }
-        Ok(v)
-    }
-    fn u64s(&mut self) -> Result<Vec<u64>, String> {
-        let n = self.len()?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.u64()?);
-        }
-        Ok(v)
-    }
-    fn opt_f32s(&mut self) -> Result<Option<Vec<f32>>, String> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.f32s()?)),
-            tag => Err(format!("unknown option tag {tag}")),
-        }
-    }
-    fn shared_model(&mut self) -> Result<SharedModel, String> {
-        let owner = UserId::new(self.u32()?);
-        let round = self.u64()?;
-        let owner_emb = self.opt_f32s()?;
-        let agg = self.f32s()?;
-        Ok(SharedModel { owner, round, owner_emb, agg })
-    }
-    /// Inverse of [`Writer::delta_model`]: expands a sparse delta against
-    /// the sender's `prev_sent` reference, or reads the dense layout.
-    fn delta_model(&mut self, prev_sent: &[Option<Vec<f32>>]) -> Result<SharedModel, String> {
-        match self.u8()? {
-            0 => self.shared_model(),
-            1 => {
-                let owner = UserId::new(self.u32()?);
-                let round = self.u64()?;
-                let has_emb = match self.u8()? {
-                    0 => false,
-                    1 => true,
-                    tag => return Err(format!("unknown embedding tag {tag}")),
-                };
-                let emb_len = self.u64()? as usize;
-                if !has_emb && emb_len != 0 {
-                    return Err("delta model claims embedding slots without one".to_string());
-                }
-                let mut full = prev_sent
-                    .get(owner.raw() as usize)
-                    .and_then(std::clone::Clone::clone)
-                    .ok_or("delta-encoded inbox model without a sender reference")?;
-                if emb_len > full.len() {
-                    return Err("delta model embedding exceeds the reference".to_string());
-                }
-                let n = self.len()?;
-                for _ in 0..n {
-                    let k = self.u32()? as usize;
-                    let bits = self.u32()?;
-                    *full.get_mut(k).ok_or("delta index outside the reference")? =
-                        f32::from_bits(bits);
-                }
-                let agg = full.split_off(emb_len);
-                let owner_emb = has_emb.then_some(full);
-                Ok(SharedModel { owner, round, owner_emb, agg })
-            }
-            tag => Err(format!("unknown inbox model tag {tag}")),
-        }
-    }
-    fn round_points(&mut self) -> Result<Vec<RoundPoint>, String> {
-        let n = self.len()?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            let round = self.u64()?;
-            let aac = self.f64()?;
-            let best10 = self.f64()?;
-            let upper_bound = self.f64()?;
-            let upper_bound_online = self.f64()?;
-            v.push(RoundPoint { round, aac, best10, upper_bound, upper_bound_online });
-        }
-        Ok(v)
     }
 }
 
@@ -826,6 +693,15 @@ mod tests {
                 "00000000dfabbc7afa986f52",
             )
         );
+    }
+
+    #[test]
+    fn bool_and_tag_bytes_outside_their_range_are_refused() {
+        let get = |bytes: &[u8]| Reader { bytes, pos: 0 }.get::<Option<bool>>();
+        assert_eq!(get(&[1, 1]), Ok(Some(true)));
+        assert_eq!(get(&[0]), Ok(None));
+        assert!(get(&[1, 2]).unwrap_err().contains("bool byte 2"));
+        assert!(get(&[2, 0]).unwrap_err().contains("option tag 2"));
     }
 
     #[test]
