@@ -34,6 +34,14 @@ pub trait RelevanceEvaluator: Send + Sync {
     /// Relevance of one model for one target.
     fn relevance_one(&self, owner_emb: Option<&[f32]>, agg: &[f32], target: usize) -> f32;
 
+    /// Whether a model with aggregate `agg` and, if it carries one, owner
+    /// embedding `owner_emb` has the layout this evaluator scores. Resume
+    /// refuses checkpointed attack state that does not fit. The default
+    /// accepts every model, for evaluators that do not know their layout.
+    fn fits(&self, _owner_emb: Option<&[f32]>, _agg: &[f32]) -> bool {
+        true
+    }
+
     /// Relevance of one model for all targets, written into `out`.
     ///
     /// # Panics
@@ -107,12 +115,23 @@ impl<S: RelevanceScorer> ItemSetEvaluator<S> {
     /// Restores fictive adversary embeddings captured by
     /// [`ItemSetEvaluator::adversary_embeddings`] (checkpoint resume).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the table is not aligned with the registered targets.
-    pub fn restore_adversary_embeddings(&mut self, embs: Vec<Option<Vec<f32>>>) {
-        assert_eq!(embs.len(), self.targets.len(), "one embedding slot per target");
+    /// Names the table or the target slot that does not fit: one slot per
+    /// registered target, each empty or a user embedding long.
+    pub fn restore_adversary_embeddings(
+        &mut self,
+        embs: Vec<Option<Vec<f32>>>,
+    ) -> Result<(), String> {
+        if embs.len() != self.targets.len() {
+            return Err("adversary embedding table".to_string());
+        }
+        let emb_len = self.scorer.user_emb_len();
+        if let Some(t) = embs.iter().position(|e| e.as_ref().is_some_and(|e| e.len() != emb_len)) {
+            return Err(format!("adversary embedding of target {t}"));
+        }
         self.adversary_embs = embs;
+        Ok(())
     }
 }
 
@@ -139,6 +158,12 @@ impl<S: RelevanceScorer> RelevanceEvaluator for ItemSetEvaluator<S> {
     fn relevance_one(&self, owner_emb: Option<&[f32]>, agg: &[f32], target: usize) -> f32 {
         let emb = if self.share_less { self.adversary_embs[target].as_deref() } else { owner_emb };
         self.scorer.mean_relevance(emb, agg, &self.targets[target])
+    }
+
+    fn fits(&self, owner_emb: Option<&[f32]>, agg: &[f32]) -> bool {
+        // Share-less models carry no owner embedding.
+        let emb_fits = |e: &[f32]| !self.share_less && e.len() == self.scorer.user_emb_len();
+        agg.len() == self.scorer.agg_len() && owner_emb.is_none_or(emb_fits)
     }
 
     fn relevance_all(&self, owner_emb: Option<&[f32]>, agg: &[f32], out: &mut [f32]) {

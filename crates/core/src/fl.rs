@@ -238,8 +238,8 @@ impl<E: RelevanceEvaluator, V> MomentumCia<E, V> {
 
 /// Snapshot/restore of the attack's mutable state for checkpoint/resume.
 /// Evaluator-side state (fictive embeddings) is captured separately through
-/// the evaluator accessors. Restoring panics if the momentum table is not
-/// aligned with the participants.
+/// the evaluator accessors. Restoring refuses a momentum table not aligned
+/// with the participants, or a model the evaluator cannot score.
 impl<E: RelevanceEvaluator, V> Checkpointable for MomentumCia<E, V> {
     type State = CiaAttackState;
 
@@ -252,12 +252,22 @@ impl<E: RelevanceEvaluator, V> Checkpointable for MomentumCia<E, V> {
         }
     }
 
-    fn restore_state(&mut self, state: CiaAttackState) {
-        assert_eq!(state.momentum.len(), self.momentum.len(), "momentum table size");
+    fn restore_state(&mut self, state: CiaAttackState) -> Result<(), String> {
+        if state.momentum.len() != self.momentum.len() {
+            return Err("momentum table".to_string());
+        }
+        let misfit = |m: &MomentumState| !self.evaluator.fits(m.emb(), m.agg());
+        if let Some(u) = state.momentum.iter().position(|m| m.as_ref().is_some_and(misfit)) {
+            return Err(format!("momentum of sender {u}"));
+        }
+        if state.last_global.as_ref().is_some_and(|g| !self.evaluator.fits(None, g)) {
+            return Err("attack reference model".to_string());
+        }
         self.momentum = state.momentum;
         self.tracker.restore_history(state.history);
         self.reference = state.last_global;
         self.prepared = state.prepared;
+        Ok(())
     }
 }
 

@@ -220,7 +220,7 @@ impl<E: RelevanceEvaluator> GlCiaAllPlacements<E> {
 }
 
 /// Snapshot/restore of the sweep's mutable state for checkpoint/resume.
-/// Restoring panics if the score table is not aligned with the participants.
+/// Restoring refuses a score table not aligned with the participants.
 impl<E: RelevanceEvaluator> Checkpointable for GlCiaAllPlacements<E> {
     type State = PlacementsState;
 
@@ -232,11 +232,14 @@ impl<E: RelevanceEvaluator> Checkpointable for GlCiaAllPlacements<E> {
         }
     }
 
-    fn restore_state(&mut self, state: PlacementsState) {
-        assert_eq!(state.s_ema.len(), self.s_ema.len(), "score table size");
+    fn restore_state(&mut self, state: PlacementsState) -> Result<(), String> {
+        if state.s_ema.len() != self.s_ema.len() {
+            return Err("score table".to_string());
+        }
         self.s_ema = state.s_ema;
         self.tracker.restore_history(state.history);
         self.prepared = state.prepared;
+        Ok(())
     }
 }
 

@@ -285,13 +285,17 @@ impl<P: Participant> FedAvg<P> {
     /// restore replays exactly the rounds an uninterrupted run would have
     /// executed.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `global_agg` does not match the clients' parameter layout.
-    pub fn restore(&mut self, round: u64, global_agg: Vec<f32>) {
-        assert_eq!(global_agg.len(), self.global_agg.len(), "global layout mismatch");
+    /// Refuses a `global_agg` that does not match the clients' parameter
+    /// layout, naming the global model.
+    pub fn restore(&mut self, round: u64, global_agg: Vec<f32>) -> Result<(), String> {
+        if global_agg.len() != self.global_agg.len() {
+            return Err("global model".to_string());
+        }
         self.round = round;
         self.global_agg = global_agg;
+        Ok(())
     }
 
     /// Loads the current global model into every client (used before utility
@@ -781,7 +785,7 @@ mod tests {
         let states: Vec<Vec<f32>> = first.clients().iter().map(Participant::state_vec).collect();
 
         let mut resumed = make_sim(8, 4, SharingPolicy::Full);
-        resumed.restore(round, global);
+        resumed.restore(round, global).unwrap();
         for (c, s) in resumed.clients_mut().iter_mut().zip(&states) {
             c.restore_state(s).unwrap();
         }

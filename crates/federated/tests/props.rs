@@ -179,7 +179,7 @@ proptest! {
         drop(first);
 
         let mut resumed = sim(n, cfg);
-        resumed.restore(cut, global);
+        resumed.restore(cut, global).unwrap();
         for (node, p) in resumed.clients_mut().iter_mut().zip(&params) {
             node.restore_state(p).unwrap();
         }

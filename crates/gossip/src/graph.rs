@@ -60,22 +60,29 @@ impl ViewTable {
 
     /// Replaces every out-view (checkpoint resume).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the table shape is wrong or any view contains its own node
-    /// or a duplicate.
-    pub fn restore_views(&mut self, views: Vec<Vec<u32>>) {
-        assert_eq!(views.len(), self.views.len(), "one view per node");
+    /// Leaves the table unchanged and names the misfit: a table without one
+    /// view per node, or a view of node `u` that does not hold `P` distinct
+    /// real nodes other than `u`.
+    pub fn restore_views(&mut self, views: Vec<Vec<u32>>) -> Result<(), String> {
+        let n = self.views.len();
+        if views.len() != n {
+            return Err("view table".to_string());
+        }
         for (u, view) in views.iter().enumerate() {
-            assert_eq!(view.len(), self.out_degree, "view of node {u} must have P entries");
             let mut uniq = view.clone();
             uniq.sort_unstable();
             uniq.dedup();
-            assert_eq!(uniq.len(), view.len(), "view of node {u} has duplicates");
-            // cia-lint: allow(D05, u < n, the node count; views hold u32 node ids)
-            assert!(!view.contains(&(u as u32)), "view of node {u} contains itself");
+            let fits = view.len() == self.out_degree
+                && uniq.len() == view.len()
+                && view.iter().all(|&v| v as usize != u && (v as usize) < n);
+            if !fits {
+                return Err(format!("view of node {u}"));
+            }
         }
         self.views = views;
+        Ok(())
     }
 
     /// One uniformly random out-neighbor of `u`.

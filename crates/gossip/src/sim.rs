@@ -531,54 +531,6 @@ impl<P: Participant> GossipSim<P> {
         }
     }
 
-    /// Checks that a captured state fits this simulation before
-    /// [`Checkpointable::restore_state`] takes it: one table entry per node,
-    /// every held inbox model from a real node with that node's embedding
-    /// length and this layout's aggregate length, every DP reference
-    /// `[emb | agg]`-long, and every Pers-Gossip candidate a real node.
-    /// Returns the first misfit by name (`"inbox of node 5"`), so a hostile
-    /// checkpoint is refused up front instead of panicking mid-run or being
-    /// silently truncated by the DP update.
-    ///
-    /// # Errors
-    ///
-    /// Names the first table or node whose state does not fit.
-    pub fn check_state(&self, state: &GossipSimState) -> Result<(), String> {
-        let n = self.nodes.len();
-        let tables = [
-            ("refresh table", state.refresh_at.len()),
-            ("view table", state.views.len()),
-            ("inbox table", state.inboxes.len()),
-            ("heard table", state.heard.len()),
-            ("DP reference table", state.prev_sent.len()),
-            ("received-traffic table", state.traffic.received.len()),
-            ("in-degree table", state.traffic.view_in_degree.len()),
-        ];
-        if let Some((name, _)) = tables.iter().find(|&&(_, len)| len != n) {
-            return Err((*name).to_string());
-        }
-        let agg_len = self.nodes[0].agg_len();
-        let emb_len = |u: usize| self.nodes[u].owner_emb().map_or(0, <[f32]>::len);
-        for u in 0..n {
-            let model_fits = |m: &SharedModel| {
-                let owner = m.owner.raw() as usize;
-                owner < n
-                    && m.agg.len() == agg_len
-                    && m.owner_emb.as_ref().map_or(0, Vec::len) == emb_len(owner)
-            };
-            if !state.inboxes[u].iter().all(model_fits) {
-                return Err(format!("inbox of node {u}"));
-            }
-            if state.prev_sent[u].as_ref().is_some_and(|p| p.len() != emb_len(u) + agg_len) {
-                return Err(format!("DP reference of node {u}"));
-            }
-            if state.heard[u].iter().any(|&(v, _)| v as usize >= n) {
-                return Err(format!("heard list of node {u}"));
-            }
-        }
-        Ok(())
-    }
-
     /// Forwards to [`GossipSim::step`]. Exists only for the benchmark tracer
     /// (`perfbench/tracer`) and goes away in the next benchmark change.
     #[doc(hidden)]
@@ -614,15 +566,49 @@ impl<P: Participant> Checkpointable for GossipSim<P> {
     /// Restores a state captured by `export_state` on a simulation
     /// constructed with the same nodes and configuration.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if [`GossipSim::check_state`] rejects `state` or the views are
-    /// malformed.
-    fn restore_state(&mut self, state: GossipSimState) {
-        if let Err(part) = self.check_state(&state) {
-            panic!("gossip state {part} mismatch");
+    /// Refuses state that does not fit this simulation before taking any of
+    /// it, naming the first misfit (`"inbox of node 5"`): one table entry per
+    /// node, every view `P` distinct real nodes, every held inbox model from
+    /// a real node with that node's embedding length and this layout's
+    /// aggregate length, every DP reference `[emb | agg]`-long, and every
+    /// Pers-Gossip candidate a real node. A hostile checkpoint is thus
+    /// refused up front instead of panicking mid-run or being silently
+    /// truncated by the DP update.
+    fn restore_state(&mut self, state: GossipSimState) -> Result<(), String> {
+        let n = self.nodes.len();
+        let tables = [
+            ("refresh table", state.refresh_at.len()),
+            ("inbox table", state.inboxes.len()),
+            ("heard table", state.heard.len()),
+            ("DP reference table", state.prev_sent.len()),
+            ("received-traffic table", state.traffic.received.len()),
+            ("in-degree table", state.traffic.view_in_degree.len()),
+        ];
+        if let Some((name, _)) = tables.iter().find(|&&(_, len)| len != n) {
+            return Err((*name).to_string());
         }
-        self.views.restore_views(state.views);
+        let agg_len = self.nodes[0].agg_len();
+        let emb_len = |u: usize| self.nodes[u].owner_emb().map_or(0, <[f32]>::len);
+        for u in 0..n {
+            let model_fits = |m: &SharedModel| {
+                let owner = m.owner.raw() as usize;
+                owner < n
+                    && m.agg.len() == agg_len
+                    && m.owner_emb.as_ref().map_or(0, Vec::len) == emb_len(owner)
+            };
+            if !state.inboxes[u].iter().all(model_fits) {
+                return Err(format!("inbox of node {u}"));
+            }
+            if state.prev_sent[u].as_ref().is_some_and(|p| p.len() != emb_len(u) + agg_len) {
+                return Err(format!("DP reference of node {u}"));
+            }
+            if state.heard[u].iter().any(|&(v, _)| v as usize >= n) {
+                return Err(format!("heard list of node {u}"));
+            }
+        }
+        self.views.restore_views(state.views)?;
         self.round = state.round;
         self.refresh_at = state.refresh_at;
         let per_node = state.inboxes.into_iter().zip(state.prev_sent).zip(state.heard);
@@ -634,6 +620,7 @@ impl<P: Participant> Checkpointable for GossipSim<P> {
             c.heard = heard;
         }
         self.traffic = state.traffic;
+        Ok(())
     }
 }
 
@@ -1012,7 +999,7 @@ mod tests {
         assert_eq!(&state.traffic, traffic);
         let mut fresh = sim(20, GossipConfig { rounds, seed: 3, ..Default::default() });
         let traffic = traffic.clone();
-        fresh.restore_state(state);
+        fresh.restore_state(state).unwrap();
         assert_eq!(fresh.traffic(), &traffic);
     }
 
@@ -1076,12 +1063,12 @@ mod tests {
     }
 
     #[test]
-    fn check_state_names_the_misfit_node() {
+    fn restore_state_names_the_misfit_node() {
         let cfg = GossipConfig { rounds: 4, wake_fraction: 0.5, seed: 1, ..Default::default() };
         let mut s = sim(12, cfg);
         s.run(&mut NullGossipObserver);
         let good = s.export_state();
-        assert_eq!(s.check_state(&good), Ok(()));
+        assert_eq!(s.restore_state(good.clone()), Ok(()));
         fn model(owner: u32, len: usize) -> SharedModel {
             SharedModel {
                 owner: UserId::new(owner),
@@ -1091,24 +1078,30 @@ mod tests {
             }
         }
         type Corruption = fn(&mut GossipSimState);
-        let cases: [(Corruption, &str); 6] = [
+        let cases: [(Corruption, &str); 10] = [
             (|st| st.inboxes[5].push(model(1, 7)), "inbox of node 5"),
             (|st| st.inboxes[3].push(model(12, 8)), "inbox of node 3"),
             (|st| st.prev_sent[2] = Some(vec![0.0; 9]), "DP reference of node 2"),
             (|st| st.heard[4].push((40, 0.0)), "heard list of node 4"),
             (|st| st.refresh_at.truncate(11), "refresh table"),
             (|st| st.traffic.received.truncate(11), "received-traffic table"),
+            (|st| st.views.truncate(11), "view table"),
+            (|st| st.views[6][0] = 12, "view of node 6"),
+            (|st| st.views[7][0] = 7, "view of node 7"),
+            (|st| st.views[8].truncate(1), "view of node 8"),
         ];
         for (corrupt, part) in cases {
             let mut bad = good.clone();
             corrupt(&mut bad);
-            assert_eq!(s.check_state(&bad).unwrap_err(), part);
+            assert_eq!(s.restore_state(bad).unwrap_err(), part);
+            // A refused state leaves the simulation as it was.
+            assert_eq!(s.export_state().views, good.views);
         }
         // A well-formed held model and DP reference pass.
         let mut fine = good;
         fine.inboxes[5].push(model(1, 8));
         fine.prev_sent[2] = Some(vec![0.0; 8]);
-        assert_eq!(s.check_state(&fine), Ok(()));
+        assert_eq!(s.restore_state(fine), Ok(()));
     }
 
     #[test]
@@ -1152,7 +1145,7 @@ mod tests {
         let params: Vec<Vec<f32>> = first.nodes().iter().map(Participant::state_vec).collect();
 
         let mut resumed = sim(14, cfg);
-        resumed.restore_state(proto);
+        resumed.restore_state(proto).unwrap();
         for (node, p) in resumed.nodes_mut().iter_mut().zip(&params) {
             node.restore_state(p).unwrap();
         }

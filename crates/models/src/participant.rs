@@ -367,11 +367,11 @@ pub trait Checkpointable {
 
     /// Restores a previously captured state in place.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Implementations panic when `state` is not aligned with the receiver
-    /// (wrong node count, malformed tables).
-    fn restore_state(&mut self, state: Self::State);
+    /// Names the first part of `state` that does not fit the receiver (wrong
+    /// node count, malformed tables), leaving the receiver unchanged.
+    fn restore_state(&mut self, state: Self::State) -> Result<(), String>;
 }
 
 /// The round-engine selector the `step_evented` forwards take.

@@ -172,7 +172,7 @@ impl ParticipantDynamics {
 }
 
 /// Snapshot/restore of the cross-round state for checkpoint/resume.
-/// Restoring panics if the state is not aligned with the population size.
+/// Restoring refuses state that is not aligned with the population size.
 impl Checkpointable for ParticipantDynamics {
     type State = DynamicsState;
 
@@ -180,11 +180,16 @@ impl Checkpointable for ParticipantDynamics {
         DynamicsState { online: self.online.clone(), straggler_until: self.straggler_until.clone() }
     }
 
-    fn restore_state(&mut self, state: DynamicsState) {
-        assert_eq!(state.online.len(), self.online.len(), "online bitmap size");
-        assert_eq!(state.straggler_until.len(), self.straggler_until.len(), "timer table size");
+    fn restore_state(&mut self, state: DynamicsState) -> Result<(), String> {
+        if state.online.len() != self.online.len() {
+            return Err("online bitmap".to_string());
+        }
+        if state.straggler_until.len() != self.straggler_until.len() {
+            return Err("straggler timer table".to_string());
+        }
         self.online = state.online;
         self.straggler_until = state.straggler_until;
+        Ok(())
     }
 }
 
@@ -393,7 +398,7 @@ mod tests {
         }
         let state = first.export_state();
         let mut resumed = ParticipantDynamics::new(&spec, 60, 11);
-        resumed.restore_state(state);
+        resumed.restore_state(state).unwrap();
         for (t, expect) in masks.iter().enumerate().skip(8) {
             let mut mask = vec![true; 60];
             resumed.apply(t as u64, &mut mask);

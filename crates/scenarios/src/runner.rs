@@ -466,8 +466,9 @@ trait Attack {
     fn outcome(&self) -> AttackOutcome;
     /// The engine's checkpoint section and the adversary's embeddings.
     fn export(&self) -> (AttackState, Embeddings);
-    /// Restores [`Attack::export`]'s sections; refuses another engine's state.
-    fn restore(&mut self, state: AttackState, embs: Embeddings) -> Result<(), &'static str>;
+    /// Restores [`Attack::export`]'s sections; refuses another engine's
+    /// state, or state that does not fit this engine, naming the misfit part.
+    fn restore(&mut self, state: AttackState, embs: Embeddings) -> Result<(), String>;
     /// Moves a gossip coalition onto relocated ids. The FL attack and the
     /// all-placements sweep have no coalition to move.
     fn set_members(&mut self, _members: &[u32]) {}
@@ -491,11 +492,12 @@ macro_rules! impl_attack {
                 (AttackState::$state(self.export_state()), embs)
             }
 
-            fn restore(&mut self, state: AttackState, embs: Embeddings) -> Result<(), &'static str> {
-                let AttackState::$state(state) = state else { return Err("attack family") };
-                self.restore_state(state);
-                self.evaluator_mut().restore_adversary_embeddings(embs);
-                Ok(())
+            fn restore(&mut self, state: AttackState, embs: Embeddings) -> Result<(), String> {
+                let AttackState::$state(state) = state else {
+                    return Err("attack family".to_string());
+                };
+                self.restore_state(state)?;
+                self.evaluator_mut().restore_adversary_embeddings(embs)
             }
 
             $(fn set_members(&mut self, members: &[u32]) {
@@ -555,8 +557,7 @@ impl<S: RelevanceScorer, P: Participant> ProtocolRun for FlRun<S, P> {
         let ProtocolState::Fl { global } = protocol else {
             return Err("protocol family".to_string());
         };
-        self.sim.restore(round, global);
-        Ok(())
+        self.sim.restore(round, global)
     }
 
     fn before_utility(&mut self) {
@@ -603,7 +604,7 @@ impl<P: Participant> ProtocolRun for GlRun<P> {
 
     fn restore(
         &mut self,
-        _round: u64,
+        round: u64,
         protocol: ProtocolState,
         placement: PlacementState,
         dynamics: &mut ParticipantDynamics,
@@ -611,8 +612,11 @@ impl<P: Participant> ProtocolRun for GlRun<P> {
         let ProtocolState::Gl(state) = protocol else {
             return Err("protocol family".to_string());
         };
-        self.sim.check_state(&state)?;
-        self.sim.restore_state(state);
+        // Another round's section would draw another round's RNG streams.
+        if state.round != round {
+            return Err("gossip round".to_string());
+        }
+        self.sim.restore_state(state)?;
         self.placement.restore_state(placement);
         if self.placement.relocated() {
             // Re-apply the relocation to the tables rebuilt from the spec —
@@ -657,14 +661,14 @@ fn drive<R: ProtocolRun>(
         if ck.clients.len() != n {
             return Err(mismatch("population"));
         }
-        proto.attack().restore(ck.attack, ck.adversary_embs).map_err(mismatch)?;
+        proto.attack().restore(ck.attack, ck.adversary_embs).map_err(|part| mismatch(&part))?;
         proto
             .restore(ck.round, ck.protocol, ck.placement, &mut dynamics)
             .map_err(|part| mismatch(&part))?;
         for (i, (c, s)) in proto.clients().iter_mut().zip(&ck.clients).enumerate() {
             c.restore_state(s).map_err(|_| mismatch(&format!("state of client {i}")))?;
         }
-        dynamics.restore_state(ck.dynamics);
+        dynamics.restore_state(ck.dynamics).map_err(|part| mismatch(&part))?;
         (done, emitted) = (ck.round, ck.emitted as usize);
     }
 

@@ -389,7 +389,7 @@ proptest! {
         }
         let state = first.export_state();
         let mut resumed = ParticipantDynamics::new(&spec, n, seed);
-        resumed.restore_state(state);
+        resumed.restore_state(state).unwrap();
         for (t, expect) in masks.iter().enumerate().skip(split as usize) {
             let mut mask = vec![true; n];
             resumed.apply(t as u64, &mut mask);

@@ -349,11 +349,11 @@ fn resume_refuses_a_different_spec() {
 #[test]
 fn hostile_checkpoints_fail_with_a_named_mismatch() {
     // A checkpoint carrying the spec's own fingerprint but another protocol
-    // family, another attack family, another client count or a truncated
-    // client state must be refused with the matching error, never a panic —
-    // for both protocols.
-    use cia_core::PlacementsState;
-    use cia_scenarios::checkpoint::{AttackState, Checkpoint};
+    // family, another attack family, another client count, a truncated
+    // client state or a table that does not fit the rebuilt run must be
+    // refused with the matching error, never a panic — for both protocols.
+    use cia_core::{CiaAttackState, MomentumState, PlacementsState};
+    use cia_scenarios::checkpoint::{AttackState, Checkpoint, ProtocolState};
     let specs = builtin_suite(Scale::Smoke, 42).expanded().unwrap();
     let (fl, gl) = (&specs[1], &specs[2]); // churn-20pct (FL), colluding-sybils (gossip)
     let dir = TempDir::new("hostile");
@@ -380,6 +380,41 @@ fn hostile_checkpoints_fail_with_a_named_mismatch() {
         clients[node].truncate(5);
         Checkpoint { clients, ..ck.clone() }
     };
+    let attack = |ck: &Checkpoint, edit: &dyn Fn(&mut CiaAttackState)| {
+        let AttackState::Cia(mut state) = ck.attack.clone() else { panic!("expected CIA state") };
+        edit(&mut state);
+        Checkpoint { attack: AttackState::Cia(state), ..ck.clone() }
+    };
+    let gossip = |edit: &dyn Fn(&mut cia_gossip::GossipSimState)| {
+        let ProtocolState::Gl(mut state) = gl_ck.protocol.clone() else {
+            panic!("expected gossip state")
+        };
+        edit(&mut state);
+        Checkpoint { protocol: ProtocolState::Gl(state), ..gl_ck.clone() }
+    };
+    let dynamics = |ck: &Checkpoint, edit: &dyn Fn(&mut cia_scenarios::dynamics::DynamicsState)| {
+        let mut ck = ck.clone();
+        edit(&mut ck.dynamics);
+        ck
+    };
+    // The first observed sender's momentum, one aggregate slot short.
+    let short_momentum = |state: &mut CiaAttackState| {
+        let u = state.momentum.iter().position(Option::is_some).unwrap();
+        let m = state.momentum[u].take().unwrap();
+        let (emb, agg) = (m.emb().map(<[f32]>::to_vec), m.agg()[1..].to_vec());
+        state.momentum[u] = Some(MomentumState::from_parts(emb, agg, m.updates()));
+    };
+    let first_seen = |ck: &Checkpoint| {
+        let AttackState::Cia(s) = &ck.attack else { panic!("expected CIA state") };
+        format!("momentum of sender {}", s.momentum.iter().position(Option::is_some).unwrap())
+    };
+    let (fl_seen, gl_seen) = (first_seen(&fl_ck), first_seen(&gl_ck));
+    let mut long_emb = fl_ck.adversary_embs.clone();
+    long_emb[0] = Some(vec![0.5; 3]);
+    let n = gl_ck.clients.len();
+    let out_of_range = move |st: &mut cia_gossip::GossipSimState| {
+        st.views[3][0] = u32::try_from(n).unwrap();
+    };
     let hostile = [
         (fl, Checkpoint { protocol: gl_ck.protocol.clone(), ..fl_ck.clone() }, "protocol family"),
         (fl, Checkpoint { attack: placements(), ..fl_ck.clone() }, "attack family"),
@@ -389,6 +424,35 @@ fn hostile_checkpoints_fail_with_a_named_mismatch() {
         (gl, Checkpoint { clients: gl_ck.clients[1..].to_vec(), ..gl_ck.clone() }, "population"),
         (fl, truncated(&fl_ck, 3), "state of client 3"),
         (gl, truncated(&gl_ck, 6), "state of client 6"),
+        (
+            fl,
+            Checkpoint { protocol: ProtocolState::Fl { global: vec![0.5; 3] }, ..fl_ck.clone() },
+            "global model",
+        ),
+        (fl, dynamics(&fl_ck, &|d| d.online.truncate(4)), "online bitmap"),
+        (gl, dynamics(&gl_ck, &|d| d.straggler_until.push(0)), "straggler timer table"),
+        (
+            fl,
+            Checkpoint { adversary_embs: vec![None], ..fl_ck.clone() },
+            "adversary embedding table",
+        ),
+        (
+            gl,
+            Checkpoint { adversary_embs: Vec::new(), ..gl_ck.clone() },
+            "adversary embedding table",
+        ),
+        (fl, attack(&fl_ck, &|s| s.momentum.truncate(4)), "momentum table"),
+        (gl, attack(&gl_ck, &|s| s.momentum.push(None)), "momentum table"),
+        (
+            fl,
+            Checkpoint { adversary_embs: long_emb, ..fl_ck.clone() },
+            "adversary embedding of target 0",
+        ),
+        (fl, attack(&fl_ck, &short_momentum), &fl_seen),
+        (gl, attack(&gl_ck, &short_momentum), &gl_seen),
+        (gl, gossip(&out_of_range), "view of node 3"),
+        (gl, gossip(&|st| st.views[4].truncate(1)), "view of node 4"),
+        (gl, gossip(&|st| st.round += 1), "gossip round"),
     ];
     for (spec, ck, part) in hostile {
         ck.save(&Checkpoint::path_for(&dir.0, &spec.name)).unwrap();
