@@ -44,7 +44,7 @@
 
 use cia_models::parallel::par_zip_mut;
 use cia_models::params::weighted_mean;
-use cia_models::{Participant, SharedModel, UpdateTransform};
+use cia_models::{apply_update_transform, Participant, SharedModel, UpdateTransform};
 use cia_obs::{Counter, Metric, Recorder};
 
 // The cross-protocol observer event this crate's API surfaces, and the
@@ -359,8 +359,8 @@ impl<P: Participant> FedAvg<P> {
                 apply_update_transform(
                     tr,
                     &mut slot.model,
-                    global,
                     emb_before.as_deref(),
+                    global,
                     &mut crng,
                 );
             }
@@ -492,40 +492,6 @@ fn sample_participants(n: usize, cfg: &FedAvgConfig, t: u64) -> Vec<bool> {
         mask[i] = true;
     }
     mask
-}
-
-/// Applies a DP-style transform to the *update* encoded by `snap` relative to
-/// the round-start reference, then rewrites `snap` as `reference + update`.
-fn apply_update_transform(
-    transform: &dyn UpdateTransform,
-    snap: &mut SharedModel,
-    global_before: &[f32],
-    emb_before: Option<&[f32]>,
-    rng: &mut StdRng,
-) {
-    // Concatenate [emb_update | agg_update] so the clipping bound covers the
-    // whole shared vector, as user-level LDP requires.
-    let emb_len = snap.owner_emb.as_ref().map_or(0, Vec::len);
-    let mut update = vec![0.0f32; emb_len + snap.agg.len()];
-    if let (Some(emb), Some(before)) = (&snap.owner_emb, emb_before) {
-        for k in 0..emb_len {
-            update[k] = emb[k] - before[k];
-        }
-    }
-    for (k, u) in update[emb_len..].iter_mut().enumerate() {
-        *u = snap.agg[k] - global_before[k];
-    }
-
-    transform.transform(&mut update, rng);
-
-    if let (Some(emb), Some(before)) = (&mut snap.owner_emb, emb_before) {
-        for k in 0..emb_len {
-            emb[k] = before[k] + update[k];
-        }
-    }
-    for (k, a) in snap.agg.iter_mut().enumerate() {
-        *a = global_before[k] + update[emb_len + k];
-    }
 }
 
 #[cfg(test)]

@@ -4,7 +4,8 @@ use crate::graph::{sample_exp_interval, ViewTable};
 use cia_data::UserId;
 use cia_models::parallel::par_zip_mut;
 use cia_models::{
-    Checkpointable, DeliveryPolicy, LivenessEvent, Participant, SharedModel, UpdateTransform,
+    apply_update_transform, Checkpointable, DeliveryPolicy, LivenessEvent, Participant,
+    SharedModel, UpdateTransform,
 };
 use cia_obs::{Counter, Metric, Recorder};
 use rand::rngs::StdRng;
@@ -655,30 +656,16 @@ fn apply_gossip_transform(
     prev_sent: &mut Option<Vec<f32>>,
     rng: &mut StdRng,
 ) -> usize {
-    let emb_len = snap.owner_emb.as_ref().map_or(0, Vec::len);
-    let mut current = vec![0.0f32; emb_len + snap.agg.len()];
-    if let Some(emb) = &snap.owner_emb {
-        current[..emb_len].copy_from_slice(emb);
-    }
-    current[emb_len..].copy_from_slice(&snap.agg);
-    let mut copied = current.len();
-
+    let emb = snap.owner_emb.as_deref().unwrap_or(&[]);
+    let clean = [emb, &snap.agg].concat();
+    let mut copied = clean.len();
     let reference = prev_sent.get_or_insert_with(|| {
-        copied += current.len();
-        current.clone()
+        copied += clean.len();
+        clean.clone()
     });
-    let mut update: Vec<f32> = current.iter().zip(reference.iter()).map(|(c, r)| c - r).collect();
-    transform.transform(&mut update, rng);
-
-    if let Some(emb) = &mut snap.owner_emb {
-        for k in 0..emb_len {
-            emb[k] = reference[k] + update[k];
-        }
-    }
-    for (k, a) in snap.agg.iter_mut().enumerate() {
-        *a = reference[emb_len + k] + update[emb_len + k];
-    }
-    *prev_sent = Some(current);
+    let (emb_ref, agg_ref) = reference.split_at(emb.len());
+    apply_update_transform(transform, snap, Some(emb_ref), agg_ref, rng);
+    *prev_sent = Some(clean);
     copied
 }
 

@@ -256,6 +256,44 @@ pub trait UpdateTransform: Send + Sync {
     fn transform(&self, update: &mut [f32], rng: &mut rand::rngs::StdRng);
 }
 
+/// Rewrites `snap` through `transform` as an update against a reference: it
+/// builds `[emb | agg] − [emb_ref | agg_ref]`, transforms that whole vector
+/// (so a clipping bound covers everything shared, as user-level LDP
+/// requires), and writes `reference + update` back. An owner embedding
+/// without `emb_ref` keeps its value; its update slots start at zero.
+///
+/// FedAvg passes the pre-round embedding and the global model; gossip passes
+/// its previously sent vector split at the embedding length.
+pub fn apply_update_transform(
+    transform: &dyn UpdateTransform,
+    snap: &mut SharedModel,
+    emb_ref: Option<&[f32]>,
+    agg_ref: &[f32],
+    rng: &mut rand::rngs::StdRng,
+) {
+    let emb_len = snap.owner_emb.as_ref().map_or(0, Vec::len);
+    let mut update = vec![0.0f32; emb_len + snap.agg.len()];
+    let (emb_up, agg_up) = update.split_at_mut(emb_len);
+    if let (Some(emb), Some(emb_ref)) = (&snap.owner_emb, emb_ref) {
+        for ((u, e), r) in emb_up.iter_mut().zip(emb).zip(emb_ref) {
+            *u = e - r;
+        }
+    }
+    for ((u, a), r) in agg_up.iter_mut().zip(&snap.agg).zip(agg_ref) {
+        *u = a - r;
+    }
+    transform.transform(&mut update, rng);
+    let (emb_up, agg_up) = update.split_at(emb_len);
+    if let (Some(emb), Some(emb_ref)) = (&mut snap.owner_emb, emb_ref) {
+        for ((e, r), u) in emb.iter_mut().zip(emb_ref).zip(emb_up) {
+            *e = r + u;
+        }
+    }
+    for ((a, r), u) in snap.agg.iter_mut().zip(agg_ref).zip(agg_up) {
+        *a = r + u;
+    }
+}
+
 /// Computes relevance scores from a shared (or momentum-averaged) model —
 /// the quantity the attack ranks participants by, and the basis of utility
 /// evaluation.
