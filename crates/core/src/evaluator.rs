@@ -101,11 +101,6 @@ impl<S: RelevanceScorer> ItemSetEvaluator<S> {
         &self.scorer
     }
 
-    /// Whether the Share-less adaptation is active.
-    pub fn is_share_less(&self) -> bool {
-        self.share_less
-    }
-
     /// The current fictive adversary embeddings (checkpoint access; empty of
     /// meaning under full sharing).
     pub fn adversary_embeddings(&self) -> &[Option<Vec<f32>>] {

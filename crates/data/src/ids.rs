@@ -54,45 +54,6 @@ impl From<u32> for UserId {
     }
 }
 
-/// Identifier of a catalog item (movie, point of interest, ...).
-///
-/// ```
-/// use cia_data::ItemId;
-/// let i = ItemId::new(10);
-/// assert_eq!(i.raw(), 10);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ItemId(u32);
-
-impl ItemId {
-    /// Creates an item id from a dense index.
-    pub fn new(index: u32) -> Self {
-        ItemId(index)
-    }
-
-    /// Returns the raw dense index.
-    pub fn raw(self) -> u32 {
-        self.0
-    }
-
-    /// Returns the index as `usize`, for vector indexing.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl fmt::Display for ItemId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "i{}", self.0)
-    }
-}
-
-impl From<u32> for ItemId {
-    fn from(v: u32) -> Self {
-        ItemId(v)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,17 +75,8 @@ mod tests {
     }
 
     #[test]
-    fn item_id_roundtrip() {
-        let i = ItemId::new(7);
-        assert_eq!(i.raw(), 7);
-        assert_eq!(i.to_string(), "i7");
-        assert!(ItemId::new(1) < ItemId::new(2));
-    }
-
-    #[test]
     fn ids_are_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<UserId>();
-        assert_send_sync::<ItemId>();
     }
 }

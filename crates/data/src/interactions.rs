@@ -7,7 +7,7 @@
 //! to train the sequential PRME model.
 
 use crate::categories::CategoryMap;
-use crate::{DataError, ItemId, UserId};
+use crate::{DataError, UserId};
 
 /// Interactions of a single user.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -196,11 +196,6 @@ impl Dataset {
             mean_per_user: if n == 0 { 0.0 } else { total as f64 / n as f64 },
             density,
         }
-    }
-
-    /// Items of user `u` as typed ids.
-    pub fn items_of(&self, u: UserId) -> impl Iterator<Item = ItemId> + '_ {
-        self.users[u.index()].items().iter().map(|&i| ItemId::new(i))
     }
 }
 

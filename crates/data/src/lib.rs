@@ -48,7 +48,7 @@ mod zipf;
 
 pub use categories::{CategoryMap, CategoryPlan, HealthPlanting, CATEGORY_NAMES, HEALTH_CATEGORY};
 pub use error::DataError;
-pub use ids::{ItemId, UserId};
+pub use ids::UserId;
 pub use images::{ImageDataset, ImageGenConfig, IMAGE_DIM, NUM_CLASSES};
 pub use interactions::{Dataset, DatasetStats, UserRecord};
 pub use jaccard::{jaccard_index, top_k_similar, GroundTruth};

@@ -54,16 +54,6 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-/// How client updates are weighted during aggregation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Weighting {
-    /// Every participating client weighs the same.
-    Uniform,
-    /// FedAvg's default: weigh by local example count.
-    #[default]
-    ByExamples,
-}
-
 /// FedAvg configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FedAvgConfig {
@@ -74,21 +64,13 @@ pub struct FedAvgConfig {
     pub participation: f64,
     /// Local training epochs per round.
     pub local_epochs: usize,
-    /// Aggregation weighting.
-    pub weighting: Weighting,
     /// Simulation seed (client sampling, training order, DP noise).
     pub seed: u64,
 }
 
 impl Default for FedAvgConfig {
     fn default() -> Self {
-        FedAvgConfig {
-            rounds: 20,
-            participation: 1.0,
-            local_epochs: 1,
-            weighting: Weighting::ByExamples,
-            seed: 0,
-        }
+        FedAvgConfig { rounds: 20, participation: 1.0, local_epochs: 1, seed: 0 }
     }
 }
 
@@ -371,10 +353,8 @@ impl<P: Participant> FedAvg<P> {
         // Fold each sampled client's sparse update into `acc` in client
         // index order over identical inputs, so the sum is bit-identical for
         // every thread count.
-        let weight_of = |client: &P| match cfg.weighting {
-            Weighting::Uniform => 1.0,
-            Weighting::ByExamples => client.num_examples().max(1) as f32,
-        };
+        // FedAvg weighs each update by its client's local example count.
+        let weight_of = |client: &P| client.num_examples().max(1) as f32;
         let sparse_agg = transform.is_none();
         let total: f32 = clients
             .iter()

@@ -1,5 +1,5 @@
 //! Property tests for the FedAvg round: under any participation fraction,
-//! weighting, epoch count, seed and DP setting, the round replays bit for
+//! epoch count, seed and DP setting, the round replays bit for
 //! bit whatever `CIA_THREADS` says, and a mid-run restore lands on the
 //! uninterrupted trajectory.
 //!
@@ -10,7 +10,7 @@
 
 use cia_data::UserId;
 use cia_defenses::{DpConfig, DpMechanism};
-use cia_federated::{FedAvg, FedAvgConfig, LivenessEvent, RoundObserver, RoundStats, Weighting};
+use cia_federated::{FedAvg, FedAvgConfig, LivenessEvent, RoundObserver, RoundStats};
 use cia_models::{Participant, SharedModel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -93,20 +93,8 @@ impl RoundObserver for Tape {
     }
 }
 
-fn config(
-    rounds: u64,
-    participation: f64,
-    epochs: usize,
-    by_examples: bool,
-    seed: u64,
-) -> FedAvgConfig {
-    FedAvgConfig {
-        rounds,
-        participation,
-        local_epochs: epochs,
-        weighting: if by_examples { Weighting::ByExamples } else { Weighting::Uniform },
-        seed,
-    }
+fn config(rounds: u64, participation: f64, epochs: usize, seed: u64) -> FedAvgConfig {
+    FedAvgConfig { rounds, participation, local_epochs: epochs, seed }
 }
 
 /// Runs `rounds` rounds under `CIA_THREADS=threads`, returning the tape, the
@@ -140,11 +128,10 @@ proptest! {
         rounds in 1u64..5,
         participation in 0.2f64..1.0,
         epochs in 1usize..3,
-        by_examples in any::<bool>(),
         dp in any::<bool>(),
         seed in 0u64..(1 << 40),
     ) {
-        let cfg = config(rounds, participation, epochs, by_examples, seed);
+        let cfg = config(rounds, participation, epochs, seed);
         let serial = run_with_threads("1", n, cfg, dp);
         let parallel = run_with_threads("3", n, cfg, dp);
         std::env::remove_var("CIA_THREADS");
@@ -162,7 +149,7 @@ proptest! {
         seed in 0u64..(1 << 40),
     ) {
         prop_assume!(cut < rounds);
-        let cfg = config(rounds, participation, 1, true, seed);
+        let cfg = config(rounds, participation, 1, seed);
         let mut straight = sim(n, cfg);
         let mut straight_tape = Tape::default();
         for _ in 0..rounds {

@@ -43,7 +43,7 @@ pub use cia_data::parallel;
 
 pub use factor::{FactorClient, FactorModel};
 pub use gmf::{GmfClient, GmfHyper, GmfSpec};
-pub use metrics::{f1_at_k, hit_ratio, ndcg, rank_of_primary, RankedEval};
+pub use metrics::{f1_at_k, hit_ratio, rank_of_primary};
 pub use mlp::{Mlp, MlpClient, MlpHyper, MlpScratch, MlpSpec};
 pub use participant::{
     apply_update_transform, client_id_and_seed, Checkpointable, DeliveryPolicy, LivenessEvent,

@@ -247,11 +247,6 @@ impl Mlp {
         &self.params
     }
 
-    /// Mutable access to the parameters (aggregation).
-    pub fn params_mut(&mut self) -> &mut [f32] {
-        &mut self.params
-    }
-
     /// Forward pass returning logits.
     pub fn forward(&self, x: &[f32]) -> Vec<f32> {
         self.spec.forward(&self.params, x)

@@ -87,7 +87,7 @@ pub mod prelude {
         GlCiaCoalition, ItemSetEvaluator, MiaCommunityAttack, MiaConfig, RelevanceEvaluator,
     };
     pub use cia_data::presets::{Preset, Scale};
-    pub use cia_data::{GroundTruth, ItemId, LeaveOneOut, SyntheticConfig, UserId};
+    pub use cia_data::{GroundTruth, LeaveOneOut, SyntheticConfig, UserId};
     pub use cia_defenses::{DpConfig, DpMechanism, RdpAccountant};
     pub use cia_federated::{FedAvg, FedAvgConfig, RoundObserver};
     pub use cia_gossip::{GossipConfig, GossipProtocol, GossipSim};
