@@ -12,8 +12,8 @@
 //! ```
 //!
 //! `--suite` accepts a built-in suite name — `builtin`,
-//! `participation-sweep`, `defense-dynamics-grid`, `pers-gossip-churn` — or
-//! a path to a suite JSON document (which may contain `sweep` generator
+//! `participation-sweep`, `defense-dynamics-grid`, `pers-gossip-churn`,
+//! `adaptive-sybils` — or a path to a suite JSON document (which may contain `sweep` generator
 //! blocks; see `crates/scenarios/README.md`).
 //!
 //! `run` executes a suite deterministically from its seed and streams one
@@ -44,7 +44,7 @@
 // SAFETY-documented and policed by cia-lint rule D04.
 use cia_data::presets::Scale;
 use cia_scenarios::runner::{run_scenario, validate_jsonl, RunOptions, ScenarioOutcome};
-use cia_scenarios::spec::{named_suite, BUILTIN_SUITE_NAMES};
+use cia_scenarios::spec::{named_suite, BUILTIN_SUITES};
 use cia_scenarios::{chrome_trace, render_report, summarize, validate_chrome_trace, SuiteSpec};
 use std::io::Write;
 use std::path::PathBuf;
@@ -61,7 +61,7 @@ fn usage() {
     eprintln!("  validate FILE");
     eprintln!("  report   [--check-trace FILE] FILE...");
     eprintln!("  rss-probe -- CMD [ARGS...]");
-    eprintln!("built-in suites: {}", BUILTIN_SUITE_NAMES.join(", "));
+    eprintln!("built-in suites: {}", BUILTIN_SUITES.map(|(name, _)| name).join(", "));
 }
 
 struct Args {

@@ -62,6 +62,6 @@ pub use spec::{
     adaptive_sybils_suite, builtin_suite, defense_dynamics_grid_suite, named_suite,
     participation_sweep_suite, pers_gossip_churn_suite, DefenseKind, DynamicsSpec, ModelKind,
     PlacementStrategy, ProtocolKind, ScaleParams, ScenarioSpec, SuiteEntry, SuiteSpec, SweepField,
-    BUILTIN_SUITE_NAMES,
+    BUILTIN_SUITES,
 };
 pub use trace::{chrome_trace, validate_chrome_trace};

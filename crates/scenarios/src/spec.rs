@@ -6,10 +6,12 @@
 //! JSON document (see `crates/scenarios/README.md` for the format). Specs
 //! compose into named [`SuiteSpec`]s whose entries are *generators* — a
 //! plain scenario, or a [`SuiteEntry::Sweep`] expanding a template over a
-//! swept field. Built-ins: [`builtin_suite`] (the three canonical
-//! workloads), [`participation_sweep_suite`] (Fig. 1 as a suite),
-//! [`defense_dynamics_grid_suite`] (every defense × every dynamics) and
-//! [`pers_gossip_churn_suite`] (view personalization under churn).
+//! swept field. Built-ins, all listed in [`BUILTIN_SUITES`]:
+//! [`builtin_suite`] (the three canonical workloads),
+//! [`participation_sweep_suite`] (Fig. 1 as a suite),
+//! [`defense_dynamics_grid_suite`] (every defense × every dynamics),
+//! [`pers_gossip_churn_suite`] (view personalization under churn) and
+//! [`adaptive_sybils_suite`] (static against adaptive sybil placement).
 
 use crate::json::{fmt_f64, Json, ObjBuilder};
 use cia_data::presets::{Preset, Scale};
@@ -1027,15 +1029,7 @@ pub fn builtin_suite(scale: Scale, seed: u64) -> SuiteSpec {
     let mut churn = ScenarioSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::Fl, scale);
     churn.name = "churn-20pct".to_string();
     churn.seed = seed;
-    churn.dynamics = DynamicsSpec {
-        // Stationary offline fraction 0.05 / (0.05 + 0.2) = 20%.
-        leave_prob: 0.05,
-        join_prob: 0.2,
-        initial_online: 0.9,
-        straggler_fraction: 0.1,
-        straggler_mean_delay: 2.0,
-        ..DynamicsSpec::default()
-    };
+    churn.dynamics = churn_dynamics();
 
     let mut sybils =
         ScenarioSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::RandGossip, scale);
@@ -1050,6 +1044,7 @@ pub fn builtin_suite(scale: Scale, seed: u64) -> SuiteSpec {
 /// steady state plus a straggler tail (the `churn-20pct` setting).
 fn churn_dynamics() -> DynamicsSpec {
     DynamicsSpec {
+        // Stationary offline fraction 0.05 / (0.05 + 0.2) = 20%.
         leave_prob: 0.05,
         join_prob: 0.2,
         initial_online: 0.9,
@@ -1167,26 +1162,22 @@ pub fn adaptive_sybils_suite(scale: Scale, seed: u64) -> SuiteSpec {
     SuiteSpec::flat(format!("adaptive-sybils-{scale}"), scenarios)
 }
 
-/// Every built-in suite name accepted by [`named_suite`] (and the CLI's
-/// `--suite` flag).
-pub const BUILTIN_SUITE_NAMES: [&str; 5] = [
-    "builtin",
-    "participation-sweep",
-    "defense-dynamics-grid",
-    "pers-gossip-churn",
-    "adaptive-sybils",
+/// Builds a built-in suite at a scale and seed.
+type SuiteBuilder = fn(Scale, u64) -> SuiteSpec;
+
+/// Every built-in suite, by the name [`named_suite`] (and the CLI's
+/// `--suite` flag) accepts.
+pub const BUILTIN_SUITES: [(&str, SuiteBuilder); 5] = [
+    ("builtin", builtin_suite),
+    ("participation-sweep", participation_sweep_suite),
+    ("defense-dynamics-grid", defense_dynamics_grid_suite),
+    ("pers-gossip-churn", pers_gossip_churn_suite),
+    ("adaptive-sybils", adaptive_sybils_suite),
 ];
 
 /// Looks up a built-in suite by name.
 pub fn named_suite(name: &str, scale: Scale, seed: u64) -> Option<SuiteSpec> {
-    match name {
-        "builtin" => Some(builtin_suite(scale, seed)),
-        "participation-sweep" => Some(participation_sweep_suite(scale, seed)),
-        "defense-dynamics-grid" => Some(defense_dynamics_grid_suite(scale, seed)),
-        "pers-gossip-churn" => Some(pers_gossip_churn_suite(scale, seed)),
-        "adaptive-sybils" => Some(adaptive_sybils_suite(scale, seed)),
-        _ => None,
-    }
+    BUILTIN_SUITES.iter().find(|(n, _)| *n == name).map(|(_, build)| build(scale, seed))
 }
 
 #[cfg(test)]
@@ -1251,7 +1242,7 @@ mod tests {
 
     #[test]
     fn every_named_suite_expands_and_validates() {
-        for name in BUILTIN_SUITE_NAMES {
+        for (name, _) in BUILTIN_SUITES {
             let suite = named_suite(name, Scale::Smoke, 42).unwrap();
             let scenarios = suite.expanded().unwrap();
             assert!(!scenarios.is_empty(), "{name} is empty");
