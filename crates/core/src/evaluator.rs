@@ -34,12 +34,12 @@ pub trait RelevanceEvaluator: Send + Sync {
     /// Relevance of one model for one target.
     fn relevance_one(&self, owner_emb: Option<&[f32]>, agg: &[f32], target: usize) -> f32;
 
-    /// Whether a model with aggregate `agg` and, if it carries one, owner
-    /// embedding `owner_emb` has the layout this evaluator scores. Resume
-    /// refuses checkpointed attack state that does not fit. The default
-    /// accepts every model, for evaluators that do not know their layout.
-    fn fits(&self, _owner_emb: Option<&[f32]>, _agg: &[f32]) -> bool {
-        true
+    /// The layout of the models this evaluator scores: the owner-embedding
+    /// length if they carry one, and the aggregate length. Resume refuses
+    /// checkpointed attack state of another layout. `None` (the default)
+    /// means the evaluator does not know, and resume checks nothing.
+    fn model_layout(&self) -> Option<(Option<usize>, usize)> {
+        None
     }
 
     /// Relevance of one model for all targets, written into `out`.
@@ -155,10 +155,10 @@ impl<S: RelevanceScorer> RelevanceEvaluator for ItemSetEvaluator<S> {
         self.scorer.mean_relevance(emb, agg, &self.targets[target])
     }
 
-    fn fits(&self, owner_emb: Option<&[f32]>, agg: &[f32]) -> bool {
+    fn model_layout(&self) -> Option<(Option<usize>, usize)> {
         // Share-less models carry no owner embedding.
-        let emb_fits = |e: &[f32]| !self.share_less && e.len() == self.scorer.user_emb_len();
-        agg.len() == self.scorer.agg_len() && owner_emb.is_none_or(emb_fits)
+        let emb_len = self.scorer.user_emb_len();
+        Some(((!self.share_less && emb_len > 0).then_some(emb_len), self.scorer.agg_len()))
     }
 
     fn relevance_all(&self, owner_emb: Option<&[f32]>, agg: &[f32], out: &mut [f32]) {

@@ -256,12 +256,16 @@ impl<E: RelevanceEvaluator, V> Checkpointable for MomentumCia<E, V> {
         if state.momentum.len() != self.momentum.len() {
             return Err("momentum table".to_string());
         }
-        let misfit = |m: &MomentumState| !self.evaluator.fits(m.emb(), m.agg());
-        if let Some(u) = state.momentum.iter().position(|m| m.as_ref().is_some_and(misfit)) {
-            return Err(format!("momentum of sender {u}"));
-        }
-        if state.last_global.as_ref().is_some_and(|g| !self.evaluator.fits(None, g)) {
-            return Err("attack reference model".to_string());
+        if let Some((emb_len, agg_len)) = self.evaluator.model_layout() {
+            let misfit = |m: &MomentumState| {
+                m.emb().map(<[f32]>::len) != emb_len || m.agg().len() != agg_len
+            };
+            if let Some(u) = state.momentum.iter().position(|m| m.as_ref().is_some_and(misfit)) {
+                return Err(format!("momentum of sender {u}"));
+            }
+            if state.last_global.as_ref().is_some_and(|g| g.len() != agg_len) {
+                return Err("attack reference model".to_string());
+            }
         }
         self.momentum = state.momentum;
         self.tracker.restore_history(state.history);

@@ -397,13 +397,17 @@ fn hostile_checkpoints_fail_with_a_named_mismatch() {
         edit(&mut ck.dynamics);
         ck
     };
-    // The first observed sender's momentum, one aggregate slot short.
-    let short_momentum = |state: &mut CiaAttackState| {
-        let u = state.momentum.iter().position(Option::is_some).unwrap();
-        let m = state.momentum[u].take().unwrap();
-        let (emb, agg) = (m.emb().map(<[f32]>::to_vec), m.agg()[1..].to_vec());
-        state.momentum[u] = Some(MomentumState::from_parts(emb, agg, m.updates()));
+    // The first observed sender's momentum, rebuilt by `edit`.
+    let reshaped = |ck: &Checkpoint, edit: fn(&MomentumState) -> MomentumState| {
+        attack(ck, &|state| {
+            let u = state.momentum.iter().position(Option::is_some).unwrap();
+            state.momentum[u] = state.momentum[u].as_ref().map(edit);
+        })
     };
+    let short_agg = |m: &MomentumState| {
+        MomentumState::from_parts(m.emb().map(<[f32]>::to_vec), m.agg()[..5].to_vec(), m.updates())
+    };
+    let no_emb = |m: &MomentumState| MomentumState::from_parts(None, m.agg().to_vec(), m.updates());
     let first_seen = |ck: &Checkpoint| {
         let AttackState::Cia(s) = &ck.attack else { panic!("expected CIA state") };
         format!("momentum of sender {}", s.momentum.iter().position(Option::is_some).unwrap())
@@ -448,8 +452,10 @@ fn hostile_checkpoints_fail_with_a_named_mismatch() {
             Checkpoint { adversary_embs: long_emb, ..fl_ck.clone() },
             "adversary embedding of target 0",
         ),
-        (fl, attack(&fl_ck, &short_momentum), &fl_seen),
-        (gl, attack(&gl_ck, &short_momentum), &gl_seen),
+        (fl, reshaped(&fl_ck, short_agg), &fl_seen),
+        (gl, reshaped(&gl_ck, short_agg), &gl_seen),
+        (fl, reshaped(&fl_ck, no_emb), &fl_seen),
+        (fl, attack(&fl_ck, &|s| s.last_global = Some(vec![0.5; 3])), "attack reference model"),
         (gl, gossip(&out_of_range), "view of node 3"),
         (gl, gossip(&|st| st.views[4].truncate(1)), "view of node 4"),
         (gl, gossip(&|st| st.round += 1), "gossip round"),
