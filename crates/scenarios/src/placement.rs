@@ -133,25 +133,34 @@ impl PlacementEngine {
 
     /// Restores a state captured by [`PlacementEngine::export_state`].
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the membership size changed (the spec fixes the coalition
-    /// size, so a mismatch means the state belongs to a different run).
-    pub fn restore_state(&mut self, state: PlacementState) {
-        if !state.members.is_empty() || self.coalition > 0 {
-            assert_eq!(state.members.len(), self.coalition, "coalition size mismatch");
+    /// Leaves the engine unchanged and names the misfit: `placement members`
+    /// when they are not the spec's coalition size in ascending order (a
+    /// mismatch means the state belongs to a different run), `placement
+    /// delivery log` when the log does not fit the engine (inert engines
+    /// carry none).
+    pub fn restore_state(&mut self, state: PlacementState) -> Result<(), String> {
+        let ascending = state.members.windows(2).all(|w| w[0] < w[1]);
+        if state.members.len() != self.coalition || !ascending {
+            return Err("placement members".to_string());
         }
-        if self.seen.is_empty() {
-            assert!(state.seen.is_empty(), "inert engines carry no delivery log");
+        let log_fits = if self.seen.is_empty() {
+            state.seen.is_empty()
+        } else {
+            state.relocated || state.seen.len() == self.seen.len()
+        };
+        if !log_fits {
+            return Err("placement delivery log".to_string());
         }
         self.relocated = state.relocated;
         self.members = state.members;
         if state.relocated {
             self.seen = Vec::new();
         } else if !self.seen.is_empty() {
-            assert_eq!(state.seen.len(), self.seen.len(), "delivery log size mismatch");
             self.seen = state.seen;
         }
+        Ok(())
     }
 }
 
@@ -322,7 +331,7 @@ mod tests {
         let mut a = PlacementEngine::new(PlacementStrategy::Degree, 3, vec![0, 2], 4);
         a.observe_delivery(1, 0);
         let mut b = PlacementEngine::new(PlacementStrategy::Degree, 3, vec![0, 2], 4);
-        b.restore_state(a.export_state());
+        b.restore_state(a.export_state()).unwrap();
         assert_eq!(b.export_state(), a.export_state());
         // Both fire the same relocation.
         assert_eq!(
@@ -332,7 +341,7 @@ mod tests {
         // After the boundary: restoring a relocated state re-applies the
         // membership and drops the log.
         let mut c = PlacementEngine::new(PlacementStrategy::Degree, 3, vec![0, 2], 4);
-        c.restore_state(a.export_state());
+        c.restore_state(a.export_state()).unwrap();
         assert!(c.relocated());
         assert_eq!(c.members(), a.members());
         assert!(c.maybe_relocate(9, &t).is_none());

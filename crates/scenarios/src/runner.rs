@@ -617,7 +617,7 @@ impl<P: Participant> ProtocolRun for GlRun<P> {
             return Err("gossip round".to_string());
         }
         self.sim.restore_state(state)?;
-        self.placement.restore_state(placement);
+        self.placement.restore_state(placement)?;
         if self.placement.relocated() {
             // Re-apply the relocation to the tables rebuilt from the spec —
             // before the dynamics state restore, whose online bitmap already

@@ -416,6 +416,11 @@ fn hostile_checkpoints_fail_with_a_named_mismatch() {
     let mut long_emb = fl_ck.adversary_embs.clone();
     long_emb[0] = Some(vec![0.5; 3]);
     let n = gl_ck.clients.len();
+    let placement = |edit: &dyn Fn(&mut cia_scenarios::PlacementState)| {
+        let mut ck = gl_ck.clone();
+        edit(&mut ck.placement);
+        ck
+    };
     let out_of_range = move |st: &mut cia_gossip::GossipSimState| {
         st.views[3][0] = u32::try_from(n).unwrap();
     };
@@ -459,6 +464,9 @@ fn hostile_checkpoints_fail_with_a_named_mismatch() {
         (gl, gossip(&out_of_range), "view of node 3"),
         (gl, gossip(&|st| st.views[4].truncate(1)), "view of node 4"),
         (gl, gossip(&|st| st.round += 1), "gossip round"),
+        (gl, placement(&|p| p.members.truncate(1)), "placement members"),
+        (gl, placement(&|p| p.members.reverse()), "placement members"),
+        (gl, placement(&|p| p.seen = vec![Vec::new(); n]), "placement delivery log"),
     ];
     for (spec, ck, part) in hostile {
         ck.save(&Checkpoint::path_for(&dir.0, &spec.name)).unwrap();
