@@ -239,7 +239,7 @@ mod tests {
     use super::*;
     use cia_data::{GroundTruth, LeaveOneOut, SyntheticConfig};
     use cia_federated::{FedAvg, FedAvgConfig};
-    use cia_models::{GmfClient, GmfHyper};
+    use cia_models::{GmfClient, GmfHyper, LivenessEvent};
 
     /// An 18-user synthetic population as FedAvg clients, and an AIA
     /// against user 0's train set evaluating every `eval_every` rounds.
@@ -304,13 +304,36 @@ mod tests {
         assert!((0.0..=1.0).contains(&out.max_aac));
     }
 
+    /// Samples about 30% of each round's acting set, as a coin flip per
+    /// `(round, client)`, and forwards everything else to the attack.
+    struct Sampled<'a>(&'a mut AiaCommunityAttack);
+
+    impl RoundObserver for Sampled<'_> {
+        fn on_liveness(&mut self, event: LivenessEvent<'_>) {
+            if let LivenessEvent::ActingSet { round, mask } = event {
+                for (u, m) in (0u64..).zip(mask.iter_mut()) {
+                    *m &= StdRng::seed_from_u64((round << 32) ^ u).gen_bool(0.3);
+                }
+            }
+        }
+        fn on_global(&mut self, round: u64, global_agg: &[f32]) {
+            self.0.on_global(round, global_agg);
+        }
+        fn on_client_model(&mut self, model: &SharedModel) {
+            self.0.on_client_model(model);
+        }
+        fn on_round_end(&mut self, stats: &RoundStats) {
+            self.0.on_round_end(stats);
+        }
+    }
+
     #[test]
     fn upper_bound_counts_only_sampled_community_members() {
         // With partial participation the bound counts only the community
         // members whose updates the server has received.
         let (clients, mut attack) = fixture(1);
-        let cfg = FedAvgConfig { rounds: 1, participation: 0.3, seed: 6, ..Default::default() };
-        FedAvg::new(clients, cfg).run(&mut attack);
+        let cfg = FedAvgConfig { rounds: 1, seed: 6, ..Default::default() };
+        FedAvg::new(clients, cfg).run(&mut Sampled(&mut attack));
         let k = attack.cfg.cia.k;
         let sampled = attack.truth.iter().filter(|u| attack.updates[u.index()].is_some()).count();
         let expected = sampled as f64 / k as f64;

@@ -378,10 +378,7 @@ mod tests {
             owners,
         );
 
-        let mut sim = FedAvg::new(
-            clients,
-            FedAvgConfig { rounds: 20, local_epochs: 2, seed: 2, ..Default::default() },
-        );
+        let mut sim = FedAvg::new(clients, FedAvgConfig { rounds: 20, local_epochs: 2, seed: 2 });
         sim.run(&mut attack);
 
         let out = attack.outcome();

@@ -22,6 +22,8 @@ use cia_federated::{FedAvg, FedAvgConfig, RoundObserver, RoundStats};
 use cia_gossip::{GossipConfig, GossipObserver, GossipRoundStats, GossipSim};
 use cia_models::{GmfClient, GmfHyper, GmfSpec, LivenessEvent, SharedModel, SharingPolicy};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 type Eval = ItemSetEvaluator<GmfSpec>;
 
@@ -214,18 +216,27 @@ impl Case {
     }
 }
 
+/// Whether user `u` acts in round `t` at this participation: a coin flip
+/// that is a pure function of `(seed, t, u)`.
+fn sampled(seed: u64, participation: f64, t: u64, u: u64) -> bool {
+    StdRng::seed_from_u64(seed ^ (t << 32) ^ u).gen_bool(participation)
+}
+
 /// Drives the FL engine and the oracle with one FedAvg run; users whose id
-/// and round share a residue mod 3 are dropped from the acting set.
+/// and round share a residue mod 3 are dropped from the acting set, and the
+/// rest act when [`sampled`].
 struct FlTee<'a> {
     engine: &'a mut FlCia<Eval>,
     oracle: &'a mut Oracle,
+    participation: f64,
+    seed: u64,
 }
 
 impl RoundObserver for FlTee<'_> {
     fn on_liveness(&mut self, event: LivenessEvent<'_>) {
         if let LivenessEvent::ActingSet { round, mask } = event {
             for (u, m) in (0u64..).zip(mask.iter_mut()) {
-                if u % 3 == round % 3 {
+                if u % 3 == round % 3 || !sampled(self.seed, self.participation, round, u) {
                     *m = false;
                 }
             }
@@ -252,16 +263,30 @@ impl RoundObserver for FlTee<'_> {
 }
 
 /// Drives the coalition engine and the oracle with one gossip run, moving
-/// the coalition onto `relocated` after round `relocate_after`.
+/// the coalition onto `relocated` after round `relocate_after`. Users wake
+/// when [`sampled`] at `wake_fraction`, except that user `(seed + round)
+/// mod n` always sleeps; `slept` counts the cleared entries.
 struct GlTee<'a> {
     engine: &'a mut GlCiaCoalition<Eval>,
     oracle: &'a mut Oracle,
     relocate_after: u64,
     relocated: Vec<u32>,
+    wake_fraction: f64,
+    seed: u64,
+    slept: usize,
 }
 
 impl GossipObserver for GlTee<'_> {
-    fn on_liveness(&mut self, event: LivenessEvent<'_>) {
+    fn on_liveness(&mut self, mut event: LivenessEvent<'_>) {
+        if let LivenessEvent::ActingSet { round, mask } = &mut event {
+            let sleeper = self.seed.wrapping_add(*round) % mask.len() as u64;
+            for (u, m) in (0u64..).zip(mask.iter_mut()) {
+                if u == sleeper || !sampled(self.seed, self.wake_fraction, *round, u) {
+                    *m = false;
+                    self.slept += 1;
+                }
+            }
+        }
         self.oracle.liveness(&event);
         self.engine.on_liveness(event);
     }
@@ -302,9 +327,10 @@ proptest! {
             case.owners.clone(),
         );
         let mut oracle = Oracle::new(&case, None);
-        let cfg = FedAvgConfig { rounds: 5, participation, seed, ..Default::default() };
-        FedAvg::new(case.clients(), cfg)
-            .run(&mut FlTee { engine: &mut engine, oracle: &mut oracle });
+        let cfg = FedAvgConfig { rounds: 5, seed, ..Default::default() };
+        let mut tee = FlTee { engine: &mut engine, oracle: &mut oracle, participation, seed };
+        FedAvg::new(case.clients(), cfg).run(&mut tee);
+        prop_assert!(oracle.live.contains(&false), "every user acted in the last round");
         prop_assert!(!oracle.tracker.history().is_empty());
         prop_assert_eq!(engine.history(), oracle.tracker.history());
         let (got, want) = case.predictions(&mut engine, &oracle);
@@ -332,13 +358,18 @@ proptest! {
             case.owners.clone(),
         );
         let mut oracle = Oracle::new(&case, Some(&members));
-        let cfg = GossipConfig { rounds: 6, wake_fraction, seed, ..Default::default() };
-        GossipSim::new(case.clients(), cfg).run(&mut GlTee {
+        let cfg = GossipConfig { rounds: 6, seed, ..Default::default() };
+        let mut tee = GlTee {
             engine: &mut engine,
             oracle: &mut oracle,
             relocate_after: 2,
             relocated: vec![1, n - 1],
-        });
+            wake_fraction,
+            seed,
+            slept: 0,
+        };
+        GossipSim::new(case.clients(), cfg).run(&mut tee);
+        prop_assert!(tee.slept > 0, "no node slept");
         prop_assert!(!oracle.tracker.history().is_empty());
         prop_assert_eq!(engine.history(), oracle.tracker.history());
         let (got, want) = case.predictions(&mut engine, &oracle);

@@ -53,12 +53,7 @@ fn fl_max_aac(scale: Scale, seed: u64, affinity: f64, beta: f32) -> (f64, f64) {
     );
     let mut sim = FedAvg::new(
         clients,
-        FedAvgConfig {
-            rounds: params.fl_rounds,
-            local_epochs: params.local_epochs,
-            seed,
-            ..Default::default()
-        },
+        FedAvgConfig { rounds: params.fl_rounds, local_epochs: params.local_epochs, seed },
     );
     sim.run(&mut attack);
     let out = attack.outcome();

@@ -25,12 +25,8 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
     let truth = setup.truth.community_of(target_id).to_vec();
 
     let build_clients = || spec.build_clients(setup.split.train_sets(), SharingPolicy::Full, seed);
-    let fed_cfg = FedAvgConfig {
-        rounds: params.fl_rounds,
-        local_epochs: params.local_epochs,
-        seed,
-        ..Default::default()
-    };
+    let fed_cfg =
+        FedAvgConfig { rounds: params.fl_rounds, local_epochs: params.local_epochs, seed };
 
     // AIA on the single target.
     let mut aia = AiaCommunityAttack::new(

@@ -59,12 +59,7 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
     );
     let mut sim = FedAvg::new(
         clients,
-        FedAvgConfig {
-            rounds: params.fl_rounds,
-            local_epochs: params.local_epochs,
-            seed,
-            ..Default::default()
-        },
+        FedAvgConfig { rounds: params.fl_rounds, local_epochs: params.local_epochs, seed },
     );
     sim.run(&mut attack);
 

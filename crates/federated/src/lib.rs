@@ -1,11 +1,12 @@
 //! Federated learning (FedAvg) simulation with adversary observer hooks.
 //!
 //! Reproduces the paper's federated recommender setting (§III-B): at each
-//! round the server broadcasts the global model, (a subset of) clients train
+//! round the server broadcasts the global model, the acting clients train
 //! locally and send back their models, and the server aggregates them into
-//! the next global model. The [`RoundObserver`] hook exposes exactly what the
-//! server receives — the vantage point of the paper's FL adversary, who *is*
-//! the server (§IV-A).
+//! the next global model. Every client acts unless an observer clears it
+//! from the round's [`LivenessEvent::ActingSet`] mask. The [`RoundObserver`]
+//! hook exposes exactly what the server receives — the vantage point of the
+//! paper's FL adversary, who *is* the server (§IV-A).
 //!
 //! # Example
 //!
@@ -51,26 +52,22 @@ use cia_obs::{Counter, Metric, Recorder};
 // selector the `step_evented` forward takes.
 pub use cia_models::{DeliveryPolicy, LivenessEvent};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 /// FedAvg configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FedAvgConfig {
     /// Number of communication rounds `T`.
     pub rounds: u64,
-    /// Fraction of clients sampled each round (1.0 = full participation, the
-    /// paper's FL adversary "may contact all or part of the users").
-    pub participation: f64,
     /// Local training epochs per round.
     pub local_epochs: usize,
-    /// Simulation seed (client sampling, training order, DP noise).
+    /// Simulation seed (training order, DP noise).
     pub seed: u64,
 }
 
 impl Default for FedAvgConfig {
     fn default() -> Self {
-        FedAvgConfig { rounds: 20, participation: 1.0, local_epochs: 1, seed: 0 }
+        FedAvgConfig { rounds: 20, local_epochs: 1, seed: 0 }
     }
 }
 
@@ -101,14 +98,12 @@ pub trait RoundObserver {
     }
 
     /// Called with protocol-agnostic liveness events (the same enum gossip
-    /// observers consume). FedAvg issues one
-    /// [`LivenessEvent::ActingSet`] per round, after its own participation
-    /// sampling, with the round's tentative participant mask. Observers may
-    /// clear entries to model availability — churn, stragglers, device
-    /// dropout — without the training loop knowing about participant
-    /// dynamics (the `cia-scenarios` dynamics layer plugs in here). Setting
-    /// entries to `true` is ignored-at-your-own-risk: the protocol honors
-    /// the final mask as-is.
+    /// observers consume). FedAvg issues one [`LivenessEvent::ActingSet`]
+    /// per round whose mask starts all-`true`: the observer alone decides
+    /// who acts. Observers may clear entries to model availability — churn,
+    /// stragglers, partial participation, device dropout — without the
+    /// training loop knowing about participant dynamics (the `cia-scenarios`
+    /// dynamics layer plugs in here).
     fn on_liveness(&mut self, event: LivenessEvent<'_>) {
         let _ = event;
     }
@@ -191,10 +186,6 @@ impl<P: Participant> FedAvg<P> {
             clients.iter().all(|c| c.agg_len() == len),
             "clients must share a parameter layout"
         );
-        assert!(
-            cfg.participation > 0.0 && cfg.participation <= 1.0,
-            "participation must be in (0, 1]"
-        );
         let global_agg = clients[0].agg().to_vec();
         let slots = clients
             .iter()
@@ -232,11 +223,6 @@ impl<P: Participant> FedAvg<P> {
     /// client update.
     pub fn set_update_transform(&mut self, transform: Box<dyn UpdateTransform>) {
         self.transform = Some(transform);
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &FedAvgConfig {
-        &self.cfg
     }
 
     /// The clients (evaluation access).
@@ -288,8 +274,8 @@ impl<P: Participant> FedAvg<P> {
         }
     }
 
-    /// Runs one round: sample, broadcast, local training, transform,
-    /// observe, aggregate.
+    /// Runs one round: ask the observer who acts, broadcast, local training,
+    /// transform, observe, aggregate.
     pub fn step(&mut self, observer: &mut dyn RoundObserver) -> RoundStats {
         let t = self.round;
         let obs = self.obs.clone();
@@ -298,9 +284,9 @@ impl<P: Participant> FedAvg<P> {
         let n = clients.len();
         let cfg = *cfg;
 
-        // Sample participants.
+        // Everyone acts unless the observer clears them.
         let sample_span = obs.span("sample");
-        let mut sampled = sample_participants(n, &cfg, t);
+        let mut sampled = vec![true; n];
 
         observer.on_round_start(t);
         observer.on_liveness(LivenessEvent::ActingSet { round: t, mask: &mut sampled });
@@ -456,29 +442,12 @@ impl<P: Participant> FedAvg<P> {
     }
 }
 
-/// Round `t`'s participant mask: everyone at full participation, otherwise
-/// the first `round(n · participation)` ids (at least one) of a shuffle
-/// seeded by `(seed, t)`.
-fn sample_participants(n: usize, cfg: &FedAvgConfig, t: u64) -> Vec<bool> {
-    if cfg.participation >= 1.0 {
-        return vec![true; n];
-    }
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ t.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let k = ((n as f64 * cfg.participation).round() as usize).clamp(1, n);
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.shuffle(&mut rng);
-    let mut mask = vec![false; n];
-    for &i in idx.iter().take(k) {
-        mask[i] = true;
-    }
-    mask
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cia_data::{LeaveOneOut, SyntheticConfig, UserId};
     use cia_models::{GmfHyper, GmfSpec, SharingPolicy};
+    use rand::Rng;
 
     fn make_sim(users: usize, rounds: u64, policy: SharingPolicy) -> FedAvg<cia_models::GmfClient> {
         let data = SyntheticConfig::builder()
@@ -502,8 +471,18 @@ mod tests {
         FedAvg::new(clients, FedAvgConfig { rounds, seed: 9, ..Default::default() })
     }
 
+    /// Whether client `u` is sampled in round `t`: a coin flip that is a
+    /// pure function of `(seed, t, u)`, so replays see the same mask.
+    fn sampled(seed: u64, t: u64, u: usize) -> bool {
+        let salt = t.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (u as u64).wrapping_mul(0x5851_F42D);
+        StdRng::seed_from_u64(seed ^ salt).gen_bool(0.5)
+    }
+
     #[derive(Default)]
     struct Recorder {
+        /// When set, clears the clients [`sampled`] under this seed rejects
+        /// from every acting set.
+        sample_seed: Option<u64>,
         started: Vec<u64>,
         models: Vec<(u64, u32, bool)>,
         stats: Vec<RoundStats>,
@@ -512,6 +491,15 @@ mod tests {
     impl RoundObserver for Recorder {
         fn on_round_start(&mut self, round: u64) {
             self.started.push(round);
+        }
+        fn on_liveness(&mut self, event: LivenessEvent<'_>) {
+            if let (Some(seed), LivenessEvent::ActingSet { round, mask }) =
+                (self.sample_seed, event)
+            {
+                for (u, m) in mask.iter_mut().enumerate() {
+                    *m &= sampled(seed, round, u);
+                }
+            }
         }
         fn on_client_model(&mut self, model: &SharedModel) {
             self.models.push((model.round, model.owner.raw(), model.owner_emb.is_some()));
@@ -558,39 +546,17 @@ mod tests {
 
     #[test]
     fn partial_participation_samples_subset() {
-        let data = SyntheticConfig::builder()
-            .users(20)
-            .items(80)
-            .communities(4)
-            .interactions_per_user(8)
-            .seed(5)
-            .build()
-            .generate();
-        let split = LeaveOneOut::new(&data, 10, 1).unwrap();
-        let spec = GmfSpec::new(80, 8, GmfHyper::default());
-        let clients: Vec<_> = split
-            .train_sets()
-            .iter()
-            .enumerate()
-            .map(|(u, items)| {
-                spec.build_client(
-                    UserId::from_index(u),
-                    items.clone(),
-                    SharingPolicy::Full,
-                    u as u64,
-                )
-            })
-            .collect();
-        let mut sim = FedAvg::new(
-            clients,
-            FedAvgConfig { rounds: 4, participation: 0.5, seed: 2, ..Default::default() },
-        );
-        let mut rec = Recorder::default();
+        let mut sim = make_sim(20, 4, SharingPolicy::Full);
+        let mut rec = Recorder { sample_seed: Some(2), ..Recorder::default() };
         sim.run(&mut rec);
         for s in &rec.stats {
-            assert_eq!(s.participants, 10);
+            let expected = (0..20).filter(|&u| sampled(2, s.round, u)).count();
+            assert_eq!(s.participants, expected, "round {}", s.round);
+            assert!(s.participants < 20, "round {}: nobody was left out", s.round);
+            let arrived = rec.models.iter().filter(|m| m.0 == s.round).count();
+            assert_eq!(arrived, expected, "round {}", s.round);
         }
-        // Different rounds sample different subsets (overwhelmingly likely).
+        // Different rounds sample different subsets.
         let r0: Vec<u32> = rec.models.iter().filter(|m| m.0 == 0).map(|m| m.1).collect();
         let r1: Vec<u32> = rec.models.iter().filter(|m| m.0 == 1).map(|m| m.1).collect();
         assert_ne!(r0, r1);

@@ -1,7 +1,9 @@
 //! Property tests for the FedAvg round: under any participation fraction,
 //! epoch count, seed and DP setting, the round replays bit for
 //! bit whatever `CIA_THREADS` says, and a mid-run restore lands on the
-//! uninterrupted trajectory.
+//! uninterrupted trajectory. Partial participation comes from the tape
+//! observer, which clears acting-set entries as a pure function of
+//! `(seed, round, client)`; every case asserts that some client sat out.
 //!
 //! `one_and_three_threads_give_identical_rounds` is the only test in this
 //! binary that sets `CIA_THREADS`. The other test may see the variable
@@ -14,7 +16,7 @@ use cia_federated::{FedAvg, FedAvgConfig, LivenessEvent, RoundObserver, RoundSta
 use cia_models::{Participant, SharedModel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 
 /// Deterministic toy client: params drift towards a per-community fixed
 /// point with a small RNG perturbation, so any divergence in RNG stream
@@ -67,18 +69,47 @@ fn sim(n: usize, cfg: FedAvgConfig) -> FedAvg<TestClient> {
     FedAvg::new((0..n as u32).map(TestClient::new).collect(), cfg)
 }
 
-/// Observer taping every event the FL adversary can see.
+/// Whether client `u` of `n` sits out round `t`: a pure function of
+/// `(seed, t, u)`, so thread counts and resumes see the same mask. About a
+/// `1 - participation` share sits out, and client `(seed + t) mod n` always
+/// does.
+fn unsampled(seed: u64, participation: f64, t: u64, u: usize, n: usize) -> bool {
+    let salt = t.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (u as u64).wrapping_mul(0x5851_F42D);
+    u as u64 == seed.wrapping_add(t) % n as u64
+        || !StdRng::seed_from_u64(seed ^ salt).gen_bool(participation)
+}
+
+/// Observer taping every event the FL adversary can see; it also clears
+/// the acting-set entries [`unsampled`] picks.
 #[derive(Default, Debug, PartialEq)]
 struct Tape {
+    /// Rough share of clients that act each round.
+    keep: f64,
+    seed: u64,
     acting: Vec<(u64, Vec<bool>)>,
     globals: Vec<(u64, Vec<f32>)>,
     models: Vec<(u64, u32, Vec<f32>)>,
     stats: Vec<RoundStats>,
 }
 
+impl Tape {
+    fn new(keep: f64, seed: u64) -> Self {
+        Tape { keep, seed, ..Tape::default() }
+    }
+
+    /// Whether some client sat out some round.
+    fn someone_sat_out(&self) -> bool {
+        self.acting.iter().any(|(_, mask)| mask.contains(&false))
+    }
+}
+
 impl RoundObserver for Tape {
     fn on_liveness(&mut self, event: LivenessEvent<'_>) {
         if let LivenessEvent::ActingSet { round, mask } = event {
+            let n = mask.len();
+            for (u, m) in mask.iter_mut().enumerate() {
+                *m &= !unsampled(self.seed, self.keep, round, u, n);
+            }
             self.acting.push((round, mask.to_vec()));
         }
     }
@@ -93,16 +124,13 @@ impl RoundObserver for Tape {
     }
 }
 
-fn config(rounds: u64, participation: f64, epochs: usize, seed: u64) -> FedAvgConfig {
-    FedAvgConfig { rounds, participation, local_epochs: epochs, seed }
-}
-
 /// Runs `rounds` rounds under `CIA_THREADS=threads`, returning the tape, the
 /// final global and every client's parameters.
 fn run_with_threads(
     threads: &str,
     n: usize,
     cfg: FedAvgConfig,
+    participation: f64,
     dp: bool,
 ) -> (Tape, Vec<f32>, Vec<Vec<f32>>) {
     std::env::set_var("CIA_THREADS", threads);
@@ -113,7 +141,7 @@ fn run_with_threads(
             noise_multiplier: 0.3,
         })));
     }
-    let mut tape = Tape::default();
+    let mut tape = Tape::new(participation, cfg.seed);
     for _ in 0..cfg.rounds {
         s.step(&mut tape);
     }
@@ -131,10 +159,11 @@ proptest! {
         dp in any::<bool>(),
         seed in 0u64..(1 << 40),
     ) {
-        let cfg = config(rounds, participation, epochs, seed);
-        let serial = run_with_threads("1", n, cfg, dp);
-        let parallel = run_with_threads("3", n, cfg, dp);
+        let cfg = FedAvgConfig { rounds, local_epochs: epochs, seed };
+        let serial = run_with_threads("1", n, cfg, participation, dp);
+        let parallel = run_with_threads("3", n, cfg, participation, dp);
         std::env::remove_var("CIA_THREADS");
+        prop_assert!(serial.0.someone_sat_out(), "every client acted every round");
         prop_assert_eq!(&parallel.0, &serial.0, "observer tape drifted");
         prop_assert_eq!(&parallel.1, &serial.1, "global drifted");
         prop_assert_eq!(&parallel.2, &serial.2, "client parameters drifted");
@@ -149,15 +178,16 @@ proptest! {
         seed in 0u64..(1 << 40),
     ) {
         prop_assume!(cut < rounds);
-        let cfg = config(rounds, participation, 1, seed);
+        let cfg = FedAvgConfig { rounds, local_epochs: 1, seed };
         let mut straight = sim(n, cfg);
-        let mut straight_tape = Tape::default();
+        let mut straight_tape = Tape::new(participation, seed);
         for _ in 0..rounds {
             straight.step(&mut straight_tape);
         }
+        prop_assert!(straight_tape.someone_sat_out(), "every client acted every round");
 
         let mut first = sim(n, cfg);
-        let mut tape = Tape::default();
+        let mut tape = Tape::new(participation, seed);
         for _ in 0..cut {
             first.step(&mut tape);
         }

@@ -11,7 +11,7 @@ use rand::Rng;
 /// itself), so `|N_out(u)| = P` and `E[|N_in(u)|] = P`, matching the paper's
 /// graph model (§III-C).
 #[derive(Debug, Clone)]
-pub struct ViewTable {
+pub(crate) struct ViewTable {
     views: Vec<Vec<u32>>,
     out_degree: usize,
 }
@@ -31,21 +31,6 @@ impl ViewTable {
             views.push(Self::sample_view(u as u32, n, out_degree, &[], 0, rng));
         }
         ViewTable { views, out_degree }
-    }
-
-    /// The out-degree P.
-    pub fn out_degree(&self) -> usize {
-        self.out_degree
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.views.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.views.is_empty()
     }
 
     /// The current out-view of node `u`.
@@ -160,16 +145,14 @@ impl ViewTable {
     }
 }
 
-/// Samples a view-refresh interval (in rounds) from Exp(`rate`), rounded up —
+/// Rate of the Exp-distributed view-refresh interval (§V-B).
+const VIEW_REFRESH_RATE: f64 = 0.1;
+
+/// Samples a view-refresh interval (in rounds) from Exp(0.1), rounded up —
 /// the paper's periodic view change `p ~ Exp(0.1)` (§V-B).
-///
-/// # Panics
-///
-/// Panics if `rate` is not positive.
-pub fn sample_exp_interval(rate: f64, rng: &mut StdRng) -> u64 {
-    assert!(rate > 0.0, "rate must be positive");
+pub(crate) fn sample_exp_interval(rng: &mut StdRng) -> u64 {
     let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-    (-u.ln() / rate).ceil().max(1.0) as u64
+    (-u.ln() / VIEW_REFRESH_RATE).ceil().max(1.0) as u64
 }
 
 #[cfg(test)]
@@ -181,7 +164,7 @@ mod tests {
     fn views_are_regular_and_self_free() {
         let mut rng = StdRng::seed_from_u64(1);
         let t = ViewTable::new(50, 3, &mut rng);
-        assert_eq!(t.len(), 50);
+        assert_eq!(t.views().len(), 50);
         for u in 0..50u32 {
             let v = t.view_of(u);
             assert_eq!(v.len(), 3);
@@ -258,11 +241,11 @@ mod tests {
     fn exp_intervals_have_correct_mean() {
         let mut rng = StdRng::seed_from_u64(6);
         let n = 50_000;
-        let sum: u64 = (0..n).map(|_| sample_exp_interval(0.1, &mut rng)).sum();
+        let sum: u64 = (0..n).map(|_| sample_exp_interval(&mut rng)).sum();
         let mean = sum as f64 / n as f64;
         // E[ceil(Exp(0.1))] ≈ 10.5.
         assert!((mean - 10.5).abs() < 0.3, "mean interval {mean}");
-        assert!((0..100).all(|_| sample_exp_interval(0.1, &mut rng) >= 1));
+        assert!((0..100).all(|_| sample_exp_interval(&mut rng) >= 1));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use cia_models::{
 };
 use cia_obs::{Counter, Metric, Recorder};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Which gossip protocol to simulate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,38 +25,25 @@ pub enum GossipProtocol {
     },
 }
 
-/// Gossip simulation configuration (paper defaults: `P = 3`, view refresh
-/// `~ Exp(0.1)`, exploration 0.4).
+/// Out-degree `P` of the communication graph (§V-B).
+const OUT_DEGREE: usize = 3;
+
+/// Gossip simulation configuration. The paper's graph constants are fixed:
+/// out-degree `P = 3`, view refresh every `~ Exp(0.1)` rounds, and one local
+/// epoch per wake.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GossipConfig {
     /// Number of rounds.
     pub rounds: u64,
-    /// Out-degree `P` of the communication graph.
-    pub out_degree: usize,
-    /// Rate of the exponential view-refresh interval distribution.
-    pub view_refresh_rate: f64,
     /// The protocol variant.
     pub protocol: GossipProtocol,
-    /// Probability that a node wakes (sends + aggregates + trains) in a
-    /// round.
-    pub wake_fraction: f64,
-    /// Local training epochs per wake.
-    pub local_epochs: usize,
     /// Simulation seed.
     pub seed: u64,
 }
 
 impl Default for GossipConfig {
     fn default() -> Self {
-        GossipConfig {
-            rounds: 50,
-            out_degree: 3,
-            view_refresh_rate: 0.1,
-            protocol: GossipProtocol::Rand,
-            wake_fraction: 1.0,
-            local_epochs: 1,
-            seed: 0,
-        }
+        GossipConfig { rounds: 50, protocol: GossipProtocol::Rand, seed: 0 }
     }
 }
 
@@ -92,12 +79,13 @@ pub trait GossipObserver {
     /// The protocol-agnostic liveness hook (shared with
     /// `cia_federated::RoundObserver`):
     ///
-    /// * [`LivenessEvent::ActingSet`] arrives after the protocol's own wake
-    ///   sampling with the round's tentative wake mask. Observers may clear
-    ///   entries to model availability — churn, stragglers, node failures —
-    ///   without the gossip loop knowing about participant dynamics (the
-    ///   `cia-scenarios` dynamics layer plugs in here). Asleep nodes keep
-    ///   accumulating their inbox, exactly like a natural sleep round.
+    /// * [`LivenessEvent::ActingSet`] arrives once per round with an
+    ///   all-`true` wake mask: the observer alone decides who sleeps.
+    ///   Observers may clear entries to model availability — churn,
+    ///   stragglers, partial participation, node failures — without the
+    ///   gossip loop knowing about participant dynamics (the `cia-scenarios`
+    ///   dynamics layer plugs in here). Asleep nodes keep accumulating their
+    ///   inbox until they wake.
     /// * [`LivenessEvent::Probe`] is the availability query consulted before
     ///   a node acts on its scheduled view refresh: an offline device cannot
     ///   re-sample peers, so clearing `available` defers the refresh (and,
@@ -236,24 +224,19 @@ impl<P: Participant> GossipSim<P> {
     ///
     /// # Panics
     ///
-    /// Panics if fewer than `out_degree + 1` nodes are given, configuration
-    /// values are out of range, or nodes disagree on parameter sizes.
+    /// Panics if fewer than `P + 1 = 4` nodes are given, the Pers-Gossip
+    /// exploration share is outside `[0, 1]`, or nodes disagree on parameter
+    /// sizes.
     pub fn new(nodes: Vec<P>, cfg: GossipConfig) -> Self {
-        assert!(nodes.len() > cfg.out_degree, "need more nodes than the out-degree");
+        assert!(nodes.len() > OUT_DEGREE, "need more nodes than the out-degree");
         let len = nodes[0].agg_len();
         assert!(nodes.iter().all(|n| n.agg_len() == len), "nodes must share a parameter layout");
-        assert!(
-            cfg.wake_fraction > 0.0 && cfg.wake_fraction <= 1.0,
-            "wake fraction must be in (0, 1]"
-        );
         if let GossipProtocol::Pers { exploration } = cfg.protocol {
             assert!((0.0..=1.0).contains(&exploration), "exploration must be in [0, 1]");
         }
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let views = ViewTable::new(nodes.len(), cfg.out_degree, &mut rng);
-        let refresh_at = (0..nodes.len())
-            .map(|_| sample_exp_interval(cfg.view_refresh_rate, &mut rng))
-            .collect();
+        let views = ViewTable::new(nodes.len(), OUT_DEGREE, &mut rng);
+        let refresh_at = (0..nodes.len()).map(|_| sample_exp_interval(&mut rng)).collect();
         let ctl = (0..nodes.len())
             .map(|_| PeerCtl {
                 inbox: Vec::new(),
@@ -296,11 +279,6 @@ impl<P: Participant> GossipSim<P> {
     /// model.
     pub fn set_update_transform(&mut self, transform: Box<dyn UpdateTransform>) {
         self.transform = Some(transform);
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &GossipConfig {
-        &self.cfg
     }
 
     /// The nodes (evaluation access).
@@ -346,7 +324,7 @@ impl<P: Participant> GossipSim<P> {
         let keep = match self.cfg.protocol {
             GossipProtocol::Rand => 0,
             GossipProtocol::Pers { exploration } => {
-                ((1.0 - exploration) * self.cfg.out_degree as f64).ceil() as usize
+                ((1.0 - exploration) * OUT_DEGREE as f64).ceil() as usize
             }
         };
         // cia-lint: allow(D05, n is the node count; gossip node ids are u32)
@@ -359,8 +337,7 @@ impl<P: Participant> GossipSim<P> {
                         self.views.refresh_personalized(u, &mut scored, keep, &mut rng);
                     }
                 }
-                self.refresh_at[u as usize] =
-                    t + sample_exp_interval(self.cfg.view_refresh_rate, &mut rng);
+                self.refresh_at[u as usize] = t + sample_exp_interval(&mut rng);
             }
         }
 
@@ -374,12 +351,10 @@ impl<P: Participant> GossipSim<P> {
         }
         drop(refresh_span);
 
-        // 2. Wake set (drawn first to keep the RNG stream stable, then
-        // filtered through the observer's availability hook).
+        // 2. Wake set: everyone, unless the observer's availability hook
+        // clears them.
         let sample_span = obs.span("sample");
-        let mut wake: Vec<bool> = (0..n)
-            .map(|_| self.cfg.wake_fraction >= 1.0 || rng.gen::<f64>() < self.cfg.wake_fraction)
-            .collect();
+        let mut wake = vec![true; n];
         observer.on_liveness(LivenessEvent::ActingSet { round: t, mask: &mut wake });
         for (c, &w) in self.ctl.iter_mut().zip(&wake) {
             c.awake = w;
@@ -491,11 +466,7 @@ impl<P: Participant> GossipSim<P> {
             let mut crng = StdRng::seed_from_u64(
                 cfg.seed ^ (t << 24) ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             );
-            let mut loss = 0.0;
-            for _ in 0..cfg.local_epochs.max(1) {
-                loss = node.train_local(&mut crng);
-            }
-            c.loss = loss;
+            c.loss = node.train_local(&mut crng);
             obs.observe_since(Metric::TrainMicros, t0);
         });
         drop(train_span);
@@ -672,6 +643,7 @@ fn apply_gossip_transform(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
 
     /// A deterministic toy participant: params drift towards a per-community
     /// fixed point during "training", and `evaluate_model` prefers models
@@ -744,13 +716,47 @@ mod tests {
         GossipSim::new(nodes, cfg)
     }
 
+    /// Whether node `u` sleeps in round `t`: a coin flip with probability
+    /// `sleep` that is a pure function of `(seed, t, u)`, so thread counts
+    /// and replays see the same mask.
+    fn asleep(seed: u64, sleep: f64, t: u64, u: usize) -> bool {
+        let salt = t.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (u as u64).wrapping_mul(0x5851_F42D);
+        StdRng::seed_from_u64(seed ^ salt).gen_bool(sleep)
+    }
+
     #[derive(Default)]
     struct Recorder {
+        /// Share of each wake set that [`asleep`] clears, seeded by `seed`.
+        sleep: f64,
+        seed: u64,
+        /// Wake-mask entries cleared so far.
+        slept: usize,
+        /// Availability probes answered, one per view refresh that fell due.
+        refreshes: usize,
         deliveries: Vec<(u64, u32, u32)>,
         stats: Vec<GossipRoundStats>,
     }
 
+    impl Recorder {
+        fn sleeping(sleep: f64, seed: u64) -> Self {
+            Recorder { sleep, seed, ..Recorder::default() }
+        }
+    }
+
     impl GossipObserver for Recorder {
+        fn on_liveness(&mut self, event: LivenessEvent<'_>) {
+            match event {
+                LivenessEvent::ActingSet { round, mask } => {
+                    for (u, m) in mask.iter_mut().enumerate() {
+                        if asleep(self.seed, self.sleep, round, u) {
+                            *m = false;
+                            self.slept += 1;
+                        }
+                    }
+                }
+                LivenessEvent::Probe { .. } => self.refreshes += 1,
+            }
+        }
         fn on_delivery(&mut self, round: u64, receiver: UserId, model: &SharedModel) {
             self.deliveries.push((round, receiver.raw(), model.owner.raw()));
         }
@@ -791,14 +797,17 @@ mod tests {
 
     #[test]
     fn partial_wake_fraction_accumulates_inboxes() {
-        let mut s =
-            sim(30, GossipConfig { rounds: 10, wake_fraction: 0.5, seed: 1, ..Default::default() });
-        let mut rec = Recorder::default();
+        let mut s = sim(30, GossipConfig { rounds: 10, seed: 1, ..Default::default() });
+        let mut rec = Recorder::sleeping(0.5, 1);
         s.run(&mut rec);
         for st in &rec.stats {
             assert!(st.awake < 30, "round {}: awake {}", st.round, st.awake);
             assert_eq!(st.deliveries, st.awake);
         }
+        let awake: usize = rec.stats.iter().map(|st| st.awake).sum();
+        assert_eq!(awake + rec.slept, 10 * 30);
+        // Nodes asleep in the last round hold the models pushed to them.
+        assert!(s.export_state().inboxes.iter().any(|inbox| !inbox.is_empty()));
     }
 
     #[test]
@@ -834,7 +843,6 @@ mod tests {
             rounds: 120,
             protocol: GossipProtocol::Pers { exploration: 0.4 },
             seed: 2,
-            ..Default::default()
         };
         let mut s = sim(40, cfg);
         s.run(&mut NullGossipObserver);
@@ -932,30 +940,33 @@ mod tests {
     }
 
     /// Declares node 5 permanently unavailable (refresh deferral only; the
-    /// wake set is left alone so the rest of the round is unchanged).
-    struct FiveOffline;
+    /// wake set is left alone so the rest of the round is unchanged), and
+    /// counts how often its refresh was due.
+    #[derive(Default)]
+    struct FiveOffline {
+        deferred: usize,
+    }
 
     impl GossipObserver for FiveOffline {
         fn on_liveness(&mut self, event: LivenessEvent<'_>) {
-            if let LivenessEvent::Probe { node, available, .. } = event {
-                if node == 5 {
-                    *available = false;
-                }
+            if let LivenessEvent::Probe { node: 5, available, .. } = event {
+                *available = false;
+                self.deferred += 1;
             }
         }
     }
 
     #[test]
     fn offline_nodes_defer_view_refreshes() {
-        // A refresh rate of 1.0 schedules refreshes nearly every round, so
-        // over 12 rounds every available node re-samples its view at least
-        // once with overwhelming probability — while node 5's view must
-        // stay exactly its initial one.
-        let cfg =
-            GossipConfig { rounds: 12, view_refresh_rate: 1.0, seed: 9, ..Default::default() };
-        let mut s = sim(16, cfg);
+        // Refresh intervals average about 10.5 rounds, so over 60 rounds
+        // every available node re-samples its view with overwhelming
+        // probability — while node 5's view must stay exactly its initial
+        // one.
+        let mut s = sim(16, GossipConfig { rounds: 60, seed: 9, ..Default::default() });
         let initial: Vec<Vec<u32>> = (0..16).map(|u| s.view_of(u).to_vec()).collect();
-        s.run(&mut FiveOffline);
+        let mut offline = FiveOffline::default();
+        s.run(&mut offline);
+        assert!(offline.deferred > 0, "node 5's refresh never fell due");
         assert_eq!(s.view_of(5), initial[5].as_slice(), "offline node refreshed its view");
         let changed = (0..16u32)
             .filter(|&u| u != 5 && s.view_of(u) != initial[u as usize].as_slice())
@@ -978,9 +989,9 @@ mod tests {
             let delivered = rec.deliveries.iter().filter(|&&(_, recv, _)| recv == u as u32).count();
             assert_eq!(count as usize, delivered, "node {u}");
         }
-        // Each round accumulates exactly out_degree view slots per node.
+        // Each round accumulates exactly P view slots per node.
         let in_degree: u64 = traffic.view_in_degree.iter().sum();
-        assert_eq!(in_degree, rounds * 20 * s.config().out_degree as u64);
+        assert_eq!(in_degree, rounds * 20 * OUT_DEGREE as u64);
         // And the counters survive a checkpoint roundtrip.
         let state = s.export_state();
         assert_eq!(&state.traffic, traffic);
@@ -1051,10 +1062,10 @@ mod tests {
 
     #[test]
     fn restore_state_names_the_misfit_node() {
-        let cfg = GossipConfig { rounds: 4, wake_fraction: 0.5, seed: 1, ..Default::default() };
-        let mut s = sim(12, cfg);
-        s.run(&mut NullGossipObserver);
+        let mut s = sim(12, GossipConfig { rounds: 4, seed: 1, ..Default::default() });
+        s.run(&mut Recorder::sleeping(0.5, 1));
         let good = s.export_state();
+        assert!(good.inboxes.iter().any(|inbox| !inbox.is_empty()), "no node held mail");
         assert_eq!(s.restore_state(good.clone()), Ok(()));
         fn model(owner: u32, len: usize) -> SharedModel {
             SharedModel {
@@ -1097,11 +1108,9 @@ mod tests {
         // clock reads) must leave the protocol bit-identical to an
         // untraced run.
         let cfg = GossipConfig {
-            rounds: 8,
-            wake_fraction: 0.6,
+            rounds: 20,
             protocol: GossipProtocol::Pers { exploration: 0.4 },
             seed: 17,
-            ..Default::default()
         };
         let run = |traced: bool| {
             let mut s = sim(16, cfg);
@@ -1110,8 +1119,9 @@ mod tests {
                 rec.set_detail(true);
                 s.set_recorder(rec);
             }
-            let mut tape = Recorder::default();
+            let mut tape = Recorder::sleeping(0.4, 17);
             s.run(&mut tape);
+            assert!(tape.slept > 0 && tape.refreshes > 0, "no node slept or refreshed");
             let params: Vec<Vec<f32>> = s.nodes().iter().map(|n| n.params.clone()).collect();
             (tape.deliveries, params)
         };
@@ -1120,13 +1130,16 @@ mod tests {
 
     #[test]
     fn restore_replays_identically() {
-        let cfg = GossipConfig { rounds: 8, wake_fraction: 0.7, seed: 21, ..Default::default() };
+        let cfg = GossipConfig { rounds: 16, seed: 21, ..Default::default() };
         let mut straight = sim(14, cfg);
-        straight.run(&mut NullGossipObserver);
+        let mut tape = Recorder::sleeping(0.3, 21);
+        straight.run(&mut tape);
+        assert!(tape.slept > 0 && tape.refreshes > 0, "no node slept or refreshed");
 
         let mut first = sim(14, cfg);
-        for _ in 0..3 {
-            first.step(&mut NullGossipObserver);
+        let mut sleeper = Recorder::sleeping(0.3, 21);
+        for _ in 0..6 {
+            first.step(&mut sleeper);
         }
         let proto = first.export_state();
         let params: Vec<Vec<f32>> = first.nodes().iter().map(Participant::state_vec).collect();
@@ -1136,8 +1149,8 @@ mod tests {
         for (node, p) in resumed.nodes_mut().iter_mut().zip(&params) {
             node.restore_state(p).unwrap();
         }
-        for _ in 3..8 {
-            resumed.step(&mut NullGossipObserver);
+        for _ in 6..16 {
+            resumed.step(&mut sleeper);
         }
         for (a, b) in straight.nodes().iter().zip(resumed.nodes()) {
             assert_eq!(a.params, b.params);

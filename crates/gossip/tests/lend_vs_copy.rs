@@ -4,8 +4,10 @@
 //! hooks, the same clients run the trait's copying defaults instead. Both
 //! must give the same deliveries (owner, receiver, embedding and aggregate
 //! bits) and the same node state bits after every round, over
-//! {Rand, Pers} × wake {1.0, 0.6} × {no DP, DP clip-only, DP noisy} ×
-//! {Full, Share-less} × `CIA_THREADS` {1, 3}.
+//! {Rand, Pers} × asleep {none, 40%} × {no DP, DP clip-only, DP noisy} ×
+//! {Full, Share-less} × `CIA_THREADS` {1, 3}. Sleepers are cleared from the
+//! wake mask as a pure function of `(round, node)`, and the runs are long
+//! enough that Exp(0.1) view refreshes fire.
 //!
 //! No golden transcript runs PRME gossip, so this is PRME's only guard on
 //! the lend path. The test is the only one in this binary, so setting
@@ -13,13 +15,14 @@
 
 use cia_data::UserId;
 use cia_defenses::{DpConfig, DpMechanism};
-use cia_gossip::{GossipConfig, GossipObserver, GossipProtocol, GossipSim};
+use cia_gossip::{GossipConfig, GossipObserver, GossipProtocol, GossipSim, LivenessEvent};
 use cia_models::{GmfHyper, GmfSpec, Participant, PrmeHyper, PrmeSpec, SharedModel, SharingPolicy};
 use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const NODES: u32 = 12;
 const ITEMS: u32 = 30;
-const ROUNDS: u64 = 8;
+const ROUNDS: u64 = 20;
 
 /// Runs the wrapped participant on the trait's copying defaults for
 /// `lend_snapshot` / `merge_agg`; every other hook forwards.
@@ -75,31 +78,61 @@ fn bits(xs: &[f32]) -> Vec<u32> {
 /// One delivery: (owner, receiver, embedding bits, aggregate bits).
 type Delivery = (u32, u32, Option<Vec<u32>>, Vec<u32>);
 
-#[derive(Default)]
-struct Tape(Vec<Delivery>);
+/// One round's deliveries; it clears a `sleep` share of the wake mask, as a
+/// coin flip per `(round, node)`, and counts sleepers and due refreshes.
+struct Tape {
+    sleep: f64,
+    deliveries: Vec<Delivery>,
+    slept: usize,
+    refreshes: usize,
+}
 
 impl GossipObserver for Tape {
+    fn on_liveness(&mut self, event: LivenessEvent<'_>) {
+        match event {
+            LivenessEvent::ActingSet { round, mask } => {
+                for (u, m) in (0u64..).zip(mask.iter_mut()) {
+                    let mut coin = StdRng::seed_from_u64((round << 32) ^ u);
+                    if coin.gen_bool(self.sleep) {
+                        *m = false;
+                        self.slept += 1;
+                    }
+                }
+            }
+            LivenessEvent::Probe { .. } => self.refreshes += 1,
+        }
+    }
     fn on_delivery(&mut self, _round: u64, receiver: UserId, model: &SharedModel) {
         let emb = model.owner_emb.as_deref().map(bits);
-        self.0.push((model.owner.raw(), receiver.raw(), emb, bits(&model.agg)));
+        self.deliveries.push((model.owner.raw(), receiver.raw(), emb, bits(&model.agg)));
     }
 }
 
 /// Each round's deliveries and every node's `state_vec` bits after it.
 type Trace = Vec<(Vec<Delivery>, Vec<Vec<u32>>)>;
 
-fn trace<P: Participant>(nodes: Vec<P>, cfg: GossipConfig, dp: Option<DpConfig>) -> Trace {
+/// The run's trace, and how many nodes slept and refreshes fired over it.
+fn trace<P: Participant>(
+    nodes: Vec<P>,
+    cfg: GossipConfig,
+    sleep: f64,
+    dp: Option<DpConfig>,
+) -> (Trace, usize, usize) {
     let mut sim = GossipSim::new(nodes, cfg);
     if let Some(dp) = dp {
         sim.set_update_transform(Box::new(DpMechanism::new(dp)));
     }
-    (0..ROUNDS)
+    let (mut slept, mut refreshes) = (0, 0);
+    let trace = (0..ROUNDS)
         .map(|_| {
-            let mut tape = Tape::default();
+            let mut tape = Tape { sleep, deliveries: Vec::new(), slept: 0, refreshes: 0 };
             sim.step(&mut tape);
-            (tape.0, sim.nodes().iter().map(|n| bits(&n.state_vec())).collect())
+            slept += tape.slept;
+            refreshes += tape.refreshes;
+            (tape.deliveries, sim.nodes().iter().map(|n| bits(&n.state_vec())).collect())
         })
-        .collect()
+        .collect();
+    (trace, slept, refreshes)
 }
 
 /// A few items per user, clustered by a 3-community split of the catalog.
@@ -126,9 +159,16 @@ fn prme_nodes(policy: SharingPolicy) -> Vec<cia_models::PrmeClient> {
         .collect()
 }
 
-fn assert_same(lent: &Trace, copied: &Trace, case: &str) {
+fn assert_same(
+    (lent, slept, refreshes): (Trace, usize, usize),
+    (copied, ..): (Trace, usize, usize),
+    sleep: f64,
+    case: &str,
+) {
+    assert!(refreshes > 0, "{case}: no view refresh fired");
+    assert_eq!(slept > 0, sleep > 0.0, "{case}: slept {slept} nodes");
     assert_eq!(lent.len(), copied.len());
-    for (t, (l, c)) in lent.iter().zip(copied).enumerate() {
+    for (t, (l, c)) in lent.iter().zip(&copied).enumerate() {
         assert!(!l.0.is_empty(), "{case}: round {t} delivered nothing");
         assert_eq!(l.0.len(), c.0.len(), "{case}: delivery counts of round {t} differ");
         if let Some(k) = l.0.iter().zip(&c.0).position(|(a, b)| a != b) {
@@ -155,29 +195,23 @@ fn lending_and_copying_sends_agree_bit_for_bit() {
     for threads in ["1", "3"] {
         std::env::set_var("CIA_THREADS", threads);
         for protocol in protocols {
-            for wake_fraction in [1.0, 0.6] {
+            for sleep in [0.0, 0.4] {
                 for dp in dps {
                     for policy in policies {
-                        let cfg = GossipConfig {
-                            rounds: ROUNDS,
-                            protocol,
-                            wake_fraction,
-                            view_refresh_rate: 0.5,
-                            seed: 5,
-                            ..GossipConfig::default()
-                        };
+                        let cfg = GossipConfig { rounds: ROUNDS, protocol, seed: 5 };
                         let case = format!(
-                            "threads={threads} {protocol:?} wake={wake_fraction} dp={dp:?} \
-                             {policy:?}"
+                            "threads={threads} {protocol:?} sleep={sleep} dp={dp:?} {policy:?}"
                         );
                         assert_same(
-                            &trace(gmf_nodes(policy), cfg, dp),
-                            &trace(copying(gmf_nodes(policy)), cfg, dp),
+                            trace(gmf_nodes(policy), cfg, sleep, dp),
+                            trace(copying(gmf_nodes(policy)), cfg, sleep, dp),
+                            sleep,
                             &format!("GMF {case}"),
                         );
                         assert_same(
-                            &trace(prme_nodes(policy), cfg, dp),
-                            &trace(copying(prme_nodes(policy)), cfg, dp),
+                            trace(prme_nodes(policy), cfg, sleep, dp),
+                            trace(copying(prme_nodes(policy)), cfg, sleep, dp),
+                            sleep,
                             &format!("PRME {case}"),
                         );
                     }

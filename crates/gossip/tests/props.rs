@@ -3,11 +3,16 @@
 //!
 //! 1. *Thread-count invariance*: `CIA_THREADS=1` and `CIA_THREADS=3` give
 //!    the same deliveries, stats, views, traffic and node parameters, under
-//!    partial wake, DP and Pers-Gossip.
+//!    partial wake, view refreshes, DP and Pers-Gossip.
 //! 2. *Kill/resume*: exporting state at an arbitrary round cut — where
 //!    per-node refreshes are always scheduled for later rounds — and
 //!    restoring into a fresh simulation replays the uninterrupted run
 //!    exactly.
+//!
+//! Partial wake comes from the tape observer, which clears wake-mask
+//! entries as a pure function of `(seed, round, node)`. Runs are long
+//! enough that Exp(0.1) view refreshes fall due, and every case asserts
+//! that some node slept and some refresh fired.
 //!
 //! `one_and_three_threads_give_identical_rounds` is the only test in this
 //! binary that sets `CIA_THREADS`. The other test may see the variable
@@ -18,11 +23,12 @@ use cia_data::UserId;
 use cia_defenses::{DpConfig, DpMechanism};
 use cia_gossip::{
     Checkpointable, GossipConfig, GossipObserver, GossipProtocol, GossipRoundStats, GossipSim,
+    LivenessEvent,
 };
 use cia_models::{Participant, SharedModel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 
 /// A deterministic toy participant: params drift towards a per-community
 /// fixed point during "training" with a small RNG perturbation, so any
@@ -81,14 +87,50 @@ fn sim(n: usize, cfg: GossipConfig) -> GossipSim<TestNode> {
     GossipSim::new(nodes, cfg)
 }
 
-/// Observer taping every observable event.
+/// Whether node `u` of `n` sleeps in round `t`: a pure function of
+/// `(seed, t, u)`, so thread counts and resumes see the same mask. About a
+/// `sleep` share of the nodes sleep, and node `(seed + t) mod n` always does.
+fn asleep(seed: u64, sleep: f64, t: u64, u: usize, n: usize) -> bool {
+    let salt = t.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (u as u64).wrapping_mul(0x5851_F42D);
+    u as u64 == seed.wrapping_add(t) % n as u64
+        || StdRng::seed_from_u64(seed ^ salt).gen_bool(sleep)
+}
+
+/// Observer taping every observable event; it also clears the wake-mask
+/// entries [`asleep`] picks.
 #[derive(Default, Debug, PartialEq)]
 struct Tape {
+    sleep: f64,
+    seed: u64,
+    /// Wake-mask entries cleared so far.
+    slept: usize,
+    /// Availability probes answered, one per view refresh that fell due.
+    refreshes: usize,
     deliveries: Vec<(u64, u32, u32)>,
     stats: Vec<GossipRoundStats>,
 }
 
+impl Tape {
+    fn new(sleep: f64, seed: u64) -> Self {
+        Tape { sleep, seed, ..Tape::default() }
+    }
+}
+
 impl GossipObserver for Tape {
+    fn on_liveness(&mut self, event: LivenessEvent<'_>) {
+        match event {
+            LivenessEvent::ActingSet { round, mask } => {
+                let n = mask.len();
+                for (u, m) in mask.iter_mut().enumerate() {
+                    if asleep(self.seed, self.sleep, round, u, n) {
+                        *m = false;
+                        self.slept += 1;
+                    }
+                }
+            }
+            LivenessEvent::Probe { .. } => self.refreshes += 1,
+        }
+    }
     fn on_delivery(&mut self, round: u64, receiver: UserId, model: &SharedModel) {
         self.deliveries.push((round, receiver.raw(), model.owner.raw()));
     }
@@ -108,24 +150,22 @@ fn observables(s: &GossipSim<TestNode>) -> Observables {
     (params, views, s.traffic().clone())
 }
 
-fn config(rounds: u64, wake: f64, refresh: f64, pers: bool, seed: u64) -> GossipConfig {
-    GossipConfig {
-        rounds,
-        wake_fraction: wake,
-        view_refresh_rate: refresh,
-        protocol: if pers {
-            GossipProtocol::Pers { exploration: 0.4 }
-        } else {
-            GossipProtocol::Rand
-        },
-        seed,
-        ..Default::default()
-    }
+fn config(rounds: u64, pers: bool, seed: u64) -> GossipConfig {
+    let protocol =
+        if pers { GossipProtocol::Pers { exploration: 0.4 } } else { GossipProtocol::Rand };
+    GossipConfig { rounds, protocol, seed }
 }
 
-/// Runs every configured round under `CIA_THREADS=threads`, returning the
-/// tape and the finished simulation's observables.
-fn run_with_threads(threads: &str, n: usize, cfg: GossipConfig, dp: bool) -> (Tape, Observables) {
+/// Runs every configured round under `CIA_THREADS=threads` with a `sleep`
+/// share of each wake set cleared, returning the tape and the finished
+/// simulation's observables.
+fn run_with_threads(
+    threads: &str,
+    n: usize,
+    cfg: GossipConfig,
+    sleep: f64,
+    dp: bool,
+) -> (Tape, Observables) {
     std::env::set_var("CIA_THREADS", threads);
     let mut s = sim(n, cfg);
     if dp {
@@ -134,7 +174,7 @@ fn run_with_threads(threads: &str, n: usize, cfg: GossipConfig, dp: bool) -> (Ta
             noise_multiplier: 0.3,
         })));
     }
-    let mut tape = Tape::default();
+    let mut tape = Tape::new(sleep, cfg.seed);
     for _ in 0..cfg.rounds {
         s.step(&mut tape);
     }
@@ -145,17 +185,17 @@ proptest! {
     #[test]
     fn one_and_three_threads_give_identical_rounds(
         n in 6usize..16,
-        rounds in 2u64..6,
-        wake in 0.3f64..1.0,
-        refresh in 0.1f64..1.0,
+        rounds in 16u64..24,
+        sleep in 0.0f64..0.7,
         pers in any::<bool>(),
         dp in any::<bool>(),
         seed in 0u64..(1 << 40),
     ) {
-        let cfg = config(rounds, wake, refresh, pers, seed);
-        let serial = run_with_threads("1", n, cfg, dp);
-        let parallel = run_with_threads("3", n, cfg, dp);
+        let cfg = config(rounds, pers, seed);
+        let serial = run_with_threads("1", n, cfg, sleep, dp);
+        let parallel = run_with_threads("3", n, cfg, sleep, dp);
         std::env::remove_var("CIA_THREADS");
+        prop_assert!(serial.0.slept > 0 && serial.0.refreshes > 0, "no node slept or refreshed");
         prop_assert_eq!(&parallel.0, &serial.0, "observer tape drifted");
         prop_assert_eq!(&parallel.1, &serial.1, "params, views or traffic drifted");
     }
@@ -163,23 +203,26 @@ proptest! {
     #[test]
     fn kill_resume_replays_exactly(
         n in 6usize..16,
-        rounds in 3u64..8,
-        cut in 1u64..7,
-        wake in 0.3f64..1.0,
-        refresh in 0.1f64..1.0,
+        rounds in 16u64..24,
+        cut in 1u64..23,
+        sleep in 0.0f64..0.7,
         pers in any::<bool>(),
         seed in 0u64..(1 << 40),
     ) {
         prop_assume!(cut < rounds);
-        let cfg = config(rounds, wake, refresh, pers, seed);
+        let cfg = config(rounds, pers, seed);
         let mut straight = sim(n, cfg);
-        let mut straight_tape = Tape::default();
+        let mut straight_tape = Tape::new(sleep, seed);
         for _ in 0..rounds {
             straight.step(&mut straight_tape);
         }
+        prop_assert!(
+            straight_tape.slept > 0 && straight_tape.refreshes > 0,
+            "no node slept or refreshed"
+        );
 
         let mut first = sim(n, cfg);
-        let mut tape = Tape::default();
+        let mut tape = Tape::new(sleep, seed);
         for _ in 0..cut {
             first.step(&mut tape);
         }

@@ -368,10 +368,11 @@ pub trait RelevanceScorer: Send + Sync {
 /// trackers stop special-casing the protocol they ride on.
 #[derive(Debug)]
 pub enum LivenessEvent<'a> {
-    /// The round's tentative acting set — FedAvg's sampled participants or
-    /// gossip's wake set. Observers may clear entries to model availability
-    /// (churn, stragglers, device dropout); setting entries is
-    /// ignored-at-your-own-risk, the protocol honors the final mask as-is.
+    /// The round's acting set — FedAvg's participants or gossip's wake set.
+    /// The mask starts all-`true`: neither protocol samples who acts, so the
+    /// observers alone decide. They may clear entries to model availability
+    /// (churn, stragglers, partial participation, device dropout); the
+    /// protocol honors the final mask as-is.
     ActingSet {
         /// Round index.
         round: u64,

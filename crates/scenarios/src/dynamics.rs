@@ -43,15 +43,19 @@ pub struct DynamicsState {
 
 impl ParticipantDynamics {
     /// Initializes the population state for `n` participants.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a non-empty sybil coalition covers the whole population
+    /// (`spec.sybils >= n`); the runner refuses such a spec by name first.
     pub fn new(spec: &DynamicsSpec, n: usize, seed: u64) -> Self {
+        assert!(spec.sybils == 0 || spec.sybils < n, "sybils must be fewer than the participants");
         let mut rng = StdRng::seed_from_u64(seed ^ 0xD11A_0001);
         // Sybils: evenly spaced ids, the same placement rule the coalition
         // experiments use.
         let mut sybil = vec![false; n];
-        if spec.sybils > 0 {
-            for i in 0..spec.sybils.min(n) {
-                sybil[i * n / spec.sybils.min(n)] = true;
-            }
+        for i in 0..spec.sybils {
+            sybil[i * n / spec.sybils] = true;
         }
         // Initial online set: exact fraction via a deterministic shuffle.
         let mut online = vec![true; n];
@@ -165,7 +169,7 @@ impl ParticipantDynamics {
             if *slot && self.is_straggler[i] {
                 let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
                 let delay = (-u.ln() * spec.straggler_mean_delay).ceil().max(1.0) as u64;
-                self.straggler_until[i] = round + 1 + delay;
+                self.straggler_until[i] = round.saturating_add(1).saturating_add(delay);
             }
         }
     }

@@ -354,6 +354,12 @@ where
         eval_every: setup.params.eval_every(spec.protocol),
         seed: spec.seed ^ 0xC1A,
     };
+    if spec.dynamics.sybils > 0 && spec.dynamics.sybils >= n {
+        return Err(format!(
+            "{}: dynamics.sybils {} must be smaller than the population ({n} users)",
+            spec.name, spec.dynamics.sybils
+        ));
+    }
     let dynamics = ParticipantDynamics::new(&spec.dynamics, n, spec.seed ^ 0xD11A);
     let evaluator = ItemSetEvaluator::new(scorer, targets, share_less);
     let total = setup.params.rounds(spec.protocol);
@@ -365,7 +371,6 @@ where
                 rounds: total,
                 local_epochs: setup.params.local_epochs,
                 seed: spec.seed,
-                ..Default::default()
             },
         );
         if let Some(m) = build_dp(spec, total) {
@@ -379,10 +384,8 @@ where
         ProtocolKind::PersGossip => GossipProtocol::Pers { exploration: 0.4 },
         _ => GossipProtocol::Rand,
     };
-    let mut sim = GossipSim::new(
-        clients,
-        GossipConfig { rounds: total, protocol, seed: spec.seed, ..Default::default() },
-    );
+    let mut sim =
+        GossipSim::new(clients, GossipConfig { rounds: total, protocol, seed: spec.seed });
     if let Some(m) = build_dp(spec, total) {
         sim.set_update_transform(Box::new(m));
     }

@@ -400,6 +400,9 @@ impl ScenarioSpec {
                 self.name
             ));
         }
+        if !d.straggler_mean_delay.is_finite() {
+            return Err(format!("{}: straggler_mean_delay must be finite", self.name));
+        }
         if d.straggler_fraction > 0.0 && d.straggler_mean_delay < 1.0 {
             return Err(format!("{}: straggler_mean_delay must be ≥ 1 round", self.name));
         }
@@ -1270,6 +1273,16 @@ mod tests {
         // Sweeps survive the JSON roundtrip as generators.
         let reparsed = SuiteSpec::parse(&suite.to_json().render()).unwrap();
         assert_eq!(reparsed.entries, suite.entries);
+    }
+
+    #[test]
+    fn non_finite_straggler_delay_is_refused_by_name() {
+        // `1e400` parses to infinity; a delay no timer can hold is refused
+        // at load time instead of saturating every straggler's timer.
+        let doc = r#"{"suite": "s", "scenarios": [{"name": "x", "dynamics":
+            {"straggler_fraction": 0.5, "straggler_mean_delay": 1e400}}]}"#;
+        let err = SuiteSpec::parse(doc).unwrap_err();
+        assert_eq!(err, "x: straggler_mean_delay must be finite");
     }
 
     #[test]

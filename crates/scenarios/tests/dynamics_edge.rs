@@ -88,16 +88,6 @@ fn sybil_coalition_larger_than_honest_population() {
 }
 
 #[test]
-fn sybil_count_beyond_the_population_is_capped() {
-    // More sybils than nodes exist: the dynamics layer caps membership at
-    // the population size instead of indexing out of bounds.
-    let mut spec = base(ProtocolKind::RandGossip);
-    spec.name = "sybil-overflow".to_string();
-    spec.dynamics = DynamicsSpec { sybils: 10_000, ..DynamicsSpec::default() };
-    run_to_valid_stream(&spec);
-}
-
-#[test]
 fn straggler_delay_exceeding_the_horizon() {
     // Every node is a straggler with a mean delay far past the 8-round
     // smoke horizon: after their first action almost nobody returns, and
@@ -122,4 +112,28 @@ fn straggler_delay_exceeding_the_horizon() {
         }
     }
     assert!(last_participants < 10, "stragglers kept acting: {last_participants}");
+}
+
+#[test]
+fn straggler_delay_beyond_the_round_counter_keeps_stragglers_out() {
+    // A mean delay of 1e300 rounds saturates the straggler timer at the
+    // largest round instead of wrapping it back to the current round: after
+    // acting in round 0, the stragglers (half the 48 smoke users) never act
+    // again.
+    let mut spec = base(ProtocolKind::Fl);
+    spec.name = "straggler-saturation".to_string();
+    spec.dynamics = DynamicsSpec {
+        straggler_fraction: 0.5,
+        straggler_mean_delay: 1e300,
+        ..DynamicsSpec::default()
+    };
+    let text = run_to_valid_stream(&spec);
+    let participants: Vec<u64> = text
+        .lines()
+        .map(|line| Json::parse(line).unwrap())
+        .filter(|v| v.get("type").unwrap().as_str() == Some("round_eval"))
+        .map(|v| v.get("participants").unwrap().as_u64().unwrap())
+        .collect();
+    // Records come from the odd rounds, all after round 0.
+    assert!(!participants.is_empty() && participants.iter().all(|&p| p == 24), "{participants:?}");
 }

@@ -4,25 +4,19 @@
 //! changed float format, a new record type — fails loudly here instead of
 //! silently breaking downstream consumers of the JSONL stream.
 //!
-//! To regenerate after an *intentional* schema change:
+//! To regenerate after an *intentional* schema change, rerun every golden:
+//! a suite file next to it (`<name>-smoke.suite.json`; only PRME has one,
+//! since no built-in suite runs PRME) when there is one, the built-in suite
+//! `<name>` otherwise. `scripts/ci.sh` diffs the goldens the same way.
 //!
 //! ```text
-//! for s in builtin participation-sweep defense-dynamics-grid \
-//!          pers-gossip-churn adaptive-sybils; do
+//! for golden in crates/scenarios/tests/golden/*-smoke.jsonl; do
+//!   name=$(basename "$golden" -smoke.jsonl)
+//!   suite=crates/scenarios/tests/golden/$name-smoke.suite.json
+//!   [ -f "$suite" ] || suite=$name
 //!   cargo run --release -q -p cia-scenarios --bin scenario -- \
-//!     run --suite $s --scale smoke --seed 42 --no-timing \
-//!     --out crates/scenarios/tests/golden/$s-smoke.jsonl
+//!     run --suite "$suite" --scale smoke --seed 42 --no-timing --out "$golden"
 //! done
-//! ```
-//!
-//! The PRME suite lives in a suite file next to its transcript (no built-in
-//! suite runs PRME):
-//!
-//! ```text
-//! cargo run --release -q -p cia-scenarios --bin scenario -- \
-//!   run --suite crates/scenarios/tests/golden/prme-smoke.suite.json \
-//!   --scale smoke --seed 42 --no-timing \
-//!   --out crates/scenarios/tests/golden/prme-smoke.jsonl
 //! ```
 
 use cia_data::presets::Scale;

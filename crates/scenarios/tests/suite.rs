@@ -347,6 +347,27 @@ fn resume_refuses_a_different_spec() {
 }
 
 #[test]
+fn a_sybil_coalition_covering_the_population_is_refused() {
+    // Smoke scale has 48 users: a coalition of all of them (or more) leaves
+    // no honest node to attack, so the run is refused by name instead of
+    // silently clamping the coalition to the population.
+    let mut spec = builtin_suite(Scale::Smoke, 42).expanded().unwrap()[2].clone();
+    assert_eq!(spec.name, "colluding-sybils");
+    for sybils in [48, 1000] {
+        spec.dynamics.sybils = sybils;
+        let mut buf = Vec::new();
+        let err = run_scenario(&spec, "t", &RunOptions::default(), &mut buf).unwrap_err();
+        assert_eq!(
+            err,
+            format!(
+                "colluding-sybils: dynamics.sybils {sybils} must be smaller than the population \
+                 (48 users)"
+            )
+        );
+    }
+}
+
+#[test]
 fn hostile_checkpoints_fail_with_a_named_mismatch() {
     // A checkpoint carrying the spec's own fingerprint but another protocol
     // family, another attack family, another client count, a truncated

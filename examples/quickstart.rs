@@ -50,10 +50,7 @@ fn main() {
     );
 
     println!("Running 20 FedAvg rounds with the attack observing...\n");
-    let mut sim = FedAvg::new(
-        clients,
-        FedAvgConfig { rounds: 20, local_epochs: 2, seed: 7, ..Default::default() },
-    );
+    let mut sim = FedAvg::new(clients, FedAvgConfig { rounds: 20, local_epochs: 2, seed: 7 });
     sim.run(&mut attack);
 
     let outcome = attack.outcome();

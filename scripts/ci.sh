@@ -39,7 +39,7 @@ summary() {
 }
 trap summary EXIT
 
-# Regenerates each built-in suite transcript and each experiment table and
+# Regenerates each scenario golden transcript and each experiment table and
 # diffs it against the committed golden, so a red CI run ships the drift as an artifact instead
 # of a bare assertion failure. Best-effort: only meaningful once the
 # workspace builds.
@@ -48,17 +48,18 @@ collect_golden_diffs() {
     local outdir=target/golden-diff
     rm -rf "$outdir"
     mkdir -p "$outdir"
-    local s name
-    # Built-in suites go by name; the PRME suite is a committed suite file
-    # whose golden sits next to it (prme-smoke.suite.json → prme-smoke.jsonl).
-    for s in builtin participation-sweep defense-dynamics-grid pers-gossip-churn adaptive-sybils \
-        crates/scenarios/tests/golden/prme-smoke.suite.json; do
-        name=$(basename "$s" -smoke.suite.json)
+    local golden s name
+    # One transcript per golden: a committed suite file next to it
+    # (<name>-smoke.suite.json) runs when there is one, the built-in suite
+    # <name> otherwise.
+    for golden in crates/scenarios/tests/golden/*-smoke.jsonl; do
+        name=$(basename "$golden" -smoke.jsonl)
+        s=crates/scenarios/tests/golden/$name-smoke.suite.json
+        [ -f "$s" ] || s=$name
         cargo run --release -q -p cia-scenarios --bin scenario -- \
             run --suite "$s" --scale smoke --seed 42 --no-timing \
             --out "$outdir/$name-smoke.actual.jsonl" || continue
-        if diff -u "crates/scenarios/tests/golden/$name-smoke.jsonl" \
-            "$outdir/$name-smoke.actual.jsonl" > "$outdir/$name-smoke.diff"; then
+        if diff -u "$golden" "$outdir/$name-smoke.actual.jsonl" > "$outdir/$name-smoke.diff"; then
             # No drift in this suite; keep the artifact directory small.
             rm -f "$outdir/$name-smoke.diff" "$outdir/$name-smoke.actual.jsonl"
         else
@@ -67,7 +68,6 @@ collect_golden_diffs() {
     done
     # Table goldens: `repro` prints the tables, then a timing line that is
     # not part of the golden.
-    local golden
     for golden in crates/experiments/tests/golden/*-smoke.txt; do
         name=$(basename "$golden" -smoke.txt)
         cargo run --release -q -p cia-experiments --bin repro -- "$name" --scale smoke --seed 42 \

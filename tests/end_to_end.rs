@@ -46,10 +46,7 @@ fn fl_cia_end_to_end_beats_random() {
         truths,
         owners,
     );
-    let mut sim = FedAvg::new(
-        clients,
-        FedAvgConfig { rounds: 16, local_epochs: 2, seed: 5, ..Default::default() },
-    );
+    let mut sim = FedAvg::new(clients, FedAvgConfig { rounds: 16, local_epochs: 2, seed: 5 });
     sim.run(&mut attack);
     let out = attack.outcome();
     assert!(
@@ -107,10 +104,7 @@ fn dp_defense_reduces_fl_leakage() {
             truths,
             owners,
         );
-        let mut sim = FedAvg::new(
-            clients,
-            FedAvgConfig { rounds: 12, local_epochs: 2, seed: 5, ..Default::default() },
-        );
+        let mut sim = FedAvg::new(clients, FedAvgConfig { rounds: 12, local_epochs: 2, seed: 5 });
         if noisy {
             sim.set_update_transform(Box::new(DpMechanism::new(DpConfig {
                 clip: 2.0,
@@ -164,10 +158,7 @@ fn share_less_hides_user_embeddings_but_attack_still_runs() {
         truths,
         owners,
     );
-    let mut sim = FedAvg::new(
-        clients,
-        FedAvgConfig { rounds: 8, local_epochs: 2, seed: 5, ..Default::default() },
-    );
+    let mut sim = FedAvg::new(clients, FedAvgConfig { rounds: 8, local_epochs: 2, seed: 5 });
     sim.run(&mut attack);
     let out = attack.outcome();
     assert!(out.max_aac.is_finite());

@@ -81,12 +81,10 @@ fn nan_updates_do_not_panic_the_ranking() {
 
 #[test]
 fn minimal_population_gossip_survives() {
-    // The smallest legal gossip network: out_degree + 1 nodes.
+    // The smallest legal gossip network: P + 1 = 4 nodes.
     let (_, clients, _) = tiny_clients(4, 3);
-    let mut sim = GossipSim::new(
-        clients,
-        GossipConfig { rounds: 10, out_degree: 3, seed: 4, ..Default::default() },
-    );
+    let mut sim =
+        GossipSim::new(clients, GossipConfig { rounds: 10, seed: 4, ..Default::default() });
     let mut deliveries = 0usize;
     struct Count<'a>(&'a mut usize);
     impl cia_gossip::GossipObserver for Count<'_> {
@@ -150,11 +148,21 @@ fn deterministic_across_identical_runs() {
 #[test]
 fn wake_fraction_extremes_are_stable() {
     let (_, clients, _) = tiny_clients(10, 11);
-    // Nearly-zero wake fraction: most rounds are silent, nothing panics.
-    let mut sim = GossipSim::new(
-        clients,
-        GossipConfig { rounds: 20, wake_fraction: 0.05, seed: 2, ..Default::default() },
-    );
-    sim.run(&mut cia_gossip::NullGossipObserver);
+    // Nearly-zero participation through the dynamics layer: most rounds are
+    // silent, nothing panics.
+    let spec = cia_scenarios::DynamicsSpec { participation: 0.05, ..Default::default() };
+    let mut dynamics = cia_scenarios::ParticipantDynamics::new(&spec, 10, 2);
+    let mut sim =
+        GossipSim::new(clients, GossipConfig { rounds: 20, seed: 2, ..Default::default() });
+    struct Awake(Vec<usize>);
+    impl cia_gossip::GossipObserver for Awake {
+        fn on_round_end(&mut self, stats: &cia_gossip::GossipRoundStats) {
+            self.0.push(stats.awake);
+        }
+    }
+    let mut awake = Awake(Vec::new());
+    sim.run(&mut cia_scenarios::GlDynamics { inner: &mut awake, dynamics: &mut dynamics });
     assert_eq!(sim.round(), 20);
+    assert!(awake.0.contains(&0), "no silent round: {:?}", awake.0);
+    assert!(awake.0.iter().sum::<usize>() < 20 * 10 / 4, "most nodes woke: {:?}", awake.0);
 }
