@@ -4,11 +4,10 @@
 
 use crate::evaluator::RelevanceEvaluator;
 use crate::metrics::{community_accuracy, coverage, top_k_users, AttackOutcome, AttackTracker};
-use crate::momentum::MomentumState;
 use cia_data::UserId;
 use cia_federated::{RoundObserver, RoundStats};
 use cia_models::parallel::{par_chunks_mut, par_map};
-use cia_models::{Checkpointable, LivenessEvent, SharedModel};
+use cia_models::{Checkpointable, LivenessEvent, MomentumState, SharedModel};
 use cia_obs::Recorder;
 
 /// CIA parameters (the paper defaults to `K = 50`, `β = 0.99`).
@@ -156,10 +155,8 @@ impl<E: RelevanceEvaluator, V> MomentumCia<E, V> {
     /// sighting copies the model).
     pub(crate) fn observe(&mut self, model: &SharedModel) {
         let _update = self.obs.span("attack_update");
-        match &mut self.momentum[model.owner.index()] {
-            Some(state) => state.update(self.cfg.beta, model),
-            slot @ None => *slot = Some(MomentumState::from_snapshot(model)),
-        }
+        let entry = &mut self.momentum[model.owner.index()];
+        MomentumState::observe(entry, self.cfg.beta, model.owner_emb.as_deref(), &model.agg);
     }
 
     /// Tracks the dynamics layer's live set for the online upper bound.
@@ -320,6 +317,10 @@ impl<E: RelevanceEvaluator> RoundObserver for FlCia<E> {
 
     fn on_client_model(&mut self, model: &SharedModel) {
         self.observe(model);
+    }
+
+    fn momentum_table(&mut self) -> Option<(f32, &mut [Option<MomentumState>])> {
+        Some((self.cfg.beta, &mut self.momentum))
     }
 
     fn on_round_end(&mut self, stats: &RoundStats) {

@@ -42,15 +42,16 @@ mod fl;
 mod gl;
 pub mod metrics;
 mod mia;
-mod momentum;
 
 pub use aia::{AiaCommunityAttack, AiaConfig};
+/// The per-sender Eq. 4 momentum state (re-exported): it lives in
+/// `cia-models`, where FedAvg's training workers can fold it.
+pub use cia_models::MomentumState;
 pub use evaluator::{ItemSetEvaluator, RelevanceEvaluator};
 pub use fl::{CiaAttackState, CiaConfig, FlCia, MomentumCia, ServerVantage};
 pub use gl::{CoalitionVantage, GlCiaAllPlacements, GlCiaCoalition, PlacementsState};
 pub use metrics::{AttackOutcome, AttackTracker, RoundPoint, TopK};
 pub use mia::{membership_entropy, MiaCommunityAttack, MiaConfig};
-pub use momentum::MomentumState;
 
 /// The observability layer (re-exported): phase spans, the typed counter
 /// registry and log₂ latency histograms every simulation reports into.

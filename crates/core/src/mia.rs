@@ -9,11 +9,10 @@
 
 use crate::fl::CiaConfig;
 use crate::metrics::{community_accuracy, coverage, top_k_users, AttackOutcome, AttackTracker};
-use crate::momentum::MomentumState;
 use cia_data::UserId;
 use cia_federated::{RoundObserver, RoundStats};
 use cia_models::parallel::par_map;
-use cia_models::{RelevanceScorer, SharedModel};
+use cia_models::{MomentumState, RelevanceScorer, SharedModel};
 
 /// Binary prediction entropy `−p·ln p − (1−p)·ln(1−p)` (nats; max ln 2).
 ///
@@ -188,11 +187,8 @@ impl<S: RelevanceScorer> MiaCommunityAttack<S> {
 
 impl<S: RelevanceScorer> RoundObserver for MiaCommunityAttack<S> {
     fn on_client_model(&mut self, model: &SharedModel) {
-        let u = model.owner.index();
-        match &mut self.momentum[u] {
-            Some(state) => state.update(self.cfg.cia.beta, model),
-            slot @ None => *slot = Some(MomentumState::from_snapshot(model)),
-        }
+        let entry = &mut self.momentum[model.owner.index()];
+        MomentumState::observe(entry, self.cfg.cia.beta, model.owner_emb.as_deref(), &model.agg);
     }
 
     fn on_round_end(&mut self, stats: &RoundStats) {

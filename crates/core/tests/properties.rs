@@ -123,7 +123,7 @@ proptest! {
         if sa.agg.len() != sb.agg.len() {
             return Ok(());
         }
-        let mut state = MomentumState::from_snapshot(&sa);
+        let mut state = MomentumState::from_parts(None, sa.agg.clone(), 1);
         state.update(beta, &sb);
         for ((x, y), r) in sa.agg.iter().zip(&sb.agg).zip(state.agg()) {
             let (lo, hi) = if x < y { (x, y) } else { (y, x) };

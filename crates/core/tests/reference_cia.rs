@@ -224,7 +224,8 @@ fn sampled(seed: u64, participation: f64, t: u64, u: u64) -> bool {
 
 /// Drives the FL engine and the oracle with one FedAvg run; users whose id
 /// and round share a residue mod 3 are dropped from the acting set, and the
-/// rest act when [`sampled`].
+/// rest act when [`sampled`]. The tee lends no momentum table, so FedAvg
+/// hands both every model on the serial path.
 struct FlTee<'a> {
     engine: &'a mut FlCia<Eval>,
     oracle: &'a mut Oracle,

@@ -45,7 +45,9 @@
 
 use cia_models::parallel::par_zip_mut;
 use cia_models::params::weighted_mean;
-use cia_models::{apply_update_transform, Participant, SharedModel, UpdateTransform};
+use cia_models::{
+    apply_update_transform, MomentumState, Participant, SharedModel, UpdateTransform,
+};
 use cia_obs::{Counter, Metric, Recorder};
 
 // The cross-protocol observer event this crate's API surfaces, and the
@@ -83,7 +85,10 @@ pub struct RoundStats {
     /// sentinel would be indistinguishable from perfect convergence).
     pub mean_loss: Option<f32>,
     /// Bytes of client model state materialized for this round: the snapshot
-    /// buffers refilled for the observer or the DP transform.
+    /// buffers refilled for an observer on the serial path or for the DP
+    /// transform. An observer that lends its momentum table
+    /// ([`RoundObserver::momentum_table`]) needs no snapshot, so a round
+    /// without DP reports `0`.
     pub bytes_materialized: u64,
 }
 
@@ -115,9 +120,32 @@ pub trait RoundObserver {
         let _ = (round, global_agg);
     }
 
-    /// Called once per received client model, in user-id order.
+    /// Called once per received client model, in user-id order. This is
+    /// the serial path: FedAvg skips it for an observer that lends its
+    /// momentum table ([`RoundObserver::momentum_table`]), and the user-id
+    /// order contract holds only here.
     fn on_client_model(&mut self, model: &SharedModel) {
         let _ = model;
+    }
+
+    /// Lends the observer's Eq. 4 coefficient `β` and its per-sender
+    /// momentum table, indexed by user id, for the round's training phase.
+    ///
+    /// When the observer lends a table with one entry per client and client
+    /// `i` is user `i`, FedAvg folds each acting client's model into entry
+    /// `i` on the worker that just trained it (through
+    /// [`MomentumState::observe`]) and skips
+    /// [`RoundObserver::on_client_model`] for the round. Without DP the fold
+    /// reads the client's own parameters and no snapshot is materialized;
+    /// under DP it reads the transformed snapshot. Each fold touches only
+    /// its sender's entry with the same float operations as the serial
+    /// path, so the table is bit-identical for any thread count.
+    ///
+    /// The default lends nothing: the observer sees every model through
+    /// [`RoundObserver::on_client_model`]. A wrapper that must see each
+    /// model itself keeps that default.
+    fn momentum_table(&mut self) -> Option<(f32, &mut [Option<MomentumState>])> {
+        None
     }
 
     /// Whether this observer consumes [`RoundObserver::on_client_model`].
@@ -160,6 +188,9 @@ pub struct FedAvg<P: Participant> {
     slots: Vec<RoundSlot>,
     /// Reused aggregation accumulator.
     acc: Vec<f32>,
+    /// Whether client `i` is user `i` for every `i`: only then can a lent
+    /// momentum table be zipped with the clients.
+    ids_are_indices: bool,
     /// The observability sink: phase spans, event counters (clients trained,
     /// bytes materialized) and the per-client training-latency histogram.
     obs: Recorder,
@@ -187,6 +218,7 @@ impl<P: Participant> FedAvg<P> {
             "clients must share a parameter layout"
         );
         let global_agg = clients[0].agg().to_vec();
+        let ids_are_indices = clients.iter().enumerate().all(|(i, c)| c.user().index() == i);
         let slots = clients
             .iter()
             .map(|c| RoundSlot {
@@ -203,6 +235,7 @@ impl<P: Participant> FedAvg<P> {
             round: 0,
             slots,
             acc: Vec::new(),
+            ids_are_indices,
             obs: Recorder::new(),
         }
     }
@@ -280,7 +313,8 @@ impl<P: Participant> FedAvg<P> {
         let t = self.round;
         let obs = self.obs.clone();
         let bytes0 = obs.counter(Counter::BytesMaterialized);
-        let FedAvg { clients, global_agg, cfg, transform, slots, acc, .. } = &mut *self;
+        let FedAvg { clients, global_agg, cfg, transform, slots, acc, ids_are_indices, .. } =
+            &mut *self;
         let n = clients.len();
         let cfg = *cfg;
 
@@ -293,19 +327,36 @@ impl<P: Participant> FedAvg<P> {
         observer.on_global(t, global_agg);
         drop(sample_span);
 
-        // Snapshots are materialized only when something consumes them: the
-        // observer, or the DP transform (which aggregates transformed
-        // parameters instead of the clients' own).
-        let materialize = transform.is_some() || observer.observes_models();
+        // A momentum observer lends its table when it lines up with the
+        // clients; the workers then fold each sender's EMA, and the serial
+        // observe loop below is skipped.
+        let observes = observer.observes_models();
+        let lent = if *ids_are_indices { observer.momentum_table() } else { None };
+        let (beta, table) = match lent {
+            Some((beta, table)) if table.len() == n => (beta, Some(table)),
+            _ => (0.0, None),
+        };
+        let folds = table.is_some();
 
-        // Per-client work deposited into aligned, buffer-reusing slots.
+        // Snapshots are materialized only when something consumes them: an
+        // observer on the serial path, or the DP transform (which aggregates
+        // transformed parameters instead of the clients' own).
+        let materialize = transform.is_some() || (!folds && observes);
+
+        // Per-client work deposited into aligned, buffer-reusing slots, each
+        // paired with its sender's momentum entry when one was lent.
         let global: &[f32] = global_agg;
         let transform = transform.as_deref();
         for (slot, &s) in slots.iter_mut().zip(&sampled) {
             slot.sampled = s;
             slot.loss = 0.0;
         }
-        let per_client = |i: usize, client: &mut P, slot: &mut RoundSlot| {
+        let mut work: Vec<(&mut RoundSlot, Option<&mut Option<MomentumState>>)> = match table {
+            Some(table) => slots.iter_mut().zip(table.iter_mut().map(Some)).collect(),
+            None => slots.iter_mut().map(|slot| (slot, None)).collect(),
+        };
+        let train_span = obs.span("train");
+        par_zip_mut(clients, &mut work, |i, client, (slot, entry)| {
             if !slot.sampled {
                 return;
             }
@@ -332,10 +383,18 @@ impl<P: Participant> FedAvg<P> {
                     &mut crng,
                 );
             }
+            if let Some(entry) = entry.as_deref_mut() {
+                // What the server receives: the DP-rewritten snapshot, or
+                // else the client's own shared parameters.
+                let (emb, agg) = if transform.is_some() {
+                    (slot.model.owner_emb.as_deref(), slot.model.agg.as_slice())
+                } else {
+                    (client.owner_emb(), client.agg())
+                };
+                MomentumState::observe(entry, beta, emb, agg);
+            }
             obs.observe_since(Metric::TrainMicros, t0);
-        };
-        let train_span = obs.span("train");
-        par_zip_mut(clients, slots, per_client);
+        });
         // Fold each sampled client's sparse update into `acc` in client
         // index order over identical inputs, so the sum is bit-identical for
         // every thread count.
@@ -359,16 +418,18 @@ impl<P: Participant> FedAvg<P> {
         }
         drop(train_span);
 
-        // Observe in deterministic (user-id) order. The round's
-        // materialization cost is the snapshot buffers refilled for the
-        // observer / DP transform.
+        // Observe in deterministic (user-id) order, unless the workers
+        // already folded every model. The round's materialization cost is
+        // the snapshot buffers refilled for the observer / DP transform.
         let attack_span = obs.span("attack");
         let mut loss_sum = 0.0f32;
         let mut participants = 0usize;
         for slot in &*slots {
             if slot.sampled {
                 if materialize {
-                    observer.on_client_model(&slot.model);
+                    if !folds {
+                        observer.on_client_model(&slot.model);
+                    }
                     let bytes = 4 * slot.model.len() as u64;
                     obs.add(Counter::BytesMaterialized, bytes);
                     obs.add(Counter::BytesCopied, bytes);

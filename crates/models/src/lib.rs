@@ -22,8 +22,9 @@
 //! All models expose their state as a *flat `f32` parameter vector*, split
 //! into an aggregatable public part (item embeddings, output layers) and the
 //! owner's private user embedding. Aggregation, momentum (the attack's
-//! Eq. 4), DP clipping/noising and the Share-less policy are all linear
-//! algebra over these vectors — see [`params`].
+//! Eq. 4, kept per sender in [`MomentumState`]), DP clipping/noising and the
+//! Share-less policy are all linear algebra over these vectors — see
+//! [`params`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,6 +34,7 @@ mod gmf;
 pub mod kernel;
 mod metrics;
 mod mlp;
+mod momentum;
 pub mod params;
 mod participant;
 mod prme;
@@ -45,6 +47,7 @@ pub use factor::{FactorClient, FactorModel};
 pub use gmf::{GmfClient, GmfHyper, GmfSpec};
 pub use metrics::{f1_at_k, hit_ratio, rank_of_primary};
 pub use mlp::{Mlp, MlpClient, MlpHyper, MlpScratch, MlpSpec};
+pub use momentum::MomentumState;
 pub use participant::{
     apply_update_transform, client_id_and_seed, Checkpointable, DeliveryPolicy, LivenessEvent,
     Participant, RelevanceScorer, SharedModel, SharingPolicy, UpdateTransform,

@@ -8,7 +8,6 @@
 //! scenario list [--scale ...] [--seed N]
 //! scenario validate FILE
 //! scenario report [--check-trace FILE] FILE...
-//! scenario rss-probe -- CMD [ARGS...]
 //! ```
 //!
 //! `--suite` accepts a built-in suite name — `builtin`,
@@ -30,18 +29,9 @@
 //! `report` aggregates one or more run JSONL streams into per-phase
 //! mean/p50/p99 tables, counter totals and the RSS trajectory;
 //! `--check-trace` also validates a Chrome trace file's structure.
-//!
-//! `rss-probe` runs a command and prints the peak RSS over its process tree
-//! (the in-tree replacement for a `getrusage(RUSAGE_CHILDREN)` wrapper —
-//! the CI container has no `/usr/bin/time`). While the tree runs it polls
-//! `/proc` high-water marks; at reap time it folds in the kernel's own
-//! `RUSAGE_CHILDREN` accounting, which also covers children too short-lived
-//! for any poll to observe.
 
-// The one binary in the workspace that cannot `#![forbid(unsafe_code)]`:
-// the rss-probe subcommand reads peak RSS through a raw `getrusage` FFI
-// call (the container ships no /usr/bin/time). The single unsafe block is
-// SAFETY-documented and policed by cia-lint rule D04.
+#![forbid(unsafe_code)]
+
 use cia_data::presets::Scale;
 use cia_scenarios::runner::{run_scenario, validate_jsonl, RunOptions, ScenarioOutcome};
 use cia_scenarios::spec::{named_suite, BUILTIN_SUITES};
@@ -49,10 +39,9 @@ use cia_scenarios::{chrome_trace, render_report, summarize, validate_chrome_trac
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
 
 fn usage() {
-    eprintln!("usage: scenario <run|list|validate|report|rss-probe> [options]");
+    eprintln!("usage: scenario <run|list|validate|report> [options]");
     eprintln!("  run      [--suite NAME|FILE] [--scale smoke|small|paper] [--seed N]");
     eprintln!("           [--only NAME] [--out FILE] [--checkpoint-dir DIR]");
     eprintln!("           [--checkpoint-every N] [--resume] [--stop-after N] [--no-timing]");
@@ -60,7 +49,6 @@ fn usage() {
     eprintln!("  list     [--suite NAME|FILE] [--scale ...] [--seed N]");
     eprintln!("  validate FILE");
     eprintln!("  report   [--check-trace FILE] FILE...");
-    eprintln!("  rss-probe -- CMD [ARGS...]");
     eprintln!("built-in suites: {}", BUILTIN_SUITES.map(|(name, _)| name).join(", "));
 }
 
@@ -274,133 +262,6 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Peak RSS (KiB) over a process subtree rooted at `root`: walks
-/// `/proc/*/status` PPid links and takes the max `VmHWM` across the root
-/// and its live descendants — the same statistic as
-/// `getrusage(RUSAGE_CHILDREN).ru_maxrss`, but available *while* the tree
-/// runs instead of only after a wait.
-fn subtree_peak_rss_kib(root: u32) -> u64 {
-    let mut pids: Vec<(u32, u32, u64)> = Vec::new(); // (pid, ppid, vmhwm_kib)
-    let Ok(entries) = std::fs::read_dir("/proc") else {
-        return 0;
-    };
-    for entry in entries.flatten() {
-        let Some(pid) = entry.file_name().to_str().and_then(|s| s.parse::<u32>().ok()) else {
-            continue;
-        };
-        let Ok(status) = std::fs::read_to_string(entry.path().join("status")) else {
-            continue;
-        };
-        let mut ppid = 0u32;
-        let mut hwm = 0u64;
-        for line in status.lines() {
-            if let Some(rest) = line.strip_prefix("PPid:") {
-                ppid = rest.trim().parse().unwrap_or(0);
-            } else if let Some(rest) = line.strip_prefix("VmHWM:") {
-                hwm = rest.trim().trim_end_matches("kB").trim().parse().unwrap_or(0);
-            }
-        }
-        pids.push((pid, ppid, hwm));
-    }
-    // BFS from the root over PPid edges.
-    let mut tree = vec![root];
-    let mut peak = 0u64;
-    let mut cursor = 0;
-    while cursor < tree.len() {
-        let parent = tree[cursor];
-        cursor += 1;
-        for &(pid, ppid, hwm) in &pids {
-            if pid == parent {
-                peak = peak.max(hwm);
-            } else if ppid == parent && !tree.contains(&pid) {
-                tree.push(pid);
-            }
-        }
-    }
-    peak
-}
-
-/// Peak RSS (KiB) the kernel accounted to reaped children via
-/// `getrusage(RUSAGE_CHILDREN)`. Polling `/proc` misses a process that
-/// starts and exits entirely inside one 50ms window; the kernel's counter
-/// cannot — each reaped child folds its own (transitive) high-water mark
-/// into the parent's tally. Only populated after a wait, so it complements
-/// the live subtree walk rather than replacing it.
-#[cfg(target_os = "linux")]
-fn reaped_children_peak_rss_kib() -> u64 {
-    // 64-bit Linux `struct rusage`: two timevals (4 longs), then 14 longs
-    // of counters with `ru_maxrss` (KiB) first.
-    #[repr(C)]
-    struct Rusage {
-        times: [i64; 4],
-        ru_maxrss: i64,
-        rest: [i64; 13],
-    }
-    extern "C" {
-        fn getrusage(who: i32, usage: *mut Rusage) -> i32;
-    }
-    const RUSAGE_CHILDREN: i32 = -1;
-    let mut ru = Rusage { times: [0; 4], ru_maxrss: 0, rest: [0; 13] };
-    // SAFETY: `Rusage` matches the 64-bit Linux ABI layout of `struct
-    // rusage` (it covers the full 144 bytes the kernel writes) and the
-    // pointer is valid for the duration of the call.
-    if unsafe { getrusage(RUSAGE_CHILDREN, &mut ru) } == 0 {
-        u64::try_from(ru.ru_maxrss).unwrap_or(0)
-    } else {
-        0
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-fn reaped_children_peak_rss_kib() -> u64 {
-    0
-}
-
-fn cmd_rss_probe(args: &[String]) -> Result<ExitCode, String> {
-    let cmd = match args.first().map(String::as_str) {
-        Some("--") => &args[1..],
-        _ => args,
-    };
-    let Some(program) = cmd.first() else {
-        return Err("rss-probe expects a command: scenario rss-probe -- CMD [ARGS...]".to_string());
-    };
-    let mut child = std::process::Command::new(program)
-        .args(&cmd[1..])
-        .spawn()
-        .map_err(|e| format!("cannot spawn {program}: {e}"))?;
-    let pid = child.id();
-    // Poll the subtree's high-water marks until the child exits. VmHWM is
-    // monotone per process, so the last poll before each process exits
-    // bounds its peak from below. Short-lived processes between polls are
-    // the sampling blind spot; `getrusage(RUSAGE_CHILDREN)` at reap time
-    // covers them, since every child the tree waited for folds its peak
-    // into the kernel's tally. Take the max of both views. The poll
-    // interval is overridable (`CIA_RSS_POLL_MS`) so tests can switch the
-    // sampler off and exercise the reap-time path alone.
-    let poll_interval = std::time::Duration::from_millis(
-        std::env::var("CIA_RSS_POLL_MS").ok().and_then(|v| v.parse().ok()).unwrap_or(50),
-    );
-    let mut peak_kib = 0u64;
-    let mut last_poll: Option<Instant> = None;
-    let status = loop {
-        match child.try_wait().map_err(|e| format!("wait failed: {e}"))? {
-            Some(status) => break status,
-            None => {
-                if last_poll.is_none_or(|t| t.elapsed() >= poll_interval) {
-                    peak_kib = peak_kib.max(subtree_peak_rss_kib(pid));
-                    // cia-lint: allow(D02, rss-probe poll pacing; operational tooling with no transcript output)
-                    last_poll = Some(Instant::now());
-                }
-                std::thread::sleep(std::time::Duration::from_millis(10).min(poll_interval));
-            }
-        }
-    };
-    peak_kib = peak_kib.max(subtree_peak_rss_kib(pid)).max(reaped_children_peak_rss_kib());
-    println!("   peak RSS (children): {:.2} GiB ({peak_kib} KiB)", peak_kib as f64 / 1_048_576.0);
-    let code = status.code().unwrap_or(1);
-    Ok(ExitCode::from(u8::try_from(code).unwrap_or(1)))
-}
-
 fn cmd_list(args: &Args) -> Result<(), String> {
     let suite = load_suite(args)?;
     let scenarios = suite.expanded()?;
@@ -478,10 +339,6 @@ fn main() -> ExitCode {
             None => Err("validate expects a file path".to_string()),
         },
         "report" => cmd_report(&argv[1..]),
-        "rss-probe" => match cmd_rss_probe(&argv[1..]) {
-            Ok(code) => return code,
-            Err(e) => Err(e),
-        },
         _ => {
             usage();
             return ExitCode::FAILURE;

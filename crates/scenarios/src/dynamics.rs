@@ -12,7 +12,7 @@
 use crate::spec::DynamicsSpec;
 use cia_federated::RoundObserver;
 use cia_gossip::GossipObserver;
-use cia_models::{Checkpointable, LivenessEvent, SharedModel};
+use cia_models::{Checkpointable, LivenessEvent, MomentumState, SharedModel};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -229,6 +229,10 @@ impl<O: RoundObserver> RoundObserver for FlDynamics<'_, O> {
 
     fn on_client_model(&mut self, model: &SharedModel) {
         self.inner.on_client_model(model);
+    }
+
+    fn momentum_table(&mut self) -> Option<(f32, &mut [Option<MomentumState>])> {
+        self.inner.momentum_table()
     }
 
     fn observes_models(&self) -> bool {

@@ -1,6 +1,5 @@
 //! End-to-end tests of the `scenario` binary's command line: argument
-//! refusals, `--stop-after` with `--resume`, and the `rss-probe`
-//! subcommand.
+//! refusals and `--stop-after` with `--resume`.
 
 use std::process::{Command, Output};
 
@@ -8,15 +7,17 @@ fn scenario(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_scenario")).args(args).output().expect("scenario binary runs")
 }
 
-/// `serve` is no subcommand: it falls through to the usage text, and the
-/// query-workload flags are unknown arguments to `run`.
+/// `serve` and `rss-probe` are no subcommands: they fall through to the
+/// usage text, and the query-workload flags are unknown arguments to `run`.
 #[test]
 fn retired_serve_surface_is_refused() {
-    let out = scenario(&["serve"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!out.status.success(), "`scenario serve` succeeded: {stderr}");
-    assert!(stderr.starts_with("usage: scenario <run|"), "no usage text: {stderr}");
-    assert!(!stderr.contains("serve"), "usage still lists serve: {stderr}");
+    for retired in ["serve", "rss-probe"] {
+        let out = scenario(&[retired]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "`scenario {retired}` succeeded: {stderr}");
+        assert!(stderr.starts_with("usage: scenario <run|"), "no usage text: {stderr}");
+        assert!(!stderr.contains(retired), "usage still lists {retired}: {stderr}");
+    }
 
     let out = scenario(&["run", "--queries", "5"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -95,40 +96,4 @@ fn stop_after_then_resume_reproduces_the_golden_records() {
         .map(|line| format!("{line}\n"))
         .collect();
     assert_eq!(single, expected, "a stitched single scenario changed its byte order");
-}
-
-/// The probe must count a child that allocates and exits faster than any
-/// RSS poll could observe: with sampling effectively disabled, only the
-/// `getrusage(RUSAGE_CHILDREN)` fold at reap time can report the peak.
-#[test]
-fn rss_probe_counts_short_lived_children() {
-    let hog_mib = 150;
-    let candidates: [(&str, String); 2] = [
-        ("python3", format!("x=bytearray({hog_mib}*1024*1024)")),
-        ("perl", format!("$x = \"a\" x ({hog_mib}*1024*1024);")),
-    ];
-    for (interp, body) in &candidates {
-        let flag = if *interp == "python3" { "-c" } else { "-e" };
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_scenario"))
-            .env("CIA_RSS_POLL_MS", "600000")
-            .args(["rss-probe", "--", interp, flag, body])
-            .output()
-            .expect("probe binary runs");
-        if !out.status.success() {
-            continue; // interpreter missing here; try the next one
-        }
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        let kib: u64 = stdout
-            .rsplit('(')
-            .next()
-            .and_then(|s| s.split(' ').next())
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| panic!("unparseable probe output: {stdout}"));
-        assert!(
-            kib >= (hog_mib - 30) * 1024,
-            "probe reported {kib} KiB; the short-lived {hog_mib} MiB child was missed"
-        );
-        return;
-    }
-    panic!("no interpreter available to spawn a memory-hungry child");
 }

@@ -562,3 +562,77 @@ fn unwritable_completion_marker_fails_the_run_and_keeps_the_checkpoint() {
     assert!(err.contains(&marker.display().to_string()), "error does not name the marker: {err}");
     assert!(ckpt.exists(), "the checkpoint is gone although no marker was written");
 }
+
+/// Runs the FL scenario `spec` one round at a time: each segment stops
+/// after one more round and checkpoints, `edit` rewrites every client's
+/// saved state `[user_emb | agg | ref_flag | ref_items?]` (handed over as
+/// the embedding, the aggregate and the reference), and the next segment
+/// resumes from it — restoring the edited state through `clients_mut()` and
+/// `Participant::restore_state`. Returns the stitched transcript.
+fn stitched_with_client_edits(
+    spec: &cia_scenarios::ScenarioSpec,
+    tag: &str,
+    edit: fn(&mut [f32], &mut [f32], &mut [f32]),
+) -> Vec<u8> {
+    use cia_scenarios::checkpoint::{Checkpoint, ProtocolState};
+    let params = cia_scenarios::ScaleParams::of(spec.scale);
+    let rounds = params.rounds(spec.protocol);
+    let dir = TempDir::new(tag);
+    let path = Checkpoint::path_for(&dir.0, &spec.name);
+    let mut stitched = Vec::new();
+    for done in 0..rounds {
+        let opts = RunOptions {
+            checkpoint_dir: Some(dir.0.clone()),
+            resume: done > 0,
+            stop_after_rounds: Some(done + 1).filter(|&stop| stop < rounds),
+            ..RunOptions::default()
+        };
+        let run = run_scenario(spec, "t", &opts, &mut stitched).unwrap();
+        if run.completed {
+            break;
+        }
+        let mut ck = Checkpoint::load(&path, spec.fingerprint()).unwrap();
+        let ProtocolState::Fl { global } = &ck.protocol else { panic!("not an FL run") };
+        let agg_len = global.len();
+        for state in &mut ck.clients {
+            let (emb, rest) = state.split_at_mut(params.dim);
+            let (agg, rest) = rest.split_at_mut(agg_len);
+            edit(emb, agg, &mut rest[1..]);
+        }
+        ck.save(&path).unwrap();
+    }
+    stitched
+}
+
+#[test]
+fn fl_client_aggregates_and_references_are_dead_between_rounds() {
+    // Nothing may read an FL client's aggregate or its Share-less reference
+    // between rounds: every round absorbs the global model over both, and
+    // the utility evaluation syncs the clients to the global model first.
+    // Fill both with NaN after every round, under full sharing and
+    // Share-less: the transcript must not move.
+    let grid = cia_scenarios::defense_dynamics_grid_suite(Scale::Smoke, 42).expanded().unwrap();
+    let share_less = grid.into_iter().find(|s| s.name == "shareless-x-churn").unwrap();
+    let full = builtin_suite(Scale::Smoke, 42).expanded().unwrap()[0].clone();
+    for spec in [full, share_less] {
+        let mut straight = Vec::new();
+        run_scenario(&spec, "t", &RunOptions::default(), &mut straight).unwrap();
+        let dead =
+            stitched_with_client_edits(&spec, &format!("dead-{}", spec.name), |_, agg, r| {
+                agg.fill(f32::NAN);
+                r.fill(f32::NAN);
+            });
+        assert!(
+            dead == straight,
+            "{}: a reader saw a client's aggregate or reference between rounds",
+            spec.name
+        );
+        // Control: the same edit applied to live state — the private user
+        // embedding — must show in the transcript.
+        let live =
+            stitched_with_client_edits(&spec, &format!("live-{}", spec.name), |emb, _, _| {
+                emb.iter_mut().for_each(|v| *v += 1.0);
+            });
+        assert!(live != straight, "{}: the edits never reached the clients", spec.name);
+    }
+}

@@ -89,10 +89,11 @@ fn timed_streams_carry_schema_valid_trace_records_with_phase_coverage() {
 
 #[test]
 fn registry_backed_bytes_materialized_matches_pre_registry_baseline() {
-    // Equivalence pin: `bytes_materialized` values captured from the
-    // builtin smoke suite (seed 42) *before* the ad-hoc byte plumbing moved
-    // onto the `cia_obs` counter registry. The registry path must reproduce
-    // the old JSONL values bit-identically.
+    // Pin of `bytes_materialized` on the builtin smoke suite (seed 42).
+    // The gossip values were captured *before* the ad-hoc byte plumbing
+    // moved onto the `cia_obs` counter registry, which must reproduce them
+    // bit-identically. The FL attack folds its momentum on the training
+    // workers, so FL rounds without DP materialize no snapshot at all.
     let suite = builtin_suite(Scale::Smoke, 42);
     let opts = RunOptions { timing: true, ..RunOptions::default() };
     let mut buf = Vec::new();
@@ -114,10 +115,9 @@ fn registry_backed_bytes_materialized_matches_pre_registry_baseline() {
         panic!("no round_eval for {scenario} round {round}");
     };
     for round in [1, 3, 5, 7] {
-        assert_eq!(bytes_at("baseline-static", round), 248_832);
+        assert_eq!(bytes_at("baseline-static", round), 0);
+        assert_eq!(bytes_at("churn-20pct", round), 0);
     }
-    let churn: Vec<u64> = [1, 3, 5, 7].iter().map(|&r| bytes_at("churn-20pct", r)).collect();
-    assert_eq!(churn, vec![196_992, 196_992, 191_808, 196_992]);
     for round in [9, 19, 29, 39] {
         assert_eq!(bytes_at("colluding-sybils", round), 248_832);
     }

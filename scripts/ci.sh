@@ -83,15 +83,19 @@ collect_golden_diffs() {
 # Runs a command and prints the peak RSS of its process tree afterwards —
 # the memory companion to the timing summary, so a resident-set regression
 # in the test suite is visible in every CI log. The container has no
-# /usr/bin/time, so the in-tree probe (`scenario rss-probe`, produced by the
-# build step) samples /proc VmHWM over the subtree; without the binary the
-# command just runs bare.
+# /usr/bin/time; `os.wait4` returns the same rusage, whose `ru_maxrss`
+# (KiB) covers the command and every descendant it reaped. Exits with the
+# command's status.
 run_with_peak_rss() {
-    if [ -x target/release/scenario ]; then
-        target/release/scenario rss-probe -- "$@"
-    else
-        "$@"
-    fi
+    python3 -c '
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:])
+_, status, usage = os.wait4(child.pid, 0)
+kib = usage.ru_maxrss
+print(f"   peak RSS (children): {kib / 1048576:.2f} GiB ({kib} KiB)", flush=True)
+code = os.waitstatus_to_exitcode(status)
+sys.exit(code if code >= 0 else 128 - code)
+' "$@"
 }
 
 step() {
