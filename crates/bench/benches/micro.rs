@@ -5,12 +5,13 @@
 //! pre-kernel scalar code. The pairs let `bench_report` compute speedups into
 //! `BENCH_kernels.json` — see `scripts/bench_kernels.sh`.
 
-use cia_core::{CiaConfig, FlCia, ItemSetEvaluator};
+use cia_core::{CiaConfig, FlCia, ItemSetEvaluator, RelevanceEvaluator};
 use cia_data::presets::{Preset, Scale};
 use cia_data::{gaussian, jaccard_index, GroundTruth, LeaveOneOut, UserId};
 use cia_defenses::{DpConfig, DpMechanism, UpdateTransform};
 use cia_federated::{FedAvg, FedAvgConfig, NullObserver};
 use cia_gossip::{GossipConfig, GossipSim, NullGossipObserver};
+use cia_models::parallel::par_chunks_mut;
 use cia_models::params::{clip_l2, ema, sigmoid};
 use cia_models::{
     kernel, GmfHyper, GmfSpec, Mlp, MlpHyper, MlpSpec, RelevanceScorer, SharingPolicy,
@@ -528,6 +529,74 @@ fn bench_paper_scale(c: &mut Criterion) {
     }
 }
 
+fn bench_cia_score_paper(c: &mut Criterion) {
+    // The "CIA evaluation" rung: one full relevance refresh of the momentum
+    // attack (943 models × 943 targets, 99,317 target items) at paper shape,
+    // d = 8, scored in tiles of `LANES` models as the attack scores them.
+    // Gated with the paper round rows above.
+    if std::env::var_os("CIA_BENCH_PAPER_SCALE").is_none() {
+        return;
+    }
+    let data = Preset::MovieLens.generate(Scale::Paper, 3);
+    let split = LeaveOneOut::new(&data, 100, 3).unwrap();
+    let spec = GmfSpec::new(data.num_items(), 8, GmfHyper::default());
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut uniform =
+        |len: usize| -> Vec<f32> { (0..len).map(|_| rng.gen_range(-0.5f32..0.5)).collect() };
+    let models: Vec<(Vec<f32>, Vec<f32>)> =
+        (0..data.num_users()).map(|_| (uniform(spec.dim()), uniform(spec.agg_len()))).collect();
+    let fictive: Vec<_> = split.train_sets().iter().map(|_| Some(uniform(spec.dim()))).collect();
+    let targets = split.train_sets().to_vec();
+    let nt = targets.len();
+    let mut rel = vec![0.0f32; models.len() * nt];
+    let t = thread_suffix();
+    for share_less in [false, true] {
+        let mut ev = ItemSetEvaluator::new(spec.clone(), targets.clone(), share_less);
+        if share_less {
+            ev.restore_adversary_embeddings(fictive.clone()).unwrap();
+        }
+        let name = if share_less { "cia_score_shareless" } else { "cia_score" };
+        let name = format!("{name}_paper_943x1682{t}");
+        c.bench_function(&name, |b| {
+            b.iter(|| {
+                par_chunks_mut(&mut rel, kernel::LANES * nt, |tile, rows| {
+                    let tile = &models[tile * kernel::LANES..][..rows.len() / nt];
+                    let tile: Vec<_> = tile
+                        .iter()
+                        .map(|(e, a)| ((!share_less).then_some(e.as_slice()), a.as_slice()))
+                        .collect();
+                    ev.relevance_tile(&tile, rows);
+                });
+            });
+        });
+        // The per-model path the tiles replaced: full sharing scored each
+        // model's catalog, then summed every target's scores; Share-less ran
+        // `mean_relevance` per (model, target).
+        c.bench_function(&format!("{name}_scalar_ref"), |b| {
+            b.iter(|| {
+                par_chunks_mut(&mut rel, nt, |u, row| {
+                    let (emb, agg) = &models[u];
+                    if share_less {
+                        for (t, o) in row.iter_mut().enumerate() {
+                            *o = ev.relevance_one(None, agg, t);
+                        }
+                        return;
+                    }
+                    let mut scores = vec![0.0f32; spec.num_items() as usize];
+                    spec.score_item_range(Some(emb), agg, 0, &mut scores);
+                    for (items, o) in targets.iter().zip(row.iter_mut()) {
+                        let mut acc = -0.0f32;
+                        for &i in items {
+                            acc += scores[i as usize];
+                        }
+                        *o = if items.is_empty() { 0.0 } else { acc / items.len() as f32 };
+                    }
+                });
+            });
+        });
+    }
+}
+
 /// Appends per-phase breakdown rows (`<base>_phase_<name>`) to the
 /// `CRITERION_JSON` stream: the mean ns/round each top-level recorder span
 /// (sample, train, attack, aggregate, evaluate, …) cost over `rounds`
@@ -620,6 +689,6 @@ criterion_group! {
     config = config();
     targets = bench_kernels, bench_scoring, bench_momentum_and_dp, bench_mlp_train,
               bench_protocol_rounds, bench_attack_eval, bench_ground_truth,
-              bench_paper_scale
+              bench_paper_scale, bench_cia_score_paper
 }
 criterion_main!(benches);

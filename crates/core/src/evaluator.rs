@@ -1,27 +1,34 @@
 //! Target relevance evaluation, including the Share-less adaptation.
 
+use cia_models::kernel::cache_aligned;
 use cia_models::parallel::par_map;
 use cia_models::RelevanceScorer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::RefCell;
 
+/// Models per scoring tile: one model per SIMD lane of the kernels.
+pub(crate) const TILE: usize = cia_models::kernel::LANES;
+
 thread_local! {
-    /// Per-thread catalog-sized score buffer for
-    /// [`ItemSetEvaluator::relevance_all`]: its call sites run inside
-    /// `par_chunks_mut` workers (one model per row), so a thread-local buffer
-    /// makes per-model evaluation allocation-free once each worker is warm.
-    static EVAL_SCORES: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread scratch for the full-sharing tile of
+    /// [`ItemSetEvaluator`]: the tile's scores model-minor (`[item][model]`,
+    /// 54 KB at paper scale), then one catalog score row. Tiles are scored
+    /// inside `par_chunks_mut` workers, so a worker reuses it for every tile.
+    static TILE_SCORES: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Computes `Ŷ(Θ, V_target)` for every registered target given one
-/// (momentum-averaged) model.
+/// Computes `Ŷ(Θ, V_target)` for every registered target given
+/// (momentum-averaged) models.
 ///
-/// Implementations may batch across targets — the recsys evaluator scores the
-/// whole catalog once per model under full sharing, turning the per-target
-/// cost into a cheap mean. The MNIST experiment in `cia-experiments` provides
-/// its own implementation, demonstrating that the attack is model-agnostic
-/// (§VIII-E).
+/// The attack scores models in tiles of up to [`cia_models::kernel::LANES`]
+/// through [`RelevanceEvaluator::relevance_tile`]. Each model's row of a
+/// tile must be bit-identical to scoring that model alone, so neither the
+/// grouping of models into tiles nor `CIA_THREADS` ever changes a score.
+/// The recsys evaluator runs one model per SIMD lane, and each lane
+/// performs exactly the float operations of the one-model path, in the same
+/// order. The MNIST experiment in `cia-experiments` keeps the per-model
+/// default, demonstrating that the attack is model-agnostic (§VIII-E).
 pub trait RelevanceEvaluator: Send + Sync {
     /// Number of registered targets.
     fn num_targets(&self) -> usize;
@@ -42,7 +49,12 @@ pub trait RelevanceEvaluator: Send + Sync {
         None
     }
 
-    /// Relevance of one model for all targets, written into `out`.
+    /// Relevance of one model for all targets, written into `out`: the
+    /// one-model entry point, which the default
+    /// [`RelevanceEvaluator::relevance_tile`] calls per model and
+    /// `perfbench/tracer` wraps to time scoring per model. The default loops
+    /// [`RelevanceEvaluator::relevance_one`]; [`ItemSetEvaluator`] scores a
+    /// one-model tile.
     ///
     /// # Panics
     ///
@@ -50,6 +62,23 @@ pub trait RelevanceEvaluator: Send + Sync {
     fn relevance_all(&self, owner_emb: Option<&[f32]>, agg: &[f32], out: &mut [f32]) {
         for (t, o) in out.iter_mut().enumerate() {
             *o = self.relevance_one(owner_emb, agg, t);
+        }
+    }
+
+    /// Relevance of up to [`cia_models::kernel::LANES`] models
+    /// `(owner_emb, agg)` for all targets: row `m` of `out` (the
+    /// `num_targets()` values from `m * num_targets()`) is model `m`'s, and
+    /// must be bit-identical to `relevance_all` on that model alone. The
+    /// default scores each model with [`RelevanceEvaluator::relevance_all`].
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic when given more than `LANES` models or when
+    /// `out.len() != models.len() * num_targets()`.
+    fn relevance_tile(&self, models: &[(Option<&[f32]>, &[f32])], out: &mut [f32]) {
+        let nt = self.num_targets();
+        for (m, &(owner_emb, agg)) in models.iter().enumerate() {
+            self.relevance_all(owner_emb, agg, &mut out[m * nt..(m + 1) * nt]);
         }
     }
 }
@@ -139,10 +168,12 @@ impl<S: RelevanceScorer> RelevanceEvaluator for ItemSetEvaluator<S> {
         if !self.share_less {
             return;
         }
-        // Warm-start each fictive embedding from the previous refresh's
-        // solution: public parameters drift slowly between refreshes, so a
-        // short polish replaces full retraining (ROADMAP "share-less
-        // fictive-embedding training" item).
+        // Warm-start each fictive embedding from the previous call's
+        // solution, if any: public parameters drift slowly, so a short
+        // polish replaces full retraining. The momentum attack calls this
+        // again only when `eval_every == 1` (every fourth round); with a
+        // larger `eval_every` its refresh condition never holds, so every
+        // scenario trains the embeddings once, from scratch.
         let (scorer, targets, prev) = (&self.scorer, &self.targets, &self.adversary_embs);
         self.adversary_embs = par_map(targets.len(), |t| {
             let mut rng = StdRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9E37_79B9));
@@ -162,28 +193,52 @@ impl<S: RelevanceScorer> RelevanceEvaluator for ItemSetEvaluator<S> {
     }
 
     fn relevance_all(&self, owner_emb: Option<&[f32]>, agg: &[f32], out: &mut [f32]) {
-        assert_eq!(out.len(), self.targets.len(), "one output per target");
+        self.relevance_tile(&[(owner_emb, agg)], out);
+    }
+
+    fn relevance_tile(&self, models: &[(Option<&[f32]>, &[f32])], out: &mut [f32]) {
+        let nt = self.targets.len();
+        assert!(models.len() <= TILE, "at most {TILE} models per tile");
+        assert_eq!(out.len(), models.len() * nt, "one output row per model");
         if self.share_less {
-            for (t, o) in out.iter_mut().enumerate() {
-                *o = self.relevance_one(owner_emb, agg, t);
-            }
+            // Each target's fictive embedding scores every model.
+            let aggs: Vec<&[f32]> = models.iter().map(|&(_, agg)| agg).collect();
+            let queries: Vec<_> = (self.adversary_embs.iter().map(Option::as_deref))
+                .zip(self.targets.iter().map(Vec::as_slice))
+                .collect();
+            self.scorer.mean_relevance_tile(&aggs, &queries, out);
             return;
         }
-        // Fast path: score the catalog once into per-thread scratch (no
-        // catalog-sized allocation per model), then aggregate per target.
+        // Full sharing: score each model's catalog once, model-minor, then
+        // take every target's mean for all lanes at once.
         let n = self.scorer.num_items() as usize;
-        EVAL_SCORES.with(|cell| {
-            let scores = &mut *cell.borrow_mut();
-            scores.resize(n, 0.0);
-            self.scorer.score_item_range(owner_emb, agg, 0, scores);
-            for (t, o) in out.iter_mut().enumerate() {
-                let items = &self.targets[t];
-                *o = if items.is_empty() {
-                    0.0
-                } else {
-                    // cia-lint: allow(D07, sequential left-to-right fold over a slice in index order; the reduction order is fixed)
-                    items.iter().map(|&i| scores[i as usize]).sum::<f32>() / items.len() as f32
-                };
+        TILE_SCORES.with(|cell| {
+            let scratch = &mut *cell.borrow_mut();
+            let (tile, row) = cache_aligned(scratch, n * (TILE + 1)).split_at_mut(n * TILE);
+            for (m, &(owner_emb, agg)) in models.iter().enumerate() {
+                self.scorer.score_item_range(owner_emb, agg, 0, row);
+                for (i, &s) in row.iter().enumerate() {
+                    tile[i * TILE + m] = s;
+                }
+            }
+            for (t, items) in self.targets.iter().enumerate() {
+                // Each lane adds in list order from −0.0, the value
+                // `Iterator::<f32>::sum` starts from. `mean_relevance`
+                // starts from +0.0 instead; the two differ only on a target
+                // whose every item scores −0.0 (a PRME item at distance 0;
+                // a GMF dot is never −0.0). Lanes past `models.len()` add
+                // stale scores that are never read.
+                let mut acc = [-0.0f32; TILE];
+                for &i in items {
+                    let scores = &tile[i as usize * TILE..][..TILE];
+                    for m in 0..TILE {
+                        acc[m] += scores[m];
+                    }
+                }
+                let len = items.len() as f32;
+                for (m, &a) in acc.iter().take(models.len()).enumerate() {
+                    out[m * nt + t] = if items.is_empty() { 0.0 } else { a / len };
+                }
             }
         });
     }
@@ -208,9 +263,9 @@ mod tests {
 
     #[test]
     fn relevance_all_matches_relevance_one() {
-        // The full-catalog gemv + in-order mean and `mean_relevance` run the
-        // same dots and the same sum order: they agree bit for bit, on every
-        // GMF dimension arm.
+        // A one-model tile (the full-catalog gemv + in-order mean) and
+        // `mean_relevance` run the same dots and the same sum order: they
+        // agree bit for bit, on every GMF dimension arm.
         for dim in [3, 4, 8, 16, 80] {
             let (spec, snap) = trained_gmf(dim);
             let targets = vec![vec![1, 2], vec![10, 11, 12], vec![], vec![0, 5, 17, 38, 39]];

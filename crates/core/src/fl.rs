@@ -2,7 +2,7 @@
 //! (Algorithm 1): the adversary controls the server and attacks with the
 //! models received from sampled users each round.
 
-use crate::evaluator::RelevanceEvaluator;
+use crate::evaluator::{RelevanceEvaluator, TILE};
 use crate::metrics::{community_accuracy, coverage, top_k_users, AttackOutcome, AttackTracker};
 use cia_data::UserId;
 use cia_federated::{RoundObserver, RoundStats};
@@ -177,16 +177,30 @@ impl<E: RelevanceEvaluator, V> MomentumCia<E, V> {
     }
 
     /// Scores every seen user's momentum model against every target, into the
-    /// reusable flat relevance matrix (one row per user, filled in parallel).
+    /// reusable flat relevance matrix (one row per user). Blocks of `TILE`
+    /// user ids are scored as one tile each, in parallel; the rows of unseen
+    /// users stay untouched.
     fn refresh_relevance(&mut self) {
         let num_targets = self.evaluator.num_targets();
         if num_targets == 0 {
             return; // degenerate zero-target attack; nothing to score
         }
         let (rel, momentum, evaluator) = (&mut self.rel, &self.momentum, &self.evaluator);
-        par_chunks_mut(rel, num_targets, |u, row| {
-            if let Some(m) = &momentum[u] {
-                evaluator.relevance_all(m.emb(), m.agg(), row);
+        par_chunks_mut(rel, TILE * num_targets, |tile, rows| {
+            let block = &momentum[tile * TILE..][..rows.len() / num_targets];
+            let models: Vec<_> = block.iter().flatten().map(|m| (m.emb(), m.agg())).collect();
+            if models.len() == block.len() {
+                evaluator.relevance_tile(&models, rows);
+            } else if !models.is_empty() {
+                // Holes: score the seen users as one tile, then copy each
+                // row home.
+                let mut scored = vec![0.0; models.len() * num_targets];
+                evaluator.relevance_tile(&models, &mut scored);
+                let seen = block.iter().zip(rows.chunks_exact_mut(num_targets));
+                let seen = seen.filter_map(|(m, row)| m.as_ref().map(|_| row));
+                for (row, s) in seen.zip(scored.chunks_exact(num_targets)) {
+                    row.copy_from_slice(s);
+                }
             }
         });
     }
@@ -208,6 +222,11 @@ impl<E: RelevanceEvaluator, V> MomentumCia<E, V> {
     fn evaluate(&mut self, round: u64) {
         let obs = self.obs.clone();
         if let Some(reference) = &self.reference {
+            // Re-prepares on rounds r ≡ 0 (mod 4·eval_every), but this runs
+            // only on rounds r ≡ eval_every − 1 (mod eval_every). That is
+            // every fourth round for `eval_every == 1`; for any larger
+            // `eval_every` the fictive embeddings are prepared once, at the
+            // first evaluation with a reference, and never refreshed.
             if !self.prepared || round.is_multiple_of((self.cfg.eval_every * 4).max(1)) {
                 let _prepare = obs.span("attack_prepare");
                 self.evaluator.prepare(reference, self.cfg.seed ^ round);

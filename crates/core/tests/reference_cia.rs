@@ -9,9 +9,12 @@
 //! the evaluated histories and the final predicted communities must agree
 //! exactly.
 //!
-//! The relevance evaluator and the [`AttackTracker`] aggregation are shared
-//! with the engine on purpose: they are not under test here, the momentum
-//! bookkeeping, ranking and bounds are.
+//! The oracle scores every (model, target) pair on its own through
+//! [`RelevanceEvaluator::relevance_one`], so the engine's tiled scoring
+//! (several models per call, with holes and partial tiles) is under test
+//! together with the momentum bookkeeping, ranking and bounds. Only the
+//! evaluator's per-pair score, the Share-less fictive-embedding training and
+//! the [`AttackTracker`] aggregation are shared with the engine on purpose.
 
 use cia_core::metrics::rank_desc;
 use cia_core::{
@@ -95,13 +98,11 @@ impl Oracle {
         }
     }
 
-    /// Every seen sender's relevance row.
+    /// Every seen sender's relevance row, one (model, target) pair at a time.
     fn relevance(&self) -> Vec<Option<Vec<f32>>> {
-        let targets = self.evaluator.num_targets();
+        let targets = 0..self.evaluator.num_targets();
         let row = |(emb, agg): &Momentum| {
-            let mut out = vec![0.0; targets];
-            self.evaluator.relevance_all(emb.as_deref(), agg, &mut out);
-            out
+            targets.clone().map(|t| self.evaluator.relevance_one(emb.as_deref(), agg, t)).collect()
         };
         self.momentum.iter().map(|m| m.as_ref().map(row)).collect()
     }
@@ -125,6 +126,8 @@ impl Oracle {
             return;
         }
         if let Some(reference) = &self.reference {
+            // The engine's refresh rule, copied with its known defect: for
+            // `eval_every > 1` it never holds again after the first prepare.
             if !self.prepared || round.is_multiple_of(self.cfg.eval_every * 4) {
                 self.evaluator.prepare(reference, self.cfg.seed ^ round);
                 self.prepared = true;
@@ -151,18 +154,28 @@ fn member_mask(members: &[u32], n: usize) -> Vec<bool> {
     (0..n).map(|u| members.iter().any(|&m| m as usize == u)).collect()
 }
 
-/// One random small population with full sharing and GMF.
+/// One random small population with GMF at the paper dimension (d = 8),
+/// under full sharing or Share-less. Its 6–13 users leave the last scoring
+/// tile partial.
 struct Case {
     users: usize,
     cfg: CiaConfig,
     spec: GmfSpec,
+    share_less: bool,
     train_sets: Vec<Vec<u32>>,
     truths: Vec<Vec<UserId>>,
     owners: Vec<Option<UserId>>,
 }
 
 impl Case {
-    fn new(seed: u64, users: usize, k: usize, beta: f32, eval_every: u64) -> Self {
+    fn new(
+        seed: u64,
+        users: usize,
+        k: usize,
+        beta: f32,
+        eval_every: u64,
+        share_less: bool,
+    ) -> Self {
         let data = SyntheticConfig::builder()
             .users(users)
             .items(60)
@@ -180,7 +193,8 @@ impl Case {
         Case {
             users,
             cfg: CiaConfig { k, beta, eval_every, seed },
-            spec: GmfSpec::new(60, 4, GmfHyper::default()),
+            spec: GmfSpec::new(60, 8, GmfHyper::default()),
+            share_less,
             train_sets: split.train_sets().to_vec(),
             truths: ids.map(|u| gt.community_of(UserId::new(u)).to_vec()).collect(),
             owners,
@@ -188,15 +202,20 @@ impl Case {
     }
 
     fn evaluator(&self) -> Eval {
-        ItemSetEvaluator::new(self.spec.clone(), self.train_sets.clone(), false)
+        ItemSetEvaluator::new(self.spec.clone(), self.train_sets.clone(), self.share_less)
     }
 
     fn clients(&self) -> Vec<GmfClient> {
+        let policy = if self.share_less {
+            SharingPolicy::ShareLess { tau: 0.3 }
+        } else {
+            SharingPolicy::Full
+        };
         (0u32..)
             .zip(&self.train_sets)
             .map(|(u, items)| {
                 let id = UserId::new(u);
-                self.spec.build_client(id, items.clone(), SharingPolicy::Full, u64::from(u))
+                self.spec.build_client(id, items.clone(), policy, u64::from(u))
             })
             .collect()
     }
@@ -318,8 +337,9 @@ proptest! {
         beta in 0usize..4,
         eval_every in 1u64..3,
         participation in 0.4f64..0.95,
+        share_less in any::<bool>(),
     ) {
-        let case = Case::new(seed, users, k, BETAS[beta], eval_every);
+        let case = Case::new(seed, users, k, BETAS[beta], eval_every, share_less);
         let mut engine = FlCia::new(
             case.cfg,
             case.evaluator(),
@@ -347,7 +367,7 @@ proptest! {
         eval_every in 1u64..3,
         wake_fraction in 0.5f64..1.0,
     ) {
-        let case = Case::new(seed, users, k, BETAS[beta], eval_every);
+        let case = Case::new(seed, users, k, BETAS[beta], eval_every, false);
         let n = u32::try_from(users).unwrap();
         let members = [0, n / 2];
         let mut engine = GlCiaCoalition::new(

@@ -29,20 +29,23 @@
 //! training (`train_epoch`) and the mean-logit relevance behind
 //! [`RelevanceScorer::mean_relevance`] (`mean_logit`, the Share-less attack's
 //! per-target pass) each have one body generic over a `const D: usize`.
-//! Training dispatches `8 | 16 | runtime d`; the mean logit dispatches
-//! `8 | runtime d`, since d = 8 is the only dimension any scenario runs. With
+//! Training dispatches `8 | 16 | runtime d`; the mean logit and its
+//! model-tiled form behind [`RelevanceScorer::mean_relevance_tile`]
+//! (`mean_logit_tile`) dispatch `8 | runtime d`, since d = 8 is the only
+//! dimension any scenario runs. With
 //! a constant `D` every row dot unrolls and its bounds checks fold away; the
 //! accumulation order is the same on every arm, so the result is
 //! bit-identical whatever the dispatch.
 
 use crate::factor::{FactorClient, FactorModel};
-use crate::kernel::{dot, dot3, gemv};
+use crate::kernel::{cache_aligned, dot, dot3, gemv, LANES};
 use crate::params::{init_uniform, sigmoid};
 use crate::participant::{client_id_and_seed, RelevanceScorer, SharingPolicy};
 use cia_data::UserId;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::cell::RefCell;
 
 /// GMF hyper-parameters (defaults follow the original work where stated).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -181,6 +184,14 @@ impl GmfSpec {
     }
 }
 
+thread_local! {
+    /// Per-thread model-minor copy of one Share-less scoring tile's
+    /// parameters, then its hoisted `w` (see
+    /// [`RelevanceScorer::mean_relevance_tile`]): 430 KB at paper scale,
+    /// reused by every tile a worker scores.
+    static TILE_PARAMS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
 /// Embedding dimension up to which the hoisted `w = p_u ⊙ h` product lives on
 /// the stack (scoring stays allocation-free for every realistic `d`).
 const W_STACK: usize = 64;
@@ -250,6 +261,55 @@ impl RelevanceScorer for GmfSpec {
             8 => mean_logit::<8>(w, rows, items),
             _ => mean_logit::<0>(w, rows, items),
         })
+    }
+
+    fn mean_relevance_tile(
+        &self,
+        aggs: &[&[f32]],
+        queries: &[(Option<&[f32]>, &[u32])],
+        out: &mut [f32],
+    ) {
+        let (d, rows_len) = (self.dim, self.num_items as usize * self.dim);
+        assert!(aggs.len() <= LANES, "at most {LANES} models per tile");
+        assert_eq!(out.len(), aggs.len() * queries.len(), "one output per model and query");
+        for agg in aggs {
+            assert_eq!(agg.len(), GmfSpec::agg_len(self), "agg size");
+        }
+        TILE_PARAMS.with(|cell| {
+            let tile = &mut *cell.borrow_mut();
+            let tile = cache_aligned(tile, (rows_len + 2 * d) * LANES);
+            // Model-minor copy of every model's `[ Q | h ]`: the `LANES`
+            // values of one coordinate sit side by side. Lanes past
+            // `aggs.len()` keep stale values whose outputs are never read.
+            for (m, agg) in aggs.iter().enumerate() {
+                for (i, &x) in agg.iter().enumerate() {
+                    tile[i * LANES + m] = x;
+                }
+            }
+            let (rows, rest) = tile.split_at_mut(rows_len * LANES);
+            let (h, w) = rest.split_at_mut(d * LANES);
+            for (q, &(user_emb, items)) in queries.iter().enumerate() {
+                let user = user_emb.expect("GMF scoring needs a user embedding");
+                assert_eq!(user.len(), d, "user embedding length");
+                let means = if items.is_empty() {
+                    [0.0; LANES]
+                } else {
+                    // `w = p_u ⊙ h` per lane, as `with_user_h` hoists it.
+                    for (k, &u) in user.iter().enumerate() {
+                        for m in 0..LANES {
+                            w[k * LANES + m] = u * h[k * LANES + m];
+                        }
+                    }
+                    match d {
+                        8 => mean_logit_tile::<8>(w, rows, items),
+                        _ => mean_logit_tile::<0>(w, rows, items),
+                    }
+                };
+                for (m, &mean) in means.iter().take(aggs.len()).enumerate() {
+                    out[m * queries.len() + q] = mean;
+                }
+            }
+        });
     }
 
     fn train_adversary_embedding(
@@ -546,7 +606,6 @@ fn group_step_kernel<const D: usize>(
 /// pairwise fold), so the two are bit-identical.
 #[inline(always)]
 fn dot_pinned(a: &[f32], b: &[f32]) -> f32 {
-    use crate::kernel::LANES;
     debug_assert_eq!(a.len(), b.len());
     let d = a.len();
     let mut acc = [0.0f32; LANES];
@@ -585,6 +644,65 @@ fn mean_logit<const D: usize>(w: &[f32], rows: &[f32], items: &[u32]) -> f32 {
         acc += if D == 0 { dot(w, q) } else { dot_pinned(w, q) };
     }
     acc / items.len() as f32
+}
+
+/// [`mean_logit`] for `LANES` models at once, one model per lane: `w` and
+/// `rows` are model-minor (`w[k * LANES + m]`, and item `j`'s row is
+/// `rows[j * d * LANES..][..d * LANES]`, laid out the same way).
+///
+/// Lane `m` runs exactly the float operations of `mean_logit` on model `m`,
+/// in the same order: each item's [`dot_tile`] lane equals [`dot`] (and so
+/// [`dot_pinned`]), and the logits are summed from `0.0` in item order. The
+/// result is therefore bit-identical on every lane and every dispatch arm.
+#[inline]
+fn mean_logit_tile<const D: usize>(w: &[f32], rows: &[f32], items: &[u32]) -> [f32; LANES] {
+    let d = if D == 0 { w.len() / LANES } else { D };
+    let w = &w[..d * LANES];
+    let mut acc = [0.0f32; LANES];
+    for &j in items {
+        let logits = dot_tile(w, &rows[j as usize * d * LANES..][..d * LANES]);
+        for m in 0..LANES {
+            acc[m] += logits[m];
+        }
+    }
+    let len = items.len() as f32;
+    acc.map(|a| a / len)
+}
+
+/// [`dot`] on every lane of two model-minor `d × LANES` blocks: per lane,
+/// `LANES` partial sums over the `LANES`-wide chunks of the coordinates
+/// (each starting from `0.0`), the same pairwise fold, then the tail added
+/// in order.
+#[inline(always)]
+fn dot_tile(w: &[f32], q: &[f32]) -> [f32; LANES] {
+    debug_assert_eq!(w.len(), q.len());
+    let d = w.len() / LANES;
+    let chunks = d / LANES;
+    let mut part = [[0.0f32; LANES]; LANES];
+    for c in 0..chunks {
+        for (l, p) in part.iter_mut().enumerate() {
+            let k = (c * LANES + l) * LANES;
+            for m in 0..LANES {
+                p[m] += w[k + m] * q[k + m];
+            }
+        }
+    }
+    let mut sum = [0.0f32; LANES];
+    for (m, s) in sum.iter_mut().enumerate() {
+        let fold = [
+            part[0][m] + part[4][m],
+            part[1][m] + part[5][m],
+            part[2][m] + part[6][m],
+            part[3][m] + part[7][m],
+        ];
+        *s = (fold[0] + fold[2]) + (fold[1] + fold[3]);
+    }
+    for k in chunks * LANES..d {
+        for m in 0..LANES {
+            sum[m] += w[k * LANES + m] * q[k * LANES + m];
+        }
+    }
+    sum
 }
 
 /// Folds a remaining BCE probability product into accumulated nats.

@@ -35,6 +35,17 @@
 /// Number of independent accumulator lanes used by the reduction kernels.
 pub const LANES: usize = 8;
 
+/// Resizes `buf` to hold `len` floats after a 64-byte boundary and returns
+/// that cache-line-aligned window of `len` floats. Scratch read as
+/// `LANES`-wide rows then never splits a row across two cache lines,
+/// whatever address the allocator returned.
+pub fn cache_aligned(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    const PAD: usize = 64 / std::mem::size_of::<f32>();
+    buf.resize(len + PAD, 0.0);
+    let start = buf.as_ptr().align_offset(64).min(PAD);
+    &mut buf[start..start + len]
+}
+
 /// Folds the `LANES` partial sums pairwise (a fixed, platform-independent
 /// reduction tree).
 #[inline(always)]

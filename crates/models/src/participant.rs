@@ -342,6 +342,38 @@ pub trait RelevanceScorer: Send + Sync {
     /// costs one fully unrolled row dot.
     fn mean_relevance(&self, user_emb: Option<&[f32]>, agg: &[f32], items: &[u32]) -> f32;
 
+    /// Tile counterpart of [`Self::mean_relevance`]: the mean relevance of
+    /// every query `(user_emb, items)` under each of up to
+    /// [`crate::kernel::LANES`] models, written to
+    /// `out[m * queries.len() + q]` for model `aggs[m]` and query
+    /// `queries[q]`. Every output is bit-identical to
+    /// `mean_relevance(user_emb, aggs[m], items)`, so how models are grouped
+    /// into tiles never changes a score.
+    ///
+    /// This is the Share-less attack's scoring pass, where each target's
+    /// fictive embedding scores every model. The default loops
+    /// [`Self::mean_relevance`]; GMF lays the tile's item rows out
+    /// model-minor once and then scores each target item for all models at
+    /// once, one model per SIMD lane.
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic when given more than `LANES` models or when
+    /// `out.len() != aggs.len() * queries.len()`, and wherever
+    /// [`Self::mean_relevance`] would.
+    fn mean_relevance_tile(
+        &self,
+        aggs: &[&[f32]],
+        queries: &[(Option<&[f32]>, &[u32])],
+        out: &mut [f32],
+    ) {
+        for (m, agg) in aggs.iter().enumerate() {
+            for (q, &(user_emb, items)) in queries.iter().enumerate() {
+                out[m * queries.len() + q] = self.mean_relevance(user_emb, agg, items);
+            }
+        }
+    }
+
     /// Trains a fictive adversary user embedding that "likes" `target_items`,
     /// given public parameters `agg` (the Share-less adaptation of §IV-C).
     ///
