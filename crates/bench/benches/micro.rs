@@ -477,56 +477,58 @@ fn bench_paper_scale(c: &mut Criterion) {
             .collect()
     };
     // The paper's FL setting: 2 local epochs per round (ScaleParams::Paper).
+    // Each row's phase-annotated rounds run inside its own benchmark body
+    // after the timed iterations, so a name filter that skips the row skips
+    // its annotation rows too.
+    const PHASE_ROUNDS: u64 = 5;
     let t = thread_suffix();
-    c.bench_function(&format!("fedavg_round_paper_943x1682{t}"), |b| {
-        let mut sim = FedAvg::new(
-            clients(),
-            FedAvgConfig { rounds: u64::MAX, local_epochs: 2, ..Default::default() },
-        );
+    let fedavg = format!("fedavg_round_paper_943x1682{t}");
+    c.bench_function(&fedavg, |b| {
+        let new_sim = || {
+            FedAvg::new(
+                clients(),
+                FedAvgConfig { rounds: u64::MAX, local_epochs: 2, ..Default::default() },
+            )
+        };
+        let mut sim = new_sim();
         b.iter(|| sim.step(&mut NullObserver));
-    });
-    // Phase-annotated twin of the row above: a few instrumented rounds
-    // attribute the median to sample/train/attack/aggregate/evaluate.
-    {
-        let mut sim = FedAvg::new(
-            clients(),
-            FedAvgConfig { rounds: u64::MAX, local_epochs: 2, ..Default::default() },
-        );
+        // A few instrumented rounds on a fresh simulation attribute the
+        // median to sample/train/attack/aggregate/evaluate.
+        drop(sim);
+        let mut sim = new_sim();
         let rec = cia_core::Recorder::new();
         rec.set_detail(true);
         sim.set_recorder(rec.clone());
-        const PHASE_ROUNDS: u64 = 5;
         for _ in 0..PHASE_ROUNDS {
             sim.step(&mut NullObserver);
         }
-        emit_phase_rows(&format!("fedavg_round_paper_943x1682{t}"), &rec, PHASE_ROUNDS);
-    }
-    c.bench_function(&format!("gossip_round_paper_943x1682{t}"), |b| {
-        let mut sim =
-            GossipSim::new(clients(), GossipConfig { rounds: u64::MAX, ..Default::default() });
-        b.iter(|| sim.step(&mut NullGossipObserver));
+        emit_phase_rows(&fedavg, &rec, PHASE_ROUNDS);
     });
-    // Phase-annotated twin of the gossip row, plus the per-neighbor mixing
-    // cost: mix+train stay fused in one cache-hot pass (PR 7), so mixing
-    // never gets its own span — its distribution surfaces only through the
-    // `mix_us` histogram, recorded here as `<base>_mix_us_p50`/`_p99` rows.
-    // One untraced warm-up round fills the model pool first, so the rows
-    // attribute a steady round, like the timed row above, rather than the
-    // cold round's one-off buffer allocation.
-    {
-        let mut sim =
-            GossipSim::new(clients(), GossipConfig { rounds: u64::MAX, ..Default::default() });
+    let gossip = format!("gossip_round_paper_943x1682{t}");
+    c.bench_function(&gossip, |b| {
+        let new_sim =
+            || GossipSim::new(clients(), GossipConfig { rounds: u64::MAX, ..Default::default() });
+        let mut sim = new_sim();
+        b.iter(|| sim.step(&mut NullGossipObserver));
+        // The phase annotation on a fresh simulation, plus the per-neighbor
+        // mixing cost: mix+train stay fused in one cache-hot pass, so mixing
+        // never gets its own span — its distribution surfaces only through
+        // the `mix_us` histogram, recorded here as `<base>_mix_us_p50`/`_p99`
+        // rows. One untraced warm-up round fills the model pool first, so
+        // the rows attribute a steady round, like the timed row, rather than
+        // the cold round's one-off buffer allocation.
+        drop(sim);
+        let mut sim = new_sim();
         sim.step(&mut NullGossipObserver);
         let rec = cia_core::Recorder::new();
         rec.set_detail(true);
         sim.set_recorder(rec.clone());
-        const PHASE_ROUNDS: u64 = 5;
         for _ in 0..PHASE_ROUNDS {
             sim.step(&mut NullGossipObserver);
         }
-        emit_mix_hist_rows(&format!("gossip_round_paper_943x1682{t}"), &rec);
-        emit_phase_rows(&format!("gossip_round_paper_943x1682{t}"), &rec, PHASE_ROUNDS);
-    }
+        emit_mix_hist_rows(&gossip, &rec);
+        emit_phase_rows(&gossip, &rec, PHASE_ROUNDS);
+    });
 }
 
 fn bench_cia_score_paper(c: &mut Criterion) {

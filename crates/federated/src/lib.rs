@@ -43,8 +43,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use cia_models::parallel::par_zip_mut;
-use cia_models::params::weighted_mean;
+use cia_models::parallel::par_zip_fold;
+use cia_models::params::axpy;
 use cia_models::{
     apply_update_transform, MomentumState, Participant, SharedModel, UpdateTransform,
 };
@@ -184,9 +184,17 @@ pub struct FedAvg<P: Participant> {
     round: u64,
     /// Per-client round slots, persistent across rounds so snapshots reuse
     /// their buffers instead of re-allocating a full model per client per
-    /// round.
+    /// round. A snapshot nobody reads after the round leaves its slot when
+    /// its client is folded (see `pools`).
     slots: Vec<RoundSlot>,
-    /// Reused aggregation accumulator.
+    /// One snapshot pool per training worker, kept across rounds. Without a
+    /// serial observer a DP snapshot is dead once folded into `acc`, so its
+    /// buffers go back to the pool of the worker that folded it and serve
+    /// that worker's next client: a round holds a few snapshots per worker
+    /// instead of one per client.
+    pools: Vec<Vec<SharedModel>>,
+    /// The round's aggregation accumulator, which the workers fold every
+    /// acting client into in client index order.
     acc: Vec<f32>,
     /// Whether client `i` is user `i` for every `i`: only then can a lent
     /// momentum table be zipped with the clients.
@@ -234,6 +242,7 @@ impl<P: Participant> FedAvg<P> {
             transform: None,
             round: 0,
             slots,
+            pools: Vec::new(),
             acc: Vec::new(),
             ids_are_indices,
             obs: Recorder::new(),
@@ -309,12 +318,20 @@ impl<P: Participant> FedAvg<P> {
 
     /// Runs one round: ask the observer who acts, broadcast, local training,
     /// transform, observe, aggregate.
+    ///
+    /// The `train` phase does all per-client work on the training workers,
+    /// including the aggregation fold: each worker folds the clients it
+    /// trained into `acc` when their turn in client index order comes
+    /// ([`cia_models::parallel::par_zip_fold`]), so the sum is bit-identical
+    /// for every thread count. The `aggregate` phase only applies `acc` to
+    /// the global model.
     pub fn step(&mut self, observer: &mut dyn RoundObserver) -> RoundStats {
         let t = self.round;
         let obs = self.obs.clone();
         let bytes0 = obs.counter(Counter::BytesMaterialized);
-        let FedAvg { clients, global_agg, cfg, transform, slots, acc, ids_are_indices, .. } =
-            &mut *self;
+        let FedAvg {
+            clients, global_agg, cfg, transform, slots, pools, acc, ids_are_indices, ..
+        } = &mut *self;
         let n = clients.len();
         let cfg = *cfg;
 
@@ -336,12 +353,26 @@ impl<P: Participant> FedAvg<P> {
             Some((beta, table)) if table.len() == n => (beta, Some(table)),
             _ => (0.0, None),
         };
-        let folds = table.is_some();
+        let serial = table.is_none() && observes;
 
         // Snapshots are materialized only when something consumes them: an
         // observer on the serial path, or the DP transform (which aggregates
-        // transformed parameters instead of the clients' own).
-        let materialize = transform.is_some() || (!folds && observes);
+        // transformed parameters instead of the clients' own). Only the
+        // serial observer reads them after the fold; otherwise each goes
+        // back to its worker's pool as soon as it is folded.
+        let materialize = transform.is_some() || serial;
+        let pooled = transform.is_some() && !serial;
+
+        // FedAvg weighs each update by its client's local example count.
+        let weight_of = |client: &P| client.num_examples().max(1) as f32;
+        let mut total = 0.0f32;
+        for (client, &s) in clients.iter().zip(&sampled) {
+            if s {
+                total += weight_of(client);
+            }
+        }
+        acc.resize(global_agg.len(), 0.0);
+        acc.fill(0.0);
 
         // Per-client work deposited into aligned, buffer-reusing slots, each
         // paired with its sender's momentum entry when one was lent.
@@ -356,83 +387,92 @@ impl<P: Participant> FedAvg<P> {
             None => slots.iter_mut().map(|slot| (slot, None)).collect(),
         };
         let train_span = obs.span("train");
-        par_zip_mut(clients, &mut work, |i, client, (slot, entry)| {
-            if !slot.sampled {
-                return;
-            }
-            let t0 = obs.clock();
-            let mut crng =
-                StdRng::seed_from_u64(cfg.seed ^ (t << 20) ^ (i as u64).wrapping_mul(0x5851_F42D));
-            client.absorb_agg(global);
-            // The DP transform needs the pre-round embedding.
-            let emb_before: Option<Vec<f32>> =
-                transform.and_then(|_| client.owner_emb().map(<[f32]>::to_vec));
-            for _ in 0..cfg.local_epochs.max(1) {
-                slot.loss = client.train_local(&mut crng);
-            }
-            if materialize {
-                client.snapshot_into(t, &mut slot.model);
-            }
-            if let Some(tr) = transform {
-                // DP rewrites the materialized snapshot.
-                apply_update_transform(
-                    tr,
-                    &mut slot.model,
-                    emb_before.as_deref(),
-                    global,
-                    &mut crng,
-                );
-            }
-            if let Some(entry) = entry.as_deref_mut() {
-                // What the server receives: the DP-rewritten snapshot, or
-                // else the client's own shared parameters.
-                let (emb, agg) = if transform.is_some() {
-                    (slot.model.owner_emb.as_deref(), slot.model.agg.as_slice())
-                } else {
-                    (client.owner_emb(), client.agg())
-                };
-                MomentumState::observe(entry, beta, emb, agg);
-            }
-            obs.observe_since(Metric::TrainMicros, t0);
-        });
-        // Fold each sampled client's sparse update into `acc` in client
-        // index order over identical inputs, so the sum is bit-identical for
-        // every thread count.
-        // FedAvg weighs each update by its client's local example count.
-        let weight_of = |client: &P| client.num_examples().max(1) as f32;
-        let sparse_agg = transform.is_none();
-        let total: f32 = clients
-            .iter()
-            .zip(&*slots)
-            .filter(|(_, slot)| slot.sampled)
-            .map(|(client, _)| weight_of(client))
-            .sum();
-        acc.resize(global.len(), 0.0);
-        acc.fill(0.0);
-        if sparse_agg && total > 0.0 {
-            for (client, slot) in clients.iter().zip(&*slots) {
-                if slot.sampled {
-                    client.accumulate_update(global, weight_of(client) / total, acc);
+        let fold_wait = par_zip_fold(
+            clients,
+            &mut work,
+            pools,
+            acc,
+            |pool, i, client, (slot, entry)| {
+                if !slot.sampled {
+                    return;
                 }
-            }
-        }
+                let t0 = obs.clock();
+                let mut crng = StdRng::seed_from_u64(
+                    cfg.seed ^ (t << 20) ^ (i as u64).wrapping_mul(0x5851_F42D),
+                );
+                client.absorb_agg(global);
+                // The DP transform needs the pre-round embedding.
+                let emb_before: Option<Vec<f32>> =
+                    transform.and_then(|_| client.owner_emb().map(<[f32]>::to_vec));
+                for _ in 0..cfg.local_epochs.max(1) {
+                    slot.loss = client.train_local(&mut crng);
+                }
+                if materialize {
+                    if pooled {
+                        if let Some(model) = pool.pop() {
+                            slot.model = model;
+                        }
+                    }
+                    client.snapshot_into(t, &mut slot.model);
+                    let bytes = 4 * slot.model.len() as u64;
+                    obs.add(Counter::BytesMaterialized, bytes);
+                    obs.add(Counter::BytesCopied, bytes);
+                }
+                if let Some(tr) = transform {
+                    // DP rewrites the materialized snapshot.
+                    apply_update_transform(
+                        tr,
+                        &mut slot.model,
+                        emb_before.as_deref(),
+                        global,
+                        &mut crng,
+                    );
+                }
+                if let Some(entry) = entry.as_deref_mut() {
+                    // What the server receives: the DP-rewritten snapshot,
+                    // or else the client's own shared parameters.
+                    let (emb, agg) = if transform.is_some() {
+                        (slot.model.owner_emb.as_deref(), slot.model.agg.as_slice())
+                    } else {
+                        (client.owner_emb(), client.agg())
+                    };
+                    MomentumState::observe(entry, beta, emb, agg);
+                }
+                obs.observe_since(Metric::TrainMicros, t0);
+            },
+            |acc, pool, _, client, (slot, _)| {
+                if !slot.sampled {
+                    return;
+                }
+                let w = weight_of(client) / total;
+                if transform.is_some() {
+                    // Transformed parameters live only in the snapshot: the
+                    // dense weighted mean `Σ w̃ᵢ·snapᵢ`.
+                    axpy(acc, w, &slot.model.agg);
+                } else {
+                    // Sparse: `w̃ᵢ · (aggᵢ − global)` over only the
+                    // parameters local training touched (Σ w̃ᵢ = 1, so
+                    // `global + Σ w̃ᵢ·(aggᵢ − global) = Σ w̃ᵢ·aggᵢ`).
+                    client.accumulate_update(global, w, acc);
+                }
+                if pooled {
+                    let owner = slot.model.owner;
+                    let empty = SharedModel { owner, round: t, owner_emb: None, agg: Vec::new() };
+                    pool.push(std::mem::replace(&mut slot.model, empty));
+                }
+            },
+        );
+        obs.add(Counter::FoldWaitMicros, fold_wait.as_micros() as u64);
         drop(train_span);
 
-        // Observe in deterministic (user-id) order, unless the workers
-        // already folded every model. The round's materialization cost is
-        // the snapshot buffers refilled for the observer / DP transform.
+        // Observe in deterministic (user-id) order on the serial path.
         let attack_span = obs.span("attack");
         let mut loss_sum = 0.0f32;
         let mut participants = 0usize;
         for slot in &*slots {
             if slot.sampled {
-                if materialize {
-                    if !folds {
-                        observer.on_client_model(&slot.model);
-                    }
-                    let bytes = 4 * slot.model.len() as u64;
-                    obs.add(Counter::BytesMaterialized, bytes);
-                    obs.add(Counter::BytesCopied, bytes);
+                if serial {
+                    observer.on_client_model(&slot.model);
                 }
                 loss_sum += slot.loss;
                 participants += 1;
@@ -440,33 +480,17 @@ impl<P: Participant> FedAvg<P> {
         }
         drop(attack_span);
         obs.add(Counter::ClientsTrained, participants as u64);
-        // Aggregate. An all-offline round (dynamics can empty the mask)
+        // Aggregate: `acc` holds the new global under DP and the update to
+        // add otherwise. An all-offline round (dynamics can empty the mask)
         // keeps the previous global — nothing arrived to aggregate.
         let aggregate_span = obs.span("aggregate");
         if participants > 0 {
-            if sparse_agg {
-                // Sparse path: every client contributed
-                // `w̃ᵢ · (aggᵢ − global)` over only the parameters its local
-                // training touched (Σ w̃ᵢ = 1, so
-                // `global + Σ w̃ᵢ·(aggᵢ − global) = Σ w̃ᵢ·aggᵢ`) — already
-                // folded into `acc` above, in client index order.
+            if transform.is_some() {
+                std::mem::swap(global_agg, acc);
+            } else {
                 for (g, a) in global_agg.iter_mut().zip(&*acc) {
                     *g += a;
                 }
-            } else {
-                // Transformed parameters live only in the snapshots: dense
-                // weighted mean over the materialized models.
-                let mut rows: Vec<&[f32]> = Vec::with_capacity(participants);
-                let mut weights: Vec<f32> = Vec::with_capacity(participants);
-                for (client, slot) in clients.iter().zip(&*slots) {
-                    if slot.sampled {
-                        rows.push(&slot.model.agg);
-                        weights.push(weight_of(client));
-                    }
-                }
-                let mut new_global = vec![0.0f32; global_agg.len()];
-                weighted_mean(&mut new_global, &rows, &weights);
-                *global_agg = new_global;
             }
         }
         drop(aggregate_span);
@@ -654,6 +678,30 @@ mod tests {
         noisy.run(&mut rec_noisy);
         assert_ne!(clean.global_agg(), noisy.global_agg());
         assert!(noisy.global_agg().iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn dp_snapshots_return_to_the_worker_pools_unless_observed_serially() {
+        use cia_defenses::{DpConfig, DpMechanism};
+        let dp = || Box::new(DpMechanism::new(DpConfig { clip: 1.0, noise_multiplier: 1.0 }));
+        let kept = |sim: &FedAvg<cia_models::GmfClient>| {
+            sim.slots.iter().filter(|s| s.model.agg.capacity() > 0).count()
+        };
+        // Nobody reads a snapshot after the fold: each one goes back to its
+        // worker's pool, which serves the next client.
+        let mut pooled = make_sim(20, 2, SharingPolicy::Full);
+        pooled.set_update_transform(dp());
+        pooled.run(&mut NullObserver);
+        assert_eq!(kept(&pooled), 0, "a folded snapshot stayed in its slot");
+        assert!(pooled.pools.iter().any(|pool| !pool.is_empty()), "no snapshot was pooled");
+        // A serial observer reads every snapshot after the round.
+        let mut observed = make_sim(20, 2, SharingPolicy::Full);
+        observed.set_update_transform(dp());
+        let mut rec = Recorder::default();
+        observed.run(&mut rec);
+        assert_eq!(kept(&observed), 20);
+        assert_eq!(rec.models.len(), 40);
+        assert_eq!(observed.global_agg(), pooled.global_agg());
     }
 
     #[test]

@@ -49,23 +49,6 @@ pub fn clip_l2(x: &mut [f32], c: f32) -> f32 {
     kernel::clip_l2(x, c)
 }
 
-/// `out ← mean of rows`, weighted by `weights` (which are normalized
-/// internally). Used by FedAvg and gossip aggregation.
-///
-/// # Panics
-///
-/// Panics if `rows` is empty, lengths mismatch, or all weights are zero.
-pub fn weighted_mean(out: &mut [f32], rows: &[&[f32]], weights: &[f32]) {
-    assert!(!rows.is_empty(), "weighted_mean needs at least one row");
-    assert_eq!(rows.len(), weights.len(), "one weight per row");
-    let total: f32 = weights.iter().sum();
-    assert!(total > 0.0, "weights must sum to a positive value");
-    out.fill(0.0);
-    for (row, &w) in rows.iter().zip(weights) {
-        axpy(out, w / total, row);
-    }
-}
-
 /// Batched Box–Muller noise (the DP write path) and its scalar reference,
 /// shared with the image generator; see [`cia_data::add_gaussian_noise`].
 pub use cia_data::{add_gaussian_noise, gaussian};
@@ -125,14 +108,6 @@ mod tests {
         let mut y = vec![0.1, 0.1];
         assert_eq!(clip_l2(&mut y, 10.0), 1.0);
         assert_eq!(y, vec![0.1, 0.1]);
-    }
-
-    #[test]
-    fn weighted_mean_normalizes() {
-        let mut out = vec![0.0; 2];
-        weighted_mean(&mut out, &[&[2.0, 0.0], &[0.0, 4.0]], &[1.0, 3.0]);
-        assert!((out[0] - 0.5).abs() < 1e-6);
-        assert!((out[1] - 3.0).abs() < 1e-6);
     }
 
     #[test]

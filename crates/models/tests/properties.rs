@@ -6,7 +6,7 @@
 
 use cia_data::UserId;
 use cia_models::kernel;
-use cia_models::params::{axpy, clip_l2, ema, l2_norm, scale, weighted_mean};
+use cia_models::params::{axpy, clip_l2, ema, l2_norm, scale};
 use cia_models::{
     GmfHyper, GmfSpec, Participant, PrmeHyper, PrmeSpec, RelevanceScorer, SharedModel,
     SharingPolicy,
@@ -94,25 +94,6 @@ proptest! {
         let f = clip_l2(&mut x, c);
         prop_assert_eq!(f, 1.0);
         prop_assert_eq!(x, before);
-    }
-
-    #[test]
-    fn weighted_mean_of_identical_rows_is_the_row(row in vec32(12), w1 in 0.1f32..10.0, w2 in 0.1f32..10.0) {
-        let mut out = vec![0.0f32; 12];
-        weighted_mean(&mut out, &[&row, &row], &[w1, w2]);
-        for (o, r) in out.iter().zip(&row) {
-            prop_assert!((o - r).abs() < 1e-3, "o={o} r={r}");
-        }
-    }
-
-    #[test]
-    fn weighted_mean_is_convex_combination(a in vec32(8), b in vec32(8), w in 0.01f32..0.99) {
-        let mut out = vec![0.0f32; 8];
-        weighted_mean(&mut out, &[&a, &b], &[w, 1.0 - w]);
-        for ((x, y), o) in a.iter().zip(&b).zip(&out) {
-            let (lo, hi) = if x < y { (x, y) } else { (y, x) };
-            prop_assert!(*o >= lo - 1e-3 && *o <= hi + 1e-3);
-        }
     }
 
     // ---- kernel equivalence: chunked kernels vs scalar references ----

@@ -10,7 +10,8 @@
 //! * **Counters** — a typed registry ([`Counter`]) of monotone event
 //!   counters (clients trained, bytes on the wire, bytes materialized, …).
 //!   Counters are plain atomics: always on, safe to bump from parallel
-//!   training workers, and deterministic for deterministic workloads.
+//!   training workers, and deterministic for deterministic workloads —
+//!   all but `fold_wait_us`, which counts waited microseconds.
 //! * **Histograms** — fixed log₂-bucket latency histograms ([`Metric`],
 //!   [`Histogram`]): bucket edges are powers of two, so bucket assignment is
 //!   deterministic and merging is a bucket-wise add (associative and
@@ -55,16 +56,21 @@ pub enum Counter {
     /// for asleep receivers, lenders with no mail taking their parameters
     /// back, and the DP transform's clean-vector copies.
     BytesCopied = 4,
+    /// Microseconds FedAvg's training workers spent waiting for their turn
+    /// to fold a finished block into the round's aggregate. Unlike the
+    /// others this is a wall-clock reading: timing-class, like spans.
+    FoldWaitMicros = 5,
 }
 
 impl Counter {
     /// Every counter, in registry order.
-    pub const ALL: [Counter; 5] = [
+    pub const ALL: [Counter; 6] = [
         Counter::ClientsTrained,
         Counter::BytesOnWire,
         Counter::BytesMaterialized,
         Counter::InboxDeliveries,
         Counter::BytesCopied,
+        Counter::FoldWaitMicros,
     ];
 
     /// The counter's stable snake_case name (JSONL / trace-file key).
@@ -75,6 +81,7 @@ impl Counter {
             Counter::BytesMaterialized => "bytes_materialized",
             Counter::InboxDeliveries => "inbox_deliveries",
             Counter::BytesCopied => "bytes_copied",
+            Counter::FoldWaitMicros => "fold_wait_us",
         }
     }
 }

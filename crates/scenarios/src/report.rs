@@ -370,4 +370,17 @@ mod tests {
         assert!(text.contains("phase coverage: 90.0% of round time"));
         assert!(text.contains("counter clients_trained: 2"));
     }
+
+    #[test]
+    fn render_totals_the_fold_wait_counter() {
+        let wait = |round, us| {
+            trace_line("a", round, 900, 100, 2).replace(
+                r#""clients_trained":2"#,
+                &format!(r#""clients_trained":2,"fold_wait_us":{us}"#),
+            )
+        };
+        let input = [wait(0, 35), wait(1, 7)].join("\n");
+        let text = render(&summarize(&input).unwrap());
+        assert!(text.contains("counter fold_wait_us: 42"), "{text}");
+    }
 }

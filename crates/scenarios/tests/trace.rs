@@ -44,6 +44,7 @@ fn no_timing_streams_are_byte_identical_and_trace_free() {
     assert_eq!(a, b, "untimed runs diverged with tracing active");
     let text = String::from_utf8(a).unwrap();
     assert!(!text.contains("\"type\":\"trace\""), "untimed stream leaked trace records");
+    assert!(!text.contains("fold_wait_us"), "untimed stream leaked the fold wait");
     // The recorder still ran: every outcome drained per-round chunks with
     // spans in them (rounds + the final utility pass).
     for o in &outcomes {
