@@ -253,6 +253,7 @@ mod tests {
     fn trained_gmf(dim: usize) -> (GmfSpec, cia_models::SharedModel) {
         let spec = GmfSpec::new(40, dim, GmfHyper { lr: 0.1, ..GmfHyper::default() });
         let mut c = spec.build_client(UserId::new(0), vec![1, 2, 3], SharingPolicy::Full, 5);
+        c.draw_agg();
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..40 {
             c.train_local(&mut rng);

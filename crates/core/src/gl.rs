@@ -283,7 +283,7 @@ mod tests {
     use crate::evaluator::ItemSetEvaluator;
     use cia_data::{GroundTruth, LeaveOneOut, SyntheticConfig};
     use cia_gossip::{GossipConfig, GossipSim};
-    use cia_models::{GmfClient, GmfHyper, GmfSpec, SharingPolicy};
+    use cia_models::{GmfClient, GmfHyper, GmfSpec, Participant, SharingPolicy};
 
     struct Setup {
         clients: Vec<GmfClient>,
@@ -311,12 +311,16 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(u, items)| {
-                spec.build_client(
+                let mut c = spec.build_client(
                     UserId::from_index(u),
                     items.clone(),
                     SharingPolicy::Full,
                     u as u64,
-                )
+                );
+                // Some tests snapshot a client directly, without a GossipSim
+                // to draw its aggregate.
+                c.draw_agg();
+                c
             })
             .collect();
         let truths: Vec<Vec<UserId>> =

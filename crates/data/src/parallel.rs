@@ -65,6 +65,14 @@ where
 /// cores, 8 tied with 4 and beat 16 and 32 on wall time and peak memory.
 pub const FOLD_BLOCK: usize = 8;
 
+/// Blocks a [`par_zip_fold`] worker may hold worked but not yet folded:
+/// before working another block it waits for the fold turn to take its
+/// oldest. Whatever the work lends out until the fold (FedAvg's client
+/// buffers and DP snapshots) then stays below `FOLD_LEAD × FOLD_BLOCK` per
+/// worker for any thread count, instead of growing with how far a worker
+/// runs ahead.
+pub const FOLD_LEAD: usize = 2;
+
 /// Runs `work(lane, i, &mut a[i], &mut b[i])` for every index in parallel,
 /// and `fold(acc, lane, i, &mut a[i], &mut b[i])` exactly once per index,
 /// strictly in index order, each on the worker that did that index's work.
@@ -75,8 +83,9 @@ pub const FOLD_BLOCK: usize = 8;
 ///
 /// Workers take [`FOLD_BLOCK`]-sized blocks of indices round-robin. After
 /// each block a worker folds its finished blocks whose turn has come, if the
-/// fold lock is free (`try_lock`); once its own work is done it waits for
-/// the turn to reach each block it still holds. `lanes` carries one piece of
+/// fold lock is free (`try_lock`). It waits for the turn to reach its oldest
+/// unfolded block when it already holds [`FOLD_LEAD`] of them, and once its
+/// own work is done, for each block it still holds. `lanes` carries one piece of
 /// per-worker state (a buffer pool, say): it grows to the worker count, the
 /// caller keeps it across calls, and `work` and `fold` of one index see the
 /// same lane.
@@ -177,16 +186,38 @@ where
         }
         t.next += 1;
     };
+    // Waits for the turn to reach `block`, folds it and passes the turn on;
+    // returns the wait.
+    let fold_oldest = |lane: &mut L, block: &mut Block<'_, A, B>| {
+        // cia-lint: allow(D02, times only the wait for the fold turn, reported as the timing-class fold_wait_us counter; no result reads it)
+        let t0 = Instant::now();
+        let mut t = turn.lock().expect("par_zip_fold: a worker panicked");
+        while t.next != block.0 {
+            assert!(!t.abandoned, "par_zip_fold: a worker panicked");
+            t = wake.wait(t).expect("par_zip_fold: a worker panicked");
+        }
+        let waited = t0.elapsed();
+        fold_block(&mut t, lane, block);
+        drop(t);
+        wake.notify_all();
+        waited
+    };
     std::thread::scope(|s| {
         let handles: Vec<_> = shares
             .into_iter()
             .zip(lanes.iter_mut())
             .map(|(mut share, lane)| {
-                let (turn, wake, work, fold_block) = (&turn, &wake, &work, &fold_block);
+                let (turn, wake, work) = (&turn, &wake, &work);
+                let (fold_block, fold_oldest) = (&fold_block, &fold_oldest);
                 s.spawn(move || {
                     let _abandon = Abandon(turn, wake);
                     let mut folded = 0;
+                    let mut waited = Duration::ZERO;
                     for j in 0..share.len() {
+                        while j - folded >= FOLD_LEAD {
+                            waited += fold_oldest(lane, &mut share[folded]);
+                            folded += 1;
+                        }
                         let (k, sa, sb) = &mut share[j];
                         for (o, (x, y)) in sa.iter_mut().zip(sb.iter_mut()).enumerate() {
                             work(lane, *k * FOLD_BLOCK + o, x, y);
@@ -205,20 +236,9 @@ where
                             }
                         }
                     }
-                    let mut waited = Duration::ZERO;
                     while folded < share.len() {
-                        // cia-lint: allow(D02, times only the wait for the fold turn, reported as the timing-class fold_wait_us counter; no result reads it)
-                        let t0 = Instant::now();
-                        let mut t = turn.lock().expect("par_zip_fold: a worker panicked");
-                        while t.next != share[folded].0 {
-                            assert!(!t.abandoned, "par_zip_fold: a worker panicked");
-                            t = wake.wait(t).expect("par_zip_fold: a worker panicked");
-                        }
-                        waited += t0.elapsed();
-                        fold_block(&mut t, lane, &mut share[folded]);
+                        waited += fold_oldest(lane, &mut share[folded]);
                         folded += 1;
-                        drop(t);
-                        wake.notify_all();
                     }
                     waited
                 })
@@ -297,7 +317,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     #[test]
     fn par_map_preserves_order() {
@@ -407,6 +427,64 @@ mod tests {
         let forward = (0..n).fold(0.0f32, |s, i| s + term(i));
         let backward = (0..n).rev().fold(0.0f32, |s, i| s + term(i));
         assert_ne!(forward.to_bits(), backward.to_bits());
+    }
+
+    #[test]
+    fn par_zip_fold_caps_each_workers_lead_over_the_fold() {
+        let cap = FOLD_LEAD * FOLD_BLOCK;
+        let n = 9 * FOLD_BLOCK + 3;
+        for threads in 1..=4 {
+            let ctx = format!("{threads} threads");
+            let workers = threads.min(n.div_ceil(FOLD_BLOCK));
+            // Index 0 is held until the other workers have worked as far as
+            // the cap lets them, and then a while longer: an uncapped worker
+            // would run ahead of the fold in that while.
+            let allowed: usize = (1..n.div_ceil(FOLD_BLOCK))
+                .filter(|k| !k.is_multiple_of(workers) && k / workers < FOLD_LEAD)
+                .map(|k| FOLD_BLOCK.min(n - k * FOLD_BLOCK))
+                .sum();
+            let elsewhere = AtomicUsize::new(0);
+            let most = AtomicUsize::new(0);
+            let mut worked = vec![0u32; n];
+            let mut folded = vec![0u32; n];
+            let mut lanes: Vec<Vec<usize>> = Vec::new();
+            let mut order = Vec::new();
+            zip_fold_on(
+                threads,
+                &mut worked,
+                &mut folded,
+                &mut lanes,
+                &mut order,
+                |lane, i, w, _| {
+                    if i == 0 && workers > 1 {
+                        while elsewhere.load(Ordering::Acquire) < allowed {
+                            std::thread::yield_now();
+                        }
+                        std::thread::sleep(Duration::from_millis(20));
+                    }
+                    spin(i);
+                    *w += 1;
+                    lane.push(i);
+                    most.fetch_max(lane.len(), Ordering::Relaxed);
+                    if !(i / FOLD_BLOCK).is_multiple_of(workers) {
+                        elsewhere.fetch_add(1, Ordering::Release);
+                    }
+                },
+                |order, lane, i, w, f| {
+                    assert_eq!(*w, 1, "{ctx}: index {i} folded before its work");
+                    let at = lane.iter().position(|&j| j == i);
+                    lane.swap_remove(at.expect("folded on another worker's lane"));
+                    *f += 1;
+                    order.push(i);
+                },
+            );
+            let most = most.into_inner();
+            assert!(most <= cap, "{ctx}: a lane held {most} unfolded indices, over {cap}");
+            assert!(worked.iter().all(|&c| c == 1), "{ctx}: worked {worked:?}");
+            assert!(folded.iter().all(|&c| c == 1), "{ctx}: folded {folded:?}");
+            assert_eq!(order, (0..n).collect::<Vec<_>>(), "{ctx}: fold order");
+            assert!(lanes.iter().all(Vec::is_empty), "{ctx}: an index was not folded");
+        }
     }
 
     #[test]

@@ -185,14 +185,10 @@ pub struct FedAvg<P: Participant> {
     /// Per-client round slots, persistent across rounds so snapshots reuse
     /// their buffers instead of re-allocating a full model per client per
     /// round. A snapshot nobody reads after the round leaves its slot when
-    /// its client is folded (see `pools`).
+    /// its client is folded (see `lanes`).
     slots: Vec<RoundSlot>,
-    /// One snapshot pool per training worker, kept across rounds. Without a
-    /// serial observer a DP snapshot is dead once folded into `acc`, so its
-    /// buffers go back to the pool of the worker that folded it and serve
-    /// that worker's next client: a round holds a few snapshots per worker
-    /// instead of one per client.
-    pools: Vec<Vec<SharedModel>>,
+    /// One buffer pool per training worker, kept across rounds.
+    lanes: Vec<Lane>,
     /// The round's aggregation accumulator, which the workers fold every
     /// acting client into in client index order.
     acc: Vec<f32>,
@@ -204,6 +200,21 @@ pub struct FedAvg<P: Participant> {
     obs: Recorder,
 }
 
+/// A training worker's buffer pools. A worker lends each client it trains
+/// an aggregate and a reference buffer, and takes them back once the
+/// client's update is folded into `acc`; without a serial observer a DP
+/// snapshot is likewise dead once folded and returns to its pool. Each
+/// buffer then serves the worker's next client, so a round holds a few per
+/// worker ([`cia_models::parallel::FOLD_LEAD`] blocks' worth at most)
+/// instead of one per client.
+#[derive(Default)]
+struct Lane {
+    /// Aggregate and reference buffers.
+    buffers: Vec<(Vec<f32>, Vec<f32>)>,
+    /// DP snapshots.
+    snapshots: Vec<SharedModel>,
+}
+
 /// Per-client per-round bookkeeping; `model` keeps its buffers across rounds.
 struct RoundSlot {
     model: SharedModel,
@@ -213,19 +224,26 @@ struct RoundSlot {
 
 impl<P: Participant> FedAvg<P> {
     /// Creates a simulation over `clients`. The initial global model is the
-    /// first client's public parameters (all clients sync to it in round 0).
+    /// first client's public parameters, drawn on demand
+    /// ([`Participant::draw_agg`]); all clients sync to it in round 0. No
+    /// client keeps an aggregate between rounds: each borrows one for the
+    /// round it trains in.
     ///
     /// # Panics
     ///
     /// Panics if `clients` is empty or clients disagree on parameter sizes.
-    pub fn new(clients: Vec<P>, cfg: FedAvgConfig) -> Self {
+    pub fn new(mut clients: Vec<P>, cfg: FedAvgConfig) -> Self {
         assert!(!clients.is_empty(), "need at least one client");
         let len = clients[0].agg_len();
         assert!(
             clients.iter().all(|c| c.agg_len() == len),
             "clients must share a parameter layout"
         );
+        clients[0].draw_agg();
         let global_agg = clients[0].agg().to_vec();
+        for client in &mut clients {
+            drop(client.take_buffers());
+        }
         let ids_are_indices = clients.iter().enumerate().all(|(i, c)| c.user().index() == i);
         let slots = clients
             .iter()
@@ -242,7 +260,7 @@ impl<P: Participant> FedAvg<P> {
             transform: None,
             round: 0,
             slots,
-            pools: Vec::new(),
+            lanes: Vec::new(),
             acc: Vec::new(),
             ids_are_indices,
             obs: Recorder::new(),
@@ -267,7 +285,10 @@ impl<P: Participant> FedAvg<P> {
         self.transform = Some(transform);
     }
 
-    /// The clients (evaluation access).
+    /// The clients (evaluation access). Between rounds a client that
+    /// borrows its aggregate holds none ([`Participant::take_buffers`]):
+    /// read [`FedAvg::global_agg`], or call
+    /// [`FedAvg::sync_clients_to_global`] first.
     pub fn clients(&self) -> &[P] {
         &self.clients
     }
@@ -308,8 +329,12 @@ impl<P: Participant> FedAvg<P> {
         Ok(())
     }
 
-    /// Loads the current global model into every client (used before utility
-    /// evaluation, mirroring the broadcast deployment of the final model).
+    /// Loads the current global model into every client, mirroring the
+    /// broadcast deployment of the final model, so that each client's own
+    /// [`Participant::agg`] can be scored. This rebuilds one aggregate per
+    /// client; the scenario runner scores against
+    /// [`FedAvg::global_agg`] instead. Kept for the MNIST experiment and the
+    /// benchmark tracer (`perfbench/tracer`).
     pub fn sync_clients_to_global(&mut self) {
         for c in &mut self.clients {
             c.absorb_agg(&self.global_agg);
@@ -330,7 +355,7 @@ impl<P: Participant> FedAvg<P> {
         let obs = self.obs.clone();
         let bytes0 = obs.counter(Counter::BytesMaterialized);
         let FedAvg {
-            clients, global_agg, cfg, transform, slots, pools, acc, ids_are_indices, ..
+            clients, global_agg, cfg, transform, slots, lanes, acc, ids_are_indices, ..
         } = &mut *self;
         let n = clients.len();
         let cfg = *cfg;
@@ -359,7 +384,7 @@ impl<P: Participant> FedAvg<P> {
         // observer on the serial path, or the DP transform (which aggregates
         // transformed parameters instead of the clients' own). Only the
         // serial observer reads them after the fold; otherwise each goes
-        // back to its worker's pool as soon as it is folded.
+        // back to its worker's lane as soon as it is folded.
         let materialize = transform.is_some() || serial;
         let pooled = transform.is_some() && !serial;
 
@@ -390,9 +415,9 @@ impl<P: Participant> FedAvg<P> {
         let fold_wait = par_zip_fold(
             clients,
             &mut work,
-            pools,
+            lanes,
             acc,
-            |pool, i, client, (slot, entry)| {
+            |lane, i, client, (slot, entry)| {
                 if !slot.sampled {
                     return;
                 }
@@ -400,6 +425,8 @@ impl<P: Participant> FedAvg<P> {
                 let mut crng = StdRng::seed_from_u64(
                     cfg.seed ^ (t << 20) ^ (i as u64).wrapping_mul(0x5851_F42D),
                 );
+                let (agg, reference) = lane.buffers.pop().unwrap_or_default();
+                client.lend_buffers(agg, reference);
                 client.absorb_agg(global);
                 // The DP transform needs the pre-round embedding.
                 let emb_before: Option<Vec<f32>> =
@@ -409,7 +436,7 @@ impl<P: Participant> FedAvg<P> {
                 }
                 if materialize {
                     if pooled {
-                        if let Some(model) = pool.pop() {
+                        if let Some(model) = lane.snapshots.pop() {
                             slot.model = model;
                         }
                     }
@@ -440,7 +467,7 @@ impl<P: Participant> FedAvg<P> {
                 }
                 obs.observe_since(Metric::TrainMicros, t0);
             },
-            |acc, pool, _, client, (slot, _)| {
+            |acc, lane, _, client, (slot, _)| {
                 if !slot.sampled {
                     return;
                 }
@@ -455,10 +482,11 @@ impl<P: Participant> FedAvg<P> {
                     // `global + Σ w̃ᵢ·(aggᵢ − global) = Σ w̃ᵢ·aggᵢ`).
                     client.accumulate_update(global, w, acc);
                 }
+                lane.buffers.push(client.take_buffers());
                 if pooled {
                     let owner = slot.model.owner;
                     let empty = SharedModel { owner, round: t, owner_emb: None, agg: Vec::new() };
-                    pool.push(std::mem::replace(&mut slot.model, empty));
+                    lane.snapshots.push(std::mem::replace(&mut slot.model, empty));
                 }
             },
         );
@@ -693,7 +721,10 @@ mod tests {
         pooled.set_update_transform(dp());
         pooled.run(&mut NullObserver);
         assert_eq!(kept(&pooled), 0, "a folded snapshot stayed in its slot");
-        assert!(pooled.pools.iter().any(|pool| !pool.is_empty()), "no snapshot was pooled");
+        assert!(
+            pooled.lanes.iter().any(|lane| !lane.snapshots.is_empty()),
+            "no snapshot was pooled"
+        );
         // A serial observer reads every snapshot after the round.
         let mut observed = make_sim(20, 2, SharingPolicy::Full);
         observed.set_update_transform(dp());

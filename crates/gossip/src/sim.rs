@@ -220,17 +220,22 @@ pub struct GossipSim<P: Participant> {
 }
 
 impl<P: Participant> GossipSim<P> {
-    /// Creates a simulation over `nodes`.
+    /// Creates a simulation over `nodes`, drawing each node's aggregate
+    /// ([`Participant::draw_agg`]): a gossip node keeps its own for the
+    /// whole run.
     ///
     /// # Panics
     ///
     /// Panics if fewer than `P + 1 = 4` nodes are given, the Pers-Gossip
     /// exploration share is outside `[0, 1]`, or nodes disagree on parameter
     /// sizes.
-    pub fn new(nodes: Vec<P>, cfg: GossipConfig) -> Self {
+    pub fn new(mut nodes: Vec<P>, cfg: GossipConfig) -> Self {
         assert!(nodes.len() > OUT_DEGREE, "need more nodes than the out-degree");
         let len = nodes[0].agg_len();
         assert!(nodes.iter().all(|n| n.agg_len() == len), "nodes must share a parameter layout");
+        for node in &mut nodes {
+            node.draw_agg();
+        }
         if let GossipProtocol::Pers { exploration } = cfg.protocol {
             assert!((0.0..=1.0).contains(&exploration), "exploration must be in [0, 1]");
         }

@@ -1,7 +1,7 @@
 //! Differential test of the gossip send path. GMF and PRME clients lend
 //! their aggregate to each push and rebuild it out of place at the merge;
-//! wrapped in [`Copying`], which forwards everything except those two
-//! hooks, the same clients run the trait's copying defaults instead. Both
+//! wrapped in [`Copying`], which forwards every hook gossip drives except
+//! those two, the same clients run the trait's copying defaults instead. Both
 //! must give the same deliveries (owner, receiver, embedding and aggregate
 //! bits) and the same node state bits after every round, over
 //! {Rand, Pers} × asleep {none, 40%} × {no DP, DP clip-only, DP noisy} ×
@@ -25,7 +25,7 @@ const ITEMS: u32 = 30;
 const ROUNDS: u64 = 20;
 
 /// Runs the wrapped participant on the trait's copying defaults for
-/// `lend_snapshot` / `merge_agg`; every other hook forwards.
+/// `lend_snapshot` / `merge_agg`; every other hook gossip drives forwards.
 struct Copying<P>(P);
 
 impl<P: Participant> Participant for Copying<P> {
@@ -37,6 +37,9 @@ impl<P: Participant> Participant for Copying<P> {
     }
     fn agg(&self) -> &[f32] {
         self.0.agg()
+    }
+    fn draw_agg(&mut self) {
+        self.0.draw_agg();
     }
     fn owner_emb(&self) -> Option<&[f32]> {
         self.0.owner_emb()

@@ -15,6 +15,13 @@
 //! tail. The Share-less policy (§III-D) regularizes the row region toward
 //! its reference — the values last received — and never shares `p_u`.
 //!
+//! A client is built without its aggregate. Gossip draws it once
+//! ([`Participant::draw_agg`]) and the node keeps it; FedAvg lends each
+//! client its aggregate and reference buffers for the round it trains in
+//! ([`Participant::lend_buffers`], [`Participant::take_buffers`]), so
+//! between rounds an FL client holds only its user embedding, its training
+//! data and its model's own state.
+//!
 //! Everything around training (absorb, merge, send and lend, the sparse
 //! accumulate, the personalization score and the checkpoint state) lives in
 //! the single [`Participant`] impl for [`FactorClient`]. A model supplies
@@ -62,7 +69,14 @@ pub struct FactorClient<S: FactorModel> {
     pub(crate) spec: S,
     pub(crate) user: UserId,
     pub(crate) user_emb: Vec<f32>,
+    /// The public aggregate: empty until drawn or lent.
     pub(crate) agg: Vec<f32>,
+    /// Whether the client keeps its aggregate between rounds (drawn, as
+    /// gossip nodes do) rather than borrowing it per round (FedAvg). Chooses
+    /// the checkpoint layout.
+    owns_agg: bool,
+    /// The constructor seed, from which the aggregate is drawn on demand.
+    seed: u64,
     pub(crate) train_items: Vec<u32>,
     /// O(1) membership test for negative sampling (`1` = training item).
     pub(crate) train_mask: Vec<u8>,
@@ -81,8 +95,9 @@ pub struct FactorClient<S: FactorModel> {
 
 impl<S: FactorModel> FactorClient<S> {
     /// Builds a client for `user` with local training items `train_items`
-    /// (sorted, deduplicated): the user embedding, then the aggregate, from
-    /// one stream seeded with `seed`.
+    /// (sorted, deduplicated) and the user embedding drawn from a stream
+    /// seeded with `seed`. The aggregate, drawn next from that stream, is
+    /// left to [`Participant::draw_agg`].
     pub(crate) fn new(
         spec: &S,
         user: UserId,
@@ -91,10 +106,7 @@ impl<S: FactorModel> FactorClient<S> {
         seed: u64,
         local: S::Local,
     ) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut user_emb = vec![0.0f32; spec.user_emb_len()];
-        init_uniform(&mut user_emb, spec.init_scale(), &mut rng);
-        let agg = spec.init_agg(&mut rng);
+        let (user_emb, _) = Self::draw_user_emb(spec, seed);
         let mut train_mask = vec![0u8; spec.num_items() as usize];
         for &j in &train_items {
             train_mask[j as usize] = 1;
@@ -103,7 +115,9 @@ impl<S: FactorModel> FactorClient<S> {
             spec: spec.clone(),
             user,
             user_emb,
-            agg,
+            agg: Vec::new(),
+            owns_agg: false,
+            seed,
             train_items,
             train_mask,
             policy,
@@ -112,6 +126,15 @@ impl<S: FactorModel> FactorClient<S> {
             touched_mask: vec![0u8; spec.rows()],
             local,
         }
+    }
+
+    /// The user embedding drawn from the constructor stream seeded with
+    /// `seed`, and that stream after the draw.
+    fn draw_user_emb(spec: &S, seed: u64) -> (Vec<f32>, StdRng) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut user_emb = vec![0.0f32; spec.user_emb_len()];
+        init_uniform(&mut user_emb, spec.init_scale(), &mut rng);
+        (user_emb, rng)
     }
 
     /// The model spec this client was built from.
@@ -158,7 +181,10 @@ impl<S: FactorModel> FactorClient<S> {
         if self.policy.tau() > 0.0 {
             let region = &self.agg[..self.region_len()];
             match &mut self.ref_items {
-                Some(r) => r.copy_from_slice(region),
+                Some(r) => {
+                    r.clear();
+                    r.extend_from_slice(region);
+                }
                 slot @ None => *slot = Some(region.to_vec()),
             }
         }
@@ -182,9 +208,30 @@ impl<S: FactorModel> Participant for FactorClient<S> {
         self.policy.shares_user_embedding().then_some(self.user_emb.as_slice())
     }
 
+    fn draw_agg(&mut self) {
+        if self.agg.is_empty() {
+            let (_, mut rng) = Self::draw_user_emb(&self.spec, self.seed);
+            self.agg = self.spec.init_agg(&mut rng);
+        }
+        self.owns_agg = true;
+    }
+
+    fn lend_buffers(&mut self, agg: Vec<f32>, reference: Vec<f32>) {
+        self.agg = agg;
+        // Only Share-less regularizes toward a reference.
+        self.ref_items = (self.policy.tau() > 0.0).then_some(reference);
+    }
+
+    fn take_buffers(&mut self) -> (Vec<f32>, Vec<f32>) {
+        self.owns_agg = false;
+        let agg = std::mem::take(&mut self.agg);
+        (agg, self.ref_items.take().unwrap_or_default())
+    }
+
     fn absorb_agg(&mut self, agg: &[f32]) {
-        assert_eq!(agg.len(), self.agg.len(), "agg size mismatch");
-        self.agg.copy_from_slice(agg);
+        assert_eq!(agg.len(), self.spec.agg_len(), "agg size mismatch");
+        self.agg.clear();
+        self.agg.extend_from_slice(agg);
         self.rebase();
     }
 
@@ -266,8 +313,12 @@ impl<S: FactorModel> Participant for FactorClient<S> {
     }
 
     fn state_vec(&self) -> Vec<f32> {
-        // [ user_emb | agg | ref_flag | ref_items? ] — decoded only by
-        // `restore_state` below.
+        // [ user_emb | agg | ref_flag | ref_items? ] for a client that owns
+        // its aggregate, [ user_emb | 0 ] for one that borrows it — decoded
+        // only by `restore_state` below.
+        if !self.owns_agg {
+            return [&self.user_emb[..], &[0.0]].concat();
+        }
         let flag = f32::from(u8::from(self.ref_items.is_some()));
         let reference = self.ref_items.as_deref().unwrap_or_default();
         [&self.user_emb[..], &self.agg, &[flag], reference].concat()
@@ -275,22 +326,116 @@ impl<S: FactorModel> Participant for FactorClient<S> {
 
     fn restore_state(&mut self, state: &[f32]) -> Result<(), String> {
         let d = self.user_emb.len();
-        let params = d + self.agg.len();
+        let params = d + if self.owns_agg { self.spec.agg_len() } else { 0 };
         if state.len() <= params {
             return Err(format!("state of {} floats is shorter than {params} + 1", state.len()));
         }
         let (flag, reference) = (state[params], &state[params + 1..]);
         let reference = if flag == 0.0 && reference.is_empty() {
             None
-        } else if flag == 1.0 && reference.len() == self.region_len() {
+        } else if flag == 1.0 && self.owns_agg && reference.len() == self.region_len() {
             Some(reference.to_vec())
         } else {
             return Err(format!("reference flag {flag} with {} floats", reference.len()));
         };
         self.user_emb.copy_from_slice(&state[..d]);
-        self.agg.copy_from_slice(&state[d..params]);
+        if self.owns_agg {
+            self.agg.clear();
+            self.agg.extend_from_slice(&state[d..params]);
+        }
         self.clear_touched();
         self.ref_items = reference;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{GmfHyper, GmfSpec, PrmeHyper, PrmeSpec};
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The draw `FactorClient::new` used to make eagerly: the user
+    /// embedding, then the aggregate, from one stream seeded with `seed`.
+    fn eager<S: FactorModel>(spec: &S, seed: u64) -> (Vec<f32>, Vec<f32>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut user_emb = vec![0.0f32; spec.user_emb_len()];
+        init_uniform(&mut user_emb, spec.init_scale(), &mut rng);
+        (user_emb, spec.init_agg(&mut rng))
+    }
+
+    /// GMF and PRME clients over a 40-item catalog, under `policy`.
+    fn clients(
+        policy: SharingPolicy,
+        seed: u64,
+    ) -> (FactorClient<GmfSpec>, FactorClient<PrmeSpec>) {
+        let gmf = GmfSpec::new(40, 8, GmfHyper::default());
+        let prme = PrmeSpec::new(40, 8, PrmeHyper::default());
+        (
+            gmf.build_client(UserId::new(1), vec![2, 5, 9], policy, seed),
+            prme.build_client(UserId::new(1), vec![2, 5, 9], vec![9, 2, 5], policy, seed),
+        )
+    }
+
+    fn check_drawn_on_demand<S: FactorModel>(mut c: FactorClient<S>, seed: u64, ctx: &str) {
+        let (emb, agg) = eager(&c.spec, seed);
+        assert!(c.agg().is_empty(), "{ctx}: built with an aggregate");
+        assert_eq!(bits(c.user_emb()), bits(&emb), "{ctx}: user embedding");
+        c.draw_agg();
+        assert_eq!(bits(c.agg()), bits(&agg), "{ctx}: drawn aggregate");
+        assert_eq!(c.agg().len(), c.agg_len(), "{ctx}");
+        // A second draw keeps what the client holds.
+        c.absorb_agg(&vec![0.5; agg.len()]);
+        c.draw_agg();
+        assert!(c.agg().iter().all(|&v| v == 0.5), "{ctx}: a second draw overwrote the aggregate");
+    }
+
+    #[test]
+    fn the_aggregate_drawn_on_demand_is_the_eager_stream() {
+        for policy in [SharingPolicy::Full, SharingPolicy::ShareLess { tau: 0.3 }] {
+            for seed in [0, 7, u64::MAX] {
+                let (gmf, prme) = clients(policy, seed);
+                check_drawn_on_demand(gmf, seed, &format!("GMF {policy:?} seed {seed}"));
+                check_drawn_on_demand(prme, seed, &format!("PRME {policy:?} seed {seed}"));
+            }
+        }
+    }
+
+    fn check_lend_and_take_back<S: FactorModel>(mut c: FactorClient<S>, global: &[f32], ctx: &str) {
+        let share_less = c.policy.tau() > 0.0;
+        c.lend_buffers(Vec::new(), Vec::new());
+        c.absorb_agg(global);
+        c.train_local(&mut StdRng::seed_from_u64(3));
+        let (agg, reference) = c.take_buffers();
+        assert_eq!(agg.len(), global.len(), "{ctx}: aggregate buffer");
+        assert_eq!(reference.len(), if share_less { c.region_len() } else { 0 }, "{ctx}");
+        assert!(c.agg().is_empty() && c.ref_items.is_none(), "{ctx}: kept a buffer");
+        // Between rounds the state is `[user_emb | 0]`, and only that.
+        let state = c.state_vec();
+        assert_eq!(state, [c.user_emb(), &[0.0]].concat(), "{ctx}: lent state");
+        let owned = [c.user_emb(), global, &[0.0]].concat();
+        assert!(c.restore_state(&owned).is_err(), "{ctx}: took an owned-layout state");
+        assert_eq!(c.state_vec(), state, "{ctx}: a refused restore changed the client");
+        // Lent buffers of any length are refilled by the absorb.
+        c.lend_buffers(agg, vec![1.0; 3]);
+        c.absorb_agg(global);
+        assert_eq!(c.agg(), global, "{ctx}: relent aggregate");
+        if share_less {
+            assert_eq!(c.ref_items.as_deref(), Some(&global[..c.region_len()]), "{ctx}");
+        }
+    }
+
+    #[test]
+    fn lent_buffers_come_back_and_leave_only_the_user_embedding() {
+        for policy in [SharingPolicy::Full, SharingPolicy::ShareLess { tau: 0.3 }] {
+            let (gmf, prme) = clients(policy, 11);
+            let global = vec![0.01; gmf.agg_len()];
+            check_lend_and_take_back(gmf, &global, &format!("GMF {policy:?}"));
+            let global = vec![0.01; prme.agg_len()];
+            check_lend_and_take_back(prme, &global, &format!("PRME {policy:?}"));
+        }
     }
 }

@@ -398,9 +398,16 @@ impl GmfClient {
     /// [`crate::params::sigmoid`] for calibrated probabilities; ranking
     /// metrics never need it (module docs).
     pub fn score_candidates(&self, items: &[u32]) -> Vec<f32> {
-        let h = self.spec.h_slice(&self.agg);
+        self.score_candidates_with(&self.agg, items)
+    }
+
+    /// [`GmfClient::score_candidates`] with the public parameters `agg` in
+    /// place of the client's own — FedAvg's global model, which its
+    /// clients deploy and do not keep.
+    pub fn score_candidates_with(&self, agg: &[f32], items: &[u32]) -> Vec<f32> {
+        let h = self.spec.h_slice(agg);
         with_user_h(&self.user_emb, h, |w| {
-            items.iter().map(|&j| dot(w, self.spec.item_slice(&self.agg, j))).collect()
+            items.iter().map(|&j| dot(w, self.spec.item_slice(agg, j))).collect()
         })
     }
 
@@ -716,6 +723,12 @@ mod tests {
     use crate::Participant;
     use rand::SeedableRng;
 
+    /// `c` with its aggregate drawn, as a gossip node holds it.
+    fn drawn(mut c: GmfClient) -> GmfClient {
+        c.draw_agg();
+        c
+    }
+
     fn spec() -> GmfSpec {
         GmfSpec::new(30, 4, GmfHyper { lr: 0.1, ..GmfHyper::default() })
     }
@@ -723,7 +736,8 @@ mod tests {
     #[test]
     fn training_reduces_loss_and_separates_items() {
         let s = spec();
-        let mut c = s.build_client(UserId::new(0), vec![1, 2, 3, 4, 5], SharingPolicy::Full, 7);
+        let mut c =
+            drawn(s.build_client(UserId::new(0), vec![1, 2, 3, 4, 5], SharingPolicy::Full, 7));
         let mut rng = StdRng::seed_from_u64(1);
         let first = c.train_local(&mut rng);
         let mut last = first;
@@ -744,7 +758,7 @@ mod tests {
         // Finite-difference check of one SGD step's implicit gradient on the
         // BCE loss, for each parameter family.
         let s = GmfSpec::new(5, 3, GmfHyper { lr: 0.0, weight_decay: 0.0, ..GmfHyper::default() });
-        let c = s.build_client(UserId::new(0), vec![0], SharingPolicy::Full, 3);
+        let c = drawn(s.build_client(UserId::new(0), vec![0], SharingPolicy::Full, 3));
         let j = 2u32;
         let y = 1.0f32;
         let d = 3usize;
@@ -808,7 +822,8 @@ mod tests {
         // training must behave exactly like the small-d path (no panic,
         // loss decreases, touched tracking intact).
         let s = GmfSpec::new(40, 80, GmfHyper { lr: 0.1, ..GmfHyper::default() });
-        let mut c = s.build_client(UserId::new(0), vec![1, 2, 3, 4, 5], SharingPolicy::Full, 7);
+        let mut c =
+            drawn(s.build_client(UserId::new(0), vec![1, 2, 3, 4, 5], SharingPolicy::Full, 7));
         let mut rng = StdRng::seed_from_u64(1);
         let first = c.train_local(&mut rng);
         let mut last = first;
@@ -845,7 +860,7 @@ mod tests {
     #[test]
     fn full_range_scores_match_mean_relevance() {
         let s = spec();
-        let c = s.build_client(UserId::new(1), vec![0, 1], SharingPolicy::Full, 9);
+        let c = drawn(s.build_client(UserId::new(1), vec![0, 1], SharingPolicy::Full, 9));
         let snap = c.snapshot(0);
         let mut all = vec![0.0f32; 30];
         s.score_item_range(snap.owner_emb.as_deref(), &snap.agg, 0, &mut all);
@@ -859,7 +874,7 @@ mod tests {
     #[test]
     fn score_item_range_tiles_match_one_full_range_call() {
         let s = spec();
-        let c = s.build_client(UserId::new(3), vec![0, 2, 5], SharingPolicy::Full, 21);
+        let c = drawn(s.build_client(UserId::new(3), vec![0, 2, 5], SharingPolicy::Full, 21));
         let snap = c.snapshot(0);
         let (emb, agg) = (snap.owner_emb.as_deref(), &snap.agg);
         let mut full = vec![0.0f32; 30];
@@ -882,12 +897,16 @@ mod tests {
     #[test]
     fn share_less_snapshot_hides_user_embedding() {
         let s = spec();
-        let c =
-            s.build_client(UserId::new(2), vec![0, 1], SharingPolicy::ShareLess { tau: 0.5 }, 11);
+        let c = drawn(s.build_client(
+            UserId::new(2),
+            vec![0, 1],
+            SharingPolicy::ShareLess { tau: 0.5 },
+            11,
+        ));
         let snap = c.snapshot(3);
         assert!(snap.owner_emb.is_none());
         assert_eq!(snap.round, 3);
-        let full = s.build_client(UserId::new(2), vec![0, 1], SharingPolicy::Full, 11);
+        let full = drawn(s.build_client(UserId::new(2), vec![0, 1], SharingPolicy::Full, 11));
         assert!(full.snapshot(0).owner_emb.is_some());
     }
 
@@ -897,7 +916,7 @@ mod tests {
         let mk = |tau: f32, seed: u64| {
             let policy =
                 if tau > 0.0 { SharingPolicy::ShareLess { tau } } else { SharingPolicy::Full };
-            let mut c = s.build_client(UserId::new(0), vec![0, 1, 2], policy, seed);
+            let mut c = drawn(s.build_client(UserId::new(0), vec![0, 1, 2], policy, seed));
             let reference = c.agg.clone();
             c.absorb_agg(&reference);
             let mut rng = StdRng::seed_from_u64(5);
@@ -924,7 +943,7 @@ mod tests {
     fn adversary_embedding_prefers_target_items() {
         let s = spec();
         // Train a few users so item embeddings carry signal.
-        let mut c = s.build_client(UserId::new(0), vec![1, 2, 3], SharingPolicy::Full, 4);
+        let mut c = drawn(s.build_client(UserId::new(0), vec![1, 2, 3], SharingPolicy::Full, 4));
         let mut rng = StdRng::seed_from_u64(8);
         for _ in 0..40 {
             c.train_local(&mut rng);
@@ -940,7 +959,7 @@ mod tests {
     #[test]
     fn warm_started_adversary_embedding_stays_on_target() {
         let s = spec();
-        let mut c = s.build_client(UserId::new(0), vec![1, 2, 3], SharingPolicy::Full, 4);
+        let mut c = drawn(s.build_client(UserId::new(0), vec![1, 2, 3], SharingPolicy::Full, 4));
         let mut rng = StdRng::seed_from_u64(8);
         for _ in 0..40 {
             c.train_local(&mut rng);
@@ -959,25 +978,34 @@ mod tests {
     #[test]
     fn state_roundtrip_restores_everything() {
         let s = spec();
-        let mut c = s.build_client(UserId::new(3), vec![1, 2, 3], SharingPolicy::Full, 6);
+        let mut c = drawn(s.build_client(UserId::new(3), vec![1, 2, 3], SharingPolicy::Full, 6));
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..5 {
             c.train_local(&mut rng);
         }
         let state = c.state_vec();
-        let mut fresh = s.build_client(UserId::new(3), vec![1, 2, 3], SharingPolicy::Full, 6);
+        let mut fresh =
+            drawn(s.build_client(UserId::new(3), vec![1, 2, 3], SharingPolicy::Full, 6));
         fresh.restore_state(&state).unwrap();
         assert_eq!(fresh.user_emb(), c.user_emb());
         assert_eq!(fresh.agg(), c.agg());
         // Share-less clients carry reference items in the state too.
-        let mut sl =
-            s.build_client(UserId::new(4), vec![1, 2], SharingPolicy::ShareLess { tau: 0.5 }, 7);
+        let mut sl = drawn(s.build_client(
+            UserId::new(4),
+            vec![1, 2],
+            SharingPolicy::ShareLess { tau: 0.5 },
+            7,
+        ));
         let reference = sl.agg().to_vec();
         sl.absorb_agg(&reference);
         sl.train_local(&mut rng);
         let state = sl.state_vec();
-        let mut fresh =
-            s.build_client(UserId::new(4), vec![1, 2], SharingPolicy::ShareLess { tau: 0.5 }, 7);
+        let mut fresh = drawn(s.build_client(
+            UserId::new(4),
+            vec![1, 2],
+            SharingPolicy::ShareLess { tau: 0.5 },
+            7,
+        ));
         fresh.restore_state(&state).unwrap();
         assert_eq!(fresh.ref_items, sl.ref_items);
         assert_eq!(fresh.agg(), sl.agg());
@@ -986,8 +1014,12 @@ mod tests {
     #[test]
     fn restore_state_rejects_misfit_states_and_keeps_the_client() {
         let s = spec();
-        let mut c =
-            s.build_client(UserId::new(4), vec![1, 2], SharingPolicy::ShareLess { tau: 0.5 }, 7);
+        let mut c = drawn(s.build_client(
+            UserId::new(4),
+            vec![1, 2],
+            SharingPolicy::ShareLess { tau: 0.5 },
+            7,
+        ));
         c.train_local(&mut StdRng::seed_from_u64(1));
         let good = c.state_vec();
         let params = 4 + s.agg_len();
@@ -1016,7 +1048,7 @@ mod tests {
     fn absorb_agg_roundtrip() {
         let s = spec();
         let mut a = s.build_client(UserId::new(0), vec![1], SharingPolicy::Full, 1);
-        let b = s.build_client(UserId::new(1), vec![2], SharingPolicy::Full, 2);
+        let b = drawn(s.build_client(UserId::new(1), vec![2], SharingPolicy::Full, 2));
         a.absorb_agg(b.agg());
         assert_eq!(a.agg(), b.agg());
     }

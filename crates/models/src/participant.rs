@@ -100,10 +100,17 @@ impl SharingPolicy {
 ///
 /// The protocols drive participants through a strict round structure.
 ///
-/// * **FedAvg:** `absorb_agg` (load the global aggregate), `train_local`
-///   (one local epoch, possibly repeated), then `snapshot_into` when an
-///   observer or the DP transform consumes the client's model.
-/// * **Gossip:** `lend_snapshot` (push the pre-round model), then
+/// * **FedAvg:** `lend_buffers` (FedAvg lends the client an aggregate
+///   buffer, and a reference buffer for Share-less, from the pool of the
+///   worker that trains it), `absorb_agg` (load the global aggregate),
+///   `train_local` (one local epoch, possibly repeated), then
+///   `snapshot_into` when an observer or the DP transform consumes the
+///   client's model. Once the update is folded into the aggregate
+///   (`accumulate_update`), `take_buffers` returns both buffers to the
+///   pool: between rounds the client holds no aggregate.
+/// * **Gossip:** `draw_agg` once at construction (each node keeps its own
+///   aggregate for the whole run), then per round `lend_snapshot` (push the
+///   pre-round model), then
 ///   `merge_agg` (rebuild the aggregate from the pushed parameters and the
 ///   neighbors' models), then `train_local`. Between the two hooks the
 ///   participant's own aggregate may sit in the pushed model; nothing reads
@@ -123,6 +130,34 @@ pub trait Participant: Send + Sync {
     /// compute the embedding part of an outgoing update (DP noising).
     fn owner_emb(&self) -> Option<&[f32]> {
         None
+    }
+
+    /// Draws the initial aggregate from the participant's constructor seed
+    /// stream, if it holds none, and keeps it from then on: gossip nodes own
+    /// their aggregate for the whole run, and FedAvg draws client 0's as the
+    /// first global model. The default does nothing, for participants that
+    /// own their parameters from construction (the MNIST MLP client).
+    fn draw_agg(&mut self) {}
+
+    /// Lends the participant `agg` for its aggregate and `reference` for its
+    /// Share-less reference until [`Participant::take_buffers`]. Their
+    /// contents and lengths are unspecified: [`Participant::absorb_agg`]
+    /// fills them. FedAvg lends before the absorb, from the buffer pool of
+    /// the worker that trains the client.
+    ///
+    /// The default drops both: a participant that owns its parameters keeps
+    /// them.
+    fn lend_buffers(&mut self, agg: Vec<f32>, reference: Vec<f32>) {
+        let _ = (agg, reference);
+    }
+
+    /// Returns the aggregate and reference buffers for reuse, leaving the
+    /// participant without an aggregate until the next lend. Its
+    /// [`Participant::state_vec`] then leaves the aggregate out: the
+    /// protocol holds it (FedAvg's global model). The default returns empty
+    /// buffers.
+    fn take_buffers(&mut self) -> (Vec<f32>, Vec<f32>) {
+        (Vec::new(), Vec::new())
     }
 
     /// Replaces the aggregatable parameters (server broadcast in FL, the

@@ -300,16 +300,21 @@ impl PrmeClient {
     /// Scores candidates with the full model (preference + sequential from
     /// the last training check-in), for utility evaluation. Higher is better.
     pub fn score_candidates(&self, items: &[u32]) -> Vec<f32> {
+        self.score_candidates_with(&self.agg, items)
+    }
+
+    /// [`PrmeClient::score_candidates`] with the public parameters `agg` in
+    /// place of the client's own — FedAvg's global model, which its
+    /// clients deploy and do not keep.
+    pub fn score_candidates_with(&self, agg: &[f32], items: &[u32]) -> Vec<f32> {
         let alpha = self.spec.hyper.alpha;
         let last = self.local.last().or_else(|| self.train_items.last()).copied();
         items
             .iter()
             .map(|&j| {
-                let dp = PrmeSpec::sq_dist(&self.user_emb, self.spec.pref(&self.agg, j));
+                let dp = PrmeSpec::sq_dist(&self.user_emb, self.spec.pref(agg, j));
                 let ds = match last {
-                    Some(l) => {
-                        PrmeSpec::sq_dist(self.spec.seq(&self.agg, l), self.spec.seq(&self.agg, j))
-                    }
+                    Some(l) => PrmeSpec::sq_dist(self.spec.seq(agg, l), self.spec.seq(agg, j)),
                     None => 0.0,
                 };
                 -(alpha * dp + (1.0 - alpha) * ds)
@@ -394,6 +399,12 @@ mod tests {
     use crate::Participant;
     use rand::SeedableRng;
 
+    /// `c` with its aggregate drawn, as a gossip node holds it.
+    fn drawn(mut c: PrmeClient) -> PrmeClient {
+        c.draw_agg();
+        c
+    }
+
     fn spec() -> PrmeSpec {
         PrmeSpec::new(30, 4, PrmeHyper { lr: 0.05, ..PrmeHyper::default() })
     }
@@ -401,7 +412,7 @@ mod tests {
     fn client(seed: u64) -> PrmeClient {
         let items = vec![1, 2, 3, 4, 5];
         let seq = vec![1, 2, 3, 4, 5, 1, 3, 5, 2, 4];
-        spec().build_client(UserId::new(0), items, seq, SharingPolicy::Full, seed)
+        drawn(spec().build_client(UserId::new(0), items, seq, SharingPolicy::Full, seed))
     }
 
     #[test]
@@ -434,7 +445,8 @@ mod tests {
     fn pairwise_gradient_check() {
         // Finite-difference check of dz/dp_u for the ranking loss.
         let s = PrmeSpec::new(10, 3, PrmeHyper { weight_decay: 0.0, ..PrmeHyper::default() });
-        let c = s.build_client(UserId::new(0), vec![1, 2], vec![1, 2], SharingPolicy::Full, 7);
+        let c =
+            drawn(s.build_client(UserId::new(0), vec![1, 2], vec![1, 2], SharingPolicy::Full, 7));
         let (l, pos, neg) = (1u32, 2u32, 7u32);
         let alpha = s.hyper.alpha;
 
@@ -523,13 +535,13 @@ mod tests {
     #[test]
     fn share_less_hides_user_embedding_and_regularizes() {
         let s = spec();
-        let c = s.build_client(
+        let c = drawn(s.build_client(
             UserId::new(1),
             vec![1, 2],
             vec![1, 2],
             SharingPolicy::ShareLess { tau: 0.5 },
             3,
-        );
+        ));
         assert!(c.snapshot(0).owner_emb.is_none());
     }
 }

@@ -338,7 +338,7 @@ fn factor_sparse_accumulate_matches_the_dense_default_bitwise() {
                 };
                 let make = |prme_model: bool, u: u32| -> Box<dyn Participant> {
                     let seed = u64::from(u) + 1;
-                    if prme_model {
+                    let mut c: Box<dyn Participant> = if prme_model {
                         let sequence = items(u).into_iter().rev().collect();
                         Box::new(prme.build_client(
                             UserId::new(u),
@@ -349,7 +349,9 @@ fn factor_sparse_accumulate_matches_the_dense_default_bitwise() {
                         ))
                     } else {
                         Box::new(gmf.build_client(UserId::new(u), items(u), policy, seed))
-                    }
+                    };
+                    c.draw_agg();
+                    c
                 };
                 for prme_model in [false, true] {
                     let label = format!("prme={prme_model} d={d} {policy:?} n={n}");

@@ -242,15 +242,16 @@ fn run_gmf(
     let policy = ctx.spec.defense.policy();
     let clients = model_spec.build_clients(setup.split.train_sets(), policy, ctx.spec.seed);
     let eval_instances = setup.split.eval_instances().to_vec();
-    let utility = move |clients: &[GmfClient]| -> f64 {
+    let utility = move |clients: &[GmfClient], deployed: Option<&[f32]>| -> f64 {
         // Clients evaluate independently in parallel; a hit count is
         // order-insensitive, so the result is identical for every
         // CIA_THREADS setting.
         let n = clients.len().min(eval_instances.len());
         let hits = par_map(n, |u| {
             let (c, inst) = (&clients[u], &eval_instances[u]);
-            let pos = c.score_candidates(&[inst.primary()])[0];
-            let negs = c.score_candidates(&inst.negatives);
+            let agg = deployed.unwrap_or(c.agg());
+            let pos = c.score_candidates_with(agg, &[inst.primary()])[0];
+            let negs = c.score_candidates_with(agg, &inst.negatives);
             hit_ratio(pos, &negs, 20)
         });
         if n == 0 {
@@ -282,7 +283,7 @@ fn run_prme(
     let eval_instances = setup.split.eval_instances().to_vec();
     let train_sets = setup.split.train_sets().to_vec();
     let num_items = setup.data.num_items();
-    let utility = move |clients: &[PrmeClient]| -> f64 {
+    let utility = move |clients: &[PrmeClient], deployed: Option<&[f32]>| -> f64 {
         // F1@20: rank the full catalog minus train items, compare the top 20
         // against the held-out positives (logit scores; ranking is
         // sigmoid-free by monotonicity). The catalog is scored in cache-sized
@@ -295,6 +296,7 @@ fn run_prme(
         let n = clients.len().min(eval_instances.len()).min(train_sets.len());
         let f1s = par_map(n, |u| {
             let (c, (inst, train)) = (&clients[u], (&eval_instances[u], &train_sets[u]));
+            let agg = deployed.unwrap_or(c.agg());
             let mut sel = TopK::new(20);
             let mut tile: Vec<u32> = Vec::with_capacity(EVAL_TILE);
             let mut start = 0u32;
@@ -303,7 +305,7 @@ fn run_prme(
                 let end = num_items.min(start + EVAL_TILE as u32);
                 tile.clear();
                 tile.extend((start..end).filter(|j| train.binary_search(j).is_err()));
-                for (s, &j) in c.score_candidates(&tile).iter().zip(&tile) {
+                for (s, &j) in c.score_candidates_with(agg, &tile).iter().zip(&tile) {
                     sel.push(*s, j);
                 }
                 start = end;
@@ -336,7 +338,7 @@ fn run_protocol<S, P>(
     setup: &RecsysSetup,
     scorer: S,
     clients: Vec<P>,
-    utility: impl Fn(&[P]) -> f64,
+    utility: impl Fn(&[P], Option<&[f32]>) -> f64,
     utility_metric: &'static str,
     sink: &mut dyn Write,
 ) -> Result<ScenarioOutcome, String>
@@ -455,8 +457,10 @@ trait ProtocolRun {
         placement: PlacementState,
         dynamics: &mut ParticipantDynamics,
     ) -> Result<(), String>;
-    /// Prepares the participants for the final utility evaluation.
-    fn before_utility(&mut self) {}
+    /// The participants for the final utility evaluation, and the model
+    /// they all deploy if there is one (FedAvg's final global); without
+    /// one, each scores with its own aggregate.
+    fn deployed(&self) -> (&[Self::Client], Option<&[f32]>);
 }
 
 /// The adversary's Share-less fictive embeddings, one slot per user.
@@ -563,9 +567,10 @@ impl<S: RelevanceScorer, P: Participant> ProtocolRun for FlRun<S, P> {
         self.sim.restore(round, global)
     }
 
-    fn before_utility(&mut self) {
-        // The deployed model is the final global one.
-        self.sim.sync_clients_to_global();
+    fn deployed(&self) -> (&[P], Option<&[f32]>) {
+        // The deployed model is the final global one, which the clients
+        // score with instead of keeping a copy each.
+        (self.sim.clients(), Some(self.sim.global_agg()))
     }
 }
 
@@ -629,6 +634,10 @@ impl<P: Participant> ProtocolRun for GlRun<P> {
         }
         Ok(())
     }
+
+    fn deployed(&self) -> (&[P], Option<&[f32]>) {
+        (self.sim.nodes(), None)
+    }
 }
 
 /// Applies a coalition relocation: the attack engine's delivery filter and
@@ -648,7 +657,7 @@ fn drive<R: ProtocolRun>(
     setup: &RecsysSetup,
     mut proto: R,
     mut dynamics: ParticipantDynamics,
-    utility: impl Fn(&[R::Client]) -> f64,
+    utility: impl Fn(&[R::Client], Option<&[f32]>) -> f64,
     utility_metric: &'static str,
     sink: &mut dyn Write,
 ) -> Result<ScenarioOutcome, String> {
@@ -721,8 +730,8 @@ fn drive<R: ProtocolRun>(
     }
 
     let utility_span = ctx.rec.span("utility");
-    proto.before_utility();
-    let utility_value = utility(proto.clients());
+    let (clients, deployed) = proto.deployed();
+    let utility_value = utility(clients, deployed);
     drop(utility_span);
     trace_round(ctx, sink, total, &mut traces)?;
     let outcome = proto.attack().outcome();

@@ -563,20 +563,26 @@ fn unwritable_completion_marker_fails_the_run_and_keeps_the_checkpoint() {
     assert!(ckpt.exists(), "the checkpoint is gone although no marker was written");
 }
 
+/// The smoke FL cells under full sharing (`baseline-static`) and
+/// Share-less (`shareless-x-churn`).
+fn full_and_share_less_fl_cells() -> [cia_scenarios::ScenarioSpec; 2] {
+    let grid = cia_scenarios::defense_dynamics_grid_suite(Scale::Smoke, 42).expanded().unwrap();
+    let share_less = grid.into_iter().find(|s| s.name == "shareless-x-churn").unwrap();
+    [builtin_suite(Scale::Smoke, 42).expanded().unwrap()[0].clone(), share_less]
+}
+
 /// Runs the FL scenario `spec` one round at a time: each segment stops
-/// after one more round and checkpoints, `edit` rewrites every client's
-/// saved state `[user_emb | agg | ref_flag | ref_items?]` (handed over as
-/// the embedding, the aggregate and the reference), and the next segment
-/// resumes from it — restoring the edited state through `clients_mut()` and
+/// after one more round and checkpoints, `edit` sees and may rewrite every
+/// client's saved state, and the next segment resumes from it — restoring
+/// the edited state through `clients_mut()` and
 /// `Participant::restore_state`. Returns the stitched transcript.
 fn stitched_with_client_edits(
     spec: &cia_scenarios::ScenarioSpec,
     tag: &str,
-    edit: fn(&mut [f32], &mut [f32], &mut [f32]),
+    edit: &dyn Fn(&mut Vec<f32>),
 ) -> Vec<u8> {
-    use cia_scenarios::checkpoint::{Checkpoint, ProtocolState};
-    let params = cia_scenarios::ScaleParams::of(spec.scale);
-    let rounds = params.rounds(spec.protocol);
+    use cia_scenarios::checkpoint::Checkpoint;
+    let rounds = cia_scenarios::ScaleParams::of(spec.scale).rounds(spec.protocol);
     let dir = TempDir::new(tag);
     let path = Checkpoint::path_for(&dir.0, &spec.name);
     let mut stitched = Vec::new();
@@ -592,47 +598,107 @@ fn stitched_with_client_edits(
             break;
         }
         let mut ck = Checkpoint::load(&path, spec.fingerprint()).unwrap();
-        let ProtocolState::Fl { global } = &ck.protocol else { panic!("not an FL run") };
-        let agg_len = global.len();
-        for state in &mut ck.clients {
-            let (emb, rest) = state.split_at_mut(params.dim);
-            let (agg, rest) = rest.split_at_mut(agg_len);
-            edit(emb, agg, &mut rest[1..]);
-        }
+        ck.clients.iter_mut().for_each(edit);
         ck.save(&path).unwrap();
     }
     stitched
 }
 
 #[test]
-fn fl_client_aggregates_and_references_are_dead_between_rounds() {
-    // Nothing may read an FL client's aggregate or its Share-less reference
-    // between rounds: every round absorbs the global model over both, and
-    // the utility evaluation syncs the clients to the global model first.
-    // Fill both with NaN after every round, under full sharing and
-    // Share-less: the transcript must not move.
-    let grid = cia_scenarios::defense_dynamics_grid_suite(Scale::Smoke, 42).expanded().unwrap();
-    let share_less = grid.into_iter().find(|s| s.name == "shareless-x-churn").unwrap();
-    let full = builtin_suite(Scale::Smoke, 42).expanded().unwrap()[0].clone();
-    for spec in [full, share_less] {
+fn fl_clients_hold_no_aggregate_between_rounds() {
+    // FedAvg lends each client its aggregate and Share-less reference for
+    // the round it trains in and takes both back once its update is folded:
+    // after every round, under full sharing and Share-less, no client holds
+    // an aggregate, and its checkpoint state is `[user_emb | flag 0]`.
+    use cia_core::{CiaConfig, FlCia, ItemSetEvaluator};
+    use cia_federated::{FedAvg, FedAvgConfig};
+    use cia_models::Participant;
+    use cia_scenarios::runner::gmf_scorer;
+    use cia_scenarios::{build_setup, DefenseKind, FlDynamics, ParticipantDynamics};
+    for spec in full_and_share_less_fl_cells() {
+        let setup = build_setup(spec.preset, spec.scale, spec.k_override, spec.seed);
+        let (n, dim) = (setup.data.num_users(), setup.params.dim);
+        let model = gmf_scorer(setup.data.num_items(), dim);
+        let clients =
+            model.build_clients(setup.split.train_sets(), spec.defense.policy(), spec.seed);
+        let rounds = setup.params.rounds(spec.protocol);
+        let cia = CiaConfig {
+            k: setup.k,
+            beta: spec.beta,
+            eval_every: setup.params.eval_every(spec.protocol),
+            seed: spec.seed ^ 0xC1A,
+        };
+        let share_less = matches!(spec.defense, DefenseKind::ShareLess { .. });
+        let targets = setup.split.train_sets().to_vec();
+        let evaluator = ItemSetEvaluator::new(model, targets, share_less);
+        let mut attack = FlCia::new(cia, evaluator, n, setup.truth_table(), setup.owner_table());
+        let mut dynamics = ParticipantDynamics::new(&spec.dynamics, n, spec.seed ^ 0xD11A);
+        let cfg = FedAvgConfig { rounds, local_epochs: setup.params.local_epochs, seed: spec.seed };
+        let mut sim = FedAvg::new(clients, cfg);
+        for round in 0..rounds {
+            let stats = sim.step(&mut FlDynamics { inner: &mut attack, dynamics: &mut dynamics });
+            assert!(stats.participants > 0, "{}: round {round} trained nobody", spec.name);
+            for (u, c) in sim.clients().iter().enumerate() {
+                let ctx = format!("{}: client {u} after round {round}", spec.name);
+                assert!(c.agg().is_empty(), "{ctx} holds an aggregate");
+                assert_eq!(c.state_vec().len(), dim + 1, "{ctx}: state is not [user_emb | flag]");
+            }
+        }
+
+        // The runner's checkpoints carry the same layout after every round,
+        // and the user embedding in it is live state: editing it must show
+        // in the transcript, while the unedited stitched run equals the
+        // straight one.
         let mut straight = Vec::new();
         run_scenario(&spec, "t", &RunOptions::default(), &mut straight).unwrap();
-        let dead =
-            stitched_with_client_edits(&spec, &format!("dead-{}", spec.name), |_, agg, r| {
-                agg.fill(f32::NAN);
-                r.fill(f32::NAN);
-            });
-        assert!(
-            dead == straight,
-            "{}: a reader saw a client's aggregate or reference between rounds",
-            spec.name
-        );
-        // Control: the same edit applied to live state — the private user
-        // embedding — must show in the transcript.
-        let live =
-            stitched_with_client_edits(&spec, &format!("live-{}", spec.name), |emb, _, _| {
-                emb.iter_mut().for_each(|v| *v += 1.0);
-            });
+        let checked = |state: &mut Vec<f32>| {
+            assert_eq!(
+                state.len(),
+                dim + 1,
+                "{}: a saved state is not [user_emb | flag]",
+                spec.name
+            );
+            assert_eq!(state[dim], 0.0, "{}: a saved state has a reference", spec.name);
+        };
+        let resumed = stitched_with_client_edits(&spec, &format!("lent-{}", spec.name), &checked);
+        assert!(resumed == straight, "{}: the stitched run diverged", spec.name);
+        let live = stitched_with_client_edits(&spec, &format!("live-{}", spec.name), &|state| {
+            state[..dim].iter_mut().for_each(|v| *v += 1.0);
+        });
         assert!(live != straight, "{}: the edits never reached the clients", spec.name);
+    }
+}
+
+#[test]
+fn fl_checkpoint_in_the_owned_client_layout_is_refused() {
+    // FL client states used to carry the aggregate and the Share-less
+    // reference: `[user_emb | agg | flag | ref]`. Such a checkpoint, under
+    // the spec's own fingerprint, must be refused by name — never a panic,
+    // never a silent resume.
+    use cia_scenarios::checkpoint::{Checkpoint, ProtocolState};
+    for spec in full_and_share_less_fl_cells() {
+        let dim = cia_scenarios::ScaleParams::of(spec.scale).dim;
+        let dir = TempDir::new(&format!("owned-layout-{}", spec.name));
+        let path = Checkpoint::path_for(&dir.0, &spec.name);
+        let opts = RunOptions { checkpoint_dir: Some(dir.0.clone()), ..RunOptions::default() };
+        let killed = RunOptions { stop_after_rounds: Some(2), ..opts.clone() };
+        run_scenario(&spec, "t", &killed, &mut Vec::new()).unwrap();
+        let mut ck = Checkpoint::load(&path, spec.fingerprint()).unwrap();
+        let ProtocolState::Fl { global } = &ck.protocol else { panic!("not an FL run") };
+        let (flag, reference) = if spec.defense.policy().tau() > 0.0 {
+            (1.0, &global[..global.len() - dim])
+        } else {
+            (0.0, &[][..])
+        };
+        let owned: Vec<Vec<f32>> = ck
+            .clients
+            .iter()
+            .map(|state| [&state[..dim], global, &[flag], reference].concat())
+            .collect();
+        ck.clients = owned;
+        ck.save(&path).unwrap();
+        let resume = RunOptions { resume: true, ..opts };
+        let err = run_scenario(&spec, "t", &resume, &mut Vec::new()).unwrap_err();
+        assert_eq!(err, format!("{}: checkpoint state of client 0 mismatch", spec.name));
     }
 }

@@ -2,9 +2,9 @@
 # Scenario engine smoke gate: runs the built-in suite (baseline-static,
 # churn-20pct, colluding-sybils) at smoke scale, validates the emitted JSONL
 # against the record schema, exercises a sweep-expanded suite and a
-# defense × dynamics grid cell, and proves kill/resume equality on both a
-# built-in gossip scenario and a sweep-expanded one. Part of the verify
-# flow; see ROADMAP.md.
+# defense × dynamics grid cell, and proves kill/resume equality on a
+# built-in gossip scenario, a sweep-expanded FL one and the FL Share-less
+# grid cell. Part of the verify flow; see ROADMAP.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -59,6 +59,21 @@ grep '"scenario":"participation-0.5"' "$out/sweep.jsonl" > "$out/straight-sweep.
 if ! cmp -s "$out/straight-sweep.jsonl" "$out/sweep-resumed.jsonl"; then
     echo "sweep-expanded resume diverged from the uninterrupted run" >&2
     diff "$out/straight-sweep.jsonl" "$out/sweep-resumed.jsonl" >&2 || true
+    exit 1
+fi
+
+echo "== kill/resume on FL Share-less: shareless-x-churn"
+scenario run --suite defense-dynamics-grid --scale smoke --seed 42 \
+    --only shareless-x-churn --out "$out/grid-resumed.jsonl" \
+    --no-timing --checkpoint-dir "$out/grid-ckpt" --checkpoint-every 2 --stop-after 4
+scenario run --suite defense-dynamics-grid --scale smoke --seed 42 \
+    --only shareless-x-churn --out "$out/grid-resumed.jsonl" \
+    --no-timing --checkpoint-dir "$out/grid-ckpt" --resume
+scenario validate "$out/grid-resumed.jsonl"
+
+if ! cmp -s "$out/grid-cell.jsonl" "$out/grid-resumed.jsonl"; then
+    echo "Share-less FL resume diverged from the uninterrupted run" >&2
+    diff "$out/grid-cell.jsonl" "$out/grid-resumed.jsonl" >&2 || true
     exit 1
 fi
 
