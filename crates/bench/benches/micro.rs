@@ -5,18 +5,19 @@
 //! pre-kernel scalar code. The pairs let `bench_report` compute speedups into
 //! `BENCH_kernels.json` — see `scripts/bench_kernels.sh`.
 
-use cia_core::{CiaConfig, FlCia, ItemSetEvaluator, RelevanceEvaluator};
+use cia_core::metrics::top_k_per_column;
+use cia_core::{CiaConfig, FlCia, ItemSetEvaluator, RelevanceEvaluator, TopK};
 use cia_data::presets::{Preset, Scale};
 use cia_data::{gaussian, jaccard_index, GroundTruth, LeaveOneOut, UserId};
 use cia_defenses::{DpConfig, DpMechanism, UpdateTransform};
 use cia_federated::{FedAvg, FedAvgConfig, NullObserver};
 use cia_gossip::{GossipConfig, GossipSim, NullGossipObserver};
-use cia_models::parallel::par_chunks_mut;
+use cia_models::parallel::{par_chunks_mut, par_map};
 use cia_models::params::{clip_l2, ema, sigmoid};
 use cia_models::{
     kernel, GmfHyper, GmfSpec, Mlp, MlpHyper, MlpSpec, RelevanceScorer, SharingPolicy,
 };
-use cia_scenarios::{DynamicsSpec, FlDynamics, ParticipantDynamics};
+use cia_scenarios::{try_build_setup, DynamicsSpec, FlDynamics, ParticipantDynamics};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -599,6 +600,44 @@ fn bench_cia_score_paper(c: &mut Criterion) {
     }
 }
 
+fn bench_rank_and_setup_paper(c: &mut Criterion) {
+    // The attack's ranking rung and the scenario's setup, at paper shape.
+    // Gated with the paper round rows above.
+    if std::env::var_os("CIA_BENCH_PAPER_SCALE").is_none() {
+        return;
+    }
+    // One momentum-attack ranking: the best K = 50 of 942 candidates for
+    // each of 943 targets in the user-major relevance matrix, each target
+    // excluding its owner, as `FlCia` ranks them.
+    const K: usize = 50;
+    let n = Preset::MovieLens.dims(Scale::Paper).0;
+    let mut rng = StdRng::seed_from_u64(9);
+    let rel: Vec<f32> = (0..n * n).map(|_| rng.gen::<f32>()).collect();
+    let t = thread_suffix();
+    let rank = format!("cia_rank_paper_943x943{t}");
+    c.bench_function(&rank, |b| {
+        b.iter(|| top_k_per_column(&rel, n, K, |id, t| id as usize != t));
+    });
+    // The path it replaced: one target at a time, reading its column, through
+    // the streaming selector.
+    c.bench_function(&format!("{rank}_scalar_ref"), |b| {
+        b.iter(|| {
+            par_map(n, |t| {
+                let mut sel = TopK::new(K);
+                for id in (0u32..).take(n).filter(|&id| id as usize != t) {
+                    sel.push(rel[id as usize * n + t], id);
+                }
+                sel.into_ids()
+            })
+        });
+    });
+    // What every scenario pays before its first round: generate, split and
+    // ground truth, exactly as `scenario run` builds them.
+    c.bench_function(&format!("setup_paper_movielens{t}"), |b| {
+        b.iter(|| try_build_setup(Preset::MovieLens, Scale::Paper, None, 42).unwrap());
+    });
+}
+
 /// Appends per-phase breakdown rows (`<base>_phase_<name>`) to the
 /// `CRITERION_JSON` stream: the mean ns/round each top-level recorder span
 /// (sample, train, attack, aggregate, evaluate, …) cost over `rounds`
@@ -691,6 +730,6 @@ criterion_group! {
     config = config();
     targets = bench_kernels, bench_scoring, bench_momentum_and_dp, bench_mlp_train,
               bench_protocol_rounds, bench_attack_eval, bench_ground_truth,
-              bench_paper_scale, bench_cia_score_paper
+              bench_paper_scale, bench_cia_score_paper, bench_rank_and_setup_paper
 }
 criterion_main!(benches);

@@ -1,7 +1,8 @@
 //! Turns the JSON-lines stream the vendored criterion harness emits (via the
 //! `CRITERION_JSON` env var) into `BENCH_kernels.json`: one entry per
 //! benchmark, with a `speedup` field wherever an optimized benchmark has a
-//! `_scalar_ref` or `_naive` twin.
+//! `_scalar_ref` or `_naive` twin, and the run's provenance (`git_rev`,
+//! `nproc`, `cia_threads`) wherever its line carries one.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -13,22 +14,48 @@ pub struct Measurement {
     pub name: String,
     /// Median nanoseconds per iteration.
     pub median_ns: f64,
+    /// Where the measurement came from, when its line records it.
+    pub provenance: Option<Provenance>,
+}
+
+/// The source tree and machine a measurement ran on.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Provenance {
+    /// `git rev-parse --short HEAD`, suffixed `-dirty` for uncommitted edits.
+    pub git_rev: String,
+    /// Online cores (`nproc`).
+    pub nproc: u32,
+    /// The `CIA_THREADS` the benchmark ran with.
+    pub cia_threads: u32,
+}
+
+impl Provenance {
+    fn parse(line: &str) -> Option<Self> {
+        Some(Provenance {
+            git_rev: field_str(line, "git_rev")?,
+            nproc: field_token(line, "nproc")?.parse().ok()?,
+            cia_threads: field_token(line, "cia_threads")?.parse().ok()?,
+        })
+    }
 }
 
 /// Suffixes marking a benchmark as the scalar/naive baseline of its pair.
 const BASELINE_SUFFIXES: [&str; 2] = ["_scalar_ref", "_naive"];
 
 /// Parses the `{"name": ..., "median_ns": ...}` JSON lines the harness
-/// appends. Later duplicates win (a re-run overwrites the previous result).
+/// appends, with the optional `git_rev`/`nproc`/`cia_threads` stamp
+/// `scripts/bench_kernels.sh` adds. Later duplicates win (a re-run
+/// overwrites the previous result).
 #[must_use]
 pub fn parse_jsonl(input: &str) -> Vec<Measurement> {
-    let mut seen: BTreeMap<String, f64> = BTreeMap::new();
+    let mut seen: BTreeMap<String, Measurement> = BTreeMap::new();
     for line in input.lines() {
         let Some(name) = field_str(line, "name") else { continue };
-        let Some(median) = field_num(line, "median_ns") else { continue };
-        seen.insert(name, median);
+        let Some(median_ns) = field_num(line, "median_ns") else { continue };
+        let provenance = Provenance::parse(line);
+        seen.insert(name.clone(), Measurement { name, median_ns, provenance });
     }
-    seen.into_iter().map(|(name, median_ns)| Measurement { name, median_ns }).collect()
+    seen.into_values().collect()
 }
 
 fn field_str(line: &str, key: &str) -> Option<String> {
@@ -39,12 +66,17 @@ fn field_str(line: &str, key: &str) -> Option<String> {
 }
 
 fn field_num(line: &str, key: &str) -> Option<f64> {
+    field_token(line, key)?.parse().ok()
+}
+
+/// The numeric token after `"key": `.
+fn field_token<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     let pat = format!("\"{key}\": ");
     let start = line.find(&pat)? + pat.len();
     let end = line[start..]
         .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
         .map_or(line.len(), |e| e + start);
-    line[start..end].parse().ok()
+    Some(&line[start..end])
 }
 
 /// Renders the report: every measurement, plus `baseline_ns`/`speedup`
@@ -73,6 +105,13 @@ pub fn render_report(measurements: &[Measurement]) -> String {
                 ", \"baseline_ns\": {:.1}, \"speedup\": {:.2}",
                 base,
                 base / m.median_ns
+            );
+        }
+        if let Some(p) = &m.provenance {
+            let _ = write!(
+                out,
+                ", \"git_rev\": \"{}\", \"nproc\": {}, \"cia_threads\": {}",
+                p.git_rev, p.nproc, p.cia_threads
             );
         }
         out.push('}');
@@ -115,6 +154,27 @@ mod tests {
         let ms = parse_jsonl(&twice);
         let lonely = ms.iter().find(|m| m.name == "lonely_bench").unwrap();
         assert_eq!(lonely.median_ns, 9.0);
+    }
+
+    #[test]
+    fn stamped_lines_keep_their_provenance() {
+        let stamped = format!(
+            "{SAMPLE}{}",
+            r#"{"name": "lonely_bench", "median_ns": 9.0, "git_rev": "abc1234-dirty", "nproc": 2, "cia_threads": 1}"#
+        );
+        let ms = parse_jsonl(&stamped);
+        let lonely = ms.iter().find(|m| m.name == "lonely_bench").unwrap();
+        let want = Provenance { git_rev: "abc1234-dirty".into(), nproc: 2, cia_threads: 1 };
+        assert_eq!(lonely.provenance, Some(want));
+        let report = render_report(&ms);
+        assert!(
+            report.contains(r#"{"name": "lonely_bench", "median_ns": 9.0, "git_rev": "abc1234-dirty", "nproc": 2, "cia_threads": 1}"#),
+            "{report}"
+        );
+        // Unstamped rows render as before.
+        assert!(report.contains(
+            r#"{"name": "gt_topk", "median_ns": 50.0, "baseline_ns": 500.0, "speedup": 10.00}"#
+        ));
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! models received from sampled users each round.
 
 use crate::evaluator::{RelevanceEvaluator, TILE};
-use crate::metrics::{community_accuracy, coverage, top_k_users, AttackOutcome, AttackTracker};
+use crate::metrics::{
+    community_accuracy, coverage, top_k_per_column, AttackOutcome, AttackTracker,
+};
 use cia_data::UserId;
 use cia_federated::{RoundObserver, RoundStats};
-use cia_models::parallel::{par_chunks_mut, par_map};
+use cia_models::parallel::par_chunks_mut;
 use cia_models::{Checkpointable, LivenessEvent, MomentumState, SharedModel};
 use cia_obs::Recorder;
 
@@ -210,12 +212,9 @@ impl<E: RelevanceEvaluator, V> MomentumCia<E, V> {
     /// momentum update).
     fn rank_all(&self) -> Vec<Vec<UserId>> {
         let num_targets = self.evaluator.num_targets();
-        let (momentum, owners, rel, k) = (&self.momentum, &self.owners, &self.rel, self.cfg.k);
-        par_map(num_targets, |t| {
-            let candidates = (0u32..)
-                .zip(momentum)
-                .filter(|&(id, m)| m.is_some() && owners[t] != Some(UserId::new(id)));
-            top_k_users(k, candidates.map(|(id, _)| (rel[id as usize * num_targets + t], id)))
+        let (momentum, owners) = (&self.momentum, &self.owners);
+        top_k_per_column(&self.rel, num_targets, self.cfg.k, |id, t| {
+            momentum[id as usize].is_some() && owners[t] != Some(UserId::new(id))
         })
     }
 

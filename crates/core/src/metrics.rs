@@ -2,6 +2,7 @@
 //! (AAC), Max AAC over rounds, Best-10% AAC, the hyper-geometric random bound
 //! and the observation-coverage upper bound.
 
+use cia_data::parallel::par_map;
 use cia_data::UserId;
 
 /// Accuracy of one predicted community (Eq. 6): `|Ĉ ∩ C| / K`.
@@ -106,14 +107,81 @@ impl TopK {
     }
 }
 
-/// The best `k` candidates of one attack ranking, as users: every attack
-/// streams its `(score, user id)` candidates through [`TopK`].
-pub(crate) fn top_k_users(k: usize, scored: impl IntoIterator<Item = (f32, u32)>) -> Vec<UserId> {
-    let mut sel = TopK::new(k);
-    for (score, id) in scored {
-        sel.push(score, id);
+/// The order-preserving key of one `(score, id)` candidate: for any two
+/// candidates, the integer order of their keys is exactly [`rank_desc`].
+///
+/// NaN becomes −∞ and −0.0 becomes +0.0, as `rank_desc` compares them. The
+/// high word holds the score, best first; the low word holds the id,
+/// ascending.
+fn rank_key(score: f32, id: u32) -> u64 {
+    let score = if score.is_nan() {
+        f32::NEG_INFINITY
+    } else if score == 0.0 {
+        0.0
+    } else {
+        score
+    };
+    let bits = score.to_bits();
+    // Ascending float order as unsigned integer order.
+    let ascending = if bits >> 31 == 1 { !bits } else { bits | 0x8000_0000 };
+    (u64::from(!ascending) << 32) | u64::from(id)
+}
+
+/// The best `k` candidates of one attack ranking, as users, best first —
+/// the first `k` of `sort_by(rank_desc)` over every candidate. Every attack
+/// ranks its `(score, user id)` candidates here, or in
+/// [`top_k_per_column`] for a whole score matrix.
+pub fn top_k_users(k: usize, scored: impl IntoIterator<Item = (f32, u32)>) -> Vec<UserId> {
+    top_k_keys(k, scored.into_iter().map(|(score, id)| rank_key(score, id)).collect())
+}
+
+/// The users of the `k` smallest `rank_key`s, smallest first: the keys are
+/// selected with `select_nth_unstable`, and only the best `k` are sorted.
+fn top_k_keys(k: usize, mut keys: Vec<u64>) -> Vec<UserId> {
+    if k < keys.len() {
+        keys.select_nth_unstable(k);
+        keys.truncate(k);
     }
-    sel.into_ids().into_iter().map(UserId::new).collect()
+    keys.sort_unstable();
+    let id = |key: u64| u32::try_from(key & u64::from(u32::MAX)).expect("the low word is the id");
+    keys.into_iter().map(|key| UserId::new(id(key))).collect()
+}
+
+/// Columns [`top_k_per_column`] ranks together: 16 `f32` scores, one cache
+/// line of each row.
+const RANK_BLOCK: usize = 16;
+
+/// The best `k` rows of every column of a row-major score matrix with
+/// `cols` columns, as users, best first: column `t`'s list is
+/// [`top_k_users`] over the `(scores[row * cols + t], row)` pairs that
+/// `keep(row, t)` admits.
+///
+/// Columns are ranked `RANK_BLOCK` at a time, in parallel: each row hands one
+/// contiguous slice of scores to every column of the block, where ranking
+/// one column at a time reads one score per cache line.
+pub fn top_k_per_column(
+    scores: &[f32],
+    cols: usize,
+    k: usize,
+    keep: impl Fn(u32, usize) -> bool + Sync,
+) -> Vec<Vec<UserId>> {
+    if cols == 0 {
+        return Vec::new();
+    }
+    let rows = scores.len() / cols;
+    let blocks = par_map(cols.div_ceil(RANK_BLOCK), |block| {
+        let block = block * RANK_BLOCK..cols.min((block + 1) * RANK_BLOCK);
+        let mut keys: Vec<Vec<u64>> = block.clone().map(|_| Vec::with_capacity(rows)).collect();
+        for (id, row) in (0u32..).zip(scores.chunks_exact(cols)) {
+            for ((t, &score), keys) in block.clone().zip(&row[block.clone()]).zip(&mut keys) {
+                if keep(id, t) {
+                    keys.push(rank_key(score, id));
+                }
+            }
+        }
+        keys.into_iter().map(|keys| top_k_keys(k, keys)).collect::<Vec<_>>()
+    });
+    blocks.into_iter().flatten().collect()
 }
 
 /// The observation-coverage bound of one target: the observed members of

@@ -1,11 +1,32 @@
 //! Property-based tests for the attack metrics and momentum state — the
 //! arithmetic every reported number flows through.
 
-use cia_core::metrics::{best_fraction_floor, community_accuracy, random_bound, rank_desc};
+use cia_core::metrics::{
+    best_fraction_floor, community_accuracy, random_bound, rank_desc, top_k_per_column, top_k_users,
+};
 use cia_core::{membership_entropy, AttackTracker, MomentumState};
 use cia_data::UserId;
 use cia_models::SharedModel;
 use proptest::prelude::*;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
+
+/// Scores that stress the ranking order: NaN of either sign, both zeros,
+/// both infinities, subnormals and repeated ordinary values.
+const EDGE_SCORES: [f32; 12] = [
+    f32::NAN,
+    -f32::NAN,
+    0.0,
+    -0.0,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    1.0,
+    -1.0,
+    0.5,
+    f32::MIN_POSITIVE,
+    -f32::MIN_POSITIVE,
+    f32::from_bits(1),
+];
 
 proptest! {
     #[test]
@@ -77,6 +98,56 @@ proptest! {
             .collect();
         for w in clean.windows(2) {
             prop_assert!(w[0] >= w[1], "not descending: {} < {}", w[0], w[1]);
+        }
+    }
+
+    #[test]
+    fn top_k_users_is_the_full_sort_prefix(
+        picks in proptest::collection::vec((0usize..16, any::<f32>()), 0..60),
+        seed in any::<u64>(),
+    ) {
+        // Each candidate takes an edge score (indices 0..12, so scores
+        // repeat often) or an arbitrary one; ids are a shuffled permutation.
+        let mut ids: Vec<u32> = (0..).take(picks.len()).collect();
+        ids.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
+        let pairs: Vec<(f32, u32)> = picks
+            .iter()
+            .zip(&ids)
+            .map(|(&(pick, any), &id)| (EDGE_SCORES.get(pick).copied().unwrap_or(any), id))
+            .collect();
+        let mut sorted = pairs.clone();
+        sorted.sort_by(rank_desc);
+        let n = pairs.len();
+        for k in [0, 1, n.saturating_sub(1), n, n + 3] {
+            let want: Vec<UserId> =
+                sorted.iter().take(k).map(|&(_, id)| UserId::new(id)).collect();
+            prop_assert_eq!(top_k_users(k, pairs.iter().copied()), want, "k = {}", k);
+        }
+    }
+
+    #[test]
+    fn top_k_per_column_ranks_each_column_alone(
+        // Up to 40 columns, so blocks of 16 columns end mid-matrix.
+        shape in (0usize..30, 1usize..40),
+        picks in proptest::collection::vec((0usize..16, any::<f32>()), 1200),
+        k in 0usize..8,
+    ) {
+        let (rows, cols) = shape;
+        let scores: Vec<f32> = picks[..rows * cols]
+            .iter()
+            .map(|&(pick, any)| EDGE_SCORES.get(pick).copied().unwrap_or(any))
+            .collect();
+        // Drop every third row, and each column's own row as the attack
+        // drops a target's owner.
+        let keep = |id: u32, t: usize| id % 3 != 1 && id as usize != t;
+        for k in [k, rows + 2] {
+            let got = top_k_per_column(&scores, cols, k, keep);
+            prop_assert_eq!(got.len(), cols);
+            for (t, got) in got.iter().enumerate() {
+                let column = (0..).zip(scores.iter().skip(t).step_by(cols));
+                let want = top_k_users(k, column.filter(|&(id, _)| keep(id, t)).map(|(id, &s)| (s, id)));
+                prop_assert_eq!(got, &want, "column {} of {}, k = {}", t, cols, k);
+            }
         }
     }
 

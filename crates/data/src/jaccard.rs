@@ -86,10 +86,11 @@ impl GroundTruth {
     /// the postings of its own items (total work `Σ_item |postings(item)|²`
     /// spread over owners, parallelized with [`par_map`]). The Jaccard value
     /// is derived from the intersection count with the exact float expression
-    /// [`jaccard_index`] uses, and candidates are ranked with the same
-    /// comparator, so results — including the smaller-id tie-break — are
-    /// identical to [`GroundTruth::from_train_sets_naive`], which the
-    /// property tests use as the oracle.
+    /// [`jaccard_index`] uses, and the best `k` candidates are selected and
+    /// ranked with the same comparator, so results — including the
+    /// smaller-id tie-break — are identical to
+    /// [`GroundTruth::from_train_sets_naive`], which the property tests use
+    /// as the oracle.
     pub fn from_train_sets(train_sets: &[Vec<u32>], k: usize) -> Self {
         let n = train_sets.len();
         let num_items =
@@ -126,11 +127,18 @@ impl GroundTruth {
                 })
                 .collect();
             // Same ordering as `top_k_similar`: descending similarity,
-            // ascending id on ties.
-            scored.sort_by(|a, b| {
+            // ascending id on ties. The order is total over distinct ids, so
+            // selecting the best `k` and sorting only them yields the prefix
+            // of the full sort.
+            let order = |a: &(f64, UserId), b: &(f64, UserId)| {
                 b.0.partial_cmp(&a.0).expect("jaccard is finite").then_with(|| a.1.cmp(&b.1))
-            });
-            scored.into_iter().take(k).map(|(_, u)| u).collect()
+            };
+            if k < scored.len() {
+                scored.select_nth_unstable_by(k, order);
+                scored.truncate(k);
+            }
+            scored.sort_by(order);
+            scored.into_iter().map(|(_, u)| u).collect()
         });
         GroundTruth { k, communities }
     }

@@ -14,7 +14,6 @@ use crate::{DataError, Dataset, UserRecord, Zipf};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
 
 /// Configuration of the synthetic generator. Build with
 /// [`SyntheticConfig::builder`].
@@ -127,6 +126,9 @@ impl SyntheticConfig {
         let planting = self.categories.as_ref().and_then(|p| p.health_planting);
 
         let mut records = Vec::with_capacity(self.users);
+        // Per-user deduplication of the draws: `taken[item]` marks the items
+        // already chosen for the current user, and is cleared after each.
+        let mut taken = vec![false; n_items];
         for (u, &community) in community_of.iter().enumerate() {
             let c = community as usize;
             let jitter = 1.0 + self.ipu_jitter * (rng.gen::<f64>() * 2.0 - 1.0);
@@ -138,9 +140,9 @@ impl SyntheticConfig {
                 _ => None,
             };
 
-            let mut chosen: BTreeSet<u32> = BTreeSet::new();
+            let mut items: Vec<u32> = Vec::with_capacity(n_u);
             let mut guard = 0usize;
-            while chosen.len() < n_u && guard < n_u * 200 {
+            while items.len() < n_u && guard < n_u * 200 {
                 guard += 1;
                 let item = if let Some(p) = planted_health {
                     if rng.gen::<f64>() < p.health_fraction {
@@ -158,10 +160,16 @@ impl SyntheticConfig {
                 } else {
                     self.draw_regular(&mut rng, c, &clusters, &cluster_zipfs, &global_zipf, &perm)
                 };
-                chosen.insert(item);
+                if !taken[item as usize] {
+                    taken[item as usize] = true;
+                    items.push(item);
+                }
             }
-
-            let items: Vec<u32> = chosen.into_iter().collect();
+            for &item in &items {
+                taken[item as usize] = false;
+            }
+            // The sequence shuffles the set in ascending item order.
+            items.sort_unstable();
             let sequence = if self.sequences {
                 Self::synthesize_sequence(&items, &mut rng)
             } else {

@@ -84,17 +84,28 @@ proptest! {
         // smaller-id tie-break is exercised constantly.
         sets in proptest::collection::vec(sorted_unique(12, 8), 2..14),
         k in 1usize..6,
+        // A second population of copies of a few sets: every candidate of
+        // an owner ties with the other copies of its set, so the selection
+        // must cut through runs of equal Jaccard values by id alone.
+        picks in proptest::collection::vec(0usize..3, 2..20),
     ) {
-        let fast = GroundTruth::from_train_sets(&sets, k);
-        let naive = GroundTruth::from_train_sets_naive(&sets, k);
-        prop_assert_eq!(fast.num_targets(), naive.num_targets());
-        // cia-lint: allow(D05, test/bench populations are tiny; ids fit u32 with orders of magnitude to spare)
-        for owner in 0..sets.len() as u32 {
-            prop_assert_eq!(
-                fast.community_of(UserId::new(owner)),
-                naive.community_of(UserId::new(owner)),
-                "owner {} communities diverge", owner
-            );
+        let copies: Vec<Vec<u32>> = picks.iter().map(|&p| sets[p % sets.len()].clone()).collect();
+        for population in [&sets, &copies] {
+            let n = population.len();
+            // k ≥ n − 1 keeps every candidate: no selection, only the sort.
+            for k in [k, n - 1, n, n + 2] {
+                let fast = GroundTruth::from_train_sets(population, k);
+                let naive = GroundTruth::from_train_sets_naive(population, k);
+                prop_assert_eq!(fast.num_targets(), naive.num_targets());
+                // cia-lint: allow(D05, test/bench populations are tiny; ids fit u32 with orders of magnitude to spare)
+                for owner in 0..n as u32 {
+                    prop_assert_eq!(
+                        fast.community_of(UserId::new(owner)),
+                        naive.community_of(UserId::new(owner)),
+                        "owner {} communities diverge at k = {}", owner, k
+                    );
+                }
+            }
         }
     }
 

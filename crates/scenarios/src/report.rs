@@ -10,7 +10,9 @@
 //!   materialized, …) summed over the run;
 //! * the RSS trajectory — first / last `peak_rss_bytes` seen in the
 //!   `round_eval` stream (the value is the OS's monotone high-water mark,
-//!   so "last" is also the peak).
+//!   so "last" is also the peak);
+//! * the setup cost — µs per setup stage from the `scenario_summary`'s
+//!   `setup_us`, printed above the phase table.
 //!
 //! Quantiles are exact rank statistics over the per-round phase values
 //! (rounds per scenario number in the tens to hundreds — no need for the
@@ -63,6 +65,10 @@ pub struct ScenarioReport {
     /// Last `peak_rss_bytes` seen (the high-water mark is monotone, so this
     /// is also the run's peak).
     pub rss_last: Option<u64>,
+    /// µs per setup stage (`generate`, `split`, `ground_truth`, `clients`)
+    /// from the `scenario_summary`'s `setup_us`; empty when the stream has
+    /// none (untimed, or stopped before the summary).
+    pub setup_us: Vec<(String, u64)>,
 }
 
 impl ScenarioReport {
@@ -121,7 +127,7 @@ pub fn summarize(input: &str) -> Result<Vec<ScenarioReport>, String> {
             .get("type")
             .and_then(Json::as_str)
             .ok_or_else(|| fail("record has no `type`".to_string()))?;
-        if kind != "trace" && kind != "round_eval" {
+        if !matches!(kind, "trace" | "round_eval" | "scenario_summary") {
             continue;
         }
         let key_field = |name: &str| -> Result<String, String> {
@@ -154,6 +160,7 @@ pub fn summarize(input: &str) -> Result<Vec<ScenarioReport>, String> {
                         loss_rounds: 0,
                         rss_first: None,
                         rss_last: None,
+                        setup_us: Vec::new(),
                     },
                     phase_rounds: Vec::new(),
                     loss_sum: 0.0,
@@ -217,6 +224,21 @@ pub fn summarize(input: &str) -> Result<Vec<ScenarioReport>, String> {
                     }
                 }
             }
+            "scenario_summary" => {
+                if let Some(setup) = v.get("setup_us") {
+                    let stages = setup
+                        .as_obj()
+                        .ok_or_else(|| fail("`setup_us` is not an object".to_string()))?;
+                    group.report.setup_us = stages
+                        .iter()
+                        .map(|(stage, us)| {
+                            us.as_u64()
+                                .map(|us| (stage.clone(), us))
+                                .ok_or_else(|| fail(format!("setup_us.{stage} is not integral")))
+                        })
+                        .collect::<Result<_, _>>()?;
+                }
+            }
             _ => unreachable!("filtered above"),
         }
     }
@@ -246,6 +268,13 @@ pub fn render(reports: &[ScenarioReport]) -> String {
     let mut out = String::new();
     for r in reports {
         let _ = writeln!(out, "{} / {} (seed {})", r.suite, r.scenario, r.seed);
+        if !r.setup_us.is_empty() {
+            let ms = |us: u64| us as f64 / 1000.0;
+            let stages: Vec<String> =
+                r.setup_us.iter().map(|(stage, us)| format!("{stage} {:.1}", ms(*us))).collect();
+            let total = r.setup_us.iter().map(|(_, us)| us).sum::<u64>();
+            let _ = writeln!(out, "  setup {:.1} ms: {} ms", ms(total), stages.join(", "));
+        }
         if r.traced_rounds == 0 {
             let _ =
                 writeln!(out, "  no trace records — rerun with timing enabled (drop --no-timing)");
@@ -369,6 +398,23 @@ mod tests {
         assert!(text.contains("train"));
         assert!(text.contains("phase coverage: 90.0% of round time"));
         assert!(text.contains("counter clients_trained: 2"));
+    }
+
+    #[test]
+    fn render_prints_the_setup_stages_above_the_phase_table() {
+        let summary = r#"{"type":"scenario_summary","suite":"s","scenario":"a","dataset":"d","model":"m","protocol":"p","scale":"smoke","seed":7,"max_aac":0.5,"setup_us":{"generate":1500,"split":500,"ground_truth":2000,"clients":1000}}"#;
+        let input = [trace_line("a", 0, 900, 100, 2), summary.to_string()].join("\n");
+        let reports = summarize(&input).unwrap();
+        assert_eq!(reports.len(), 1, "the summary joins its scenario's group");
+        assert_eq!(reports[0].setup_us[2], ("ground_truth".to_string(), 2000));
+        let text = render(&reports);
+        let setup =
+            text.find("setup 5.0 ms: generate 1.5, split 0.5, ground_truth 2.0, clients 1.0 ms");
+        let table = text.find("phase ").unwrap();
+        assert!(setup.is_some_and(|at| at < table), "{text}");
+        // Without a summary there is no setup line.
+        let text = render(&summarize(&trace_line("a", 0, 900, 100, 2)).unwrap());
+        assert!(!text.contains("setup"), "{text}");
     }
 
     #[test]

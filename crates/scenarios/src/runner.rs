@@ -16,7 +16,9 @@
 //! * `scenario_summary` — emitted once per completed scenario:
 //!   `type suite scenario dataset model protocol scale seed max_aac
 //!   best10_aac max_round random_bound upper_bound upper_bound_online
-//!   advantage utility utility_metric rounds evals completed [elapsed_ms]`
+//!   advantage utility utility_metric rounds evals completed [elapsed_ms]
+//!   [peak_rss_bytes] [setup_us]` — `setup_us` maps each setup stage
+//!   (`generate`, `split`, `ground_truth`, `clients`) to its µs.
 //!
 //! * `trace` — emitted once per protocol round (plus a final record for the
 //!   utility evaluation), timing-gated exactly like `elapsed_ms`:
@@ -25,8 +27,8 @@
 //!   `other`; `counters` holds the round's registry deltas; `hist` holds
 //!   per-metric `{count, sum_us, p50_us, p99_us}` latency summaries.
 //!
-//! `elapsed_ms`, `bytes_materialized`, `peak_rss_bytes` and every `trace`
-//! record are wall-clock-derived and gated behind [`RunOptions::timing`], so
+//! `elapsed_ms`, `bytes_materialized`, `peak_rss_bytes`, `setup_us` and every
+//! `trace` record are wall-clock-derived and gated behind [`RunOptions::timing`], so
 //! `--no-timing` runs are byte-identical given the same spec and seed — the
 //! tracing layer stays *active* (every scenario runs with a detail-enabled
 //! recorder), it just never writes into the deterministic stream.
@@ -35,7 +37,7 @@ use crate::checkpoint::{write_durably, AttackState, Checkpoint, ProtocolState};
 use crate::dynamics::{FlDynamics, GlDynamics, ParticipantDynamics};
 use crate::json::{Json, ObjBuilder};
 use crate::placement::{PlacementEngine, PlacementObserver, PlacementState};
-use crate::setup::{try_build_setup, RecsysSetup};
+use crate::setup::{try_build_setup_traced, RecsysSetup, SETUP_STAGES};
 use crate::spec::{DefenseKind, ModelKind, ProtocolKind, ScenarioSpec, SuiteSpec};
 use cia_core::metrics::random_bound;
 use cia_core::{
@@ -186,8 +188,9 @@ pub fn run_scenario(
             ..outcome
         });
     }
-    let setup = try_build_setup(spec.preset, spec.scale, spec.k_override, spec.seed)
-        .map_err(|e| format!("{}: {e}", spec.name))?;
+    let setup =
+        try_build_setup_traced(spec.preset, spec.scale, spec.k_override, spec.seed, &ctx.rec)
+            .map_err(|e| format!("{}: {e}", spec.name))?;
     let mut outcome = match spec.model {
         ModelKind::Gmf => run_gmf(&ctx, &setup, sink),
         ModelKind::Prme => run_prme(&ctx, &setup, sink),
@@ -240,7 +243,10 @@ fn run_gmf(
 ) -> Result<ScenarioOutcome, String> {
     let model_spec = gmf_scorer(setup.data.num_items(), setup.params.dim);
     let policy = ctx.spec.defense.policy();
-    let clients = model_spec.build_clients(setup.split.train_sets(), policy, ctx.spec.seed);
+    let clients = {
+        let _clients = ctx.rec.span("clients");
+        model_spec.build_clients(setup.split.train_sets(), policy, ctx.spec.seed)
+    };
     let eval_instances = setup.split.eval_instances().to_vec();
     let utility = move |clients: &[GmfClient], deployed: Option<&[f32]>| -> f64 {
         // Clients evaluate independently in parallel; a hit count is
@@ -274,12 +280,10 @@ fn run_prme(
     );
     let policy = ctx.spec.defense.policy();
     let split = &setup.split;
-    let clients = model_spec.build_clients(
-        split.train_sets(),
-        split.train_sequences(),
-        policy,
-        ctx.spec.seed,
-    );
+    let clients = {
+        let _clients = ctx.rec.span("clients");
+        model_spec.build_clients(split.train_sets(), split.train_sequences(), policy, ctx.spec.seed)
+    };
     let eval_instances = setup.split.eval_instances().to_vec();
     let train_sets = setup.split.train_sets().to_vec();
     let num_items = setup.data.num_items();
@@ -665,6 +669,11 @@ fn drive<R: ProtocolRun>(
     let n = setup.data.num_users();
     let total = setup.params.rounds(spec.protocol);
     let mut traces: Vec<(u64, TraceChunk)> = Vec::new();
+    // Everything recorded so far is setup: the dataset stages and the client
+    // build. It is reported once, as the summary's `setup_us`, not as a
+    // round.
+    let setup_chunk = ctx.rec.drain();
+    let setup_us = SETUP_STAGES.map(|stage| (stage, setup_chunk.span_us(stage)));
 
     let (mut done, mut emitted) = (0u64, 0usize);
     if let Some(path) = ctx.checkpoint_path().filter(|p| ctx.opts.resume && p.exists()) {
@@ -735,7 +744,8 @@ fn drive<R: ProtocolRun>(
     drop(utility_span);
     trace_round(ctx, sink, total, &mut traces)?;
     let outcome = proto.attack().outcome();
-    emit_summary(ctx, sink, &outcome, utility_value, utility_metric, total, emitted)?;
+    let summary = Summary { outcome: &outcome, utility: utility_value, utility_metric, setup_us };
+    emit_summary(ctx, sink, &summary, total, emitted)?;
     clear_checkpoint(ctx)?;
     Ok(scenario_outcome(spec, outcome, Some(utility_value), utility_metric, total, traces))
 }
@@ -912,15 +922,23 @@ fn trace_record(ctx: &Ctx, round: u64, chunk: &TraceChunk) -> Json {
     b.build()
 }
 
+/// What a completed scenario reports in its `scenario_summary` record.
+struct Summary<'a> {
+    outcome: &'a AttackOutcome,
+    utility: f64,
+    utility_metric: &'a str,
+    /// µs per setup stage, in [`SETUP_STAGES`] order (timing-class).
+    setup_us: [(&'static str, u64); SETUP_STAGES.len()],
+}
+
 fn emit_summary(
     ctx: &Ctx,
     sink: &mut dyn Write,
-    outcome: &AttackOutcome,
-    utility: f64,
-    utility_metric: &str,
+    summary: &Summary,
     rounds: u64,
     evals: usize,
 ) -> Result<(), String> {
+    let Summary { outcome, utility, utility_metric, setup_us } = summary;
     let mut b = base_record(ctx, "scenario_summary")
         .num("max_aac", outcome.max_aac)
         .num("best10_aac", outcome.best10_aac)
@@ -929,7 +947,7 @@ fn emit_summary(
         .num("upper_bound", outcome.upper_bound)
         .num("upper_bound_online", outcome.upper_bound_online)
         .num("advantage", outcome.advantage_over_random())
-        .num("utility", utility)
+        .num("utility", *utility)
         .str("utility_metric", utility_metric)
         .num("rounds", rounds as f64)
         .num("evals", evals as f64)
@@ -939,6 +957,9 @@ fn emit_summary(
         if let Some(rss) = crate::mem::peak_rss_bytes() {
             b = b.num("peak_rss_bytes", rss as f64);
         }
+        let stages =
+            setup_us.iter().fold(ObjBuilder::new(), |o, &(stage, us)| o.num(stage, us as f64));
+        b = b.value("setup_us", stages.build());
     }
     write_record(sink, &b.build())
 }
@@ -1050,6 +1071,22 @@ pub fn validate_jsonl(input: &str) -> Result<(usize, usize), String> {
                     .ok_or_else(|| fail("missing boolean `completed`".to_string()))?;
                 for key in ["elapsed_ms", "peak_rss_bytes"] {
                     timing(key)?;
+                }
+                if let Some(setup) = v.get("setup_us") {
+                    let obj = setup
+                        .as_obj()
+                        .ok_or_else(|| fail("`setup_us` must be an object".to_string()))?;
+                    let stages: Vec<&str> = obj.iter().map(|(name, _)| name.as_str()).collect();
+                    if stages != SETUP_STAGES {
+                        return Err(fail(format!(
+                            "`setup_us` stages {stages:?}, expected {SETUP_STAGES:?}"
+                        )));
+                    }
+                    for (stage, us) in obj {
+                        us.as_u64().ok_or_else(|| {
+                            fail(format!("`setup_us.{stage}` must be a non-negative integer"))
+                        })?;
+                    }
                 }
                 summaries += 1;
             }
@@ -1210,5 +1247,17 @@ mod tests {
         assert_eq!(validate_jsonl(no_loss), Ok((1, 0)));
         let bad_loss = r#"{"type":"round_eval","suite":"s","scenario":"x","dataset":"d","model":"m","protocol":"p","scale":"smoke","seed":1,"round":0,"aac":0.5,"best10":0,"upper_bound":1,"upper_bound_online":0.5,"random_bound":0,"online":1,"participants":1,"mean_loss":"nan"}"#;
         assert!(validate_jsonl(bad_loss).unwrap_err().contains("mean_loss"));
+        // `setup_us` is timing-class: optional, but when present it names
+        // every setup stage, in order, with an integral µs each.
+        let summary = r#"{"type":"scenario_summary","suite":"s","scenario":"x","dataset":"d","model":"m","protocol":"p","scale":"smoke","seed":1,"max_aac":0.5,"best10_aac":0,"max_round":0,"random_bound":0,"upper_bound":0.5,"upper_bound_online":0.5,"advantage":0,"utility":0.5,"utility_metric":"HR@20","rounds":8,"evals":4,"completed":true}"#;
+        assert_eq!(validate_jsonl(summary), Ok((0, 1)));
+        let with_setup = |setup: &str| summary.replace('}', &format!(",\"setup_us\":{setup}}}"));
+        let good = r#"{"generate":5,"split":3,"ground_truth":7,"clients":2}"#;
+        assert_eq!(validate_jsonl(&with_setup(good)), Ok((0, 1)));
+        let missing_stage = r#"{"generate":5,"split":3,"ground_truth":7}"#;
+        assert!(validate_jsonl(&with_setup(missing_stage)).unwrap_err().contains("stages"));
+        let fractional = r#"{"generate":5,"split":3.5,"ground_truth":7,"clients":2}"#;
+        assert!(validate_jsonl(&with_setup(fractional)).unwrap_err().contains("setup_us.split"));
+        assert!(validate_jsonl(&with_setup("12")).unwrap_err().contains("object"));
     }
 }

@@ -3,6 +3,7 @@
 //! builds on.
 
 use crate::spec::ScaleParams;
+use cia_core::Recorder;
 use cia_data::presets::{Preset, Scale};
 use cia_data::{Dataset, GroundTruth, LeaveOneOut, UserId};
 
@@ -80,17 +81,42 @@ pub fn try_build_setup(
     k_override: Option<usize>,
     seed: u64,
 ) -> Result<RecsysSetup, String> {
+    try_build_setup_traced(preset, scale, k_override, seed, &Recorder::new())
+}
+
+/// [`try_build_setup`], timing its stages as the spans [`SETUP_STAGES`]
+/// names (`generate`, `split`, `ground_truth`) on `rec`.
+pub(crate) fn try_build_setup_traced(
+    preset: Preset,
+    scale: Scale,
+    k_override: Option<usize>,
+    seed: u64,
+    rec: &Recorder,
+) -> Result<RecsysSetup, String> {
     let params = ScaleParams::of(scale);
     let (users, items, per_user) = preset.dims(scale);
     validate_scale_params(&params, users, items as usize, per_user)?;
-    let data = preset.generate(scale, seed);
+    let data = {
+        let _generate = rec.span("generate");
+        preset.generate(scale, seed)
+    };
     let holdout = if preset.has_sequences() { params.poi_holdout } else { 1 };
-    let split = LeaveOneOut::with_holdout(&data, holdout, params.eval_negatives, seed ^ 0x5EED)
-        .map_err(|e| format!("{} at scale {scale} cannot be split: {e}", preset.name()))?;
+    let split = {
+        let _split = rec.span("split");
+        LeaveOneOut::with_holdout(&data, holdout, params.eval_negatives, seed ^ 0x5EED)
+            .map_err(|e| format!("{} at scale {scale} cannot be split: {e}", preset.name()))?
+    };
     let k = k_override.unwrap_or(params.k).min(data.num_users().saturating_sub(2)).max(1);
-    let truth = GroundTruth::from_train_sets(split.train_sets(), k);
+    let truth = {
+        let _truth = rec.span("ground_truth");
+        GroundTruth::from_train_sets(split.train_sets(), k)
+    };
     Ok(RecsysSetup { data, split, k, truth, params })
 }
+
+/// The setup stages a scenario run times, in order: the three of
+/// [`try_build_setup`], then the runner's client build (`clients`).
+pub(crate) const SETUP_STAGES: [&str; 4] = ["generate", "split", "ground_truth", "clients"];
 
 /// Builds the dataset, split and ground truth for a preset at a scale.
 ///

@@ -4,7 +4,8 @@
 //!   scenario), yet `--no-timing` streams stay byte-identical and free of
 //!   `trace` records — the determinism contract survives instrumentation;
 //! * timed streams carry schema-valid `trace` records whose named phases
-//!   cover the round wall-clock;
+//!   cover the round wall-clock, and each scenario summary carries its
+//!   setup stages as `setup_us`, which untimed streams never see;
 //! * the registry-backed `bytes_materialized` values are bit-identical to
 //!   the pre-registry baseline captured from the old ad-hoc plumbing;
 //! * after a kill/resume, trace records cover only post-resume rounds
@@ -45,6 +46,7 @@ fn no_timing_streams_are_byte_identical_and_trace_free() {
     let text = String::from_utf8(a).unwrap();
     assert!(!text.contains("\"type\":\"trace\""), "untimed stream leaked trace records");
     assert!(!text.contains("fold_wait_us"), "untimed stream leaked the fold wait");
+    assert!(!text.contains("setup_us"), "untimed stream leaked the setup timings");
     // The recorder still ran: every outcome drained per-round chunks with
     // spans in them (rounds + the final utility pass).
     for o in &outcomes {
@@ -85,6 +87,10 @@ fn timed_streams_carry_schema_valid_trace_records_with_phase_coverage() {
             "{}: clients_trained missing",
             r.scenario
         );
+        // The summary times every setup stage, and setup takes time.
+        let stages: Vec<&str> = r.setup_us.iter().map(|(s, _)| s.as_str()).collect();
+        assert_eq!(stages, ["generate", "split", "ground_truth", "clients"], "{}", r.scenario);
+        assert!(r.setup_us.iter().any(|&(_, us)| us > 0), "{}: setup untimed", r.scenario);
     }
 }
 

@@ -20,6 +20,11 @@
 # thread-scaling sweep accumulates rows instead of overwriting the
 # single-thread baseline.
 #
+# Every line a run appends is stamped with the run's provenance: `git_rev`
+# (`git rev-parse --short HEAD`, suffixed `-dirty` when the tree has
+# uncommitted edits), `nproc` and `CIA_THREADS`. The stamps survive into
+# BENCH_kernels.json and through a later seeding.
+#
 # The default (smoke) run always includes the small-scale trend rows
 # (fedavg_round_small_200x400, gossip_round_small_200x400) — the same round
 # hot path at ~1% of the work — so round-cost drift shows up without paying
@@ -70,15 +75,36 @@ with open(sys.argv[1]) as f:
     rows = json.load(f)
 with open(sys.argv[2], "w") as out:
     for row in rows:
-        out.write(json.dumps({"name": row["name"], "median_ns": row["median_ns"]}) + "\n")
+        stamp = {k: row[k] for k in ("git_rev", "nproc", "cia_threads") if k in row}
+        out.write(json.dumps({"name": row["name"], "median_ns": row["median_ns"], **stamp}) + "\n")
         if "baseline_ns" in row:
-            twin = {"name": row["name"] + "_naive", "median_ns": row["baseline_ns"]}
+            twin = {"name": row["name"] + "_naive", "median_ns": row["baseline_ns"], **stamp}
             out.write(json.dumps(twin) + "\n")
 PY
 fi
 
 echo "== timing run (micro suite), streaming to $jsonl"
+before=$(cat "$jsonl" 2>/dev/null | wc -l)
 CRITERION_JSON="$jsonl" cargo bench -p cia-bench --bench micro ${args[@]+"${args[@]}"}
+
+echo "== stamping this run's lines with their provenance"
+rev="$(git rev-parse --short HEAD)"
+git diff --quiet HEAD || rev="$rev-dirty"
+python3 - "$jsonl" "$before" "$rev" "$(nproc)" "$CIA_THREADS" <<'PY'
+import json
+import sys
+
+path, before, rev, nproc, threads = sys.argv[1:]
+with open(path) as f:
+    lines = f.read().splitlines()
+with open(path, "w") as out:
+    for i, line in enumerate(lines):
+        if i >= int(before):
+            row = json.loads(line)
+            row.update(git_rev=rev, nproc=int(nproc), cia_threads=int(threads))
+            line = json.dumps(row)
+        out.write(line + "\n")
+PY
 
 echo "== folding into BENCH_kernels.json"
 cargo run --release -p cia-bench --bin bench_report -- "$jsonl" BENCH_kernels.json

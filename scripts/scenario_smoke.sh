@@ -2,9 +2,10 @@
 # Scenario engine smoke gate: runs the built-in suite (baseline-static,
 # churn-20pct, colluding-sybils) at smoke scale, validates the emitted JSONL
 # against the record schema, exercises a sweep-expanded suite and a
-# defense × dynamics grid cell, and proves kill/resume equality on a
-# built-in gossip scenario, a sweep-expanded FL one and the FL Share-less
-# grid cell. Part of the verify flow; see ROADMAP.md.
+# defense × dynamics grid cell, proves kill/resume equality on a built-in
+# gossip scenario, a sweep-expanded FL one and the FL Share-less grid cell,
+# and checks one paper-scale transcript against its recorded md5. Part of the
+# verify flow; see ROADMAP.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -74,6 +75,21 @@ scenario validate "$out/grid-resumed.jsonl"
 if ! cmp -s "$out/grid-cell.jsonl" "$out/grid-resumed.jsonl"; then
     echo "Share-less FL resume diverged from the uninterrupted run" >&2
     diff "$out/grid-cell.jsonl" "$out/grid-resumed.jsonl" >&2 || true
+    exit 1
+fi
+
+# One paper-scale transcript against its recorded md5, so a ranking, setup or
+# round change that moves a paper result fails here, not only in the smoke
+# goldens. It runs with whatever CIA_THREADS is set: the transcript is the
+# same for every thread count.
+echo "== paper-scale determinism: baseline-static"
+scenario run --scale paper --seed 42 --only baseline-static --out "$out/paper.jsonl" --no-timing
+paper_md5=735d4b6ed5eadd9034897e7f8adc017f
+echo "$paper_md5  $out/paper.jsonl" > "$out/paper.md5"
+md5sum "$out/paper.jsonl" > "$out/paper-got.md5"
+if ! cmp -s "$out/paper.md5" "$out/paper-got.md5"; then
+    echo "paper baseline-static transcript moved: md5 $(cut -d' ' -f1 "$out/paper-got.md5")," \
+        "recorded $paper_md5" >&2
     exit 1
 fi
 
