@@ -3,13 +3,11 @@
 //! models received from sampled users each round.
 
 use crate::evaluator::{RelevanceEvaluator, TILE};
-use crate::metrics::{
-    community_accuracy, coverage, top_k_per_column, AttackOutcome, AttackTracker,
-};
+use crate::metrics::{accuracy_of, coverage, top_k_per_column, AttackOutcome, AttackTracker};
 use cia_data::UserId;
 use cia_federated::{RoundObserver, RoundStats};
 use cia_models::parallel::par_chunks_mut;
-use cia_models::{Checkpointable, LivenessEvent, MomentumState, SharedModel};
+use cia_models::{Checkpointable, LivenessEvent, MomentumTable, SharedModel};
 use cia_obs::Recorder;
 
 /// CIA parameters (the paper defaults to `K = 50`, `β = 0.99`).
@@ -38,8 +36,8 @@ impl Default for CiaConfig {
 /// separately through the evaluator accessors.
 #[derive(Debug, Clone)]
 pub struct CiaAttackState {
-    /// Per-sender momentum table (`None` = never observed).
-    pub momentum: Vec<Option<MomentumState>>,
+    /// Per-sender momentum table.
+    pub momentum: MomentumTable,
     /// Evaluated history recorded so far.
     pub history: Vec<crate::metrics::RoundPoint>,
     /// Last observed public parameters (fictive-embedding reference).
@@ -55,14 +53,14 @@ pub struct CiaAttackState {
 pub struct MomentumCia<E: RelevanceEvaluator, V> {
     cfg: CiaConfig,
     evaluator: E,
-    /// Truth community per target, aligned with the evaluator's targets.
+    /// Truth community per target, aligned with the evaluator's targets and
+    /// sorted by id, so counting hits is a binary search per prediction.
     truths: Vec<Vec<UserId>>,
     /// Per-target owner to exclude from candidates (the user whose train set
     /// is the target), if any.
     owners: Vec<Option<UserId>>,
-    /// Per-sender momentum, a dense slab indexed by sender id (`None` =
-    /// sender never observed).
-    momentum: Vec<Option<MomentumState>>,
+    /// Per-sender momentum, one slab row per sender id.
+    momentum: MomentumTable,
     /// Flat `num_users × num_targets` relevance matrix, reused across
     /// evaluation rounds (rows of never-seen users stay untouched and are
     /// skipped at ranking time).
@@ -88,7 +86,7 @@ impl<E: RelevanceEvaluator, V> MomentumCia<E, V> {
         cfg: CiaConfig,
         evaluator: E,
         num_users: usize,
-        truths: Vec<Vec<UserId>>,
+        mut truths: Vec<Vec<UserId>>,
         owners: Vec<Option<UserId>>,
         vantage: V,
     ) -> Self {
@@ -98,6 +96,7 @@ impl<E: RelevanceEvaluator, V> MomentumCia<E, V> {
         assert_eq!(truths.len(), evaluator.num_targets(), "one truth per target");
         assert_eq!(owners.len(), evaluator.num_targets(), "one owner entry per target");
         let candidates = num_users.saturating_sub(usize::from(owners.iter().any(Option::is_some)));
+        truths.iter_mut().for_each(|t| t.sort_unstable());
         MomentumCia {
             tracker: AttackTracker::new(cfg.k, candidates),
             rel: vec![0.0; num_users * evaluator.num_targets()],
@@ -106,7 +105,7 @@ impl<E: RelevanceEvaluator, V> MomentumCia<E, V> {
             evaluator,
             truths,
             owners,
-            momentum: (0..num_users).map(|_| None).collect(),
+            momentum: MomentumTable::new(num_users),
             reference: None,
             prepared: false,
             obs: Recorder::new(),
@@ -143,7 +142,7 @@ impl<E: RelevanceEvaluator, V> MomentumCia<E, V> {
 
     /// Number of distinct senders observed so far.
     pub fn senders_seen(&self) -> usize {
-        self.momentum.iter().flatten().count()
+        self.momentum.seen().count()
     }
 
     /// Predicted community for target `t` at the last evaluation (requires at
@@ -157,8 +156,8 @@ impl<E: RelevanceEvaluator, V> MomentumCia<E, V> {
     /// sighting copies the model).
     pub(crate) fn observe(&mut self, model: &SharedModel) {
         let _update = self.obs.span("attack_update");
-        let entry = &mut self.momentum[model.owner.index()];
-        MomentumState::observe(entry, self.cfg.beta, model.owner_emb.as_deref(), &model.agg);
+        let (u, emb) = (model.owner.index(), model.owner_emb.as_deref());
+        self.momentum.observe(u, self.cfg.beta, emb, &model.agg);
     }
 
     /// Tracks the dynamics layer's live set for the online upper bound.
@@ -189,17 +188,17 @@ impl<E: RelevanceEvaluator, V> MomentumCia<E, V> {
         }
         let (rel, momentum, evaluator) = (&mut self.rel, &self.momentum, &self.evaluator);
         par_chunks_mut(rel, TILE * num_targets, |tile, rows| {
-            let block = &momentum[tile * TILE..][..rows.len() / num_targets];
-            let models: Vec<_> = block.iter().flatten().map(|m| (m.emb(), m.agg())).collect();
-            if models.len() == block.len() {
+            let ids = tile * TILE..tile * TILE + rows.len() / num_targets;
+            let models: Vec<_> = ids.clone().filter_map(|u| momentum.get(u)).collect();
+            if models.len() == ids.len() {
                 evaluator.relevance_tile(&models, rows);
             } else if !models.is_empty() {
                 // Holes: score the seen users as one tile, then copy each
                 // row home.
                 let mut scored = vec![0.0; models.len() * num_targets];
                 evaluator.relevance_tile(&models, &mut scored);
-                let seen = block.iter().zip(rows.chunks_exact_mut(num_targets));
-                let seen = seen.filter_map(|(m, row)| m.as_ref().map(|_| row));
+                let seen = ids.zip(rows.chunks_exact_mut(num_targets));
+                let seen = seen.filter_map(|(u, row)| (momentum.updates(u) > 0).then_some(row));
                 for (row, s) in seen.zip(scored.chunks_exact(num_targets)) {
                     row.copy_from_slice(s);
                 }
@@ -214,7 +213,7 @@ impl<E: RelevanceEvaluator, V> MomentumCia<E, V> {
         let num_targets = self.evaluator.num_targets();
         let (momentum, owners) = (&self.momentum, &self.owners);
         top_k_per_column(&self.rel, num_targets, self.cfg.k, |id, t| {
-            momentum[id as usize].is_some() && owners[t] != Some(UserId::new(id))
+            momentum.updates(id as usize) > 0 && owners[t] != Some(UserId::new(id))
         })
     }
 
@@ -241,9 +240,9 @@ impl<E: RelevanceEvaluator, V> MomentumCia<E, V> {
         let mut accs = Vec::with_capacity(predictions.len());
         let mut uppers = Vec::with_capacity(predictions.len());
         let mut uppers_online = Vec::with_capacity(predictions.len());
-        let (k, seen) = (self.cfg.k, |u: &UserId| self.momentum[u.index()].is_some());
+        let (k, seen) = (self.cfg.k, |u: &UserId| self.momentum.updates(u.index()) > 0);
         for (pred, truth) in predictions.iter().zip(&self.truths) {
-            accs.push(community_accuracy(pred, truth, k));
+            accs.push(accuracy_of(pred, k, |u| truth.binary_search(u).is_ok()));
             uppers.push(coverage(truth, k, seen));
             uppers_online.push(coverage(truth, k, |u| seen(u) && self.live[u.index()]));
         }
@@ -268,17 +267,15 @@ impl<E: RelevanceEvaluator, V> Checkpointable for MomentumCia<E, V> {
     }
 
     fn restore_state(&mut self, state: CiaAttackState) -> Result<(), String> {
-        if state.momentum.len() != self.momentum.len() {
+        if state.momentum.users() != self.momentum.users() {
             return Err("momentum table".to_string());
         }
-        if let Some((emb_len, agg_len)) = self.evaluator.model_layout() {
-            let misfit = |m: &MomentumState| {
-                m.emb().map(<[f32]>::len) != emb_len || m.agg().len() != agg_len
-            };
-            if let Some(u) = state.momentum.iter().position(|m| m.as_ref().is_some_and(misfit)) {
+        if let Some(layout) = self.evaluator.model_layout() {
+            let first_seen = state.momentum.seen().next();
+            if let Some(u) = first_seen.filter(|_| state.momentum.layout() != Some(layout)) {
                 return Err(format!("momentum of sender {u}"));
             }
-            if state.last_global.as_ref().is_some_and(|g| g.len() != agg_len) {
+            if state.last_global.as_ref().is_some_and(|g| g.len() != layout.1) {
                 return Err("attack reference model".to_string());
             }
         }
@@ -337,7 +334,7 @@ impl<E: RelevanceEvaluator> RoundObserver for FlCia<E> {
         self.observe(model);
     }
 
-    fn momentum_table(&mut self) -> Option<(f32, &mut [Option<MomentumState>])> {
+    fn momentum_table(&mut self) -> Option<(f32, &mut MomentumTable)> {
         Some((self.cfg.beta, &mut self.momentum))
     }
 
@@ -544,8 +541,7 @@ mod tests {
         let mut sim =
             FedAvg::new(clients, FedAvgConfig { rounds: 3, seed: 5, ..Default::default() });
         sim.run(&mut attack);
-        assert!(attack.momentum.iter().all(Option::is_some));
-        assert!(attack.momentum.iter().flatten().all(|m| m.updates() == 3));
+        assert!((0..10).all(|u| attack.momentum.updates(u) == 3));
     }
 
     #[test]

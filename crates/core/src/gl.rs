@@ -440,15 +440,15 @@ mod tests {
         from_scores.sort_by(crate::metrics::rank_desc);
         let pred_scores: Vec<u32> = from_scores.into_iter().take(s.k).map(|(_, u)| u).collect();
 
-        let mut from_params: Vec<(f32, u32)> = coal
-            .export_state()
-            .momentum
-            .iter()
-            .enumerate()
+        let momentum = coal.export_state().momentum;
+        let mut from_params: Vec<(f32, u32)> = momentum
+            .seen()
             // cia-lint: allow(D05, u indexes a test population of s.users nodes)
-            .filter_map(|(u, m)| m.as_ref().map(|m| (u as u32, m)))
+            .map(|u| (u as u32, momentum.get(u).unwrap()))
             .filter(|(u, _)| *u != adversary)
-            .map(|(u, m)| (coal.evaluator().relevance_one(m.emb(), m.agg(), adversary as usize), u))
+            .map(|(u, (emb, agg))| {
+                (coal.evaluator().relevance_one(emb, agg, adversary as usize), u)
+            })
             .collect();
         from_params.sort_by(crate::metrics::rank_desc);
         let pred_params: Vec<u32> = from_params.into_iter().take(s.k).map(|(_, u)| u).collect();

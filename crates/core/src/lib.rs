@@ -10,8 +10,9 @@
 //!
 //! Components:
 //!
-//! * [`MomentumCia`] — the one momentum attack of Algorithms 1 and 2. Its
-//!   vantage parameter decides which models reach the adversary:
+//! * [`MomentumCia`] — the one momentum attack of Algorithms 1 and 2. It
+//!   keeps every sender's Eq. 4 model as a row of one [`MomentumTable`]
+//!   slab; its vantage parameter decides which models reach the adversary:
 //!   * [`FlCia`] — the FL server ([`ServerVantage`]), implemented as a
 //!     [`cia_federated::RoundObserver`] observing every sampled upload;
 //!   * [`GlCiaCoalition`] — a single gossip adversary or a colluding
@@ -44,9 +45,9 @@ pub mod metrics;
 mod mia;
 
 pub use aia::{AiaCommunityAttack, AiaConfig};
-/// The per-sender Eq. 4 momentum state (re-exported): it lives in
-/// `cia-models`, where FedAvg's training workers can fold it.
-pub use cia_models::MomentumState;
+/// The per-sender Eq. 4 momentum table (re-exported): it lives in
+/// `cia-models`, where FedAvg's training workers can fold its rows.
+pub use cia_models::MomentumTable;
 pub use evaluator::{ItemSetEvaluator, RelevanceEvaluator};
 pub use fl::{CiaAttackState, CiaConfig, FlCia, MomentumCia, ServerVantage};
 pub use gl::{CoalitionVantage, GlCiaAllPlacements, GlCiaCoalition, PlacementsState};

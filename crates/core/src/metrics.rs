@@ -7,11 +7,17 @@ use cia_data::UserId;
 
 /// Accuracy of one predicted community (Eq. 6): `|Ĉ ∩ C| / K`.
 pub fn community_accuracy<T: PartialEq>(predicted: &[T], truth: &[T], k: usize) -> f64 {
+    accuracy_of(predicted, k, |p| truth.contains(p))
+}
+
+/// [`community_accuracy`] with the truth given as a membership test, so a
+/// caller holding a sorted truth counts hits by binary search instead of a
+/// scan per prediction.
+pub(crate) fn accuracy_of<T>(predicted: &[T], k: usize, member: impl Fn(&T) -> bool) -> f64 {
     if k == 0 {
         return 0.0;
     }
-    let hits = predicted.iter().filter(|p| truth.contains(p)).count();
-    hits as f64 / k as f64
+    predicted.iter().filter(|p| member(p)).count() as f64 / k as f64
 }
 
 /// The random-guess expectation: drawing `K` of `N` candidates without

@@ -12,7 +12,7 @@ use crate::metrics::{community_accuracy, coverage, top_k_users, AttackOutcome, A
 use cia_data::UserId;
 use cia_federated::{RoundObserver, RoundStats};
 use cia_models::parallel::par_map;
-use cia_models::{MomentumState, RelevanceScorer, SharedModel};
+use cia_models::{MomentumTable, RelevanceScorer, SharedModel};
 
 /// Binary prediction entropy `−p·ln p − (1−p)·ln(1−p)` (nats; max ln 2).
 ///
@@ -51,7 +51,7 @@ pub struct MiaCommunityAttack<S: RelevanceScorer> {
     /// Actual train sets, used only to measure the MIA's own membership
     /// precision (reported next to the community accuracy in Table VIII).
     train_sets: Vec<Vec<u32>>,
-    momentum: Vec<Option<MomentumState>>,
+    momentum: MomentumTable,
     tracker: AttackTracker,
     precision_history: Vec<(u64, f64)>,
 }
@@ -88,7 +88,7 @@ impl<S: RelevanceScorer> MiaCommunityAttack<S> {
             truths,
             owners,
             train_sets,
-            momentum: (0..num_users).map(|_| None).collect(),
+            momentum: MomentumTable::new(num_users),
             precision_history: Vec::new(),
         }
     }
@@ -110,10 +110,10 @@ impl<S: RelevanceScorer> MiaCommunityAttack<S> {
         let num_items = self.scorer.num_items() as usize;
         // Per user: membership bitmap over the catalog from the momentum
         // model, then per-target member counts.
-        let member_frac: Vec<Option<(Vec<f32>, f64)>> = par_map(self.momentum.len(), |u| {
-            let state = self.momentum[u].as_ref()?;
+        let member_frac: Vec<Option<(Vec<f32>, f64)>> = par_map(self.momentum.users(), |u| {
+            let (emb, agg) = self.momentum.get(u)?;
             let mut scores = vec![0.0f32; num_items];
-            self.scorer.score_item_range(state.emb(), state.agg(), 0, &mut scores);
+            self.scorer.score_item_range(emb, agg, 0, &mut scores);
             // The entropy rule needs calibrated probabilities; scorers emit
             // raw relevance (GMF: pre-sigmoid logits), so calibrate here.
             // Confident-positive rule: low entropy alone cannot separate a
@@ -170,7 +170,7 @@ impl<S: RelevanceScorer> MiaCommunityAttack<S> {
                 .filter(|&(id, _)| self.owners[t] != Some(UserId::new(id)))
                 .filter_map(|(id, r)| r.as_ref().map(|(fracs, _)| (fracs[t], id)));
             accs.push(community_accuracy(&top_k_users(k, candidates), truth, k));
-            uppers.push(coverage(truth, k, |u| self.momentum[u.index()].is_some()));
+            uppers.push(coverage(truth, k, |u| self.momentum.updates(u.index()) > 0));
         }
         self.tracker.record(round, &accs, &uppers);
 
@@ -187,8 +187,8 @@ impl<S: RelevanceScorer> MiaCommunityAttack<S> {
 
 impl<S: RelevanceScorer> RoundObserver for MiaCommunityAttack<S> {
     fn on_client_model(&mut self, model: &SharedModel) {
-        let entry = &mut self.momentum[model.owner.index()];
-        MomentumState::observe(entry, self.cfg.cia.beta, model.owner_emb.as_deref(), &model.agg);
+        let (u, emb) = (model.owner.index(), model.owner_emb.as_deref());
+        self.momentum.observe(u, self.cfg.cia.beta, emb, &model.agg);
     }
 
     fn on_round_end(&mut self, stats: &RoundStats) {

@@ -4,7 +4,7 @@
 use cia_core::metrics::{
     best_fraction_floor, community_accuracy, random_bound, rank_desc, top_k_per_column, top_k_users,
 };
-use cia_core::{membership_entropy, AttackTracker, MomentumState};
+use cia_core::{membership_entropy, AttackTracker, MomentumTable};
 use cia_data::UserId;
 use cia_models::SharedModel;
 use proptest::prelude::*;
@@ -194,9 +194,10 @@ proptest! {
         if sa.agg.len() != sb.agg.len() {
             return Ok(());
         }
-        let mut state = MomentumState::from_parts(None, sa.agg.clone(), 1);
-        state.update(beta, &sb);
-        for ((x, y), r) in sa.agg.iter().zip(&sb.agg).zip(state.agg()) {
+        let mut table = MomentumTable::new(1);
+        table.observe(0, beta, None, &sa.agg);
+        table.observe(0, beta, None, &sb.agg);
+        for ((x, y), r) in sa.agg.iter().zip(&sb.agg).zip(table.get(0).unwrap().1) {
             let (lo, hi) = if x < y { (x, y) } else { (y, x) };
             prop_assert!(*r >= lo - 1e-3 && *r <= hi + 1e-3);
         }

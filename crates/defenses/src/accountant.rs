@@ -84,23 +84,32 @@ impl RdpAccountant {
     /// the given rounds and sampling rate (binary search; ε is monotone
     /// decreasing in ι).
     ///
+    /// # Errors
+    ///
+    /// Refuses a `target_epsilon` that is not positive, and one no noise
+    /// multiplier below 10⁹ reaches.
+    ///
     /// # Panics
     ///
-    /// Panics if `target_epsilon <= 0` or `delta ∉ (0, 1)`.
+    /// Panics if `delta ∉ (0, 1)`.
     pub fn calibrate_noise(
         target_epsilon: f64,
         delta: f64,
         rounds: u64,
         sampling_rate: f64,
-    ) -> f64 {
-        assert!(target_epsilon > 0.0, "target epsilon must be positive");
+    ) -> Result<f64, String> {
+        if target_epsilon.is_nan() || target_epsilon <= 0.0 {
+            return Err(format!("target epsilon {target_epsilon} must be positive"));
+        }
         let eps_of = |sigma: f64| RdpAccountant::new(sigma, rounds, sampling_rate).epsilon(delta);
         let mut lo = 1e-3f64;
         let mut hi = 1e-3f64;
         // Grow hi until the budget is met.
         while eps_of(hi) > target_epsilon {
             hi *= 2.0;
-            assert!(hi < 1e9, "cannot reach target epsilon {target_epsilon}");
+            if hi >= 1e9 {
+                return Err(format!("cannot reach target epsilon {target_epsilon}"));
+            }
         }
         for _ in 0..200 {
             let mid = 0.5 * (lo + hi);
@@ -110,7 +119,7 @@ impl RdpAccountant {
                 hi = mid;
             }
         }
-        hi
+        Ok(hi)
     }
 }
 
@@ -154,7 +163,7 @@ mod tests {
     #[test]
     fn calibration_roundtrips() {
         for &target in &[1.0f64, 10.0, 100.0, 1000.0] {
-            let sigma = RdpAccountant::calibrate_noise(target, 1e-6, 60, 1.0);
+            let sigma = RdpAccountant::calibrate_noise(target, 1e-6, 60, 1.0).unwrap();
             let got = RdpAccountant::new(sigma, 60, 1.0).epsilon(1e-6);
             assert!(
                 got <= target && got > target * 0.95,
@@ -165,9 +174,18 @@ mod tests {
 
     #[test]
     fn calibrated_noise_decreases_with_budget() {
-        let tight = RdpAccountant::calibrate_noise(1.0, 1e-6, 60, 1.0);
-        let loose = RdpAccountant::calibrate_noise(100.0, 1e-6, 60, 1.0);
+        let tight = RdpAccountant::calibrate_noise(1.0, 1e-6, 60, 1.0).unwrap();
+        let loose = RdpAccountant::calibrate_noise(100.0, 1e-6, 60, 1.0).unwrap();
         assert!(tight > loose, "tight {tight} !> loose {loose}");
+    }
+
+    #[test]
+    fn unreachable_or_non_positive_budgets_are_refused() {
+        let calibrate = |eps| RdpAccountant::calibrate_noise(eps, 1e-6, 30, 1.0);
+        assert!(calibrate(1e-4).unwrap_err().contains("cannot reach target epsilon"));
+        for eps in [0.0, -1.0, f64::NAN] {
+            assert!(calibrate(eps).unwrap_err().contains("must be positive"), "{eps}");
+        }
     }
 
     #[test]

@@ -52,6 +52,10 @@ impl DpMechanism {
 
     /// Builds a mechanism calibrated so that `rounds` releases at
     /// `sampling_rate` satisfy (`target_epsilon`, `delta`)-DP.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`RdpAccountant::calibrate_noise`] refuses the budget.
     pub fn with_target_epsilon(
         target_epsilon: f64,
         delta: f64,
@@ -59,7 +63,8 @@ impl DpMechanism {
         sampling_rate: f64,
         clip: f32,
     ) -> Self {
-        let sigma = RdpAccountant::calibrate_noise(target_epsilon, delta, rounds, sampling_rate);
+        let sigma = RdpAccountant::calibrate_noise(target_epsilon, delta, rounds, sampling_rate)
+            .unwrap_or_else(|e| panic!("{e}"));
         // Round the multiplier up slightly so the f64→f32 conversion cannot
         // land below the calibrated value and overshoot the budget.
         DpMechanism::new(DpConfig { clip, noise_multiplier: (sigma * 1.0005) as f32 })

@@ -27,7 +27,8 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
             spec.defense = DefenseKind::Dp { epsilon: eps };
             let r = run_quiet(&spec);
             let sigma = match eps {
-                Some(e) => RdpAccountant::calibrate_noise(e, 1e-6, rounds, 1.0),
+                Some(e) => RdpAccountant::calibrate_noise(e, 1e-6, rounds, 1.0)
+                    .expect("Figure 5's budgets are reachable"),
                 None => 0.0,
             };
             t.row(vec![

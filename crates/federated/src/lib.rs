@@ -46,7 +46,7 @@
 use cia_models::parallel::par_zip_fold;
 use cia_models::params::axpy;
 use cia_models::{
-    apply_update_transform, MomentumState, Participant, SharedModel, UpdateTransform,
+    apply_update_transform, MomentumRow, MomentumTable, Participant, SharedModel, UpdateTransform,
 };
 use cia_obs::{Counter, Metric, Recorder};
 
@@ -129,22 +129,25 @@ pub trait RoundObserver {
     }
 
     /// Lends the observer's Eq. 4 coefficient `β` and its per-sender
-    /// momentum table, indexed by user id, for the round's training phase.
+    /// momentum table, one row per user id, for the round's training phase.
     ///
-    /// When the observer lends a table with one entry per client and client
-    /// `i` is user `i`, FedAvg folds each acting client's model into entry
-    /// `i` on the worker that just trained it (through
-    /// [`MomentumState::observe`]) and skips
+    /// When the observer lends a table with one row per client and client
+    /// `i` is user `i`, FedAvg sets the table's layout from client 0's
+    /// shared embedding and the global model's length, splits the table
+    /// into rows ([`MomentumTable::rows_mut`]), folds each acting client's
+    /// model into row `i` on the worker that just trained it (through
+    /// [`MomentumRow::observe`]) and skips
     /// [`RoundObserver::on_client_model`] for the round. Without DP the fold
     /// reads the client's own parameters and no snapshot is materialized;
-    /// under DP it reads the transformed snapshot. Each fold touches only
-    /// its sender's entry with the same float operations as the serial
-    /// path, so the table is bit-identical for any thread count.
+    /// under DP it reads the transformed snapshot, which has the same
+    /// layout. Each fold touches only its sender's row with the same float
+    /// operations as the serial path, so the table is bit-identical for any
+    /// thread count, and the rows of clients that never act stay untouched.
     ///
     /// The default lends nothing: the observer sees every model through
     /// [`RoundObserver::on_client_model`]. A wrapper that must see each
     /// model itself keeps that default.
-    fn momentum_table(&mut self) -> Option<(f32, &mut [Option<MomentumState>])> {
+    fn momentum_table(&mut self) -> Option<(f32, &mut MomentumTable)> {
         None
     }
 
@@ -375,7 +378,7 @@ impl<P: Participant> FedAvg<P> {
         let observes = observer.observes_models();
         let lent = if *ids_are_indices { observer.momentum_table() } else { None };
         let (beta, table) = match lent {
-            Some((beta, table)) if table.len() == n => (beta, Some(table)),
+            Some((beta, table)) if table.users() == n => (beta, Some(table)),
             _ => (0.0, None),
         };
         let serial = table.is_none() && observes;
@@ -400,24 +403,24 @@ impl<P: Participant> FedAvg<P> {
         acc.fill(0.0);
 
         // Per-client work deposited into aligned, buffer-reusing slots, each
-        // paired with its sender's momentum entry when one was lent.
+        // paired with its sender's momentum row when a table was lent.
         let global: &[f32] = global_agg;
         let transform = transform.as_deref();
         for (slot, &s) in slots.iter_mut().zip(&sampled) {
             slot.sampled = s;
             slot.loss = 0.0;
         }
-        let mut work: Vec<(&mut RoundSlot, Option<&mut Option<MomentumState>>)> = match table {
-            Some(table) => slots.iter_mut().zip(table.iter_mut().map(Some)).collect(),
-            None => slots.iter_mut().map(|slot| (slot, None)).collect(),
-        };
+        let emb = clients[0].owner_emb().map(<[f32]>::len);
+        let mut rows = table.map(|table| table.rows_mut(emb, global.len()).into_iter());
+        let mut work: Vec<(&mut RoundSlot, Option<MomentumRow>)> =
+            slots.iter_mut().map(|slot| (slot, rows.as_mut().and_then(Iterator::next))).collect();
         let train_span = obs.span("train");
         let fold_wait = par_zip_fold(
             clients,
             &mut work,
             lanes,
             acc,
-            |lane, i, client, (slot, entry)| {
+            |lane, i, client, (slot, row)| {
                 if !slot.sampled {
                     return;
                 }
@@ -455,7 +458,7 @@ impl<P: Participant> FedAvg<P> {
                         &mut crng,
                     );
                 }
-                if let Some(entry) = entry.as_deref_mut() {
+                if let Some(row) = row {
                     // What the server receives: the DP-rewritten snapshot,
                     // or else the client's own shared parameters.
                     let (emb, agg) = if transform.is_some() {
@@ -463,7 +466,7 @@ impl<P: Participant> FedAvg<P> {
                     } else {
                         (client.owner_emb(), client.agg())
                     };
-                    MomentumState::observe(entry, beta, emb, agg);
+                    row.observe(beta, emb, agg);
                 }
                 obs.observe_since(Metric::TrainMicros, t0);
             },

@@ -22,9 +22,10 @@
 //! All models expose their state as a *flat `f32` parameter vector*, split
 //! into an aggregatable public part (item embeddings, output layers) and the
 //! owner's private user embedding. Aggregation, momentum (the attack's
-//! Eq. 4, kept per sender in [`MomentumState`]), DP clipping/noising and the
-//! Share-less policy are all linear algebra over these vectors — see
-//! [`params`].
+//! Eq. 4, one row per sender of a single [`MomentumTable`] slab, which
+//! FedAvg's workers fold through [`MomentumRow`] views), DP
+//! clipping/noising and the Share-less policy are all linear algebra over
+//! these vectors — see [`params`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,7 +48,7 @@ pub use factor::{FactorClient, FactorModel};
 pub use gmf::{GmfClient, GmfHyper, GmfSpec};
 pub use metrics::{f1_at_k, hit_ratio, rank_of_primary};
 pub use mlp::{Mlp, MlpClient, MlpHyper, MlpScratch, MlpSpec};
-pub use momentum::MomentumState;
+pub use momentum::{MomentumRow, MomentumTable};
 pub use participant::{
     apply_update_transform, client_id_and_seed, Checkpointable, DeliveryPolicy, LivenessEvent,
     Participant, RelevanceScorer, SharedModel, SharingPolicy, UpdateTransform,

@@ -26,7 +26,7 @@
 //! counter deltas, which do not depend on the counter's absolute value).
 
 use crate::placement::PlacementState;
-use cia_core::{CiaAttackState, MomentumState, PlacementsState, RoundPoint};
+use cia_core::{CiaAttackState, MomentumTable, PlacementsState, RoundPoint};
 use cia_data::UserId;
 use cia_gossip::{GossipSimState, TrafficCounters};
 use cia_models::SharedModel;
@@ -358,18 +358,34 @@ impl Codec for RoundPoint {
     }
 }
 
-impl Codec for MomentumState {
+/// The v7 layout of a `Vec<Option<_>>` of `(emb, agg, updates)` rows,
+/// written from the slab's seen rows; a row that disagrees with the first
+/// seen row's layout is refused by sender.
+impl Codec for MomentumTable {
     fn put(&self, w: &mut Vec<u8>) {
-        // The `Option<Vec<f32>>` layout, from the borrowed slice.
-        self.emb().is_some().put(w);
-        if let Some(emb) = self.emb() {
-            put_seq(w, emb);
+        (self.users() as u64).put(w);
+        for u in 0..self.users() {
+            let row = self.get(u);
+            row.is_some().put(w);
+            if let Some((emb, agg)) = row {
+                emb.is_some().put(w);
+                if let Some(emb) = emb {
+                    put_seq(w, emb);
+                }
+                put_seq(w, agg);
+                self.updates(u).put(w);
+            }
         }
-        put_seq(w, self.agg());
-        self.updates().put(w);
     }
     fn get(r: &mut Reader) -> Result<Self, String> {
-        Ok(MomentumState::from_parts(r.get()?, r.get()?, r.get()?))
+        type Row = ((Option<Vec<f32>>, Vec<f32>), u64);
+        let mut table = MomentumTable::new(r.len()?);
+        for u in 0..table.users() {
+            if let Some(((emb, agg), updates)) = r.get::<Option<Row>>()? {
+                table.restore_row(u, emb.as_deref(), &agg, updates)?;
+            }
+        }
+        Ok(table)
     }
 }
 
@@ -575,10 +591,14 @@ mod tests {
                 traffic: TrafficCounters { received: vec![4, 0], view_in_degree: vec![12, 11] },
             }),
             attack: AttackState::Cia(CiaAttackState {
-                momentum: vec![
-                    None,
-                    Some(MomentumState::from_parts(Some(vec![0.1]), vec![0.2, 0.3], 4)),
-                ],
+                momentum: {
+                    // Sender 1 after four folds of one model (β = 1 keeps it).
+                    let mut table = MomentumTable::new(2);
+                    for beta in [0.0, 1.0, 1.0, 1.0] {
+                        table.observe(1, beta, Some(&[0.1]), &[0.2, 0.3]);
+                    }
+                    table
+                },
                 history: vec![RoundPoint {
                     round: 5,
                     aac: 0.5,

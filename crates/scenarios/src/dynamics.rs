@@ -12,7 +12,7 @@
 use crate::spec::DynamicsSpec;
 use cia_federated::RoundObserver;
 use cia_gossip::GossipObserver;
-use cia_models::{Checkpointable, LivenessEvent, MomentumState, SharedModel};
+use cia_models::{Checkpointable, LivenessEvent, MomentumTable, SharedModel};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -231,7 +231,7 @@ impl<O: RoundObserver> RoundObserver for FlDynamics<'_, O> {
         self.inner.on_client_model(model);
     }
 
-    fn momentum_table(&mut self) -> Option<(f32, &mut [Option<MomentumState>])> {
+    fn momentum_table(&mut self) -> Option<(f32, &mut MomentumTable)> {
         self.inner.momentum_table()
     }
 

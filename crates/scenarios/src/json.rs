@@ -97,7 +97,7 @@ impl Json {
     ///
     /// Returns a message with the byte offset of the first syntax error.
     pub fn parse(input: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -185,9 +185,16 @@ fn render_str(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts: the
+/// parser recurses once per level, so a deeper document is refused before
+/// it can overflow the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -216,8 +223,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {}", self.pos))
+            }
+            Some(b @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let v = if b == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -424,6 +438,18 @@ mod tests {
         assert!(Json::parse("{\"a\" 1}").is_err());
         assert!(Json::parse("nul").is_err());
         assert!(Json::parse("1 2").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err, format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}"));
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&objects).unwrap_err().contains("nesting deeper than 128"));
+        // Far past the cap the parser still returns instead of overflowing.
+        assert!(Json::parse(&"[".repeat(200_000)).unwrap_err().contains("nesting"));
     }
 
     #[test]

@@ -15,6 +15,7 @@
 
 use crate::json::{fmt_f64, Json, ObjBuilder};
 use cia_data::presets::{Preset, Scale};
+use cia_defenses::RdpAccountant;
 use cia_models::SharingPolicy;
 
 /// Which recommendation model to train.
@@ -371,6 +372,21 @@ impl ScenarioSpec {
         }
         if !(0.0..=1.0).contains(&f64::from(self.beta)) {
             return Err(format!("{}: beta must be in [0, 1]", self.name));
+        }
+        match self.defense {
+            DefenseKind::ShareLess { tau } if !(tau > 0.0 && tau.is_finite()) => {
+                return Err(format!(
+                    "{}: defense tau {tau} must be positive and finite",
+                    self.name
+                ));
+            }
+            DefenseKind::Dp { epsilon: Some(eps) } => {
+                // The runner calibrates the same budget over the same rounds.
+                let rounds = ScaleParams::of(self.scale).rounds(self.protocol);
+                RdpAccountant::calibrate_noise(eps, 1e-6, rounds, 1.0)
+                    .map_err(|e| format!("{}: defense epsilon: {e}", self.name))?;
+            }
+            _ => {}
         }
         if self.model == ModelKind::Prme && !self.preset.has_sequences() {
             return Err(format!(
@@ -1365,6 +1381,27 @@ mod tests {
         s.dynamics.leave_prob = 0.5;
         s.dynamics.join_prob = 0.0;
         assert!(s.validate().unwrap_err().contains("drains"));
+    }
+
+    #[test]
+    fn validation_rejects_hostile_defense_knobs() {
+        // τ that is not positive or not finite, also when a sweep sets it.
+        let mut s =
+            ScenarioSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::Fl, Scale::Smoke);
+        for tau in [-1.0, 0.0, f32::NAN, f32::INFINITY] {
+            s.defense = DefenseKind::ShareLess { tau };
+            assert!(s.validate().unwrap_err().contains("defense tau"), "{tau}");
+        }
+        let doc = r#"{"suite": "s", "scenarios": [{"name": "x",
+            "defense": {"kind": "share-less", "tau": 0.5},
+            "sweep": {"field": "defense.tau", "values": [0.5, -1]}}]}"#;
+        assert!(SuiteSpec::parse(doc).unwrap_err().contains("defense tau -1"));
+        // ε below what any noise multiplier reaches is refused, not a panic.
+        s.defense = DefenseKind::Dp { epsilon: Some(1e-4) };
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("defense epsilon") && err.contains("cannot reach"), "{err}");
+        s.defense = DefenseKind::Dp { epsilon: Some(10.0) };
+        s.validate().unwrap();
     }
 
     #[test]

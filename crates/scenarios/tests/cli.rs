@@ -1,5 +1,5 @@
 //! End-to-end tests of the `scenario` binary's command line: argument
-//! refusals and `--stop-after` with `--resume`.
+//! refusals, hostile inputs and `--stop-after` with `--resume`.
 
 use std::process::{Command, Output};
 
@@ -51,6 +51,39 @@ fn resume_without_checkpoint_dir_is_refused() {
     let after = std::fs::read(&out_path).expect("stream still there");
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(before, after, "the refused resume changed the stream");
+}
+
+/// Hostile inputs get exit 1 and an error naming what is wrong, never a
+/// crash: JSON nested past the parser's cap (200,000 `[` used to overflow
+/// the stack), a Share-less τ that is not positive, and a DP budget no noise
+/// multiplier reaches (both used to run or panic).
+#[test]
+fn hostile_inputs_exit_1_with_a_named_error() {
+    let dir = std::env::temp_dir().join(format!("cia-cli-test-hostile-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let write = |name: &str, text: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).expect("input written");
+        path.to_str().expect("utf8 path").to_string()
+    };
+    let suite = |defense: &str| {
+        format!(r#"{{"suite": "s", "scenarios": [{{"name": "x", "defense": {defense}}}]}}"#)
+    };
+    let deep = write("deep.jsonl", &"[".repeat(200_000));
+    let tau = write("tau.json", &suite(r#"{"kind": "share-less", "tau": -1}"#));
+    let eps = write("eps.json", &suite(r#"{"kind": "dp", "epsilon": 0.0001}"#));
+    let cases = [
+        (vec!["validate", &deep], "line 1: nesting deeper than 128 levels at byte 128"),
+        (vec!["list", "--suite", &tau], "x: defense tau -1 must be positive and finite"),
+        (vec!["run", "--suite", &eps, "--scale", "smoke"], "x: defense epsilon: cannot reach"),
+    ];
+    for (args, want) in cases {
+        let out = scenario(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(want), "{args:?}: expected `{want}`, got: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `--stop-after N` stops *each* scenario of a suite at round N. Resuming a

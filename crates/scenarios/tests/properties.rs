@@ -4,7 +4,7 @@
 //! encode/decode, corrupted fingerprints are always rejected, and no
 //! mangled input ever panics the decoder.
 
-use cia_core::{CiaAttackState, MomentumState, PlacementsState, RoundPoint};
+use cia_core::{CiaAttackState, MomentumTable, PlacementsState, RoundPoint};
 use cia_data::presets::{Preset, Scale};
 use cia_data::UserId;
 use cia_gossip::{GossipSimState, TrafficCounters};
@@ -167,17 +167,19 @@ fn build_checkpoint(seed: u64) -> Checkpoint {
     let history_len = rng.gen_range(0usize..5);
     let attack = if rng.gen_bool(0.5) {
         AttackState::Cia(CiaAttackState {
-            momentum: (0..n)
-                .map(|_| {
-                    rng.gen_bool(0.6).then(|| {
-                        MomentumState::from_parts(
-                            rng.gen_bool(0.5).then(|| vec_f32(&mut rng, dim)),
-                            vec_f32(&mut rng, dim * 2),
-                            rng.gen_range(0u64..20),
-                        )
-                    })
-                })
-                .collect(),
+            momentum: {
+                // One layout per table; each seen sender folds 1..20 models.
+                let (mut table, with_emb) = (MomentumTable::new(n), rng.gen_bool(0.5));
+                for u in 0..n {
+                    let folds = if rng.gen_bool(0.6) { rng.gen_range(1usize..20) } else { 0 };
+                    for _ in 0..folds {
+                        let emb = with_emb.then(|| vec_f32(&mut rng, dim));
+                        let beta = rng.gen_range(0.0f32..1.0);
+                        table.observe(u, beta, emb.as_deref(), &vec_f32(&mut rng, dim * 2));
+                    }
+                }
+                table
+            },
             history: round_points(&mut rng, history_len),
             last_global: rng.gen_bool(0.5).then(|| vec_f32(&mut rng, dim * 2)),
             prepared: rng.gen_bool(0.5),

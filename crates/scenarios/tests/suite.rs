@@ -373,7 +373,7 @@ fn hostile_checkpoints_fail_with_a_named_mismatch() {
     // family, another attack family, another client count, a truncated
     // client state or a table that does not fit the rebuilt run must be
     // refused with the matching error, never a panic — for both protocols.
-    use cia_core::{CiaAttackState, MomentumState, PlacementsState};
+    use cia_core::{CiaAttackState, MomentumTable, PlacementsState};
     use cia_scenarios::checkpoint::{AttackState, Checkpoint, ProtocolState};
     let specs = builtin_suite(Scale::Smoke, 42).expanded().unwrap();
     let (fl, gl) = (&specs[1], &specs[2]); // churn-20pct (FL), colluding-sybils (gossip)
@@ -418,20 +418,32 @@ fn hostile_checkpoints_fail_with_a_named_mismatch() {
         edit(&mut ck.dynamics);
         ck
     };
-    // The first observed sender's momentum, rebuilt by `edit`.
-    let reshaped = |ck: &Checkpoint, edit: fn(&MomentumState) -> MomentumState| {
+    // The momentum table with every seen row cut to `keep_emb` and `agg`
+    // floats: one layout throughout, but not the evaluator's.
+    let relaid = |ck: &Checkpoint, keep_emb: bool, agg: usize| {
         attack(ck, &|state| {
-            let u = state.momentum.iter().position(Option::is_some).unwrap();
-            state.momentum[u] = state.momentum[u].as_ref().map(edit);
+            let mut table = MomentumTable::new(state.momentum.users());
+            for u in state.momentum.seen() {
+                let (e, a) = state.momentum.get(u).unwrap();
+                let updates = state.momentum.updates(u);
+                table.restore_row(u, e.filter(|_| keep_emb), &a[..agg], updates).unwrap();
+            }
+            state.momentum = table;
         })
     };
-    let short_agg = |m: &MomentumState| {
-        MomentumState::from_parts(m.emb().map(<[f32]>::to_vec), m.agg()[..5].to_vec(), m.updates())
-    };
-    let no_emb = |m: &MomentumState| MomentumState::from_parts(None, m.agg().to_vec(), m.updates());
     let first_seen = |ck: &Checkpoint| {
         let AttackState::Cia(s) = &ck.attack else { panic!("expected CIA state") };
-        format!("momentum of sender {}", s.momentum.iter().position(Option::is_some).unwrap())
+        format!("momentum of sender {}", s.momentum.seen().next().unwrap())
+    };
+    let agg_len = |ck: &Checkpoint| {
+        let AttackState::Cia(s) = &ck.attack else { panic!("expected CIA state") };
+        s.momentum.layout().unwrap().1
+    };
+    let resized = |ck: &Checkpoint, grow: bool| {
+        attack(ck, &|s| {
+            let users = s.momentum.users();
+            s.momentum = MomentumTable::new(if grow { users + 1 } else { 4 });
+        })
     };
     let (fl_seen, gl_seen) = (first_seen(&fl_ck), first_seen(&gl_ck));
     let mut long_emb = fl_ck.adversary_embs.clone();
@@ -471,16 +483,16 @@ fn hostile_checkpoints_fail_with_a_named_mismatch() {
             Checkpoint { adversary_embs: Vec::new(), ..gl_ck.clone() },
             "adversary embedding table",
         ),
-        (fl, attack(&fl_ck, &|s| s.momentum.truncate(4)), "momentum table"),
-        (gl, attack(&gl_ck, &|s| s.momentum.push(None)), "momentum table"),
+        (fl, resized(&fl_ck, false), "momentum table"),
+        (gl, resized(&gl_ck, true), "momentum table"),
         (
             fl,
             Checkpoint { adversary_embs: long_emb, ..fl_ck.clone() },
             "adversary embedding of target 0",
         ),
-        (fl, reshaped(&fl_ck, short_agg), &fl_seen),
-        (gl, reshaped(&gl_ck, short_agg), &gl_seen),
-        (fl, reshaped(&fl_ck, no_emb), &fl_seen),
+        (fl, relaid(&fl_ck, true, 5), &fl_seen),
+        (gl, relaid(&gl_ck, true, 5), &gl_seen),
+        (fl, relaid(&fl_ck, false, agg_len(&fl_ck)), &fl_seen),
         (fl, attack(&fl_ck, &|s| s.last_global = Some(vec![0.5; 3])), "attack reference model"),
         (gl, gossip(&out_of_range), "view of node 3"),
         (gl, gossip(&|st| st.views[4].truncate(1)), "view of node 4"),
@@ -498,6 +510,70 @@ fn hostile_checkpoints_fail_with_a_named_mismatch() {
             "{}: expected a {part} mismatch, got: {err}",
             spec.name
         );
+    }
+}
+
+#[test]
+fn momentum_rows_that_disagree_are_refused_by_sender() {
+    // One momentum table holds one layout, so a checkpoint whose seen rows
+    // disagree cannot be built in memory: splice the bytes of two valid
+    // tables instead, the first sender's row from one and the second's from
+    // the other, and re-seal the trailer. Resuming must refuse the file and
+    // name the second sender, for a row that drops the embedding and for a
+    // row with a short `agg`.
+    use cia_core::MomentumTable;
+    use cia_scenarios::checkpoint::{AttackState, Checkpoint};
+    let specs = builtin_suite(Scale::Smoke, 42).expanded().unwrap();
+    let dir = TempDir::new("disagree");
+    let opts = RunOptions {
+        checkpoint_dir: Some(dir.0.clone()),
+        checkpoint_every: 2,
+        ..RunOptions::default()
+    };
+    for spec in [&specs[1], &specs[2]] {
+        let path = Checkpoint::path_for(&dir.0, &spec.name);
+        let killed = RunOptions { stop_after_rounds: Some(2), ..opts.clone() };
+        run_scenario(spec, "t", &killed, &mut Vec::new()).unwrap();
+        let genuine = Checkpoint::load(&path, spec.fingerprint()).unwrap();
+        let AttackState::Cia(state) = &genuine.attack else { panic!("expected CIA state") };
+        let table = &state.momentum;
+        let (u0, u1) = {
+            let mut seen = table.seen();
+            (seen.next().unwrap(), seen.next().unwrap())
+        };
+        // The genuine checkpoint's bytes with `momentum` as its table.
+        let encoded = |momentum: MomentumTable| {
+            let mut ck = genuine.clone();
+            let AttackState::Cia(s) = &mut ck.attack else { unreachable!() };
+            s.momentum = momentum;
+            ck.encode()
+        };
+        // ... with a table holding only sender `u`'s row.
+        let one_row = |u: usize, emb: Option<&[f32]>, agg: &[f32]| {
+            let mut one = MomentumTable::new(table.users());
+            one.restore_row(u, emb, agg, table.updates(u)).unwrap();
+            encoded(one)
+        };
+        let (e0, a0) = table.get(u0).unwrap();
+        let (e1, a1) = table.get(u1).unwrap();
+        let (first, none) = (one_row(u0, e0, a0), encoded(MomentumTable::new(table.users())));
+        // Row `u0`'s tag byte, and the rows' first byte.
+        let at = first.iter().zip(&none).position(|(a, b)| a != b).unwrap();
+        let rows = at - u0;
+        let row_end = at + first.len() - none.len() + 1;
+        for (emb, agg) in [(None, a1), (e1, &a1[..5])] {
+            let second = one_row(u1, emb, agg);
+            let mut bytes = first[..row_end + u1 - u0 - 1].to_vec();
+            bytes.extend_from_slice(&second[rows + u1..second.len() - 8]);
+            let sum = bytes.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+            });
+            bytes.extend_from_slice(&sum.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            let resume = RunOptions { resume: true, ..opts.clone() };
+            let err = run_scenario(spec, "t", &resume, &mut Vec::new()).unwrap_err();
+            assert!(err.ends_with(&format!("momentum of sender {u1}")), "{}: {err}", spec.name);
+        }
     }
 }
 

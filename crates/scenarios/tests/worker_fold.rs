@@ -16,7 +16,7 @@
 //! flip, which is harmless: the thread count never changes results, the
 //! property under test.
 
-use cia_core::{CiaConfig, FlCia, ItemSetEvaluator, MomentumState, RoundPoint};
+use cia_core::{CiaConfig, FlCia, ItemSetEvaluator, MomentumTable, RoundPoint};
 use cia_data::presets::Scale;
 use cia_defenses::DpMechanism;
 use cia_federated::{FedAvg, FedAvgConfig, LivenessEvent, RoundObserver, RoundStats};
@@ -54,7 +54,7 @@ impl RoundObserver for Probe {
         self.arrived.push((model.owner.raw(), model.agg.clone()));
         self.attack.on_client_model(model);
     }
-    fn momentum_table(&mut self) -> Option<(f32, &mut [Option<MomentumState>])> {
+    fn momentum_table(&mut self) -> Option<(f32, &mut MomentumTable)> {
         if self.lend {
             self.attack.momentum_table()
         } else {
@@ -69,7 +69,7 @@ impl RoundObserver for Probe {
 /// Everything one FL run leaves behind that the fold can influence.
 #[derive(Debug, PartialEq)]
 struct RunEnd {
-    momentum: Vec<Option<MomentumState>>,
+    momentum: MomentumTable,
     history: Vec<RoundPoint>,
     global: Vec<f32>,
     /// Per round: participants and mean loss.
@@ -175,7 +175,7 @@ fn check_worker_fold(spec: &ScenarioSpec, ctx: &str) {
     assert!(observed > 0, "{ctx}: nobody acted");
     assert_eq!(delivered, observed, "{ctx}: the serial path missed a model");
     assert_eq!(bypassed, 0, "{ctx}: the lent table still went through the serial path");
-    assert!(serial.momentum.iter().any(Option::is_some), "{ctx}: nothing was folded");
+    assert!(serial.momentum.seen().next().is_some(), "{ctx}: nothing was folded");
     if matches!(spec.defense, DefenseKind::Dp { .. }) {
         // DP aggregates the transformed snapshots either way.
         assert_eq!(folded_bytes, serial_bytes, "{ctx}");

@@ -4,8 +4,8 @@
 # against the record schema, exercises a sweep-expanded suite and a
 # defense × dynamics grid cell, proves kill/resume equality on a built-in
 # gossip scenario, a sweep-expanded FL one and the FL Share-less grid cell,
-# and checks one paper-scale transcript against its recorded md5. Part of the
-# verify flow; see ROADMAP.md.
+# and checks three paper-scale transcripts against their recorded md5s. Part
+# of the verify flow; see ROADMAP.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -78,19 +78,28 @@ if ! cmp -s "$out/grid-cell.jsonl" "$out/grid-resumed.jsonl"; then
     exit 1
 fi
 
-# One paper-scale transcript against its recorded md5, so a ranking, setup or
-# round change that moves a paper result fails here, not only in the smoke
-# goldens. It runs with whatever CIA_THREADS is set: the transcript is the
-# same for every thread count.
+# Paper-scale transcripts against their recorded md5s, so a ranking, setup,
+# round or momentum-fold change that moves a paper result fails here, not
+# only in the smoke goldens. They run with whatever CIA_THREADS is set: the
+# transcripts are the same for every thread count.
+paper_md5() {
+    local suite=$1 name=$2 want=$3 got
+    scenario run --suite "$suite" --scale paper --seed 42 --only "$name" \
+        --out "$out/paper-$name.jsonl" --no-timing
+    got=$(md5sum "$out/paper-$name.jsonl" | cut -d' ' -f1)
+    if [ "$got" != "$want" ]; then
+        echo "paper $name transcript moved: md5 $got, recorded $want" >&2
+        exit 1
+    fi
+}
+
 echo "== paper-scale determinism: baseline-static"
-scenario run --scale paper --seed 42 --only baseline-static --out "$out/paper.jsonl" --no-timing
-paper_md5=735d4b6ed5eadd9034897e7f8adc017f
-echo "$paper_md5  $out/paper.jsonl" > "$out/paper.md5"
-md5sum "$out/paper.jsonl" > "$out/paper-got.md5"
-if ! cmp -s "$out/paper.md5" "$out/paper-got.md5"; then
-    echo "paper baseline-static transcript moved: md5 $(cut -d' ' -f1 "$out/paper-got.md5")," \
-        "recorded $paper_md5" >&2
-    exit 1
-fi
+paper_md5 builtin baseline-static 735d4b6ed5eadd9034897e7f8adc017f
+# The two FL fold paths the baseline does not take: momentum rows without an
+# owner embedding (Share-less), and the fold reading the DP snapshot.
+echo "== paper-scale determinism: shareless-x-churn"
+paper_md5 defense-dynamics-grid shareless-x-churn 73277ee0cb22b9b6b9e915aa456e3cb0
+echo "== paper-scale determinism: dp10-x-churn"
+paper_md5 defense-dynamics-grid dp10-x-churn 24b1e668afa9852548b0d11852a51b09
 
 echo "scenario smoke OK"
