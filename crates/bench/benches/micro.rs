@@ -632,9 +632,20 @@ fn bench_rank_and_setup_paper(c: &mut Criterion) {
         });
     });
     // What every scenario pays before its first round: generate, split and
-    // ground truth, exactly as `scenario run` builds them.
+    // ground truth, exactly as `scenario run` builds them, then each stage
+    // alone on the same inputs.
     c.bench_function(&format!("setup_paper_movielens{t}"), |b| {
         b.iter(|| try_build_setup(Preset::MovieLens, Scale::Paper, None, 42).unwrap());
+    });
+    let setup = try_build_setup(Preset::MovieLens, Scale::Paper, None, 42).unwrap();
+    c.bench_function(&format!("setup_generate_paper{t}"), |b| {
+        b.iter(|| Preset::MovieLens.generate(Scale::Paper, 42));
+    });
+    c.bench_function(&format!("setup_split_paper{t}"), |b| {
+        b.iter(|| LeaveOneOut::new(&setup.data, setup.params.eval_negatives, 42 ^ 0x5EED).unwrap());
+    });
+    c.bench_function(&format!("setup_ground_truth_paper{t}"), |b| {
+        b.iter(|| GroundTruth::from_train_sets(setup.split.train_sets(), setup.k));
     });
 }
 

@@ -62,6 +62,13 @@ pub fn top_k_similar<'a>(
     scored.into_iter().take(k).map(|(_, u)| u).collect()
 }
 
+/// Bitset words ANDed (owners × candidates × words per set) from which
+/// [`GroundTruth::from_train_sets`] spreads owners over worker threads;
+/// below it the scoped-thread spawns cost more than they save. 2^20 words
+/// take under a millisecond on one core. The smoke scale (48 users, 3
+/// words) ANDs 7k, the small scale 280k and the paper scale 24M.
+const PARALLEL_MIN_WORD_PAIRS: usize = 1 << 20;
+
 /// Ground-truth communities for every possible adversary target
 /// (the paper runs one experiment per user, using that user's train set as
 /// `V_target`; see §V-C).
@@ -80,72 +87,69 @@ impl GroundTruth {
     /// `train_sets[u]` must be sorted and deduplicated. The owner `u` is
     /// excluded from its own community.
     ///
-    /// Implementation: instead of O(N²) pairwise sorted-merge intersections,
-    /// an inverted item → users index is built once; each owner then
-    /// accumulates `|owner ∩ v|` for every co-interacting user `v` by walking
-    /// the postings of its own items (total work `Σ_item |postings(item)|²`
-    /// spread over owners, parallelized with [`par_map`]). The Jaccard value
-    /// is derived from the intersection count with the exact float expression
-    /// [`jaccard_index`] uses, and the best `k` candidates are selected and
-    /// ranked with the same comparator, so results — including the
-    /// smaller-id tie-break — are identical to
-    /// [`GroundTruth::from_train_sets_naive`], which the property tests use
-    /// as the oracle.
+    /// Implementation: each user's set becomes a bitset over the catalog
+    /// (27 `u64` words at 1,682 items), so `|owner ∩ v|` is the popcount of
+    /// the AND of two rows. The Jaccard value is derived from that count
+    /// with the exact float expression [`jaccard_index`] uses. Each
+    /// candidate gets the integer key `(u64::MAX − jaccard.to_bits(), id)`:
+    /// for the non-negative Jaccard values `to_bits` is monotone, so
+    /// ascending keys are descending similarity, then ascending id, which is
+    /// [`top_k_similar`]'s order. Keys are distinct, so selecting the best
+    /// `k` and sorting only them yields the prefix of the full sort. Results
+    /// are therefore identical to [`GroundTruth::from_train_sets_naive`],
+    /// which the property tests use as the oracle. Owners run in parallel
+    /// with [`par_map`] once the work reaches 2^20 ANDed words (a `const`).
     pub fn from_train_sets(train_sets: &[Vec<u32>], k: usize) -> Self {
         let n = train_sets.len();
         let num_items =
             train_sets.iter().filter_map(|s| s.last()).max().map_or(0, |&m| m as usize + 1);
         let total_interactions: usize = train_sets.iter().map(Vec::len).sum();
         if num_items > total_interactions.saturating_mul(8) + 1024 {
-            // Sparse/hashed item ids: a dense postings table sized by the max
-            // id would dwarf the data. The pairwise merge is the right tool.
+            // Sparse/hashed item ids: a bitset sized by the max id would
+            // dwarf the data. The pairwise merge is the right tool.
             return Self::from_train_sets_naive(train_sets, k);
         }
-        let mut postings: Vec<Vec<u32>> = vec![Vec::new(); num_items];
-        for (u, set) in train_sets.iter().enumerate() {
+        let words = num_items.div_ceil(64).max(1);
+        let mut bits = vec![0u64; n * words];
+        for (row, set) in bits.chunks_exact_mut(words).zip(train_sets) {
             debug_assert!(set.windows(2).all(|w| w[0] < w[1]), "train sets must be sorted unique");
             for &item in set {
-                // cia-lint: allow(D05, u indexes one train set per user; posting lists hold u32 user ids)
-                postings[item as usize].push(u as u32);
+                row[item as usize / 64] |= 1 << (item % 64);
             }
         }
-        let communities = par_map(n, |owner| {
-            let own = &train_sets[owner];
-            let mut inter = vec![0u32; n];
-            for &item in own {
-                for &v in &postings[item as usize] {
-                    inter[v as usize] += 1;
+        let community = |owner: usize| {
+            let own = &bits[owner * words..][..words];
+            let own_len = train_sets[owner].len();
+            let mut keys: Vec<u128> = Vec::with_capacity(n);
+            for (v, row) in bits.chunks_exact(words).enumerate() {
+                if v == owner {
+                    continue;
                 }
+                let i =
+                    own.iter().zip(row).map(|(a, b)| (a & b).count_ones()).sum::<u32>() as usize;
+                let union = own_len + train_sets[v].len() - i;
+                let j = if union == 0 { 0.0 } else { i as f64 / union as f64 };
+                keys.push((u128::from(u64::MAX - j.to_bits()) << 32) | v as u128);
             }
-            let mut scored: Vec<(f64, UserId)> = (0..n)
-                .filter(|&v| v != owner)
-                .map(|v| {
-                    let i = inter[v] as usize;
-                    let union = own.len() + train_sets[v].len() - i;
-                    let j = if union == 0 { 0.0 } else { i as f64 / union as f64 };
-                    (j, UserId::from_index(v))
-                })
-                .collect();
-            // Same ordering as `top_k_similar`: descending similarity,
-            // ascending id on ties. The order is total over distinct ids, so
-            // selecting the best `k` and sorting only them yields the prefix
-            // of the full sort.
-            let order = |a: &(f64, UserId), b: &(f64, UserId)| {
-                b.0.partial_cmp(&a.0).expect("jaccard is finite").then_with(|| a.1.cmp(&b.1))
-            };
-            if k < scored.len() {
-                scored.select_nth_unstable_by(k, order);
-                scored.truncate(k);
+            if k < keys.len() {
+                keys.select_nth_unstable(k);
+                keys.truncate(k);
             }
-            scored.sort_by(order);
-            scored.into_iter().map(|(_, u)| u).collect()
-        });
+            keys.sort_unstable();
+            // cia-lint: allow(D05, a key's low 32 bits hold the candidate's u32 user id)
+            keys.into_iter().map(|key| UserId::new(key as u32)).collect()
+        };
+        let communities = if n * n * words < PARALLEL_MIN_WORD_PAIRS {
+            (0..n).map(community).collect()
+        } else {
+            par_map(n, community)
+        };
         GroundTruth { k, communities }
     }
 
     /// The straightforward O(N²·|set|) pairwise-merge version of
-    /// [`GroundTruth::from_train_sets`]. Kept as the property-test oracle the
-    /// inverted-index path is checked against.
+    /// [`GroundTruth::from_train_sets`]: the property-test oracle the bitset
+    /// path is checked against, and the path it takes for sparse item ids.
     pub fn from_train_sets_naive(train_sets: &[Vec<u32>], k: usize) -> Self {
         let communities = (0..train_sets.len())
             .map(|owner| {

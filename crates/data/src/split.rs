@@ -86,6 +86,7 @@ impl LeaveOneOut {
         let mut train_sets = Vec::with_capacity(data.num_users());
         let mut train_sequences = Vec::with_capacity(data.num_users());
         let mut eval = Vec::with_capacity(data.num_users());
+        let mut mask = vec![0u64; (num_items as usize).div_ceil(64)];
 
         for (u, rec) in data.iter() {
             if rec.len() < 2 {
@@ -129,14 +130,15 @@ impl LeaveOneOut {
                 }
                 held
             };
-            let train: Vec<u32> =
-                rec.items().iter().copied().filter(|i| !held.contains(i)).collect();
+            let mut train = rec.items().to_vec();
+            train.retain(|i| !held.contains(i));
             // Drop held-out visits from the training sequence; successor
             // pairs across the removed gaps are a negligible approximation
             // for the synthetic traces.
-            let train_seq: Vec<u32> =
-                rec.sequence().iter().copied().filter(|i| !held.contains(i)).collect();
-            let negatives = sample_negatives(rec.items(), num_items, num_negatives, &mut rng);
+            let mut train_seq = rec.sequence().to_vec();
+            train_seq.retain(|i| !held.contains(i));
+            let negatives =
+                sample_unobserved(rec.items(), num_items, num_negatives, &mut rng, &mut mask);
             train_sets.push(train);
             train_sequences.push(train_seq);
             eval.push(EvalInstance { positives: held, negatives });
@@ -167,26 +169,57 @@ impl LeaveOneOut {
 }
 
 /// Samples `count` distinct items uniformly from the catalog that are **not**
-/// in `observed` (which must be sorted and deduplicated).
+/// in `observed` (which must be sorted, deduplicated and inside the
+/// catalog).
+///
+/// Candidates are drawn with `gen_range(0..num_items)` and kept unless
+/// observed or already kept, so the output and the RNG's use are fixed by
+/// `rng`'s state alone; a bitmask over the catalog answers both questions.
 ///
 /// # Panics
 ///
-/// Panics if the catalog cannot supply `count` distinct unobserved items.
+/// Panics if the catalog cannot supply `count` distinct unobserved items,
+/// or if an observed item lies outside `0..num_items`.
 pub fn sample_negatives(
     observed: &[u32],
     num_items: u32,
     count: usize,
     rng: &mut StdRng,
 ) -> Vec<u32> {
+    let mut mask = vec![0u64; (num_items as usize).div_ceil(64)];
+    sample_unobserved(observed, num_items, count, rng, &mut mask)
+}
+
+/// [`sample_negatives`] with a caller-owned `mask` of `num_items` bits, all
+/// clear on entry and on return, so a split reuses one mask for every user.
+/// Bit `i` is set while item `i` is observed or already kept.
+fn sample_unobserved(
+    observed: &[u32],
+    num_items: u32,
+    count: usize,
+    rng: &mut StdRng,
+    mask: &mut [u64],
+) -> Vec<u32> {
+    assert!(observed.last().is_none_or(|&m| m < num_items), "observed item outside the catalog");
     let available = num_items as usize - observed.len();
     assert!(available >= count, "catalog too small: need {count} negatives, have {available}");
+    let bit = |item: u32| (item as usize / 64, 1u64 << (item % 64));
+    for &item in observed {
+        let (word, b) = bit(item);
+        mask[word] |= b;
+    }
     let mut out = Vec::with_capacity(count);
-    let mut seen = std::collections::HashSet::with_capacity(count);
     while out.len() < count {
         let cand = rng.gen_range(0..num_items);
-        if observed.binary_search(&cand).is_err() && seen.insert(cand) {
+        let (word, b) = bit(cand);
+        if mask[word] & b == 0 {
+            mask[word] |= b;
             out.push(cand);
         }
+    }
+    for &item in observed.iter().chain(&out) {
+        let (word, b) = bit(item);
+        mask[word] &= !b;
     }
     out
 }
@@ -265,6 +298,13 @@ mod tests {
                 assert!(!rec.contains(n));
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "observed item outside the catalog")]
+    fn negatives_refuse_an_observed_item_outside_the_catalog() {
+        let mut rng = StdRng::seed_from_u64(1);
+        sample_negatives(&[3, 200], 100, 5, &mut rng);
     }
 
     #[test]

@@ -79,7 +79,7 @@ proptest! {
     }
 
     #[test]
-    fn inverted_index_ground_truth_matches_naive(
+    fn bitset_ground_truth_matches_naive(
         // A small item universe forces many identical Jaccard values, so the
         // smaller-id tie-break is exercised constantly.
         sets in proptest::collection::vec(sorted_unique(12, 8), 2..14),

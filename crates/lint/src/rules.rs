@@ -21,7 +21,7 @@ use crate::lexer::{tokenize, Token, TokenKind};
 /// Crates whose output feeds the byte-identical transcript contract. D01
 /// (unordered containers) and D07 (float iterator sums) apply only here.
 pub const DETERMINISTIC_PATH_CRATES: &[&str] =
-    &["core", "federated", "gossip", "models", "scenarios"];
+    &["core", "data", "federated", "gossip", "models", "scenarios"];
 
 /// Rule IDs in report order, with one-line summaries (mirrored in the
 /// README and pinned by the fixture tests).
@@ -426,6 +426,7 @@ mod tests {
         assert!(c.deterministic_path && !c.is_obs && !c.is_parallel_module);
         assert!(FileClass::of("crates/obs/src/lib.rs").is_obs);
         assert!(FileClass::of("crates/data/src/parallel.rs").is_parallel_module);
+        assert!(FileClass::of("crates/data/src/split.rs").deterministic_path);
         assert!(!FileClass::of("src/lib.rs").deterministic_path);
         assert_eq!(FileClass::of("src/lib.rs").krate, "root");
     }
@@ -495,7 +496,8 @@ mod tests {
     fn d07_needs_deterministic_path() {
         let src = "fn f(v: &[f32]) -> f32 { v.iter().sum::<f32>() }";
         assert_eq!(rules_at("crates/models/src/x.rs", src), [("D07", 1)]);
-        assert_eq!(rules_at("crates/data/src/x.rs", src), []);
+        assert_eq!(rules_at("crates/data/src/x.rs", src), [("D07", 1)]);
+        assert_eq!(rules_at("crates/experiments/src/x.rs", src), []);
     }
 
     #[test]
