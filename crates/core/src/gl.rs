@@ -16,7 +16,7 @@
 use crate::evaluator::RelevanceEvaluator;
 use crate::fl::{CiaConfig, MomentumCia};
 use crate::metrics::{
-    community_accuracy, coverage, top_k_users, AttackOutcome, AttackTracker, RoundPoint,
+    accuracy_of, coverage, top_k_users, AttackOutcome, AttackTracker, RoundPoint,
 };
 use cia_data::UserId;
 use cia_gossip::{GossipObserver, GossipRoundStats};
@@ -126,6 +126,8 @@ pub struct PlacementsState {
 pub struct GlCiaAllPlacements<E: RelevanceEvaluator> {
     cfg: CiaConfig,
     evaluator: E,
+    /// Truth community per node, sorted by id, so counting hits is a binary
+    /// search per prediction.
     truths: Vec<Vec<UserId>>,
     /// Dense score EMAs: `s[observer * n + sender]`, NaN = never seen.
     s_ema: Vec<f32>,
@@ -147,12 +149,18 @@ impl<E: RelevanceEvaluator> GlCiaAllPlacements<E> {
     ///
     /// Panics if `beta` is outside `[0, 1]`, the evaluator's target count
     /// differs from `num_users` or the truth table is misaligned.
-    pub fn new(cfg: CiaConfig, evaluator: E, num_users: usize, truths: Vec<Vec<UserId>>) -> Self {
+    pub fn new(
+        cfg: CiaConfig,
+        evaluator: E,
+        num_users: usize,
+        mut truths: Vec<Vec<UserId>>,
+    ) -> Self {
         assert!(cfg.k > 0, "community size must be positive");
         assert!(cfg.eval_every > 0, "eval_every must be positive");
         assert!((0.0..=1.0).contains(&cfg.beta), "beta must be in [0, 1]");
         assert_eq!(evaluator.num_targets(), num_users, "one target per node");
         assert_eq!(truths.len(), num_users, "one truth per node");
+        truths.iter_mut().for_each(|t| t.sort_unstable());
         GlCiaAllPlacements {
             tracker: AttackTracker::new(cfg.k, num_users.saturating_sub(1)),
             cfg,
@@ -210,7 +218,8 @@ impl<E: RelevanceEvaluator> GlCiaAllPlacements<E> {
             }
             let (truth, seen) = (&self.truths[obs], |u: &UserId| !row[u.index()].is_nan());
             let online = coverage(truth, k, |u| seen(u) && self.live[u.index()]);
-            (community_accuracy(&predicted, truth, k), Some((coverage(truth, k, seen), online)))
+            let accuracy = accuracy_of(&predicted, k, |u| truth.binary_search(u).is_ok());
+            (accuracy, Some((coverage(truth, k, seen), online)))
         });
         let accs: Vec<f64> = results.iter().map(|r| r.0).collect();
         let uppers: Vec<f64> = results.iter().filter_map(|r| r.1.map(|b| b.0)).collect();

@@ -3,6 +3,7 @@
 //! The simulations are round-synchronous, so all parallelism is simple
 //! fork-join over per-user work; no async runtime is warranted.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -246,6 +247,51 @@ where
             .collect();
         handles.into_iter().map(|h| h.join().expect("par_zip_fold worker panicked")).sum()
     })
+}
+
+/// Runs `f(p)` for every position `p` in `0..n` on up to [`num_threads`]
+/// workers, which claim positions in increasing order from one shared
+/// cursor.
+///
+/// A position is claimed only after every lower one, so `f(p)` may wait for
+/// something `f(q)`, `q < p`, does on another worker, provided no call
+/// waits on a higher position: the lowest position in progress then never
+/// waits on one that is unfinished. With one thread the positions run in
+/// order on the calling thread.
+///
+/// # Panics
+///
+/// Panics if `f` panics on any worker.
+pub fn par_claim<F>(n: usize, f: F)
+where
+    F: Fn(usize) + Sync,
+{
+    claim_on(num_threads(), n, f);
+}
+
+/// [`par_claim`] on at most `threads` workers.
+fn claim_on<F>(threads: usize, n: usize, f: F)
+where
+    F: Fn(usize) + Sync,
+{
+    let threads = threads.min(n);
+    if threads <= 1 {
+        (0..n).for_each(f);
+        return;
+    }
+    let cursor = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            let (cursor, f) = (&cursor, &f);
+            s.spawn(move || loop {
+                let p = cursor.fetch_add(1, Ordering::Relaxed);
+                if p >= n {
+                    break;
+                }
+                f(p);
+            });
+        }
+    });
 }
 
 /// Computes `f(i)` for `i in 0..n` in parallel and returns the results in
@@ -503,6 +549,29 @@ mod tests {
             |(), i, _, _| assert_ne!(i, FOLD_BLOCK, "work failed"),
             |(), (), _, _, _| {},
         );
+    }
+
+    #[test]
+    fn par_claim_runs_each_position_once_after_every_lower_one_is_claimed() {
+        for threads in 1..=4 {
+            for n in [0, 1, 5, 97] {
+                // Position p waits for p − 1 to finish: that can only end
+                // if every lower position was claimed before p.
+                let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let done: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
+                claim_on(threads, n, |p| {
+                    while p > 0 && !done[p - 1].load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    spin(p);
+                    runs[p].fetch_add(1, Ordering::Relaxed);
+                    done[p].store(true, Ordering::Release);
+                });
+                for (p, r) in runs.iter().enumerate() {
+                    assert_eq!(r.load(Ordering::Relaxed), 1, "{threads} threads: position {p}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::graph::{sample_exp_interval, ViewTable};
 use cia_data::UserId;
-use cia_models::parallel::par_zip_mut;
+use cia_models::parallel::{par_claim, par_zip_mut};
 use cia_models::{
     apply_update_transform, Checkpointable, DeliveryPolicy, LivenessEvent, Participant,
     SharedModel, UpdateTransform,
@@ -10,6 +10,9 @@ use cia_models::{
 use cia_obs::{Counter, Metric, Recorder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 
 /// Which gossip protocol to simulate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,9 +65,11 @@ pub struct GossipRoundStats {
     /// silently deflate downstream loss averages).
     pub mean_loss: Option<f32>,
     /// Bytes of model state delivered this round: the wire volume of the
-    /// routed pushes (the round's `bytes_on_wire` delta). Most pushes lend
-    /// the sender's buffer instead of copying it; the copies a round does
-    /// make are metered by `Counter::BytesCopied`.
+    /// routed pushes (the round's `bytes_on_wire` delta). A lending push is
+    /// the sender's own buffer, which an awake receiver reads in place; the
+    /// copies a round does make (held copies for asleep receivers, one push
+    /// per cycle of the send graph, DP clean vectors) are metered by
+    /// `Counter::BytesCopied`.
     pub bytes_materialized: u64,
 }
 
@@ -162,8 +167,12 @@ struct PeerCtl {
     /// order; the node mixes them on its next wake.
     inbox: Vec<SharedModel>,
     /// Senders whose pushes reach the node this round (awake receivers
-    /// only), in delivery order. The models stay in the senders' outboxes.
+    /// only), in delivery order. The models stay in the senders' outboxes,
+    /// except a cycle breaker's, which the node reads from `cycle_copy`.
     mail: Vec<u32>,
+    /// The copy of a cycle breaker's push, with its sender, when the node
+    /// is that breaker's receiver this round (see [`merge_order`]).
+    cycle_copy: Option<(u32, SharedModel)>,
     /// Pers-Gossip `(sender, score)` candidates heard since the node's last
     /// view refresh, which consumes them.
     heard: Vec<(u32, f32)>,
@@ -172,11 +181,11 @@ struct PeerCtl {
 }
 
 /// Per-node send-side state, paired with the node in the send pass and
-/// read by every receiver in the merge pass.
+/// read by the push's receiver in the merge pass.
 #[derive(Default)]
 struct Outbox {
     /// This round's push (`None` while the node sleeps). When `lent`, its
-    /// aggregate is the node's own pre-round buffer until the merge.
+    /// aggregate is the node's own buffer until the node merges.
     sent: Option<SharedModel>,
     /// Whether the node lent its aggregate to `sent` instead of copying it.
     lent: bool,
@@ -186,14 +195,16 @@ struct Outbox {
 }
 
 impl Outbox {
-    /// The node's clean pre-round aggregate: the pushed one, or under DP,
-    /// which rewrote the push, the tail of the reference it just set.
-    fn own(&self, dp: bool) -> &[f32] {
-        let sent = &self.sent.as_ref().expect("an awake node pushed a model").agg;
-        match &self.prev_sent {
-            Some(prev) if dp => &prev[prev.len() - sent.len()..],
-            _ => sent,
-        }
+    /// The push's aggregate buffer and, under DP, which rewrote the push,
+    /// the clean parameters it was made from: the tail of the reference the
+    /// send just set.
+    fn pushed_and_clean(&mut self, dp: bool) -> (&mut Vec<f32>, Option<&[f32]>) {
+        let pushed = &mut self.sent.as_mut().expect("an awake node pushed a model").agg;
+        let clean = match &self.prev_sent {
+            Some(prev) if dp => Some(&prev[prev.len() - pushed.len()..]),
+            _ => None,
+        };
+        (pushed, clean)
     }
 }
 
@@ -210,10 +221,14 @@ pub struct GossipSim<P: Participant> {
     transform: Option<Box<dyn UpdateTransform>>,
     traffic: TrafficCounters,
     round: u64,
-    /// Recycled model carcasses: merged pushes and drained held inboxes
-    /// return here, and the next round's pushes and held copies reuse their
-    /// buffers, so a steady round allocates no catalog-sized vectors.
+    /// Recycled push carcasses. A lender's push takes the node's own buffer
+    /// and hands it back at the merge, so these carry no catalog buffer.
     pool: Vec<SharedModel>,
+    /// Recycled full models for the copies a round makes: held copies for
+    /// asleep receivers and cycle copies (see [`merge_order`]). Drained
+    /// inboxes and cycle copies return here, so a steady round allocates no
+    /// catalog-sized vectors.
+    spares: Vec<SharedModel>,
     /// The observability sink: phase spans, wire/delivery counters and the
     /// per-node mix/train latency histograms.
     obs: Recorder,
@@ -246,6 +261,7 @@ impl<P: Participant> GossipSim<P> {
             .map(|_| PeerCtl {
                 inbox: Vec::new(),
                 mail: Vec::new(),
+                cycle_copy: None,
                 heard: Vec::new(),
                 awake: false,
                 loss: 0.0,
@@ -264,6 +280,7 @@ impl<P: Participant> GossipSim<P> {
             traffic,
             round: 0,
             pool: Vec::new(),
+            spares: Vec::new(),
             obs: Recorder::new(),
         }
     }
@@ -368,9 +385,9 @@ impl<P: Participant> GossipSim<P> {
 
         // 3. Send phase, in parallel: each awake node lends its aggregate
         // to its push (a recycled pool carcass) instead of copying it — the
-        // push is read only by its receiver and by the sender's own merge,
-        // which writes a different buffer. The DP transform then rewrites
-        // the push in place.
+        // push is read only by its receiver, and the sender takes it back
+        // once the receiver has merged. The DP transform then rewrites the
+        // push in place.
         let cfg = self.cfg;
         let transform = self.transform.as_deref();
         let destinations: Vec<u32> =
@@ -415,7 +432,7 @@ impl<P: Participant> GossipSim<P> {
             if receiver.awake {
                 receiver.mail.push(u);
             } else {
-                let mut held = self.pool.pop().unwrap_or_else(empty_model);
+                let mut held = self.spares.pop().unwrap_or_else(empty_model);
                 copy_model(&mut held, snap);
                 obs.add(Counter::BytesCopied, 4 * snap.len() as u64);
                 receiver.inbox.push(held);
@@ -423,66 +440,117 @@ impl<P: Participant> GossipSim<P> {
             self.traffic.received[dest] += 1;
             deliveries += 1;
         }
+        // An awake sender takes its push back only after its awake receiver
+        // has merged; one copied push per cycle of that waiting breaks it.
+        let (order, breakers) = merge_order(&destinations, &wake);
+        let mut copied = vec![false; n];
+        for &b in &breakers {
+            let snap = self.outbox[b as usize].sent.as_ref().expect("a breaker pushed a model");
+            let mut copy = self.spares.pop().unwrap_or_else(empty_model);
+            copy_model(&mut copy, snap);
+            obs.add(Counter::BytesCopied, 4 * snap.len() as u64);
+            self.ctl[destinations[b as usize] as usize].cycle_copy = Some((b, copy));
+            copied[b as usize] = true;
+        }
         drop(route_span);
 
-        // 5. Merge + local training on awake nodes, in one fused parallel
-        // pass under the `train` span. Each node writes its new aggregate
-        // out of place — the uniform mean of its push's clean parameters and
-        // its mail (held copies first, then this round's pushes in sender
-        // order) — or, with no mail, takes its parameters back. Merge and
-        // train stay fused deliberately: a node's aggregate is
-        // catalog-sized (~54 KB at paper scale), so training right after
-        // the merge reuses it while cache-hot — separate passes stream the
-        // whole population's state through memory twice. The per-node
-        // merge/train cost split is still observable through the `mix_us` /
-        // `train_us` histograms, which bracket the two halves with
-        // detail-gated clock reads.
+        // 5. Merge + local training on awake nodes, in one parallel pass
+        // under the `train` span. Workers claim nodes in `order`, where each
+        // node comes after its push's receiver. A node waits until that
+        // receiver has merged (unless the receiver sleeps or reads a copy),
+        // takes its push back and mixes in it the uniform mean of its clean
+        // parameters and its mail (held copies first, then this round's
+        // pushes in sender order); with no mail it keeps its parameters.
+        // It then trains right away while its catalog-sized aggregate
+        // (~54 KB at paper scale) is cache-hot. The per-node cost split is
+        // observable through the `mix_us` / `train_us` histograms, and the
+        // waits through the `merge_wait_us` counter.
         let is_pers = matches!(self.cfg.protocol, GossipProtocol::Pers { .. });
         let dp = transform.is_some();
-        let outbox = &self.outbox;
         let train_span = obs.span("train");
-        par_zip_mut(&mut self.nodes, &mut self.ctl, |i, node, c| {
-            if !c.awake {
-                return;
-            }
-            let own = outbox[i].own(dp);
-            if c.inbox.is_empty() && c.mail.is_empty() {
-                node.merge_agg(own, &[]);
-                if outbox[i].lent {
-                    obs.add(Counter::BytesCopied, 4 * own.len() as u64);
+        {
+            // Each node's cell is locked only by the worker that claimed it,
+            // and a push only by its sender or, before the sender's wait
+            // ends, its receiver: every lock below is uncontended.
+            let cells: Vec<Mutex<(&mut P, &mut PeerCtl)>> =
+                self.nodes.iter_mut().zip(&mut self.ctl).map(Mutex::new).collect();
+            let pushes: Vec<Mutex<&mut Outbox>> = self.outbox.iter_mut().map(Mutex::new).collect();
+            let merged: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
+            let abandoned = AtomicBool::new(false);
+            par_claim(order.len(), |p| {
+                let _abandon = Abandon(&abandoned);
+                let i = order[p] as usize;
+                let receiver = destinations[i] as usize;
+                if wake[receiver] && !copied[i] {
+                    wait_merged(&merged[receiver], &abandoned, &obs);
                 }
-            } else {
+                let mut cell = cells[i].try_lock().expect("a node is claimed once");
+                let (node, c) = &mut *cell;
+                let has_mail = !c.inbox.is_empty() || !c.mail.is_empty();
                 let t0 = obs.clock();
-                let pushed = c.mail.iter().map(|&s| {
-                    outbox[s as usize].sent.as_ref().expect("a mailed sender pushed a model")
-                });
-                let mail: Vec<&SharedModel> = c.inbox.iter().chain(pushed).collect();
-                if is_pers {
-                    for m in &mail {
-                        c.heard.push((m.owner.raw(), node.evaluate_model(m)));
+                {
+                    let mut own = pushes[i].try_lock().expect("the receiver is done with the push");
+                    let lent = own.lent;
+                    let guards: Vec<_> = c
+                        .mail
+                        .iter()
+                        .filter(|&&s| c.cycle_copy.as_ref().is_none_or(|(b, _)| *b != s))
+                        .map(|&s| {
+                            pushes[s as usize]
+                                .try_lock()
+                                .expect("a sender keeps its push until its receiver merged")
+                        })
+                        .collect();
+                    let mut locked = guards.iter();
+                    let pushed = c.mail.iter().map(|&s| match &c.cycle_copy {
+                        Some((b, copy)) if *b == s => copy,
+                        _ => locked
+                            .next()
+                            .and_then(|g| g.sent.as_ref())
+                            .expect("a mailed sender pushed a model"),
+                    });
+                    let mail: Vec<&SharedModel> = c.inbox.iter().chain(pushed).collect();
+                    if is_pers {
+                        for m in &mail {
+                            c.heard.push((m.owner.raw(), node.evaluate_model(m)));
+                        }
                     }
+                    let rows: Vec<&[f32]> = mail.iter().map(|m| m.agg.as_slice()).collect();
+                    let (pushed, clean) = own.pushed_and_clean(dp);
+                    // A DP lender without mail copies its clean parameters
+                    // back.
+                    if let Some(clean) = clean.filter(|_| lent && rows.is_empty()) {
+                        obs.add(Counter::BytesCopied, 4 * clean.len() as u64);
+                    }
+                    node.merge_agg(pushed, clean, &rows);
                 }
-                let rows: Vec<&[f32]> = mail.iter().map(|m| m.agg.as_slice()).collect();
-                node.merge_agg(own, &rows);
                 c.mail.clear();
-                obs.observe_since(Metric::MixMicros, t0);
-            }
-            let t0 = obs.clock();
-            let mut crng = StdRng::seed_from_u64(
-                cfg.seed ^ (t << 24) ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            );
-            c.loss = node.train_local(&mut crng);
-            obs.observe_since(Metric::TrainMicros, t0);
-        });
+                // Release after the push locks above are dropped, paired
+                // with the Acquire in `wait_merged`: a sender that sees the
+                // flag finds its push unlocked.
+                merged[i].store(true, Ordering::Release);
+                if has_mail {
+                    obs.observe_since(Metric::MixMicros, t0);
+                }
+                let t0 = obs.clock();
+                let mut crng = StdRng::seed_from_u64(
+                    cfg.seed ^ (t << 24) ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                );
+                c.loss = node.train_local(&mut crng);
+                obs.observe_since(Metric::TrainMicros, t0);
+            });
+        }
         drop(train_span);
 
-        // Merged pushes and consumed held inboxes drain into the pool
-        // afterwards (serially — the pool is shared).
+        // Pushes, consumed held inboxes and cycle copies drain into their
+        // pools afterwards (serially — the pools are shared).
         for (c, o) in self.ctl.iter_mut().zip(&mut self.outbox).filter(|(c, _)| c.awake) {
-            self.pool.append(&mut c.inbox);
+            self.spares.append(&mut c.inbox);
+            self.spares.extend(c.cycle_copy.take().map(|(_, copy)| copy));
             self.pool.extend(o.sent.take());
         }
         self.pool.truncate(n);
+        self.spares.truncate(n);
 
         let awake_count = wake.iter().filter(|&&a| a).count();
         obs.add(Counter::ClientsTrained, awake_count as u64);
@@ -601,6 +669,110 @@ impl<P: Participant> Checkpointable for GossipSim<P> {
     }
 }
 
+/// The order in which a round's awake nodes merge, and the cycle breakers.
+///
+/// `dest[u]` is the receiver of node `u`'s push; only awake nodes push. The
+/// sends form a functional graph, and an awake node waits for its receiver
+/// to merge when that receiver is awake too: a sleeping receiver holds a
+/// route-time copy instead. Each cycle of waiting nodes is broken at one
+/// node, whose push is copied for its receiver; the breakers are returned
+/// in the order the cycles are found, scanning nodes by index. The order
+/// starts with the nodes that wait for nobody (receiver asleep, or a
+/// breaker), by index, and continues breadth-first over each node's
+/// senders in index order (its mail list): every awake node appears exactly
+/// once, after its receiver when it waits for it.
+///
+/// # Panics
+///
+/// Panics if the tables differ in length or a receiver is out of range.
+fn merge_order(dest: &[u32], awake: &[bool]) -> (Vec<u32>, Vec<u32>) {
+    assert_eq!(dest.len(), awake.len(), "one receiver per node");
+    let n = dest.len();
+    let waits = |u: usize| awake[u] && awake[dest[u] as usize];
+    // Walk each unvisited awake node's chain of receivers, marking the
+    // nodes with the walk's start; a chain that meets its own mark closed a
+    // new cycle.
+    const UNSEEN: usize = usize::MAX;
+    let mut walk = vec![UNSEEN; n];
+    let mut breakers = Vec::new();
+    for start in (0..n).filter(|&u| awake[u]) {
+        let mut u = start;
+        while walk[u] == UNSEEN {
+            walk[u] = start;
+            if !waits(u) {
+                break;
+            }
+            u = dest[u] as usize;
+            if walk[u] == start {
+                // cia-lint: allow(D05, u < n, the node count; gossip node ids are u32)
+                breakers.push(u as u32);
+            }
+        }
+    }
+    let mut root = vec![false; n];
+    for &b in &breakers {
+        root[b as usize] = true;
+    }
+    // The waiting senders of each node, by index: counting-sort offsets.
+    let mut start = vec![0usize; n + 1];
+    for u in (0..n).filter(|&u| waits(u) && !root[u]) {
+        start[dest[u] as usize + 1] += 1;
+    }
+    for v in 0..n {
+        start[v + 1] += start[v];
+    }
+    let mut fill = start.clone();
+    let mut senders = vec![0u32; start[n]];
+    for u in (0..n).filter(|&u| waits(u) && !root[u]) {
+        let v = dest[u] as usize;
+        // cia-lint: allow(D05, u < n, the node count; gossip node ids are u32)
+        senders[fill[v]] = u as u32;
+        fill[v] += 1;
+    }
+    let free = |u: usize| awake[u] && (!waits(u) || root[u]);
+    // cia-lint: allow(D05, u < n, the node count; gossip node ids are u32)
+    let mut queue: VecDeque<u32> = (0..n).filter(|&u| free(u)).map(|u| u as u32).collect();
+    let mut order = Vec::with_capacity(queue.len());
+    while let Some(v) = queue.pop_front() {
+        order.push(v);
+        let v = v as usize;
+        queue.extend(&senders[start[v]..start[v + 1]]);
+    }
+    (order, breakers)
+}
+
+/// Marks a merge pass abandoned if its worker unwinds, so nodes waiting on
+/// a merge that will never happen panic instead of spinning forever.
+struct Abandon<'a>(&'a AtomicBool);
+
+impl Drop for Abandon<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Waits until `merged` is set, yielding the core meanwhile, and adds the
+/// wait to the `merge_wait_us` counter.
+///
+/// # Panics
+///
+/// Panics if another worker of the pass panicked.
+fn wait_merged(merged: &AtomicBool, abandoned: &AtomicBool, obs: &Recorder) {
+    if merged.load(Ordering::Acquire) {
+        return;
+    }
+    let t0 = obs.clock();
+    while !merged.load(Ordering::Acquire) {
+        assert!(!abandoned.load(Ordering::Relaxed), "a gossip merge worker panicked");
+        std::thread::yield_now();
+    }
+    if let Some(t0) = t0 {
+        obs.add(Counter::MergeWaitMicros, t0.elapsed().as_micros() as u64);
+    }
+}
+
 /// Availability probe through the unified liveness hook.
 fn probe_available(observer: &mut dyn GossipObserver, round: u64, node: u32) -> bool {
     let mut available = true;
@@ -699,12 +871,15 @@ mod tests {
             slot.owner = self.user;
             slot.round = round;
             slot.owner_emb = None;
-            slot.agg.resize(self.params.len(), 0.0);
             std::mem::swap(&mut self.params, &mut slot.agg);
             true
         }
-        fn merge_agg(&mut self, own: &[f32], others: &[&[f32]]) {
-            cia_models::kernel::uniform_mix_into(&mut self.params, own, others);
+        fn merge_agg(&mut self, pushed: &mut Vec<f32>, clean: Option<&[f32]>, mail: &[&[f32]]) {
+            std::mem::swap(&mut self.params, pushed);
+            if let Some(clean) = clean {
+                self.params.copy_from_slice(clean);
+            }
+            cia_models::kernel::uniform_mix_in_place(&mut self.params, mail);
         }
         fn num_examples(&self) -> usize {
             1
@@ -1039,30 +1214,151 @@ mod tests {
         }
     }
 
+    /// The cycles of a round's sender → receiver graph, counted from its
+    /// delivery tape alone: `(cycles, longest cycle)`.
+    fn send_cycles(n: usize, deliveries: &[(u64, u32, u32)]) -> (u64, usize) {
+        let mut dest = vec![None; n];
+        for &(_, receiver, sender) in deliveries {
+            dest[sender as usize] = Some(receiver as usize);
+        }
+        let (mut cycles, mut longest) = (0, 0);
+        for start in 0..n {
+            // A node lies on a cycle iff following receivers brings it back
+            // within n steps; count each cycle at its lowest id.
+            let mut u = start;
+            for len in 1..=n {
+                let Some(v) = dest[u] else { break };
+                if v < start {
+                    break;
+                }
+                if v == start {
+                    cycles += 1;
+                    longest = longest.max(len);
+                    break;
+                }
+                u = v;
+            }
+        }
+        (cycles, longest)
+    }
+
     #[test]
-    fn lent_pushes_copy_only_for_mail_less_nodes() {
-        // Under full wake every push lends its sender's buffer and nobody
-        // sleeps, so the only copies a round makes are the take-backs of the
-        // nodes nobody pushed to: 4 bytes · agg_len (8) for each.
+    fn lent_pushes_copy_one_push_per_send_cycle() {
+        // Under full wake every push lends its sender's buffer, nobody
+        // sleeps and there is no DP, so the only copies a round makes are
+        // the cycle breakers': 4 bytes · agg_len (8) for each cycle of the
+        // round's send graph.
         let n = 20;
-        let rounds = 6u64;
+        let rounds = 12u64;
         let mut s = sim(n, GossipConfig { rounds, seed: 3, ..Default::default() });
         let rec = cia_obs::Recorder::new();
         s.set_recorder(rec.clone());
         let mut tape = Recorder::default();
-        let mut total_mail_less = 0;
+        let mut longest = 0;
         for t in 0..rounds {
             let before = rec.counter(Counter::BytesCopied);
             s.step(&mut tape);
-            let mut has_mail = vec![false; n];
-            for &(_, recv, _) in tape.deliveries.iter().filter(|d| d.0 == t) {
-                has_mail[recv as usize] = true;
-            }
-            let mail_less = has_mail.iter().filter(|&&m| !m).count() as u64;
-            total_mail_less += mail_less;
-            assert_eq!(rec.counter(Counter::BytesCopied) - before, 4 * 8 * mail_less, "round {t}");
+            let round: Vec<_> = tape.deliveries.iter().copied().filter(|d| d.0 == t).collect();
+            assert_eq!(round.len(), n, "round {t}: every node pushes");
+            let (cycles, round_longest) = send_cycles(n, &round);
+            longest = longest.max(round_longest);
+            assert_eq!(rec.counter(Counter::BytesCopied) - before, 4 * 8 * cycles, "round {t}");
         }
-        assert!(total_mail_less > 0, "no round had a mail-less node; the test proves nothing");
+        assert!(longest >= 3, "no round had a cycle of 3 or more nodes; the test proves little");
+    }
+
+    /// Checks [`merge_order`]'s contract on one send graph.
+    fn check_merge_order(dest: &[u32], awake: &[bool]) -> Result<(), String> {
+        let n = dest.len();
+        let (order, breakers) = merge_order(dest, awake);
+        let mut position = vec![None; n];
+        for (p, &u) in order.iter().enumerate() {
+            let u = u as usize;
+            if !awake[u] || position[u].is_some() {
+                return Err(format!("node {u} is asleep or listed twice"));
+            }
+            position[u] = Some(p);
+        }
+        if let Some(u) = (0..n).find(|&u| awake[u] && position[u].is_none()) {
+            return Err(format!("awake node {u} is missing"));
+        }
+        for (u, id) in (0..n).zip(0u32..).filter(|&(u, _)| awake[u]) {
+            let v = dest[u] as usize;
+            let waits = awake[v] && !breakers.contains(&id);
+            if waits && position[u] < position[v] {
+                return Err(format!("node {u} comes before its receiver {v}"));
+            }
+        }
+        // The awake-to-awake send graph's cycles, found by brute force: each
+        // breaker sits on its own one.
+        let on_cycle = |u: usize| {
+            let mut v = u;
+            for _ in 0..n {
+                if !awake[v] || !awake[dest[v] as usize] {
+                    return None;
+                }
+                v = dest[v] as usize;
+                if v == u {
+                    return Some(u);
+                }
+            }
+            None
+        };
+        let mut cycle_of = |u: usize| {
+            let mut members = vec![u];
+            let mut v = dest[u] as usize;
+            while v != u {
+                members.push(v);
+                v = dest[v] as usize;
+            }
+            members.sort_unstable();
+            members
+        };
+        let mut cycles: Vec<Vec<usize>> = (0..n).filter_map(on_cycle).map(&mut cycle_of).collect();
+        cycles.sort();
+        cycles.dedup();
+        let mut broken: Vec<Vec<usize>> = breakers
+            .iter()
+            .map(|&b| on_cycle(b as usize).map(&mut cycle_of).ok_or(format!("{b} is on no cycle")))
+            .collect::<Result<_, _>>()?;
+        broken.sort();
+        if broken != cycles {
+            return Err(format!(
+                "breakers {breakers:?} do not break the cycles {cycles:?} once each"
+            ));
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn merge_order_handles_hand_made_graphs() {
+        // A 3-cycle 0 → 1 → 2 → 0 with a tail 3 → 0, a 2-cycle 4 ⇄ 5, and
+        // 6 → 7 where 7 sleeps.
+        let dest = [1, 2, 0, 0, 5, 4, 7, 6];
+        let awake = [true, true, true, true, true, true, true, false];
+        let (order, breakers) = merge_order(&dest, &awake);
+        assert_eq!(breakers, vec![0, 4]);
+        assert_eq!(order, vec![0, 4, 6, 2, 3, 5, 1]);
+        check_merge_order(&dest, &awake).unwrap();
+        // Nobody awake, nobody ordered.
+        assert_eq!(merge_order(&dest, &[false; 8]), (vec![], vec![]));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn merge_order_puts_every_waiting_node_after_its_receiver(
+            n in 2usize..60,
+            sleep in 0.0f64..0.6,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n32 = u32::try_from(n).expect("test graphs hold fewer than 60 nodes");
+            let dest: Vec<u32> = (0..n32).map(|u| (u + rng.gen_range(1..n32)) % n32).collect();
+            let awake: Vec<bool> = (0..n).map(|_| !rng.gen_bool(sleep)).collect();
+            if let Err(e) = check_merge_order(&dest, &awake) {
+                proptest::prop_assert!(false, "dest {:?} awake {:?}: {}", dest, awake, e);
+            }
+        }
     }
 
     #[test]

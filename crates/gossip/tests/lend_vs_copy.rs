@@ -1,13 +1,16 @@
 //! Differential test of the gossip send path. GMF and PRME clients lend
-//! their aggregate to each push and rebuild it out of place at the merge;
-//! wrapped in [`Copying`], which forwards every hook gossip drives except
-//! those two, the same clients run the trait's copying defaults instead. Both
-//! must give the same deliveries (owner, receiver, embedding and aggregate
-//! bits) and the same node state bits after every round, over
-//! {Rand, Pers} × asleep {none, 40%} × {no DP, DP clip-only, DP noisy} ×
-//! {Full, Share-less} × `CIA_THREADS` {1, 3}. Sleepers are cleared from the
-//! wake mask as a pure function of `(round, node)`, and the runs are long
-//! enough that Exp(0.1) view refreshes fire.
+//! their aggregate to each push and take it back at the merge, once the
+//! push's receiver has read it, mixing in place; wrapped in [`Copying`],
+//! which forwards every hook gossip drives except those two, the same
+//! clients run the trait's copying defaults instead. Both must give the same
+//! deliveries (owner, receiver, embedding and aggregate bits) and the same
+//! node state bits after every round, over {Rand, Pers} × asleep {none, 40%}
+//! × {no DP, DP clip-only, DP noisy} × {Full, Share-less} × {12, 40} nodes ×
+//! `CIA_THREADS` {1, 2, 3}. Every case asserts that some round's send graph
+//! held a cycle of three nodes or more, so the merge order waits along
+//! receiver chains and breaks multi-node cycles with a copy. Sleepers are cleared
+//! from the wake mask as a pure function of `(round, node)`, and the runs
+//! are long enough that Exp(0.1) view refreshes fire.
 //!
 //! No golden transcript runs PRME gossip, so this is PRME's only guard on
 //! the lend path. The test is the only one in this binary, so setting
@@ -20,7 +23,6 @@ use cia_models::{GmfHyper, GmfSpec, Participant, PrmeHyper, PrmeSpec, SharedMode
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const NODES: u32 = 12;
 const ITEMS: u32 = 30;
 const ROUNDS: u64 = 20;
 
@@ -114,28 +116,53 @@ impl GossipObserver for Tape {
 /// Each round's deliveries and every node's `state_vec` bits after it.
 type Trace = Vec<(Vec<Delivery>, Vec<Vec<u32>>)>;
 
-/// The run's trace, and how many nodes slept and refreshes fired over it.
+/// A run's trace, how many nodes slept and refreshes fired over it, and the
+/// longest cycle of awake senders any round's send graph held.
+type Run = (Trace, usize, usize, usize);
+
+/// The longest cycle in one round's sender → receiver graph.
+fn longest_cycle(nodes: usize, deliveries: &[Delivery]) -> usize {
+    let mut dest = vec![None; nodes];
+    for (sender, receiver, ..) in deliveries {
+        dest[*sender as usize] = Some(*receiver as usize);
+    }
+    let cycle_len = |start: usize| {
+        let mut u = start;
+        for len in 1..=nodes {
+            u = dest[u]?;
+            if u == start {
+                return Some(len);
+            }
+        }
+        None
+    };
+    (0..nodes).filter_map(cycle_len).max().unwrap_or(0)
+}
+
+/// One run's [`Run`] record.
 fn trace<P: Participant>(
     nodes: Vec<P>,
     cfg: GossipConfig,
     sleep: f64,
     dp: Option<DpConfig>,
-) -> (Trace, usize, usize) {
+) -> Run {
+    let population = nodes.len();
     let mut sim = GossipSim::new(nodes, cfg);
     if let Some(dp) = dp {
         sim.set_update_transform(Box::new(DpMechanism::new(dp)));
     }
-    let (mut slept, mut refreshes) = (0, 0);
+    let (mut slept, mut refreshes, mut longest) = (0, 0, 0);
     let trace = (0..ROUNDS)
         .map(|_| {
             let mut tape = Tape { sleep, deliveries: Vec::new(), slept: 0, refreshes: 0 };
             sim.step(&mut tape);
             slept += tape.slept;
             refreshes += tape.refreshes;
+            longest = longest.max(longest_cycle(population, &tape.deliveries));
             (tape.deliveries, sim.nodes().iter().map(|n| bits(&n.state_vec())).collect())
         })
         .collect();
-    (trace, slept, refreshes)
+    (trace, slept, refreshes, longest)
 }
 
 /// A few items per user, clustered by a 3-community split of the catalog.
@@ -144,16 +171,16 @@ fn train_items(u: u32) -> Vec<u32> {
     (0..5).map(|k| base + (u * 7 + k * 3) % (ITEMS / 3)).collect()
 }
 
-fn gmf_nodes(policy: SharingPolicy) -> Vec<cia_models::GmfClient> {
+fn gmf_nodes(nodes: u32, policy: SharingPolicy) -> Vec<cia_models::GmfClient> {
     let spec = GmfSpec::new(ITEMS, 8, GmfHyper { lr: 0.1, ..GmfHyper::default() });
-    (0..NODES)
+    (0..nodes)
         .map(|u| spec.build_client(UserId::new(u), train_items(u), policy, u64::from(u) + 1))
         .collect()
 }
 
-fn prme_nodes(policy: SharingPolicy) -> Vec<cia_models::PrmeClient> {
+fn prme_nodes(nodes: u32, policy: SharingPolicy) -> Vec<cia_models::PrmeClient> {
     let spec = PrmeSpec::new(ITEMS, 4, PrmeHyper { lr: 0.1, ..PrmeHyper::default() });
-    (0..NODES)
+    (0..nodes)
         .map(|u| {
             let items = train_items(u);
             let sequence = items.iter().rev().copied().collect();
@@ -162,13 +189,9 @@ fn prme_nodes(policy: SharingPolicy) -> Vec<cia_models::PrmeClient> {
         .collect()
 }
 
-fn assert_same(
-    (lent, slept, refreshes): (Trace, usize, usize),
-    (copied, ..): (Trace, usize, usize),
-    sleep: f64,
-    case: &str,
-) {
+fn assert_same((lent, slept, refreshes, longest): Run, (copied, ..): Run, sleep: f64, case: &str) {
     assert!(refreshes > 0, "{case}: no view refresh fired");
+    assert!(longest >= 3, "{case}: no round's sends formed a cycle of three nodes or more");
     assert_eq!(slept > 0, sleep > 0.0, "{case}: slept {slept} nodes");
     assert_eq!(lent.len(), copied.len());
     for (t, (l, c)) in lent.iter().zip(&copied).enumerate() {
@@ -195,28 +218,31 @@ fn lending_and_copying_sends_agree_bit_for_bit() {
         Some(DpConfig { clip: 0.5, noise_multiplier: 0.8 }),
     ];
     let policies = [SharingPolicy::Full, SharingPolicy::ShareLess { tau: 0.3 }];
-    for threads in ["1", "3"] {
+    for threads in ["1", "2", "3"] {
         std::env::set_var("CIA_THREADS", threads);
-        for protocol in protocols {
-            for sleep in [0.0, 0.4] {
-                for dp in dps {
-                    for policy in policies {
-                        let cfg = GossipConfig { rounds: ROUNDS, protocol, seed: 5 };
-                        let case = format!(
-                            "threads={threads} {protocol:?} sleep={sleep} dp={dp:?} {policy:?}"
-                        );
-                        assert_same(
-                            trace(gmf_nodes(policy), cfg, sleep, dp),
-                            trace(copying(gmf_nodes(policy)), cfg, sleep, dp),
-                            sleep,
-                            &format!("GMF {case}"),
-                        );
-                        assert_same(
-                            trace(prme_nodes(policy), cfg, sleep, dp),
-                            trace(copying(prme_nodes(policy)), cfg, sleep, dp),
-                            sleep,
-                            &format!("PRME {case}"),
-                        );
+        for nodes in [12, 40] {
+            for protocol in protocols {
+                for sleep in [0.0, 0.4] {
+                    for dp in dps {
+                        for policy in policies {
+                            let cfg = GossipConfig { rounds: ROUNDS, protocol, seed: 5 };
+                            let case = format!(
+                                "threads={threads} nodes={nodes} {protocol:?} sleep={sleep} \
+                                 dp={dp:?} {policy:?}"
+                            );
+                            assert_same(
+                                trace(gmf_nodes(nodes, policy), cfg, sleep, dp),
+                                trace(copying(gmf_nodes(nodes, policy)), cfg, sleep, dp),
+                                sleep,
+                                &format!("GMF {case}"),
+                            );
+                            assert_same(
+                                trace(prme_nodes(nodes, policy), cfg, sleep, dp),
+                                trace(copying(prme_nodes(nodes, policy)), cfg, sleep, dp),
+                                sleep,
+                                &format!("PRME {case}"),
+                            );
+                        }
                     }
                 }
             }

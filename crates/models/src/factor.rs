@@ -243,17 +243,18 @@ impl<S: FactorModel> Participant for FactorClient<S> {
         S::train_local(self, rng)
     }
 
-    fn merge_agg(&mut self, own: &[f32], others: &[&[f32]]) {
-        if others.is_empty() {
-            // No mail: take the lent parameters back unchanged; the node
-            // did not mix, so its references stay as they are.
-            self.agg.copy_from_slice(own);
+    fn merge_agg(&mut self, pushed: &mut Vec<f32>, clean: Option<&[f32]>, mail: &[&[f32]]) {
+        // The push holds this client's aggregate buffer; take it back.
+        std::mem::swap(&mut self.agg, pushed);
+        // DP rewrote the push: restore the clean parameters.
+        if let Some(clean) = clean {
+            self.agg.copy_from_slice(clean);
+        }
+        // No mail: the node keeps its parameters and its references.
+        if mail.is_empty() {
             return;
         }
-        // Out-of-place uniform mean into the buffer the lend left here:
-        // one pass, no intermediate mean (bit-identical to the default,
-        // which materializes the same `uniform_mix_into` and absorbs it).
-        crate::kernel::uniform_mix_into(&mut self.agg, own, others);
+        crate::kernel::uniform_mix_in_place(&mut self.agg, mail);
         self.rebase();
     }
 
@@ -265,7 +266,6 @@ impl<S: FactorModel> Participant for FactorClient<S> {
 
     fn lend_snapshot(&mut self, round: u64, slot: &mut SharedModel) -> bool {
         stamp_snapshot(slot, self.user, round, self.owner_emb());
-        slot.agg.resize(self.agg.len(), 0.0);
         std::mem::swap(&mut self.agg, &mut slot.agg);
         true
     }

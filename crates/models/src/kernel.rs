@@ -229,44 +229,37 @@ pub fn fast_exp(x: f32) -> f32 {
     p * scale
 }
 
-/// Out-of-place uniform mean `y ← w·own + Σᵢ w·rowsᵢ` with
+/// In-place uniform mean `y ← w·y + Σᵢ w·rowsᵢ` with
 /// `w = 1/(rows.len()+1)` — gossip neighborhood averaging (Algorithm 2,
-/// line 7) written into a buffer that is neither input, so the node's own
-/// parameters can stay readable in the model it pushed this round.
+/// line 7) in the buffer that holds the node's own parameters: a lender mixes
+/// in the buffer it pushed once it has taken it back.
 ///
 /// The per-coordinate addition order is that of a `scale` followed by one
-/// `axpy` per row (`(w·own + w·r₁) + w·r₂ + …`), so the result is
-/// bit-identical to copying `own` into `y` and folding the rows in place.
-/// With no rows `w` is 1 and `y` receives `1·own`.
+/// `axpy` per row (`(w·y + w·r₁) + w·r₂ + …`), in one pass with no
+/// intermediate. With no rows `w` is 1 and `y` becomes `1·y`.
 ///
 /// # Panics
 ///
-/// Panics if `own` or any row differs in length from `y`.
-pub fn uniform_mix_into(y: &mut [f32], own: &[f32], rows: &[&[f32]]) {
+/// Panics if any row differs in length from `y`.
+pub fn uniform_mix_in_place(y: &mut [f32], rows: &[&[f32]]) {
     let w = 1.0 / (rows.len() + 1) as f32;
-    assert_eq!(own.len(), y.len(), "uniform_mix_into length mismatch");
     for row in rows {
-        assert_eq!(row.len(), y.len(), "uniform_mix_into length mismatch");
+        assert_eq!(row.len(), y.len(), "uniform_mix_in_place length mismatch");
     }
     match rows {
-        [] => {
-            for (v, &o) in y.iter_mut().zip(own) {
-                *v = w * o;
-            }
-        }
         [r0] => {
-            for ((v, &o), &a) in y.iter_mut().zip(own).zip(*r0) {
-                *v = w * o + w * a;
+            for (v, &a) in y.iter_mut().zip(*r0) {
+                *v = w * *v + w * a;
             }
         }
         [r0, r1] => {
-            for (((v, &o), &a), &b) in y.iter_mut().zip(own).zip(*r0).zip(*r1) {
-                *v = (w * o + w * a) + w * b;
+            for ((v, &a), &b) in y.iter_mut().zip(*r0).zip(*r1) {
+                *v = (w * *v + w * a) + w * b;
             }
         }
         _ => {
-            for (k, (v, &o)) in y.iter_mut().zip(own).enumerate() {
-                let mut acc = w * o;
+            for (k, v) in y.iter_mut().enumerate() {
+                let mut acc = w * *v;
                 for row in rows {
                     acc += w * row[k];
                 }

@@ -110,11 +110,11 @@ impl SharingPolicy {
 ///   pool: between rounds the client holds no aggregate.
 /// * **Gossip:** `draw_agg` once at construction (each node keeps its own
 ///   aggregate for the whole run), then per round `lend_snapshot` (push the
-///   pre-round model), then
-///   `merge_agg` (rebuild the aggregate from the pushed parameters and the
-///   neighbors' models), then `train_local`. Between the two hooks the
-///   participant's own aggregate may sit in the pushed model; nothing reads
-///   [`Participant::agg`] in that window.
+///   pre-round model), then `merge_agg` (take the pushed parameters back
+///   and rebuild the aggregate from them and the neighbors' models), then
+///   `train_local`. A lender's aggregate buffer sits in its push between the
+///   two hooks, and gossip calls `merge_agg` only once the push's receiver
+///   has read it; nothing reads [`Participant::agg`] in that window.
 pub trait Participant: Send + Sync {
     /// The participant's user id.
     fn user(&self) -> UserId;
@@ -186,12 +186,12 @@ pub trait Participant: Send + Sync {
     /// participant *lent* its aggregate to it.
     ///
     /// A lending implementation swaps its aggregate buffer with `slot.agg`
-    /// (a recycled buffer, resized to [`Participant::agg_len`] first)
-    /// instead of copying it, and copies only the owner embedding. Its own
-    /// aggregate is then unspecified until [`Participant::merge_agg`]
-    /// rebuilds it from the lent parameters, so the pushed model is the only
-    /// copy of them. [`Participant::evaluate_model`] may run in that window
-    /// and must not read the own aggregate.
+    /// (which gossip hands over empty) instead of copying it, and copies
+    /// only the owner embedding. The push then holds the node's only copy of
+    /// its parameters, and the node holds no aggregate until
+    /// [`Participant::merge_agg`] takes the buffer back.
+    /// [`Participant::evaluate_model`] may run in that window and must not
+    /// read the own aggregate.
     ///
     /// The default copies through [`Participant::snapshot_into`] and returns
     /// `false`.
@@ -200,27 +200,32 @@ pub trait Participant: Send + Sync {
         false
     }
 
-    /// Rebuilds the aggregate after a gossip push.
+    /// Takes a gossip push back and rebuilds the aggregate.
     ///
-    /// `own` holds the clean parameters pushed by
-    /// [`Participant::lend_snapshot`] (before any DP rewrite), `others` the
-    /// neighbors' models received since the node last merged, in delivery
-    /// order. With mail, the aggregate
-    /// becomes the uniform mean of `own` and `others` (line 7 of the paper's
-    /// Algorithm 2, [`crate::kernel::uniform_mix_into`]), with the same
-    /// Share-less reference bookkeeping as [`Participant::absorb_agg`].
-    /// Without mail the node keeps its parameters: a lender copies `own`
-    /// back with no bookkeeping.
+    /// `pushed` is the aggregate buffer [`Participant::lend_snapshot`] filled,
+    /// as its receiver read it: gossip calls this hook only after that
+    /// receiver has merged. `clean` holds the pushed parameters before the
+    /// DP rewrite when DP rewrote the push, and is `None` otherwise. `mail`
+    /// holds the neighbors' models received since the node last merged, in
+    /// delivery order. With mail, the aggregate becomes the uniform mean of
+    /// the clean parameters and `mail` (line 7 of the paper's Algorithm 2),
+    /// with the same Share-less reference bookkeeping as
+    /// [`Participant::absorb_agg`]. Without mail the node keeps its clean
+    /// parameters, with no bookkeeping.
     ///
-    /// The default pairs with the copying `lend_snapshot`: it does nothing
-    /// without mail (the aggregate never left), and otherwise materializes
-    /// the mean and absorbs it.
-    fn merge_agg(&mut self, own: &[f32], others: &[&[f32]]) {
-        if others.is_empty() {
+    /// A lender swaps `pushed` back into its aggregate, handing the empty
+    /// buffer back, copies `clean` over it under DP, and with mail mixes in
+    /// place ([`crate::kernel::uniform_mix_in_place`]).
+    ///
+    /// The default pairs with the copying `lend_snapshot` and leaves `pushed`
+    /// alone: it does nothing without mail (the aggregate never left), and
+    /// otherwise materializes the mean and absorbs it.
+    fn merge_agg(&mut self, pushed: &mut Vec<f32>, clean: Option<&[f32]>, mail: &[&[f32]]) {
+        if mail.is_empty() {
             return;
         }
-        let mut mixed = vec![0.0f32; own.len()];
-        crate::kernel::uniform_mix_into(&mut mixed, own, others);
+        let mut mixed = clean.unwrap_or(pushed).to_vec();
+        crate::kernel::uniform_mix_in_place(&mut mixed, mail);
         self.absorb_agg(&mixed);
     }
 

@@ -173,16 +173,16 @@ proptest! {
         }
     }
 
-    // ---- Gossip merge: bitwise against the in-place fold it replaced ----
+    // ---- Gossip merge: bitwise against a naive scale-then-axpy reference ----
 
     #[test]
-    fn uniform_mix_into_matches_copy_then_in_place_fold_bitwise(
+    fn uniform_mix_in_place_matches_the_naive_fold_bitwise(
         len in 0usize..40,
-        num_rows in 1usize..6,
+        num_rows in 0usize..6,
         special_every in 0u32..4,
         seed in any::<u64>(),
     ) {
-        // Lengths straddle the 8-lane width; 1–5 rows cover the kernel's
+        // Lengths straddle the 8-lane width; 0–5 rows cover the kernel's
         // one-row, two-row and general arms. DP-destroyed models carry NaN
         // and ±inf coordinates, sprinkled in (densely when `special_every`
         // is 1).
@@ -203,19 +203,20 @@ proptest! {
         let rows: Vec<Vec<f32>> = (0..num_rows).map(|_| draw(&mut rng)).collect();
         let row_refs: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
 
-        // The naive reference: copy `own`, then the old in-place fold
-        // `(w·y + w·r₁) + w·r₂ + …` one coordinate at a time.
+        // The naive reference: `scale` then one `axpy` per row, a whole pass
+        // each, `(w·y + w·r₁) + w·r₂ + …`.
         let w = 1.0 / (num_rows + 1) as f32;
         let mut expected = own.clone();
-        for (k, v) in expected.iter_mut().enumerate() {
-            let mut acc = w * *v;
-            for row in &rows {
-                acc += w * row[k];
-            }
-            *v = acc;
+        for v in &mut expected {
+            *v *= w;
         }
-        let mut got = vec![0.0f32; len];
-        kernel::uniform_mix_into(&mut got, &own, &row_refs);
+        for row in &rows {
+            for (v, &r) in expected.iter_mut().zip(row) {
+                *v += w * r;
+            }
+        }
+        let mut got = own.clone();
+        kernel::uniform_mix_in_place(&mut got, &row_refs);
         for (k, (g, e)) in got.iter().zip(&expected).enumerate() {
             prop_assert!(
                 g.to_bits() == e.to_bits() || (g.is_nan() && e.is_nan()),
@@ -225,9 +226,9 @@ proptest! {
     }
 
     #[test]
-    fn uniform_mix_into_without_rows_copies_own(own in anyvec(33)) {
-        let mut y = vec![f32::NAN; own.len()];
-        kernel::uniform_mix_into(&mut y, &own, &[]);
+    fn uniform_mix_in_place_without_rows_keeps_y(own in anyvec(33)) {
+        let mut y = own.clone();
+        kernel::uniform_mix_in_place(&mut y, &[]);
         prop_assert_eq!(y, own);
     }
 
@@ -374,7 +375,8 @@ fn factor_sparse_accumulate_matches_the_dense_default_bitwise() {
                     let mut slot =
                         SharedModel { owner: a.user(), round: 0, owner_emb: None, agg: Vec::new() };
                     a.lend_snapshot(1, &mut slot);
-                    a.merge_agg(&slot.agg, &[b.agg(), c.agg()]);
+                    a.merge_agg(&mut slot.agg, None, &[b.agg(), c.agg()]);
+                    assert!(slot.agg.is_empty(), "{label}: the merge left a buffer in the push");
                     let merged = a.agg().to_vec();
                     a.train_local(&mut rng);
                     assert_sparse_accumulate_is_dense(&*a, &merged, &format!("{label} merge"));

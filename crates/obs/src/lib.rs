@@ -11,7 +11,8 @@
 //!   counters (clients trained, bytes on the wire, bytes materialized, …).
 //!   Counters are plain atomics: always on, safe to bump from parallel
 //!   training workers, and deterministic for deterministic workloads —
-//!   all but `fold_wait_us`, which counts waited microseconds.
+//!   all but `fold_wait_us` and `merge_wait_us`, which count waited
+//!   microseconds.
 //! * **Histograms** — fixed log₂-bucket latency histograms ([`Metric`],
 //!   [`Histogram`]): bucket edges are powers of two, so bucket assignment is
 //!   deterministic and merging is a bucket-wise add (associative and
@@ -53,24 +54,30 @@ pub enum Counter {
     InboxDeliveries = 3,
     /// Bytes of model state memcpy'd by a protocol round: FedAvg snapshot
     /// refills; in gossip, pushes that copy instead of lending, held copies
-    /// for asleep receivers, lenders with no mail taking their parameters
-    /// back, and the DP transform's clean-vector copies.
+    /// for asleep receivers, one copied push per cycle of the round's send
+    /// graph, the DP transform's clean-vector copies, and DP lenders with no
+    /// mail copying their clean parameters back.
     BytesCopied = 4,
     /// Microseconds FedAvg's training workers spent waiting for their turn
     /// to fold a finished block into the round's aggregate. Unlike the
     /// others this is a wall-clock reading: timing-class, like spans.
     FoldWaitMicros = 5,
+    /// Microseconds gossip nodes spent waiting for their push's receiver to
+    /// merge before taking the pushed buffer back. A wall-clock reading,
+    /// timing-class like `fold_wait_us`.
+    MergeWaitMicros = 6,
 }
 
 impl Counter {
     /// Every counter, in registry order.
-    pub const ALL: [Counter; 6] = [
+    pub const ALL: [Counter; 7] = [
         Counter::ClientsTrained,
         Counter::BytesOnWire,
         Counter::BytesMaterialized,
         Counter::InboxDeliveries,
         Counter::BytesCopied,
         Counter::FoldWaitMicros,
+        Counter::MergeWaitMicros,
     ];
 
     /// The counter's stable snake_case name (JSONL / trace-file key).
@@ -82,6 +89,7 @@ impl Counter {
             Counter::InboxDeliveries => "inbox_deliveries",
             Counter::BytesCopied => "bytes_copied",
             Counter::FoldWaitMicros => "fold_wait_us",
+            Counter::MergeWaitMicros => "merge_wait_us",
         }
     }
 }

@@ -33,7 +33,7 @@
 #![forbid(unsafe_code)]
 
 use cia_data::presets::Scale;
-use cia_scenarios::runner::{run_scenario, validate_jsonl, RunOptions, ScenarioOutcome};
+use cia_scenarios::runner::{run_scenarios, validate_jsonl, RunOptions};
 use cia_scenarios::spec::{named_suite, BUILTIN_SUITES};
 use cia_scenarios::{chrome_trace, render_report, summarize, validate_chrome_trace, SuiteSpec};
 use std::io::Write;
@@ -183,9 +183,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             &mut lock
         }
     };
-    let mut outcomes: Vec<ScenarioOutcome> = Vec::new();
-    for spec in &scenarios {
-        let outcome = run_scenario(spec, &suite.name, &args.opts, sink)?;
+    let outcomes = run_scenarios(&scenarios, &suite.name, &args.opts, sink, |outcome| {
         if outcome.skipped {
             eprintln!(
                 "[{}] already completed — skipping (records already in the stream)",
@@ -213,8 +211,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
                 outcome.name, outcome.rounds_done
             );
         }
-        outcomes.push(outcome);
-    }
+    })?;
     if let Some(path) = &args.trace_out {
         let doc = chrome_trace(&outcomes);
         std::fs::write(path, doc.render())

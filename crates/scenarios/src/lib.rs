@@ -56,7 +56,9 @@ pub use dynamics::{DynamicsState, FlDynamics, GlDynamics, ParticipantDynamics};
 pub use mem::peak_rss_bytes;
 pub use placement::{PlacementEngine, PlacementObserver, PlacementState};
 pub use report::{render as render_report, summarize, PhaseStat, ScenarioReport};
-pub use runner::{run_quiet, run_scenario, run_suite, RunOptions, RunResult, ScenarioOutcome};
+pub use runner::{
+    run_quiet, run_scenario, run_scenarios, run_suite, RunOptions, RunResult, ScenarioOutcome,
+};
 pub use setup::{build_setup, try_build_setup, validate_scale_params, RecsysSetup};
 pub use spec::{
     adaptive_sybils_suite, builtin_suite, defense_dynamics_grid_suite, named_suite,

@@ -44,6 +44,7 @@ use cia_core::{
     AttackOutcome, CiaConfig, FlCia, GlCiaAllPlacements, GlCiaCoalition, ItemSetEvaluator,
     Recorder, RoundPoint, TopK, TraceChunk,
 };
+use cia_data::presets::{Preset, Scale};
 use cia_defenses::{DpConfig, DpMechanism};
 use cia_federated::{FedAvg, FedAvgConfig};
 use cia_gossip::{GossipConfig, GossipObserver, GossipProtocol, GossipSim};
@@ -148,9 +149,33 @@ pub fn run_suite(
     sink: &mut dyn Write,
 ) -> Result<Vec<ScenarioOutcome>, String> {
     let scenarios = suite.expanded()?;
+    run_scenarios(&scenarios, &suite.name, opts, sink, |_| {})
+}
+
+/// Runs `scenarios` of suite `suite` in order, streaming records into `sink`
+/// and handing each outcome to `done` as it finishes.
+///
+/// A scenario whose setup key (preset, scale, K override, seed) equals the
+/// previous scenario's runs on that scenario's dataset, split and ground
+/// truth instead of building them again; its `setup_us` then reads 0 for
+/// those stages. Nothing is kept once the call returns.
+///
+/// # Errors
+///
+/// Returns the first spec validation, I/O or checkpoint error.
+pub fn run_scenarios(
+    scenarios: &[ScenarioSpec],
+    suite: &str,
+    opts: &RunOptions,
+    sink: &mut dyn Write,
+    mut done: impl FnMut(&ScenarioOutcome),
+) -> Result<Vec<ScenarioOutcome>, String> {
+    let mut last = None;
     let mut outcomes = Vec::with_capacity(scenarios.len());
-    for spec in &scenarios {
-        outcomes.push(run_scenario(spec, &suite.name, opts, sink)?);
+    for spec in scenarios {
+        let outcome = run_reusing(spec, suite, opts, sink, &mut last)?;
+        done(&outcome);
+        outcomes.push(outcome);
     }
     Ok(outcomes)
 }
@@ -165,6 +190,22 @@ pub fn run_scenario(
     suite: &str,
     opts: &RunOptions,
     sink: &mut dyn Write,
+) -> Result<ScenarioOutcome, String> {
+    run_reusing(spec, suite, opts, sink, &mut None)
+}
+
+/// What a scenario's setup is a pure function of: preset, scale, K override
+/// and seed.
+type SetupKey = (Preset, Scale, Option<usize>, u64);
+
+/// [`run_scenario`] on the setup in `last` when its key matches, else on a
+/// new one; `last` then holds the setup this scenario ran on.
+fn run_reusing(
+    spec: &ScenarioSpec,
+    suite: &str,
+    opts: &RunOptions,
+    sink: &mut dyn Write,
+    last: &mut Option<(SetupKey, RecsysSetup)>,
 ) -> Result<ScenarioOutcome, String> {
     spec.validate()?;
     // cia-lint: allow(D02, feeds only the timing-gated elapsed_ms fields and the printed summary; --no-timing never reads it)
@@ -188,13 +229,20 @@ pub fn run_scenario(
             ..outcome
         });
     }
-    let setup =
-        try_build_setup_traced(spec.preset, spec.scale, spec.k_override, spec.seed, &ctx.rec)
-            .map_err(|e| format!("{}: {e}", spec.name))?;
+    let key = (spec.preset, spec.scale, spec.k_override, spec.seed);
+    // A setup under another key is dropped here, before the new one is built.
+    let setup = match last.take().filter(|(k, _)| *k == key) {
+        Some((_, setup)) => setup,
+        None => {
+            try_build_setup_traced(spec.preset, spec.scale, spec.k_override, spec.seed, &ctx.rec)
+                .map_err(|e| format!("{}: {e}", spec.name))?
+        }
+    };
     let mut outcome = match spec.model {
         ModelKind::Gmf => run_gmf(&ctx, &setup, sink),
         ModelKind::Prme => run_prme(&ctx, &setup, sink),
     }?;
+    *last = Some((key, setup));
     outcome.elapsed = start.elapsed();
     Ok(outcome)
 }

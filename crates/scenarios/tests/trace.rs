@@ -5,7 +5,8 @@
 //!   `trace` records — the determinism contract survives instrumentation;
 //! * timed streams carry schema-valid `trace` records whose named phases
 //!   cover the round wall-clock, and each scenario summary carries its
-//!   setup stages as `setup_us`, which untimed streams never see;
+//!   setup stages as `setup_us`, which untimed streams never see, and a
+//!   suite builds each shared setup once;
 //! * the registry-backed `bytes_materialized` values are bit-identical to
 //!   the pre-registry baseline captured from the old ad-hoc plumbing;
 //! * after a kill/resume, trace records cover only post-resume rounds
@@ -46,6 +47,7 @@ fn no_timing_streams_are_byte_identical_and_trace_free() {
     let text = String::from_utf8(a).unwrap();
     assert!(!text.contains("\"type\":\"trace\""), "untimed stream leaked trace records");
     assert!(!text.contains("fold_wait_us"), "untimed stream leaked the fold wait");
+    assert!(!text.contains("merge_wait_us"), "untimed stream leaked the merge wait");
     assert!(!text.contains("setup_us"), "untimed stream leaked the setup timings");
     // The recorder still ran: every outcome drained per-round chunks with
     // spans in them (rounds + the final utility pass).
@@ -92,6 +94,31 @@ fn timed_streams_carry_schema_valid_trace_records_with_phase_coverage() {
         assert_eq!(stages, ["generate", "split", "ground_truth", "clients"], "{}", r.scenario);
         assert!(r.setup_us.iter().any(|&(_, us)| us > 0), "{}: setup untimed", r.scenario);
     }
+}
+
+#[test]
+fn a_suite_builds_each_setup_once_and_keeps_none_past_the_run() {
+    let suite = builtin_suite(Scale::Smoke, 42);
+    let specs = suite.expanded().unwrap();
+    let key = |i: usize| (specs[i].preset, specs[i].scale, specs[i].k_override, specs[i].seed);
+    assert!((1..specs.len()).all(|i| key(i) == key(0)), "the builtin scenarios share one setup");
+    let opts = RunOptions { timing: true, ..RunOptions::default() };
+    let generate_us = |text: Vec<u8>| -> Vec<u64> {
+        let reports = summarize(&String::from_utf8(text).unwrap()).unwrap();
+        reports
+            .iter()
+            .map(|r| r.setup_us.iter().find(|(s, _)| s == "generate").unwrap().1)
+            .collect()
+    };
+    let mut buf = Vec::new();
+    run_suite(&suite, &opts, &mut buf).unwrap();
+    let suite_us = generate_us(buf);
+    assert!(suite_us[0] > 0, "the first scenario builds the setup");
+    assert!(suite_us[1..].iter().all(|&us| us == 0), "later scenarios reuse it: {suite_us:?}");
+    // A scenario run on its own after the suite builds its setup again.
+    let mut buf = Vec::new();
+    run_scenario(&specs[1], &suite.name, &opts, &mut buf).unwrap();
+    assert!(generate_us(buf)[0] > 0, "a setup outlived its suite");
 }
 
 #[test]

@@ -4,8 +4,8 @@
 # against the record schema, exercises a sweep-expanded suite and a
 # defense × dynamics grid cell, proves kill/resume equality on a built-in
 # gossip scenario, a sweep-expanded FL one and the FL Share-less grid cell,
-# and checks three paper-scale transcripts against their recorded md5s. Part
-# of the verify flow; see ROADMAP.md.
+# and checks four paper-scale transcripts (three FL, one gossip) against
+# their recorded md5s. Part of the verify flow; see ROADMAP.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -82,10 +82,12 @@ fi
 # round or momentum-fold change that moves a paper result fails here, not
 # only in the smoke goldens. They run with whatever CIA_THREADS is set: the
 # transcripts are the same for every thread count.
+# paper_md5 SUITE NAME MD5 [EXTRA ARGS...]: extra arguments go to `scenario run`.
 paper_md5() {
     local suite=$1 name=$2 want=$3 got
+    shift 3
     scenario run --suite "$suite" --scale paper --seed 42 --only "$name" \
-        --out "$out/paper-$name.jsonl" --no-timing
+        --out "$out/paper-$name.jsonl" --no-timing "$@"
     got=$(md5sum "$out/paper-$name.jsonl" | cut -d' ' -f1)
     if [ "$got" != "$want" ]; then
         echo "paper $name transcript moved: md5 $got, recorded $want" >&2
@@ -101,5 +103,9 @@ echo "== paper-scale determinism: shareless-x-churn"
 paper_md5 defense-dynamics-grid shareless-x-churn 73277ee0cb22b9b6b9e915aa456e3cb0
 echo "== paper-scale determinism: dp10-x-churn"
 paper_md5 defense-dynamics-grid dp10-x-churn 24b1e668afa9852548b0d11852a51b09
+# The gossip round: pushes lent to their receivers, merged in receiver-first
+# order with one copy per cycle of the send graph.
+echo "== paper-scale determinism: colluding-sybils (300 rounds)"
+paper_md5 builtin colluding-sybils 3f05c51a0f6ab1383e1bba47c3af1814 --stop-after 300
 
 echo "scenario smoke OK"
