@@ -878,6 +878,12 @@ fn emit_round_eval(
     // rather than written as a `0.0` sentinel (which would read as perfect
     // convergence and deflate report-level loss means).
     if let Some(loss) = step.mean_loss {
+        // `fmt_f64` would write a non-finite loss as `null`, a record
+        // `validate_jsonl` refuses: stop the run instead.
+        if !loss.is_finite() {
+            let (name, round) = (&ctx.spec.name, p.round);
+            return Err(format!("{name}: round {round}: training loss {loss} is not finite"));
+        }
         b = b.num("mean_loss", f64::from(loss));
     }
     if ctx.opts.timing {

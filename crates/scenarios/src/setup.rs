@@ -74,7 +74,8 @@ pub fn validate_scale_params(
 ///
 /// # Errors
 ///
-/// Returns a description of the first scale-parameter/generator mismatch.
+/// Returns a description of the first scale-parameter/generator mismatch,
+/// or of a community size `K` outside `[1, n − 2]` for the `n` users.
 pub fn try_build_setup(
     preset: Preset,
     scale: Scale,
@@ -106,7 +107,11 @@ pub(crate) fn try_build_setup_traced(
         LeaveOneOut::with_holdout(&data, holdout, params.eval_negatives, seed ^ 0x5EED)
             .map_err(|e| format!("{} at scale {scale} cannot be split: {e}", preset.name()))?
     };
-    let k = k_override.unwrap_or(params.k).min(data.num_users().saturating_sub(2)).max(1);
+    let (n, k) = (data.num_users(), k_override.unwrap_or(params.k));
+    let max_k = n.saturating_sub(2);
+    if !(1..=max_k).contains(&k) {
+        return Err(format!("k {k} must lie in [1, {max_k}] for a population of {n} users"));
+    }
     let truth = {
         let _truth = rec.span("ground_truth");
         GroundTruth::from_train_sets(split.train_sets(), k)
@@ -123,8 +128,8 @@ pub(crate) const SETUP_STAGES: [&str; 4] = ["generate", "split", "ground_truth",
 /// # Panics
 ///
 /// Panics if the scale parameters don't fit the generated dataset — the
-/// built-in presets always do; use [`try_build_setup`] for inputs that
-/// aren't known-good.
+/// built-in presets always do — or `k_override` is out of range; use
+/// [`try_build_setup`] for inputs that aren't known-good.
 pub fn build_setup(
     preset: Preset,
     scale: Scale,

@@ -370,8 +370,10 @@ impl ScenarioSpec {
         if self.name.is_empty() {
             return Err("scenario name must be non-empty".to_string());
         }
-        if !(0.0..=1.0).contains(&f64::from(self.beta)) {
-            return Err(format!("{}: beta must be in [0, 1]", self.name));
+        for f in &FIELDS {
+            if let Some(want) = (f.get)(self).and_then(|x| f.range.refuse(x)) {
+                return Err(format!("{}: {} must be {want}", self.name, f.split().1));
+            }
         }
         match self.defense {
             DefenseKind::ShareLess { tau } if !(tau > 0.0 && tau.is_finite()) => {
@@ -395,36 +397,18 @@ impl ScenarioSpec {
                 self.preset.name()
             ));
         }
-        for (label, p) in [
-            ("leave_prob", d.leave_prob),
-            ("join_prob", d.join_prob),
-            ("straggler_fraction", d.straggler_fraction),
-        ] {
-            if !(0.0..=1.0).contains(&p) {
-                return Err(format!("{}: {label} must be in [0, 1]", self.name));
-            }
-        }
-        for (label, p) in [("initial_online", d.initial_online), ("participation", d.participation)]
-        {
-            if !(p > 0.0 && p <= 1.0) {
-                return Err(format!("{}: {label} must be in (0, 1]", self.name));
-            }
-        }
         if d.leave_prob > 0.0 && d.join_prob == 0.0 {
             return Err(format!(
                 "{}: leave_prob > 0 with join_prob = 0 drains the population",
                 self.name
             ));
         }
-        if !d.straggler_mean_delay.is_finite() {
-            return Err(format!("{}: straggler_mean_delay must be finite", self.name));
-        }
         if d.straggler_fraction > 0.0 && d.straggler_mean_delay < 1.0 {
             return Err(format!("{}: straggler_mean_delay must be ≥ 1 round", self.name));
         }
         if d.sybils > 0 && !self.protocol.is_gossip() {
             return Err(format!(
-                "{}: sybil coalitions need a gossip protocol (the FL adversary is the server)",
+                "{}: dynamics.sybils needs a gossip protocol (the FL adversary is the server)",
                 self.name
             ));
         }
@@ -437,7 +421,8 @@ impl ScenarioSpec {
             }
             if d.placement_warmup == 0 {
                 return Err(format!(
-                    "{}: adaptive placement needs a warm-up window of at least one round",
+                    "{}: adaptive placement needs a warm-up window of at least one round \
+                     (dynamics.placement_warmup)",
                     self.name
                 ));
             }
@@ -497,157 +482,55 @@ impl ScenarioSpec {
     ///
     /// Returns a description of the first malformed or unknown field.
     pub fn from_json(v: &Json, default_scale: Scale, default_seed: u64) -> Result<Self, String> {
-        let name = v
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("scenario needs a string `name`")?
-            .to_string();
-        let fail = |msg: &str| format!("scenario `{name}`: {msg}");
-        check_keys(
-            v,
-            &[
-                "name", "preset", "model", "protocol", "defense", "beta", "k", "scale", "seed",
-                "dynamics",
-            ],
-            &format!("scenario `{name}`"),
-        )?;
+        let name = parse_str(Some(v), "name", "scenario", |s| Some(s.to_string()))?
+            .ok_or("scenario needs a string `name`")?;
+        let ctx = format!("scenario `{name}`");
+        let fail = |msg: &str| format!("{ctx}: {msg}");
+        let top = ["name", "preset", "model", "protocol", "defense", "scale", "dynamics"];
+        check_keys(v, "", &top, &ctx)?;
         if let Some(d) = v.get("defense") {
-            check_keys(d, &["kind", "tau", "epsilon"], &format!("scenario `{name}` defense"))?;
+            check_keys(d, "defense", &["kind"], &format!("{ctx} defense"))?;
         }
         if let Some(d) = v.get("dynamics") {
-            check_keys(
-                d,
-                &[
-                    "leave_prob",
-                    "join_prob",
-                    "initial_online",
-                    "straggler_fraction",
-                    "straggler_mean_delay",
-                    "participation",
-                    "sybils",
-                    "placement",
-                    "placement_warmup",
-                ],
-                &format!("scenario `{name}` dynamics"),
-            )?;
+            check_keys(d, "dynamics", &["placement"], &format!("{ctx} dynamics"))?;
         }
-        // Every reader distinguishes *absent* (take the default) from
-        // *present but mistyped/unrepresentable* (error) — a spec that names
-        // a field gets exactly that field or a diagnostic, never a silent
-        // default.
-        let str_field = |key: &str| -> Result<Option<&str>, String> {
-            match v.get(key) {
-                None => Ok(None),
-                Some(x) => {
-                    x.as_str().map(Some).ok_or_else(|| fail(&format!("`{key}` must be a string")))
-                }
-            }
+        let preset = parse_str(Some(v), "preset", &ctx, parse_preset)?.unwrap_or(Preset::MovieLens);
+        let model = parse_str(Some(v), "model", &ctx, ModelKind::parse)?.unwrap_or(ModelKind::Gmf);
+        let protocol =
+            parse_str(Some(v), "protocol", &ctx, ProtocolKind::parse)?.unwrap_or(ProtocolKind::Fl);
+        let scale = parse_str(Some(v), "scale", &ctx, Scale::parse)?.unwrap_or(default_scale);
+        // A defense's numeric knob is read from the field table below: a
+        // share-less τ that is still NaN after the walk was never given.
+        let defense = parse_str(v.get("defense"), "kind", &ctx, |kind| match kind {
+            "none" => Some(DefenseKind::None),
+            "share-less" | "shareless" => Some(DefenseKind::ShareLess { tau: f32::NAN }),
+            "dp" => Some(DefenseKind::Dp { epsilon: None }),
+            _ => None,
+        })?;
+        let placement = parse_str(v.get("dynamics"), "placement", &ctx, PlacementStrategy::parse)?
+            .unwrap_or(PlacementStrategy::Static);
+        let mut spec = ScenarioSpec {
+            name: name.clone(),
+            defense: defense.unwrap_or(DefenseKind::None),
+            seed: default_seed,
+            dynamics: DynamicsSpec { placement, ..DynamicsSpec::default() },
+            ..ScenarioSpec::new(preset, model, protocol, scale)
         };
-        let int_field = |obj: &Json, key: &str, label: &str| -> Result<Option<u64>, String> {
-            match obj.get(key) {
-                None => Ok(None),
-                Some(x) => x
-                    .as_u64()
-                    .map(Some)
-                    .ok_or_else(|| fail(&format!("{label}`{key}` must be an integer below 2^53"))),
-            }
-        };
-        let num_field = |obj: &Json, key: &str, label: &str| -> Result<Option<f64>, String> {
-            match obj.get(key) {
-                None => Ok(None),
-                Some(x) => x
-                    .as_f64()
-                    .map(Some)
-                    .ok_or_else(|| fail(&format!("{label}`{key}` must be a number"))),
-            }
-        };
-        let preset = match str_field("preset")? {
-            Some(s) => parse_preset(s).ok_or_else(|| fail("unknown `preset`"))?,
-            None => Preset::MovieLens,
-        };
-        let model = match str_field("model")? {
-            Some(s) => ModelKind::parse(s).ok_or_else(|| fail("unknown `model`"))?,
-            None => ModelKind::Gmf,
-        };
-        let protocol = match str_field("protocol")? {
-            Some(s) => ProtocolKind::parse(s).ok_or_else(|| fail("unknown `protocol`"))?,
-            None => ProtocolKind::Fl,
-        };
-        let defense = match v.get("defense") {
-            None => DefenseKind::None,
-            Some(d) => {
-                let kind = match d.get("kind") {
-                    None => "none",
-                    Some(x) => x.as_str().ok_or_else(|| fail("defense `kind` must be a string"))?,
-                };
-                match kind {
-                    "none" => DefenseKind::None,
-                    "share-less" | "shareless" => DefenseKind::ShareLess {
-                        tau: d
-                            .get("tau")
-                            .and_then(Json::as_f64)
-                            .ok_or_else(|| fail("share-less defense needs `tau`"))?
-                            as f32,
-                    },
-                    "dp" => DefenseKind::Dp {
-                        epsilon: match d.get("epsilon") {
-                            None => None,
-                            Some(e) if e.is_null() => None,
-                            Some(e) => {
-                                Some(e.as_f64().ok_or_else(|| fail("`epsilon` must be numeric"))?)
-                            }
-                        },
-                    },
-                    _ => return Err(fail("unknown defense `kind`")),
-                }
-            }
-        };
-        let scale = match str_field("scale")? {
-            Some(s) => Scale::parse(s).ok_or_else(|| fail("unknown `scale`"))?,
-            None => default_scale,
-        };
-        let dynamics = match v.get("dynamics") {
-            None => DynamicsSpec::default(),
-            Some(d) => {
-                let base = DynamicsSpec::default();
-                let f = |key: &str, dflt: f64| -> Result<f64, String> {
-                    Ok(num_field(d, key, "dynamics ")?.unwrap_or(dflt))
-                };
-                DynamicsSpec {
-                    leave_prob: f("leave_prob", base.leave_prob)?,
-                    join_prob: f("join_prob", base.join_prob)?,
-                    initial_online: f("initial_online", base.initial_online)?,
-                    straggler_fraction: f("straggler_fraction", base.straggler_fraction)?,
-                    straggler_mean_delay: f("straggler_mean_delay", base.straggler_mean_delay)?,
-                    participation: f("participation", base.participation)?,
-                    sybils: int_field(d, "sybils", "dynamics ")?.unwrap_or(0) as usize,
-                    placement: match d.get("placement") {
-                        None => base.placement,
-                        Some(x) => {
-                            let s = x
-                                .as_str()
-                                .ok_or_else(|| fail("dynamics `placement` must be a string"))?;
-                            PlacementStrategy::parse(s)
-                                .ok_or_else(|| fail("unknown dynamics `placement`"))?
-                        }
-                    },
-                    placement_warmup: int_field(d, "placement_warmup", "dynamics ")?
-                        .unwrap_or(base.placement_warmup),
-                }
-            }
-        };
-        let spec = ScenarioSpec {
-            preset,
-            model,
-            protocol,
-            defense,
-            beta: num_field(v, "beta", "")?.unwrap_or(0.99) as f32,
-            k_override: int_field(v, "k", "")?.map(|k| k as usize),
-            scale,
-            seed: int_field(v, "seed", "")?.unwrap_or(default_seed),
-            dynamics,
-            name,
-        };
+        for f in &FIELDS {
+            let (block, key) = f.split();
+            let obj = if block.is_empty() { Some(v) } else { v.get(block) };
+            let Some(x) = obj.and_then(|o| o.get(key)) else { continue };
+            // `fmt_f64` renders a non-finite number as `null`: it reads back
+            // as +∞ (for `defense.epsilon`, ε = ∞).
+            let value = match x {
+                Json::Null => f64::INFINITY,
+                _ => x.as_f64().ok_or_else(|| fail(&f.type_error()))?,
+            };
+            f.apply(&mut spec, value).map_err(|e| fail(&e))?;
+        }
+        if matches!(spec.defense, DefenseKind::ShareLess { tau } if tau.is_nan()) {
+            return Err(fail("share-less defense needs `tau`"));
+        }
         spec.validate()?;
         Ok(spec)
     }
@@ -670,17 +553,34 @@ pub(crate) fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
     h
 }
 
-/// Rejects keys outside the schema — declarative configs must fail loudly
-/// on typos, not silently fall back to defaults.
-fn check_keys(v: &Json, allowed: &[&str], ctx: &str) -> Result<(), String> {
-    if let Json::Obj(pairs) = v {
-        for (k, _) in pairs {
-            if !allowed.contains(&k.as_str()) {
-                return Err(format!("{ctx}: unknown key `{k}` (allowed: {})", allowed.join(", ")));
-            }
+/// Rejects a value that is not an object, and keys outside the schema —
+/// declarative configs must fail loudly on typos, not silently fall back to
+/// defaults. The schema is `fixed` plus the keys of the [`FIELDS`] under
+/// `block`: `""` for a scenario object, `"dynamics"` or `"defense"` for its
+/// blocks; no field lives under any other name.
+fn check_keys(v: &Json, block: &str, fixed: &[&str], ctx: &str) -> Result<(), String> {
+    let table = FIELDS.iter().map(Field::split).filter(|(b, _)| *b == block).map(|(_, key)| key);
+    let allowed: Vec<&str> = fixed.iter().copied().chain(table).collect();
+    let Json::Obj(pairs) = v else { return Err(format!("{ctx}: must be a JSON object")) };
+    for (k, _) in pairs {
+        if !allowed.contains(&k.as_str()) {
+            return Err(format!("{ctx}: unknown key `{k}` (allowed: {})", allowed.join(", ")));
         }
     }
     Ok(())
+}
+
+/// The string at `key` of `obj`, parsed by `parse`: `None` when absent, an
+/// error naming the key when it is not a string or does not parse.
+fn parse_str<T>(
+    obj: Option<&Json>,
+    key: &str,
+    ctx: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Option<T>, String> {
+    let Some(x) = obj.and_then(|o| o.get(key)) else { return Ok(None) };
+    let s = x.as_str().ok_or_else(|| format!("{ctx}: `{key}` must be a string"))?;
+    parse(s).map(Some).ok_or_else(|| format!("{ctx}: unknown `{key}`"))
 }
 
 fn parse_preset(s: &str) -> Option<Preset> {
@@ -692,87 +592,183 @@ fn parse_preset(s: &str) -> Option<Preset> {
     }
 }
 
-/// A scenario field a sweep may range over. Numeric values are applied
-/// through [`SweepField::apply`]; integer-valued fields reject fractional
-/// sweep values.
+/// The values a numeric field accepts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweepField {
-    /// `dynamics.participation` — the Fig. 1 axis (per-round sample size).
-    Participation,
-    /// `dynamics.leave_prob`.
-    LeaveProb,
-    /// `dynamics.join_prob`.
-    JoinProb,
-    /// `dynamics.initial_online`.
-    InitialOnline,
-    /// `dynamics.straggler_fraction`.
-    StragglerFraction,
-    /// `dynamics.straggler_mean_delay`.
-    StragglerMeanDelay,
-    /// `dynamics.sybils` (integer).
-    Sybils,
-    /// `dynamics.placement_warmup` (integer) — adaptive-placement bases.
-    PlacementWarmup,
-    /// Momentum coefficient `beta`.
-    Beta,
-    /// Community-size override `k` (integer).
-    K,
-    /// Master `seed` (integer) — repetition sweeps.
-    Seed,
-    /// `defense.tau` (requires a share-less defense on the base).
-    DefenseTau,
-    /// `defense.epsilon` (requires a DP defense on the base).
-    DefenseEpsilon,
+enum Range {
+    /// `[0, 1]`.
+    Unit,
+    /// `(0, 1]`.
+    OpenUnit,
+    /// Any finite number.
+    Finite,
+    /// An integer in `[0, 2^53)`, the range a JSON number holds exactly.
+    Count,
+    /// Checked by its own rule in [`ScenarioSpec::validate`] (τ, ε).
+    Own,
 }
 
-impl SweepField {
-    /// The canonical spelling used in suite documents.
-    pub fn name(self) -> &'static str {
+impl Range {
+    /// What `x` must be when it falls outside a float range; `None` when it
+    /// fits, and always for [`Range::Count`] and [`Range::Own`].
+    fn refuse(self, x: f64) -> Option<&'static str> {
         match self {
-            SweepField::Participation => "dynamics.participation",
-            SweepField::LeaveProb => "dynamics.leave_prob",
-            SweepField::JoinProb => "dynamics.join_prob",
-            SweepField::InitialOnline => "dynamics.initial_online",
-            SweepField::StragglerFraction => "dynamics.straggler_fraction",
-            SweepField::StragglerMeanDelay => "dynamics.straggler_mean_delay",
-            SweepField::Sybils => "dynamics.sybils",
-            SweepField::PlacementWarmup => "dynamics.placement_warmup",
-            SweepField::Beta => "beta",
-            SweepField::K => "k",
-            SweepField::Seed => "seed",
-            SweepField::DefenseTau => "defense.tau",
-            SweepField::DefenseEpsilon => "defense.epsilon",
+            Range::Unit if !(0.0..=1.0).contains(&x) => Some("in [0, 1]"),
+            Range::OpenUnit if !(x > 0.0 && x <= 1.0) => Some("in (0, 1]"),
+            Range::Finite if !x.is_finite() => Some("finite"),
+            _ => None,
         }
     }
+}
 
-    /// Parses a field path. The `dynamics.` prefix is optional for dynamics
-    /// fields but valid *only* for them — `dynamics.seed` must fail loudly,
-    /// not silently sweep the global seed.
-    pub fn parse(s: &str) -> Option<SweepField> {
-        fn dynamics_field(s: &str) -> Option<SweepField> {
-            match s {
-                "participation" => Some(SweepField::Participation),
-                "leave_prob" => Some(SweepField::LeaveProb),
-                "join_prob" => Some(SweepField::JoinProb),
-                "initial_online" => Some(SweepField::InitialOnline),
-                "straggler_fraction" => Some(SweepField::StragglerFraction),
-                "straggler_mean_delay" => Some(SweepField::StragglerMeanDelay),
-                "sybils" => Some(SweepField::Sybils),
-                "placement_warmup" => Some(SweepField::PlacementWarmup),
-                _ => None,
-            }
+/// One numeric scenario field: its document path, the values it accepts and
+/// how to read and write it on a [`ScenarioSpec`]. `from_json`, `validate`
+/// and [`SweepField`] all walk [`FIELDS`]; `to_json` writes each field by
+/// hand, because its key order is what [`ScenarioSpec::fingerprint`] hashes.
+struct Field {
+    /// `"<key>"` at the scenario's top level, `"<block>.<key>"` inside one.
+    path: &'static str,
+    range: Range,
+    /// The current value; `None` when the spec carries no such value.
+    get: fn(&ScenarioSpec) -> Option<f64>,
+    /// Writes the value; refuses a knob the spec's defense lacks.
+    set: fn(&mut ScenarioSpec, f64) -> Result<(), String>,
+}
+
+impl Field {
+    /// The path split into its block (`""` at the top level) and key.
+    fn split(&self) -> (&'static str, &'static str) {
+        self.path.split_once('.').unwrap_or(("", self.path))
+    }
+
+    fn type_error(&self) -> String {
+        let kind = if self.range == Range::Count { "an integer below 2^53" } else { "a number" };
+        format!("`{}` must be {kind}", self.path)
+    }
+
+    /// Writes `value`, refusing a count that is not an integer below 2^53
+    /// and a knob the spec's defense lacks, by the field's path.
+    fn apply(&self, spec: &mut ScenarioSpec, value: f64) -> Result<(), String> {
+        if self.range == Range::Count && Json::Num(value).as_u64().is_none() {
+            return Err(self.type_error());
         }
-        if let Some(rest) = s.strip_prefix("dynamics.") {
-            return dynamics_field(rest);
-        }
-        dynamics_field(s).or(match s {
-            "beta" => Some(SweepField::Beta),
-            "k" => Some(SweepField::K),
-            "seed" => Some(SweepField::Seed),
-            "defense.tau" | "tau" => Some(SweepField::DefenseTau),
-            "defense.epsilon" | "epsilon" => Some(SweepField::DefenseEpsilon),
+        (self.set)(spec, value).map_err(|e| format!("`{}` {e}", self.path))
+    }
+}
+
+/// Every numeric scenario field, each spelled once.
+// A setter assigns its slot inside `Ok(..)`: the assignment is the `()` it
+// returns, which `unit_arg` would otherwise flag in every row.
+#[allow(clippy::unit_arg)]
+const FIELDS: [Field; 13] = [
+    Field {
+        path: "dynamics.participation",
+        range: Range::OpenUnit,
+        get: |s| Some(s.dynamics.participation),
+        set: |s, v| Ok(s.dynamics.participation = v),
+    },
+    Field {
+        path: "dynamics.leave_prob",
+        range: Range::Unit,
+        get: |s| Some(s.dynamics.leave_prob),
+        set: |s, v| Ok(s.dynamics.leave_prob = v),
+    },
+    Field {
+        path: "dynamics.join_prob",
+        range: Range::Unit,
+        get: |s| Some(s.dynamics.join_prob),
+        set: |s, v| Ok(s.dynamics.join_prob = v),
+    },
+    Field {
+        path: "dynamics.initial_online",
+        range: Range::OpenUnit,
+        get: |s| Some(s.dynamics.initial_online),
+        set: |s, v| Ok(s.dynamics.initial_online = v),
+    },
+    Field {
+        path: "dynamics.straggler_fraction",
+        range: Range::Unit,
+        get: |s| Some(s.dynamics.straggler_fraction),
+        set: |s, v| Ok(s.dynamics.straggler_fraction = v),
+    },
+    Field {
+        path: "dynamics.straggler_mean_delay",
+        range: Range::Finite,
+        get: |s| Some(s.dynamics.straggler_mean_delay),
+        set: |s, v| Ok(s.dynamics.straggler_mean_delay = v),
+    },
+    Field {
+        path: "dynamics.sybils",
+        range: Range::Count,
+        get: |s| Some(s.dynamics.sybils as f64),
+        set: |s, v| Ok(s.dynamics.sybils = v as usize),
+    },
+    Field {
+        path: "dynamics.placement_warmup",
+        range: Range::Count,
+        get: |s| Some(s.dynamics.placement_warmup as f64),
+        set: |s, v| Ok(s.dynamics.placement_warmup = v as u64),
+    },
+    Field {
+        path: "beta",
+        range: Range::Unit,
+        get: |s| Some(f64::from(s.beta)),
+        set: |s, v| Ok(s.beta = v as f32),
+    },
+    Field {
+        path: "k",
+        range: Range::Count,
+        get: |s| s.k_override.map(|k| k as f64),
+        set: |s, v| Ok(s.k_override = Some(v as usize)),
+    },
+    Field {
+        path: "seed",
+        range: Range::Count,
+        get: |s| Some(s.seed as f64),
+        set: |s, v| Ok(s.seed = v as u64),
+    },
+    Field {
+        path: "defense.tau",
+        range: Range::Own,
+        get: |s| match s.defense {
+            DefenseKind::ShareLess { tau } => Some(f64::from(tau)),
             _ => None,
-        })
+        },
+        set: |s, v| match &mut s.defense {
+            DefenseKind::ShareLess { tau } => Ok(*tau = v as f32),
+            _ => Err("needs a share-less defense".to_string()),
+        },
+    },
+    Field {
+        path: "defense.epsilon",
+        range: Range::Own,
+        get: |s| if let DefenseKind::Dp { epsilon } = s.defense { epsilon } else { None },
+        // ε = +∞ is the noiseless `None`.
+        set: |s, v| match &mut s.defense {
+            DefenseKind::Dp { epsilon } => Ok(*epsilon = (v < f64::INFINITY).then_some(v)),
+            _ => Err("needs a DP defense".to_string()),
+        },
+    },
+];
+
+/// A numeric scenario field a sweep may range over: an index into the
+/// field table. Integer-valued fields reject fractional sweep values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SweepField(usize);
+
+impl SweepField {
+    /// The field's path, as suite documents spell it.
+    pub fn name(self) -> &'static str {
+        FIELDS[self.0].path
+    }
+
+    /// Parses a field path. A `dynamics.*` or `defense.*` field also answers
+    /// to its bare key, but a top-level field takes no prefix:
+    /// `dynamics.seed` must fail loudly, not silently sweep the global seed.
+    pub fn parse(s: &str) -> Option<SweepField> {
+        FIELDS
+            .iter()
+            .position(|f| f.path == s || f.path.contains('.') && f.split().1 == s)
+            .map(SweepField)
     }
 
     /// Writes `value` into the field of `spec`.
@@ -782,44 +778,7 @@ impl SweepField {
     /// Returns a message when the value is not representable (fractional
     /// integer, negative count) or the base spec lacks the swept defense.
     pub fn apply(self, spec: &mut ScenarioSpec, value: f64) -> Result<(), String> {
-        let as_count = |value: f64| -> Result<usize, String> {
-            if value >= 0.0 && value.fract() == 0.0 && value < 9_007_199_254_740_992.0 {
-                Ok(value as usize)
-            } else {
-                Err(format!("sweep value {value} is not a non-negative integer"))
-            }
-        };
-        let d = &mut spec.dynamics;
-        match self {
-            SweepField::Participation => d.participation = value,
-            SweepField::LeaveProb => d.leave_prob = value,
-            SweepField::JoinProb => d.join_prob = value,
-            SweepField::InitialOnline => d.initial_online = value,
-            SweepField::StragglerFraction => d.straggler_fraction = value,
-            SweepField::StragglerMeanDelay => d.straggler_mean_delay = value,
-            SweepField::Sybils => d.sybils = as_count(value)?,
-            SweepField::PlacementWarmup => d.placement_warmup = as_count(value)? as u64,
-            SweepField::Beta => spec.beta = value as f32,
-            SweepField::K => spec.k_override = Some(as_count(value)?),
-            SweepField::Seed => spec.seed = as_count(value)? as u64,
-            SweepField::DefenseTau => match &mut spec.defense {
-                DefenseKind::ShareLess { tau } => *tau = value as f32,
-                _ => {
-                    return Err(
-                        "sweeping defense.tau needs a share-less defense on the base".to_string()
-                    )
-                }
-            },
-            SweepField::DefenseEpsilon => match &mut spec.defense {
-                DefenseKind::Dp { epsilon } => *epsilon = Some(value),
-                _ => {
-                    return Err(
-                        "sweeping defense.epsilon needs a DP defense on the base".to_string()
-                    )
-                }
-            },
-        }
-        Ok(())
+        FIELDS[self.0].apply(spec, value)
     }
 }
 
@@ -889,13 +848,11 @@ impl SuiteEntry {
                     .str("field", field.name())
                     .value("values", Json::Arr(values.iter().map(|&v| Json::Num(v)).collect()))
                     .build();
-                match base.to_json() {
-                    Json::Obj(mut pairs) => {
-                        pairs.push(("sweep".to_string(), sweep));
-                        Json::Obj(pairs)
-                    }
-                    other => other,
+                let mut json = base.to_json();
+                if let Json::Obj(pairs) = &mut json {
+                    pairs.push(("sweep".to_string(), sweep));
                 }
+                json
             }
         }
     }
@@ -953,32 +910,21 @@ impl SuiteSpec {
     /// Returns a description of the first malformed scenario or field.
     pub fn parse(input: &str) -> Result<SuiteSpec, String> {
         let v = Json::parse(input)?;
-        check_keys(&v, &["suite", "scale", "seed", "scenarios"], "suite")?;
-        let name = match v.get("suite") {
-            None => "unnamed".to_string(),
-            Some(x) => x.as_str().ok_or("suite: `suite` must be a string")?.to_string(),
-        };
-        let default_scale = match v.get("scale") {
-            None => Scale::Smoke,
-            Some(x) => {
-                let s = x.as_str().ok_or("suite: `scale` must be a string")?;
-                Scale::parse(s).ok_or("suite: unknown `scale`")?
-            }
-        };
+        check_keys(&v, "suite", &["suite", "scale", "seed", "scenarios"], "suite")?;
+        let name = parse_str(Some(&v), "suite", "suite", |s| Some(s.to_string()))?;
+        let default_scale = parse_str(Some(&v), "scale", "suite", Scale::parse)?;
         let default_seed = match v.get("seed") {
             None => 42,
             Some(x) => x.as_u64().ok_or("suite: `seed` must be an integer below 2^53")?,
         };
         let raw =
             v.get("scenarios").and_then(Json::as_arr).ok_or("suite needs a `scenarios` array")?;
-        if raw.is_empty() {
-            return Err("suite has no scenarios".to_string());
-        }
-        let mut entries = Vec::with_capacity(raw.len());
-        for s in raw {
-            entries.push(parse_entry(s, default_scale, default_seed)?);
-        }
-        let suite = SuiteSpec { name, entries };
+        let default_scale = default_scale.unwrap_or(Scale::Smoke);
+        let entries = raw.iter().map(|s| parse_entry(s, default_scale, default_seed));
+        let suite = SuiteSpec {
+            name: name.unwrap_or_else(|| "unnamed".to_string()),
+            entries: entries.collect::<Result<_, _>>()?,
+        };
         // Expand eagerly so malformed sweeps and name collisions fail at
         // load time, not mid-run.
         suite.expanded()?;
@@ -1002,7 +948,7 @@ fn parse_entry(v: &Json, default_scale: Scale, default_seed: u64) -> Result<Suit
         return Ok(SuiteEntry::One(ScenarioSpec::from_json(v, default_scale, default_seed)?));
     };
     let ctx = format!("scenario `{}` sweep", v.get("name").and_then(Json::as_str).unwrap_or("?"));
-    check_keys(sweep, &["field", "values"], &ctx)?;
+    check_keys(sweep, "sweep", &["field", "values"], &ctx)?;
     let field = sweep
         .get("field")
         .and_then(Json::as_str)
@@ -1016,9 +962,6 @@ fn parse_entry(v: &Json, default_scale: Scale, default_seed: u64) -> Result<Suit
     let mut values = Vec::with_capacity(raw_values.len());
     for x in raw_values {
         values.push(x.as_f64().ok_or_else(|| format!("{ctx}: values must be numbers"))?);
-    }
-    if values.is_empty() {
-        return Err(format!("{ctx}: needs at least one value"));
     }
     // The base spec is the object minus the generator block.
     let base_obj = match v {
@@ -1040,23 +983,29 @@ fn parse_entry(v: &Json, default_scale: Scale, default_seed: u64) -> Result<Suit
 /// * `colluding-sybils` — Rand-Gossip with a 4-node always-online sybil
 ///   coalition pooling observations.
 pub fn builtin_suite(scale: Scale, seed: u64) -> SuiteSpec {
-    let mut baseline =
-        ScenarioSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::Fl, scale);
-    baseline.name = "baseline-static".to_string();
-    baseline.seed = seed;
+    let sybils = DynamicsSpec { sybils: 4, ..DynamicsSpec::default() };
+    let scenarios = vec![
+        movielens_gmf("baseline-static", ProtocolKind::Fl, DynamicsSpec::default(), scale, seed),
+        movielens_gmf("churn-20pct", ProtocolKind::Fl, churn_dynamics(), scale, seed),
+        movielens_gmf("colluding-sybils", ProtocolKind::RandGossip, sybils, scale, seed),
+    ];
+    SuiteSpec::flat(format!("builtin-{scale}"), scenarios)
+}
 
-    let mut churn = ScenarioSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::Fl, scale);
-    churn.name = "churn-20pct".to_string();
-    churn.seed = seed;
-    churn.dynamics = churn_dynamics();
-
-    let mut sybils =
-        ScenarioSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::RandGossip, scale);
-    sybils.name = "colluding-sybils".to_string();
-    sybils.seed = seed;
-    sybils.dynamics = DynamicsSpec { sybils: 4, ..DynamicsSpec::default() };
-
-    SuiteSpec::flat(format!("builtin-{scale}"), vec![baseline, churn, sybils])
+/// A GMF-on-MovieLens scenario, the workload every built-in suite varies.
+fn movielens_gmf(
+    name: &str,
+    protocol: ProtocolKind,
+    dynamics: DynamicsSpec,
+    scale: Scale,
+    seed: u64,
+) -> ScenarioSpec {
+    ScenarioSpec {
+        name: name.to_string(),
+        seed,
+        dynamics,
+        ..ScenarioSpec::new(Preset::MovieLens, ModelKind::Gmf, protocol, scale)
+    }
 }
 
 /// The churn block shared by the dynamics-heavy built-ins: 20% offline in
@@ -1078,14 +1027,13 @@ fn churn_dynamics() -> DynamicsSpec {
 /// One sweep generator, five scenarios — `participation-0.1` …
 /// `participation-1`.
 pub fn participation_sweep_suite(scale: Scale, seed: u64) -> SuiteSpec {
-    let mut base = ScenarioSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::Fl, scale);
-    base.name = "participation-{}".to_string();
-    base.seed = seed;
+    let base =
+        movielens_gmf("participation-{}", ProtocolKind::Fl, DynamicsSpec::default(), scale, seed);
     SuiteSpec {
         name: format!("participation-sweep-{scale}"),
         entries: vec![SuiteEntry::Sweep {
             base,
-            field: SweepField::Participation,
+            field: SweepField::parse("dynamics.participation").expect("a table field"),
             values: vec![0.1, 0.25, 0.5, 0.75, 1.0],
         }],
     }
@@ -1114,14 +1062,11 @@ pub fn defense_dynamics_grid_suite(scale: Scale, seed: u64) -> SuiteSpec {
         ("sybils", ProtocolKind::RandGossip, sybils),
     ];
     let mut scenarios = Vec::with_capacity(defenses.len() * dynamics.len());
-    for (dyn_name, protocol, d) in &dynamics {
-        for (def_name, defense) in &defenses {
-            let mut s = ScenarioSpec::new(Preset::MovieLens, ModelKind::Gmf, *protocol, scale);
-            s.name = format!("{def_name}-x-{dyn_name}");
-            s.seed = seed;
-            s.defense = *defense;
-            s.dynamics = *d;
-            scenarios.push(s);
+    for (dyn_name, protocol, d) in dynamics {
+        for (def_name, defense) in defenses {
+            let name = format!("{def_name}-x-{dyn_name}");
+            scenarios
+                .push(ScenarioSpec { defense, ..movielens_gmf(&name, protocol, d, scale, seed) });
         }
     }
     SuiteSpec::flat(format!("defense-dynamics-grid-{scale}"), scenarios)
@@ -1132,22 +1077,13 @@ pub fn defense_dynamics_grid_suite(scale: Scale, seed: u64) -> SuiteSpec {
 /// personalized views over a static population, the same under churn, and a
 /// Rand-Gossip churn control.
 pub fn pers_gossip_churn_suite(scale: Scale, seed: u64) -> SuiteSpec {
-    let mut pers_static =
-        ScenarioSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::PersGossip, scale);
-    pers_static.name = "pers-static".to_string();
-    pers_static.seed = seed;
-
-    let mut pers_churn = pers_static.clone();
-    pers_churn.name = "pers-churn".to_string();
-    pers_churn.dynamics = churn_dynamics();
-
-    let mut rand_churn =
-        ScenarioSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::RandGossip, scale);
-    rand_churn.name = "rand-churn".to_string();
-    rand_churn.seed = seed;
-    rand_churn.dynamics = churn_dynamics();
-
-    SuiteSpec::flat(format!("pers-gossip-churn-{scale}"), vec![pers_static, pers_churn, rand_churn])
+    let (pers, static_pop) = (ProtocolKind::PersGossip, DynamicsSpec::default());
+    let scenarios = vec![
+        movielens_gmf("pers-static", pers, static_pop, scale, seed),
+        movielens_gmf("pers-churn", pers, churn_dynamics(), scale, seed),
+        movielens_gmf("rand-churn", ProtocolKind::RandGossip, churn_dynamics(), scale, seed),
+    ];
+    SuiteSpec::flat(format!("pers-gossip-churn-{scale}"), scenarios)
 }
 
 /// Adaptive sybil placement under churn: the same 4-node always-online
@@ -1165,17 +1101,8 @@ pub fn adaptive_sybils_suite(scale: Scale, seed: u64) -> SuiteSpec {
     let scenarios = placements
         .into_iter()
         .map(|(name, placement)| {
-            let mut s = ScenarioSpec::new(
-                Preset::MovieLens,
-                ModelKind::Gmf,
-                ProtocolKind::RandGossip,
-                scale,
-            );
-            s.name = name.to_string();
-            s.seed = seed;
-            s.dynamics =
-                DynamicsSpec { sybils: 4, placement, placement_warmup: 10, ..churn_dynamics() };
-            s
+            let d = DynamicsSpec { sybils: 4, placement, placement_warmup: 10, ..churn_dynamics() };
+            movielens_gmf(name, ProtocolKind::RandGossip, d, scale, seed)
         })
         .collect();
     SuiteSpec::flat(format!("adaptive-sybils-{scale}"), scenarios)
@@ -1326,7 +1253,10 @@ mod tests {
             [{"name": "x", "sweep": {"field": "dynamics.seed", "values": [1]}}]}"#;
         assert!(SuiteSpec::parse(doc).unwrap_err().contains("unknown field"));
         assert!(SweepField::parse("dynamics.beta").is_none());
-        assert_eq!(SweepField::parse("participation"), Some(SweepField::Participation));
+        assert_eq!(
+            SweepField::parse("participation").map(SweepField::name),
+            Some("dynamics.participation")
+        );
         let doc = r#"{"suite": "s", "scenarios":
             [{"name": "x", "sweep": {"field": "seed", "values": []}}]}"#;
         assert!(SuiteSpec::parse(doc).unwrap_err().contains("value"));
@@ -1452,7 +1382,10 @@ mod tests {
         assert_eq!(scenarios.len(), 2);
         assert_eq!(scenarios[0].dynamics.placement_warmup, 5);
         assert_eq!(scenarios[1].dynamics.placement_warmup, 15);
-        assert_eq!(SweepField::parse("placement_warmup"), Some(SweepField::PlacementWarmup));
+        assert_eq!(
+            SweepField::parse("placement_warmup").map(SweepField::name),
+            Some("dynamics.placement_warmup")
+        );
         assert!(SweepField::parse("dynamics.placement").is_none(), "the strategy is not numeric");
     }
 
@@ -1521,6 +1454,207 @@ mod tests {
         assert!(SuiteSpec::parse(doc).unwrap_err().contains("colluderz"));
         let doc = r#"{"suite": "t", "sede": 1, "scenarios": [{"name": "x"}]}"#;
         assert!(SuiteSpec::parse(doc).unwrap_err().contains("sede"));
+    }
+
+    /// One scenario per numeric field, each moving that field off its
+    /// default.
+    const ONE_FIELD_EACH: &str = r#"{"suite": "fields", "scenarios": [
+        {"name": "leave", "dynamics": {"leave_prob": 0.1}},
+        {"name": "join", "dynamics": {"join_prob": 0.5}},
+        {"name": "initial", "dynamics": {"initial_online": 0.8}},
+        {"name": "straggler", "dynamics": {"straggler_fraction": 0.2}},
+        {"name": "delay", "dynamics": {"straggler_mean_delay": 4}},
+        {"name": "participation", "dynamics": {"participation": 0.6}},
+        {"name": "sybils", "protocol": "rand-gossip", "dynamics": {"sybils": 3}},
+        {"name": "warmup", "dynamics": {"placement_warmup": 5}},
+        {"name": "beta", "beta": 0.9},
+        {"name": "k", "k": 7},
+        {"name": "seed", "seed": 9},
+        {"name": "tau", "defense": {"kind": "share-less", "tau": 0.7}},
+        {"name": "epsilon", "defense": {"kind": "dp", "epsilon": 5}}
+    ]}"#;
+
+    #[test]
+    fn canonical_spec_bytes_are_pinned() {
+        // `to_json` feeds `fingerprint`, which every checkpoint carries and
+        // names its file by. One digest over the fingerprints of every
+        // shipped suite and of one spec per numeric field pins the rendered
+        // bytes at smoke scale, seed 42.
+        let mut suites: Vec<SuiteSpec> =
+            BUILTIN_SUITES.iter().map(|(_, build)| build(Scale::Smoke, 42)).collect();
+        suites
+            .push(SuiteSpec::parse(include_str!("../tests/golden/prme-smoke.suite.json")).unwrap());
+        suites.push(SuiteSpec::parse(ONE_FIELD_EACH).unwrap());
+        let specs: Vec<ScenarioSpec> = suites.iter().flat_map(|s| s.expanded().unwrap()).collect();
+        assert_eq!(specs.len(), 5 + 3 + 5 + 9 + 3 + 3 + 13);
+        let digest = fnv1a64(specs.iter().flat_map(|s| s.fingerprint().to_le_bytes()));
+        assert_eq!(digest, 0xf9f7_1e0e_327e_1226, "{digest:#018x}");
+    }
+
+    #[test]
+    fn every_table_field_survives_to_json() {
+        // A field added to `FIELDS` but not to `to_json` reparses as its
+        // default: set each one off its default, render, reparse, compare.
+        for f in &FIELDS {
+            let value = match f.range {
+                Range::Unit | Range::OpenUnit => 0.25,
+                Range::Count => 7.0,
+                Range::Finite | Range::Own => 5.0,
+            };
+            let mut applied = 0;
+            for defense in [DefenseKind::ShareLess { tau: 0.5 }, DefenseKind::Dp { epsilon: None }]
+            {
+                let mut spec = ScenarioSpec::new(
+                    Preset::MovieLens,
+                    ModelKind::Gmf,
+                    ProtocolKind::RandGossip,
+                    Scale::Smoke,
+                );
+                spec.defense = defense;
+                assert_ne!((f.get)(&spec), Some(value), "{}: the value is its default", f.path);
+                if f.apply(&mut spec, value).is_err() {
+                    continue;
+                }
+                let doc = SuiteSpec::flat("t", vec![spec]).to_json().render();
+                let back = SuiteSpec::parse(&doc).unwrap().expanded().unwrap();
+                assert_eq!((f.get)(&back[0]), Some(value), "{} lost in {doc}", f.path);
+                applied += 1;
+            }
+            assert!(applied > 0, "{} applies to no base", f.path);
+        }
+    }
+
+    #[test]
+    fn a_tau_under_a_dp_defense_is_refused_by_name() {
+        let doc = r#"{"suite": "s", "scenarios": [{"name": "x",
+            "defense": {"kind": "dp", "epsilon": 10, "tau": 0.3}}]}"#;
+        let err = SuiteSpec::parse(doc).unwrap_err();
+        assert_eq!(err, "scenario `x`: `defense.tau` needs a share-less defense");
+    }
+
+    #[test]
+    fn an_epsilon_without_a_dp_defense_is_refused_by_name() {
+        for defense in [r#"{"kind": "none", "epsilon": 5}"#, r#"{"epsilon": 5}"#] {
+            let doc = format!(
+                r#"{{"suite": "s", "scenarios": [{{"name": "x", "defense": {defense}}}]}}"#
+            );
+            let err = SuiteSpec::parse(&doc).unwrap_err();
+            assert_eq!(err, "scenario `x`: `defense.epsilon` needs a DP defense");
+        }
+        // A swept ε needs the same base.
+        let doc = r#"{"suite": "s", "scenarios":
+            [{"name": "x", "sweep": {"field": "epsilon", "values": [5]}}]}"#;
+        let err = SuiteSpec::parse(doc).unwrap_err();
+        assert_eq!(err, "sweep `x`: `defense.epsilon` needs a DP defense");
+    }
+
+    /// The shipped suite documents: every built-in suite as rendered, and
+    /// the committed PRME suite.
+    fn shipped_suite_documents() -> Vec<String> {
+        let mut docs: Vec<String> = BUILTIN_SUITES
+            .iter()
+            .map(|(_, build)| build(Scale::Smoke, 42).to_json().render())
+            .collect();
+        docs.push(include_str!("../tests/golden/prme-smoke.suite.json").to_string());
+        docs
+    }
+
+    /// Whether `err` names `key` as a word of its own (so `k` is not found
+    /// inside `unknown`).
+    fn names(err: &str, key: &str) -> bool {
+        let word = |c: Option<char>| c.is_some_and(|c| c.is_alphanumeric() || c == '_');
+        err.match_indices(key).any(|(i, _)| {
+            !word(err[..i].chars().next_back()) && !word(err[i + key.len()..].chars().next())
+        })
+    }
+
+    #[test]
+    fn every_field_refuses_hostile_values_by_name() {
+        // Each table field, set to each hostile value on bases that carry
+        // every knob (gossip with a share-less defense and adaptive sybils
+        // under churn; FL with DP; a bare FL scenario), parses or fails with
+        // an error that names the field.
+        let bases = [
+            r#"{"name": "x", "protocol": "rand-gossip", "defense": {"kind": "share-less",
+                "tau": 0.5}, "dynamics": {"sybils": 2, "placement": "degree",
+                "leave_prob": 0.05, "join_prob": 0.2, "straggler_fraction": 0.1}}"#,
+            r#"{"name": "x", "defense": {"kind": "dp", "epsilon": 10}}"#,
+            r#"{"name": "x"}"#,
+        ];
+        let values = [
+            Json::Num(-1.0),
+            Json::Num(0.0),
+            Json::Num(0.5),
+            Json::Num(9_007_199_254_740_992.0),
+            Json::Num(1e308),
+            Json::Str("x".to_string()),
+        ];
+        for base in bases {
+            for f in &FIELDS {
+                let (block, key) = f.split();
+                for value in &values {
+                    let mut scenario = Json::parse(base).unwrap();
+                    let Json::Obj(top) = &mut scenario else { unreachable!() };
+                    let pairs = if block.is_empty() {
+                        top
+                    } else {
+                        if !top.iter().any(|(k, _)| k == block) {
+                            top.push((block.to_string(), Json::Obj(Vec::new())));
+                        }
+                        match top.iter_mut().find(|(k, _)| k == block) {
+                            Some((_, Json::Obj(pairs))) => pairs,
+                            _ => unreachable!(),
+                        }
+                    };
+                    pairs.retain(|(k, _)| k != key);
+                    pairs.push((key.to_string(), value.clone()));
+                    let suite = ObjBuilder::new()
+                        .str("suite", "s")
+                        .value("scenarios", Json::Arr(vec![scenario]))
+                        .build();
+                    if let Err(err) = SuiteSpec::parse(&suite.render()) {
+                        assert!(names(&err, key), "{} = {value:?}: {err}", f.path);
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn mangled_suite_documents_parse_or_fail_without_panic(
+            pick in 0usize..6,
+            at in 0usize..1 << 20,
+            flip in 1u8..=255,
+            truncate in 0u32..2,
+        ) {
+            // A byte flipped, or the document cut, at any offset: the
+            // parser answers `Ok` or `Err`, never a panic.
+            let docs = shipped_suite_documents();
+            let mut doc = docs[pick % docs.len()].clone().into_bytes();
+            let at = at % doc.len();
+            if truncate == 1 {
+                doc.truncate(at);
+            } else {
+                doc[at] ^= flip;
+            }
+            let _ = SuiteSpec::parse(&String::from_utf8_lossy(&doc));
+        }
+    }
+
+    #[test]
+    fn a_block_that_is_not_an_object_is_refused() {
+        // `"defense": "dp"` once parsed as no defense at all, and a
+        // non-object `dynamics` as the static population.
+        for (scenario, want) in [
+            (r#""defense": "dp""#, "scenario `x` defense: must be a JSON object"),
+            (r#""dynamics": [0.5]"#, "scenario `x` dynamics: must be a JSON object"),
+            (r#""sweep": 3"#, "scenario `x` sweep: must be a JSON object"),
+        ] {
+            let doc = format!(r#"{{"suite": "s", "scenarios": [{{"name": "x", {scenario}}}]}}"#);
+            assert_eq!(SuiteSpec::parse(&doc).unwrap_err(), want);
+        }
+        assert_eq!(SuiteSpec::parse("[]").unwrap_err(), "suite: must be a JSON object");
     }
 
     #[test]

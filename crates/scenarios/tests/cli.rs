@@ -86,6 +86,43 @@ fn hostile_inputs_exit_1_with_a_named_error() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Inputs that used to run silently exit 1 with the field named: a `tau`
+/// under a DP defense and an `epsilon` under none (both once dropped
+/// without a word), a community size K outside `[1, n − 2]` (once clamped
+/// into it) and a Share-less τ so large that the training loss turns NaN
+/// (once written as `"mean_loss": null`).
+#[test]
+fn once_silent_inputs_exit_1_naming_the_field() {
+    let dir = std::env::temp_dir().join(format!("cia-cli-test-silent-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let write = |name: &str, scenario: &str| {
+        let path = dir.join(name);
+        let doc = format!(r#"{{"suite": "s", "scenarios": [{{"name": "x", {scenario}}}]}}"#);
+        std::fs::write(&path, doc).expect("input written");
+        path.to_str().expect("utf8 path").to_string()
+    };
+    let tau = write("tau.json", r#""defense": {"kind": "dp", "epsilon": 10, "tau": 0.3}"#);
+    let eps = write("eps.json", r#""defense": {"kind": "none", "epsilon": 5}"#);
+    let k = write("k.json", r#""k": 100000"#);
+    let loss = write("loss.json", r#""defense": {"kind": "share-less", "tau": 3e38}"#);
+    let out = dir.join("out.jsonl");
+    let out = out.to_str().expect("utf8 path");
+    let run = |suite| vec!["run", "--suite", suite, "--scale", "smoke", "--out", out];
+    let cases = [
+        (vec!["list", "--suite", &tau], "scenario `x`: `defense.tau` needs a share-less defense"),
+        (vec!["list", "--suite", &eps], "scenario `x`: `defense.epsilon` needs a DP defense"),
+        (run(&k), "x: k 100000 must lie in [1, 46] for a population of 48 users"),
+        (run(&loss), "training loss NaN is not finite"),
+    ];
+    for (args, want) in cases {
+        let out = scenario(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(want), "{args:?}: expected `{want}`, got: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `--stop-after N` stops *each* scenario of a suite at round N. Resuming a
 /// stopped multi-scenario suite therefore appends every scenario's remaining
 /// records after all the stopped prefixes: the same records as an

@@ -4,7 +4,7 @@
 
 use cia_data::presets::Scale;
 use cia_scenarios::runner::{run_scenario, run_suite, validate_jsonl, RunOptions};
-use cia_scenarios::{builtin_suite, ScenarioOutcome};
+use cia_scenarios::{builtin_suite, DefenseKind, ScenarioOutcome};
 use std::path::PathBuf;
 
 fn run_builtin(seed: u64) -> (Vec<ScenarioOutcome>, Vec<u8>) {
@@ -365,6 +365,44 @@ fn a_sybil_coalition_covering_the_population_is_refused() {
             )
         );
     }
+}
+
+#[test]
+fn a_community_size_outside_the_population_is_refused() {
+    // Smoke scale has 48 users, so K must lie in [1, 46]: the ground truth
+    // ranks each target's K nearest users among the other 47, minus one
+    // adversary. A K outside that range is refused by name instead of being
+    // clamped into it.
+    let mut spec = builtin_suite(Scale::Smoke, 42).expanded().unwrap()[0].clone();
+    assert_eq!(spec.name, "baseline-static");
+    for k in [0, 47, 100_000] {
+        spec.k_override = Some(k);
+        let err = run_scenario(&spec, "t", &RunOptions::default(), &mut Vec::new()).unwrap_err();
+        assert_eq!(
+            err,
+            format!("baseline-static: k {k} must lie in [1, 46] for a population of 48 users")
+        );
+    }
+    spec.k_override = Some(46);
+    let outcome = run_scenario(&spec, "t", &RunOptions::default(), &mut Vec::new()).unwrap();
+    assert!(outcome.completed);
+}
+
+#[test]
+fn a_non_finite_training_loss_stops_the_run() {
+    // τ = 3e38 drives the Share-less training loss to NaN. Written out, the
+    // loss would read `"mean_loss": null`, a record `validate` refuses; the
+    // run stops with an error naming the scenario, the round and the loss,
+    // before writing any such record.
+    let mut spec = builtin_suite(Scale::Smoke, 42).expanded().unwrap()[0].clone();
+    spec.name = "huge-tau".to_string();
+    spec.defense = DefenseKind::ShareLess { tau: 3e38 };
+    let mut buf = Vec::new();
+    let err = run_scenario(&spec, "t", &RunOptions::default(), &mut buf).unwrap_err();
+    assert!(err.starts_with("huge-tau: round "), "{err}");
+    assert!(err.ends_with(": training loss NaN is not finite"), "{err}");
+    let written = String::from_utf8(buf).unwrap();
+    assert!(!written.contains("null"), "{written}");
 }
 
 #[test]

@@ -7,8 +7,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# ci.sh runs fmt-check, cia-lint and the workspace tests as its own
-# (earlier) steps; it sets CIA_SKIP_REDUNDANT_GATES=1 so a CI run does not
+# ci.sh runs fmt-check, cia-lint, the workspace tests and the scenario smoke
+# as its own (earlier) steps; it sets CIA_SKIP_REDUNDANT_GATES=1 so a CI run does not
 # pay for them twice. Standalone invocations keep the full gate.
 if [ "${CIA_SKIP_REDUNDANT_GATES:-0}" != 1 ]; then
     echo "== cargo fmt --all --check"
@@ -24,8 +24,11 @@ fi
 echo "== cargo bench -- --test (every benchmark body, one iteration)"
 cargo bench -p cia-bench -- --test
 
-echo "== scenario engine smoke (suites + sweeps + grid cell + schema + resume)"
-scripts/scenario_smoke.sh
+# ci.sh runs the scenario smoke as its own `scenario-smoke` step.
+if [ "${CIA_SKIP_REDUNDANT_GATES:-0}" != 1 ]; then
+    echo "== scenario engine smoke (suites + sweeps + grid cell + schema + resume)"
+    scripts/scenario_smoke.sh
+fi
 
 # Observability smoke: a timed single-scenario run must emit trace records
 # that `scenario report` can aggregate, plus a Chrome trace file that

@@ -156,11 +156,14 @@ RUSTDOCFLAGS="-D warnings" step doc cargo doc --workspace --no-deps --offline
 CARGO_TARGET_DIR=target/tracer step tracer-build \
     cargo build --release --offline --manifest-path perfbench/tracer/Cargo.toml
 step test run_with_peak_rss cargo test --workspace -q
+# The scenario determinism gates: smoke suites, schema validation, kill/resume
+# equality and the paper-scale transcript md5s (scripts/scenario_smoke.sh).
+step scenario-smoke scripts/scenario_smoke.sh
 # The benchmark harness's own unit tests (the compare rule and its
 # fixtures); stdlib-only Python, no build needed.
 step perfbench-tests python3 -m unittest discover -s perfbench/tests
-# fmt-check, cia-lint and the workspace tests already ran above; tell
-# bench_smoke.sh not to repeat them.
+# fmt-check, cia-lint, the workspace tests and the scenario smoke already ran
+# above; tell bench_smoke.sh not to repeat them.
 CIA_SKIP_REDUNDANT_GATES=1 step bench-smoke scripts/bench_smoke.sh
 
 echo

@@ -4,8 +4,9 @@
 # against the record schema, exercises a sweep-expanded suite and a
 # defense × dynamics grid cell, proves kill/resume equality on a built-in
 # gossip scenario, a sweep-expanded FL one and the FL Share-less grid cell,
-# and checks four paper-scale transcripts (three FL, one gossip) against
-# their recorded md5s. Part of the verify flow; see ROADMAP.md.
+# and checks five paper-scale transcripts (three FL, two gossip) against
+# their recorded md5s, four of them under two worker counts. scripts/ci.sh
+# runs it as its `scenario-smoke` step.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -80,12 +81,14 @@ fi
 
 # Paper-scale transcripts against their recorded md5s, so a ranking, setup,
 # round or momentum-fold change that moves a paper result fails here, not
-# only in the smoke goldens. They run with whatever CIA_THREADS is set: the
-# transcripts are the same for every thread count.
+# only in the smoke goldens. The transcripts are the same for every thread
+# count, so the four fast ones run twice: under the caller's CIA_THREADS and
+# under CIA_THREADS=1, where a worker-count bug would show.
 # paper_md5 SUITE NAME MD5 [EXTRA ARGS...]: extra arguments go to `scenario run`.
 paper_md5() {
     local suite=$1 name=$2 want=$3 got
     shift 3
+    echo "== paper-scale determinism (CIA_THREADS=${CIA_THREADS:-unset}): $name $*"
     scenario run --suite "$suite" --scale paper --seed 42 --only "$name" \
         --out "$out/paper-$name.jsonl" --no-timing "$@"
     got=$(md5sum "$out/paper-$name.jsonl" | cut -d' ' -f1)
@@ -95,17 +98,21 @@ paper_md5() {
     fi
 }
 
-echo "== paper-scale determinism: baseline-static"
-paper_md5 builtin baseline-static 735d4b6ed5eadd9034897e7f8adc017f
-# The two FL fold paths the baseline does not take: momentum rows without an
-# owner embedding (Share-less), and the fold reading the DP snapshot.
-echo "== paper-scale determinism: shareless-x-churn"
-paper_md5 defense-dynamics-grid shareless-x-churn 73277ee0cb22b9b6b9e915aa456e3cb0
-echo "== paper-scale determinism: dp10-x-churn"
-paper_md5 defense-dynamics-grid dp10-x-churn 24b1e668afa9852548b0d11852a51b09
-# The gossip round: pushes lent to their receivers, merged in receiver-first
-# order with one copy per cycle of the send graph.
-echo "== paper-scale determinism: colluding-sybils (300 rounds)"
-paper_md5 builtin colluding-sybils 3f05c51a0f6ab1383e1bba47c3af1814 --stop-after 300
+paper_checks() {
+    paper_md5 builtin baseline-static 735d4b6ed5eadd9034897e7f8adc017f
+    # The two FL fold paths the baseline does not take: momentum rows without
+    # an owner embedding (Share-less), and the fold reading the DP snapshot.
+    paper_md5 defense-dynamics-grid shareless-x-churn 73277ee0cb22b9b6b9e915aa456e3cb0
+    paper_md5 defense-dynamics-grid dp10-x-churn 24b1e668afa9852548b0d11852a51b09
+    # The gossip round: pushes lent to their receivers, merged in
+    # receiver-first order with one copy per cycle of the send graph.
+    paper_md5 builtin colluding-sybils 3f05c51a0f6ab1383e1bba47c3af1814 --stop-after 300
+}
+
+paper_checks
+CIA_THREADS=1 paper_checks
+# DP gossip: every push clipped and noised before its receivers merge it
+# (one evaluation line at round 100; about 16 s, so it runs once).
+paper_md5 defense-dynamics-grid dp10-x-sybils 60fdb9ac0e3ebc00f12ab95e56665cf2 --stop-after 150
 
 echo "scenario smoke OK"
