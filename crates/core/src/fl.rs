@@ -7,7 +7,7 @@ use crate::metrics::{accuracy_of, coverage, top_k_per_column, AttackOutcome, Att
 use cia_data::UserId;
 use cia_federated::{RoundObserver, RoundStats};
 use cia_models::parallel::par_chunks_mut;
-use cia_models::{Checkpointable, LivenessEvent, MomentumTable, SharedModel};
+use cia_models::{LivenessEvent, MomentumTable, SharedModel};
 use cia_obs::Recorder;
 
 /// CIA parameters (the paper defaults to `K = 50`, `β = 0.99`).
@@ -252,12 +252,10 @@ impl<E: RelevanceEvaluator, V> MomentumCia<E, V> {
 
 /// Snapshot/restore of the attack's mutable state for checkpoint/resume.
 /// Evaluator-side state (fictive embeddings) is captured separately through
-/// the evaluator accessors. Restoring refuses a momentum table not aligned
-/// with the participants, or a model the evaluator cannot score.
-impl<E: RelevanceEvaluator, V> Checkpointable for MomentumCia<E, V> {
-    type State = CiaAttackState;
-
-    fn export_state(&self) -> CiaAttackState {
+/// the evaluator accessors.
+impl<E: RelevanceEvaluator, V> MomentumCia<E, V> {
+    /// The attack's mutable state, cloned.
+    pub fn export_state(&self) -> CiaAttackState {
         CiaAttackState {
             momentum: self.momentum.clone(),
             history: self.tracker.history().to_vec(),
@@ -266,7 +264,13 @@ impl<E: RelevanceEvaluator, V> Checkpointable for MomentumCia<E, V> {
         }
     }
 
-    fn restore_state(&mut self, state: CiaAttackState) -> Result<(), String> {
+    /// Restores a state captured by [`MomentumCia::export_state`].
+    ///
+    /// # Errors
+    ///
+    /// Refuses a momentum table not aligned with the participants, or a
+    /// model the evaluator cannot score, naming it.
+    pub fn restore_state(&mut self, state: CiaAttackState) -> Result<(), String> {
         if state.momentum.users() != self.momentum.users() {
             return Err("momentum table".to_string());
         }

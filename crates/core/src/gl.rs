@@ -21,7 +21,7 @@ use crate::metrics::{
 use cia_data::UserId;
 use cia_gossip::{GossipObserver, GossipRoundStats};
 use cia_models::parallel::par_map;
-use cia_models::{Checkpointable, LivenessEvent, SharedModel};
+use cia_models::{LivenessEvent, SharedModel};
 use cia_obs::Recorder;
 
 /// The GL vantage: the membership mask (one entry per node) of the nodes
@@ -229,11 +229,9 @@ impl<E: RelevanceEvaluator> GlCiaAllPlacements<E> {
 }
 
 /// Snapshot/restore of the sweep's mutable state for checkpoint/resume.
-/// Restoring refuses a score table not aligned with the participants.
-impl<E: RelevanceEvaluator> Checkpointable for GlCiaAllPlacements<E> {
-    type State = PlacementsState;
-
-    fn export_state(&self) -> PlacementsState {
+impl<E: RelevanceEvaluator> GlCiaAllPlacements<E> {
+    /// The sweep's mutable state, cloned.
+    pub fn export_state(&self) -> PlacementsState {
         PlacementsState {
             s_ema: self.s_ema.clone(),
             history: self.tracker.history().to_vec(),
@@ -241,7 +239,12 @@ impl<E: RelevanceEvaluator> Checkpointable for GlCiaAllPlacements<E> {
         }
     }
 
-    fn restore_state(&mut self, state: PlacementsState) -> Result<(), String> {
+    /// Restores a state captured by [`GlCiaAllPlacements::export_state`].
+    ///
+    /// # Errors
+    ///
+    /// Refuses a score table not aligned with the participants.
+    pub fn restore_state(&mut self, state: PlacementsState) -> Result<(), String> {
         if state.s_ema.len() != self.s_ema.len() {
             return Err("score table".to_string());
         }

@@ -59,7 +59,5 @@ pub use mia::{membership_entropy, MiaCommunityAttack, MiaConfig};
 pub use cia_obs as obs;
 pub use cia_obs::{Counter, Histogram, Metric, Recorder, SpanRec, TraceChunk};
 
-/// Cross-protocol abstractions the attack engines implement (re-exported):
-/// the export/restore trait behind checkpointing and the protocol-agnostic
-/// liveness events observers receive.
-pub use cia_models::{Checkpointable, LivenessEvent};
+/// The protocol-agnostic liveness events observers receive (re-exported).
+pub use cia_models::LivenessEvent;

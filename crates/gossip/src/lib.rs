@@ -27,7 +27,6 @@ pub use sim::{
     NullGossipObserver, TrafficCounters,
 };
 
-// The cross-protocol abstractions this crate's API surfaces (observer
-// liveness events, the export/restore trait) and the selector the
-// `step_evented` forward takes.
-pub use cia_models::{Checkpointable, DeliveryPolicy, LivenessEvent};
+// The observer liveness events this crate's API surfaces and the selector
+// the `step_evented` forward takes.
+pub use cia_models::{DeliveryPolicy, LivenessEvent};

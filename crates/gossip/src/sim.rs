@@ -4,8 +4,8 @@ use crate::graph::{sample_exp_interval, ViewTable};
 use cia_data::UserId;
 use cia_models::parallel::{par_claim, par_zip_mut};
 use cia_models::{
-    apply_update_transform, Checkpointable, DeliveryPolicy, LivenessEvent, Participant,
-    SharedModel, UpdateTransform,
+    apply_update_transform, DeliveryPolicy, LivenessEvent, Participant, SharedModel,
+    UpdateTransform,
 };
 use cia_obs::{Counter, Metric, Recorder};
 use rand::rngs::StdRng;
@@ -586,17 +586,13 @@ impl<P: Participant> GossipSim<P> {
     ) -> GossipRoundStats {
         self.step(observer)
     }
-}
-
-impl<P: Participant> Checkpointable for GossipSim<P> {
-    type State = GossipSimState;
 
     /// Snapshot of the protocol-side state — round counter, views, refresh
     /// schedule and per-node mailboxes. Per-round
     /// RNG streams are derived from `(seed, round)`, so no generator state
     /// needs saving; node parameters are captured separately via
     /// [`cia_models::Participant::state_vec`].
-    fn export_state(&self) -> GossipSimState {
+    pub fn export_state(&self) -> GossipSimState {
         GossipSimState {
             round: self.round,
             refresh_at: self.refresh_at.clone(),
@@ -621,7 +617,7 @@ impl<P: Participant> Checkpointable for GossipSim<P> {
     /// Pers-Gossip candidate a real node. A hostile checkpoint is thus
     /// refused up front instead of panicking mid-run or being silently
     /// truncated by the DP update.
-    fn restore_state(&mut self, state: GossipSimState) -> Result<(), String> {
+    pub fn restore_state(&mut self, state: GossipSimState) -> Result<(), String> {
         let n = self.nodes.len();
         let tables = [
             ("refresh table", state.refresh_at.len()),

@@ -22,8 +22,7 @@
 use cia_data::UserId;
 use cia_defenses::{DpConfig, DpMechanism};
 use cia_gossip::{
-    Checkpointable, GossipConfig, GossipObserver, GossipProtocol, GossipRoundStats, GossipSim,
-    LivenessEvent,
+    GossipConfig, GossipObserver, GossipProtocol, GossipRoundStats, GossipSim, LivenessEvent,
 };
 use cia_models::{Participant, SharedModel};
 use proptest::prelude::*;

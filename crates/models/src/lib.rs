@@ -50,7 +50,7 @@ pub use metrics::{f1_at_k, hit_ratio, rank_of_primary};
 pub use mlp::{Mlp, MlpClient, MlpHyper, MlpScratch, MlpSpec};
 pub use momentum::{MomentumRow, MomentumTable};
 pub use participant::{
-    apply_update_transform, client_id_and_seed, Checkpointable, DeliveryPolicy, LivenessEvent,
-    Participant, RelevanceScorer, SharedModel, SharingPolicy, UpdateTransform,
+    apply_update_transform, client_id_and_seed, DeliveryPolicy, LivenessEvent, Participant,
+    RelevanceScorer, SharedModel, SharingPolicy, UpdateTransform,
 };
 pub use prme::{PrmeClient, PrmeHyper, PrmeSpec};

@@ -466,25 +466,6 @@ pub enum LivenessEvent<'a> {
     },
 }
 
-/// Uniform mid-run state capture: one trait the checkpoint codec drives
-/// instead of per-type `export_state`/`restore_state` pairs. `State` is the
-/// serializable snapshot type the codec already knows how to write.
-pub trait Checkpointable {
-    /// The serializable state snapshot.
-    type State;
-
-    /// Captures the current state (cheap, clone-based).
-    fn export_state(&self) -> Self::State;
-
-    /// Restores a previously captured state in place.
-    ///
-    /// # Errors
-    ///
-    /// Names the first part of `state` that does not fit the receiver (wrong
-    /// node count, malformed tables), leaving the receiver unchanged.
-    fn restore_state(&mut self, state: Self::State) -> Result<(), String>;
-}
-
 /// The round-engine selector the `step_evented` forwards take.
 ///
 /// Exists only for the benchmark tracer (`perfbench/tracer`), which still

@@ -25,6 +25,7 @@
 //! stream is unaffected — per-round stats are derived from within-round
 //! counter deltas, which do not depend on the counter's absolute value).
 
+use crate::dynamics::DynamicsState;
 use crate::placement::PlacementState;
 use cia_core::{CiaAttackState, MomentumTable, PlacementsState, RoundPoint};
 use cia_data::UserId;
@@ -96,10 +97,10 @@ pub struct Checkpoint {
     /// Fictive adversary embeddings (Share-less; empty slots otherwise).
     pub adversary_embs: Vec<Option<Vec<f32>>>,
     /// Dynamics-layer state.
-    pub dynamics: crate::dynamics::DynamicsState,
+    pub dynamics: DynamicsState,
     /// Adaptive sybil-placement state (inert/default for FL runs and static
     /// placements).
-    pub placement: crate::placement::PlacementState,
+    pub placement: PlacementState,
 }
 
 impl Checkpoint {
@@ -122,11 +123,7 @@ impl Checkpoint {
     /// Serializes the checkpoint.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Vec::new();
-        let (dynamics, placement) = (&self.dynamics, &self.placement);
-        put!(&mut w, &MAGIC, &VERSION, &self.fingerprint, &self.round, &self.emitted);
-        put!(&mut w, &self.clients, &self.protocol, &self.attack, &self.adversary_embs);
-        put!(&mut w, &dynamics.online, &dynamics.straggler_until);
-        put!(&mut w, &placement.relocated, &placement.members, &placement.seen);
+        put!(&mut w, &MAGIC, &VERSION, self);
         let sum = crate::spec::fnv1a64(w.iter().copied());
         sum.put(&mut w);
         w
@@ -157,25 +154,11 @@ impl Checkpoint {
             );
         }
         r.bytes = body;
-        if r.get::<u64>()? != expect_fingerprint {
+        let ck: Checkpoint = r.get()?;
+        if ck.fingerprint != expect_fingerprint {
             return Err("checkpoint belongs to a different scenario spec (fingerprint mismatch)"
                 .to_string());
         }
-        // Struct fields evaluate in the order written: the v7 layout order.
-        let ck = Checkpoint {
-            fingerprint: expect_fingerprint,
-            round: r.get()?,
-            emitted: r.get()?,
-            clients: r.get()?,
-            protocol: r.get()?,
-            attack: r.get()?,
-            adversary_embs: r.get()?,
-            dynamics: crate::dynamics::DynamicsState {
-                online: r.get()?,
-                straggler_until: r.get()?,
-            },
-            placement: PlacementState { relocated: r.get()?, members: r.get()?, seen: r.get()? },
-        };
         if r.pos != body.len() {
             return Err("trailing bytes in checkpoint".to_string());
         }
@@ -242,7 +225,7 @@ pub(crate) fn write_durably(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     std::fs::File::open(dir)?.sync_all()
 }
 
-/// One value's place in the v7 byte layout: `put` appends it, `get` reads it
+/// One value's place in the byte layout: `put` appends it, `get` reads it
 /// back. Every encoded type implements it once, so the two directions cannot
 /// drift apart.
 trait Codec: Sized {
@@ -274,6 +257,36 @@ macro_rules! le_codec {
 }
 le_codec!(u8, u32, u64, f32, f64);
 
+/// A section's one field list: each struct's fields in layout order. `put`
+/// writes them in that order and `get` reads them back in it (struct fields
+/// evaluate in the order written).
+macro_rules! codec {
+    ($($t:ident { $($f:ident),+ })+) => {$(
+        impl Codec for $t {
+            fn put(&self, w: &mut Vec<u8>) {
+                $(Codec::put(&self.$f, w);)+
+            }
+            fn get(r: &mut Reader) -> Result<Self, String> {
+                Ok($t { $($f: r.get()?),+ })
+            }
+        }
+    )+};
+}
+
+codec! {
+    Checkpoint {
+        fingerprint, round, emitted, clients, protocol, attack, adversary_embs,
+        dynamics, placement
+    }
+    RoundPoint { round, aac, best10, upper_bound, upper_bound_online }
+    SharedModel { owner, round, owner_emb, agg }
+    CiaAttackState { momentum, history, last_global, prepared }
+    PlacementsState { s_ema, history, prepared }
+    TrafficCounters { received, view_in_degree }
+    DynamicsState { online, straggler_until }
+    PlacementState { relocated, members, seen }
+}
+
 impl Codec for bool {
     fn put(&self, w: &mut Vec<u8>) {
         u8::from(*self).put(w);
@@ -284,6 +297,15 @@ impl Codec for bool {
             1 => Ok(true),
             byte => Err(format!("invalid bool byte {byte}")),
         }
+    }
+}
+
+impl Codec for UserId {
+    fn put(&self, w: &mut Vec<u8>) {
+        self.raw().put(w);
+    }
+    fn get(r: &mut Reader) -> Result<Self, String> {
+        Ok(UserId::new(r.get()?))
     }
 }
 
@@ -343,24 +365,9 @@ impl<A: Codec, B: Codec> Codec for (A, B) {
     }
 }
 
-impl Codec for RoundPoint {
-    fn put(&self, w: &mut Vec<u8>) {
-        put!(w, &self.round, &self.aac, &self.best10, &self.upper_bound, &self.upper_bound_online);
-    }
-    fn get(r: &mut Reader) -> Result<Self, String> {
-        Ok(RoundPoint {
-            round: r.get()?,
-            aac: r.get()?,
-            best10: r.get()?,
-            upper_bound: r.get()?,
-            upper_bound_online: r.get()?,
-        })
-    }
-}
-
-/// The v7 layout of a `Vec<Option<_>>` of `(emb, agg, updates)` rows,
-/// written from the slab's seen rows; a row that disagrees with the first
-/// seen row's layout is refused by sender.
+/// A `Vec<Option<_>>` of `(emb, agg, updates)` rows, written from the slab's
+/// seen rows; a row that disagrees with the first seen row's layout is
+/// refused by sender.
 impl Codec for MomentumTable {
     fn put(&self, w: &mut Vec<u8>) {
         (self.users() as u64).put(w);
@@ -389,44 +396,20 @@ impl Codec for MomentumTable {
     }
 }
 
-impl Codec for SharedModel {
-    fn put(&self, w: &mut Vec<u8>) {
-        put!(w, &self.owner.raw(), &self.round, &self.owner_emb, &self.agg);
-    }
-    fn get(r: &mut Reader) -> Result<Self, String> {
-        Ok(SharedModel {
-            owner: UserId::new(r.get()?),
-            round: r.get()?,
-            owner_emb: r.get()?,
-            agg: r.get()?,
-        })
-    }
-}
-
+/// A tag byte, then the engine's section.
 impl Codec for AttackState {
     fn put(&self, w: &mut Vec<u8>) {
         match self {
-            AttackState::Cia(s) => {
-                put!(w, &0u8, &s.momentum, &s.history, &s.last_global, &s.prepared);
-            }
-            AttackState::Placements(s) => put!(w, &1u8, &s.s_ema, &s.history, &s.prepared),
+            AttackState::Cia(s) => put!(w, &0u8, s),
+            AttackState::Placements(s) => put!(w, &1u8, s),
         }
     }
     fn get(r: &mut Reader) -> Result<Self, String> {
-        Ok(match r.get::<u8>()? {
-            0 => AttackState::Cia(CiaAttackState {
-                momentum: r.get()?,
-                history: r.get()?,
-                last_global: r.get()?,
-                prepared: r.get()?,
-            }),
-            1 => AttackState::Placements(PlacementsState {
-                s_ema: r.get()?,
-                history: r.get()?,
-                prepared: r.get()?,
-            }),
-            tag => return Err(format!("unknown attack state tag {tag}")),
-        })
+        match r.get::<u8>()? {
+            0 => Ok(AttackState::Cia(r.get()?)),
+            1 => Ok(AttackState::Placements(r.get()?)),
+            tag => Err(format!("unknown attack state tag {tag}")),
+        }
     }
 }
 
@@ -447,7 +430,7 @@ impl Codec for ProtocolState {
                 put_delta(w, m, reference);
             }
         }
-        put!(w, &s.heard, &s.traffic.received, &s.traffic.view_in_degree);
+        put!(w, &s.heard, &s.traffic);
     }
     fn get(r: &mut Reader) -> Result<Self, String> {
         match r.get::<u8>()? {
@@ -463,7 +446,7 @@ impl Codec for ProtocolState {
                     inboxes,
                     heard: r.get()?,
                     prev_sent,
-                    traffic: TrafficCounters { received: r.get()?, view_in_degree: r.get()? },
+                    traffic: r.get()?,
                 }))
             }
             tag => Err(format!("unknown protocol state tag {tag}")),
@@ -563,7 +546,6 @@ impl Reader<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamics::DynamicsState;
 
     /// A small checkpoint touching every section. Scalars of one width hold
     /// distinct values, so the layout pin below notices two swapped fields.

@@ -12,7 +12,7 @@
 use crate::spec::DynamicsSpec;
 use cia_federated::RoundObserver;
 use cia_gossip::GossipObserver;
-use cia_models::{Checkpointable, LivenessEvent, MomentumTable, SharedModel};
+use cia_models::{LivenessEvent, MomentumTable, SharedModel};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -176,15 +176,18 @@ impl ParticipantDynamics {
 }
 
 /// Snapshot/restore of the cross-round state for checkpoint/resume.
-/// Restoring refuses state that is not aligned with the population size.
-impl Checkpointable for ParticipantDynamics {
-    type State = DynamicsState;
-
-    fn export_state(&self) -> DynamicsState {
+impl ParticipantDynamics {
+    /// The cross-round state a checkpoint carries.
+    pub fn export_state(&self) -> DynamicsState {
         DynamicsState { online: self.online.clone(), straggler_until: self.straggler_until.clone() }
     }
 
-    fn restore_state(&mut self, state: DynamicsState) -> Result<(), String> {
+    /// Restores a state captured by [`ParticipantDynamics::export_state`].
+    ///
+    /// # Errors
+    ///
+    /// Names the table not aligned with the population size.
+    pub fn restore_state(&mut self, state: DynamicsState) -> Result<(), String> {
         if state.online.len() != self.online.len() {
             return Err("online bitmap".to_string());
         }

@@ -50,8 +50,8 @@ use cia_federated::{FedAvg, FedAvgConfig};
 use cia_gossip::{GossipConfig, GossipObserver, GossipProtocol, GossipSim};
 use cia_models::parallel::par_map;
 use cia_models::{
-    f1_at_k, hit_ratio, Checkpointable, GmfClient, GmfHyper, GmfSpec, Participant, PrmeClient,
-    PrmeHyper, PrmeSpec, RelevanceScorer,
+    f1_at_k, hit_ratio, GmfClient, GmfHyper, GmfSpec, Participant, PrmeClient, PrmeHyper, PrmeSpec,
+    RelevanceScorer,
 };
 use std::io::Write;
 use std::path::PathBuf;

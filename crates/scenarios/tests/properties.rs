@@ -8,7 +8,7 @@ use cia_core::{CiaAttackState, MomentumTable, PlacementsState, RoundPoint};
 use cia_data::presets::{Preset, Scale};
 use cia_data::UserId;
 use cia_gossip::{GossipSimState, TrafficCounters};
-use cia_models::{Checkpointable, SharedModel};
+use cia_models::SharedModel;
 use cia_scenarios::checkpoint::{AttackState, Checkpoint, ProtocolState};
 use cia_scenarios::dynamics::{DynamicsState, ParticipantDynamics};
 use cia_scenarios::placement::PlacementState;

@@ -21,7 +21,7 @@ use cia_data::presets::Scale;
 use cia_defenses::DpMechanism;
 use cia_federated::{FedAvg, FedAvgConfig, LivenessEvent, RoundObserver, RoundStats};
 use cia_models::params::axpy;
-use cia_models::{Checkpointable, GmfSpec, Participant, SharedModel};
+use cia_models::{GmfSpec, Participant, SharedModel};
 use cia_scenarios::runner::{gmf_scorer, run_suite, RunOptions};
 use cia_scenarios::{
     build_setup, named_suite, DefenseKind, FlDynamics, ParticipantDynamics, ScenarioSpec,
