@@ -16,7 +16,7 @@
 //! cargo bench -p cia-bench --bench micro              # full timing run
 //! cargo bench -p cia-bench --bench micro -- kernel    # name filter
 //! cargo bench -p cia-bench -- --test                  # smoke: one iteration
-//! scripts/bench_smoke.sh                              # smoke + clippy gate
+//! scripts/ci.sh                                      # full gate: smoke + clippy
 //! scripts/bench_kernels.sh                            # regenerate BENCH_kernels.json
 //! ```
 //!

@@ -248,13 +248,10 @@ impl<E: RelevanceEvaluator, V> MomentumCia<E, V> {
         }
         self.tracker.record_with_online(round, &accs, &uppers, &uppers_online);
     }
-}
 
-/// Snapshot/restore of the attack's mutable state for checkpoint/resume.
-/// Evaluator-side state (fictive embeddings) is captured separately through
-/// the evaluator accessors.
-impl<E: RelevanceEvaluator, V> MomentumCia<E, V> {
-    /// The attack's mutable state, cloned.
+    /// The attack's mutable state, cloned, for checkpoint/resume.
+    /// Evaluator-side state (fictive embeddings) is captured separately
+    /// through the evaluator accessors.
     pub fn export_state(&self) -> CiaAttackState {
         CiaAttackState {
             momentum: self.momentum.clone(),

@@ -226,11 +226,8 @@ impl<E: RelevanceEvaluator> GlCiaAllPlacements<E> {
         let uppers_online: Vec<f64> = results.iter().filter_map(|r| r.1.map(|b| b.1)).collect();
         self.tracker.record_with_online(round, &accs, &uppers, &uppers_online);
     }
-}
 
-/// Snapshot/restore of the sweep's mutable state for checkpoint/resume.
-impl<E: RelevanceEvaluator> GlCiaAllPlacements<E> {
-    /// The sweep's mutable state, cloned.
+    /// The sweep's mutable state, cloned, for checkpoint/resume.
     pub fn export_state(&self) -> PlacementsState {
         PlacementsState {
             s_ema: self.s_ema.clone(),

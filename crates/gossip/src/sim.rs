@@ -121,11 +121,10 @@ pub struct NullGossipObserver;
 impl GossipObserver for NullGossipObserver {}
 
 /// Serializable snapshot of a [`GossipSim`]'s protocol-side state
-/// (checkpoint/resume of long runs; node parameters travel separately).
+/// (checkpoint/resume of long runs; the round counter and node parameters
+/// travel separately).
 #[derive(Debug, Clone)]
 pub struct GossipSimState {
-    /// Rounds completed.
-    pub round: u64,
     /// Next scheduled view-refresh round per node.
     pub refresh_at: Vec<u64>,
     /// Current out-views.
@@ -587,14 +586,13 @@ impl<P: Participant> GossipSim<P> {
         self.step(observer)
     }
 
-    /// Snapshot of the protocol-side state — round counter, views, refresh
-    /// schedule and per-node mailboxes. Per-round
-    /// RNG streams are derived from `(seed, round)`, so no generator state
-    /// needs saving; node parameters are captured separately via
-    /// [`cia_models::Participant::state_vec`].
+    /// Snapshot of the protocol-side state — views, refresh schedule and
+    /// per-node mailboxes. Per-round RNG streams are derived from
+    /// `(seed, round)`, so no generator state needs saving; the round
+    /// counter travels separately ([`GossipSim::round`]), and node
+    /// parameters are captured via [`cia_models::Participant::state_vec`].
     pub fn export_state(&self) -> GossipSimState {
         GossipSimState {
-            round: self.round,
             refresh_at: self.refresh_at.clone(),
             views: self.views.views().to_vec(),
             inboxes: self.ctl.iter().map(|c| c.inbox.clone()).collect(),
@@ -604,8 +602,8 @@ impl<P: Participant> GossipSim<P> {
         }
     }
 
-    /// Restores a state captured by `export_state` on a simulation
-    /// constructed with the same nodes and configuration.
+    /// Restores a state captured by `export_state` after `round` rounds, on
+    /// a simulation constructed with the same nodes and configuration.
     ///
     /// # Errors
     ///
@@ -617,7 +615,7 @@ impl<P: Participant> GossipSim<P> {
     /// Pers-Gossip candidate a real node. A hostile checkpoint is thus
     /// refused up front instead of panicking mid-run or being silently
     /// truncated by the DP update.
-    pub fn restore_state(&mut self, state: GossipSimState) -> Result<(), String> {
+    pub fn restore_state(&mut self, round: u64, state: GossipSimState) -> Result<(), String> {
         let n = self.nodes.len();
         let tables = [
             ("refresh table", state.refresh_at.len()),
@@ -650,7 +648,7 @@ impl<P: Participant> GossipSim<P> {
             }
         }
         self.views.restore_views(state.views)?;
-        self.round = state.round;
+        self.round = round;
         self.refresh_at = state.refresh_at;
         let per_node = state.inboxes.into_iter().zip(state.prev_sent).zip(state.heard);
         for ((c, o), ((inbox, prev), heard)) in
@@ -1173,7 +1171,7 @@ mod tests {
         assert_eq!(&state.traffic, traffic);
         let mut fresh = sim(20, GossipConfig { rounds, seed: 3, ..Default::default() });
         let traffic = traffic.clone();
-        fresh.restore_state(state).unwrap();
+        fresh.restore_state(s.round(), state).unwrap();
         assert_eq!(fresh.traffic(), &traffic);
     }
 
@@ -1363,7 +1361,7 @@ mod tests {
         s.run(&mut Recorder::sleeping(0.5, 1));
         let good = s.export_state();
         assert!(good.inboxes.iter().any(|inbox| !inbox.is_empty()), "no node held mail");
-        assert_eq!(s.restore_state(good.clone()), Ok(()));
+        assert_eq!(s.restore_state(4, good.clone()), Ok(()));
         fn model(owner: u32, len: usize) -> SharedModel {
             SharedModel {
                 owner: UserId::new(owner),
@@ -1388,7 +1386,7 @@ mod tests {
         for (corrupt, part) in cases {
             let mut bad = good.clone();
             corrupt(&mut bad);
-            assert_eq!(s.restore_state(bad).unwrap_err(), part);
+            assert_eq!(s.restore_state(4, bad).unwrap_err(), part);
             // A refused state leaves the simulation as it was.
             assert_eq!(s.export_state().views, good.views);
         }
@@ -1396,7 +1394,7 @@ mod tests {
         let mut fine = good;
         fine.inboxes[5].push(model(1, 8));
         fine.prev_sent[2] = Some(vec![0.0; 8]);
-        assert_eq!(s.restore_state(fine), Ok(()));
+        assert_eq!(s.restore_state(4, fine), Ok(()));
     }
 
     #[test]
@@ -1442,7 +1440,7 @@ mod tests {
         let params: Vec<Vec<f32>> = first.nodes().iter().map(Participant::state_vec).collect();
 
         let mut resumed = sim(14, cfg);
-        resumed.restore_state(proto).unwrap();
+        resumed.restore_state(6, proto).unwrap();
         for (node, p) in resumed.nodes_mut().iter_mut().zip(&params) {
             node.restore_state(p).unwrap();
         }

@@ -234,7 +234,7 @@ proptest! {
         drop(first);
 
         let mut resumed = sim(n, cfg);
-        resumed.restore_state(state).unwrap();
+        resumed.restore_state(cut, state).unwrap();
         for (node, p) in resumed.nodes_mut().iter_mut().zip(&params) {
             node.restore_state(p).unwrap();
         }

@@ -36,26 +36,17 @@ use std::path::{Path, PathBuf};
 
 // The magic spells "CIAS".
 const MAGIC: u32 = 0x4349_4153;
+// v8: dropped what resume never reads — the emitted-record counter (the
+// restored attack history's length), the gossip section's round (the
+// checkpoint's own) and v4's sparse inbox delta (inbox models are dense).
 // v7: an 8-byte trailer holds the FNV-1a-64 of every byte before it, so a
 // flipped bit anywhere is refused instead of resuming from a silently
-// different state.
-// v6: gossip state dropped v5's pending event-queue section — view refreshes
-// are scheduled by the per-node `refresh_at` rounds alone, which the gossip
-// section already carries.
-// v4: undelivered gossip inbox models are delta-encoded against the sender's
-// `prev_sent` reference (its momentum of clean outgoing state) — sparse
-// training touches a handful of item rows per round, so the last undelivered
-// snapshot from a sender differs from the reference in only those slots; the
-// sender's reference section now precedes the inboxes so decoding can expand
-// deltas in one pass. Models without a usable reference (no DP/clip
-// transform installed, length mismatch, or a dense diff) fall back to the
-// dense encoding, so the roundtrip is bit-exact either way. v3: gossip state
-// gained per-node traffic counters and the checkpoint an adaptive
-// sybil-placement section (relocation phase, membership, warm-up delivery
-// log). v2 added `upper_bound_online` to `RoundPoint`. Checkpoints from
-// older versions are refused with a version error rather than silently
-// misread.
-const VERSION: u32 = 7;
+// different state. v6: gossip state dropped v5's pending event-queue
+// section. v3: gossip state gained per-node traffic counters and the
+// checkpoint an adaptive sybil-placement section. v2 added
+// `upper_bound_online` to `RoundPoint`. Checkpoints from older versions are
+// refused with a version error rather than silently misread.
+const VERSION: u32 = 8;
 
 /// Protocol-side state, by protocol family.
 #[derive(Debug, Clone)]
@@ -86,8 +77,6 @@ pub struct Checkpoint {
     pub fingerprint: u64,
     /// Rounds completed when the snapshot was taken.
     pub round: u64,
-    /// Evaluation records already emitted to the JSONL stream.
-    pub emitted: u64,
     /// Per-participant private state ([`cia_models::Participant::state_vec`]).
     pub clients: Vec<Vec<f32>>,
     /// Protocol-side state.
@@ -275,13 +264,13 @@ macro_rules! codec {
 
 codec! {
     Checkpoint {
-        fingerprint, round, emitted, clients, protocol, attack, adversary_embs,
-        dynamics, placement
+        fingerprint, round, clients, protocol, attack, adversary_embs, dynamics, placement
     }
     RoundPoint { round, aac, best10, upper_bound, upper_bound_online }
     SharedModel { owner, round, owner_emb, agg }
     CiaAttackState { momentum, history, last_global, prepared }
     PlacementsState { s_ema, history, prepared }
+    GossipSimState { refresh_at, views, inboxes, heard, prev_sent, traffic }
     TrafficCounters { received, view_in_degree }
     DynamicsState { online, straggler_until }
     PlacementState { relocated, members, seen }
@@ -317,25 +306,12 @@ fn put_seq<T: Codec>(w: &mut Vec<u8>, v: &[T]) {
     }
 }
 
-/// Reads a `u64` length, then that many elements with `get`.
-fn get_seq<T>(
-    r: &mut Reader,
-    mut get: impl FnMut(&mut Reader) -> Result<T, String>,
-) -> Result<Vec<T>, String> {
-    let n = r.len()?;
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(get(r)?);
-    }
-    Ok(v)
-}
-
 impl<T: Codec> Codec for Vec<T> {
     fn put(&self, w: &mut Vec<u8>) {
         put_seq(w, self);
     }
     fn get(r: &mut Reader) -> Result<Self, String> {
-        get_seq(r, T::get)
+        (0..r.len()?).map(|_| r.get()).collect()
     }
 }
 
@@ -413,106 +389,20 @@ impl Codec for AttackState {
     }
 }
 
+/// A tag byte, then the protocol's section.
 impl Codec for ProtocolState {
     fn put(&self, w: &mut Vec<u8>) {
-        let s = match self {
-            ProtocolState::Fl { global } => return put!(w, &0u8, global),
-            ProtocolState::Gl(s) => s,
-        };
-        // v4: sender references first, then the inboxes that delta against
-        // them.
-        put!(w, &1u8, &s.round, &s.refresh_at, &s.views, &s.prev_sent);
-        (s.inboxes.len() as u64).put(w);
-        for inbox in &s.inboxes {
-            (inbox.len() as u64).put(w);
-            for m in inbox {
-                let reference = s.prev_sent.get(m.owner.raw() as usize).and_then(|p| p.as_deref());
-                put_delta(w, m, reference);
-            }
+        match self {
+            ProtocolState::Fl { global } => put!(w, &0u8, global),
+            ProtocolState::Gl(s) => put!(w, &1u8, s),
         }
-        put!(w, &s.heard, &s.traffic);
     }
     fn get(r: &mut Reader) -> Result<Self, String> {
         match r.get::<u8>()? {
             0 => Ok(ProtocolState::Fl { global: r.get()? }),
-            1 => {
-                let (round, refresh_at, views) = (r.get()?, r.get()?, r.get()?);
-                let prev_sent: Vec<Option<Vec<f32>>> = r.get()?;
-                let inboxes = get_seq(r, |r| get_seq(r, |r| get_delta(r, &prev_sent)))?;
-                Ok(ProtocolState::Gl(GossipSimState {
-                    round,
-                    refresh_at,
-                    views,
-                    inboxes,
-                    heard: r.get()?,
-                    prev_sent,
-                    traffic: r.get()?,
-                }))
-            }
+            1 => Ok(ProtocolState::Gl(r.get()?)),
             tag => Err(format!("unknown protocol state tag {tag}")),
         }
-    }
-}
-
-/// v4 inbox-model encoding: a sparse bit-exact delta against the sender's
-/// `prev_sent` reference (tag 1) when one exists and the diff is genuinely
-/// sparse — sparse local training leaves most of the `agg` slots untouched
-/// between sends — or the dense [`SharedModel`] layout (tag 0) otherwise.
-fn put_delta(w: &mut Vec<u8>, m: &SharedModel, reference: Option<&[f32]>) {
-    let emb_len = m.owner_emb.as_ref().map_or(0, Vec::len);
-    let total = emb_len + m.agg.len();
-    // `[emb | agg]` concatenation, matching the reference's layout.
-    let concat = || m.owner_emb.as_deref().unwrap_or(&[]).iter().chain(&m.agg);
-    let diffs: Option<Vec<(u32, u32)>> = reference
-        .filter(|r| r.len() == total)
-        .map(|r| {
-            concat()
-                .zip(r)
-                .enumerate()
-                // Raw-bit comparison: bit-exact restores, NaN included.
-                .filter(|(_, (have, want))| have.to_bits() != want.to_bits())
-                // cia-lint: allow(D05, parameter index into one model vector; model lengths are catalog-bounded and fit u32)
-                .map(|(k, (have, _))| (k as u32, have.to_bits()))
-                .collect()
-        })
-        // A diff entry costs 8 bytes vs 4 for a dense slot — only
-        // encode sparsely when it actually shrinks the model.
-        .filter(|d: &Vec<_>| d.len() * 2 < total);
-    match diffs {
-        Some(diffs) => {
-            let has_emb = m.owner_emb.is_some();
-            put!(w, &1u8, &m.owner.raw(), &m.round, &has_emb, &(emb_len as u64), &diffs);
-        }
-        None => put!(w, &0u8, m),
-    }
-}
-
-/// Inverse of [`put_delta`]: expands a sparse delta against the sender's
-/// `prev_sent` reference, or reads the dense layout.
-fn get_delta(r: &mut Reader, prev_sent: &[Option<Vec<f32>>]) -> Result<SharedModel, String> {
-    match r.get::<u8>()? {
-        0 => r.get(),
-        1 => {
-            let (owner, round, has_emb): (_, _, bool) = (UserId::new(r.get()?), r.get()?, r.get()?);
-            let emb_len = r.get::<u64>()? as usize;
-            if !has_emb && emb_len != 0 {
-                return Err("delta model claims embedding slots without one".to_string());
-            }
-            let mut full = prev_sent
-                .get(owner.raw() as usize)
-                .and_then(std::clone::Clone::clone)
-                .ok_or("delta-encoded inbox model without a sender reference")?;
-            if emb_len > full.len() {
-                return Err("delta model embedding exceeds the reference".to_string());
-            }
-            for (k, bits) in r.get::<Vec<(u32, u32)>>()? {
-                *full.get_mut(k as usize).ok_or("delta index outside the reference")? =
-                    f32::from_bits(bits);
-            }
-            let agg = full.split_off(emb_len);
-            Ok(SharedModel { owner, round, owner_emb: has_emb.then_some(full), agg })
-        }
-        tag => Err(format!("unknown inbox model tag {tag}")),
     }
 }
 
@@ -553,10 +443,8 @@ mod tests {
         Checkpoint {
             fingerprint: 0xFEED,
             round: 12,
-            emitted: 3,
             clients: vec![vec![1.0, -2.5], vec![0.0; 4]],
             protocol: ProtocolState::Gl(GossipSimState {
-                round: 14,
                 refresh_at: vec![13, 20],
                 views: vec![vec![1], vec![0]],
                 inboxes: vec![
@@ -607,7 +495,6 @@ mod tests {
         let bytes = ck.encode();
         let back = Checkpoint::decode(&bytes, 0xFEED).unwrap();
         assert_eq!(back.round, ck.round);
-        assert_eq!(back.emitted, ck.emitted);
         assert_eq!(back.clients, ck.clients);
         assert_eq!(back.adversary_embs, ck.adversary_embs);
         assert_eq!(back.dynamics, ck.dynamics);
@@ -639,60 +526,30 @@ mod tests {
     }
 
     #[test]
-    fn v7_layout_is_pinned() {
-        // Recorded from the hand-written v7 codec. Any reordered, resized or
-        // retagged field changes these bytes; a real format change bumps
-        // `VERSION` and records new literals.
+    fn v8_layout_is_pinned() {
+        // Checked field by field against the v8 layout. Any reordered,
+        // resized or retagged field changes these bytes; a real format change
+        // bumps `VERSION` and records new literals.
         assert_eq!(
             hex(&sample().encode()),
             concat!(
-                "5341494307000000edfe0000000000000c000000000000000300000000000000",
-                "020000000000000002000000000000000000803f000020c00400000000000000",
-                "00000000000000000000000000000000010e0000000000000002000000000000",
-                "000d000000000000001400000000000000020000000000000001000000000000",
-                "0001000000010000000000000000000000020000000000000000010100000000",
-                "000000000040400200000000000000010000000000000000010000000b000000",
-                "000000000101000000000000000000003f02000000000000000000803f000000",
-                "4000000000000000000200000000000000010000000000000001000000000080",
-                "3e00000000000000000200000000000000040000000000000000000000000000",
-                "0002000000000000000c000000000000000b0000000000000000020000000000",
-                "00000001010100000000000000cdcccc3d0200000000000000cdcc4c3e9a9999",
-                "3e040000000000000001000000000000000500000000000000000000000000e0",
-                "3f000000000000e83f000000000000f03f000000000000e43f01010000000000",
-                "000000001041010200000000000000000102000000000000000000a03f000000",
-                "bf02000000000000000100020000000000000000000000000000001100000000",
-                "0000000001000000000000000000000002000000000000000100000000000000",
-                "01000000000000000000000078ba9064294794f1",
-            )
-        );
-        assert_eq!(
-            hex(&sparse_inbox_sample(&[(17, -9.0)]).encode()),
-            concat!(
-                "5341494307000000edfe0000000000000c000000000000000300000000000000",
-                "020000000000000002000000000000000000803f000020c00400000000000000",
-                "00000000000000000000000000000000010e0000000000000002000000000000",
-                "000d000000000000001400000000000000020000000000000001000000000000",
-                "0001000000010000000000000000000000020000000000000000014000000000",
-                "000000000000000000003f0000803f0000c03f00000040000020400000404000",
-                "00604000008040000090400000a0400000b0400000c0400000d0400000e04000",
-                "00f0400000004100000841000010410000184100002041000028410000304100",
-                "0038410000404100004841000050410000584100006041000068410000704100",
-                "00784100008041000084410000884100008c4100009041000094410000984100",
-                "009c410000a0410000a4410000a8410000ac410000b0410000b4410000b84100",
-                "00bc410000c0410000c4410000c8410000cc410000d0410000d4410000d84100",
-                "00dc410000e0410000e4410000e8410000ec410000f0410000f4410000f84100",
-                "00fc410200000000000000010000000000000001010000000b00000000000000",
-                "010400000000000000010000000000000011000000000010c100000000000000",
-                "0002000000000000000100000000000000010000000000803e00000000000000",
-                "0002000000000000000400000000000000000000000000000002000000000000",
-                "000c000000000000000b00000000000000000200000000000000000101010000",
-                "0000000000cdcccc3d0200000000000000cdcc4c3e9a99993e04000000000000",
-                "0001000000000000000500000000000000000000000000e03f000000000000e8",
-                "3f000000000000f03f000000000000e43f010100000000000000000010410102",
-                "00000000000000000102000000000000000000a03f000000bf02000000000000",
-                "0001000200000000000000000000000000000011000000000000000001000000",
-                "0000000000000000020000000000000001000000000000000100000000000000",
-                "00000000dfabbc7afa986f52",
+                "5341494308000000edfe0000000000000c000000000000000200000000000000",
+                "02000000000000000000803f000020c004000000000000000000000000000000",
+                "00000000000000000102000000000000000d0000000000000014000000000000",
+                "0002000000000000000100000000000000010000000100000000000000000000",
+                "0002000000000000000100000000000000010000000b00000000000000010100",
+                "0000000000000000003f02000000000000000000803f00000040000000000000",
+                "000002000000000000000100000000000000010000000000803e000000000000",
+                "0000020000000000000000010100000000000000000040400200000000000000",
+                "0400000000000000000000000000000002000000000000000c00000000000000",
+                "0b000000000000000002000000000000000001010100000000000000cdcccc3d",
+                "0200000000000000cdcc4c3e9a99993e04000000000000000100000000000000",
+                "0500000000000000000000000000e03f000000000000e83f000000000000f03f",
+                "000000000000e43f010100000000000000000010410102000000000000000001",
+                "02000000000000000000a03f000000bf02000000000000000100020000000000",
+                "0000000000000000000011000000000000000001000000000000000000000002",
+                "000000000000000100000000000000010000000000000000000000a8e0e7c598",
+                "9b5da9",
             )
         );
     }
@@ -723,66 +580,6 @@ mod tests {
         assert_eq!(hash.len(), 16, "full 64-bit hash in {stem}");
     }
 
-    /// A checkpoint whose one undelivered inbox model differs from the
-    /// sender's `prev_sent` reference only at `touched` slots of a 64-slot
-    /// `[emb(4) | agg(60)]` layout.
-    fn sparse_inbox_sample(touched: &[(usize, f32)]) -> Checkpoint {
-        let mut ck = sample();
-        let reference: Vec<f32> = (0..64).map(|k| k as f32 * 0.5).collect();
-        let mut model = reference.clone();
-        for &(k, v) in touched {
-            model[k] = v;
-        }
-        let ProtocolState::Gl(state) = &mut ck.protocol else { unreachable!() };
-        state.prev_sent = vec![None, Some(reference)];
-        state.inboxes = vec![
-            vec![SharedModel {
-                owner: UserId::new(1),
-                round: 11,
-                owner_emb: Some(model[..4].to_vec()),
-                agg: model[4..].to_vec(),
-            }],
-            vec![],
-        ];
-        ck
-    }
-
-    #[test]
-    fn sparse_inbox_delta_roundtrips_bit_exactly() {
-        // Three touched slots, one of them NaN and one a subnormal — the
-        // delta must restore raw bits, not values.
-        let touched = [(0, f32::NAN), (17, -9.0), (63, 1.0e-40)];
-        let ck = sparse_inbox_sample(&touched);
-        let back = Checkpoint::decode(&ck.encode(), 0xFEED).unwrap();
-        let (ProtocolState::Gl(a), ProtocolState::Gl(b)) = (&back.protocol, &ck.protocol) else {
-            panic!("protocol family changed");
-        };
-        let bits = |m: &SharedModel| -> Vec<u32> {
-            let emb = m.owner_emb.as_deref().unwrap_or(&[]);
-            emb.iter().chain(&m.agg).map(|x| x.to_bits()).collect()
-        };
-        assert_eq!(a.inboxes[0][0].owner, b.inboxes[0][0].owner);
-        assert_eq!(a.inboxes[0][0].round, b.inboxes[0][0].round);
-        assert_eq!(bits(&a.inboxes[0][0]), bits(&b.inboxes[0][0]));
-        assert_eq!(a.prev_sent, b.prev_sent);
-    }
-
-    #[test]
-    fn sparse_inbox_delta_shrinks_the_checkpoint() {
-        let sparse = sparse_inbox_sample(&[(17, -9.0)]).encode();
-        // Every slot perturbed: the diff is dense, the codec must fall back
-        // to the dense layout — and the sparse encoding must be materially
-        // smaller than it.
-        let all: Vec<(usize, f32)> = (0..64).map(|k| (k, -1.0 - k as f32)).collect();
-        let dense = sparse_inbox_sample(&all).encode();
-        assert!(
-            sparse.len() + 150 < dense.len(),
-            "sparse {} vs dense {}",
-            sparse.len(),
-            dense.len()
-        );
-    }
-
     #[test]
     fn rejects_wrong_fingerprint_and_garbage() {
         let bytes = sample().encode();
@@ -800,12 +597,15 @@ mod tests {
         v5[4..8].copy_from_slice(&5u32.to_le_bytes());
         let mut v6 = bytes.clone();
         v6[4..8].copy_from_slice(&6u32.to_le_bytes());
-        let cases: [(&str, Vec<u8>, &[&str]); 5] = [
+        let mut v7 = bytes.clone();
+        v7[4..8].copy_from_slice(&7u32.to_le_bytes());
+        let cases: [(&str, Vec<u8>, &[&str]); 6] = [
             ("empty", Vec::new(), &["truncated"]),
             ("half", bytes[..bytes.len() / 2].to_vec(), &["truncated", "exceeds remaining data"]),
             ("zeroed", vec![0; bytes.len()], &["bad magic"]),
             ("v5", v5, &["unsupported checkpoint version 5"]),
             ("v6", v6, &["unsupported checkpoint version 6"]),
+            ("v7", v7, &["unsupported checkpoint version 7"]),
         ];
         for (name, contents, reasons) in cases {
             let path = dir.join(format!("{name}.ckpt"));

@@ -31,7 +31,7 @@ pub struct ParticipantDynamics {
     sybil: Vec<bool>,
 }
 
-/// Checkpointable slice of [`ParticipantDynamics`] (membership tables are
+/// Checkpointed slice of [`ParticipantDynamics`] (membership tables are
 /// reconstructed deterministically from the spec and seed).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DynamicsState {
@@ -47,7 +47,8 @@ impl ParticipantDynamics {
     /// # Panics
     ///
     /// Panics if a non-empty sybil coalition covers the whole population
-    /// (`spec.sybils >= n`); the runner refuses such a spec by name first.
+    /// (`spec.sybils >= n`); `ScenarioSpec::validate` refuses such a spec by
+    /// name first.
     pub fn new(spec: &DynamicsSpec, n: usize, seed: u64) -> Self {
         assert!(spec.sybils == 0 || spec.sybils < n, "sybils must be fewer than the participants");
         let mut rng = StdRng::seed_from_u64(seed ^ 0xD11A_0001);
@@ -173,10 +174,7 @@ impl ParticipantDynamics {
             }
         }
     }
-}
 
-/// Snapshot/restore of the cross-round state for checkpoint/resume.
-impl ParticipantDynamics {
     /// The cross-round state a checkpoint carries.
     pub fn export_state(&self) -> DynamicsState {
         DynamicsState { online: self.online.clone(), straggler_until: self.straggler_until.clone() }

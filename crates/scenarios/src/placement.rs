@@ -28,7 +28,7 @@ use crate::spec::PlacementStrategy;
 use cia_gossip::{GossipObserver, GossipRoundStats, TrafficCounters};
 use cia_models::SharedModel;
 
-/// Checkpointable slice of a [`PlacementEngine`] (strategy, warm-up window
+/// Checkpointed slice of a [`PlacementEngine`] (strategy, warm-up window
 /// and coalition size are reconstructed from the spec).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PlacementState {

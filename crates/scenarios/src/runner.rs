@@ -408,12 +408,6 @@ where
         eval_every: setup.params.eval_every(spec.protocol),
         seed: spec.seed ^ 0xC1A,
     };
-    if spec.dynamics.sybils > 0 && spec.dynamics.sybils >= n {
-        return Err(format!(
-            "{}: dynamics.sybils {} must be smaller than the population ({n} users)",
-            spec.name, spec.dynamics.sybils
-        ));
-    }
     let dynamics = ParticipantDynamics::new(&spec.dynamics, n, spec.seed ^ 0xD11A);
     let evaluator = ItemSetEvaluator::new(scorer, targets, share_less);
     let total = setup.params.rounds(spec.protocol);
@@ -672,11 +666,7 @@ impl<P: Participant> ProtocolRun for GlRun<P> {
         let ProtocolState::Gl(state) = protocol else {
             return Err("protocol family".to_string());
         };
-        // Another round's section would draw another round's RNG streams.
-        if state.round != round {
-            return Err("gossip round".to_string());
-        }
-        self.sim.restore_state(state)?;
+        self.sim.restore_state(round, state)?;
         self.placement.restore_state(placement)?;
         if self.placement.relocated() {
             // Re-apply the relocation to the tables rebuilt from the spec —
@@ -738,7 +728,8 @@ fn drive<R: ProtocolRun>(
             c.restore_state(s).map_err(|_| mismatch(&format!("state of client {i}")))?;
         }
         dynamics.restore_state(ck.dynamics).map_err(|part| mismatch(&part))?;
-        (done, emitted) = (ck.round, ck.emitted as usize);
+        // Every record of the restored history was emitted before the save.
+        (done, emitted) = (ck.round, proto.attack().history().len());
     }
 
     let rb = random_bound(setup.k, n.saturating_sub(1));
@@ -755,8 +746,8 @@ fn drive<R: ProtocolRun>(
         drop(emit_span);
         let stopping = ctx.opts.stop_after_rounds.is_some_and(|limit| done >= limit);
         // Rounds that emitted records always checkpoint, keeping the stream's
-        // record count in lockstep with the checkpoint's `emitted` counter —
-        // a kill can then duplicate at most the current round's records on
+        // record count in lockstep with the checkpoint's attack history — a
+        // kill can then duplicate at most the current round's records on
         // resume.
         let every = ctx.opts.checkpoint_every;
         let due = stopping || emitted > emitted_before || (every > 0 && done.is_multiple_of(every));
@@ -767,7 +758,6 @@ fn drive<R: ProtocolRun>(
             let ck = Checkpoint {
                 fingerprint: spec.fingerprint(),
                 round: done,
-                emitted: emitted as u64,
                 clients: proto.clients().iter().map(Participant::state_vec).collect(),
                 protocol,
                 attack,

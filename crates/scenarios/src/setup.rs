@@ -97,6 +97,8 @@ pub(crate) fn try_build_setup_traced(
     let params = ScaleParams::of(scale);
     let (users, items, per_user) = preset.dims(scale);
     validate_scale_params(&params, users, items as usize, per_user)?;
+    let k = k_override.unwrap_or(params.k);
+    check_k(k, users)?;
     let data = {
         let _generate = rec.span("generate");
         preset.generate(scale, seed)
@@ -107,16 +109,22 @@ pub(crate) fn try_build_setup_traced(
         LeaveOneOut::with_holdout(&data, holdout, params.eval_negatives, seed ^ 0x5EED)
             .map_err(|e| format!("{} at scale {scale} cannot be split: {e}", preset.name()))?
     };
-    let (n, k) = (data.num_users(), k_override.unwrap_or(params.k));
-    let max_k = n.saturating_sub(2);
-    if !(1..=max_k).contains(&k) {
-        return Err(format!("k {k} must lie in [1, {max_k}] for a population of {n} users"));
-    }
     let truth = {
         let _truth = rec.span("ground_truth");
         GroundTruth::from_train_sets(split.train_sets(), k)
     };
     Ok(RecsysSetup { data, split, k, truth, params })
+}
+
+/// Refuses a community size `K` outside `[1, n − 2]` for `n` users: each
+/// target's K nearest users are ranked among the other `n − 1`, minus one
+/// adversary.
+pub(crate) fn check_k(k: usize, n: usize) -> Result<(), String> {
+    let max_k = n.saturating_sub(2);
+    if (1..=max_k).contains(&k) {
+        return Ok(());
+    }
+    Err(format!("k {k} must lie in [1, {max_k}] for a population of {n} users"))
 }
 
 /// The setup stages a scenario run times, in order: the three of

@@ -412,6 +412,17 @@ impl ScenarioSpec {
                 self.name
             ));
         }
+        // The population the setup generates.
+        let n = self.preset.dims(self.scale).0;
+        if let Some(k) = self.k_override {
+            crate::setup::check_k(k, n).map_err(|e| format!("{}: {e}", self.name))?;
+        }
+        if d.sybils >= n {
+            return Err(format!(
+                "{}: dynamics.sybils {} must be smaller than the population ({n} users)",
+                self.name, d.sybils
+            ));
+        }
         if d.placement.is_adaptive() {
             if d.sybils == 0 {
                 return Err(format!(

@@ -89,8 +89,11 @@ fn hostile_inputs_exit_1_with_a_named_error() {
 /// Inputs that used to run silently exit 1 with the field named: a `tau`
 /// under a DP defense and an `epsilon` under none (both once dropped
 /// without a word), a community size K outside `[1, n − 2]` (once clamped
-/// into it) and a Share-less τ so large that the training loss turns NaN
-/// (once written as `"mean_loss": null`).
+/// into it, then refused only by `run`) and a sybil coalition covering the
+/// population (once refused only by `run`), both refused by `list` too,
+/// and a Share-less τ so large that the training loss turns NaN (once
+/// written as `"mean_loss": null`). K = 46, the largest in range at smoke
+/// scale, still lists.
 #[test]
 fn once_silent_inputs_exit_1_naming_the_field() {
     let dir = std::env::temp_dir().join(format!("cia-cli-test-silent-{}", std::process::id()));
@@ -103,15 +106,20 @@ fn once_silent_inputs_exit_1_naming_the_field() {
     };
     let tau = write("tau.json", r#""defense": {"kind": "dp", "epsilon": 10, "tau": 0.3}"#);
     let eps = write("eps.json", r#""defense": {"kind": "none", "epsilon": 5}"#);
+    let k0 = write("k0.json", r#""k": 0"#);
     let k = write("k.json", r#""k": 100000"#);
+    let sybils = write("sybils.json", r#""protocol": "rand-gossip", "dynamics": {"sybils": 48}"#);
     let loss = write("loss.json", r#""defense": {"kind": "share-less", "tau": 3e38}"#);
     let out = dir.join("out.jsonl");
     let out = out.to_str().expect("utf8 path");
     let run = |suite| vec!["run", "--suite", suite, "--scale", "smoke", "--out", out];
+    let list = |suite| vec!["list", "--suite", suite, "--scale", "smoke"];
     let cases = [
         (vec!["list", "--suite", &tau], "scenario `x`: `defense.tau` needs a share-less defense"),
         (vec!["list", "--suite", &eps], "scenario `x`: `defense.epsilon` needs a DP defense"),
-        (run(&k), "x: k 100000 must lie in [1, 46] for a population of 48 users"),
+        (list(&k0), "x: k 0 must lie in [1, 46] for a population of 48 users"),
+        (list(&k), "x: k 100000 must lie in [1, 46] for a population of 48 users"),
+        (list(&sybils), "x: dynamics.sybils 48 must be smaller than the population (48 users)"),
         (run(&loss), "training loss NaN is not finite"),
     ];
     for (args, want) in cases {
@@ -120,6 +128,8 @@ fn once_silent_inputs_exit_1_naming_the_field() {
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(stderr.contains(want), "{args:?}: expected `{want}`, got: {stderr}");
     }
+    let k46 = scenario(&list(&write("k46.json", r#""k": 46"#)));
+    assert!(k46.status.success(), "{}", String::from_utf8_lossy(&k46.stderr));
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -140,7 +140,6 @@ fn build_checkpoint(seed: u64) -> Checkpoint {
             })
             .collect();
         ProtocolState::Gl(GossipSimState {
-            round: rng.gen_range(0u64..50),
             refresh_at: (0..n).map(|_| rng.gen_range(0u64..80)).collect(),
             views: (0..n)
                 .map(|_| {
@@ -196,7 +195,6 @@ fn build_checkpoint(seed: u64) -> Checkpoint {
     Checkpoint {
         fingerprint: rng.gen::<u64>(),
         round: rng.gen_range(0u64..100),
-        emitted: rng.gen_range(0u64..40),
         clients,
         protocol,
         attack,

@@ -7,7 +7,7 @@
 # workspace never touches a registry, and CARGO_NET_OFFLINE defends against
 # accidental fetches.
 #
-# On a test or bench-smoke failure the suspected golden drift is collected
+# On a test failure the suspected golden drift is collected
 # into target/golden-diff/ (actual transcripts and tables + unified diffs
 # against crates/scenarios/tests/golden/ and
 # crates/experiments/tests/golden/), which CI uploads as an artifact.
@@ -112,7 +112,7 @@ step() {
         step_names+=("$name (failed)")
         step_secs+=($((SECONDS - t0)))
         case "$name" in
-        test | bench-smoke) collect_golden_diffs || true ;;
+        test) collect_golden_diffs || true ;;
         esac
         exit 1
     fi
@@ -157,14 +157,16 @@ CARGO_TARGET_DIR=target/tracer step tracer-build \
     cargo build --release --offline --manifest-path perfbench/tracer/Cargo.toml
 step test run_with_peak_rss cargo test --workspace -q
 # The scenario determinism gates: smoke suites, schema validation, kill/resume
-# equality and the paper-scale transcript md5s (scripts/scenario_smoke.sh).
+# equality, the report and Chrome-trace smoke and the paper-scale transcript
+# md5s (scripts/scenario_smoke.sh).
 step scenario-smoke scripts/scenario_smoke.sh
 # The benchmark harness's own unit tests (the compare rule and its
 # fixtures); stdlib-only Python, no build needed.
 step perfbench-tests python3 -m unittest discover -s perfbench/tests
-# fmt-check, cia-lint, the workspace tests and the scenario smoke already ran
-# above; tell bench_smoke.sh not to repeat them.
-CIA_SKIP_REDUNDANT_GATES=1 step bench-smoke scripts/bench_smoke.sh
+# Keeps the benchmarks from bit-rotting: every bench body runs once.
+step bench-test cargo bench -p cia-bench -- --test
+# Clippy over all targets, benches included.
+step clippy cargo clippy --workspace --all-targets -- -D warnings
 
 echo
 echo "ci OK"

@@ -3,10 +3,11 @@
 # churn-20pct, colluding-sybils) at smoke scale, validates the emitted JSONL
 # against the record schema, exercises a sweep-expanded suite and a
 # defense × dynamics grid cell, proves kill/resume equality on a built-in
-# gossip scenario, a sweep-expanded FL one and the FL Share-less grid cell,
-# and checks five paper-scale transcripts (three FL, two gossip) against
-# their recorded md5s, four of them under two worker counts. scripts/ci.sh
-# runs it as its `scenario-smoke` step.
+# gossip scenario, Pers-Gossip under churn, a sweep-expanded FL one and the
+# FL Share-less grid cell, checks that a timed run's trace records and Chrome
+# trace parse, and checks five paper-scale transcripts (three FL, two
+# gossip) against their recorded md5s, four of them under two worker counts.
+# scripts/ci.sh runs it as its `scenario-smoke` step.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -48,6 +49,23 @@ if ! cmp -s "$out/straight-sybils.jsonl" "$out/resumed.jsonl"; then
     exit 1
 fi
 
+# Pers-Gossip under churn: offline receivers hold undelivered models and
+# the all-placements engine attacks, so the checkpoint's gossip section
+# carries inboxes and the score-EMA state.
+echo "== kill/resume on gossip with held inboxes: pers-churn"
+scenario run --suite pers-gossip-churn --scale smoke --seed 42 --only pers-churn \
+    --out "$out/pers-churn.jsonl" --no-timing
+scenario run --suite pers-gossip-churn --scale smoke --seed 42 --only pers-churn \
+    --out "$out/pers-churn-resumed.jsonl" --no-timing \
+    --checkpoint-dir "$out/pers-ckpt" --checkpoint-every 10 --stop-after 20
+scenario run --suite pers-gossip-churn --scale smoke --seed 42 --only pers-churn \
+    --out "$out/pers-churn-resumed.jsonl" --no-timing --checkpoint-dir "$out/pers-ckpt" --resume
+if ! cmp -s "$out/pers-churn.jsonl" "$out/pers-churn-resumed.jsonl"; then
+    echo "Pers-Gossip churn resume diverged from the uninterrupted run" >&2
+    diff "$out/pers-churn.jsonl" "$out/pers-churn-resumed.jsonl" >&2 || true
+    exit 1
+fi
+
 echo "== kill/resume on a sweep-expanded scenario: participation-0.5"
 scenario run --suite participation-sweep --scale smoke --seed 42 \
     --only participation-0.5 --out "$out/sweep-resumed.jsonl" \
@@ -76,6 +94,22 @@ scenario validate "$out/grid-resumed.jsonl"
 if ! cmp -s "$out/grid-cell.jsonl" "$out/grid-resumed.jsonl"; then
     echo "Share-less FL resume diverged from the uninterrupted run" >&2
     diff "$out/grid-cell.jsonl" "$out/grid-resumed.jsonl" >&2 || true
+    exit 1
+fi
+
+# Observability smoke: a timed single-scenario run must emit trace records
+# that `scenario report` can aggregate, plus a Chrome trace file that
+# parses. Artifacts land in target/bench-smoke/ (CI uploads trace.json on a
+# failed run).
+echo "== scenario report + Chrome trace smoke"
+mkdir -p target/bench-smoke
+scenario run --suite builtin --scale smoke --seed 42 --only baseline-static \
+    --out target/bench-smoke/report-smoke.jsonl --trace-out target/bench-smoke/trace.json
+report_out=$(scenario report --check-trace target/bench-smoke/trace.json \
+    target/bench-smoke/report-smoke.jsonl)
+echo "$report_out"
+if echo "$report_out" | grep -q "no trace records"; then
+    echo "error: timed run produced no trace records" >&2
     exit 1
 fi
 
