@@ -4,6 +4,7 @@
 //! `_scalar_ref` or `_naive` twin, and the run's provenance (`git_rev`,
 //! `nproc`, `cia_threads`) wherever its line carries one.
 
+use cia_scenarios::json::Json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -30,11 +31,12 @@ pub struct Provenance {
 }
 
 impl Provenance {
-    fn parse(line: &str) -> Option<Self> {
+    fn parse(line: &Json) -> Option<Self> {
+        let count = |key| line.get(key)?.as_u64()?.try_into().ok();
         Some(Provenance {
-            git_rev: field_str(line, "git_rev")?,
-            nproc: field_token(line, "nproc")?.parse().ok()?,
-            cia_threads: field_token(line, "cia_threads")?.parse().ok()?,
+            git_rev: line.get("git_rev")?.as_str()?.to_string(),
+            nproc: count("nproc")?,
+            cia_threads: count("cia_threads")?,
         })
     }
 }
@@ -44,39 +46,23 @@ const BASELINE_SUFFIXES: [&str; 2] = ["_scalar_ref", "_naive"];
 
 /// Parses the `{"name": ..., "median_ns": ...}` JSON lines the harness
 /// appends, with the optional `git_rev`/`nproc`/`cia_threads` stamp
-/// `scripts/bench_kernels.sh` adds. Later duplicates win (a re-run
-/// overwrites the previous result).
+/// `scripts/bench_kernels.sh` adds, through the scenario engine's JSON
+/// parser. Lines that do not parse, or lack a string `name` or a numeric
+/// `median_ns`, are skipped. Later duplicates win (a re-run overwrites the
+/// previous result).
 #[must_use]
 pub fn parse_jsonl(input: &str) -> Vec<Measurement> {
     let mut seen: BTreeMap<String, Measurement> = BTreeMap::new();
-    for line in input.lines() {
-        let Some(name) = field_str(line, "name") else { continue };
-        let Some(median_ns) = field_num(line, "median_ns") else { continue };
-        let provenance = Provenance::parse(line);
-        seen.insert(name.clone(), Measurement { name, median_ns, provenance });
+    for line in input.lines().filter_map(|line| Json::parse(line).ok()) {
+        let Some(name) = line.get("name").and_then(Json::as_str) else { continue };
+        let Some(median_ns) = line.get("median_ns").and_then(Json::as_f64) else { continue };
+        let provenance = Provenance::parse(&line);
+        seen.insert(
+            name.to_string(),
+            Measurement { name: name.to_string(), median_ns, provenance },
+        );
     }
     seen.into_values().collect()
-}
-
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('"')? + start;
-    Some(line[start..end].to_string())
-}
-
-fn field_num(line: &str, key: &str) -> Option<f64> {
-    field_token(line, key)?.parse().ok()
-}
-
-/// The numeric token after `"key": `.
-fn field_token<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..]
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .map_or(line.len(), |e| e + start);
-    Some(&line[start..end])
 }
 
 /// Renders the report: every measurement, plus `baseline_ns`/`speedup`
@@ -179,7 +165,11 @@ mod tests {
 
     #[test]
     fn malformed_lines_are_skipped() {
-        let ms = parse_jsonl("not json\n{\"name\": \"x\"}\n{\"median_ns\": 3}\n");
+        // A `median_ns` below the top level is no measurement.
+        let nested = r#"{"name": "y", "meta": {"median_ns": 3}}"#;
+        let ms = parse_jsonl(&format!(
+            "not json\n{{\"name\": \"x\"}}\n{{\"median_ns\": 3}}\n{nested}\n"
+        ));
         assert!(ms.is_empty());
         assert_eq!(render_report(&ms), "[\n\n]\n");
     }

@@ -145,6 +145,11 @@ impl<E: RelevanceEvaluator, V> MomentumCia<E, V> {
         self.momentum.seen().count()
     }
 
+    /// Whether any model has reached the adversary so far.
+    pub fn observed_any(&self) -> bool {
+        self.momentum.seen().next().is_some()
+    }
+
     /// Predicted community for target `t` at the last evaluation (requires at
     /// least one evaluation round). Exposed for the motivating example.
     pub fn predict(&mut self, target: usize) -> Vec<UserId> {

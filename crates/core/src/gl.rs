@@ -200,6 +200,11 @@ impl<E: RelevanceEvaluator> GlCiaAllPlacements<E> {
         &mut self.evaluator
     }
 
+    /// Whether any model has reached any observer so far.
+    pub fn observed_any(&self) -> bool {
+        self.s_ema.iter().any(|s| !s.is_nan())
+    }
+
     fn evaluate(&mut self, round: u64) {
         let _rank = self.obs.span("attack_rank");
         let n = self.num_users;

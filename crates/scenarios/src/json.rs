@@ -6,6 +6,7 @@
 //! floats render through Rust's shortest-roundtrip `Display`, so the same
 //! run always produces byte-identical output.
 
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// A parsed JSON value. Objects keep their key order.
@@ -95,7 +96,8 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a message with the byte offset of the first syntax error.
+    /// Returns a message with the byte offset of the first syntax error or
+    /// repeated object key.
     pub fn parse(input: &str) -> Result<Json, String> {
         let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
@@ -346,6 +348,8 @@ impl Parser<'_> {
     fn object(&mut self) -> Result<Json, String> {
         self.expect(b'{')?;
         let mut pairs = Vec::new();
+        // A set, not a scan of `pairs`: an object of n keys costs n log n.
+        let mut keys = BTreeSet::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
@@ -353,7 +357,11 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
+            let at = self.pos;
             let key = self.string()?;
+            if !keys.insert(key.clone()) {
+                return Err(format!("duplicate key `{key}` at byte {at}"));
+            }
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
@@ -438,6 +446,18 @@ mod tests {
         assert!(Json::parse("{\"a\" 1}").is_err());
         assert!(Json::parse("nul").is_err());
         assert!(Json::parse("1 2").is_err());
+    }
+
+    #[test]
+    fn duplicate_keys_are_refused() {
+        // A repeated key once kept its first value and dropped the second
+        // without a word; at any depth it is now an error at the key.
+        let err = Json::parse(r#"{"k": 40, "k": 5}"#).unwrap_err();
+        assert_eq!(err, "duplicate key `k` at byte 10");
+        let err = Json::parse(r#"[{"a": {"b": 1, "c": 2, "b": 3}}]"#).unwrap_err();
+        assert_eq!(err, "duplicate key `b` at byte 24");
+        // Equal keys in different objects are no duplicates.
+        assert!(Json::parse(r#"{"a": {"k": 1}, "b": {"k": 2}}"#).is_ok());
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! histogram sketch the recorder uses for per-client latencies).
 
 use crate::json::Json;
+use crate::runner::check_record;
 use cia_core::obs::nearest_rank;
 
 /// Aggregate statistics for one phase across a scenario's traced rounds.
@@ -37,7 +38,7 @@ pub struct PhaseStat {
 }
 
 /// The report for one `(suite, scenario, seed)` group.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScenarioReport {
     /// Suite name.
     pub suite: String,
@@ -100,6 +101,7 @@ pub fn rank_quantile(values: &mut [u64], q: f64) -> u64 {
     values[rank - 1]
 }
 
+#[derive(Default)]
 struct Group {
     report: ScenarioReport,
     // Per-phase per-round values, parallel to `report.phases`.
@@ -108,66 +110,43 @@ struct Group {
     loss_sum: f64,
 }
 
-/// Parses a run JSONL stream and aggregates its `trace` and `round_eval`
-/// records into one [`ScenarioReport`] per `(suite, scenario, seed)`, in
-/// first-appearance order.
+/// Parses a run JSONL stream and aggregates its `trace`, `round_eval` and
+/// `scenario_summary` records into one [`ScenarioReport`] per `(suite,
+/// scenario, seed)`, in first-appearance order. Every record first passes
+/// the schema check `scenario validate` applies.
 ///
 /// # Errors
 ///
-/// Returns the line number and reason of the first unparsable record.
+/// Returns the line number and reason of the first invalid record, the same
+/// as [`crate::runner::validate_jsonl`] gives.
 pub fn summarize(input: &str) -> Result<Vec<ScenarioReport>, String> {
     let mut groups: Vec<Group> = Vec::new();
     for (lineno, line) in input.lines().enumerate() {
-        let fail = |msg: String| format!("line {}: {msg}", lineno + 1);
         if line.trim().is_empty() {
             continue;
         }
-        let v = Json::parse(line).map_err(&fail)?;
-        let kind = v
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or_else(|| fail("record has no `type`".to_string()))?;
-        if !matches!(kind, "trace" | "round_eval" | "scenario_summary") {
-            continue;
-        }
-        let key_field = |name: &str| -> Result<String, String> {
-            v.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| fail(format!("record has no `{name}`")))
+        let at = |msg: String| format!("line {}: {msg}", lineno + 1);
+        let v = Json::parse(line).map_err(at)?;
+        let kind = check_record(&v).map_err(at)?;
+        // The schema check vouched for every field read below.
+        let key = |name| v.get(name).and_then(Json::as_str).unwrap_or_default();
+        let (suite, scenario) = (key("suite"), key("scenario"));
+        let seed = v.get("seed").and_then(Json::as_u64).unwrap_or_default();
+        let u64s = |name| {
+            let pairs = v.get(name).and_then(Json::as_obj).unwrap_or_default().iter();
+            pairs.map(|(name, x)| (name, x.as_u64().unwrap_or_default()))
         };
-        let suite = key_field("suite")?;
-        let scenario = key_field("scenario")?;
-        let seed = v
-            .get("seed")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| fail("record has no integral `seed`".to_string()))?;
-        let group = match groups.iter_mut().find(|g| {
-            g.report.suite == suite && g.report.scenario == scenario && g.report.seed == seed
-        }) {
-            Some(g) => g,
-            None => {
-                groups.push(Group {
-                    report: ScenarioReport {
-                        suite,
-                        scenario,
-                        seed,
-                        traced_rounds: 0,
-                        round_us_total: 0,
-                        phases: Vec::new(),
-                        counters: Vec::new(),
-                        loss_mean: None,
-                        loss_rounds: 0,
-                        rss_first: None,
-                        rss_last: None,
-                        setup_us: Vec::new(),
-                    },
-                    phase_rounds: Vec::new(),
-                    loss_sum: 0.0,
-                });
-                groups.last_mut().expect("just pushed")
-            }
-        };
+        let found = groups.iter().position(|g| {
+            let r = &g.report;
+            (r.suite.as_str(), r.scenario.as_str(), r.seed) == (suite, scenario, seed)
+        });
+        let i = found.unwrap_or_else(|| {
+            let (suite, scenario) = (suite.to_string(), scenario.to_string());
+            let report = ScenarioReport { suite, scenario, seed, ..ScenarioReport::default() };
+            groups.push(Group { report, ..Group::default() });
+            groups.len() - 1
+        });
+        let group = &mut groups[i];
         match kind {
             "round_eval" => {
                 if let Some(rss) = v.get("peak_rss_bytes").and_then(Json::as_u64) {
@@ -182,20 +161,15 @@ pub fn summarize(input: &str) -> Result<Vec<ScenarioReport>, String> {
             }
             "trace" => {
                 group.report.traced_rounds += 1;
-                if let Some(us) = v.get("round_us").and_then(Json::as_u64) {
-                    group.report.round_us_total += us;
-                }
-                let span_us = v
-                    .get("span_us")
-                    .and_then(Json::as_obj)
-                    .ok_or_else(|| fail("trace record has no `span_us` object".to_string()))?;
-                for (name, val) in span_us {
-                    let us = val
-                        .as_u64()
-                        .ok_or_else(|| fail(format!("span_us.{name} is not integral")))?;
+                // Every value is below 2^53, so 2,049 of them can overflow a
+                // plain sum: the totals saturate instead.
+                let round_us = v.get("round_us").and_then(Json::as_u64).unwrap_or(0);
+                group.report.round_us_total = group.report.round_us_total.saturating_add(round_us);
+                for (name, us) in u64s("span_us") {
                     match group.report.phases.iter().position(|p| &p.name == name) {
                         Some(i) => {
-                            group.report.phases[i].total_us += us;
+                            let total = &mut group.report.phases[i].total_us;
+                            *total = total.saturating_add(us);
                             group.phase_rounds[i].push(us);
                         }
                         None => {
@@ -210,36 +184,15 @@ pub fn summarize(input: &str) -> Result<Vec<ScenarioReport>, String> {
                         }
                     }
                 }
-                let counters = v
-                    .get("counters")
-                    .and_then(Json::as_obj)
-                    .ok_or_else(|| fail("trace record has no `counters` object".to_string()))?;
-                for (name, val) in counters {
-                    let delta = val
-                        .as_u64()
-                        .ok_or_else(|| fail(format!("counters.{name} is not integral")))?;
+                for (name, delta) in u64s("counters") {
                     match group.report.counters.iter_mut().find(|(n, _)| n == name) {
-                        Some((_, total)) => *total += delta,
+                        Some((_, total)) => *total = total.saturating_add(delta),
                         None => group.report.counters.push((name.clone(), delta)),
                     }
                 }
             }
-            "scenario_summary" => {
-                if let Some(setup) = v.get("setup_us") {
-                    let stages = setup
-                        .as_obj()
-                        .ok_or_else(|| fail("`setup_us` is not an object".to_string()))?;
-                    group.report.setup_us = stages
-                        .iter()
-                        .map(|(stage, us)| {
-                            us.as_u64()
-                                .map(|us| (stage.clone(), us))
-                                .ok_or_else(|| fail(format!("setup_us.{stage} is not integral")))
-                        })
-                        .collect::<Result<_, _>>()?;
-                }
-            }
-            _ => unreachable!("filtered above"),
+            // A `scenario_summary`, the one other type the check lets through.
+            _ => group.report.setup_us = u64s("setup_us").map(|(s, us)| (s.clone(), us)).collect(),
         }
     }
     Ok(groups
@@ -338,7 +291,7 @@ mod tests {
 
     fn eval_line(scenario: &str, round: u64, rss: u64) -> String {
         format!(
-            r#"{{"type":"round_eval","suite":"s","scenario":"{scenario}","dataset":"d","model":"m","protocol":"p","scale":"smoke","seed":7,"round":{round},"aac":0.5,"peak_rss_bytes":{rss}}}"#
+            r#"{{"type":"round_eval","suite":"s","scenario":"{scenario}","dataset":"d","model":"m","protocol":"p","scale":"smoke","seed":7,"round":{round},"aac":0.5,"best10":0.5,"upper_bound":0.9,"upper_bound_online":0.9,"random_bound":0.1,"online":48,"participants":48,"mean_loss":0.3,"peak_rss_bytes":{rss}}}"#
         )
     }
 
@@ -374,8 +327,8 @@ mod tests {
 
     #[test]
     fn untimed_streams_report_zero_traced_rounds() {
-        let input = r#"{"type":"round_eval","suite":"s","scenario":"a","dataset":"d","model":"m","protocol":"p","scale":"smoke","seed":7,"round":1,"aac":0.5}"#;
-        let reports = summarize(input).unwrap();
+        let input = eval_line("a", 1, 0).replace(r#","peak_rss_bytes":0"#, "");
+        let reports = summarize(&input).unwrap();
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].traced_rounds, 0);
         assert_eq!(reports[0].rss_first, None);
@@ -391,6 +344,19 @@ mod tests {
     }
 
     #[test]
+    fn totals_saturate_instead_of_overflowing() {
+        // 2,049 rounds at the largest value the schema check admits (2^53 − 1)
+        // sum past u64::MAX: once a panic in debug builds, a wrapped total in
+        // release builds.
+        let max = (1u64 << 53) - 1;
+        let input = vec![trace_line("a", 0, max, 0, max); 2049].join("\n");
+        let r = &summarize(&input).unwrap()[0];
+        assert_eq!(r.round_us_total, u64::MAX);
+        assert_eq!(r.phases[0].total_us, u64::MAX);
+        assert_eq!(r.counters, vec![("clients_trained".to_string(), u64::MAX)]);
+    }
+
+    #[test]
     fn render_includes_the_phase_table() {
         let input = trace_line("a", 0, 900, 100, 2);
         let text = render(&summarize(&input).unwrap());
@@ -402,7 +368,7 @@ mod tests {
 
     #[test]
     fn render_prints_the_setup_stages_above_the_phase_table() {
-        let summary = r#"{"type":"scenario_summary","suite":"s","scenario":"a","dataset":"d","model":"m","protocol":"p","scale":"smoke","seed":7,"max_aac":0.5,"setup_us":{"generate":1500,"split":500,"ground_truth":2000,"clients":1000}}"#;
+        let summary = r#"{"type":"scenario_summary","suite":"s","scenario":"a","dataset":"d","model":"m","protocol":"p","scale":"smoke","seed":7,"max_aac":0.5,"best10_aac":0.4,"max_round":3,"random_bound":0.1,"upper_bound":0.9,"upper_bound_online":0.9,"advantage":5,"utility":0.3,"utility_metric":"HR@20","rounds":8,"evals":4,"completed":true,"setup_us":{"generate":1500,"split":500,"ground_truth":2000,"clients":1000}}"#;
         let input = [trace_line("a", 0, 900, 100, 2), summary.to_string()].join("\n");
         let reports = summarize(&input).unwrap();
         assert_eq!(reports.len(), 1, "the summary joins its scenario's group");

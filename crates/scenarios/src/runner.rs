@@ -517,6 +517,8 @@ type Embeddings = Vec<Option<Vec<f32>>>;
 trait Attack {
     fn history(&self) -> &[RoundPoint];
     fn outcome(&self) -> AttackOutcome;
+    /// Whether any model has reached the adversary so far.
+    fn observed_any(&self) -> bool;
     /// The engine's checkpoint section and the adversary's embeddings.
     fn export(&self) -> (AttackState, Embeddings);
     /// Restores [`Attack::export`]'s sections; refuses another engine's
@@ -538,6 +540,10 @@ macro_rules! impl_attack {
 
             fn outcome(&self) -> AttackOutcome {
                 $engine::outcome(self)
+            }
+
+            fn observed_any(&self) -> bool {
+                $engine::observed_any(self)
             }
 
             fn export(&self) -> (AttackState, Embeddings) {
@@ -776,6 +782,11 @@ fn drive<R: ProtocolRun>(
         }
     }
 
+    // A run whose adversary saw nothing reports AAC 0 for want of data,
+    // not for want of leakage: refuse it rather than write that summary.
+    if !proto.attack().observed_any() {
+        return Err(format!("{}: no model reached the adversary in {total} rounds", spec.name));
+    }
     let utility_span = ctx.rec.span("utility");
     let (clients, deployed) = proto.deployed();
     let utility_value = utility(clients, deployed);
@@ -1013,162 +1024,162 @@ fn emit_summary(
 ///
 /// # Errors
 ///
-/// Returns the line number and reason of the first invalid record.
+/// Returns the line number and reason of the first invalid record, or an
+/// error for a stream that holds neither kind.
 pub fn validate_jsonl(input: &str) -> Result<(usize, usize), String> {
-    const SHARED: [&str; 7] =
-        ["suite", "scenario", "dataset", "model", "protocol", "scale", "seed"];
-    let mut evals = 0usize;
-    let mut summaries = 0usize;
+    let (mut evals, mut summaries) = (0usize, 0usize);
     for (lineno, line) in input.lines().enumerate() {
-        let fail = |msg: String| format!("line {}: {msg}", lineno + 1);
         if line.trim().is_empty() {
             continue;
         }
-        let v = Json::parse(line).map_err(&fail)?;
-        let kind = v
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or_else(|| fail("missing `type`".to_string()))?;
-        for key in SHARED {
-            if v.get(key).is_none() {
-                return Err(fail(format!("missing `{key}`")));
-            }
-        }
-        let unit = |key: &str| -> Result<(), String> {
-            let x = v
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| fail(format!("missing numeric `{key}`")))?;
-            if !(0.0..=1.0).contains(&x) {
-                return Err(fail(format!("`{key}` = {x} outside [0, 1]")));
-            }
-            Ok(())
-        };
-        let integral = |key: &str| -> Result<(), String> {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .map(drop)
-                .ok_or_else(|| fail(format!("missing integral `{key}`")))
-        };
-        // The online bound counts a subset of the members the static bound
-        // counts; a violation means a producer bug.
-        let bounds_ordered = || -> Result<(), String> {
-            let upper = v.get("upper_bound").and_then(Json::as_f64).expect("checked");
-            let online = v.get("upper_bound_online").and_then(Json::as_f64).expect("checked");
-            if online > upper + 1e-9 {
-                return Err(fail(format!(
-                    "`upper_bound_online` {online} exceeds `upper_bound` {upper}"
-                )));
-            }
-            Ok(())
-        };
-        // Timing-class fields are optional (absent under `--no-timing`) but
-        // must be integral counters when present.
-        let timing = |key: &str| -> Result<(), String> {
-            match v.get(key) {
-                None => Ok(()),
-                Some(x) => x
-                    .as_u64()
-                    .map(drop)
-                    .ok_or_else(|| fail(format!("`{key}` must be a non-negative integer"))),
-            }
-        };
-        match kind {
-            "round_eval" => {
-                integral("round")?;
-                for key in ["aac", "best10", "upper_bound", "upper_bound_online", "random_bound"] {
-                    unit(key)?;
-                }
-                bounds_ordered()?;
-                for key in ["online", "participants"] {
-                    integral(key)?;
-                }
-                // Absent on all-offline rounds (no participants, nothing to
-                // average); when present it must be numeric.
-                if let Some(x) = v.get("mean_loss") {
-                    x.as_f64()
-                        .ok_or_else(|| fail("`mean_loss` must be numeric when present".into()))?;
-                }
-                for key in ["elapsed_ms", "bytes_materialized", "peak_rss_bytes"] {
-                    timing(key)?;
-                }
-                evals += 1;
-            }
-            "scenario_summary" => {
-                for key in
-                    ["max_aac", "best10_aac", "random_bound", "upper_bound", "upper_bound_online"]
-                {
-                    unit(key)?;
-                }
-                bounds_ordered()?;
-                for key in ["max_round", "rounds", "evals"] {
-                    integral(key)?;
-                }
-                v.get("utility")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| fail("missing numeric `utility`".to_string()))?;
-                v.get("utility_metric")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| fail("missing `utility_metric`".to_string()))?;
-                v.get("completed")
-                    .and_then(Json::as_bool)
-                    .ok_or_else(|| fail("missing boolean `completed`".to_string()))?;
-                for key in ["elapsed_ms", "peak_rss_bytes"] {
-                    timing(key)?;
-                }
-                if let Some(setup) = v.get("setup_us") {
-                    let obj = setup
-                        .as_obj()
-                        .ok_or_else(|| fail("`setup_us` must be an object".to_string()))?;
-                    let stages: Vec<&str> = obj.iter().map(|(name, _)| name.as_str()).collect();
-                    if stages != SETUP_STAGES {
-                        return Err(fail(format!(
-                            "`setup_us` stages {stages:?}, expected {SETUP_STAGES:?}"
-                        )));
-                    }
-                    for (stage, us) in obj {
-                        us.as_u64().ok_or_else(|| {
-                            fail(format!("`setup_us.{stage}` must be a non-negative integer"))
-                        })?;
-                    }
-                }
-                summaries += 1;
-            }
-            "trace" => {
-                // Trace records only exist in timed streams; everything in
-                // them is an integral µs/count value.
-                integral("round")?;
-                timing("round_us")?;
-                for key in ["span_us", "counters"] {
-                    let obj = v
-                        .get(key)
-                        .and_then(Json::as_obj)
-                        .ok_or_else(|| fail(format!("missing object `{key}`")))?;
-                    for (name, val) in obj {
-                        val.as_u64().ok_or_else(|| {
-                            fail(format!("`{key}.{name}` must be a non-negative integer"))
-                        })?;
-                    }
-                }
-                if let Some(h) = v.get("hist") {
-                    let obj =
-                        h.as_obj().ok_or_else(|| fail("`hist` must be an object".to_string()))?;
-                    for (metric, summary) in obj {
-                        for key in ["count", "sum_us", "p50_us", "p99_us"] {
-                            summary.get(key).and_then(Json::as_u64).ok_or_else(|| {
-                                fail(format!("`hist.{metric}.{key}` must be an integer"))
-                            })?;
-                        }
-                    }
-                }
-            }
-            other => return Err(fail(format!("unknown record type `{other}`"))),
+        let at = |msg: String| format!("line {}: {msg}", lineno + 1);
+        match check_record(&Json::parse(line).map_err(at)?).map_err(at)? {
+            "round_eval" => evals += 1,
+            "scenario_summary" => summaries += 1,
+            _ => {}
         }
     }
     if evals == 0 && summaries == 0 {
         return Err("stream contains no records".to_string());
     }
     Ok((evals, summaries))
+}
+
+/// The string keys naming the group every record belongs to (with the
+/// integral `seed`).
+const SHARED: [&str; 6] = ["suite", "scenario", "dataset", "model", "protocol", "scale"];
+
+/// Checks one transcript record against the record schema and returns its
+/// type. [`validate_jsonl`] and [`crate::report::summarize`] both read every
+/// record through it, so the two accept exactly the same records.
+pub(crate) fn check_record(v: &Json) -> Result<&str, String> {
+    let kind = v.get("type").and_then(Json::as_str).ok_or("missing `type`")?;
+    let string = |key: &str| -> Result<(), String> {
+        v.get(key).and_then(Json::as_str).map(drop).ok_or_else(|| format!("missing string `{key}`"))
+    };
+    let numeric = |key: &str| -> Result<f64, String> {
+        v.get(key).and_then(Json::as_f64).ok_or_else(|| format!("missing numeric `{key}`"))
+    };
+    let unit = |key: &str| -> Result<(), String> {
+        let x = numeric(key)?;
+        if !(0.0..=1.0).contains(&x) {
+            return Err(format!("`{key}` = {x} outside [0, 1]"));
+        }
+        Ok(())
+    };
+    let integral = |key: &str| -> Result<(), String> {
+        v.get(key)
+            .and_then(Json::as_u64)
+            .map(drop)
+            .ok_or_else(|| format!("missing integral `{key}`"))
+    };
+    // The online bound counts a subset of the members the static bound
+    // counts; a violation means a producer bug.
+    let bounds_ordered = || -> Result<(), String> {
+        let (upper, online) = (numeric("upper_bound")?, numeric("upper_bound_online")?);
+        if online > upper + 1e-9 {
+            return Err(format!("`upper_bound_online` {online} exceeds `upper_bound` {upper}"));
+        }
+        Ok(())
+    };
+    // Timing-class fields are optional (absent under `--no-timing`) but
+    // must be integral counters when present.
+    let timing = |key: &str| -> Result<(), String> {
+        match v.get(key) {
+            None => Ok(()),
+            Some(x) => x
+                .as_u64()
+                .map(drop)
+                .ok_or_else(|| format!("`{key}` must be a non-negative integer")),
+        }
+    };
+    for key in SHARED {
+        string(key)?;
+    }
+    integral("seed")?;
+    match kind {
+        "round_eval" => {
+            integral("round")?;
+            for key in ["aac", "best10", "upper_bound", "upper_bound_online", "random_bound"] {
+                unit(key)?;
+            }
+            bounds_ordered()?;
+            for key in ["online", "participants"] {
+                integral(key)?;
+            }
+            // Absent on all-offline rounds (no participants, nothing to
+            // average); when present it must be numeric.
+            if v.get("mean_loss").is_some_and(|x| x.as_f64().is_none()) {
+                return Err("`mean_loss` must be numeric when present".to_string());
+            }
+            for key in ["elapsed_ms", "bytes_materialized", "peak_rss_bytes"] {
+                timing(key)?;
+            }
+        }
+        "scenario_summary" => {
+            for key in
+                ["max_aac", "best10_aac", "random_bound", "upper_bound", "upper_bound_online"]
+            {
+                unit(key)?;
+            }
+            bounds_ordered()?;
+            for key in ["max_round", "rounds", "evals"] {
+                integral(key)?;
+            }
+            for key in ["advantage", "utility"] {
+                numeric(key)?;
+            }
+            string("utility_metric")?;
+            v.get("completed")
+                .and_then(Json::as_bool)
+                .ok_or_else(|| "missing boolean `completed`".to_string())?;
+            for key in ["elapsed_ms", "peak_rss_bytes"] {
+                timing(key)?;
+            }
+            if let Some(setup) = v.get("setup_us") {
+                let obj =
+                    setup.as_obj().ok_or_else(|| "`setup_us` must be an object".to_string())?;
+                let stages: Vec<&str> = obj.iter().map(|(name, _)| name.as_str()).collect();
+                if stages != SETUP_STAGES {
+                    return Err(format!("`setup_us` stages {stages:?}, expected {SETUP_STAGES:?}"));
+                }
+                for (stage, us) in obj {
+                    us.as_u64().ok_or_else(|| {
+                        format!("`setup_us.{stage}` must be a non-negative integer")
+                    })?;
+                }
+            }
+        }
+        "trace" => {
+            // Trace records only exist in timed streams; everything in them
+            // is an integral µs/count value.
+            integral("round")?;
+            timing("round_us")?;
+            for key in ["span_us", "counters"] {
+                let obj = v
+                    .get(key)
+                    .and_then(Json::as_obj)
+                    .ok_or_else(|| format!("missing object `{key}`"))?;
+                for (name, val) in obj {
+                    val.as_u64()
+                        .ok_or_else(|| format!("`{key}.{name}` must be a non-negative integer"))?;
+                }
+            }
+            if let Some(h) = v.get("hist") {
+                let obj = h.as_obj().ok_or_else(|| "`hist` must be an object".to_string())?;
+                for (metric, summary) in obj {
+                    for key in ["count", "sum_us", "p50_us", "p99_us"] {
+                        summary
+                            .get(key)
+                            .and_then(Json::as_u64)
+                            .ok_or_else(|| format!("`hist.{metric}.{key}` must be an integer"))?;
+                    }
+                }
+            }
+        }
+        other => return Err(format!("unknown record type `{other}`")),
+    }
+    Ok(kind)
 }
 
 #[cfg(test)]

@@ -55,8 +55,10 @@ fn resume_without_checkpoint_dir_is_refused() {
 
 /// Hostile inputs get exit 1 and an error naming what is wrong, never a
 /// crash: JSON nested past the parser's cap (200,000 `[` used to overflow
-/// the stack), a Share-less τ that is not positive, and a DP budget no noise
-/// multiplier reaches (both used to run or panic).
+/// the stack) for `validate`, `report` and `list` alike, a transcript
+/// record that `validate` refuses (`report` once printed it), a Share-less
+/// τ that is not positive, and a DP budget no noise multiplier reaches
+/// (both used to run or panic).
 #[test]
 fn hostile_inputs_exit_1_with_a_named_error() {
     let dir = std::env::temp_dir().join(format!("cia-cli-test-hostile-{}", std::process::id()));
@@ -70,10 +72,19 @@ fn hostile_inputs_exit_1_with_a_named_error() {
         format!(r#"{{"suite": "s", "scenarios": [{{"name": "x", "defense": {defense}}}]}}"#)
     };
     let deep = write("deep.jsonl", &"[".repeat(200_000));
+    let aac = write(
+        "aac.jsonl",
+        r#"{"type":"round_eval","suite":"s","scenario":"x","dataset":"d","model":"m","protocol":"p","scale":"smoke","seed":1,"round":0,"aac":1.5,"best10":0,"upper_bound":0,"upper_bound_online":0,"random_bound":0,"online":1,"participants":1,"mean_loss":0}"#,
+    );
+    let aac_error = format!("{aac}: line 1: `aac` = 1.5 outside [0, 1]");
     let tau = write("tau.json", &suite(r#"{"kind": "share-less", "tau": -1}"#));
     let eps = write("eps.json", &suite(r#"{"kind": "dp", "epsilon": 0.0001}"#));
     let cases = [
         (vec!["validate", &deep], "line 1: nesting deeper than 128 levels at byte 128"),
+        (vec!["report", &deep], "line 1: nesting deeper than 128 levels at byte 128"),
+        (vec!["list", "--suite", &deep], "nesting deeper than 128 levels at byte 128"),
+        (vec!["validate", &aac], "line 1: `aac` = 1.5 outside [0, 1]"),
+        (vec!["report", &aac], &aac_error),
         (vec!["list", "--suite", &tau], "x: defense tau -1 must be positive and finite"),
         (vec!["run", "--suite", &eps, "--scale", "smoke"], "x: defense epsilon: cannot reach"),
     ];
@@ -91,9 +102,11 @@ fn hostile_inputs_exit_1_with_a_named_error() {
 /// without a word), a community size K outside `[1, n − 2]` (once clamped
 /// into it, then refused only by `run`) and a sybil coalition covering the
 /// population (once refused only by `run`), both refused by `list` too,
-/// and a Share-less τ so large that the training loss turns NaN (once
-/// written as `"mean_loss": null`). K = 46, the largest in range at smoke
-/// scale, still lists.
+/// a Share-less τ so large that the training loss turns NaN (once written as
+/// `"mean_loss": null`), a repeated key (once read as its first value), and
+/// a population drained before any model reached the adversary, under
+/// gossip and FL (once summarized as AAC 0 with exit 0). K = 46, the largest
+/// in range at smoke scale, still lists.
 #[test]
 fn once_silent_inputs_exit_1_naming_the_field() {
     let dir = std::env::temp_dir().join(format!("cia-cli-test-silent-{}", std::process::id()));
@@ -110,6 +123,10 @@ fn once_silent_inputs_exit_1_naming_the_field() {
     let k = write("k.json", r#""k": 100000"#);
     let sybils = write("sybils.json", r#""protocol": "rand-gossip", "dynamics": {"sybils": 48}"#);
     let loss = write("loss.json", r#""defense": {"kind": "share-less", "tau": 3e38}"#);
+    let dup = write("dup.json", r#""k": 40, "k": 5"#);
+    let drained = r#""dynamics": {"leave_prob": 1, "join_prob": 1e-300}"#;
+    let drained_gl = write("drained-gl.json", &format!(r#""protocol": "rand-gossip", {drained}"#));
+    let drained_fl = write("drained-fl.json", &format!(r#""protocol": "fl", {drained}"#));
     let out = dir.join("out.jsonl");
     let out = out.to_str().expect("utf8 path");
     let run = |suite| vec!["run", "--suite", suite, "--scale", "smoke", "--out", out];
@@ -121,6 +138,9 @@ fn once_silent_inputs_exit_1_naming_the_field() {
         (list(&k), "x: k 100000 must lie in [1, 46] for a population of 48 users"),
         (list(&sybils), "x: dynamics.sybils 48 must be smaller than the population (48 users)"),
         (run(&loss), "training loss NaN is not finite"),
+        (list(&dup), "duplicate key `k` at byte"),
+        (run(&drained_gl), "x: no model reached the adversary in 40 rounds"),
+        (run(&drained_fl), "x: no model reached the adversary in 8 rounds"),
     ];
     for (args, want) in cases {
         let out = scenario(&args);

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Scenario engine smoke gate: runs the built-in suite (baseline-static,
-# churn-20pct, colluding-sybils) at smoke scale, validates the emitted JSONL
-# against the record schema, exercises a sweep-expanded suite and a
-# defense × dynamics grid cell, proves kill/resume equality on a built-in
-# gossip scenario, Pers-Gossip under churn, a sweep-expanded FL one and the
-# FL Share-less grid cell, checks that a timed run's trace records and Chrome
+# churn-20pct, colluding-sybils) at smoke scale, checks each smoke-scale JSONL
+# stream against the record schema through both `scenario validate` and
+# `scenario report`, exercises a sweep-expanded suite and a defense ×
+# dynamics grid cell, proves kill/resume equality on a built-in gossip
+# scenario, Pers-Gossip under churn, a sweep-expanded FL one and the FL
+# Share-less grid cell, checks that a timed run's trace records and Chrome
 # trace parse, and checks five paper-scale transcripts (three FL, two
 # gossip) against their recorded md5s, four of them under two worker counts.
 # scripts/ci.sh runs it as its `scenario-smoke` step.
@@ -18,28 +19,36 @@ scenario() {
     cargo run --release -q -p cia-scenarios --bin scenario -- "$@"
 }
 
+# check FILE: the stream passes both readers of the binary, `validate` and
+# `report`, which checks every record as `validate` does before it
+# aggregates (the untimed report itself is not printed).
+check() {
+    scenario validate "$1"
+    scenario report "$1" > /dev/null
+}
+
 echo "== built-in suite at smoke scale"
 scenario run --scale smoke --seed 42 --out "$out/suite.jsonl" --no-timing
 
-echo "== JSONL schema validation"
-scenario validate "$out/suite.jsonl"
+echo "== JSONL schema validation and report"
+check "$out/suite.jsonl"
 
 echo "== sweep-expanded suite: participation-sweep (Fig. 1 as a suite)"
 scenario run --suite participation-sweep --scale smoke --seed 42 \
     --out "$out/sweep.jsonl" --no-timing
-scenario validate "$out/sweep.jsonl"
+check "$out/sweep.jsonl"
 
 echo "== one defense-dynamics-grid cell: shareless-x-churn"
 scenario run --suite defense-dynamics-grid --scale smoke --seed 42 \
     --only shareless-x-churn --out "$out/grid-cell.jsonl" --no-timing
-scenario validate "$out/grid-cell.jsonl"
+check "$out/grid-cell.jsonl"
 
 echo "== kill/resume: colluding-sybils stopped at round 20, then resumed"
 scenario run --scale smoke --seed 42 --only colluding-sybils --out "$out/resumed.jsonl" \
     --no-timing --checkpoint-dir "$out/ckpt" --checkpoint-every 10 --stop-after 20
 scenario run --scale smoke --seed 42 --only colluding-sybils --out "$out/resumed.jsonl" \
     --no-timing --checkpoint-dir "$out/ckpt" --resume
-scenario validate "$out/resumed.jsonl"
+check "$out/resumed.jsonl"
 
 # The resumed stream must equal the sybil slice of the uninterrupted suite.
 grep '"scenario":"colluding-sybils"' "$out/suite.jsonl" > "$out/straight-sybils.jsonl"
@@ -73,7 +82,7 @@ scenario run --suite participation-sweep --scale smoke --seed 42 \
 scenario run --suite participation-sweep --scale smoke --seed 42 \
     --only participation-0.5 --out "$out/sweep-resumed.jsonl" \
     --no-timing --checkpoint-dir "$out/sweep-ckpt" --resume
-scenario validate "$out/sweep-resumed.jsonl"
+check "$out/sweep-resumed.jsonl"
 
 grep '"scenario":"participation-0.5"' "$out/sweep.jsonl" > "$out/straight-sweep.jsonl"
 if ! cmp -s "$out/straight-sweep.jsonl" "$out/sweep-resumed.jsonl"; then
@@ -89,7 +98,7 @@ scenario run --suite defense-dynamics-grid --scale smoke --seed 42 \
 scenario run --suite defense-dynamics-grid --scale smoke --seed 42 \
     --only shareless-x-churn --out "$out/grid-resumed.jsonl" \
     --no-timing --checkpoint-dir "$out/grid-ckpt" --resume
-scenario validate "$out/grid-resumed.jsonl"
+check "$out/grid-resumed.jsonl"
 
 if ! cmp -s "$out/grid-cell.jsonl" "$out/grid-resumed.jsonl"; then
     echo "Share-less FL resume diverged from the uninterrupted run" >&2
