@@ -14,9 +14,7 @@ use cia_federated::{FedAvg, FedAvgConfig, NullObserver};
 use cia_gossip::{GossipConfig, GossipSim, NullGossipObserver};
 use cia_models::parallel::{par_chunks_mut, par_map};
 use cia_models::params::{clip_l2, ema, sigmoid};
-use cia_models::{
-    kernel, GmfHyper, GmfSpec, Mlp, MlpHyper, MlpSpec, RelevanceScorer, SharingPolicy,
-};
+use cia_models::{kernel, GmfSpec, Mlp, MlpHyper, MlpSpec, RelevanceScorer, SharingPolicy};
 use cia_scenarios::{try_build_setup, DynamicsSpec, FlDynamics, ParticipantDynamics};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -78,7 +76,7 @@ fn bench_kernels(c: &mut Criterion) {
 }
 
 fn bench_scoring(c: &mut Criterion) {
-    let spec = GmfSpec::new(ITEMS, DIM, GmfHyper::default());
+    let spec = GmfSpec::new(ITEMS, DIM);
     let mut rng = StdRng::seed_from_u64(1);
     let agg = spec.init_agg(&mut rng);
     let emb = vec![0.05f32; DIM];
@@ -114,7 +112,7 @@ fn bench_scoring(c: &mut Criterion) {
     // the full catalog, and ~85 scattered target items (a MovieLens user's
     // mean train-set size), sorted and deduplicated as evaluator targets are.
     const PAPER_DIM: usize = 8;
-    let spec8 = GmfSpec::new(ITEMS, PAPER_DIM, GmfHyper::default());
+    let spec8 = GmfSpec::new(ITEMS, PAPER_DIM);
     let agg8 = spec8.init_agg(&mut rng);
     let emb8: Vec<f32> = (0..PAPER_DIM).map(|_| rng.gen_range(-0.1f32..0.1)).collect();
     let mut target8: Vec<u32> = (0..86).map(|_| rng.gen_range(0..ITEMS)).collect();
@@ -145,7 +143,7 @@ fn bench_scoring(c: &mut Criterion) {
 }
 
 fn bench_momentum_and_dp(c: &mut Criterion) {
-    let spec = GmfSpec::new(ITEMS, DIM, GmfHyper::default());
+    let spec = GmfSpec::new(ITEMS, DIM);
     let mut rng = StdRng::seed_from_u64(2);
     let theta = spec.init_agg(&mut rng);
     let mut v = theta.clone();
@@ -190,7 +188,7 @@ fn bench_momentum_and_dp(c: &mut Criterion) {
 fn bench_mlp_train(c: &mut Criterion) {
     // The MNIST-shaped classifier of §VIII-E: 784-100-10, one batch of 16.
     let spec = MlpSpec::new(vec![784, 100, 10]);
-    let hyper = MlpHyper { lr: 0.05, weight_decay: 1e-5, batch_size: 16 };
+    let hyper = MlpHyper { lr: 0.05, batch_size: 16 };
     let mut rng = StdRng::seed_from_u64(4);
     let batch: Vec<Vec<f32>> =
         (0..16).map(|_| (0..784).map(|_| rng.gen::<f32>()).collect()).collect();
@@ -212,7 +210,7 @@ fn bench_mlp_train(c: &mut Criterion) {
                 &spec,
                 &mut params,
                 hyper.lr,
-                hyper.weight_decay,
+                1e-5, // the MLP's fixed weight decay
                 &xs,
                 &labels,
             ))
@@ -315,7 +313,7 @@ fn scalar_ref_train_batch(
 fn bench_protocol_rounds(c: &mut Criterion) {
     let data = Preset::MovieLens.generate(Scale::Smoke, 3);
     let split = LeaveOneOut::new(&data, 20, 3).unwrap();
-    let spec = GmfSpec::new(data.num_items(), 8, GmfHyper::default());
+    let spec = GmfSpec::new(data.num_items(), 8);
     let clients = || -> Vec<_> {
         split
             .train_sets()
@@ -349,7 +347,7 @@ fn bench_protocol_rounds(c: &mut Criterion) {
     // `--scale paper` (see `bench_paper_scale`).
     let small = Preset::MovieLens.generate(Scale::Small, 3);
     let small_split = LeaveOneOut::new(&small, 40, 3).unwrap();
-    let small_spec = GmfSpec::new(small.num_items(), 8, GmfHyper::default());
+    let small_spec = GmfSpec::new(small.num_items(), 8);
     let small_clients = || -> Vec<_> {
         small_split
             .train_sets()
@@ -408,7 +406,7 @@ fn bench_attack_eval(c: &mut Criterion) {
     let users = data.num_users();
     let k = 5;
     let gt = GroundTruth::from_train_sets(split.train_sets(), k);
-    let spec = GmfSpec::new(data.num_items(), 8, GmfHyper::default());
+    let spec = GmfSpec::new(data.num_items(), 8);
     let clients: Vec<_> = split
         .train_sets()
         .iter()
@@ -461,7 +459,7 @@ fn bench_paper_scale(c: &mut Criterion) {
     }
     let data = Preset::MovieLens.generate(Scale::Paper, 3);
     let split = LeaveOneOut::new(&data, 100, 3).unwrap();
-    let spec = GmfSpec::new(data.num_items(), 8, GmfHyper::default());
+    let spec = GmfSpec::new(data.num_items(), 8);
     let clients = || -> Vec<_> {
         split
             .train_sets()
@@ -542,7 +540,7 @@ fn bench_cia_score_paper(c: &mut Criterion) {
     }
     let data = Preset::MovieLens.generate(Scale::Paper, 3);
     let split = LeaveOneOut::new(&data, 100, 3).unwrap();
-    let spec = GmfSpec::new(data.num_items(), 8, GmfHyper::default());
+    let spec = GmfSpec::new(data.num_items(), 8);
     let mut rng = StdRng::seed_from_u64(5);
     let mut uniform =
         |len: usize| -> Vec<f32> { (0..len).map(|_| rng.gen_range(-0.5f32..0.5)).collect() };

@@ -20,45 +20,31 @@ use cia_models::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// AIA proxy configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AiaConfig {
-    /// The CIA-compatible parameters (community size, cadence; momentum is
-    /// unused — the classifier sees per-round updates).
-    pub cia: CiaConfig,
-    /// Number of fictive member datasets `N`.
-    pub n_member: usize,
-    /// Number of fictive non-member datasets `M`.
-    pub m_nonmember: usize,
-    /// Items per fictive dataset.
-    pub subset_size: usize,
-    /// Local epochs used to train each fictive model.
-    pub fictive_epochs: usize,
-    /// Training epochs of the binary classifier.
-    pub classifier_epochs: usize,
-    /// Hidden layer sizes of the classifier (the paper uses five
-    /// fully-connected layers).
-    pub hidden: Vec<usize>,
-}
+/// Number of fictive member datasets `N`.
+pub const AIA_N_MEMBER: usize = 20;
 
-impl Default for AiaConfig {
-    fn default() -> Self {
-        AiaConfig {
-            cia: CiaConfig::default(),
-            n_member: 20,
-            m_nonmember: 20,
-            subset_size: 12,
-            fictive_epochs: 3,
-            classifier_epochs: 60,
-            hidden: vec![64, 32, 16, 8],
-        }
-    }
-}
+/// Number of fictive non-member datasets `M`.
+pub const AIA_M_NONMEMBER: usize = 20;
+
+/// Items per fictive dataset.
+const SUBSET_SIZE: usize = 12;
+
+/// Local epochs used to train each fictive model.
+const FICTIVE_EPOCHS: usize = 3;
+
+/// Training epochs of the binary classifier.
+const CLASSIFIER_EPOCHS: usize = 60;
+
+/// Hidden layer sizes of the classifier (the paper uses five
+/// fully-connected layers).
+const HIDDEN: [usize; 4] = [64, 32, 16, 8];
 
 /// Community inference via a gradient classifier, as a federated-server
 /// observer attacking a single target item set.
 pub struct AiaCommunityAttack {
-    cfg: AiaConfig,
+    /// The CIA-compatible parameters (community size, cadence; momentum is
+    /// unused — the classifier sees per-round updates).
+    cfg: CiaConfig,
     spec: GmfSpec,
     target: Vec<u32>,
     truth: Vec<UserId>,
@@ -77,7 +63,7 @@ impl AiaCommunityAttack {
     ///
     /// Panics if the target is empty or `k == 0`.
     pub fn new(
-        cfg: AiaConfig,
+        cfg: CiaConfig,
         spec: GmfSpec,
         target: Vec<u32>,
         num_users: usize,
@@ -85,11 +71,11 @@ impl AiaCommunityAttack {
         owner: Option<UserId>,
     ) -> Self {
         assert!(!target.is_empty(), "target set must be non-empty");
-        assert!(cfg.cia.k > 0, "community size must be positive");
-        assert!(cfg.cia.eval_every > 0, "eval_every must be positive");
+        assert!(cfg.k > 0, "community size must be positive");
+        assert!(cfg.eval_every > 0, "eval_every must be positive");
         let candidates = num_users - usize::from(owner.is_some());
         AiaCommunityAttack {
-            tracker: AttackTracker::new(cfg.cia.k, candidates),
+            tracker: AttackTracker::new(cfg.k, candidates),
             cfg,
             spec,
             target,
@@ -110,7 +96,7 @@ impl AiaCommunityAttack {
     /// starting from `global` (done once, at the first evaluation — the
     /// `O(T_M · (N + M)) + O(T_C)` cost of Table IX).
     fn train_classifier(&mut self, global: &[f32]) -> Mlp {
-        let mut rng = StdRng::seed_from_u64(self.cfg.cia.seed ^ 0xA1A);
+        let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0xA1A);
         let num_items = self.spec.num_items();
         let mut inputs: Vec<Vec<f32>> = Vec::new();
         let mut labels: Vec<f32> = Vec::new();
@@ -126,7 +112,7 @@ impl AiaCommunityAttack {
                 rng.gen(),
             );
             client.absorb_agg(global);
-            for _ in 0..self.cfg.fictive_epochs.max(1) {
+            for _ in 0..FICTIVE_EPOCHS {
                 client.train_local(rng);
             }
             let mut update: Vec<f32> =
@@ -135,15 +121,15 @@ impl AiaCommunityAttack {
             update
         };
 
-        for _ in 0..self.cfg.n_member {
-            let items: Vec<u32> = (0..self.cfg.subset_size)
+        for _ in 0..AIA_N_MEMBER {
+            let items: Vec<u32> = (0..SUBSET_SIZE)
                 .map(|_| self.target[rng.gen_range(0..self.target.len())])
                 .collect();
             inputs.push(fictive_update(items, &mut rng));
             labels.push(1.0);
         }
-        for _ in 0..self.cfg.m_nonmember {
-            let items: Vec<u32> = (0..self.cfg.subset_size)
+        for _ in 0..AIA_M_NONMEMBER {
+            let items: Vec<u32> = (0..SUBSET_SIZE)
                 .map(|_| loop {
                     let cand = rng.gen_range(0..num_items);
                     if self.target.binary_search(&cand).is_err() {
@@ -156,15 +142,15 @@ impl AiaCommunityAttack {
         }
 
         let mut layers = vec![self.spec.agg_len()];
-        layers.extend_from_slice(&self.cfg.hidden);
+        layers.extend_from_slice(&HIDDEN);
         layers.push(1);
         let mut mlp = Mlp::new(
             MlpSpec::new(layers),
-            MlpHyper { lr: 0.05, weight_decay: 1e-5, batch_size: 8 },
-            self.cfg.cia.seed ^ 0xC1A55,
+            MlpHyper { lr: 0.05, batch_size: 8 },
+            self.cfg.seed ^ 0xC1A55,
         );
         let mut order: Vec<usize> = (0..inputs.len()).collect();
-        for _ in 0..self.cfg.classifier_epochs {
+        for _ in 0..CLASSIFIER_EPOCHS {
             // Simple deterministic shuffle per epoch.
             for i in (1..order.len()).rev() {
                 let j = rng.gen_range(0..=i);
@@ -188,7 +174,7 @@ impl AiaCommunityAttack {
             self.classifier = Some(clf);
         }
         let clf = self.classifier.as_ref().expect("trained above");
-        let k = self.cfg.cia.k;
+        let k = self.cfg.k;
         let candidates = (0u32..)
             .zip(&self.updates)
             .filter(|&(id, _)| self.owner != Some(UserId::new(id)))
@@ -228,7 +214,7 @@ impl RoundObserver for AiaCommunityAttack {
     }
 
     fn on_round_end(&mut self, stats: &RoundStats) {
-        if (stats.round + 1).is_multiple_of(self.cfg.cia.eval_every) {
+        if (stats.round + 1).is_multiple_of(self.cfg.eval_every) {
             self.evaluate(stats.round);
         }
     }
@@ -239,7 +225,7 @@ mod tests {
     use super::*;
     use cia_data::{GroundTruth, LeaveOneOut, SyntheticConfig};
     use cia_federated::{FedAvg, FedAvgConfig};
-    use cia_models::{GmfClient, GmfHyper, LivenessEvent};
+    use cia_models::{GmfClient, LivenessEvent};
 
     /// An 18-user synthetic population as FedAvg clients, and an AIA
     /// against user 0's train set evaluating every `eval_every` rounds.
@@ -260,7 +246,7 @@ mod tests {
         let truth = GroundTruth::from_train_sets(split.train_sets(), k)
             .community_of(UserId::new(0))
             .to_vec();
-        let spec = GmfSpec::new(90, 8, GmfHyper::default());
+        let spec = GmfSpec::new(90, 8);
         let clients: Vec<_> = split
             .train_sets()
             .iter()
@@ -275,15 +261,7 @@ mod tests {
             })
             .collect();
         let attack = AiaCommunityAttack::new(
-            AiaConfig {
-                cia: CiaConfig { k, beta: 0.99, eval_every, seed: 1 },
-                n_member: 8,
-                m_nonmember: 8,
-                subset_size: 8,
-                fictive_epochs: 2,
-                classifier_epochs: 20,
-                hidden: vec![16, 8],
-            },
+            CiaConfig { k, beta: 0.99, eval_every, seed: 1 },
             spec,
             target,
             users,
@@ -334,7 +312,7 @@ mod tests {
         let (clients, mut attack) = fixture(1);
         let cfg = FedAvgConfig { rounds: 1, seed: 6, ..Default::default() };
         FedAvg::new(clients, cfg).run(&mut Sampled(&mut attack));
-        let k = attack.cfg.cia.k;
+        let k = attack.cfg.k;
         let sampled = attack.truth.iter().filter(|u| attack.updates[u.index()].is_some()).count();
         let expected = sampled as f64 / k as f64;
         assert!(expected < 1.0, "fixture must leave part of the community unsampled");
@@ -344,7 +322,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "target set must be non-empty")]
     fn rejects_empty_target() {
-        let spec = GmfSpec::new(10, 4, GmfHyper::default());
-        let _ = AiaCommunityAttack::new(AiaConfig::default(), spec, vec![], 5, vec![], None);
+        let spec = GmfSpec::new(10, 4);
+        let _ = AiaCommunityAttack::new(CiaConfig::default(), spec, vec![], 5, vec![], None);
     }
 }

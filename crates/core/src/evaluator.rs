@@ -248,10 +248,10 @@ impl<S: RelevanceScorer> RelevanceEvaluator for ItemSetEvaluator<S> {
 mod tests {
     use super::*;
     use cia_data::UserId;
-    use cia_models::{GmfHyper, GmfSpec, Participant, SharingPolicy};
+    use cia_models::{GmfSpec, Participant, SharingPolicy};
 
     fn trained_gmf(dim: usize) -> (GmfSpec, cia_models::SharedModel) {
-        let spec = GmfSpec::new(40, dim, GmfHyper { lr: 0.1, ..GmfHyper::default() });
+        let spec = GmfSpec::new(40, dim);
         let mut c = spec.build_client(UserId::new(0), vec![1, 2, 3], SharingPolicy::Full, 5);
         c.draw_agg();
         let mut rng = StdRng::seed_from_u64(1);
@@ -336,21 +336,15 @@ mod tests {
         let r = ev.relevance_one(None, &snap.agg, 0);
         assert!(r.is_finite());
         // The fictive embedding prefers its target over foreign items.
-        let mut ev2 = ItemSetEvaluator::new(
-            GmfSpec::new(40, 4, GmfHyper { lr: 0.1, ..GmfHyper::default() }),
-            vec![vec![1, 2, 3], vec![30, 31, 32]],
-            true,
-        );
+        let mut ev2 =
+            ItemSetEvaluator::new(GmfSpec::new(40, 4), vec![vec![1, 2, 3], vec![30, 31, 32]], true);
         ev2.prepare(&snap.agg, 9);
         let on = ev2.relevance_one(None, &snap.agg, 0);
         let emb0_on_foreign = {
             // score target 1's items with target 0's embedding by reusing
             // relevance_one on a fresh evaluator whose target 0 is foreign.
-            let mut swapped = ItemSetEvaluator::new(
-                GmfSpec::new(40, 4, GmfHyper { lr: 0.1, ..GmfHyper::default() }),
-                vec![vec![30, 31, 32]],
-                true,
-            );
+            let mut swapped =
+                ItemSetEvaluator::new(GmfSpec::new(40, 4), vec![vec![30, 31, 32]], true);
             // Train the same embedding (same seed/target index) then score.
             swapped.adversary_embs = vec![ev2.adversary_embs[0].clone()];
             swapped.relevance_one(None, &snap.agg, 0)
@@ -361,21 +355,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "target 1 is not sorted and deduplicated")]
     fn rejects_unsorted_targets() {
-        let spec = GmfSpec::new(10, 4, GmfHyper::default());
+        let spec = GmfSpec::new(10, 4);
         let _ = ItemSetEvaluator::new(spec, vec![vec![1, 2], vec![5, 3]], true);
     }
 
     #[test]
     #[should_panic(expected = "target 0 is not sorted and deduplicated")]
     fn rejects_duplicate_target_items() {
-        let spec = GmfSpec::new(10, 4, GmfHyper::default());
+        let spec = GmfSpec::new(10, 4);
         let _ = ItemSetEvaluator::new(spec, vec![vec![4, 4]], false);
     }
 
     #[test]
     #[should_panic(expected = "outside the catalog")]
     fn rejects_out_of_range_targets() {
-        let spec = GmfSpec::new(10, 4, GmfHyper::default());
+        let spec = GmfSpec::new(10, 4);
         let _ = ItemSetEvaluator::new(spec, vec![vec![99]], false);
     }
 }

@@ -355,7 +355,7 @@ mod tests {
     use crate::evaluator::ItemSetEvaluator;
     use cia_data::{GroundTruth, LeaveOneOut, SyntheticConfig};
     use cia_federated::{FedAvg, FedAvgConfig};
-    use cia_models::{GmfHyper, GmfSpec, SharingPolicy};
+    use cia_models::{GmfSpec, SharingPolicy};
 
     /// End-to-end: FL + GMF on a planted-community dataset; CIA must beat the
     /// random bound by a wide margin.
@@ -373,7 +373,7 @@ mod tests {
         let split = LeaveOneOut::new(&data, 10, 3).unwrap();
         let k = 5;
         let gt = GroundTruth::from_train_sets(split.train_sets(), k);
-        let spec = GmfSpec::new(120, 8, GmfHyper { lr: 0.1, ..GmfHyper::default() });
+        let spec = GmfSpec::new(120, 8);
         let clients: Vec<_> = split
             .train_sets()
             .iter()
@@ -435,7 +435,7 @@ mod tests {
         let split = LeaveOneOut::new(&data, 5, 0).unwrap();
         let k = 3;
         let gt = GroundTruth::from_train_sets(split.train_sets(), k);
-        let spec = GmfSpec::new(60, 4, GmfHyper::default());
+        let spec = GmfSpec::new(60, 4);
         let clients: Vec<_> = split
             .train_sets()
             .iter()
@@ -518,7 +518,7 @@ mod tests {
             .build()
             .generate();
         let split = LeaveOneOut::new(&data, 5, 0).unwrap();
-        let spec = GmfSpec::new(60, 4, GmfHyper::default());
+        let spec = GmfSpec::new(60, 4);
         let clients: Vec<_> = split
             .train_sets()
             .iter()
@@ -553,7 +553,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "one truth per target")]
     fn rejects_misaligned_truths() {
-        let spec = GmfSpec::new(10, 4, GmfHyper::default());
+        let spec = GmfSpec::new(10, 4);
         let evaluator = ItemSetEvaluator::new(spec, vec![vec![1]], false);
         let _ = FlCia::new(CiaConfig::default(), evaluator, 5, vec![], vec![None]);
     }

@@ -297,7 +297,7 @@ mod tests {
     use crate::evaluator::ItemSetEvaluator;
     use cia_data::{GroundTruth, LeaveOneOut, SyntheticConfig};
     use cia_gossip::{GossipConfig, GossipSim};
-    use cia_models::{GmfClient, GmfHyper, GmfSpec, Participant, SharingPolicy};
+    use cia_models::{GmfClient, GmfSpec, Participant, SharingPolicy};
 
     struct Setup {
         clients: Vec<GmfClient>,
@@ -319,7 +319,7 @@ mod tests {
             .generate();
         let split = LeaveOneOut::new(&data, 10, 3).unwrap();
         let gt = GroundTruth::from_train_sets(split.train_sets(), k);
-        let spec = GmfSpec::new(120, 8, GmfHyper::default());
+        let spec = GmfSpec::new(120, 8);
         let clients: Vec<_> = split
             .train_sets()
             .iter()

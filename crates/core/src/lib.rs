@@ -44,7 +44,7 @@ mod gl;
 pub mod metrics;
 mod mia;
 
-pub use aia::{AiaCommunityAttack, AiaConfig};
+pub use aia::{AiaCommunityAttack, AIA_M_NONMEMBER, AIA_N_MEMBER};
 /// The per-sender Eq. 4 momentum table (re-exported): it lives in
 /// `cia-models`, where FedAvg's training workers can fold its rows.
 pub use cia_models::MomentumTable;

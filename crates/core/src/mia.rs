@@ -203,7 +203,7 @@ mod tests {
     use super::*;
     use cia_data::{GroundTruth, LeaveOneOut, SyntheticConfig};
     use cia_federated::{FedAvg, FedAvgConfig};
-    use cia_models::{GmfHyper, GmfSpec, SharingPolicy};
+    use cia_models::{GmfSpec, SharingPolicy};
 
     #[test]
     fn entropy_properties() {
@@ -227,7 +227,7 @@ mod tests {
         let split = LeaveOneOut::new(&data, 10, 1).unwrap();
         let k = 4;
         let gt = GroundTruth::from_train_sets(split.train_sets(), k);
-        let spec = GmfSpec::new(100, 8, GmfHyper::default());
+        let spec = GmfSpec::new(100, 8);
         let clients: Vec<_> = split
             .train_sets()
             .iter()
@@ -269,7 +269,7 @@ mod tests {
         let cia = CiaConfig { k: 1, beta: 1.5, eval_every: 1, seed: 0 };
         let _ = MiaCommunityAttack::new(
             MiaConfig { cia, rho: 0.4 },
-            GmfSpec::new(10, 4, GmfHyper::default()),
+            GmfSpec::new(10, 4),
             vec![vec![1]],
             2,
             vec![vec![]],

@@ -23,7 +23,7 @@ use cia_core::{
 use cia_data::{GroundTruth, LeaveOneOut, SyntheticConfig, UserId};
 use cia_federated::{FedAvg, FedAvgConfig, RoundObserver, RoundStats};
 use cia_gossip::{GossipConfig, GossipObserver, GossipRoundStats, GossipSim};
-use cia_models::{GmfClient, GmfHyper, GmfSpec, LivenessEvent, SharedModel, SharingPolicy};
+use cia_models::{GmfClient, GmfSpec, LivenessEvent, SharedModel, SharingPolicy};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -193,7 +193,7 @@ impl Case {
         Case {
             users,
             cfg: CiaConfig { k, beta, eval_every, seed },
-            spec: GmfSpec::new(60, 8, GmfHyper::default()),
+            spec: GmfSpec::new(60, 8),
             share_less,
             train_sets: split.train_sets().to_vec(),
             truths: ids.map(|u| gt.community_of(UserId::new(u)).to_vec()).collect(),

@@ -10,7 +10,7 @@
 
 use cia_core::{ItemSetEvaluator, RelevanceEvaluator};
 use cia_models::kernel::LANES;
-use cia_models::{GmfHyper, GmfSpec, PrmeHyper, PrmeSpec, RelevanceScorer};
+use cia_models::{GmfSpec, PrmeSpec, RelevanceScorer};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -122,7 +122,7 @@ proptest! {
         items in 1u32..40,
         share_less in any::<bool>(),
     ) {
-        let spec = GmfSpec::new(items, DIMS[dim], GmfHyper::default());
+        let spec = GmfSpec::new(items, DIMS[dim]);
         check(spec, seed, users, share_less)?;
     }
 
@@ -134,7 +134,7 @@ proptest! {
         items in 1u32..40,
         share_less in any::<bool>(),
     ) {
-        let spec = PrmeSpec::new(items, DIMS[dim], PrmeHyper::default());
+        let spec = PrmeSpec::new(items, DIMS[dim]);
         check(spec, seed, users, share_less)?;
     }
 }

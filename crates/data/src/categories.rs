@@ -4,8 +4,8 @@
 //! (*Health and Medicine*, *Retail*, ...). The paper's motivating example
 //! (§II) plants a small community of "health-vulnerable" users whose visits
 //! are ≥68% health-categorized, against a 6.7% base rate, and shows that CIA
-//! recovers them from models alone. [`CategoryPlan`] reproduces that setup on
-//! the synthetic catalog.
+//! recovers them from models alone. [`crate::SyntheticConfigBuilder::categories`]
+//! reproduces that setup on the synthetic catalog.
 
 /// The synthetic semantic taxonomy (10 categories, mirroring the coarse
 /// Foursquare categorization used in the paper's motivating example).
@@ -85,37 +85,17 @@ impl CategoryMap {
     }
 }
 
-/// How to assign categories to the catalog when generating a dataset.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CategoryPlan {
-    /// Fraction of the catalog assigned to the health category. The paper's
-    /// base rate of health visits is 6.7%, so the default is `0.067`.
-    pub health_item_fraction: f64,
-    /// Optional planting of a health-vulnerable user community.
-    pub health_planting: Option<HealthPlanting>,
-}
+/// Fraction of the catalog assigned to the health category: the paper's
+/// base rate of health visits.
+pub const HEALTH_ITEM_FRACTION: f64 = 0.067;
 
-impl Default for CategoryPlan {
-    fn default() -> Self {
-        CategoryPlan { health_item_fraction: 0.067, health_planting: None }
-    }
-}
+/// Users in the planted health-vulnerable community (the paper's example
+/// finds 3).
+pub const HEALTH_COMMUNITY_SIZE: usize = 3;
 
-/// Plants a "health-vulnerable" community as in the paper's Figure 1.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HealthPlanting {
-    /// Number of health-vulnerable users (the paper's example finds 3).
-    pub num_users: usize,
-    /// Fraction of each planted user's interactions drawn from health items
-    /// (the paper reports at least 68%).
-    pub health_fraction: f64,
-}
-
-impl Default for HealthPlanting {
-    fn default() -> Self {
-        HealthPlanting { num_users: 3, health_fraction: 0.68 }
-    }
-}
+/// Fraction of each planted user's interactions drawn from health items (the
+/// paper reports at least 68%).
+pub const HEALTH_COMMUNITY_FRACTION: f64 = 0.68;
 
 #[cfg(test)]
 mod tests {
@@ -142,14 +122,5 @@ mod tests {
     #[should_panic(expected = "category label out of range")]
     fn rejects_bad_labels() {
         let _ = CategoryMap::new(vec![99]);
-    }
-
-    #[test]
-    fn defaults_match_paper_numbers() {
-        let plan = CategoryPlan::default();
-        assert!((plan.health_item_fraction - 0.067).abs() < 1e-9);
-        let planting = HealthPlanting::default();
-        assert_eq!(planting.num_users, 3);
-        assert!((planting.health_fraction - 0.68).abs() < 1e-9);
     }
 }

@@ -17,21 +17,16 @@ pub const IMAGE_DIM: usize = 28 * 28;
 /// Number of digit classes.
 pub const NUM_CLASSES: usize = 10;
 
+/// Standard deviation of the per-pixel Gaussian noise.
+const NOISE_STD: f32 = 0.35;
+
 /// Configuration of the synthetic image generator.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ImageGenConfig {
     /// Samples generated per class.
     pub samples_per_class: usize,
-    /// Standard deviation of the per-pixel Gaussian noise.
-    pub noise_std: f32,
     /// Generator seed.
     pub seed: u64,
-}
-
-impl Default for ImageGenConfig {
-    fn default() -> Self {
-        ImageGenConfig { samples_per_class: 60, noise_std: 0.35, seed: 0 }
-    }
 }
 
 /// A labelled image dataset stored as flat `f32` pixels in `[0, 1]`.
@@ -69,7 +64,7 @@ impl ImageDataset {
                 let start = pixels.len();
                 pixels.extend_from_slice(proto);
                 let row = &mut pixels[start..];
-                add_gaussian_noise(row, cfg.noise_std, &mut rng);
+                add_gaussian_noise(row, NOISE_STD, &mut rng);
                 for p in row {
                     *p = p.clamp(0.0, 1.0);
                 }
@@ -127,7 +122,7 @@ mod tests {
     use super::*;
 
     fn small() -> ImageDataset {
-        ImageDataset::generate(&ImageGenConfig { samples_per_class: 10, noise_std: 0.2, seed: 4 })
+        ImageDataset::generate(&ImageGenConfig { samples_per_class: 10, seed: 4 })
     }
 
     #[test]

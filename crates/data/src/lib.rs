@@ -46,7 +46,10 @@ mod split;
 mod synthetic;
 mod zipf;
 
-pub use categories::{CategoryMap, CategoryPlan, HealthPlanting, CATEGORY_NAMES, HEALTH_CATEGORY};
+pub use categories::{
+    CategoryMap, CATEGORY_NAMES, HEALTH_CATEGORY, HEALTH_COMMUNITY_FRACTION, HEALTH_COMMUNITY_SIZE,
+    HEALTH_ITEM_FRACTION,
+};
 pub use error::DataError;
 pub use ids::UserId;
 pub use images::{ImageDataset, ImageGenConfig, IMAGE_DIM, NUM_CLASSES};

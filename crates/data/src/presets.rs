@@ -12,7 +12,7 @@
 //! Smaller profiles preserve the community structure for tests, examples and
 //! benches.
 
-use crate::{CategoryPlan, Dataset, SyntheticConfig};
+use crate::{Dataset, SyntheticConfig};
 
 /// How large a preset instantiation should be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -140,7 +140,7 @@ pub fn foursquare_like(scale: Scale, seed: u64) -> Dataset {
         .topic_affinity(0.85)
         .zipf_exponent(1.1)
         .sequences(true)
-        .categories(CategoryPlan::default())
+        .categories(false)
         .seed(seed)
         .build()
         .generate()

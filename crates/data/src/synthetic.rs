@@ -9,11 +9,17 @@
 //! items — while letting the ground truth be recomputed from the data itself
 //! exactly as in the paper (Jaccard top-K, Eq. 5).
 
-use crate::categories::{CategoryMap, CategoryPlan, HEALTH_CATEGORY};
+use crate::categories::{
+    CategoryMap, HEALTH_CATEGORY, HEALTH_COMMUNITY_FRACTION, HEALTH_COMMUNITY_SIZE,
+    HEALTH_ITEM_FRACTION,
+};
 use crate::{DataError, Dataset, UserRecord, Zipf};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+
+/// Relative jitter on the per-user interaction count (0.3 ⇒ ±30%).
+const IPU_JITTER: f64 = 0.3;
 
 /// Configuration of the synthetic generator. Build with
 /// [`SyntheticConfig::builder`].
@@ -39,8 +45,6 @@ pub struct SyntheticConfig {
     items: u32,
     communities: usize,
     interactions_per_user: usize,
-    /// Relative jitter on the per-user interaction count (0.3 ⇒ ±30%).
-    ipu_jitter: f64,
     /// Probability that an interaction is drawn from the user's own topic
     /// cluster rather than the global catalog.
     topic_affinity: f64,
@@ -48,7 +52,9 @@ pub struct SyntheticConfig {
     zipf_exponent: f64,
     /// Generate chronological check-in sequences (needed by PRME).
     sequences: bool,
-    categories: Option<CategoryPlan>,
+    /// Semantic item categories: `None` for none, `Some(planted)` with
+    /// whether the health-vulnerable community is planted.
+    categories: Option<bool>,
     seed: u64,
 }
 
@@ -92,10 +98,10 @@ impl SyntheticConfig {
 
         // Categories (independent of clusters, so non-planted users hit the
         // base-rate health fraction naturally).
-        let category_map = self.categories.as_ref().map(|plan| {
+        let category_map = self.categories.map(|_| {
             let mut labels = vec![0u8; n_items];
             for l in &mut labels {
-                if rng.gen::<f64>() < plan.health_item_fraction {
+                if rng.gen::<f64>() < HEALTH_ITEM_FRACTION {
                     *l = HEALTH_CATEGORY;
                 } else {
                     // Uniform over the 9 non-health categories.
@@ -121,9 +127,9 @@ impl SyntheticConfig {
             (0..self.users).map(|u| (u % self.communities) as u32).collect();
         community_of.shuffle(&mut rng);
 
-        // Health-vulnerable planting (Figure 1): the first `num_users` user
-        // ids become the planted community.
-        let planting = self.categories.as_ref().and_then(|p| p.health_planting);
+        // Health-vulnerable planting (Figure 1): the first
+        // `HEALTH_COMMUNITY_SIZE` user ids become the planted community.
+        let planted = self.categories == Some(true) && !health_pool.is_empty();
 
         let mut records = Vec::with_capacity(self.users);
         // Per-user deduplication of the draws: `taken[item]` marks the items
@@ -131,21 +137,18 @@ impl SyntheticConfig {
         let mut taken = vec![false; n_items];
         for (u, &community) in community_of.iter().enumerate() {
             let c = community as usize;
-            let jitter = 1.0 + self.ipu_jitter * (rng.gen::<f64>() * 2.0 - 1.0);
+            let jitter = 1.0 + IPU_JITTER * (rng.gen::<f64>() * 2.0 - 1.0);
             let mut n_u = ((self.interactions_per_user as f64) * jitter).round() as usize;
             n_u = n_u.clamp(2, (n_items * 4) / 5);
 
-            let planted_health = match planting {
-                Some(p) if u < p.num_users && !health_pool.is_empty() => Some(p),
-                _ => None,
-            };
+            let planted_health = planted && u < HEALTH_COMMUNITY_SIZE;
 
             let mut items: Vec<u32> = Vec::with_capacity(n_u);
             let mut guard = 0usize;
             while items.len() < n_u && guard < n_u * 200 {
                 guard += 1;
-                let item = if let Some(p) = planted_health {
-                    if rng.gen::<f64>() < p.health_fraction {
+                let item = if planted_health {
+                    if rng.gen::<f64>() < HEALTH_COMMUNITY_FRACTION {
                         health_pool[rng.gen_range(0..health_pool.len())]
                     } else {
                         self.draw_regular(
@@ -242,7 +245,6 @@ impl Default for SyntheticConfigBuilder {
                 items: 500,
                 communities: 10,
                 interactions_per_user: 30,
-                ipu_jitter: 0.3,
                 topic_affinity: 0.8,
                 zipf_exponent: 1.05,
                 sequences: false,
@@ -284,12 +286,6 @@ impl SyntheticConfigBuilder {
         self
     }
 
-    /// Sets the relative jitter (±fraction) on the per-user interaction count.
-    pub fn ipu_jitter(mut self, jitter: f64) -> Self {
-        self.cfg.ipu_jitter = jitter;
-        self
-    }
-
     /// Sets the probability of drawing from the user's own topic cluster.
     pub fn topic_affinity(mut self, affinity: f64) -> Self {
         self.cfg.topic_affinity = affinity;
@@ -308,9 +304,13 @@ impl SyntheticConfigBuilder {
         self
     }
 
-    /// Attaches a semantic category plan (needed by the Figure 1 example).
-    pub fn categories(mut self, plan: CategoryPlan) -> Self {
-        self.cfg.categories = Some(plan);
+    /// Attaches semantic item categories, a [`HEALTH_ITEM_FRACTION`] share
+    /// of them health items, and with `plant_health_community` plants the
+    /// Figure 1 community: the first [`HEALTH_COMMUNITY_SIZE`] users draw a
+    /// [`HEALTH_COMMUNITY_FRACTION`] share of their interactions from
+    /// health items.
+    pub fn categories(mut self, plant_health_community: bool) -> Self {
+        self.cfg.categories = Some(plant_health_community);
         self
     }
 
@@ -355,12 +355,6 @@ impl SyntheticConfigBuilder {
             return Err(DataError::InvalidConfig {
                 field: "topic_affinity",
                 reason: format!("must be in [0, 1], got {}", c.topic_affinity),
-            });
-        }
-        if !(0.0..1.0).contains(&c.ipu_jitter) {
-            return Err(DataError::InvalidConfig {
-                field: "ipu_jitter",
-                reason: format!("must be in [0, 1), got {}", c.ipu_jitter),
             });
         }
         if c.interactions_per_user < 2 {
@@ -476,28 +470,22 @@ mod tests {
             .items(600)
             .communities(8)
             .interactions_per_user(40)
-            .categories(CategoryPlan {
-                health_item_fraction: 0.067,
-                health_planting: Some(crate::HealthPlanting {
-                    num_users: 3,
-                    health_fraction: 0.68,
-                }),
-            })
+            .categories(true)
             .seed(21)
             .build()
             .generate();
         let cats = d.categories().unwrap();
         // Planted users: majority health items.
-        for u in 0..3 {
+        for u in 0..HEALTH_COMMUNITY_SIZE {
             let frac = cats.fraction_in(d.records()[u].items(), HEALTH_CATEGORY);
             assert!(frac > 0.5, "planted user {u} only {frac} health");
         }
         // Background users: close to the base rate.
         let mut rest = 0.0;
-        for u in 3..d.num_users() {
+        for u in HEALTH_COMMUNITY_SIZE..d.num_users() {
             rest += cats.fraction_in(d.records()[u].items(), HEALTH_CATEGORY);
         }
-        rest /= (d.num_users() - 3) as f64;
+        rest /= (d.num_users() - HEALTH_COMMUNITY_SIZE) as f64;
         assert!(rest < 0.2, "background health fraction too high: {rest}");
     }
 
@@ -509,7 +497,6 @@ mod tests {
         assert!(SyntheticConfig::builder().items(5).communities(6).try_build().is_err());
         assert!(SyntheticConfig::builder().topic_affinity(1.5).try_build().is_err());
         assert!(SyntheticConfig::builder().interactions_per_user(1).try_build().is_err());
-        assert!(SyntheticConfig::builder().ipu_jitter(1.0).try_build().is_err());
     }
 
     #[test]

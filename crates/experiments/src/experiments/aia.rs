@@ -2,7 +2,7 @@
 //! compared against CIA on the same targets.
 
 use crate::tables::{pct, Table};
-use cia_core::{AiaCommunityAttack, AiaConfig, CiaConfig, FlCia, ItemSetEvaluator};
+use cia_core::{AiaCommunityAttack, CiaConfig, FlCia, ItemSetEvaluator};
 use cia_data::presets::{Preset, Scale};
 use cia_data::UserId;
 use cia_federated::{FedAvg, FedAvgConfig};
@@ -29,11 +29,9 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
         FedAvgConfig { rounds: params.fl_rounds, local_epochs: params.local_epochs, seed };
 
     // AIA on the single target.
+    let cia_cfg = CiaConfig { k: setup.k, beta: 0.99, eval_every: params.fl_eval_every, seed };
     let mut aia = AiaCommunityAttack::new(
-        AiaConfig {
-            cia: CiaConfig { k: setup.k, beta: 0.99, eval_every: params.fl_eval_every, seed },
-            ..AiaConfig::default()
-        },
+        cia_cfg,
         spec.clone(),
         target.clone(),
         users,
@@ -46,13 +44,7 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
 
     // CIA on the identical single target.
     let evaluator = ItemSetEvaluator::new(spec.clone(), vec![target], false);
-    let mut cia = FlCia::new(
-        CiaConfig { k: setup.k, beta: 0.99, eval_every: params.fl_eval_every, seed },
-        evaluator,
-        users,
-        vec![truth],
-        vec![Some(target_id)],
-    );
+    let mut cia = FlCia::new(cia_cfg, evaluator, users, vec![truth], vec![Some(target_id)]);
     let mut sim = FedAvg::new(build_clients(), fed_cfg);
     sim.run(&mut cia);
     let cia_out = cia.outcome();

@@ -10,8 +10,7 @@ use crate::tables::{pct, Table};
 use cia_core::{CiaConfig, FlCia, ItemSetEvaluator};
 use cia_data::presets::Scale;
 use cia_data::{
-    CategoryPlan, GroundTruth, HealthPlanting, LeaveOneOut, SyntheticConfig, UserId,
-    HEALTH_CATEGORY,
+    GroundTruth, LeaveOneOut, SyntheticConfig, UserId, HEALTH_CATEGORY, HEALTH_COMMUNITY_SIZE,
 };
 use cia_federated::{FedAvg, FedAvgConfig};
 use cia_models::SharingPolicy;
@@ -26,19 +25,18 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
         Scale::Small => (220, 600, 40),
         Scale::Paper => (1083, 4000, 185),
     };
-    let k = 3;
-    let planting = HealthPlanting { num_users: k, health_fraction: 0.68 };
+    let k = HEALTH_COMMUNITY_SIZE;
     let data = SyntheticConfig::builder()
         .name("Foursquare-like with health community")
         .users(users)
         .items(items)
         .communities((users / 20).clamp(4, 48))
         .interactions_per_user(ipu)
-        .categories(CategoryPlan { health_item_fraction: 0.067, health_planting: Some(planting) })
+        .categories(true)
         .seed(seed)
         .build()
         .generate();
-    let categories = data.categories().expect("plan attached").clone();
+    let categories = data.categories().expect("categories attached").clone();
     let split = LeaveOneOut::new(&data, params.eval_negatives, seed ^ 0x5EED).unwrap();
 
     // The adversary's target: every health-categorized item, straight from

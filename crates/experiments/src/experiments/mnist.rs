@@ -76,7 +76,6 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
     };
     let data = Arc::new(ImageDataset::generate(&ImageGenConfig {
         samples_per_class: train_per_class + probe_per_class,
-        noise_std: 0.35,
         seed,
     }));
 

@@ -13,13 +13,13 @@
 //! ```
 //! use cia_data::{LeaveOneOut, SyntheticConfig, UserId};
 //! use cia_federated::{FedAvg, FedAvgConfig, RoundObserver};
-//! use cia_models::{GmfHyper, GmfSpec, SharedModel, SharingPolicy};
+//! use cia_models::{GmfSpec, SharedModel, SharingPolicy};
 //!
 //! let data = SyntheticConfig::builder()
 //!     .users(12).items(60).communities(3).interactions_per_user(8)
 //!     .seed(1).build().generate();
 //! let split = LeaveOneOut::new(&data, 10, 0).unwrap();
-//! let spec = GmfSpec::new(60, 8, GmfHyper::default());
+//! let spec = GmfSpec::new(60, 8);
 //! let clients: Vec<_> = split
 //!     .train_sets()
 //!     .iter()
@@ -562,7 +562,7 @@ impl<P: Participant> FedAvg<P> {
 mod tests {
     use super::*;
     use cia_data::{LeaveOneOut, SyntheticConfig, UserId};
-    use cia_models::{GmfHyper, GmfSpec, SharingPolicy};
+    use cia_models::{GmfSpec, SharingPolicy};
     use rand::Rng;
 
     fn make_sim(users: usize, rounds: u64, policy: SharingPolicy) -> FedAvg<cia_models::GmfClient> {
@@ -575,7 +575,7 @@ mod tests {
             .build()
             .generate();
         let split = LeaveOneOut::new(&data, 10, 1).unwrap();
-        let spec = GmfSpec::new(80, 8, GmfHyper::default());
+        let spec = GmfSpec::new(80, 8);
         let clients: Vec<_> = split
             .train_sets()
             .iter()

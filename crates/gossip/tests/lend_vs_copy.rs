@@ -19,7 +19,7 @@
 use cia_data::UserId;
 use cia_defenses::{DpConfig, DpMechanism};
 use cia_gossip::{GossipConfig, GossipObserver, GossipProtocol, GossipSim, LivenessEvent};
-use cia_models::{GmfHyper, GmfSpec, Participant, PrmeHyper, PrmeSpec, SharedModel, SharingPolicy};
+use cia_models::{GmfSpec, Participant, PrmeSpec, SharedModel, SharingPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -172,14 +172,14 @@ fn train_items(u: u32) -> Vec<u32> {
 }
 
 fn gmf_nodes(nodes: u32, policy: SharingPolicy) -> Vec<cia_models::GmfClient> {
-    let spec = GmfSpec::new(ITEMS, 8, GmfHyper { lr: 0.1, ..GmfHyper::default() });
+    let spec = GmfSpec::new(ITEMS, 8);
     (0..nodes)
         .map(|u| spec.build_client(UserId::new(u), train_items(u), policy, u64::from(u) + 1))
         .collect()
 }
 
 fn prme_nodes(nodes: u32, policy: SharingPolicy) -> Vec<cia_models::PrmeClient> {
-    let spec = PrmeSpec::new(ITEMS, 4, PrmeHyper { lr: 0.1, ..PrmeHyper::default() });
+    let spec = PrmeSpec::new(ITEMS, 4);
     (0..nodes)
         .map(|u| {
             let items = train_items(u);

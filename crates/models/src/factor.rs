@@ -36,6 +36,21 @@ use cia_data::UserId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Uniform half-range of every initial factor-model parameter: the user
+/// embedding, both models' item rows and the adversary's fictive embedding.
+pub(crate) const INIT_SCALE: f32 = 0.1;
+
+/// L2 weight decay of GMF and PRME local training.
+pub(crate) const WEIGHT_DECAY: f32 = 1e-5;
+
+/// Epochs fitting the adversary's fictive embedding (§IV-C) from scratch.
+pub(crate) const ADVERSARY_EPOCHS: usize = 5;
+
+/// Epochs fitting the fictive embedding warm-started from the previous
+/// refresh's solution: public parameters drift slowly between refreshes, so
+/// a short polish suffices.
+pub(crate) const ADVERSARY_WARM_EPOCHS: usize = 2;
+
 /// A factor model's spec: the parts of the client that differ per model
 /// (implemented by [`crate::GmfSpec`] and [`crate::PrmeSpec`]). The user
 /// embedding is [`RelevanceScorer::user_emb_len`] floats long.
@@ -46,9 +61,6 @@ pub trait FactorModel: RelevanceScorer + Clone + std::fmt::Debug + Sized {
 
     /// Rows in the aggregate's row region (GMF `|V|`, PRME `2|V|`).
     fn rows(&self) -> usize;
-
-    /// Uniform half-range of the user-embedding initialization.
-    fn init_scale(&self) -> f32;
 
     /// A fresh aggregate, drawn after the user embedding from the same
     /// constructor stream.
@@ -133,7 +145,7 @@ impl<S: FactorModel> FactorClient<S> {
     fn draw_user_emb(spec: &S, seed: u64) -> (Vec<f32>, StdRng) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut user_emb = vec![0.0f32; spec.user_emb_len()];
-        init_uniform(&mut user_emb, spec.init_scale(), &mut rng);
+        init_uniform(&mut user_emb, INIT_SCALE, &mut rng);
         (user_emb, rng)
     }
 
@@ -352,7 +364,7 @@ impl<S: FactorModel> Participant for FactorClient<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GmfHyper, GmfSpec, PrmeHyper, PrmeSpec};
+    use crate::{GmfSpec, PrmeSpec};
 
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
@@ -363,7 +375,7 @@ mod tests {
     fn eager<S: FactorModel>(spec: &S, seed: u64) -> (Vec<f32>, Vec<f32>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut user_emb = vec![0.0f32; spec.user_emb_len()];
-        init_uniform(&mut user_emb, spec.init_scale(), &mut rng);
+        init_uniform(&mut user_emb, INIT_SCALE, &mut rng);
         (user_emb, spec.init_agg(&mut rng))
     }
 
@@ -372,8 +384,8 @@ mod tests {
         policy: SharingPolicy,
         seed: u64,
     ) -> (FactorClient<GmfSpec>, FactorClient<PrmeSpec>) {
-        let gmf = GmfSpec::new(40, 8, GmfHyper::default());
-        let prme = PrmeSpec::new(40, 8, PrmeHyper::default());
+        let gmf = GmfSpec::new(40, 8);
+        let prme = PrmeSpec::new(40, 8);
         (
             gmf.build_client(UserId::new(1), vec![2, 5, 9], policy, seed),
             prme.build_client(UserId::new(1), vec![2, 5, 9], vec![9, 2, 5], policy, seed),

@@ -29,15 +29,16 @@
 //! training (`train_epoch`) and the mean-logit relevance behind
 //! [`RelevanceScorer::mean_relevance`] (`mean_logit`, the Share-less attack's
 //! per-target pass) each have one body generic over a `const D: usize`.
-//! Training dispatches `8 | 16 | runtime d`; the mean logit and its
-//! model-tiled form behind [`RelevanceScorer::mean_relevance_tile`]
-//! (`mean_logit_tile`) dispatch `8 | runtime d`, since d = 8 is the only
-//! dimension any scenario runs. With
-//! a constant `D` every row dot unrolls and its bounds checks fold away; the
-//! accumulation order is the same on every arm, so the result is
-//! bit-identical whatever the dispatch.
+//! Training, the mean logit and its model-tiled form behind
+//! [`RelevanceScorer::mean_relevance_tile`] (`mean_logit_tile`) each
+//! dispatch `8 | runtime d`, since d = 8 is the only dimension any scenario
+//! runs. With a constant `D` every row dot unrolls and its bounds checks
+//! fold away; the accumulation order is the same on every arm, so the
+//! result is bit-identical whatever the dispatch.
 
-use crate::factor::{FactorClient, FactorModel};
+use crate::factor::{
+    FactorClient, FactorModel, ADVERSARY_EPOCHS, ADVERSARY_WARM_EPOCHS, INIT_SCALE, WEIGHT_DECAY,
+};
 use crate::kernel::{cache_aligned, dot, dot3, gemv, LANES};
 use crate::params::{init_uniform, sigmoid};
 use crate::participant::{client_id_and_seed, RelevanceScorer, SharingPolicy};
@@ -47,52 +48,25 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use std::cell::RefCell;
 
-/// GMF hyper-parameters (defaults follow the original work where stated).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GmfHyper {
-    /// SGD learning rate.
-    pub lr: f32,
-    /// Negative samples per positive interaction.
-    pub negatives: usize,
-    /// L2 weight decay.
-    pub weight_decay: f32,
-    /// Uniform initialization half-range.
-    pub init_scale: f32,
-    /// Epochs used when fitting the adversary's fictive embedding (§IV-C)
-    /// from scratch.
-    pub adversary_epochs: usize,
-    /// Epochs used when the fictive embedding is warm-started from the
-    /// previous refresh's solution (public parameters drift slowly between
-    /// refreshes, so a short polish suffices).
-    pub adversary_warm_epochs: usize,
-}
+/// SGD learning rate of local training and of the adversary's fictive
+/// embedding.
+const LR: f32 = 0.1;
 
-impl Default for GmfHyper {
-    fn default() -> Self {
-        GmfHyper {
-            lr: 0.05,
-            negatives: 4,
-            weight_decay: 1e-5,
-            init_scale: 0.1,
-            adversary_epochs: 5,
-            adversary_warm_epochs: 2,
-        }
-    }
-}
+/// Negative samples per positive interaction.
+const NEGATIVES: usize = 4;
 
-/// Immutable description of a GMF model family: catalog size, embedding
-/// dimension and hyper-parameters.
+/// Immutable description of a GMF model family: catalog size and embedding
+/// dimension.
 ///
 /// ```
-/// use cia_models::{GmfSpec, GmfHyper, SharingPolicy};
-/// let spec = GmfSpec::new(100, 8, GmfHyper::default());
+/// use cia_models::GmfSpec;
+/// let spec = GmfSpec::new(100, 8);
 /// assert_eq!(spec.agg_len(), 100 * 8 + 8);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GmfSpec {
     num_items: u32,
     dim: usize,
-    hyper: GmfHyper,
 }
 
 impl GmfSpec {
@@ -100,26 +74,16 @@ impl GmfSpec {
     ///
     /// # Panics
     ///
-    /// Panics if `num_items == 0`, `dim == 0`, or `hyper.negatives` exceeds
-    /// `MAX_NEGATIVES`.
-    pub fn new(num_items: u32, dim: usize, hyper: GmfHyper) -> Self {
+    /// Panics if `num_items == 0` or `dim == 0`.
+    pub fn new(num_items: u32, dim: usize) -> Self {
         assert!(num_items > 0, "catalog must be non-empty");
         assert!(dim > 0, "embedding dimension must be positive");
-        assert!(
-            hyper.negatives <= MAX_NEGATIVES,
-            "at most {MAX_NEGATIVES} negative samples per positive are supported"
-        );
-        GmfSpec { num_items, dim, hyper }
+        GmfSpec { num_items, dim }
     }
 
     /// Embedding dimensionality.
     pub fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// Hyper-parameters.
-    pub fn hyper(&self) -> &GmfHyper {
-        &self.hyper
     }
 
     /// Length of the aggregatable slice: `|V|·d + d`.
@@ -131,7 +95,7 @@ impl GmfSpec {
     /// plus output layer `h`).
     pub fn init_agg(&self, rng: &mut StdRng) -> Vec<f32> {
         let mut agg = vec![0.0f32; self.agg_len()];
-        init_uniform(&mut agg, self.hyper.init_scale, rng);
+        init_uniform(&mut agg, INIT_SCALE, rng);
         // Start h at 1 so GMF degenerates to plain MF at initialization; the
         // triple product u·h·q otherwise starves plain SGD of gradient.
         let d = self.dim;
@@ -196,9 +160,12 @@ thread_local! {
 /// the stack (scoring stays allocation-free for every realistic `d`).
 const W_STACK: usize = 64;
 
-/// Upper bound on negatives per sampling group (the stack-allocated group
-/// buffer size; the paper uses 4). [`GmfSpec::new`] rejects larger settings.
-pub const MAX_NEGATIVES: usize = 15;
+/// Upper bound on negatives per sampling group: the stack-allocated group
+/// buffers hold one positive and up to this many negatives.
+const MAX_NEGATIVES: usize = 15;
+
+// A sampling group of one positive and `NEGATIVES` negatives fits them.
+const _: () = assert!(NEGATIVES <= MAX_NEGATIVES);
 
 /// Runs `f` with `w = user ⊙ h` materialized once — on the stack when the
 /// dimension allows — so per-item scoring is a plain [`dot`].
@@ -325,23 +292,22 @@ impl RelevanceScorer for GmfSpec {
         let epochs = match warm_start {
             Some(prev) => {
                 emb.copy_from_slice(prev);
-                self.hyper.adversary_warm_epochs
+                ADVERSARY_WARM_EPOCHS
             }
             None => {
-                init_uniform(&mut emb, self.hyper.init_scale, rng);
-                self.hyper.adversary_epochs
+                init_uniform(&mut emb, INIT_SCALE, rng);
+                ADVERSARY_EPOCHS
             }
         };
-        let lr = self.hyper.lr;
         for _ in 0..epochs {
             for &pos in target_items {
-                // One positive step and `negatives` negative steps, updating
+                // One positive step and `NEGATIVES` negative steps, updating
                 // only the fictive embedding (item embeddings stay fixed).
-                self.adversary_step(&mut emb, agg, h, pos, 1.0, lr);
-                for _ in 0..self.hyper.negatives {
+                self.adversary_step(&mut emb, agg, h, pos, 1.0);
+                for _ in 0..NEGATIVES {
                     let neg = rng.gen_range(0..self.num_items);
                     if target_items.binary_search(&neg).is_err() {
-                        self.adversary_step(&mut emb, agg, h, neg, 0.0, lr);
+                        self.adversary_step(&mut emb, agg, h, neg, 0.0);
                     }
                 }
             }
@@ -351,11 +317,11 @@ impl RelevanceScorer for GmfSpec {
 }
 
 impl GmfSpec {
-    fn adversary_step(&self, emb: &mut [f32], agg: &[f32], h: &[f32], j: u32, y: f32, lr: f32) {
+    fn adversary_step(&self, emb: &mut [f32], agg: &[f32], h: &[f32], j: u32, y: f32) {
         let q = self.item_slice(agg, j);
         let g = sigmoid(dot3(emb, h, q)) - y;
         for k in 0..self.dim {
-            emb[k] -= lr * g * h[k] * q[k];
+            emb[k] -= LR * g * h[k] * q[k];
         }
     }
 }
@@ -372,10 +338,6 @@ impl FactorModel for GmfSpec {
         self.num_items as usize
     }
 
-    fn init_scale(&self) -> f32 {
-        self.hyper.init_scale
-    }
-
     fn init_agg(&self, rng: &mut StdRng) -> Vec<f32> {
         GmfSpec::init_agg(self, rng)
     }
@@ -386,7 +348,6 @@ impl FactorModel for GmfSpec {
         // generic fallback keeps identical structure with a runtime bound).
         match client.spec.dim {
             8 => client.train_epoch::<8>(rng),
-            16 => client.train_epoch::<16>(rng),
             _ => client.train_epoch::<0>(rng),
         }
     }
@@ -412,14 +373,11 @@ impl GmfClient {
     }
 
     /// One local training epoch over the shuffled item set, in sampling
-    /// groups of one positive plus the configured negatives (the
+    /// groups of one positive plus [`NEGATIVES`] negatives (the
     /// dimension-monomorphized body of [`FactorModel::train_local`]).
     fn train_epoch<const D: usize>(&mut self, rng: &mut StdRng) -> f32 {
         let d = if D == 0 { self.spec.dim } else { D };
-        let lr = self.spec.hyper.lr;
-        let wd = self.spec.hyper.weight_decay;
         let tau = self.policy.tau();
-        let negatives = self.spec.hyper.negatives;
         let num_items = self.spec.num_items;
         // Reused scratch: shuffled visit order, taken out of `self` so the
         // group steps can borrow `self` mutably.
@@ -459,7 +417,7 @@ impl GmfClient {
         for &pos in &order {
             group[0] = pos;
             let mut len = 1;
-            for _ in 0..negatives {
+            for _ in 0..NEGATIVES {
                 let neg = rng.gen_range(0..num_items);
                 if train_mask[neg as usize] == 0 {
                     group[len] = neg;
@@ -480,8 +438,6 @@ impl GmfClient {
                 du,
                 dh,
                 &group[..len],
-                lr,
-                wd,
                 tau,
                 reference,
                 &mut prod,
@@ -527,8 +483,6 @@ fn group_step_kernel<const D: usize>(
     du: &mut [f32],
     dh: &mut [f32],
     group: &[u32],
-    lr: f32,
-    wd: f32,
     tau: f32,
     reference: Option<&[f32]>,
     prod: &mut f64,
@@ -585,8 +539,8 @@ fn group_step_kernel<const D: usize>(
                     let qk = q[k];
                     du[k] += g * h[k] * qk;
                     dh[k] += g * u[k] * qk;
-                    let dq = g * h[k] * u[k] + wd * qk;
-                    q[k] = (qk - lr * dq).clamp(-CLAMP, CLAMP);
+                    let dq = g * h[k] * u[k] + WEIGHT_DECAY * qk;
+                    q[k] = (qk - LR * dq).clamp(-CLAMP, CLAMP);
                 }
             }
             Some(r) => {
@@ -595,16 +549,16 @@ fn group_step_kernel<const D: usize>(
                     let qk = q[k];
                     du[k] += g * h[k] * qk;
                     dh[k] += g * u[k] * qk;
-                    let dq = g * h[k] * u[k] + wd * qk + 2.0 * tau * (qk - r[k]);
-                    q[k] = (qk - lr * dq).clamp(-CLAMP, CLAMP);
+                    let dq = g * h[k] * u[k] + WEIGHT_DECAY * qk + 2.0 * tau * (qk - r[k]);
+                    q[k] = (qk - LR * dq).clamp(-CLAMP, CLAMP);
                 }
             }
         }
     }
     let gl = group.len() as f32;
     for k in 0..d {
-        u[k] = (u[k] - lr * (du[k] + gl * wd * u[k])).clamp(-CLAMP, CLAMP);
-        h[k] = (h[k] - lr * (dh[k] + gl * wd * h[k])).clamp(-CLAMP, CLAMP);
+        u[k] = (u[k] - LR * (du[k] + gl * WEIGHT_DECAY * u[k])).clamp(-CLAMP, CLAMP);
+        h[k] = (h[k] - LR * (dh[k] + gl * WEIGHT_DECAY * h[k])).clamp(-CLAMP, CLAMP);
     }
 }
 
@@ -730,7 +684,7 @@ mod tests {
     }
 
     fn spec() -> GmfSpec {
-        GmfSpec::new(30, 4, GmfHyper { lr: 0.1, ..GmfHyper::default() })
+        GmfSpec::new(30, 4)
     }
 
     #[test]
@@ -757,7 +711,7 @@ mod tests {
     fn numerical_gradient_check() {
         // Finite-difference check of one SGD step's implicit gradient on the
         // BCE loss, for each parameter family.
-        let s = GmfSpec::new(5, 3, GmfHyper { lr: 0.0, weight_decay: 0.0, ..GmfHyper::default() });
+        let s = GmfSpec::new(5, 3);
         let c = drawn(s.build_client(UserId::new(0), vec![0], SharingPolicy::Full, 3));
         let j = 2u32;
         let y = 1.0f32;
@@ -821,7 +775,7 @@ mod tests {
         // d > W_STACK routes the epoch scratch through the heap fallback;
         // training must behave exactly like the small-d path (no panic,
         // loss decreases, touched tracking intact).
-        let s = GmfSpec::new(40, 80, GmfHyper { lr: 0.1, ..GmfHyper::default() });
+        let s = GmfSpec::new(40, 80);
         let mut c =
             drawn(s.build_client(UserId::new(0), vec![1, 2, 3, 4, 5], SharingPolicy::Full, 7));
         let mut rng = StdRng::seed_from_u64(1);
@@ -835,16 +789,33 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "negative samples")]
-    fn rejects_oversized_negative_sampling() {
-        let _ =
-            GmfSpec::new(10, 4, GmfHyper { negatives: MAX_NEGATIVES + 1, ..GmfHyper::default() });
+    fn the_paper_dimension_epoch_equals_the_runtime_dimension_epoch() {
+        // `train_local` sends d = 8 to `train_epoch::<8>`; on clones of one
+        // client and one stream, the runtime-`d` body gives the same bits.
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let s = GmfSpec::new(30, 8);
+        for policy in [SharingPolicy::Full, SharingPolicy::ShareLess { tau: 0.5 }] {
+            let mut fixed = drawn(s.build_client(UserId::new(0), vec![1, 2, 3, 4, 5], policy, 7));
+            let reference = fixed.agg.clone();
+            fixed.absorb_agg(&reference);
+            let mut runtime = fixed.clone();
+            let (mut rng8, mut rng0) = (StdRng::seed_from_u64(1), StdRng::seed_from_u64(1));
+            for epoch in 0..6 {
+                let ctx = format!("{policy:?}, epoch {epoch}");
+                let (a, b) =
+                    (fixed.train_epoch::<8>(&mut rng8), runtime.train_epoch::<0>(&mut rng0));
+                assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: loss");
+                assert_eq!(bits(&fixed.agg), bits(&runtime.agg), "{ctx}: aggregate");
+                assert_eq!(bits(&fixed.user_emb), bits(&runtime.user_emb), "{ctx}: user embedding");
+                assert_eq!(fixed.touched, runtime.touched, "{ctx}: touched");
+            }
+        }
     }
 
     #[test]
     #[should_panic(expected = "user embedding length")]
     fn mean_relevance_rejects_a_long_embedding_at_the_paper_dimension() {
-        let s = GmfSpec::new(20, 8, GmfHyper::default());
+        let s = GmfSpec::new(20, 8);
         let agg = s.init_agg(&mut StdRng::seed_from_u64(3));
         let _ = s.mean_relevance(Some(&[0.1; 9]), &agg, &[1, 4]);
     }
@@ -852,7 +823,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "user embedding length")]
     fn mean_relevance_rejects_a_long_embedding_at_a_runtime_dimension() {
-        let s = GmfSpec::new(20, 4, GmfHyper::default());
+        let s = GmfSpec::new(20, 4);
         let agg = s.init_agg(&mut StdRng::seed_from_u64(3));
         let _ = s.mean_relevance(Some(&[0.1; 5]), &agg, &[1, 4]);
     }
@@ -912,7 +883,7 @@ mod tests {
 
     #[test]
     fn share_less_regularizer_pulls_items_towards_reference() {
-        let s = GmfSpec::new(10, 4, GmfHyper { lr: 0.05, ..GmfHyper::default() });
+        let s = GmfSpec::new(10, 4);
         let mk = |tau: f32, seed: u64| {
             let policy =
                 if tau > 0.0 { SharingPolicy::ShareLess { tau } } else { SharingPolicy::Full };

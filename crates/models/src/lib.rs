@@ -45,7 +45,7 @@ mod prme;
 pub use cia_data::parallel;
 
 pub use factor::{FactorClient, FactorModel};
-pub use gmf::{GmfClient, GmfHyper, GmfSpec};
+pub use gmf::{GmfClient, GmfSpec};
 pub use metrics::{f1_at_k, hit_ratio, rank_of_primary};
 pub use mlp::{Mlp, MlpClient, MlpHyper, MlpScratch, MlpSpec};
 pub use momentum::{MomentumRow, MomentumTable};
@@ -53,4 +53,4 @@ pub use participant::{
     apply_update_transform, client_id_and_seed, DeliveryPolicy, LivenessEvent, Participant,
     RelevanceScorer, SharedModel, SharingPolicy, UpdateTransform,
 };
-pub use prme::{PrmeClient, PrmeHyper, PrmeSpec};
+pub use prme::{PrmeClient, PrmeSpec};

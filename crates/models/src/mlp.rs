@@ -16,20 +16,21 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
+/// L2 weight decay of every MLP step.
+const WEIGHT_DECAY: f32 = 1e-5;
+
 /// MLP hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MlpHyper {
     /// SGD learning rate.
     pub lr: f32,
-    /// L2 weight decay.
-    pub weight_decay: f32,
     /// Mini-batch size for local training.
     pub batch_size: usize,
 }
 
 impl Default for MlpHyper {
     fn default() -> Self {
-        MlpHyper { lr: 0.1, weight_decay: 1e-5, batch_size: 16 }
+        MlpHyper { lr: 0.1, batch_size: 16 }
     }
 }
 
@@ -385,9 +386,8 @@ impl Mlp {
         }
 
         let scale = self.hyper.lr / xs.len() as f32;
-        let wd = self.hyper.weight_decay;
         for (p, g) in self.params.iter_mut().zip(&scratch.grads) {
-            *p -= scale * g + self.hyper.lr * wd * *p;
+            *p -= scale * g + self.hyper.lr * WEIGHT_DECAY * *p;
         }
         self.scratch = scratch;
         total_loss / xs.len() as f32
@@ -510,7 +510,7 @@ mod tests {
     fn learns_xor() {
         // XOR requires the hidden layer — a solid end-to-end backprop check.
         let spec = MlpSpec::new(vec![2, 8, 1]);
-        let mut mlp = Mlp::new(spec, MlpHyper { lr: 0.5, weight_decay: 0.0, batch_size: 4 }, 3);
+        let mut mlp = Mlp::new(spec, MlpHyper { lr: 0.5, batch_size: 4 }, 3);
         let xs: Vec<Vec<f32>> =
             vec![vec![0.0, 0.0], vec![0.0, 1.0], vec![1.0, 0.0], vec![1.0, 1.0]];
         let ys = [0.0f32, 1.0, 1.0, 0.0];
@@ -529,8 +529,7 @@ mod tests {
     #[test]
     fn classification_gradient_check() {
         let spec = MlpSpec::new(vec![3, 4, 2]);
-        let mut mlp =
-            Mlp::new(spec.clone(), MlpHyper { lr: 0.0, weight_decay: 0.0, batch_size: 1 }, 5);
+        let mut mlp = Mlp::new(spec.clone(), MlpHyper { lr: 0.0, batch_size: 1 }, 5);
         let x = [0.3f32, -0.2, 0.9];
         let label = 1usize;
 
@@ -561,11 +560,8 @@ mod tests {
 
     #[test]
     fn mlp_client_trains_on_one_class() {
-        let data = Arc::new(ImageDataset::generate(&ImageGenConfig {
-            samples_per_class: 6,
-            noise_std: 0.2,
-            seed: 9,
-        }));
+        let data =
+            Arc::new(ImageDataset::generate(&ImageGenConfig { samples_per_class: 6, seed: 9 }));
         let samples = data.indices_of_class(3);
         let spec = MlpSpec::new(vec![cia_data::IMAGE_DIM, 32, 10]);
         let mut client = MlpClient::new(
@@ -590,11 +586,8 @@ mod tests {
 
     #[test]
     fn default_restore_takes_exactly_the_parameter_vector() {
-        let data = Arc::new(ImageDataset::generate(&ImageGenConfig {
-            samples_per_class: 2,
-            noise_std: 0.2,
-            seed: 9,
-        }));
+        let data =
+            Arc::new(ImageDataset::generate(&ImageGenConfig { samples_per_class: 2, seed: 9 }));
         let spec = MlpSpec::new(vec![cia_data::IMAGE_DIM, 4, 10]);
         let mut client =
             MlpClient::new(spec, MlpHyper::default(), UserId::new(0), data, vec![0, 1], 1);

@@ -18,61 +18,37 @@
 //! adversary has no knowledge of a victim's current location, and preference
 //! distance is exactly the personal-taste component CIA exploits.
 
-use crate::factor::{FactorClient, FactorModel};
+use crate::factor::{
+    FactorClient, FactorModel, ADVERSARY_EPOCHS, ADVERSARY_WARM_EPOCHS, INIT_SCALE, WEIGHT_DECAY,
+};
 use crate::params::init_uniform;
 use crate::participant::{client_id_and_seed, RelevanceScorer, SharingPolicy};
 use cia_data::UserId;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// PRME hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PrmeHyper {
-    /// SGD learning rate.
-    pub lr: f32,
-    /// Weight α of the preference component (the original work uses 0.2 for
-    /// next-new-POI; we default to a balanced 0.5 for general relevance).
-    pub alpha: f32,
-    /// Negative samples per successor pair.
-    pub negatives: usize,
-    /// L2 weight decay.
-    pub weight_decay: f32,
-    /// Uniform initialization half-range.
-    pub init_scale: f32,
-    /// Epochs used when fitting the adversary's fictive embedding (§IV-C)
-    /// from scratch.
-    pub adversary_epochs: usize,
-    /// Epochs used when the fictive embedding is warm-started from the
-    /// previous refresh's solution.
-    pub adversary_warm_epochs: usize,
-}
+/// SGD learning rate of local training and of the adversary's fictive
+/// embedding.
+const LR: f32 = 0.05;
 
-impl Default for PrmeHyper {
-    fn default() -> Self {
-        PrmeHyper {
-            lr: 0.02,
-            alpha: 0.5,
-            negatives: 2,
-            weight_decay: 1e-5,
-            init_scale: 0.1,
-            adversary_epochs: 5,
-            adversary_warm_epochs: 2,
-        }
-    }
-}
+/// Weight α of the preference component (the original work uses 0.2 for
+/// next-new-POI; a balanced 0.5 serves general relevance).
+const ALPHA: f32 = 0.5;
+
+/// Negative samples per successor pair.
+const NEGATIVES: usize = 2;
 
 /// Immutable description of a PRME model family.
 ///
 /// ```
-/// use cia_models::{PrmeSpec, PrmeHyper};
-/// let spec = PrmeSpec::new(50, 8, PrmeHyper::default());
+/// use cia_models::PrmeSpec;
+/// let spec = PrmeSpec::new(50, 8);
 /// assert_eq!(spec.agg_len(), 2 * 50 * 8);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrmeSpec {
     num_items: u32,
     dim: usize,
-    hyper: PrmeHyper,
 }
 
 impl PrmeSpec {
@@ -81,20 +57,15 @@ impl PrmeSpec {
     /// # Panics
     ///
     /// Panics if `num_items == 0` or `dim == 0`.
-    pub fn new(num_items: u32, dim: usize, hyper: PrmeHyper) -> Self {
+    pub fn new(num_items: u32, dim: usize) -> Self {
         assert!(num_items > 0, "catalog must be non-empty");
         assert!(dim > 0, "embedding dimension must be positive");
-        PrmeSpec { num_items, dim, hyper }
+        PrmeSpec { num_items, dim }
     }
 
     /// Embedding dimensionality.
     pub fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// Hyper-parameters.
-    pub fn hyper(&self) -> &PrmeHyper {
-        &self.hyper
     }
 
     /// Length of the aggregatable slice: `2·|V|·d`.
@@ -105,7 +76,7 @@ impl PrmeSpec {
     /// Initializes a fresh aggregatable parameter vector.
     pub fn init_agg(&self, rng: &mut StdRng) -> Vec<f32> {
         let mut agg = vec![0.0f32; self.agg_len()];
-        init_uniform(&mut agg, self.hyper.init_scale, rng);
+        init_uniform(&mut agg, INIT_SCALE, rng);
         agg
     }
 
@@ -212,14 +183,13 @@ impl RelevanceScorer for PrmeSpec {
         let epochs = match warm_start {
             Some(prev) => {
                 emb.copy_from_slice(prev);
-                self.hyper.adversary_warm_epochs
+                ADVERSARY_WARM_EPOCHS
             }
             None => {
-                init_uniform(&mut emb, self.hyper.init_scale, rng);
-                self.hyper.adversary_epochs
+                init_uniform(&mut emb, INIT_SCALE, rng);
+                ADVERSARY_EPOCHS
             }
         };
-        let lr = self.hyper.lr;
         // Pull the embedding towards target preference vectors, push away
         // from random negatives (pairwise, mirroring the training loss).
         for _ in 0..epochs {
@@ -234,7 +204,7 @@ impl RelevanceScorer for PrmeSpec {
                 let g = crate::params::sigmoid(z) - 1.0; // d(-ln σ(z))/dz
                 for k in 0..d {
                     // dz/de = 2 (x_pos − x_neg)
-                    emb[k] -= lr * g * 2.0 * (xp[k] - xn[k]);
+                    emb[k] -= LR * g * 2.0 * (xp[k] - xn[k]);
                 }
             }
         }
@@ -255,17 +225,11 @@ impl FactorModel for PrmeSpec {
         2 * self.num_items as usize
     }
 
-    fn init_scale(&self) -> f32 {
-        self.hyper.init_scale
-    }
-
     fn init_agg(&self, rng: &mut StdRng) -> Vec<f32> {
         PrmeSpec::init_agg(self, rng)
     }
 
     fn train_local(client: &mut PrmeClient, rng: &mut StdRng) -> f32 {
-        let lr = client.spec.hyper.lr;
-        let negatives = client.spec.hyper.negatives;
         let num_items = client.spec.num_items;
         let mut loss = 0.0f32;
         let mut steps = 0usize;
@@ -280,10 +244,10 @@ impl FactorModel for PrmeSpec {
             } else {
                 (client.train_items[i], client.train_items[i])
             };
-            for _ in 0..negatives {
+            for _ in 0..NEGATIVES {
                 let neg = rng.gen_range(0..num_items);
                 if client.train_mask[neg as usize] == 0 {
-                    loss += client.pair_step(l, pos, neg, lr);
+                    loss += client.pair_step(l, pos, neg);
                     steps += 1;
                 }
             }
@@ -307,7 +271,6 @@ impl PrmeClient {
     /// place of the client's own — FedAvg's global model, which its
     /// clients deploy and do not keep.
     pub fn score_candidates_with(&self, agg: &[f32], items: &[u32]) -> Vec<f32> {
-        let alpha = self.spec.hyper.alpha;
         let last = self.local.last().or_else(|| self.train_items.last()).copied();
         items
             .iter()
@@ -317,20 +280,19 @@ impl PrmeClient {
                     Some(l) => PrmeSpec::sq_dist(self.spec.seq(agg, l), self.spec.seq(agg, j)),
                     None => 0.0,
                 };
-                -(alpha * dp + (1.0 - alpha) * ds)
+                -(ALPHA * dp + (1.0 - ALPHA) * ds)
             })
             .collect()
     }
 
     /// One pairwise step on successor pair `(l → pos)` against negative `neg`.
-    fn pair_step(&mut self, l: u32, pos: u32, neg: u32, lr: f32) -> f32 {
+    fn pair_step(&mut self, l: u32, pos: u32, neg: u32) -> f32 {
         let n = self.spec.num_items;
         for row in [pos, neg, n + l, n + pos, n + neg] {
             self.touch_row(row);
         }
         let d = self.spec.dim;
-        let alpha = self.spec.hyper.alpha;
-        let wd = self.spec.hyper.weight_decay;
+        let (lr, alpha, wd) = (LR, ALPHA, WEIGHT_DECAY);
         let tau = self.policy.tau();
 
         // D = α‖p_u − x_i‖² + (1−α)‖s_l − s_i‖², z = D_neg − D_pos.
@@ -406,7 +368,7 @@ mod tests {
     }
 
     fn spec() -> PrmeSpec {
-        PrmeSpec::new(30, 4, PrmeHyper { lr: 0.05, ..PrmeHyper::default() })
+        PrmeSpec::new(30, 4)
     }
 
     fn client(seed: u64) -> PrmeClient {
@@ -444,11 +406,11 @@ mod tests {
     #[test]
     fn pairwise_gradient_check() {
         // Finite-difference check of dz/dp_u for the ranking loss.
-        let s = PrmeSpec::new(10, 3, PrmeHyper { weight_decay: 0.0, ..PrmeHyper::default() });
+        let s = PrmeSpec::new(10, 3);
         let c =
             drawn(s.build_client(UserId::new(0), vec![1, 2], vec![1, 2], SharingPolicy::Full, 7));
         let (l, pos, neg) = (1u32, 2u32, 7u32);
-        let alpha = s.hyper.alpha;
+        let alpha = ALPHA;
 
         let loss_of = |user: &[f32]| -> f64 {
             let dp_pos = PrmeSpec::sq_dist(user, s.pref(&c.agg, pos));

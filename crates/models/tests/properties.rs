@@ -7,10 +7,7 @@
 use cia_data::UserId;
 use cia_models::kernel;
 use cia_models::params::{axpy, clip_l2, ema, l2_norm, scale};
-use cia_models::{
-    GmfHyper, GmfSpec, Participant, PrmeHyper, PrmeSpec, RelevanceScorer, SharedModel,
-    SharingPolicy,
-};
+use cia_models::{GmfSpec, Participant, PrmeSpec, RelevanceScorer, SharedModel, SharingPolicy};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -243,7 +240,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let d = GMF_DIMS[dim_idx];
-        let spec = GmfSpec::new(num_items, d, GmfHyper::default());
+        let spec = GmfSpec::new(num_items, d);
         let mut rng = StdRng::seed_from_u64(seed);
         let user: Vec<f32> = (0..d).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         // DP-destroyed models carry NaN and ±inf coordinates; sprinkle them
@@ -329,8 +326,8 @@ fn factor_sparse_accumulate_matches_the_dense_default_bitwise() {
     for d in [3usize, 8] {
         for policy in [SharingPolicy::Full, SharingPolicy::ShareLess { tau: 0.3 }] {
             for n in [2u32, 12] {
-                let gmf = GmfSpec::new(ITEMS, d, GmfHyper { lr: 0.1, ..GmfHyper::default() });
-                let prme = PrmeSpec::new(ITEMS, d, PrmeHyper { lr: 0.1, ..PrmeHyper::default() });
+                let gmf = GmfSpec::new(ITEMS, d);
+                let prme = PrmeSpec::new(ITEMS, d);
                 let items = |u: u32| {
                     let mut v: Vec<u32> = (0..n).map(|k| (u * 7 + k * 5) % ITEMS).collect();
                     v.sort_unstable();

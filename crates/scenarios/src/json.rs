@@ -87,11 +87,6 @@ impl Json {
         }
     }
 
-    /// Whether the value is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
-    }
-
     /// Parses a JSON document.
     ///
     /// # Errors

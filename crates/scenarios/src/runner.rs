@@ -50,8 +50,7 @@ use cia_federated::{FedAvg, FedAvgConfig};
 use cia_gossip::{GossipConfig, GossipObserver, GossipProtocol, GossipSim};
 use cia_models::parallel::par_map;
 use cia_models::{
-    f1_at_k, hit_ratio, GmfClient, GmfHyper, GmfSpec, Participant, PrmeClient, PrmeHyper, PrmeSpec,
-    RelevanceScorer,
+    f1_at_k, hit_ratio, GmfClient, GmfSpec, Participant, PrmeClient, PrmeSpec, RelevanceScorer,
 };
 use std::io::Write;
 use std::path::PathBuf;
@@ -276,12 +275,12 @@ impl Ctx<'_> {
     }
 }
 
-/// The GMF scorer every scenario run uses, with the runner's hyper choices —
-/// public so the hand-wired experiments and the benchmark tracer
-/// (`perfbench/tracer`) train the exact spec a scenario run trains.
+/// The GMF scorer every scenario run uses — public so the hand-wired
+/// experiments and the benchmark tracer (`perfbench/tracer`) train the exact
+/// spec a scenario run trains.
 #[must_use]
 pub fn gmf_scorer(num_items: u32, dim: usize) -> GmfSpec {
-    GmfSpec::new(num_items, dim, GmfHyper { lr: 0.1, ..GmfHyper::default() })
+    GmfSpec::new(num_items, dim)
 }
 
 fn run_gmf(
@@ -295,8 +294,8 @@ fn run_gmf(
         let _clients = ctx.rec.span("clients");
         model_spec.build_clients(setup.split.train_sets(), policy, ctx.spec.seed)
     };
-    let eval_instances = setup.split.eval_instances().to_vec();
-    let utility = move |clients: &[GmfClient], deployed: Option<&[f32]>| -> f64 {
+    let eval_instances = setup.split.eval_instances();
+    let utility = |clients: &[GmfClient], deployed: Option<&[f32]>| -> f64 {
         // Clients evaluate independently in parallel; a hit count is
         // order-insensitive, so the result is identical for every
         // CIA_THREADS setting.
@@ -321,21 +320,16 @@ fn run_prme(
     setup: &RecsysSetup,
     sink: &mut dyn Write,
 ) -> Result<ScenarioOutcome, String> {
-    let model_spec = PrmeSpec::new(
-        setup.data.num_items(),
-        setup.params.dim,
-        PrmeHyper { lr: 0.05, ..PrmeHyper::default() },
-    );
+    let model_spec = PrmeSpec::new(setup.data.num_items(), setup.params.dim);
     let policy = ctx.spec.defense.policy();
     let split = &setup.split;
     let clients = {
         let _clients = ctx.rec.span("clients");
         model_spec.build_clients(split.train_sets(), split.train_sequences(), policy, ctx.spec.seed)
     };
-    let eval_instances = setup.split.eval_instances().to_vec();
-    let train_sets = setup.split.train_sets().to_vec();
+    let (eval_instances, train_sets) = (split.eval_instances(), split.train_sets());
     let num_items = setup.data.num_items();
-    let utility = move |clients: &[PrmeClient], deployed: Option<&[f32]>| -> f64 {
+    let utility = |clients: &[PrmeClient], deployed: Option<&[f32]>| -> f64 {
         // F1@20: rank the full catalog minus train items, compare the top 20
         // against the held-out positives (logit scores; ranking is
         // sigmoid-free by monotonicity). The catalog is scored in cache-sized

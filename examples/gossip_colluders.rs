@@ -24,7 +24,7 @@ fn run(colluders: usize, beta: f32) -> AttackOutcome {
         .generate();
     let split = LeaveOneOut::new(&data, 50, 3).expect("dataset is splittable");
     let truth = GroundTruth::from_train_sets(split.train_sets(), k);
-    let spec = GmfSpec::new(data.num_items(), 8, GmfHyper { lr: 0.1, ..GmfHyper::default() });
+    let spec = GmfSpec::new(data.num_items(), 8);
     let clients: Vec<_> = split
         .train_sets()
         .iter()

@@ -25,7 +25,7 @@ fn main() {
     let truth = GroundTruth::from_train_sets(split.train_sets(), k);
 
     println!("Building {users} federated GMF clients...");
-    let spec = GmfSpec::new(data.num_items(), 8, GmfHyper { lr: 0.1, ..GmfHyper::default() });
+    let spec = GmfSpec::new(data.num_items(), 8);
     let clients: Vec<_> = split
         .train_sets()
         .iter()

@@ -6,8 +6,9 @@
 # dynamics grid cell, proves kill/resume equality on a built-in gossip
 # scenario, Pers-Gossip under churn, a sweep-expanded FL one and the FL
 # Share-less grid cell, checks that a timed run's trace records and Chrome
-# trace parse, and checks five paper-scale transcripts (three FL, two
-# gossip) against their recorded md5s, four of them under two worker counts.
+# trace parse, and checks six paper-scale transcripts (four FL, one of them
+# PRME, and two gossip) against their recorded md5s, five of them under two
+# worker counts.
 # scripts/ci.sh runs it as its `scenario-smoke` step.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -125,7 +126,7 @@ fi
 # Paper-scale transcripts against their recorded md5s, so a ranking, setup,
 # round or momentum-fold change that moves a paper result fails here, not
 # only in the smoke goldens. The transcripts are the same for every thread
-# count, so the four fast ones run twice: under the caller's CIA_THREADS and
+# count, so the five fast ones run twice: under the caller's CIA_THREADS and
 # under CIA_THREADS=1, where a worker-count bug would show.
 # paper_md5 SUITE NAME MD5 [EXTRA ARGS...]: extra arguments go to `scenario run`.
 paper_md5() {
@@ -141,6 +142,11 @@ paper_md5() {
     fi
 }
 
+# `--scale` does not override a suite file's own "scale", so the PRME check
+# runs a paper-scale copy of the PRME smoke suite.
+sed 's/"scale": "smoke"/"scale": "paper"/' crates/scenarios/tests/golden/prme-smoke.suite.json \
+    > "$out/prme-paper.suite.json"
+
 paper_checks() {
     paper_md5 builtin baseline-static 735d4b6ed5eadd9034897e7f8adc017f
     # The two FL fold paths the baseline does not take: momentum rows without
@@ -150,6 +156,9 @@ paper_checks() {
     # The gossip round: pushes lent to their receivers, merged in
     # receiver-first order with one copy per cycle of the send graph.
     paper_md5 builtin colluding-sybils 3f05c51a0f6ab1383e1bba47c3af1814 --stop-after 300
+    # PRME, the model no built-in suite trains: FL under full sharing.
+    paper_md5 "$out/prme-paper.suite.json" prme-fl-full 77bc73eb77facc88ae786c4702bf17ef \
+        --stop-after 9
 }
 
 paper_checks

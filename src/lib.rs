@@ -47,7 +47,7 @@
 //! let truth = GroundTruth::from_train_sets(split.train_sets(), 4);
 //!
 //! // 2. Federated clients.
-//! let spec = GmfSpec::new(100, 8, GmfHyper::default());
+//! let spec = GmfSpec::new(100, 8);
 //! let clients: Vec<_> = split.train_sets().iter().enumerate()
 //!     .map(|(u, items)| spec.build_client(
 //!         UserId::from_index(u), items.clone(), SharingPolicy::Full, u as u64))
@@ -83,8 +83,8 @@ pub use cia_scenarios as scenarios;
 /// One-stop imports for the common attack workflow.
 pub mod prelude {
     pub use cia_core::{
-        AiaCommunityAttack, AiaConfig, AttackOutcome, CiaConfig, FlCia, GlCiaAllPlacements,
-        GlCiaCoalition, ItemSetEvaluator, MiaCommunityAttack, MiaConfig, RelevanceEvaluator,
+        AiaCommunityAttack, AttackOutcome, CiaConfig, FlCia, GlCiaAllPlacements, GlCiaCoalition,
+        ItemSetEvaluator, MiaCommunityAttack, MiaConfig, RelevanceEvaluator,
     };
     pub use cia_data::presets::{Preset, Scale};
     pub use cia_data::{GroundTruth, LeaveOneOut, SyntheticConfig, UserId};
@@ -92,7 +92,6 @@ pub mod prelude {
     pub use cia_federated::{FedAvg, FedAvgConfig, RoundObserver};
     pub use cia_gossip::{GossipConfig, GossipProtocol, GossipSim};
     pub use cia_models::{
-        GmfHyper, GmfSpec, Participant, PrmeHyper, PrmeSpec, RelevanceScorer, SharedModel,
-        SharingPolicy,
+        GmfSpec, Participant, PrmeSpec, RelevanceScorer, SharedModel, SharingPolicy,
     };
 }

@@ -18,7 +18,7 @@ fn community_setup(
         .generate();
     let split = LeaveOneOut::new(&data, 20, seed).unwrap();
     let truth = GroundTruth::from_train_sets(split.train_sets(), k);
-    let spec = GmfSpec::new(150, 8, GmfHyper { lr: 0.1, ..GmfHyper::default() });
+    let spec = GmfSpec::new(150, 8);
     let clients: Vec<_> = split
         .train_sets()
         .iter()
@@ -133,7 +133,7 @@ fn share_less_hides_user_embeddings_but_attack_still_runs() {
         .generate();
     let split = LeaveOneOut::new(&data, 20, 13).unwrap();
     let truth = GroundTruth::from_train_sets(split.train_sets(), k);
-    let spec = GmfSpec::new(120, 8, GmfHyper { lr: 0.1, ..GmfHyper::default() });
+    let spec = GmfSpec::new(120, 8);
     let clients: Vec<_> = split
         .train_sets()
         .iter()
@@ -188,7 +188,7 @@ fn prme_pipeline_runs_in_gossip() {
         .generate();
     let split = LeaveOneOut::with_holdout(&data, 3, 20, 17).unwrap();
     let truth = GroundTruth::from_train_sets(split.train_sets(), 3);
-    let spec = PrmeSpec::new(100, 8, PrmeHyper::default());
+    let spec = PrmeSpec::new(100, 8);
     let clients: Vec<_> = split
         .train_sets()
         .iter()

@@ -28,7 +28,7 @@ fn tiny_clients(users: usize, seed: u64) -> (GmfSpec, Vec<cia_models::GmfClient>
         .build()
         .generate();
     let split = LeaveOneOut::new(&data, 10, seed).unwrap();
-    let spec = GmfSpec::new(60, 4, GmfHyper::default());
+    let spec = GmfSpec::new(60, 4);
     let clients: Vec<_> = split
         .train_sets()
         .iter()
