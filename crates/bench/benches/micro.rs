@@ -546,16 +546,15 @@ fn bench_cia_score_paper(c: &mut Criterion) {
         |len: usize| -> Vec<f32> { (0..len).map(|_| rng.gen_range(-0.5f32..0.5)).collect() };
     let models: Vec<(Vec<f32>, Vec<f32>)> =
         (0..data.num_users()).map(|_| (uniform(spec.dim()), uniform(spec.agg_len()))).collect();
-    let fictive: Vec<_> = split.train_sets().iter().map(|_| Some(uniform(spec.dim()))).collect();
+    // The adversary's fictive embeddings, trained against one public model.
+    let reference = uniform(spec.agg_len());
     let targets = split.train_sets().to_vec();
     let nt = targets.len();
     let mut rel = vec![0.0f32; models.len() * nt];
     let t = thread_suffix();
     for share_less in [false, true] {
         let mut ev = ItemSetEvaluator::new(spec.clone(), targets.clone(), share_less);
-        if share_less {
-            ev.restore_adversary_embeddings(fictive.clone()).unwrap();
-        }
+        ev.prepare(&reference, 5);
         let name = if share_less { "cia_score_shareless" } else { "cia_score" };
         let name = format!("{name}_paper_943x1682{t}");
         c.bench_function(&name, |b| {

@@ -41,14 +41,6 @@ pub trait RelevanceEvaluator: Send + Sync {
     /// Relevance of one model for one target.
     fn relevance_one(&self, owner_emb: Option<&[f32]>, agg: &[f32], target: usize) -> f32;
 
-    /// The layout of the models this evaluator scores: the owner-embedding
-    /// length if they carry one, and the aggregate length. Resume refuses
-    /// checkpointed attack state of another layout. `None` (the default)
-    /// means the evaluator does not know, and resume checks nothing.
-    fn model_layout(&self) -> Option<(Option<usize>, usize)> {
-        None
-    }
-
     /// Relevance of one model for all targets, written into `out`: the
     /// one-model entry point, which the default
     /// [`RelevanceEvaluator::relevance_tile`] calls per model and
@@ -129,34 +121,6 @@ impl<S: RelevanceScorer> ItemSetEvaluator<S> {
     pub fn scorer(&self) -> &S {
         &self.scorer
     }
-
-    /// The current fictive adversary embeddings (checkpoint access; empty of
-    /// meaning under full sharing).
-    pub fn adversary_embeddings(&self) -> &[Option<Vec<f32>>] {
-        &self.adversary_embs
-    }
-
-    /// Restores fictive adversary embeddings captured by
-    /// [`ItemSetEvaluator::adversary_embeddings`] (checkpoint resume).
-    ///
-    /// # Errors
-    ///
-    /// Names the table or the target slot that does not fit: one slot per
-    /// registered target, each empty or a user embedding long.
-    pub fn restore_adversary_embeddings(
-        &mut self,
-        embs: Vec<Option<Vec<f32>>>,
-    ) -> Result<(), String> {
-        if embs.len() != self.targets.len() {
-            return Err("adversary embedding table".to_string());
-        }
-        let emb_len = self.scorer.user_emb_len();
-        if let Some(t) = embs.iter().position(|e| e.as_ref().is_some_and(|e| e.len() != emb_len)) {
-            return Err(format!("adversary embedding of target {t}"));
-        }
-        self.adversary_embs = embs;
-        Ok(())
-    }
 }
 
 impl<S: RelevanceScorer> RelevanceEvaluator for ItemSetEvaluator<S> {
@@ -184,12 +148,6 @@ impl<S: RelevanceScorer> RelevanceEvaluator for ItemSetEvaluator<S> {
     fn relevance_one(&self, owner_emb: Option<&[f32]>, agg: &[f32], target: usize) -> f32 {
         let emb = if self.share_less { self.adversary_embs[target].as_deref() } else { owner_emb };
         self.scorer.mean_relevance(emb, agg, &self.targets[target])
-    }
-
-    fn model_layout(&self) -> Option<(Option<usize>, usize)> {
-        // Share-less models carry no owner embedding.
-        let emb_len = self.scorer.user_emb_len();
-        Some(((!self.share_less && emb_len > 0).then_some(emb_len), self.scorer.agg_len()))
     }
 
     fn relevance_all(&self, owner_emb: Option<&[f32]>, agg: &[f32], out: &mut [f32]) {

@@ -30,22 +30,6 @@ impl Default for CiaConfig {
     }
 }
 
-/// Serializable snapshot of a momentum-based CIA attack's mutable state
-/// ([`FlCia`] and [`crate::GlCiaCoalition`]), used for checkpoint/resume of
-/// long suite runs. Evaluator-side state (fictive embeddings) is captured
-/// separately through the evaluator accessors.
-#[derive(Debug, Clone)]
-pub struct CiaAttackState {
-    /// Per-sender momentum table.
-    pub momentum: MomentumTable,
-    /// Evaluated history recorded so far.
-    pub history: Vec<crate::metrics::RoundPoint>,
-    /// Last observed public parameters (fictive-embedding reference).
-    pub last_global: Option<Vec<f32>>,
-    /// Whether the evaluator has been prepared at least once.
-    pub prepared: bool,
-}
-
 /// The momentum CIA: one Eq. 4 momentum model per sender, ranked at every
 /// evaluation round by the relevance it assigns to each target. The vantage
 /// `V` decides only which models reach the adversary: [`FlCia`] (the server)
@@ -59,8 +43,9 @@ pub struct MomentumCia<E: RelevanceEvaluator, V> {
     /// Per-target owner to exclude from candidates (the user whose train set
     /// is the target), if any.
     owners: Vec<Option<UserId>>,
-    /// Per-sender momentum, one slab row per sender id.
-    momentum: MomentumTable,
+    /// Per-sender momentum, one slab row per sender id (the gossip engines'
+    /// tests read it).
+    pub(crate) momentum: MomentumTable,
     /// Flat `num_users × num_targets` relevance matrix, reused across
     /// evaluation rounds (rows of never-seen users stay untouched and are
     /// skipped at ranking time).
@@ -130,14 +115,9 @@ impl<E: RelevanceEvaluator, V> MomentumCia<E, V> {
         self.tracker.history()
     }
 
-    /// The relevance evaluator (checkpoint access to evaluator-side state).
+    /// The relevance evaluator.
     pub fn evaluator(&self) -> &E {
         &self.evaluator
-    }
-
-    /// Mutable access to the relevance evaluator (checkpoint resume).
-    pub fn evaluator_mut(&mut self) -> &mut E {
-        &mut self.evaluator
     }
 
     /// Number of distinct senders observed so far.
@@ -252,44 +232,6 @@ impl<E: RelevanceEvaluator, V> MomentumCia<E, V> {
             uppers_online.push(coverage(truth, k, |u| seen(u) && self.live[u.index()]));
         }
         self.tracker.record_with_online(round, &accs, &uppers, &uppers_online);
-    }
-
-    /// The attack's mutable state, cloned, for checkpoint/resume.
-    /// Evaluator-side state (fictive embeddings) is captured separately
-    /// through the evaluator accessors.
-    pub fn export_state(&self) -> CiaAttackState {
-        CiaAttackState {
-            momentum: self.momentum.clone(),
-            history: self.tracker.history().to_vec(),
-            last_global: self.reference.clone(),
-            prepared: self.prepared,
-        }
-    }
-
-    /// Restores a state captured by [`MomentumCia::export_state`].
-    ///
-    /// # Errors
-    ///
-    /// Refuses a momentum table not aligned with the participants, or a
-    /// model the evaluator cannot score, naming it.
-    pub fn restore_state(&mut self, state: CiaAttackState) -> Result<(), String> {
-        if state.momentum.users() != self.momentum.users() {
-            return Err("momentum table".to_string());
-        }
-        if let Some(layout) = self.evaluator.model_layout() {
-            let first_seen = state.momentum.seen().next();
-            if let Some(u) = first_seen.filter(|_| state.momentum.layout() != Some(layout)) {
-                return Err(format!("momentum of sender {u}"));
-            }
-            if state.last_global.as_ref().is_some_and(|g| g.len() != layout.1) {
-                return Err("attack reference model".to_string());
-            }
-        }
-        self.momentum = state.momentum;
-        self.tracker.restore_history(state.history);
-        self.reference = state.last_global;
-        self.prepared = state.prepared;
-        Ok(())
     }
 }
 

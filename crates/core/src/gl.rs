@@ -108,18 +108,6 @@ impl<E: RelevanceEvaluator> GossipObserver for GlCiaCoalition<E> {
     }
 }
 
-/// Serializable snapshot of an all-placements sweep's mutable state
-/// (checkpoint/resume counterpart of [`crate::CiaAttackState`]).
-#[derive(Debug, Clone)]
-pub struct PlacementsState {
-    /// Dense score EMAs (`NaN` = never seen).
-    pub s_ema: Vec<f32>,
-    /// Evaluated history recorded so far.
-    pub history: Vec<RoundPoint>,
-    /// Whether the evaluator has been prepared at least once.
-    pub prepared: bool,
-}
-
 /// The all-placements sweep: node `u` attacks with its own train set as
 /// `V_target`, for every `u` simultaneously, applying the momentum to
 /// relevance scores (score-EMA; see the module docs).
@@ -190,14 +178,9 @@ impl<E: RelevanceEvaluator> GlCiaAllPlacements<E> {
         self.tracker.history()
     }
 
-    /// The relevance evaluator (checkpoint access to evaluator-side state).
+    /// The relevance evaluator.
     pub fn evaluator(&self) -> &E {
         &self.evaluator
-    }
-
-    /// Mutable access to the relevance evaluator (checkpoint resume).
-    pub fn evaluator_mut(&mut self) -> &mut E {
-        &mut self.evaluator
     }
 
     /// Whether any model has reached any observer so far.
@@ -230,30 +213,6 @@ impl<E: RelevanceEvaluator> GlCiaAllPlacements<E> {
         let uppers: Vec<f64> = results.iter().filter_map(|r| r.1.map(|b| b.0)).collect();
         let uppers_online: Vec<f64> = results.iter().filter_map(|r| r.1.map(|b| b.1)).collect();
         self.tracker.record_with_online(round, &accs, &uppers, &uppers_online);
-    }
-
-    /// The sweep's mutable state, cloned, for checkpoint/resume.
-    pub fn export_state(&self) -> PlacementsState {
-        PlacementsState {
-            s_ema: self.s_ema.clone(),
-            history: self.tracker.history().to_vec(),
-            prepared: self.prepared,
-        }
-    }
-
-    /// Restores a state captured by [`GlCiaAllPlacements::export_state`].
-    ///
-    /// # Errors
-    ///
-    /// Refuses a score table not aligned with the participants.
-    pub fn restore_state(&mut self, state: PlacementsState) -> Result<(), String> {
-        if state.s_ema.len() != self.s_ema.len() {
-            return Err("score table".to_string());
-        }
-        self.s_ema = state.s_ema;
-        self.tracker.restore_history(state.history);
-        self.prepared = state.prepared;
-        Ok(())
     }
 }
 
@@ -454,7 +413,7 @@ mod tests {
         from_scores.sort_by(crate::metrics::rank_desc);
         let pred_scores: Vec<u32> = from_scores.into_iter().take(s.k).map(|(_, u)| u).collect();
 
-        let momentum = coal.export_state().momentum;
+        let momentum = &coal.momentum;
         let mut from_params: Vec<(f32, u32)> = momentum
             .seen()
             // cia-lint: allow(D05, u indexes a test population of s.users nodes)

@@ -49,8 +49,8 @@ pub use aia::{AiaCommunityAttack, AIA_M_NONMEMBER, AIA_N_MEMBER};
 /// `cia-models`, where FedAvg's training workers can fold its rows.
 pub use cia_models::MomentumTable;
 pub use evaluator::{ItemSetEvaluator, RelevanceEvaluator};
-pub use fl::{CiaAttackState, CiaConfig, FlCia, MomentumCia, ServerVantage};
-pub use gl::{CoalitionVantage, GlCiaAllPlacements, GlCiaCoalition, PlacementsState};
+pub use fl::{CiaConfig, FlCia, MomentumCia, ServerVantage};
+pub use gl::{CoalitionVantage, GlCiaAllPlacements, GlCiaCoalition};
 pub use metrics::{AttackOutcome, AttackTracker, RoundPoint, TopK};
 pub use mia::{membership_entropy, MiaCommunityAttack, MiaConfig};
 

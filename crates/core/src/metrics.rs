@@ -290,12 +290,6 @@ impl AttackTracker {
         &self.history
     }
 
-    /// Replaces the recorded history (checkpoint resume). `k` and the
-    /// candidate count are construction-time constants and stay untouched.
-    pub fn restore_history(&mut self, history: Vec<RoundPoint>) {
-        self.history = history;
-    }
-
     /// Summarizes into the paper's reporting format.
     pub fn outcome(&self) -> AttackOutcome {
         let best =

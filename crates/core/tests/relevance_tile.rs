@@ -93,8 +93,9 @@ fn tiles_match_relevance_one<S: RelevanceScorer>(
     Ok(())
 }
 
-/// Builds the evaluator (fictive embeddings drawn at random under
-/// Share-less) and a momentum table for `scorer`, then checks the tiles.
+/// Builds the evaluator (under Share-less, fictive embeddings trained
+/// against a random public model) and a momentum table for `scorer`, then
+/// checks the tiles.
 fn check<S: RelevanceScorer>(
     scorer: S,
     seed: u64,
@@ -104,11 +105,9 @@ fn check<S: RelevanceScorer>(
     let mut rng = StdRng::seed_from_u64(seed);
     let (emb_len, agg_len) = (scorer.user_emb_len(), scorer.agg_len());
     let targets = targets(&mut rng, scorer.num_items());
-    let fictive: Vec<_> = targets.iter().map(|_| Some(uniform(&mut rng, emb_len))).collect();
+    let reference = uniform(&mut rng, agg_len);
     let mut ev = ItemSetEvaluator::new(scorer, targets, share_less);
-    if share_less {
-        ev.restore_adversary_embeddings(fictive).expect("one embedding per target");
-    }
+    ev.prepare(&reference, seed);
     let table = momentum_table(&mut rng, users, emb_len, agg_len);
     tiles_match_relevance_one(&ev, &table, share_less)
 }

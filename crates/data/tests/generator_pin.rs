@@ -1,7 +1,7 @@
 //! Pins the synthetic generator's output, and the split and ground truth
 //! built from it, bit for bit.
 //!
-//! Every scenario transcript, table golden and checkpoint starts from
+//! Every scenario transcript and table golden starts from
 //! [`Preset::generate`], [`LeaveOneOut::with_holdout`] and
 //! [`GroundTruth::from_train_sets`], so a change that alters one draw or one
 //! community member moves them all. The generator digests cover each user's

@@ -306,32 +306,6 @@ impl<P: Participant> FedAvg<P> {
         self.round
     }
 
-    /// Mutable access to the clients (checkpoint resume restores each
-    /// participant's private state in place).
-    pub fn clients_mut(&mut self) -> &mut [P] {
-        &mut self.clients
-    }
-
-    /// Restores the protocol-side state — the round counter and the current
-    /// global model — captured from [`FedAvg::round`] and
-    /// [`FedAvg::global_agg`]. Per-round RNG streams are derived from
-    /// `(seed, round)`, so no generator state needs saving: stepping after a
-    /// restore replays exactly the rounds an uninterrupted run would have
-    /// executed.
-    ///
-    /// # Errors
-    ///
-    /// Refuses a `global_agg` that does not match the clients' parameter
-    /// layout, naming the global model.
-    pub fn restore(&mut self, round: u64, global_agg: Vec<f32>) -> Result<(), String> {
-        if global_agg.len() != self.global_agg.len() {
-            return Err("global model".to_string());
-        }
-        self.round = round;
-        self.global_agg = global_agg;
-        Ok(())
-    }
-
     /// Loads the current global model into every client, mirroring the
     /// broadcast deployment of the final model, so that each client's own
     /// [`Participant::agg`] can be scored. This rebuilds one aggregate per
@@ -823,29 +797,5 @@ mod tests {
                 "one {phase} span per round"
             );
         }
-    }
-
-    #[test]
-    fn restore_replays_identically() {
-        // Run 4 rounds straight; then run 2, export, rebuild, restore, run 2
-        // more — the global models must agree exactly.
-        let mut straight = make_sim(8, 4, SharingPolicy::Full);
-        straight.run(&mut NullObserver);
-
-        let mut first = make_sim(8, 4, SharingPolicy::Full);
-        first.step(&mut NullObserver);
-        first.step(&mut NullObserver);
-        let round = first.round();
-        let global = first.global_agg().to_vec();
-        let states: Vec<Vec<f32>> = first.clients().iter().map(Participant::state_vec).collect();
-
-        let mut resumed = make_sim(8, 4, SharingPolicy::Full);
-        resumed.restore(round, global).unwrap();
-        for (c, s) in resumed.clients_mut().iter_mut().zip(&states) {
-            c.restore_state(s).unwrap();
-        }
-        resumed.step(&mut NullObserver);
-        resumed.step(&mut NullObserver);
-        assert_eq!(resumed.global_agg(), straight.global_agg());
     }
 }

@@ -38,38 +38,6 @@ impl ViewTable {
         &self.views[u as usize]
     }
 
-    /// All current out-views (checkpoint access).
-    pub fn views(&self) -> &[Vec<u32>] {
-        &self.views
-    }
-
-    /// Replaces every out-view (checkpoint resume).
-    ///
-    /// # Errors
-    ///
-    /// Leaves the table unchanged and names the misfit: a table without one
-    /// view per node, or a view of node `u` that does not hold `P` distinct
-    /// real nodes other than `u`.
-    pub fn restore_views(&mut self, views: Vec<Vec<u32>>) -> Result<(), String> {
-        let n = self.views.len();
-        if views.len() != n {
-            return Err("view table".to_string());
-        }
-        for (u, view) in views.iter().enumerate() {
-            let mut uniq = view.clone();
-            uniq.sort_unstable();
-            uniq.dedup();
-            let fits = view.len() == self.out_degree
-                && uniq.len() == view.len()
-                && view.iter().all(|&v| v as usize != u && (v as usize) < n);
-            if !fits {
-                return Err(format!("view of node {u}"));
-            }
-        }
-        self.views = views;
-        Ok(())
-    }
-
     /// One uniformly random out-neighbor of `u`.
     pub fn random_neighbor(&self, u: u32, rng: &mut StdRng) -> u32 {
         let v = &self.views[u as usize];
@@ -164,7 +132,7 @@ mod tests {
     fn views_are_regular_and_self_free() {
         let mut rng = StdRng::seed_from_u64(1);
         let t = ViewTable::new(50, 3, &mut rng);
-        assert_eq!(t.views().len(), 50);
+        assert_eq!(t.views.len(), 50);
         for u in 0..50u32 {
             let v = t.view_of(u);
             assert_eq!(v.len(), 3);

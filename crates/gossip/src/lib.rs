@@ -23,8 +23,8 @@ mod graph;
 mod sim;
 
 pub use sim::{
-    GossipConfig, GossipObserver, GossipProtocol, GossipRoundStats, GossipSim, GossipSimState,
-    NullGossipObserver, TrafficCounters,
+    GossipConfig, GossipObserver, GossipProtocol, GossipRoundStats, GossipSim, NullGossipObserver,
+    TrafficCounters,
 };
 
 // The observer liveness events this crate's API surfaces and the selector

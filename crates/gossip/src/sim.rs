@@ -120,25 +120,6 @@ pub struct NullGossipObserver;
 
 impl GossipObserver for NullGossipObserver {}
 
-/// Serializable snapshot of a [`GossipSim`]'s protocol-side state
-/// (checkpoint/resume of long runs; the round counter and node parameters
-/// travel separately).
-#[derive(Debug, Clone)]
-pub struct GossipSimState {
-    /// Next scheduled view-refresh round per node.
-    pub refresh_at: Vec<u64>,
-    /// Current out-views.
-    pub views: Vec<Vec<u32>>,
-    /// Undelivered inbox contents per node (asleep nodes accumulate).
-    pub inboxes: Vec<Vec<SharedModel>>,
-    /// Pers-Gossip `(sender, score)` candidates heard since the last refresh.
-    pub heard: Vec<Vec<(u32, f32)>>,
-    /// DP reference vectors (last sent `[emb | agg]` per node).
-    pub prev_sent: Vec<Option<Vec<f32>>>,
-    /// Accumulated per-node traffic counters.
-    pub traffic: TrafficCounters,
-}
-
 /// Passive per-node traffic counters the simulation accumulates every round.
 /// They never influence the protocol — they exist so observers with a
 /// network vantage point (e.g. the adaptive sybil-placement engine in
@@ -321,12 +302,6 @@ impl<P: Participant> GossipSim<P> {
     /// point for placement decisions; purely passive).
     pub fn traffic(&self) -> &TrafficCounters {
         &self.traffic
-    }
-
-    /// Mutable access to the nodes (checkpoint resume restores each
-    /// participant's private state in place).
-    pub fn nodes_mut(&mut self) -> &mut [P] {
-        &mut self.nodes
     }
 
     /// Runs one gossip round: refresh views, send, route, aggregate, train.
@@ -584,82 +559,6 @@ impl<P: Participant> GossipSim<P> {
         _: DeliveryPolicy,
     ) -> GossipRoundStats {
         self.step(observer)
-    }
-
-    /// Snapshot of the protocol-side state — views, refresh schedule and
-    /// per-node mailboxes. Per-round RNG streams are derived from
-    /// `(seed, round)`, so no generator state needs saving; the round
-    /// counter travels separately ([`GossipSim::round`]), and node
-    /// parameters are captured via [`cia_models::Participant::state_vec`].
-    pub fn export_state(&self) -> GossipSimState {
-        GossipSimState {
-            refresh_at: self.refresh_at.clone(),
-            views: self.views.views().to_vec(),
-            inboxes: self.ctl.iter().map(|c| c.inbox.clone()).collect(),
-            traffic: self.traffic.clone(),
-            heard: self.ctl.iter().map(|c| c.heard.clone()).collect(),
-            prev_sent: self.outbox.iter().map(|o| o.prev_sent.clone()).collect(),
-        }
-    }
-
-    /// Restores a state captured by `export_state` after `round` rounds, on
-    /// a simulation constructed with the same nodes and configuration.
-    ///
-    /// # Errors
-    ///
-    /// Refuses state that does not fit this simulation before taking any of
-    /// it, naming the first misfit (`"inbox of node 5"`): one table entry per
-    /// node, every view `P` distinct real nodes, every held inbox model from
-    /// a real node with that node's embedding length and this layout's
-    /// aggregate length, every DP reference `[emb | agg]`-long, and every
-    /// Pers-Gossip candidate a real node. A hostile checkpoint is thus
-    /// refused up front instead of panicking mid-run or being silently
-    /// truncated by the DP update.
-    pub fn restore_state(&mut self, round: u64, state: GossipSimState) -> Result<(), String> {
-        let n = self.nodes.len();
-        let tables = [
-            ("refresh table", state.refresh_at.len()),
-            ("inbox table", state.inboxes.len()),
-            ("heard table", state.heard.len()),
-            ("DP reference table", state.prev_sent.len()),
-            ("received-traffic table", state.traffic.received.len()),
-            ("in-degree table", state.traffic.view_in_degree.len()),
-        ];
-        if let Some((name, _)) = tables.iter().find(|&&(_, len)| len != n) {
-            return Err((*name).to_string());
-        }
-        let agg_len = self.nodes[0].agg_len();
-        let emb_len = |u: usize| self.nodes[u].owner_emb().map_or(0, <[f32]>::len);
-        for u in 0..n {
-            let model_fits = |m: &SharedModel| {
-                let owner = m.owner.raw() as usize;
-                owner < n
-                    && m.agg.len() == agg_len
-                    && m.owner_emb.as_ref().map_or(0, Vec::len) == emb_len(owner)
-            };
-            if !state.inboxes[u].iter().all(model_fits) {
-                return Err(format!("inbox of node {u}"));
-            }
-            if state.prev_sent[u].as_ref().is_some_and(|p| p.len() != emb_len(u) + agg_len) {
-                return Err(format!("DP reference of node {u}"));
-            }
-            if state.heard[u].iter().any(|&(v, _)| v as usize >= n) {
-                return Err(format!("heard list of node {u}"));
-            }
-        }
-        self.views.restore_views(state.views)?;
-        self.round = round;
-        self.refresh_at = state.refresh_at;
-        let per_node = state.inboxes.into_iter().zip(state.prev_sent).zip(state.heard);
-        for ((c, o), ((inbox, prev), heard)) in
-            self.ctl.iter_mut().zip(&mut self.outbox).zip(per_node)
-        {
-            c.inbox = inbox;
-            o.prev_sent = prev;
-            c.heard = heard;
-        }
-        self.traffic = state.traffic;
-        Ok(())
     }
 }
 
@@ -981,7 +880,7 @@ mod tests {
         let awake: usize = rec.stats.iter().map(|st| st.awake).sum();
         assert_eq!(awake + rec.slept, 10 * 30);
         // Nodes asleep in the last round hold the models pushed to them.
-        assert!(s.export_state().inboxes.iter().any(|inbox| !inbox.is_empty()));
+        assert!(s.ctl.iter().any(|c| !c.inbox.is_empty()));
     }
 
     #[test]
@@ -1166,13 +1065,6 @@ mod tests {
         // Each round accumulates exactly P view slots per node.
         let in_degree: u64 = traffic.view_in_degree.iter().sum();
         assert_eq!(in_degree, rounds * 20 * OUT_DEGREE as u64);
-        // And the counters survive a checkpoint roundtrip.
-        let state = s.export_state();
-        assert_eq!(&state.traffic, traffic);
-        let mut fresh = sim(20, GossipConfig { rounds, seed: 3, ..Default::default() });
-        let traffic = traffic.clone();
-        fresh.restore_state(s.round(), state).unwrap();
-        assert_eq!(fresh.traffic(), &traffic);
     }
 
     #[test]
@@ -1356,48 +1248,6 @@ mod tests {
     }
 
     #[test]
-    fn restore_state_names_the_misfit_node() {
-        let mut s = sim(12, GossipConfig { rounds: 4, seed: 1, ..Default::default() });
-        s.run(&mut Recorder::sleeping(0.5, 1));
-        let good = s.export_state();
-        assert!(good.inboxes.iter().any(|inbox| !inbox.is_empty()), "no node held mail");
-        assert_eq!(s.restore_state(4, good.clone()), Ok(()));
-        fn model(owner: u32, len: usize) -> SharedModel {
-            SharedModel {
-                owner: UserId::new(owner),
-                round: 0,
-                owner_emb: None,
-                agg: vec![0.0; len],
-            }
-        }
-        type Corruption = fn(&mut GossipSimState);
-        let cases: [(Corruption, &str); 10] = [
-            (|st| st.inboxes[5].push(model(1, 7)), "inbox of node 5"),
-            (|st| st.inboxes[3].push(model(12, 8)), "inbox of node 3"),
-            (|st| st.prev_sent[2] = Some(vec![0.0; 9]), "DP reference of node 2"),
-            (|st| st.heard[4].push((40, 0.0)), "heard list of node 4"),
-            (|st| st.refresh_at.truncate(11), "refresh table"),
-            (|st| st.traffic.received.truncate(11), "received-traffic table"),
-            (|st| st.views.truncate(11), "view table"),
-            (|st| st.views[6][0] = 12, "view of node 6"),
-            (|st| st.views[7][0] = 7, "view of node 7"),
-            (|st| st.views[8].truncate(1), "view of node 8"),
-        ];
-        for (corrupt, part) in cases {
-            let mut bad = good.clone();
-            corrupt(&mut bad);
-            assert_eq!(s.restore_state(4, bad).unwrap_err(), part);
-            // A refused state leaves the simulation as it was.
-            assert_eq!(s.export_state().views, good.views);
-        }
-        // A well-formed held model and DP reference pass.
-        let mut fine = good;
-        fine.inboxes[5].push(model(1, 8));
-        fine.prev_sent[2] = Some(vec![0.0; 8]);
-        assert_eq!(s.restore_state(4, fine), Ok(()));
-    }
-
-    #[test]
     fn tracing_does_not_change_the_simulation() {
         // A detail-enabled recorder (spans, histograms, per-node mix/train
         // clock reads) must leave the protocol bit-identical to an
@@ -1421,35 +1271,5 @@ mod tests {
             (tape.deliveries, params)
         };
         assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn restore_replays_identically() {
-        let cfg = GossipConfig { rounds: 16, seed: 21, ..Default::default() };
-        let mut straight = sim(14, cfg);
-        let mut tape = Recorder::sleeping(0.3, 21);
-        straight.run(&mut tape);
-        assert!(tape.slept > 0 && tape.refreshes > 0, "no node slept or refreshed");
-
-        let mut first = sim(14, cfg);
-        let mut sleeper = Recorder::sleeping(0.3, 21);
-        for _ in 0..6 {
-            first.step(&mut sleeper);
-        }
-        let proto = first.export_state();
-        let params: Vec<Vec<f32>> = first.nodes().iter().map(Participant::state_vec).collect();
-
-        let mut resumed = sim(14, cfg);
-        resumed.restore_state(6, proto).unwrap();
-        for (node, p) in resumed.nodes_mut().iter_mut().zip(&params) {
-            node.restore_state(p).unwrap();
-        }
-        for _ in 6..16 {
-            resumed.step(&mut sleeper);
-        }
-        for (a, b) in straight.nodes().iter().zip(resumed.nodes()) {
-            assert_eq!(a.params, b.params);
-        }
-        assert_eq!(straight.round(), resumed.round());
     }
 }

@@ -19,7 +19,9 @@
 use cia_data::UserId;
 use cia_defenses::{DpConfig, DpMechanism};
 use cia_gossip::{GossipConfig, GossipObserver, GossipProtocol, GossipSim, LivenessEvent};
-use cia_models::{GmfSpec, Participant, PrmeSpec, SharedModel, SharingPolicy};
+use cia_models::{
+    FactorClient, FactorModel, GmfSpec, Participant, PrmeSpec, SharedModel, SharingPolicy,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -64,11 +66,22 @@ impl<P: Participant> Participant for Copying<P> {
     fn evaluate_model(&self, model: &SharedModel) -> f32 {
         self.0.evaluate_model(model)
     }
-    fn state_vec(&self) -> Vec<f32> {
-        self.0.state_vec()
+}
+
+/// What a round leaves a node holding: its user embedding and aggregate.
+trait NodeState {
+    fn state(&self) -> Vec<f32>;
+}
+
+impl<S: FactorModel> NodeState for FactorClient<S> {
+    fn state(&self) -> Vec<f32> {
+        [self.user_emb(), self.agg()].concat()
     }
-    fn restore_state(&mut self, state: &[f32]) -> Result<(), String> {
-        self.0.restore_state(state)
+}
+
+impl<P: NodeState> NodeState for Copying<P> {
+    fn state(&self) -> Vec<f32> {
+        self.0.state()
     }
 }
 
@@ -113,7 +126,7 @@ impl GossipObserver for Tape {
     }
 }
 
-/// Each round's deliveries and every node's `state_vec` bits after it.
+/// Each round's deliveries and every node's [`NodeState`] bits after it.
 type Trace = Vec<(Vec<Delivery>, Vec<Vec<u32>>)>;
 
 /// A run's trace, how many nodes slept and refreshes fired over it, and the
@@ -140,7 +153,7 @@ fn longest_cycle(nodes: usize, deliveries: &[Delivery]) -> usize {
 }
 
 /// One run's [`Run`] record.
-fn trace<P: Participant>(
+fn trace<P: Participant + NodeState>(
     nodes: Vec<P>,
     cfg: GossipConfig,
     sleep: f64,
@@ -159,7 +172,7 @@ fn trace<P: Participant>(
             slept += tape.slept;
             refreshes += tape.refreshes;
             longest = longest.max(longest_cycle(population, &tape.deliveries));
-            (tape.deliveries, sim.nodes().iter().map(|n| bits(&n.state_vec())).collect())
+            (tape.deliveries, sim.nodes().iter().map(|n| bits(&n.state())).collect())
         })
         .collect();
     (trace, slept, refreshes, longest)

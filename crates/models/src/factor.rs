@@ -23,7 +23,7 @@
 //! data and its model's own state.
 //!
 //! Everything around training (absorb, merge, send and lend, the sparse
-//! accumulate, the personalization score and the checkpoint state) lives in
+//! accumulate and the personalization score) lives in
 //! the single [`Participant`] impl for [`FactorClient`]. A model supplies
 //! only what really differs through [`FactorModel`]: its
 //! [`RelevanceScorer`] spec, its local epoch and its own per-client state.
@@ -83,10 +83,6 @@ pub struct FactorClient<S: FactorModel> {
     pub(crate) user_emb: Vec<f32>,
     /// The public aggregate: empty until drawn or lent.
     pub(crate) agg: Vec<f32>,
-    /// Whether the client keeps its aggregate between rounds (drawn, as
-    /// gossip nodes do) rather than borrowing it per round (FedAvg). Chooses
-    /// the checkpoint layout.
-    owns_agg: bool,
     /// The constructor seed, from which the aggregate is drawn on demand.
     seed: u64,
     pub(crate) train_items: Vec<u32>,
@@ -128,7 +124,6 @@ impl<S: FactorModel> FactorClient<S> {
             user,
             user_emb,
             agg: Vec::new(),
-            owns_agg: false,
             seed,
             train_items,
             train_mask,
@@ -225,7 +220,6 @@ impl<S: FactorModel> Participant for FactorClient<S> {
             let (_, mut rng) = Self::draw_user_emb(&self.spec, self.seed);
             self.agg = self.spec.init_agg(&mut rng);
         }
-        self.owns_agg = true;
     }
 
     fn lend_buffers(&mut self, agg: Vec<f32>, reference: Vec<f32>) {
@@ -235,7 +229,6 @@ impl<S: FactorModel> Participant for FactorClient<S> {
     }
 
     fn take_buffers(&mut self) -> (Vec<f32>, Vec<f32>) {
-        self.owns_agg = false;
         let agg = std::mem::take(&mut self.agg);
         (agg, self.ref_items.take().unwrap_or_default())
     }
@@ -323,42 +316,6 @@ impl<S: FactorModel> Participant for FactorClient<S> {
         let off = spec.mean_relevance(Some(&self.user_emb), &model.agg, &probe);
         on - off
     }
-
-    fn state_vec(&self) -> Vec<f32> {
-        // [ user_emb | agg | ref_flag | ref_items? ] for a client that owns
-        // its aggregate, [ user_emb | 0 ] for one that borrows it — decoded
-        // only by `restore_state` below.
-        if !self.owns_agg {
-            return [&self.user_emb[..], &[0.0]].concat();
-        }
-        let flag = f32::from(u8::from(self.ref_items.is_some()));
-        let reference = self.ref_items.as_deref().unwrap_or_default();
-        [&self.user_emb[..], &self.agg, &[flag], reference].concat()
-    }
-
-    fn restore_state(&mut self, state: &[f32]) -> Result<(), String> {
-        let d = self.user_emb.len();
-        let params = d + if self.owns_agg { self.spec.agg_len() } else { 0 };
-        if state.len() <= params {
-            return Err(format!("state of {} floats is shorter than {params} + 1", state.len()));
-        }
-        let (flag, reference) = (state[params], &state[params + 1..]);
-        let reference = if flag == 0.0 && reference.is_empty() {
-            None
-        } else if flag == 1.0 && self.owns_agg && reference.len() == self.region_len() {
-            Some(reference.to_vec())
-        } else {
-            return Err(format!("reference flag {flag} with {} floats", reference.len()));
-        };
-        self.user_emb.copy_from_slice(&state[..d]);
-        if self.owns_agg {
-            self.agg.clear();
-            self.agg.extend_from_slice(&state[d..params]);
-        }
-        self.clear_touched();
-        self.ref_items = reference;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -425,12 +382,6 @@ mod tests {
         assert_eq!(agg.len(), global.len(), "{ctx}: aggregate buffer");
         assert_eq!(reference.len(), if share_less { c.region_len() } else { 0 }, "{ctx}");
         assert!(c.agg().is_empty() && c.ref_items.is_none(), "{ctx}: kept a buffer");
-        // Between rounds the state is `[user_emb | 0]`, and only that.
-        let state = c.state_vec();
-        assert_eq!(state, [c.user_emb(), &[0.0]].concat(), "{ctx}: lent state");
-        let owned = [c.user_emb(), global, &[0.0]].concat();
-        assert!(c.restore_state(&owned).is_err(), "{ctx}: took an owned-layout state");
-        assert_eq!(c.state_vec(), state, "{ctx}: a refused restore changed the client");
         // Lent buffers of any length are refilled by the absorb.
         c.lend_buffers(agg, vec![1.0; 3]);
         c.absorb_agg(global);

@@ -947,75 +947,6 @@ mod tests {
     }
 
     #[test]
-    fn state_roundtrip_restores_everything() {
-        let s = spec();
-        let mut c = drawn(s.build_client(UserId::new(3), vec![1, 2, 3], SharingPolicy::Full, 6));
-        let mut rng = StdRng::seed_from_u64(2);
-        for _ in 0..5 {
-            c.train_local(&mut rng);
-        }
-        let state = c.state_vec();
-        let mut fresh =
-            drawn(s.build_client(UserId::new(3), vec![1, 2, 3], SharingPolicy::Full, 6));
-        fresh.restore_state(&state).unwrap();
-        assert_eq!(fresh.user_emb(), c.user_emb());
-        assert_eq!(fresh.agg(), c.agg());
-        // Share-less clients carry reference items in the state too.
-        let mut sl = drawn(s.build_client(
-            UserId::new(4),
-            vec![1, 2],
-            SharingPolicy::ShareLess { tau: 0.5 },
-            7,
-        ));
-        let reference = sl.agg().to_vec();
-        sl.absorb_agg(&reference);
-        sl.train_local(&mut rng);
-        let state = sl.state_vec();
-        let mut fresh = drawn(s.build_client(
-            UserId::new(4),
-            vec![1, 2],
-            SharingPolicy::ShareLess { tau: 0.5 },
-            7,
-        ));
-        fresh.restore_state(&state).unwrap();
-        assert_eq!(fresh.ref_items, sl.ref_items);
-        assert_eq!(fresh.agg(), sl.agg());
-    }
-
-    #[test]
-    fn restore_state_rejects_misfit_states_and_keeps_the_client() {
-        let s = spec();
-        let mut c = drawn(s.build_client(
-            UserId::new(4),
-            vec![1, 2],
-            SharingPolicy::ShareLess { tau: 0.5 },
-            7,
-        ));
-        c.train_local(&mut StdRng::seed_from_u64(1));
-        let good = c.state_vec();
-        let params = 4 + s.agg_len();
-        let with_flag = |flag: f32, reference: usize| {
-            let mut v = good[..params].to_vec();
-            v.push(flag);
-            v.resize(params + 1 + reference, 0.25);
-            v
-        };
-        let region = 30 * 4;
-        for bad in [
-            good[..params].to_vec(),
-            good[..params - 1].to_vec(),
-            with_flag(0.5, 0),
-            with_flag(1.0, region - 1),
-            with_flag(0.0, region),
-        ] {
-            assert!(c.restore_state(&bad).is_err(), "accepted {} floats", bad.len());
-            assert_eq!(c.state_vec(), good, "a refused restore changed the client");
-        }
-        c.restore_state(&with_flag(1.0, region)).unwrap();
-        assert_eq!(c.ref_items, Some(vec![0.25; region]));
-    }
-
-    #[test]
     fn absorb_agg_roundtrip() {
         let s = spec();
         let mut a = s.build_client(UserId::new(0), vec![1], SharingPolicy::Full, 1);

@@ -130,47 +130,6 @@ impl MomentumTable {
         let rows = self.slab.chunks_exact_mut(w).zip(&mut self.updates);
         rows.map(|(row, updates)| MomentumRow { emb_len: w - agg, row, updates }).collect()
     }
-
-    /// Writes back a decoded row: `sender`'s momentum after `updates` folds.
-    ///
-    /// # Errors
-    ///
-    /// Refuses, naming the sender, an out-of-range or already seen sender,
-    /// `updates == 0`, a layout other than the table's, or a first row
-    /// whose slab cannot be allocated.
-    pub fn restore_row(
-        &mut self,
-        sender: usize,
-        emb: Option<&[f32]>,
-        agg: &[f32],
-        updates: u64,
-    ) -> Result<(), String> {
-        let layout = (emb.map(<[f32]>::len), agg.len());
-        // The first row sizes the slab; a crafted file may claim one too
-        // large to allocate, which is refused here rather than aborting.
-        let slab = self.users().checked_mul(layout.0.unwrap_or(0) + layout.1);
-        let fits = self.layout.map_or_else(
-            || slab.is_some_and(|n| Vec::<f32>::new().try_reserve_exact(n).is_ok()),
-            |l| l == layout,
-        );
-        if !fits || updates == 0 || self.updates.get(sender) != Some(&0) {
-            return Err(format!("momentum of sender {sender}"));
-        }
-        self.observe(sender, 0.0, emb, agg);
-        self.updates[sender] = updates;
-        Ok(())
-    }
-}
-
-impl Clone for MomentumTable {
-    /// Copies only the seen rows into a fresh zeroed slab.
-    fn clone(&self) -> Self {
-        let (mut slab, w) = (vec![0.0; self.slab.len()], self.width());
-        for u in self.seen() {
-            slab[u * w..][..w].copy_from_slice(&self.slab[u * w..][..w]);
-        }
-        MomentumTable { layout: self.layout, slab, updates: self.updates.clone() }
-    }
 }
 
 #[cfg(test)]
@@ -217,17 +176,6 @@ mod tests {
         rows[1].observe(0.9, Some(&[3.0; 2]), &[3.0; 3]);
         rows[0].observe(0.9, Some(&[1.0; 2]), &[4.0; 3]);
         assert_eq!(split, serial);
-        assert_eq!(split.clone(), serial);
-    }
-
-    #[test]
-    fn restore_row_refuses_a_second_layout() {
-        let mut t = first(1.0, true);
-        assert_eq!(t.restore_row(0, None, &[1.0; 3], 2), Err("momentum of sender 0".into()));
-        assert!(t.restore_row(0, Some(&[1.0; 2]), &[1.0; 3], 0).is_err());
-        assert!(t.restore_row(1, Some(&[1.0; 2]), &[1.0; 3], 2).is_err());
-        assert_eq!(t.restore_row(0, Some(&[7.0; 2]), &[1.0; 3], 4), Ok(()));
-        assert_eq!((t.updates(0), t.get(0).unwrap().0), (4, Some(&[7.0f32; 2][..])));
     }
 
     #[test]

@@ -152,10 +152,8 @@ pub trait Participant: Send + Sync {
     }
 
     /// Returns the aggregate and reference buffers for reuse, leaving the
-    /// participant without an aggregate until the next lend. Its
-    /// [`Participant::state_vec`] then leaves the aggregate out: the
-    /// protocol holds it (FedAvg's global model). The default returns empty
-    /// buffers.
+    /// participant without an aggregate until the next lend: the protocol
+    /// holds it (FedAvg's global model). The default returns empty buffers.
     fn take_buffers(&mut self) -> (Vec<f32>, Vec<f32>) {
         (Vec::new(), Vec::new())
     }
@@ -257,35 +255,6 @@ pub trait Participant: Send + Sync {
     fn evaluate_model(&self, model: &SharedModel) -> f32 {
         let _ = model;
         0.0
-    }
-
-    /// Serializes the participant's *full* mutable state (private user
-    /// factors, public parameters, defense bookkeeping) into a flat `f32`
-    /// vector, for checkpoint/resume of long runs. The encoding is private to
-    /// the participant type: only [`Participant::restore_state`] of the same
-    /// type needs to understand it.
-    ///
-    /// The default covers participants whose only mutable state is the
-    /// aggregatable slice (e.g. the MNIST MLP client).
-    fn state_vec(&self) -> Vec<f32> {
-        self.agg().to_vec()
-    }
-
-    /// Restores state previously produced by [`Participant::state_vec`] on a
-    /// participant constructed with the same spec and constructor seed.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the misfit, leaving the participant
-    /// unchanged, when `state` does not fit the participant's layout (a
-    /// truncated or foreign checkpoint). The default accepts exactly
-    /// [`Participant::agg_len`] floats.
-    fn restore_state(&mut self, state: &[f32]) -> Result<(), String> {
-        if state.len() != self.agg_len() {
-            return Err(format!("state of {} floats, expected {}", state.len(), self.agg_len()));
-        }
-        self.absorb_agg(state);
-        Ok(())
     }
 }
 

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! scenario run [--suite NAME|FILE] [--scale smoke|small|paper] [--seed N]
-//!              [--only NAME] [--out FILE] [--checkpoint-dir DIR]
-//!              [--checkpoint-every N] [--resume] [--stop-after N]
+//!              [--only NAME] [--out FILE] [--resume] [--stop-after N]
 //!              [--no-timing] [--trace-out FILE]
 //! scenario list [--scale ...] [--seed N]
 //! scenario validate FILE
@@ -17,10 +16,12 @@
 //!
 //! `run` executes a suite deterministically from its seed and streams one
 //! JSONL record per (scenario, evaluation round) plus a summary per
-//! scenario. With `--checkpoint-dir` the full run state (model params,
-//! attack momentum, tracker, dynamics) is saved every `--checkpoint-every`
-//! rounds; a killed run continues with `--resume` and lands on the same
-//! final metrics as an uninterrupted one. `--trace-out` additionally writes
+//! scenario. A run stopped by `--stop-after N` (at round N of each
+//! scenario) or killed continues with `--resume` into the same `--out` file:
+//! it reruns the scenarios from round 0, checks every record it recomputes
+//! against the file, and appends only what the file lacks, so the file ends
+//! as an uninterrupted run's would. A file that does not match exits 1,
+//! naming the line, and stays as it was. `--trace-out` additionally writes
 //! a Chrome trace-event file (phase spans + counter tracks) loadable in
 //! Perfetto / `chrome://tracing`. Each protocol round runs as one fused
 //! loop that fans out over `CIA_THREADS` workers; the transcript is
@@ -37,14 +38,13 @@ use cia_scenarios::runner::{run_scenarios, validate_jsonl, RunOptions};
 use cia_scenarios::spec::{named_suite, BUILTIN_SUITES};
 use cia_scenarios::{chrome_trace, render_report, summarize, validate_chrome_trace, SuiteSpec};
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn usage() {
     eprintln!("usage: scenario <run|list|validate|report> [options]");
     eprintln!("  run      [--suite NAME|FILE] [--scale smoke|small|paper] [--seed N]");
-    eprintln!("           [--only NAME] [--out FILE] [--checkpoint-dir DIR]");
-    eprintln!("           [--checkpoint-every N] [--resume] [--stop-after N] [--no-timing]");
+    eprintln!("           [--only NAME] [--out FILE] [--resume] [--stop-after N] [--no-timing]");
     eprintln!("           [--trace-out FILE]");
     eprintln!("  list     [--suite NAME|FILE] [--scale ...] [--seed N]");
     eprintln!("  validate FILE");
@@ -59,6 +59,7 @@ struct Args {
     only: Option<String>,
     out: Option<PathBuf>,
     trace_out: Option<PathBuf>,
+    resume: bool,
     opts: RunOptions,
 }
 
@@ -70,7 +71,8 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         only: None,
         out: None,
         trace_out: None,
-        opts: RunOptions { timing: true, checkpoint_every: 5, ..RunOptions::default() },
+        resume: false,
+        opts: RunOptions { timing: true, ..RunOptions::default() },
     };
     let mut i = 0;
     let value = |args: &[String], i: usize, flag: &str| -> Result<String, String> {
@@ -104,27 +106,19 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                 parsed.trace_out = Some(PathBuf::from(value(args, i, "--trace-out")?));
                 i += 2;
             }
-            "--checkpoint-dir" => {
-                parsed.opts.checkpoint_dir =
-                    Some(PathBuf::from(value(args, i, "--checkpoint-dir")?));
-                i += 2;
-            }
-            "--checkpoint-every" => {
-                parsed.opts.checkpoint_every = value(args, i, "--checkpoint-every")?
-                    .parse()
-                    .map_err(|_| "--checkpoint-every expects an integer")?;
-                i += 2;
-            }
             "--stop-after" => {
-                parsed.opts.stop_after_rounds = Some(
-                    value(args, i, "--stop-after")?
-                        .parse()
-                        .map_err(|_| "--stop-after expects an integer")?,
-                );
+                let rounds = value(args, i, "--stop-after")?
+                    .parse()
+                    .map_err(|_| "--stop-after expects an integer")?;
+                if rounds == 0 {
+                    return Err("--stop-after 0 would stop before the first round; give 1 or more"
+                        .to_string());
+                }
+                parsed.opts.stop_after_rounds = Some(rounds);
                 i += 2;
             }
             "--resume" => {
-                parsed.opts.resume = true;
+                parsed.resume = true;
                 i += 1;
             }
             "--no-timing" => {
@@ -148,11 +142,13 @@ fn load_suite(args: &Args) -> Result<SuiteSpec, String> {
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
-    // Without checkpoints a resumed run restarts at round 0, and appending
-    // it to `--out` would duplicate every record already in the stream.
-    if args.opts.resume && args.opts.checkpoint_dir.is_none() {
-        return Err("--resume needs --checkpoint-dir (there is nothing to resume from)".into());
-    }
+    // A resume reads the stream a stopped or killed run left and appends to
+    // it, so the stream must be a file.
+    let resume_from = match (&args.out, args.resume) {
+        (None, true) => return Err("--resume needs --out FILE (the stream to resume)".into()),
+        (Some(path), true) => Some(read_stream(path)?),
+        _ => None,
+    };
     let suite = load_suite(args)?;
     // Sweeps expand before filtering, so `--only` addresses the concrete
     // scenarios a sweep generates (e.g. `participation-0.5`).
@@ -163,33 +159,25 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             return Err(format!("no scenario named `{only}` in suite `{}`", suite.name));
         }
     }
+    let mut file = match &args.out {
+        Some(path) => Some(
+            Appender::open(path, resume_from.as_deref())
+                .map_err(|e| format!("cannot open {}: {e}", path.display()))?,
+        ),
+        None => None,
+    };
     let stdout = std::io::stdout();
-    let mut file;
     let mut lock;
-    let sink: &mut dyn Write = match &args.out {
-        Some(path) => {
-            // Resumed runs append to the existing stream.
-            file = std::fs::OpenOptions::new()
-                .create(true)
-                .append(args.opts.resume)
-                .truncate(!args.opts.resume)
-                .write(true)
-                .open(path)
-                .map_err(|e| format!("cannot open {}: {e}", path.display()))?;
-            &mut file
-        }
+    let sink: &mut dyn Write = match &mut file {
+        Some(file) => file,
         None => {
             lock = stdout.lock();
             &mut lock
         }
     };
-    let outcomes = run_scenarios(&scenarios, &suite.name, &args.opts, sink, |outcome| {
-        if outcome.skipped {
-            eprintln!(
-                "[{}] already completed — skipping (records already in the stream)",
-                outcome.name
-            );
-        } else if outcome.completed {
+    let opts = RunOptions { resume: resume_from, ..args.opts.clone() };
+    let outcomes = run_scenarios(&scenarios, &suite.name, &opts, sink, |outcome| {
+        if outcome.completed {
             eprintln!(
                 "[{}] {} rounds, max AAC {:.1}% ({}x random), {}={:.3}, {:.1}s",
                 outcome.name,
@@ -200,18 +188,22 @@ fn cmd_run(args: &Args) -> Result<(), String> {
                 outcome.utility.unwrap_or(f64::NAN),
                 outcome.elapsed.as_secs_f64(),
             );
-        } else if args.opts.checkpoint_dir.is_some() {
+        } else if args.out.is_some() {
             eprintln!(
-                "[{}] stopped after round {} (checkpointed; rerun with --resume)",
+                "[{}] stopped after round {} (rerun with --resume)",
                 outcome.name, outcome.rounds_done
             );
         } else {
             eprintln!(
-                "[{}] stopped after round {} (no --checkpoint-dir; this run cannot be resumed)",
+                "[{}] stopped after round {} (the stream went to stdout; only an --out FILE run can be resumed)",
                 outcome.name, outcome.rounds_done
             );
         }
     })?;
+    if let (Some(file), Some(path)) = (&mut file, &args.out) {
+        // Nothing appended: the torn line a kill left goes now.
+        file.cut().map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    }
     if let Some(path) = &args.trace_out {
         let doc = chrome_trace(&outcomes);
         std::fs::write(path, doc.render())
@@ -219,6 +211,61 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         eprintln!("trace: {} (load in Perfetto / chrome://tracing)", path.display());
     }
     Ok(())
+}
+
+/// The stream in `path` a resume continues; a missing file is an empty
+/// stream, which resumes as a fresh run.
+fn read_stream(path: &Path) -> Result<String, String> {
+    match std::fs::read(path) {
+        Ok(bytes) => String::from_utf8(bytes).map_err(|e| {
+            format!("{}: not UTF-8 at byte {}", path.display(), e.utf8_error().valid_up_to())
+        }),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(String::new()),
+        Err(e) => Err(format!("cannot read {}: {e}", path.display())),
+    }
+}
+
+/// The `--out` file. A fresh run truncates it. A resumed run appends after
+/// the stream, and cuts the torn last line a kill may have left only once
+/// it appends (or ends), so a refused resume leaves the file as it was.
+struct Appender {
+    file: std::fs::File,
+    /// The length of the stream's complete lines while a torn line follows.
+    cut_to: Option<u64>,
+}
+
+impl Appender {
+    fn open(path: &Path, resumed: Option<&str>) -> std::io::Result<Self> {
+        let mut options = std::fs::OpenOptions::new();
+        options.create(true);
+        let Some(stream) = resumed else {
+            return Ok(Appender {
+                file: options.write(true).truncate(true).open(path)?,
+                cut_to: None,
+            });
+        };
+        let complete = stream.rfind('\n').map_or(0, |i| i + 1);
+        let cut_to = (complete < stream.len()).then_some(complete as u64);
+        Ok(Appender { file: options.append(true).open(path)?, cut_to })
+    }
+
+    fn cut(&mut self) -> std::io::Result<()> {
+        match self.cut_to.take() {
+            Some(len) => self.file.set_len(len),
+            None => Ok(()),
+        }
+    }
+}
+
+impl Write for Appender {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.cut()?;
+        self.file.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.file.flush()
+    }
 }
 
 fn cmd_report(args: &[String]) -> Result<(), String> {

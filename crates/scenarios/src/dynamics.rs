@@ -7,7 +7,7 @@
 //!
 //! The process is deterministic: round `t`'s transitions are drawn from an
 //! RNG seeded by `(seed, t)`, and the only cross-round state is the online
-//! bitmap and the straggler timers — both tiny, both checkpointable.
+//! bitmap and the straggler timers.
 
 use crate::spec::DynamicsSpec;
 use cia_federated::RoundObserver;
@@ -29,16 +29,6 @@ pub struct ParticipantDynamics {
     straggler_until: Vec<u64>,
     /// Sybil membership (fixed; sybils are always available).
     sybil: Vec<bool>,
-}
-
-/// Checkpointed slice of [`ParticipantDynamics`] (membership tables are
-/// reconstructed deterministically from the spec and seed).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DynamicsState {
-    /// Online bitmap.
-    pub online: Vec<bool>,
-    /// Straggler timers.
-    pub straggler_until: Vec<u64>,
 }
 
 impl ParticipantDynamics {
@@ -104,10 +94,6 @@ impl ParticipantDynamics {
     /// starting from an online state — they were reachable while
     /// adversary-operated — and the new positions are forced online
     /// immediately.
-    ///
-    /// On checkpoint resume this must be re-applied *before*
-    /// [`ParticipantDynamics::restore_state`], so the restored online bitmap
-    /// (which already reflects post-relocation churn) wins.
     pub fn set_sybil_members(&mut self, members: &[u32]) {
         for (i, s) in self.sybil.iter_mut().enumerate() {
             if *s {
@@ -173,28 +159,6 @@ impl ParticipantDynamics {
                 self.straggler_until[i] = round.saturating_add(1).saturating_add(delay);
             }
         }
-    }
-
-    /// The cross-round state a checkpoint carries.
-    pub fn export_state(&self) -> DynamicsState {
-        DynamicsState { online: self.online.clone(), straggler_until: self.straggler_until.clone() }
-    }
-
-    /// Restores a state captured by [`ParticipantDynamics::export_state`].
-    ///
-    /// # Errors
-    ///
-    /// Names the table not aligned with the population size.
-    pub fn restore_state(&mut self, state: DynamicsState) -> Result<(), String> {
-        if state.online.len() != self.online.len() {
-            return Err("online bitmap".to_string());
-        }
-        if state.straggler_until.len() != self.straggler_until.len() {
-            return Err("straggler timer table".to_string());
-        }
-        self.online = state.online;
-        self.straggler_until = state.straggler_until;
-        Ok(())
     }
 }
 
@@ -386,32 +350,6 @@ mod tests {
             for &m in &members {
                 assert!(mask[m as usize], "sybil {m} offline at round {t}");
             }
-        }
-    }
-
-    #[test]
-    fn state_roundtrip_resumes_identically() {
-        let spec = churn_spec();
-        let mut straight = ParticipantDynamics::new(&spec, 60, 11);
-        let mut masks = Vec::new();
-        for t in 0..16 {
-            let mut mask = vec![true; 60];
-            straight.apply(t, &mut mask);
-            masks.push(mask);
-        }
-
-        let mut first = ParticipantDynamics::new(&spec, 60, 11);
-        for t in 0..8 {
-            let mut mask = vec![true; 60];
-            first.apply(t, &mut mask);
-        }
-        let state = first.export_state();
-        let mut resumed = ParticipantDynamics::new(&spec, 60, 11);
-        resumed.restore_state(state).unwrap();
-        for (t, expect) in masks.iter().enumerate().skip(8) {
-            let mut mask = vec![true; 60];
-            resumed.apply(t as u64, &mut mask);
-            assert_eq!(&mask, expect, "round {t}");
         }
     }
 }

@@ -17,8 +17,9 @@
 //!   that observes traffic for a warm-up window, then relocates onto the
 //!   top-scoring positions ([`adaptive_sybils_suite`]);
 //! * [`runner`] — deterministic suite execution streaming one JSONL record
-//!   per (scenario, evaluation round), with checkpoint/resume of model,
-//!   momentum, tracker and dynamics state ([`checkpoint`]);
+//!   per (scenario, evaluation round); a stopped or killed run resumes by
+//!   replay, recomputing from round 0 and appending only the records its
+//!   stream lacks;
 //! * [`setup`] — the shared dataset/ground-truth substrate (also consumed by
 //!   `cia-experiments`);
 //! * [`json`] — the dependency-free JSON codec behind specs and records;
@@ -41,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checkpoint;
 pub mod dynamics;
 pub mod json;
 pub mod mem;
@@ -52,9 +52,9 @@ pub mod setup;
 pub mod spec;
 pub mod trace;
 
-pub use dynamics::{DynamicsState, FlDynamics, GlDynamics, ParticipantDynamics};
+pub use dynamics::{FlDynamics, GlDynamics, ParticipantDynamics};
 pub use mem::peak_rss_bytes;
-pub use placement::{PlacementEngine, PlacementObserver, PlacementState};
+pub use placement::{PlacementEngine, PlacementObserver};
 pub use report::{render as render_report, summarize, PhaseStat, ScenarioReport};
 pub use runner::{
     run_quiet, run_scenario, run_scenarios, run_suite, RunOptions, RunResult, ScenarioOutcome,

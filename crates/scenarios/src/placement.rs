@@ -20,26 +20,10 @@
 //!
 //! Everything is deterministic given the spec and seed: scores come from
 //! the (deterministic) simulation, and every tie-break ends at the node id.
-//! The engine's cross-round state ([`PlacementState`]) is part of every
-//! checkpoint, so a run killed on either side of the relocation boundary
-//! resumes onto the identical decision.
 
 use crate::spec::PlacementStrategy;
 use cia_gossip::{GossipObserver, GossipRoundStats, TrafficCounters};
 use cia_models::SharedModel;
-
-/// Checkpointed slice of a [`PlacementEngine`] (strategy, warm-up window
-/// and coalition size are reconstructed from the spec).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PlacementState {
-    /// Whether the relocation has fired.
-    pub relocated: bool,
-    /// The coalition's current node ids, ascending.
-    pub members: Vec<u32>,
-    /// Warm-up delivery log: per receiver, the distinct senders observed so
-    /// far (sorted). Cleared after relocation.
-    pub seen: Vec<Vec<u32>>,
-}
 
 /// The placement decision process for one scenario run.
 pub struct PlacementEngine {
@@ -71,11 +55,6 @@ impl PlacementEngine {
             relocated: false,
             seen: if active { vec![Vec::new(); num_nodes] } else { Vec::new() },
         }
-    }
-
-    /// Whether the relocation has fired.
-    pub fn relocated(&self) -> bool {
-        self.relocated
     }
 
     /// The coalition's current node ids.
@@ -120,47 +99,6 @@ impl PlacementEngine {
         self.relocated = true;
         self.seen = Vec::new();
         Some(&self.members)
-    }
-
-    /// Snapshot of the cross-round state for checkpoint/resume.
-    pub fn export_state(&self) -> PlacementState {
-        PlacementState {
-            relocated: self.relocated,
-            members: self.members.clone(),
-            seen: self.seen.clone(),
-        }
-    }
-
-    /// Restores a state captured by [`PlacementEngine::export_state`].
-    ///
-    /// # Errors
-    ///
-    /// Leaves the engine unchanged and names the misfit: `placement members`
-    /// when they are not the spec's coalition size in ascending order (a
-    /// mismatch means the state belongs to a different run), `placement
-    /// delivery log` when the log does not fit the engine (inert engines
-    /// carry none).
-    pub fn restore_state(&mut self, state: PlacementState) -> Result<(), String> {
-        let ascending = state.members.windows(2).all(|w| w[0] < w[1]);
-        if state.members.len() != self.coalition || !ascending {
-            return Err("placement members".to_string());
-        }
-        let log_fits = if self.seen.is_empty() {
-            state.seen.is_empty()
-        } else {
-            state.relocated || state.seen.len() == self.seen.len()
-        };
-        if !log_fits {
-            return Err("placement delivery log".to_string());
-        }
-        self.relocated = state.relocated;
-        self.members = state.members;
-        if state.relocated {
-            self.seen = Vec::new();
-        } else if !self.seen.is_empty() {
-            self.seen = state.seen;
-        }
-        Ok(())
     }
 }
 
@@ -274,7 +212,7 @@ mod tests {
         assert!(engine.maybe_relocate(4, &t).is_none(), "warm-up still running");
         let members = engine.maybe_relocate(5, &t).unwrap().to_vec();
         assert_eq!(members, vec![1, 3]);
-        assert!(engine.relocated());
+        assert!(engine.relocated);
         // The relocation fires exactly once.
         assert!(engine.maybe_relocate(6, &t).is_none());
     }
@@ -312,7 +250,7 @@ mod tests {
         let t = traffic(&[9; 6], &[9; 6]);
         assert!(engine.maybe_relocate(100, &t).is_none());
         assert_eq!(engine.members(), &[0, 3]);
-        assert!(engine.export_state().seen.is_empty());
+        assert!(engine.seen.is_empty());
     }
 
     #[test]
@@ -321,29 +259,6 @@ mod tests {
         for s in [3u32, 1, 3, 2, 1] {
             engine.observe_delivery(0, s);
         }
-        assert_eq!(engine.export_state().seen[0], vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn state_roundtrips_across_the_relocation_boundary() {
-        let t = traffic(&[1, 9, 0, 4], &[0; 4]);
-        // Before the boundary: the log travels with the state.
-        let mut a = PlacementEngine::new(PlacementStrategy::Degree, 3, vec![0, 2], 4);
-        a.observe_delivery(1, 0);
-        let mut b = PlacementEngine::new(PlacementStrategy::Degree, 3, vec![0, 2], 4);
-        b.restore_state(a.export_state()).unwrap();
-        assert_eq!(b.export_state(), a.export_state());
-        // Both fire the same relocation.
-        assert_eq!(
-            a.maybe_relocate(3, &t).unwrap().to_vec(),
-            b.maybe_relocate(3, &t).unwrap().to_vec()
-        );
-        // After the boundary: restoring a relocated state re-applies the
-        // membership and drops the log.
-        let mut c = PlacementEngine::new(PlacementStrategy::Degree, 3, vec![0, 2], 4);
-        c.restore_state(a.export_state()).unwrap();
-        assert!(c.relocated());
-        assert_eq!(c.members(), a.members());
-        assert!(c.maybe_relocate(9, &t).is_none());
+        assert_eq!(engine.seen[0], vec![1, 2, 3]);
     }
 }

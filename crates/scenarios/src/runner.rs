@@ -1,7 +1,8 @@
 //! The suite runner: executes [`ScenarioSpec`]s deterministically from their
-//! seeds, streams one JSONL record per (scenario, evaluation round), and
-//! checkpoints/restores full run state so long paper-scale suites survive
-//! interruption.
+//! seeds and streams one JSONL record per (scenario, evaluation round). A
+//! stopped or killed run resumes by replay: it runs again from round 0,
+//! checks every record it recomputes against the stream the first run left,
+//! and appends only what that stream lacks (see [`RunOptions::resume`]).
 //!
 //! Record schema (all floats finite, one object per line):
 //!
@@ -27,16 +28,17 @@
 //!   `other`; `counters` holds the round's registry deltas; `hist` holds
 //!   per-metric `{count, sum_us, p50_us, p99_us}` latency summaries.
 //!
-//! `elapsed_ms`, `bytes_materialized`, `peak_rss_bytes`, `setup_us` and every
-//! `trace` record are wall-clock-derived and gated behind [`RunOptions::timing`], so
+//! The timing-class fields (`TIMING_FIELDS`: `elapsed_ms`, `bytes_materialized`,
+//! `peak_rss_bytes`, `setup_us`, `round_us`) and every `trace` record are
+//! wall-clock-derived and gated behind [`RunOptions::timing`], so
 //! `--no-timing` runs are byte-identical given the same spec and seed — the
 //! tracing layer stays *active* (every scenario runs with a detail-enabled
-//! recorder), it just never writes into the deterministic stream.
+//! recorder), it just never writes into the deterministic stream. A resume
+//! leaves them out when it compares records.
 
-use crate::checkpoint::{write_durably, AttackState, Checkpoint, ProtocolState};
 use crate::dynamics::{FlDynamics, GlDynamics, ParticipantDynamics};
 use crate::json::{Json, ObjBuilder};
-use crate::placement::{PlacementEngine, PlacementObserver, PlacementState};
+use crate::placement::{PlacementEngine, PlacementObserver};
 use crate::setup::{try_build_setup_traced, RecsysSetup, SETUP_STAGES};
 use crate::spec::{DefenseKind, ModelKind, ProtocolKind, ScenarioSpec, SuiteSpec};
 use cia_core::metrics::random_bound;
@@ -52,24 +54,27 @@ use cia_models::parallel::par_map;
 use cia_models::{
     f1_at_k, hit_ratio, GmfClient, GmfSpec, Participant, PrmeClient, PrmeSpec, RelevanceScorer,
 };
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::Write;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-/// How a suite run behaves around its JSONL stream and checkpoints.
+/// How a suite run behaves around its JSONL stream.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
     /// Include wall-clock `elapsed_ms` fields (the only non-deterministic
     /// part of the stream).
     pub timing: bool,
-    /// Directory for checkpoint files; `None` disables checkpointing.
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Save a checkpoint every this many rounds (0 = only when stopping).
-    pub checkpoint_every: u64,
-    /// Resume from an existing checkpoint if one is present.
-    pub resume: bool,
-    /// Stop (checkpointing first, when enabled) once this many rounds have
-    /// completed — simulates a killed run; `None` runs to completion.
+    /// The stream a stopped or killed run of the same scenarios left behind.
+    /// The run recomputes every scenario from round 0, checks each record
+    /// against that scenario's records in the stream, in order (timing-class
+    /// fields and `trace` records aside), and writes to the sink only the
+    /// records the stream lacks. A torn last line (no trailing newline) is
+    /// not part of the stream. A mismatch, or a stream line no recomputed
+    /// record accounts for, is an error naming the line, and then nothing
+    /// is written. `None` (or an empty stream) runs fresh.
+    pub resume: Option<String>,
+    /// Stop once this many rounds have completed — simulates a killed run;
+    /// `None` runs to completion.
     pub stop_after_rounds: Option<u64>,
 }
 
@@ -80,8 +85,7 @@ pub struct ScenarioOutcome {
     pub name: String,
     /// Attack summary (Max AAC, Best-10%, bounds, history).
     pub attack: AttackOutcome,
-    /// Recommendation utility (`None` when the run stopped early or was
-    /// skipped).
+    /// Recommendation utility (`None` when the run stopped early).
     pub utility: Option<f64>,
     /// Name of the utility metric.
     pub utility_metric: &'static str,
@@ -89,17 +93,13 @@ pub struct ScenarioOutcome {
     pub rounds_done: u64,
     /// Whether the scenario ran to completion.
     pub completed: bool,
-    /// Whether a resume skipped the scenario because a completion marker
-    /// showed its records are already in the stream.
-    pub skipped: bool,
     /// Wall-clock duration of this invocation.
     pub elapsed: Duration,
     /// Per-round trace chunks drained from the scenario's recorder: one
-    /// `(round, chunk)` entry per protocol round this *invocation* executed,
+    /// `(round, chunk)` entry per protocol round this invocation executed,
     /// plus a final entry (at `round == total`) for the utility evaluation.
-    /// Recorder state is not checkpointed (wall-clock measurements cannot be
-    /// replayed — see `crate::checkpoint`), so after a resume this covers
-    /// only post-resume rounds.
+    /// A resume reruns from round 0, so its chunks cover the replayed
+    /// rounds too.
     pub traces: Vec<(u64, TraceChunk)>,
 }
 
@@ -117,8 +117,8 @@ pub struct RunResult {
     pub elapsed: Duration,
 }
 
-/// Runs one scenario to completion with no JSONL stream and no checkpoints —
-/// the entry point `cia-experiments` tables use.
+/// Runs one scenario to completion with no JSONL stream — the entry point
+/// `cia-experiments` tables use.
 ///
 /// # Panics
 ///
@@ -141,7 +141,7 @@ pub fn run_quiet(spec: &ScenarioSpec) -> RunResult {
 ///
 /// # Errors
 ///
-/// Returns the first expansion, spec validation, I/O or checkpoint error.
+/// Returns the first expansion, spec validation, I/O or resume error.
 pub fn run_suite(
     suite: &SuiteSpec,
     opts: &RunOptions,
@@ -161,7 +161,7 @@ pub fn run_suite(
 ///
 /// # Errors
 ///
-/// Returns the first spec validation, I/O or checkpoint error.
+/// Returns the first spec validation, I/O or resume error.
 pub fn run_scenarios(
     scenarios: &[ScenarioSpec],
     suite: &str,
@@ -169,10 +169,11 @@ pub fn run_scenarios(
     sink: &mut dyn Write,
     mut done: impl FnMut(&ScenarioOutcome),
 ) -> Result<Vec<ScenarioOutcome>, String> {
+    let mut out = Out::new(sink, opts.resume.as_deref(), scenarios)?;
     let mut last = None;
     let mut outcomes = Vec::with_capacity(scenarios.len());
     for spec in scenarios {
-        let outcome = run_reusing(spec, suite, opts, sink, &mut last)?;
+        let outcome = run_reusing(spec, suite, opts, &mut out, &mut last)?;
         done(&outcome);
         outcomes.push(outcome);
     }
@@ -183,14 +184,15 @@ pub fn run_scenarios(
 ///
 /// # Errors
 ///
-/// Returns the first spec validation, I/O or checkpoint error.
+/// Returns the first spec validation, I/O or resume error.
 pub fn run_scenario(
     spec: &ScenarioSpec,
     suite: &str,
     opts: &RunOptions,
     sink: &mut dyn Write,
 ) -> Result<ScenarioOutcome, String> {
-    run_reusing(spec, suite, opts, sink, &mut None)
+    let mut out = Out::new(sink, opts.resume.as_deref(), std::slice::from_ref(spec))?;
+    run_reusing(spec, suite, opts, &mut out, &mut None)
 }
 
 /// What a scenario's setup is a pure function of: preset, scale, K override
@@ -203,7 +205,7 @@ fn run_reusing(
     spec: &ScenarioSpec,
     suite: &str,
     opts: &RunOptions,
-    sink: &mut dyn Write,
+    out: &mut Out,
     last: &mut Option<(SetupKey, RecsysSetup)>,
 ) -> Result<ScenarioOutcome, String> {
     spec.validate()?;
@@ -211,23 +213,10 @@ fn run_reusing(
     let start = Instant::now();
     // One recorder per scenario, detail always on: `--no-timing` byte
     // identity is a property of the *emission* gate, not of tracing being
-    // compiled out or disabled. Never checkpointed — see `crate::checkpoint`.
+    // compiled out or disabled.
     let rec = Recorder::new();
     rec.set_detail(true);
     let ctx = Ctx { spec, suite, opts, start, rec };
-    // A suite killed in scenario N leaves scenarios 1..N completed with
-    // their records already in the stream; the completion marker stops a
-    // resume from re-running them and appending duplicates.
-    if opts.resume && ctx.completion_marker_matches() {
-        let attack = cia_core::AttackTracker::new(1, 0).outcome();
-        let outcome = scenario_outcome(spec, attack, None, "", 0, Vec::new());
-        return Ok(ScenarioOutcome {
-            completed: true,
-            skipped: true,
-            elapsed: start.elapsed(),
-            ..outcome
-        });
-    }
     let key = (spec.preset, spec.scale, spec.k_override, spec.seed);
     // A setup under another key is dropped here, before the new one is built.
     let setup = match last.take().filter(|(k, _)| *k == key) {
@@ -238,9 +227,10 @@ fn run_reusing(
         }
     };
     let mut outcome = match spec.model {
-        ModelKind::Gmf => run_gmf(&ctx, &setup, sink),
-        ModelKind::Prme => run_prme(&ctx, &setup, sink),
+        ModelKind::Gmf => run_gmf(&ctx, &setup, out),
+        ModelKind::Prme => run_prme(&ctx, &setup, out),
     }?;
+    out.end_scenario(&spec.name)?;
     *last = Some((key, setup));
     outcome.elapsed = start.elapsed();
     Ok(outcome)
@@ -257,22 +247,149 @@ struct Ctx<'a> {
     rec: Recorder,
 }
 
-impl Ctx<'_> {
-    fn checkpoint_path(&self) -> Option<PathBuf> {
-        self.opts.checkpoint_dir.as_ref().map(|dir| Checkpoint::path_for(dir, &self.spec.name))
+/// Where a run's records go. A fresh run writes each one to the sink. A
+/// resumed run first checks each against the stream it resumes and writes
+/// only what that stream lacks, holding it back until every stream record
+/// has been recomputed, so a stream that does not match is left as it was.
+struct Out<'a> {
+    sink: &'a mut dyn Write,
+    /// Per scenario: its stream records not yet recomputed, in order, as
+    /// (line number, record without timing-class fields).
+    expected: BTreeMap<String, VecDeque<(usize, Json)>>,
+    /// Stream records not yet recomputed, over all scenarios.
+    unmatched: usize,
+    /// (scenario, round) of every trace record the stream holds.
+    traced: BTreeSet<(String, u64)>,
+    /// Records to append, held back while `unmatched > 0`.
+    held: Vec<u8>,
+}
+
+impl<'a> Out<'a> {
+    /// Reads `stream` (a resumed run's; `None` for a fresh run), refusing a
+    /// line that is not a record or that names none of `scenarios`.
+    fn new(
+        sink: &'a mut dyn Write,
+        stream: Option<&str>,
+        scenarios: &[ScenarioSpec],
+    ) -> Result<Self, String> {
+        let mut out = Out {
+            sink,
+            expected: BTreeMap::new(),
+            unmatched: 0,
+            traced: BTreeSet::new(),
+            held: Vec::new(),
+        };
+        let stream = stream.unwrap_or_default();
+        // A kill can tear the last line; the caller cuts it off when it
+        // appends, so it is not part of the stream.
+        let complete = &stream[..stream.rfind('\n').map_or(0, |i| i + 1)];
+        for (i, line) in complete.lines().enumerate() {
+            let at = |msg: String| format!("resume: line {}: {msg}", i + 1);
+            let record = Json::parse(line).map_err(at)?;
+            let kind = check_record(&record).map_err(at)?;
+            let scenario = record.get("scenario").and_then(Json::as_str).unwrap_or_default();
+            if !scenarios.iter().any(|s| s.name == scenario) {
+                return Err(at(format!("scenario `{scenario}` is not one this run runs")));
+            }
+            if kind == TIMING_RECORD {
+                let round = record.get("round").and_then(Json::as_u64).unwrap_or_default();
+                out.traced.insert((scenario.to_string(), round));
+                continue;
+            }
+            let entry = out.expected.entry(scenario.to_string()).or_default();
+            entry.push_back((i + 1, strip_timing(&record)));
+            out.unmatched += 1;
+        }
+        Ok(out)
     }
 
-    fn completion_marker_path(&self) -> Option<PathBuf> {
-        self.checkpoint_path().map(|p| p.with_extension("done"))
+    /// Checks `record` of `scenario` against the stream's next record of
+    /// that scenario, or appends it once the stream has none left.
+    fn record(&mut self, scenario: &str, record: &Json) -> Result<(), String> {
+        let Some((line, want)) = self.expected.get_mut(scenario).and_then(VecDeque::pop_front)
+        else {
+            return self.append(record);
+        };
+        let got = strip_timing(record);
+        if got != want {
+            let diff = first_difference(&want, &got);
+            return Err(format!("resume: line {line}: {diff} (scenario `{scenario}`)"));
+        }
+        self.unmatched -= 1;
+        if self.unmatched == 0 {
+            let held = std::mem::take(&mut self.held);
+            self.write(&held)?;
+        }
+        Ok(())
     }
 
-    /// Whether a matching completion marker exists for this spec.
-    fn completion_marker_matches(&self) -> bool {
-        self.completion_marker_path().is_some_and(|p| {
-            std::fs::read_to_string(p)
-                .is_ok_and(|text| text.trim() == format!("{:016x}", self.spec.fingerprint()))
-        })
+    /// Appends `record`, the trace record of `round`, unless the stream
+    /// already holds one for it.
+    fn trace(&mut self, scenario: &str, round: u64, record: &Json) -> Result<(), String> {
+        if self.traced.contains(&(scenario.to_string(), round)) {
+            return Ok(());
+        }
+        self.append(record)
     }
+
+    /// Writes `record`, or holds it back while stream records are still
+    /// unmatched.
+    fn append(&mut self, record: &Json) -> Result<(), String> {
+        let mut line = record.render();
+        line.push('\n');
+        if self.unmatched > 0 {
+            self.held.extend_from_slice(line.as_bytes());
+            return Ok(());
+        }
+        self.write(line.as_bytes())
+    }
+
+    /// Refuses stream records of `scenario` left once it has ended: no
+    /// recomputed record accounts for them.
+    fn end_scenario(&mut self, scenario: &str) -> Result<(), String> {
+        match self.expected.get(scenario).and_then(VecDeque::front) {
+            Some((line, _)) => Err(format!(
+                "resume: line {line}: no recomputed record of scenario `{scenario}` accounts for it"
+            )),
+            None => Ok(()),
+        }
+    }
+
+    fn write(&mut self, bytes: &[u8]) -> Result<(), String> {
+        self.sink.write_all(bytes).map_err(|e| format!("cannot write record: {e}"))
+    }
+}
+
+/// The timing-class fields: wall-clock or OS readings, optional in every
+/// record (absent under `--no-timing`) and left out when a resume compares
+/// records. `setup_us` maps each setup stage to its µs; the others are
+/// non-negative integers.
+pub(crate) const TIMING_FIELDS: [&str; 5] =
+    ["elapsed_ms", "bytes_materialized", "peak_rss_bytes", "setup_us", "round_us"];
+
+/// The record type that is timing-class as a whole: written only when
+/// timing is on, and never compared on resume.
+pub(crate) const TIMING_RECORD: &str = "trace";
+
+/// `record` without its [`TIMING_FIELDS`].
+fn strip_timing(record: &Json) -> Json {
+    let fields = record.as_obj().unwrap_or_default();
+    let kept = fields.iter().filter(|(k, _)| !TIMING_FIELDS.contains(&k.as_str()));
+    Json::Obj(kept.cloned().collect())
+}
+
+/// Names the first key whose value differs between the stream's record and
+/// the recomputed one.
+fn first_difference(stream: &Json, recomputed: &Json) -> String {
+    let keys = recomputed.as_obj().into_iter().chain(stream.as_obj()).flatten();
+    let show = |v: Option<&Json>| v.map_or_else(|| "absent".to_string(), Json::render);
+    for (key, _) in keys {
+        let (a, b) = (stream.get(key), recomputed.get(key));
+        if a != b {
+            return format!("`{key}` is {} in the stream, {} recomputed", show(a), show(b));
+        }
+    }
+    "the keys are in another order than recomputed".to_string()
 }
 
 /// The GMF scorer every scenario run uses — public so the hand-wired
@@ -283,11 +400,7 @@ pub fn gmf_scorer(num_items: u32, dim: usize) -> GmfSpec {
     GmfSpec::new(num_items, dim)
 }
 
-fn run_gmf(
-    ctx: &Ctx,
-    setup: &RecsysSetup,
-    sink: &mut dyn Write,
-) -> Result<ScenarioOutcome, String> {
+fn run_gmf(ctx: &Ctx, setup: &RecsysSetup, out: &mut Out) -> Result<ScenarioOutcome, String> {
     let model_spec = gmf_scorer(setup.data.num_items(), setup.params.dim);
     let policy = ctx.spec.defense.policy();
     let clients = {
@@ -312,14 +425,10 @@ fn run_gmf(
         }
         hits.iter().filter(|&&h| h).count() as f64 / n as f64
     };
-    run_protocol(ctx, setup, model_spec, clients, utility, "HR@20", sink)
+    run_protocol(ctx, setup, model_spec, clients, utility, "HR@20", out)
 }
 
-fn run_prme(
-    ctx: &Ctx,
-    setup: &RecsysSetup,
-    sink: &mut dyn Write,
-) -> Result<ScenarioOutcome, String> {
+fn run_prme(ctx: &Ctx, setup: &RecsysSetup, out: &mut Out) -> Result<ScenarioOutcome, String> {
     let model_spec = PrmeSpec::new(setup.data.num_items(), setup.params.dim);
     let policy = ctx.spec.defense.policy();
     let split = &setup.split;
@@ -361,7 +470,7 @@ fn run_prme(
         // cia-lint: allow(D07, sequential left-to-right fold over a slice in index order; the reduction order is fixed)
         f1s.iter().sum::<f64>() / clients.len() as f64
     };
-    run_protocol(ctx, setup, model_spec, clients, utility, "F1@20", sink)
+    run_protocol(ctx, setup, model_spec, clients, utility, "F1@20", out)
 }
 
 /// Items scored per tile during catalog evaluation: small enough that a
@@ -386,7 +495,7 @@ fn run_protocol<S, P>(
     clients: Vec<P>,
     utility: impl Fn(&[P], Option<&[f32]>) -> f64,
     utility_metric: &'static str,
-    sink: &mut dyn Write,
+    out: &mut Out,
 ) -> Result<ScenarioOutcome, String>
 where
     S: RelevanceScorer + Clone + 'static,
@@ -420,7 +529,7 @@ where
         }
         sim.set_recorder(ctx.rec.clone());
         attack.set_recorder(ctx.rec.clone());
-        return drive(ctx, setup, FlRun { sim, attack }, dynamics, utility, utility_metric, sink);
+        return drive(ctx, setup, FlRun { sim, attack }, dynamics, utility, utility_metric, out);
     }
     let protocol = match spec.protocol {
         ProtocolKind::PersGossip => GossipProtocol::Pers { exploration: 0.4 },
@@ -459,7 +568,7 @@ where
     };
     let placement = PlacementEngine::new(strategy, spec.dynamics.placement_warmup, members, n);
     let run = GlRun { sim, attack, placement };
-    drive(ctx, setup, run, dynamics, utility, utility_metric, sink)
+    drive(ctx, setup, run, dynamics, utility, utility_metric, out)
 }
 
 /// What one protocol round reports into its `round_eval` records.
@@ -471,40 +580,21 @@ struct StepReport {
 }
 
 /// What a protocol contributes to the scenario loop ([`drive`]): one round
-/// with its observer stack, plus its checkpoint sections. Resume, emission,
-/// checkpoint cadence and assembly, tracing, the stop path, utility and the
-/// summary belong to the loop.
+/// with its observer stack. Emission, tracing, the stop path, utility and
+/// the summary belong to the loop.
 trait ProtocolRun {
     /// The participant type the protocol trains.
     type Client: Participant;
 
-    /// The participants (resume restores their state in place).
-    fn clients(&mut self) -> &mut [Self::Client];
-    /// The attack engine (resume restores it in place).
-    fn attack(&mut self) -> &mut dyn Attack;
+    /// The attack engine.
+    fn attack(&self) -> &dyn Attack;
     /// Runs one round with the dynamics layer and the attack observing.
     fn step(&mut self, dynamics: &mut ParticipantDynamics) -> StepReport;
-    /// The protocol and placement checkpoint sections.
-    fn export(&self) -> (ProtocolState, PlacementState);
-    /// Restores [`ProtocolRun::export`]'s sections, saved after `round`
-    /// rounds — after the attack's restore, before the dynamics state's.
-    /// Refuses the other protocol family's state, or state that does not
-    /// fit the rebuilt simulation, naming the misfit part.
-    fn restore(
-        &mut self,
-        round: u64,
-        protocol: ProtocolState,
-        placement: PlacementState,
-        dynamics: &mut ParticipantDynamics,
-    ) -> Result<(), String>;
     /// The participants for the final utility evaluation, and the model
     /// they all deploy if there is one (FedAvg's final global); without
     /// one, each scores with its own aggregate.
     fn deployed(&self) -> (&[Self::Client], Option<&[f32]>);
 }
-
-/// The adversary's Share-less fictive embeddings, one slot per user.
-type Embeddings = Vec<Option<Vec<f32>>>;
 
 /// The attack-engine surface [`drive`] needs, shared by [`FlCia`] and both
 /// gossip engines.
@@ -513,20 +603,14 @@ trait Attack {
     fn outcome(&self) -> AttackOutcome;
     /// Whether any model has reached the adversary so far.
     fn observed_any(&self) -> bool;
-    /// The engine's checkpoint section and the adversary's embeddings.
-    fn export(&self) -> (AttackState, Embeddings);
-    /// Restores [`Attack::export`]'s sections; refuses another engine's
-    /// state, or state that does not fit this engine, naming the misfit part.
-    fn restore(&mut self, state: AttackState, embs: Embeddings) -> Result<(), String>;
     /// Moves a gossip coalition onto relocated ids. The FL attack and the
     /// all-placements sweep have no coalition to move.
     fn set_members(&mut self, _members: &[u32]) {}
 }
 
-/// Implements [`Attack`] for an engine whose checkpoint section is the
-/// `AttackState::$state` variant, forwarding `set_members` when given.
+/// Implements [`Attack`] for an engine, forwarding `set_members` when given.
 macro_rules! impl_attack {
-    ($engine:ident, $state:ident $(, $set_members:ident)?) => {
+    ($engine:ident $(, $set_members:ident)?) => {
         impl<S: RelevanceScorer> Attack for $engine<ItemSetEvaluator<S>> {
             fn history(&self) -> &[RoundPoint] {
                 $engine::history(self)
@@ -540,19 +624,6 @@ macro_rules! impl_attack {
                 $engine::observed_any(self)
             }
 
-            fn export(&self) -> (AttackState, Embeddings) {
-                let embs = self.evaluator().adversary_embeddings().to_vec();
-                (AttackState::$state(self.export_state()), embs)
-            }
-
-            fn restore(&mut self, state: AttackState, embs: Embeddings) -> Result<(), String> {
-                let AttackState::$state(state) = state else {
-                    return Err("attack family".to_string());
-                };
-                self.restore_state(state)?;
-                self.evaluator_mut().restore_adversary_embeddings(embs)
-            }
-
             $(fn set_members(&mut self, members: &[u32]) {
                 $engine::$set_members(self, members);
             })?
@@ -560,9 +631,9 @@ macro_rules! impl_attack {
     };
 }
 
-impl_attack!(FlCia, Cia);
-impl_attack!(GlCiaCoalition, Cia, set_members);
-impl_attack!(GlCiaAllPlacements, Placements);
+impl_attack!(FlCia);
+impl_attack!(GlCiaCoalition, set_members);
+impl_attack!(GlCiaAllPlacements);
 
 /// Either gossip engine behind one trait object: the paper-exact coalition
 /// or the all-placements sweep.
@@ -579,12 +650,8 @@ struct FlRun<S: RelevanceScorer, P: Participant> {
 impl<S: RelevanceScorer, P: Participant> ProtocolRun for FlRun<S, P> {
     type Client = P;
 
-    fn clients(&mut self) -> &mut [P] {
-        self.sim.clients_mut()
-    }
-
-    fn attack(&mut self) -> &mut dyn Attack {
-        &mut self.attack
+    fn attack(&self) -> &dyn Attack {
+        &self.attack
     }
 
     fn step(&mut self, dynamics: &mut ParticipantDynamics) -> StepReport {
@@ -594,23 +661,6 @@ impl<S: RelevanceScorer, P: Participant> ProtocolRun for FlRun<S, P> {
             mean_loss: stats.mean_loss,
             bytes_materialized: stats.bytes_materialized,
         }
-    }
-
-    fn export(&self) -> (ProtocolState, PlacementState) {
-        (ProtocolState::Fl { global: self.sim.global_agg().to_vec() }, PlacementState::default())
-    }
-
-    fn restore(
-        &mut self,
-        round: u64,
-        protocol: ProtocolState,
-        _placement: PlacementState,
-        _dynamics: &mut ParticipantDynamics,
-    ) -> Result<(), String> {
-        let ProtocolState::Fl { global } = protocol else {
-            return Err("protocol family".to_string());
-        };
-        self.sim.restore(round, global)
     }
 
     fn deployed(&self) -> (&[P], Option<&[f32]>) {
@@ -631,12 +681,8 @@ struct GlRun<P: Participant> {
 impl<P: Participant> ProtocolRun for GlRun<P> {
     type Client = P;
 
-    fn clients(&mut self) -> &mut [P] {
-        self.sim.nodes_mut()
-    }
-
-    fn attack(&mut self) -> &mut dyn Attack {
-        &mut *self.attack
+    fn attack(&self) -> &dyn Attack {
+        &*self.attack
     }
 
     fn step(&mut self, dynamics: &mut ParticipantDynamics) -> StepReport {
@@ -652,31 +698,6 @@ impl<P: Participant> ProtocolRun for GlRun<P> {
         }
     }
 
-    fn export(&self) -> (ProtocolState, PlacementState) {
-        (ProtocolState::Gl(self.sim.export_state()), self.placement.export_state())
-    }
-
-    fn restore(
-        &mut self,
-        round: u64,
-        protocol: ProtocolState,
-        placement: PlacementState,
-        dynamics: &mut ParticipantDynamics,
-    ) -> Result<(), String> {
-        let ProtocolState::Gl(state) = protocol else {
-            return Err("protocol family".to_string());
-        };
-        self.sim.restore_state(round, state)?;
-        self.placement.restore_state(placement)?;
-        if self.placement.relocated() {
-            // Re-apply the relocation to the tables rebuilt from the spec —
-            // before the dynamics state restore, whose online bitmap already
-            // reflects post-relocation churn.
-            relocate(&mut *self.attack, dynamics, self.placement.members());
-        }
-        Ok(())
-    }
-
     fn deployed(&self) -> (&[P], Option<&[f32]>) {
         (self.sim.nodes(), None)
     }
@@ -690,10 +711,10 @@ fn relocate(attack: &mut dyn GlAttack, dynamics: &mut ParticipantDynamics, membe
     dynamics.set_sybil_members(members);
 }
 
-/// The scenario loop, shared by both protocols: resumes from a checkpoint,
-/// then per round steps the protocol, emits the new `round_eval` records,
-/// checkpoints and drains the trace — until the stop limit, or until the
-/// horizon, where it evaluates utility and emits the summary.
+/// The scenario loop, shared by both protocols: per round steps the
+/// protocol, emits the new `round_eval` records and drains the trace —
+/// until the stop limit, or until the horizon, where it evaluates utility
+/// and emits the summary.
 fn drive<R: ProtocolRun>(
     ctx: &Ctx,
     setup: &RecsysSetup,
@@ -701,7 +722,7 @@ fn drive<R: ProtocolRun>(
     mut dynamics: ParticipantDynamics,
     utility: impl Fn(&[R::Client], Option<&[f32]>) -> f64,
     utility_metric: &'static str,
-    sink: &mut dyn Write,
+    out: &mut Out,
 ) -> Result<ScenarioOutcome, String> {
     let spec = ctx.spec;
     let n = setup.data.num_users();
@@ -713,64 +734,20 @@ fn drive<R: ProtocolRun>(
     let setup_chunk = ctx.rec.drain();
     let setup_us = SETUP_STAGES.map(|stage| (stage, setup_chunk.span_us(stage)));
 
-    let (mut done, mut emitted) = (0u64, 0usize);
-    if let Some(path) = ctx.checkpoint_path().filter(|p| ctx.opts.resume && p.exists()) {
-        let ck = Checkpoint::load(&path, spec.fingerprint())?;
-        let mismatch = |part: &str| format!("{}: checkpoint {part} mismatch", spec.name);
-        if ck.clients.len() != n {
-            return Err(mismatch("population"));
-        }
-        proto.attack().restore(ck.attack, ck.adversary_embs).map_err(|part| mismatch(&part))?;
-        proto
-            .restore(ck.round, ck.protocol, ck.placement, &mut dynamics)
-            .map_err(|part| mismatch(&part))?;
-        for (i, (c, s)) in proto.clients().iter_mut().zip(&ck.clients).enumerate() {
-            c.restore_state(s).map_err(|_| mismatch(&format!("state of client {i}")))?;
-        }
-        dynamics.restore_state(ck.dynamics).map_err(|part| mismatch(&part))?;
-        // Every record of the restored history was emitted before the save.
-        (done, emitted) = (ck.round, proto.attack().history().len());
-    }
-
     let rb = random_bound(setup.k, n.saturating_sub(1));
-    while done < total {
+    let mut emitted = 0usize;
+    for done in 1..=total {
         let round_span = ctx.rec.span("round");
         let step = proto.step(&mut dynamics);
-        done += 1;
-        let emitted_before = emitted;
         let emit_span = ctx.rec.span("emit");
         while let Some(p) = proto.attack().history().get(emitted) {
-            emit_round_eval(ctx, sink, p, rb, dynamics.online_count(), &step)?;
+            emit_round_eval(ctx, out, p, rb, dynamics.online_count(), &step)?;
             emitted += 1;
         }
         drop(emit_span);
-        let stopping = ctx.opts.stop_after_rounds.is_some_and(|limit| done >= limit);
-        // Rounds that emitted records always checkpoint, keeping the stream's
-        // record count in lockstep with the checkpoint's attack history — a
-        // kill can then duplicate at most the current round's records on
-        // resume.
-        let every = ctx.opts.checkpoint_every;
-        let due = stopping || emitted > emitted_before || (every > 0 && done.is_multiple_of(every));
-        if let Some(path) = ctx.checkpoint_path().filter(|_| due) {
-            let checkpoint_span = ctx.rec.span("checkpoint");
-            let (protocol, placement) = proto.export();
-            let (attack, adversary_embs) = proto.attack().export();
-            let ck = Checkpoint {
-                fingerprint: spec.fingerprint(),
-                round: done,
-                clients: proto.clients().iter().map(Participant::state_vec).collect(),
-                protocol,
-                attack,
-                adversary_embs,
-                dynamics: dynamics.export_state(),
-                placement,
-            };
-            ck.save(&path).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-            drop(checkpoint_span);
-        }
         drop(round_span);
-        trace_round(ctx, sink, done - 1, &mut traces)?;
-        if stopping {
+        trace_round(ctx, out, done - 1, &mut traces)?;
+        if ctx.opts.stop_after_rounds.is_some_and(|limit| done >= limit) {
             let attack = proto.attack().outcome();
             return Ok(scenario_outcome(spec, attack, None, utility_metric, done, traces));
         }
@@ -785,11 +762,10 @@ fn drive<R: ProtocolRun>(
     let (clients, deployed) = proto.deployed();
     let utility_value = utility(clients, deployed);
     drop(utility_span);
-    trace_round(ctx, sink, total, &mut traces)?;
+    trace_round(ctx, out, total, &mut traces)?;
     let outcome = proto.attack().outcome();
     let summary = Summary { outcome: &outcome, utility: utility_value, utility_metric, setup_us };
-    emit_summary(ctx, sink, &summary, total, emitted)?;
-    clear_checkpoint(ctx)?;
+    emit_summary(ctx, out, &summary, total, emitted)?;
     Ok(scenario_outcome(spec, outcome, Some(utility_value), utility_metric, total, traces))
 }
 
@@ -810,28 +786,9 @@ fn scenario_outcome(
         utility_metric,
         rounds_done,
         completed: utility.is_some(),
-        skipped: false,
         elapsed: Duration::ZERO,
         traces,
     }
-}
-
-/// Marks the scenario complete with a fingerprinted `.done` marker, then
-/// removes its checkpoint. A suite resume checks the marker first and skips
-/// the scenario (its records are already in the stream) instead of re-running
-/// it and appending duplicates. The marker is written durably *before* the
-/// checkpoint goes, so a kill in between still leaves one of the two; a
-/// marker that cannot be written is an error, and the checkpoint stays.
-fn clear_checkpoint(ctx: &Ctx) -> Result<(), String> {
-    let (Some(path), Some(marker)) = (ctx.checkpoint_path(), ctx.completion_marker_path()) else {
-        return Ok(());
-    };
-    write_durably(&marker, format!("{:016x}\n", ctx.spec.fingerprint()).as_bytes())
-        .map_err(|e| format!("cannot write completion marker {}: {e}", marker.display()))?;
-    // The marker wins on resume, so a checkpoint that is left behind (or
-    // was never written) is harmless.
-    let _ = std::fs::remove_file(path);
-    Ok(())
 }
 
 fn base_record(ctx: &Ctx, kind: &str) -> ObjBuilder {
@@ -846,15 +803,9 @@ fn base_record(ctx: &Ctx, kind: &str) -> ObjBuilder {
         .num("seed", ctx.spec.seed as f64)
 }
 
-fn write_record(sink: &mut dyn Write, record: &Json) -> Result<(), String> {
-    let mut line = record.render();
-    line.push('\n');
-    sink.write_all(line.as_bytes()).map_err(|e| format!("cannot write record: {e}"))
-}
-
 fn emit_round_eval(
     ctx: &Ctx,
-    sink: &mut dyn Write,
+    out: &mut Out,
     p: &RoundPoint,
     random_bound: f64,
     online: usize,
@@ -891,7 +842,7 @@ fn emit_round_eval(
             b = b.num("peak_rss_bytes", rss as f64);
         }
     }
-    write_record(sink, &b.build())
+    out.record(&ctx.spec.name, &b.build())
 }
 
 /// Drains the recorder into `traces` under `round` and, when timing is on,
@@ -900,13 +851,13 @@ fn emit_round_eval(
 /// summaries.
 fn trace_round(
     ctx: &Ctx,
-    sink: &mut dyn Write,
+    out: &mut Out,
     round: u64,
     traces: &mut Vec<(u64, TraceChunk)>,
 ) -> Result<(), String> {
     let chunk = ctx.rec.drain();
     if ctx.opts.timing {
-        write_record(sink, &trace_record(ctx, round, &chunk))?;
+        out.trace(&ctx.spec.name, round, &trace_record(ctx, round, &chunk))?;
     }
     traces.push((round, chunk));
     Ok(())
@@ -950,7 +901,7 @@ fn trace_record(ctx: &Ctx, round: u64, chunk: &TraceChunk) -> Json {
     for (c, delta) in &chunk.counters {
         counters_b = counters_b.num(c.name(), *delta as f64);
     }
-    let mut b = base_record(ctx, "trace").num("round", round as f64);
+    let mut b = base_record(ctx, TIMING_RECORD).num("round", round as f64);
     if let Some(total) = round_us {
         b = b.num("round_us", total as f64);
     }
@@ -982,7 +933,7 @@ struct Summary<'a> {
 
 fn emit_summary(
     ctx: &Ctx,
-    sink: &mut dyn Write,
+    out: &mut Out,
     summary: &Summary,
     rounds: u64,
     evals: usize,
@@ -1010,7 +961,7 @@ fn emit_summary(
             setup_us.iter().fold(ObjBuilder::new(), |o, &(stage, us)| o.num(stage, us as f64));
         b = b.value("setup_us", stages.build());
     }
-    write_record(sink, &b.build())
+    out.record(&ctx.spec.name, &b.build())
 }
 
 /// Validates a JSONL result stream against the record schema. Returns the
@@ -1077,15 +1028,24 @@ pub(crate) fn check_record(v: &Json) -> Result<&str, String> {
         Ok(())
     };
     // Timing-class fields are optional (absent under `--no-timing`) but
-    // must be integral counters when present.
+    // must be integral counters when present; `setup_us` holds one per
+    // setup stage, in order.
     let timing = |key: &str| -> Result<(), String> {
-        match v.get(key) {
-            None => Ok(()),
-            Some(x) => x
-                .as_u64()
-                .map(drop)
-                .ok_or_else(|| format!("`{key}` must be a non-negative integer")),
+        let Some(x) = v.get(key) else { return Ok(()) };
+        if key != "setup_us" {
+            let err = || format!("`{key}` must be a non-negative integer");
+            return x.as_u64().map(drop).ok_or_else(err);
         }
+        let obj = x.as_obj().ok_or("`setup_us` must be an object")?;
+        let stages: Vec<&str> = obj.iter().map(|(name, _)| name.as_str()).collect();
+        if stages != SETUP_STAGES {
+            return Err(format!("`setup_us` stages {stages:?}, expected {SETUP_STAGES:?}"));
+        }
+        for (stage, us) in obj {
+            us.as_u64()
+                .ok_or_else(|| format!("`setup_us.{stage}` must be a non-negative integer"))?;
+        }
+        Ok(())
     };
     for key in SHARED {
         string(key)?;
@@ -1106,9 +1066,6 @@ pub(crate) fn check_record(v: &Json) -> Result<&str, String> {
             if v.get("mean_loss").is_some_and(|x| x.as_f64().is_none()) {
                 return Err("`mean_loss` must be numeric when present".to_string());
             }
-            for key in ["elapsed_ms", "bytes_materialized", "peak_rss_bytes"] {
-                timing(key)?;
-            }
         }
         "scenario_summary" => {
             for key in
@@ -1127,28 +1084,11 @@ pub(crate) fn check_record(v: &Json) -> Result<&str, String> {
             v.get("completed")
                 .and_then(Json::as_bool)
                 .ok_or_else(|| "missing boolean `completed`".to_string())?;
-            for key in ["elapsed_ms", "peak_rss_bytes"] {
-                timing(key)?;
-            }
-            if let Some(setup) = v.get("setup_us") {
-                let obj =
-                    setup.as_obj().ok_or_else(|| "`setup_us` must be an object".to_string())?;
-                let stages: Vec<&str> = obj.iter().map(|(name, _)| name.as_str()).collect();
-                if stages != SETUP_STAGES {
-                    return Err(format!("`setup_us` stages {stages:?}, expected {SETUP_STAGES:?}"));
-                }
-                for (stage, us) in obj {
-                    us.as_u64().ok_or_else(|| {
-                        format!("`setup_us.{stage}` must be a non-negative integer")
-                    })?;
-                }
-            }
         }
-        "trace" => {
+        TIMING_RECORD => {
             // Trace records only exist in timed streams; everything in them
             // is an integral µs/count value.
             integral("round")?;
-            timing("round_us")?;
             for key in ["span_us", "counters"] {
                 let obj = v
                     .get(key)
@@ -1172,6 +1112,9 @@ pub(crate) fn check_record(v: &Json) -> Result<&str, String> {
             }
         }
         other => return Err(format!("unknown record type `{other}`")),
+    }
+    for key in TIMING_FIELDS {
+        timing(key)?;
     }
     Ok(kind)
 }
@@ -1252,6 +1195,43 @@ mod tests {
                 }
                 last = Some((name, round));
             }
+        }
+    }
+
+    /// `stream` with its `trace` records and timing-class fields left out,
+    /// one line per record.
+    fn stripped(stream: &str) -> Vec<String> {
+        let records = stream.lines().map(|line| Json::parse(line).unwrap());
+        let kept = records.filter(|v| v.get("type").and_then(Json::as_str) != Some(TIMING_RECORD));
+        kept.map(|v| strip_timing(&v).render()).collect()
+    }
+
+    #[test]
+    fn a_timed_resume_strips_to_the_untimed_golden() {
+        // A stream stopped with timing on or off, then resumed with timing
+        // on. Every timing-class field the runner writes is in
+        // `TIMING_FIELDS`: otherwise the stripped stream would differ from
+        // the golden, and a timed resume would refuse a good stream.
+        let suite = builtin_suite(Scale::Smoke, 42);
+        let golden = include_str!("../tests/golden/builtin-smoke.jsonl");
+        for timing in [true, false] {
+            let mut stream = Vec::new();
+            let stop = RunOptions { timing, stop_after_rounds: Some(3), ..RunOptions::default() };
+            run_suite(&suite, &stop, &mut stream).unwrap();
+            let stream = String::from_utf8(stream).unwrap();
+            let mut rest = Vec::new();
+            let resume =
+                RunOptions { timing: true, resume: Some(stream.clone()), stop_after_rounds: None };
+            run_suite(&suite, &resume, &mut rest).unwrap();
+            let resumed = stream + &String::from_utf8(rest).unwrap();
+            validate_jsonl(&resumed).unwrap();
+            assert!(resumed.contains(r#""elapsed_ms":"#) && resumed.contains(r#""type":"trace""#));
+            // The stopped prefixes of the three scenarios come first, so
+            // compare the records as a multiset.
+            let (mut got, mut want) = (stripped(&resumed), stripped(golden));
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "stopped with timing {timing}");
         }
     }
 

@@ -308,7 +308,7 @@ impl DynamicsSpec {
 /// One scenario: everything needed to run a workload end to end.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
-    /// Scenario name (JSONL records and checkpoint files key on it).
+    /// Scenario name (JSONL records, and a resume matching them, key on it).
     pub name: String,
     /// Dataset preset.
     pub preset: Preset,
@@ -545,23 +545,6 @@ impl ScenarioSpec {
         spec.validate()?;
         Ok(spec)
     }
-
-    /// A stable fingerprint of the spec (FNV-1a over the canonical JSON),
-    /// used to refuse resuming a checkpoint against a different spec.
-    pub fn fingerprint(&self) -> u64 {
-        fnv1a64(self.to_json().render().bytes())
-    }
-}
-
-/// FNV-1a over a byte stream — the crate's one hash, shared by spec
-/// fingerprints and checkpoint file naming.
-pub(crate) fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// Rejects a value that is not an object, and keys outside the schema —
@@ -634,7 +617,7 @@ impl Range {
 /// One numeric scenario field: its document path, the values it accepts and
 /// how to read and write it on a [`ScenarioSpec`]. `from_json`, `validate`
 /// and [`SweepField`] all walk [`FIELDS`]; `to_json` writes each field by
-/// hand, because its key order is what [`ScenarioSpec::fingerprint`] hashes.
+/// hand, in the document's key order.
 struct Field {
     /// `"<key>"` at the scenario's top level, `"<block>.<key>"` inside one.
     path: &'static str,
@@ -1370,7 +1353,7 @@ mod tests {
         let doc = r#"{"suite": "t", "scenarios": [{"name": "x", "protocol": "rand-gossip",
             "dynamics": {"sybils": 2, "placement": 3}}]}"#;
         assert!(SuiteSpec::parse(doc).unwrap_err().contains("string"));
-        // Static placement stays the default and is fingerprint-visible.
+        // Static placement stays the default and shows in the document.
         let a = ScenarioSpec::new(
             Preset::MovieLens,
             ModelKind::Gmf,
@@ -1381,7 +1364,7 @@ mod tests {
         b.dynamics.sybils = 2;
         b.dynamics.placement = PlacementStrategy::Degree;
         assert_eq!(a.dynamics.placement, PlacementStrategy::Static);
-        assert_ne!(a.fingerprint(), b.fingerprint());
+        assert_ne!(a.to_json().render(), b.to_json().render());
     }
 
     #[test]
@@ -1413,16 +1396,6 @@ mod tests {
             twin.dynamics.placement = base.dynamics.placement;
             assert_eq!(&twin, base, "{} differs from static beyond the placement", s.name);
         }
-    }
-
-    #[test]
-    fn fingerprint_tracks_spec_changes() {
-        let a =
-            ScenarioSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::Fl, Scale::Smoke);
-        let mut b = a.clone();
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        b.seed = 43;
-        assert_ne!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]
@@ -1465,41 +1438,6 @@ mod tests {
         assert!(SuiteSpec::parse(doc).unwrap_err().contains("colluderz"));
         let doc = r#"{"suite": "t", "sede": 1, "scenarios": [{"name": "x"}]}"#;
         assert!(SuiteSpec::parse(doc).unwrap_err().contains("sede"));
-    }
-
-    /// One scenario per numeric field, each moving that field off its
-    /// default.
-    const ONE_FIELD_EACH: &str = r#"{"suite": "fields", "scenarios": [
-        {"name": "leave", "dynamics": {"leave_prob": 0.1}},
-        {"name": "join", "dynamics": {"join_prob": 0.5}},
-        {"name": "initial", "dynamics": {"initial_online": 0.8}},
-        {"name": "straggler", "dynamics": {"straggler_fraction": 0.2}},
-        {"name": "delay", "dynamics": {"straggler_mean_delay": 4}},
-        {"name": "participation", "dynamics": {"participation": 0.6}},
-        {"name": "sybils", "protocol": "rand-gossip", "dynamics": {"sybils": 3}},
-        {"name": "warmup", "dynamics": {"placement_warmup": 5}},
-        {"name": "beta", "beta": 0.9},
-        {"name": "k", "k": 7},
-        {"name": "seed", "seed": 9},
-        {"name": "tau", "defense": {"kind": "share-less", "tau": 0.7}},
-        {"name": "epsilon", "defense": {"kind": "dp", "epsilon": 5}}
-    ]}"#;
-
-    #[test]
-    fn canonical_spec_bytes_are_pinned() {
-        // `to_json` feeds `fingerprint`, which every checkpoint carries and
-        // names its file by. One digest over the fingerprints of every
-        // shipped suite and of one spec per numeric field pins the rendered
-        // bytes at smoke scale, seed 42.
-        let mut suites: Vec<SuiteSpec> =
-            BUILTIN_SUITES.iter().map(|(_, build)| build(Scale::Smoke, 42)).collect();
-        suites
-            .push(SuiteSpec::parse(include_str!("../tests/golden/prme-smoke.suite.json")).unwrap());
-        suites.push(SuiteSpec::parse(ONE_FIELD_EACH).unwrap());
-        let specs: Vec<ScenarioSpec> = suites.iter().flat_map(|s| s.expanded().unwrap()).collect();
-        assert_eq!(specs.len(), 5 + 3 + 5 + 9 + 3 + 3 + 13);
-        let digest = fnv1a64(specs.iter().flat_map(|s| s.fingerprint().to_le_bytes()));
-        assert_eq!(digest, 0xf9f7_1e0e_327e_1226, "{digest:#018x}");
     }
 
     #[test]

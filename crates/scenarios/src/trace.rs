@@ -161,7 +161,6 @@ mod tests {
             utility_metric: "hr@20",
             rounds_done: traces.len() as u64,
             completed: true,
-            skipped: false,
             elapsed: Duration::ZERO,
             traces,
         }

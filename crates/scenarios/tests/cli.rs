@@ -1,5 +1,6 @@
 //! End-to-end tests of the `scenario` binary's command line: argument
-//! refusals, hostile inputs and `--stop-after` with `--resume`.
+//! refusals, hostile inputs, and `--stop-after` and kills followed by
+//! `--resume`.
 
 use std::process::{Command, Output};
 
@@ -8,7 +9,8 @@ fn scenario(args: &[&str]) -> Output {
 }
 
 /// `serve` and `rss-probe` are no subcommands: they fall through to the
-/// usage text, and the query-workload flags are unknown arguments to `run`.
+/// usage text, and the query-workload and checkpoint flags are unknown
+/// arguments to `run`.
 #[test]
 fn retired_serve_surface_is_refused() {
     for retired in ["serve", "rss-probe"] {
@@ -19,38 +21,91 @@ fn retired_serve_surface_is_refused() {
         assert!(!stderr.contains(retired), "usage still lists {retired}: {stderr}");
     }
 
-    let out = scenario(&["run", "--queries", "5"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!out.status.success(), "`run --queries` succeeded: {stderr}");
-    assert!(stderr.contains("unknown argument `--queries`"), "unexpected error: {stderr}");
+    for flag in ["--queries", "--checkpoint-dir", "--checkpoint-every"] {
+        let out = scenario(&["run", flag, "5"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "`run {flag}`: {stderr}");
+        assert!(stderr.contains(&format!("unknown argument `{flag}`")), "{flag}: {stderr}");
+    }
+    let usage = String::from_utf8_lossy(&scenario(&["help"]).stderr).into_owned();
+    assert!(!usage.contains("checkpoint"), "usage still lists checkpoints: {usage}");
 }
 
-/// Without a checkpoint directory there is nothing to resume: the run would
-/// restart at round 0 and append a second transcript to `--out`. The
-/// combination is refused before the stream is touched.
+/// A resume reads and extends the stream in `--out`, so without `--out FILE`
+/// it is refused before anything runs; `--stop-after 0` (which once ran one
+/// round and said "stopped after round 1") is refused by name.
 #[test]
-fn resume_without_checkpoint_dir_is_refused() {
-    let dir = std::env::temp_dir().join(format!("cia-cli-test-resume-{}", std::process::id()));
+fn resume_without_out_and_stop_after_0_are_refused() {
+    let cases = [
+        (&["--resume"][..], "--resume needs --out FILE"),
+        (&["--stop-after", "0"][..], "--stop-after 0 would stop before the first round"),
+    ];
+    for (args, want) in cases {
+        let out =
+            scenario(&[&["run", "--only", "baseline-static", "--no-timing"][..], args].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(want), "{args:?}: expected `{want}`, got: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: a refused run wrote records");
+        assert!(!stderr.contains("[baseline-static]"), "{args:?}: a refused run ran: {stderr}");
+    }
+}
+
+/// The golden records of `scenario` in the smoke built-in suite.
+fn golden_slice(scenario: &str) -> String {
+    include_str!("golden/builtin-smoke.jsonl")
+        .lines()
+        .filter(|line| line.contains(&format!(r#""scenario":"{scenario}""#)))
+        .map(|line| format!("{line}\n"))
+        .collect()
+}
+
+/// Crash states built by hand, each resumed with `scenario run --resume`
+/// into the same file: a missing and an empty `--out` run fresh; a stopped
+/// stream plus half of its next line (a kill mid-write) loses the torn half
+/// and ends as the golden; a stream of another seed exits 1 naming line 1
+/// and stays byte for byte as it was.
+#[test]
+fn hand_built_crash_states_resume_or_are_refused() {
+    let dir = std::env::temp_dir().join(format!("cia-cli-test-crash-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let out_path = dir.join("run.jsonl");
-    let out_arg = out_path.to_str().expect("utf8 path");
-    let common = ["run", "--only", "baseline-static", "--no-timing", "--out", out_arg];
+    let golden = golden_slice("baseline-static");
+    let run = |path: &std::path::Path, seed: &str, extra: &[&str]| {
+        let common = ["run", "--only", "baseline-static", "--no-timing", "--seed", seed, "--out"];
+        scenario(&[&common[..], &[path.to_str().unwrap()], extra].concat())
+    };
+    let resumed = |path: &std::path::Path| {
+        let out = run(path, "42", &["--resume"]);
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        std::fs::read_to_string(path).expect("stream written")
+    };
 
-    let first = scenario(&[&common[..], &["--stop-after", "3"]].concat());
-    assert!(first.status.success(), "{}", String::from_utf8_lossy(&first.stderr));
-    let before = std::fs::read(&out_path).expect("stream written");
-    assert!(!before.is_empty(), "the stopped run wrote no records");
+    assert_eq!(resumed(&dir.join("missing.jsonl")), golden, "a missing --out");
+    let empty = dir.join("empty.jsonl");
+    std::fs::write(&empty, "").expect("empty stream");
+    assert_eq!(resumed(&empty), golden, "an empty --out");
 
-    let resumed = scenario(&[&common[..], &["--resume"]].concat());
-    let stderr = String::from_utf8_lossy(&resumed.stderr);
-    assert!(!resumed.status.success(), "resume without checkpoints succeeded: {stderr}");
+    let torn = dir.join("torn.jsonl");
+    let stopped = run(&torn, "42", &["--stop-after", "4"]);
+    let stderr = String::from_utf8_lossy(&stopped.stderr);
+    assert!(stderr.contains("stopped after round 4 (rerun with --resume)"), "{stderr}");
+    let stream = std::fs::read_to_string(&torn).expect("stream written");
+    let next = golden[stream.len()..].lines().next().expect("a record after round 4");
+    std::fs::write(&torn, format!("{stream}{}", &next[..next.len() / 2])).expect("torn");
+    assert_eq!(resumed(&torn), golden, "a torn last line");
+
+    let other = dir.join("seed7.jsonl");
+    assert!(run(&other, "7", &["--stop-after", "4"]).status.success());
+    let before = std::fs::read(&other).expect("stream written");
+    let out = run(&other, "42", &["--resume"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(
-        stderr.contains("--resume") && stderr.contains("--checkpoint-dir"),
-        "error does not name both flags: {stderr}"
+        stderr.contains("resume: line 1: `seed` is 7 in the stream, 42 recomputed"),
+        "{stderr}"
     );
-    let after = std::fs::read(&out_path).expect("stream still there");
+    assert_eq!(std::fs::read(&other).expect("stream kept"), before, "a refused resume wrote");
     std::fs::remove_dir_all(&dir).ok();
-    assert_eq!(before, after, "the refused resume changed the stream");
 }
 
 /// Hostile inputs get exit 1 and an error naming what is wrong, never a
@@ -165,11 +220,10 @@ fn stop_after_then_resume_reproduces_the_golden_records() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let stop_then_resume = |only: &[&str], tag: &str| {
         let out_path = dir.join(format!("{tag}.jsonl"));
-        let ckpt = dir.join(tag);
         let common = [
             &["run", "--suite", "builtin", "--scale", "smoke", "--seed", "42", "--no-timing"],
             only,
-            &["--checkpoint-dir", ckpt.to_str().unwrap(), "--out", out_path.to_str().unwrap()],
+            &["--out", out_path.to_str().unwrap()],
         ]
         .concat();
         for last in [&["--stop-after", "3"][..], &["--resume"]] {
@@ -190,10 +244,5 @@ fn stop_after_then_resume_reproduces_the_golden_records() {
 
     assert_ne!(suite, golden, "the stitched suite kept the uninterrupted order");
     assert_eq!(sorted(&suite), sorted(golden), "the stitched suite lost or changed records");
-    let expected: String = golden
-        .lines()
-        .filter(|line| line.contains(r#""scenario":"colluding-sybils""#))
-        .map(|line| format!("{line}\n"))
-        .collect();
-    assert_eq!(single, expected, "a stitched single scenario changed its byte order");
+    assert_eq!(single, golden_slice("colluding-sybils"), "a stitched single scenario moved");
 }

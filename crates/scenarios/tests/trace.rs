@@ -9,32 +9,15 @@
 //!   suite builds each shared setup once;
 //! * the registry-backed `bytes_materialized` values are bit-identical to
 //!   the pre-registry baseline captured from the old ad-hoc plumbing;
-//! * after a kill/resume, trace records cover only post-resume rounds
-//!   (recorder state is deliberately not checkpointed — see
-//!   `cia_scenarios::checkpoint`);
+//! * a resume replays from round 0, so its trace chunks cover every round,
+//!   while its stream gets a `trace` record only for the rounds the resumed
+//!   stream holds none for;
 //! * the Chrome trace-event export is well-formed.
 
 use cia_data::presets::Scale;
+use cia_scenarios::json::Json;
 use cia_scenarios::runner::{run_scenario, run_suite, validate_jsonl, RunOptions};
 use cia_scenarios::{builtin_suite, chrome_trace, summarize, validate_chrome_trace};
-use std::path::PathBuf;
-
-/// Temp directory that cleans up after itself.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("cia-trace-test-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        TempDir(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 #[test]
 fn no_timing_streams_are_byte_identical_and_trace_free() {
@@ -158,20 +141,16 @@ fn registry_backed_bytes_materialized_matches_pre_registry_baseline() {
 }
 
 #[test]
-fn resume_trace_covers_only_post_resume_rounds() {
-    // colluding-sybils (GL, 40 rounds): kill at 20, resume to completion.
+fn resume_trace_covers_replayed_rounds_too() {
+    // colluding-sybils (GL, 40 rounds): kill at 20, resume to completion,
+    // both timed.
     let spec = builtin_suite(Scale::Smoke, 42).expanded().unwrap()[2].clone();
-    let dir = TempDir::new("resume");
-    let ckpt = RunOptions {
-        checkpoint_dir: Some(dir.0.clone()),
-        checkpoint_every: 10,
-        ..RunOptions::default()
-    };
+    let timed = RunOptions { timing: true, ..RunOptions::default() };
     let mut partial = Vec::new();
     let killed = run_scenario(
         &spec,
         "t",
-        &RunOptions { stop_after_rounds: Some(20), ..ckpt.clone() },
+        &RunOptions { stop_after_rounds: Some(20), ..timed.clone() },
         &mut partial,
     )
     .unwrap();
@@ -180,17 +159,25 @@ fn resume_trace_covers_only_post_resume_rounds() {
     assert_eq!(killed.traces.len(), 20);
 
     let mut rest = Vec::new();
-    let resumed =
-        run_scenario(&spec, "t", &RunOptions { resume: true, ..ckpt }, &mut rest).unwrap();
+    let resume = RunOptions { resume: Some(String::from_utf8(partial.clone()).unwrap()), ..timed };
+    let resumed = run_scenario(&spec, "t", &resume, &mut rest).unwrap();
     assert!(resumed.completed);
-    // Fresh recorder after resume: chunks for rounds 20..40 plus the
-    // utility pass at round == total, nothing from before the kill.
-    assert!(
-        resumed.traces.iter().all(|(r, _)| (20..=40).contains(r)),
-        "resumed run reported pre-resume trace rounds"
-    );
-    assert_eq!(resumed.traces.first().map(|(r, _)| *r), Some(20));
-    assert_eq!(resumed.traces.len(), 21);
+    // The replay reran rounds 0..20: chunks for every round plus the
+    // utility pass at round == total.
+    let rounds: Vec<u64> = resumed.traces.iter().map(|(r, _)| *r).collect();
+    assert_eq!(rounds, (0..=40).collect::<Vec<_>>());
+    // The stream already held trace records for rounds 0..20, so only the
+    // rest were appended.
+    let rest = String::from_utf8(rest).unwrap();
+    let appended: Vec<u64> = rest
+        .lines()
+        .map(|line| Json::parse(line).unwrap())
+        .filter(|v| v.get("type").and_then(Json::as_str) == Some("trace"))
+        .map(|v| v.get("round").and_then(Json::as_u64).unwrap())
+        .collect();
+    assert_eq!(appended, (20..=40).collect::<Vec<_>>());
+    let stitched = String::from_utf8(partial).unwrap() + &rest;
+    validate_jsonl(&stitched).unwrap();
 }
 
 #[test]

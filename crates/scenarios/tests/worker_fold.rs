@@ -142,8 +142,9 @@ fn run_fl(spec: &ScenarioSpec, lend: bool, reversed: bool) -> (RunEnd, u64, usiz
             );
         }
     }
+    let (_, table) = probe.attack.momentum_table().expect("the FL attack lends its table");
     let end = RunEnd {
-        momentum: probe.attack.export_state().momentum,
+        momentum: std::mem::replace(table, MomentumTable::new(0)),
         history: probe.attack.history().to_vec(),
         global: sim.global_agg().to_vec(),
         rounds: per_round,
