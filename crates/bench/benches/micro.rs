@@ -5,15 +5,16 @@
 //! pre-kernel scalar code. The pairs let `bench_report` compute speedups into
 //! `BENCH_kernels.json` — see `scripts/bench_kernels.sh`.
 
-use cia_core::metrics::top_k_per_column;
-use cia_core::{CiaConfig, FlCia, ItemSetEvaluator, RelevanceEvaluator, TopK};
+use cia_core::metrics::{rank_desc, top_k_per_column};
+use cia_core::{CiaConfig, FlCia, ItemSetEvaluator, RelevanceEvaluator};
 use cia_data::presets::{Preset, Scale};
 use cia_data::{gaussian, jaccard_index, GroundTruth, LeaveOneOut, UserId};
 use cia_defenses::{DpConfig, DpMechanism, UpdateTransform};
 use cia_federated::{FedAvg, FedAvgConfig, NullObserver};
 use cia_gossip::{GossipConfig, GossipSim, NullGossipObserver};
-use cia_models::parallel::{par_chunks_mut, par_map};
-use cia_models::params::{clip_l2, ema, sigmoid};
+use cia_models::kernel::{clip_l2, ema};
+use cia_models::parallel::{par_for_each_mut, par_map};
+use cia_models::params::sigmoid;
 use cia_models::{kernel, GmfSpec, Mlp, MlpHyper, MlpSpec, RelevanceScorer, SharingPolicy};
 use cia_scenarios::{try_build_setup, DynamicsSpec, FlDynamics, ParticipantDynamics};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -559,7 +560,8 @@ fn bench_cia_score_paper(c: &mut Criterion) {
         let name = format!("{name}_paper_943x1682{t}");
         c.bench_function(&name, |b| {
             b.iter(|| {
-                par_chunks_mut(&mut rel, kernel::LANES * nt, |tile, rows| {
+                let mut tiles: Vec<_> = rel.chunks_mut(kernel::LANES * nt).collect();
+                par_for_each_mut(&mut tiles, |tile, rows| {
                     let tile = &models[tile * kernel::LANES..][..rows.len() / nt];
                     let tile: Vec<_> = tile
                         .iter()
@@ -574,7 +576,8 @@ fn bench_cia_score_paper(c: &mut Criterion) {
         // `mean_relevance` per (model, target).
         c.bench_function(&format!("{name}_scalar_ref"), |b| {
             b.iter(|| {
-                par_chunks_mut(&mut rel, nt, |u, row| {
+                let mut rows: Vec<_> = rel.chunks_mut(nt).collect();
+                par_for_each_mut(&mut rows, |u, row| {
                     let (emb, agg) = &models[u];
                     if share_less {
                         for (t, o) in row.iter_mut().enumerate() {
@@ -615,16 +618,17 @@ fn bench_rank_and_setup_paper(c: &mut Criterion) {
     c.bench_function(&rank, |b| {
         b.iter(|| top_k_per_column(&rel, n, K, |id, t| id as usize != t));
     });
-    // The path it replaced: one target at a time, reading its column, through
-    // the streaming selector.
+    // The plain reference: one target at a time, reading its column, fully
+    // sorted under `rank_desc`, the first K kept.
     c.bench_function(&format!("{rank}_scalar_ref"), |b| {
         b.iter(|| {
             par_map(n, |t| {
-                let mut sel = TopK::new(K);
-                for id in (0u32..).take(n).filter(|&id| id as usize != t) {
-                    sel.push(rel[id as usize * n + t], id);
-                }
-                sel.into_ids()
+                let ids = (0u32..).take(n).filter(|&id| id as usize != t);
+                let mut column: Vec<(f32, u32)> =
+                    ids.map(|id| (rel[id as usize * n + t], id)).collect();
+                column.sort_by(rank_desc);
+                column.truncate(K);
+                column
             })
         });
     });

@@ -185,7 +185,7 @@ impl AiaCommunityAttack {
         }
         let acc = community_accuracy(&predicted, &self.truth, k);
         let upper = coverage(&self.truth, k, |u| self.updates[u.index()].is_some());
-        self.tracker.record(round, &[acc], &[upper]);
+        self.tracker.record(round, &[acc], &[upper], &[upper]);
     }
 }
 

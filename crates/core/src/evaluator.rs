@@ -14,7 +14,7 @@ thread_local! {
     /// Per-thread scratch for the full-sharing tile of
     /// [`ItemSetEvaluator`]: the tile's scores model-minor (`[item][model]`,
     /// 54 KB at paper scale), then one catalog score row. Tiles are scored
-    /// inside `par_chunks_mut` workers, so a worker reuses it for every tile.
+    /// inside `par_for_each_mut` workers, so a worker reuses it for every tile.
     static TILE_SCORES: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 

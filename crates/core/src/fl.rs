@@ -6,7 +6,7 @@ use crate::evaluator::{RelevanceEvaluator, TILE};
 use crate::metrics::{accuracy_of, coverage, top_k_per_column, AttackOutcome, AttackTracker};
 use cia_data::UserId;
 use cia_federated::{RoundObserver, RoundStats};
-use cia_models::parallel::par_chunks_mut;
+use cia_models::parallel::par_for_each_mut;
 use cia_models::{LivenessEvent, MomentumTable, SharedModel};
 use cia_obs::Recorder;
 
@@ -120,11 +120,6 @@ impl<E: RelevanceEvaluator, V> MomentumCia<E, V> {
         &self.evaluator
     }
 
-    /// Number of distinct senders observed so far.
-    pub fn senders_seen(&self) -> usize {
-        self.momentum.seen().count()
-    }
-
     /// Whether any model has reached the adversary so far.
     pub fn observed_any(&self) -> bool {
         self.momentum.seen().next().is_some()
@@ -172,7 +167,8 @@ impl<E: RelevanceEvaluator, V> MomentumCia<E, V> {
             return; // degenerate zero-target attack; nothing to score
         }
         let (rel, momentum, evaluator) = (&mut self.rel, &self.momentum, &self.evaluator);
-        par_chunks_mut(rel, TILE * num_targets, |tile, rows| {
+        let mut tiles: Vec<&mut [f32]> = rel.chunks_mut(TILE * num_targets).collect();
+        par_for_each_mut(&mut tiles, |tile, rows| {
             let ids = tile * TILE..tile * TILE + rows.len() / num_targets;
             let models: Vec<_> = ids.clone().filter_map(|u| momentum.get(u)).collect();
             if models.len() == ids.len() {
@@ -231,7 +227,7 @@ impl<E: RelevanceEvaluator, V> MomentumCia<E, V> {
             uppers.push(coverage(truth, k, seen));
             uppers_online.push(coverage(truth, k, |u| seen(u) && self.live[u.index()]));
         }
-        self.tracker.record_with_online(round, &accs, &uppers, &uppers_online);
+        self.tracker.record(round, &accs, &uppers, &uppers_online);
     }
 }
 

@@ -212,7 +212,7 @@ impl<E: RelevanceEvaluator> GlCiaAllPlacements<E> {
         let accs: Vec<f64> = results.iter().map(|r| r.0).collect();
         let uppers: Vec<f64> = results.iter().filter_map(|r| r.1.map(|b| b.0)).collect();
         let uppers_online: Vec<f64> = results.iter().filter_map(|r| r.1.map(|b| b.1)).collect();
-        self.tracker.record_with_online(round, &accs, &uppers, &uppers_online);
+        self.tracker.record(round, &accs, &uppers, &uppers_online);
     }
 }
 
@@ -343,7 +343,7 @@ mod tests {
             let mut sim =
                 GossipSim::new(clients, GossipConfig { rounds: 25, seed: 7, ..Default::default() });
             sim.run(&mut attack);
-            (attack.senders_seen(), attack.outcome())
+            (attack.momentum.seen().count(), attack.outcome())
         };
         let (seen_single, out_single) = make(vec![0], setup(30, 4, 5).clients);
         let (seen_coal, out_coal) = make(vec![0, 7, 14, 21, 28], s.clients);
@@ -605,19 +605,19 @@ mod tests {
             let snap = s.clients[sender].snapshot(0);
             coal.on_delivery(0, UserId::new(0), &snap);
         }
-        assert_eq!(coal.senders_seen(), 3);
+        assert_eq!(coal.momentum.seen().count(), 3);
         // …and survive the relocation: retained member 0 leaves, 3 and 9
         // take over, the sender-keyed momentum table is untouched.
         coal.set_members(&[3, 9]);
         assert_eq!(coal.members(), vec![3, 9]);
-        assert_eq!(coal.senders_seen(), 3, "relocation must not drop momentum state");
+        assert_eq!(coal.momentum.seen().count(), 3, "relocation must not drop momentum state");
         // Deliveries to the old placement are no longer observed; the new
         // one is.
         let snap = s.clients[5].snapshot(1);
         coal.on_delivery(1, UserId::new(0), &snap);
-        assert_eq!(coal.senders_seen(), 3);
+        assert_eq!(coal.momentum.seen().count(), 3);
         coal.on_delivery(1, UserId::new(9), &snap);
-        assert_eq!(coal.senders_seen(), 4);
+        assert_eq!(coal.momentum.seen().count(), 4);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub use cia_models::MomentumTable;
 pub use evaluator::{ItemSetEvaluator, RelevanceEvaluator};
 pub use fl::{CiaConfig, FlCia, MomentumCia, ServerVantage};
 pub use gl::{CoalitionVantage, GlCiaAllPlacements, GlCiaCoalition};
-pub use metrics::{AttackOutcome, AttackTracker, RoundPoint, TopK};
+pub use metrics::{AttackOutcome, AttackTracker, RoundPoint};
 pub use mia::{membership_entropy, MiaCommunityAttack, MiaConfig};
 
 /// The observability layer (re-exported): phase spans, the typed counter

@@ -51,68 +51,6 @@ pub fn rank_desc(a: &(f32, u32), b: &(f32, u32)) -> std::cmp::Ordering {
     bx.partial_cmp(&ax).expect("mapped NaN away").then_with(|| a.1.cmp(&b.1))
 }
 
-/// Bounded streaming top-`k` selection under the [`rank_desc`] order.
-///
-/// Scores stream in one at a time (or tile by tile) and the selector keeps
-/// only the current best `k` in a small sorted buffer — memory is `O(k)`
-/// instead of the catalog-length score vector a score-then-sort needs, which
-/// is what keeps HR@20/F1@20 evaluation tractable at a 10⁵-item catalog.
-///
-/// Because [`rank_desc`] is a strict total order over distinct ids (NaN sinks
-/// to the bottom, ties break on ascending id), the result is *exactly* the
-/// first `k` entries of a full sort of the same pairs — see the equivalence
-/// proptest in `cia-scenarios`.
-#[derive(Debug, Clone)]
-pub struct TopK {
-    k: usize,
-    buf: Vec<(f32, u32)>,
-}
-
-impl TopK {
-    /// Creates a selector retaining the best `k` pairs.
-    pub fn new(k: usize) -> Self {
-        TopK { k, buf: Vec::with_capacity(k.saturating_add(1).min(4096)) }
-    }
-
-    /// Offers one `(score, id)` pair.
-    pub fn push(&mut self, score: f32, id: u32) {
-        if self.k == 0 {
-            return;
-        }
-        let cand = (score, id);
-        // Fast path once warm: almost every candidate loses to the cutoff.
-        if self.buf.len() == self.k
-            && rank_desc(&cand, &self.buf[self.k - 1]) != std::cmp::Ordering::Less
-        {
-            return;
-        }
-        let pos = self.buf.binary_search_by(|e| rank_desc(e, &cand)).unwrap_or_else(|e| e);
-        self.buf.insert(pos, cand);
-        self.buf.truncate(self.k);
-    }
-
-    /// Number of pairs currently retained (≤ `k`).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been offered yet (or `k == 0`).
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// The retained pairs, best first — identical to
-    /// `sort_by(rank_desc); truncate(k)` over everything pushed.
-    pub fn into_sorted(self) -> Vec<(f32, u32)> {
-        self.buf
-    }
-
-    /// The retained ids, best first.
-    pub fn into_ids(self) -> Vec<u32> {
-        self.buf.into_iter().map(|(_, id)| id).collect()
-    }
-}
-
 /// The order-preserving key of one `(score, id)` candidate: for any two
 /// candidates, the integer order of their keys is exactly [`rank_desc`].
 ///
@@ -138,19 +76,25 @@ fn rank_key(score: f32, id: u32) -> u64 {
 /// ranks its `(score, user id)` candidates here, or in
 /// [`top_k_per_column`] for a whole score matrix.
 pub fn top_k_users(k: usize, scored: impl IntoIterator<Item = (f32, u32)>) -> Vec<UserId> {
+    top_k_ids(k, scored).into_iter().map(UserId::new).collect()
+}
+
+/// [`top_k_users`] as raw ids: the first `k` ids of `sort_by(rank_desc)`
+/// over the `(score, id)` candidates, best first.
+pub fn top_k_ids(k: usize, scored: impl IntoIterator<Item = (f32, u32)>) -> Vec<u32> {
     top_k_keys(k, scored.into_iter().map(|(score, id)| rank_key(score, id)).collect())
 }
 
-/// The users of the `k` smallest `rank_key`s, smallest first: the keys are
+/// The ids of the `k` smallest `rank_key`s, smallest first: the keys are
 /// selected with `select_nth_unstable`, and only the best `k` are sorted.
-fn top_k_keys(k: usize, mut keys: Vec<u64>) -> Vec<UserId> {
+fn top_k_keys(k: usize, mut keys: Vec<u64>) -> Vec<u32> {
     if k < keys.len() {
         keys.select_nth_unstable(k);
         keys.truncate(k);
     }
     keys.sort_unstable();
     let id = |key: u64| u32::try_from(key & u64::from(u32::MAX)).expect("the low word is the id");
-    keys.into_iter().map(|key| UserId::new(id(key))).collect()
+    keys.into_iter().map(id).collect()
 }
 
 /// Columns [`top_k_per_column`] ranks together: 16 `f32` scores, one cache
@@ -185,7 +129,8 @@ pub fn top_k_per_column(
                 }
             }
         }
-        keys.into_iter().map(|keys| top_k_keys(k, keys)).collect::<Vec<_>>()
+        let users = |keys| top_k_keys(k, keys).into_iter().map(UserId::new).collect();
+        keys.into_iter().map(users).collect::<Vec<Vec<_>>>()
     });
     blocks.into_iter().flatten().collect()
 }
@@ -221,8 +166,8 @@ pub struct RoundPoint {
 /// ```
 /// use cia_core::AttackTracker;
 /// let mut t = AttackTracker::new(10, 100);
-/// t.record(0, &[0.1, 0.2], &[1.0, 1.0]);
-/// t.record(1, &[0.5, 0.7], &[1.0, 1.0]);
+/// t.record(0, &[0.1, 0.2], &[1.0, 1.0], &[1.0, 1.0]);
+/// t.record(1, &[0.5, 0.7], &[1.0, 1.0], &[1.0, 1.0]);
 /// let out = t.outcome();
 /// assert_eq!(out.max_aac, 0.6);
 /// assert_eq!(out.max_round, 1);
@@ -241,23 +186,16 @@ impl AttackTracker {
         AttackTracker { k, candidates, history: Vec::new() }
     }
 
-    /// Records one evaluated round: per-attacker accuracies and per-attacker
-    /// observation-coverage upper bounds. The online bound is taken equal to
-    /// the static bound — the right call for attacks over static populations
-    /// (use [`AttackTracker::record_with_online`] when a dynamics layer
-    /// supplies a live participant set).
-    pub fn record(&mut self, round: u64, accuracies: &[f64], upper_bounds: &[f64]) {
-        self.record_with_online(round, accuracies, upper_bounds, upper_bounds);
-    }
-
-    /// Records one evaluated round with a separate dynamics-aware bound:
-    /// `upper_bounds_online[i]` counts only community members both observed
-    /// and currently live. Offline/never-observed attackers must be excluded
-    /// from *both* bound slices by the caller (their zeros are absence of
-    /// observation vantage, not coverage evidence — including them deflates
-    /// the reported bound under churn); the accuracy slice stays over the
-    /// full attacker population, so the two slices may differ in length.
-    pub fn record_with_online(
+    /// Records one evaluated round: per-attacker accuracies and two
+    /// per-attacker observation-coverage upper bounds. `upper_bounds_online[i]`
+    /// counts only community members both observed and currently live; an
+    /// attack over a static population passes its bound twice.
+    /// Offline/never-observed attackers must be excluded from *both* bound
+    /// slices by the caller (their zeros are absence of observation vantage,
+    /// not coverage evidence — including them deflates the reported bound
+    /// under churn); the accuracy slice stays over the full attacker
+    /// population, so the two slices may differ in length.
+    pub fn record(
         &mut self,
         round: u64,
         accuracies: &[f64],
@@ -393,15 +331,14 @@ mod tests {
     #[test]
     fn tracker_tracks_max_round() {
         let mut t = AttackTracker::new(5, 50);
-        t.record(0, &[0.2, 0.4], &[0.5, 0.5]);
-        t.record(2, &[0.6, 0.8], &[1.0, 1.0]);
-        t.record(4, &[0.1, 0.1], &[1.0, 1.0]);
+        t.record(0, &[0.2, 0.4], &[0.5, 0.5], &[0.5, 0.5]);
+        t.record(2, &[0.6, 0.8], &[1.0, 1.0], &[1.0, 1.0]);
+        t.record(4, &[0.1, 0.1], &[1.0, 1.0], &[1.0, 1.0]);
         let out = t.outcome();
         assert_eq!(out.max_round, 2);
         assert!((out.max_aac - 0.7).abs() < 1e-12);
         assert!((out.best10_aac - 0.8).abs() < 1e-12);
         assert!((out.upper_bound - 1.0).abs() < 1e-12);
-        // Plain `record` treats the population as static.
         assert_eq!(out.upper_bound_online, out.upper_bound);
         assert!((out.random_bound - 0.1).abs() < 1e-12);
         assert!((out.advantage_over_random() - 7.0).abs() < 1e-9);
@@ -413,7 +350,7 @@ mod tests {
         let mut t = AttackTracker::new(5, 50);
         // Bound slices may be shorter than the accuracy slice (offline
         // attackers excluded) and the online bound sits below the static one.
-        t.record_with_online(0, &[0.2, 0.4, 0.0], &[0.8, 0.6], &[0.4, 0.2]);
+        t.record(0, &[0.2, 0.4, 0.0], &[0.8, 0.6], &[0.4, 0.2]);
         let p = &t.history()[0];
         assert!((p.upper_bound - 0.7).abs() < 1e-12);
         assert!((p.upper_bound_online - 0.3).abs() < 1e-12);
@@ -430,59 +367,24 @@ mod tests {
         assert!(t.is_empty());
     }
 
-    fn full_sort_prefix(pairs: &[(f32, u32)], k: usize) -> Vec<(f32, u32)> {
-        let mut v = pairs.to_vec();
-        v.sort_by(rank_desc);
-        v.truncate(k);
-        v
-    }
-
     #[test]
-    fn topk_matches_full_sort_prefix() {
-        let pairs: Vec<(f32, u32)> =
-            (0..100u32).map(|i| (((i * 37) % 19) as f32 * 0.5 - 3.0, i)).collect();
-        for k in [0, 1, 7, 20, 100, 150] {
-            let mut sel = TopK::new(k);
-            for &(s, id) in &pairs {
-                sel.push(s, id);
-            }
-            assert_eq!(sel.into_sorted(), full_sort_prefix(&pairs, k), "k = {k}");
-        }
-    }
-
-    #[test]
-    fn topk_sinks_nan_and_breaks_ties_on_id() {
-        let top = |k: usize, pairs: &[(f32, u32)]| {
-            let mut sel = TopK::new(k);
-            for &(s, id) in pairs {
-                sel.push(s, id);
-            }
-            sel.into_ids()
-        };
+    fn top_k_ids_sink_nan_and_break_ties_on_id() {
         // NaN sinks below everything, equal scores order by ascending id.
         let pairs = [(1.0, 0), (f32::NAN, 1), (2.0, 2), (2.0, 3), (1.0, 4)];
-        assert_eq!(top(3, &pairs), vec![2, 3, 0]);
-        // With k ≥ n the NaN still lands dead last.
-        assert_eq!(top(8, &pairs), vec![2, 3, 0, 4, 1]);
+        assert_eq!(top_k_ids(3, pairs), vec![2, 3, 0]);
+        // With k ≥ n the NaN still lands dead last; k = 0 keeps nothing.
+        assert_eq!(top_k_ids(8, pairs), vec![2, 3, 0, 4, 1]);
+        assert_eq!(top_k_ids(0, pairs), Vec::<u32>::new());
         // Duplicated scores must not leave the cut-off dependent on
         // iteration order: ties break on ascending id whatever the input
         // order.
         let mut ties = vec![(0.5f32, 9u32), (0.7, 4), (0.5, 2), (0.7, 1), (0.5, 7)];
-        assert_eq!(top(3, &ties), vec![1, 4, 2], "descending score, then ascending id");
+        assert_eq!(top_k_ids(3, ties.clone()), vec![1, 4, 2], "descending score, then id");
         ties.reverse();
-        assert_eq!(top(3, &ties), vec![1, 4, 2], "input order leaked into the ranking");
+        assert_eq!(top_k_ids(3, ties), vec![1, 4, 2], "input order leaked into the ranking");
         // Several NaN scores (a DP-destroyed model) sink below every finite
         // score and among themselves order by id.
         let with_nan = [(f32::NAN, 0u32), (0.1, 5), (f32::NAN, 3), (0.2, 8)];
-        assert_eq!(top(3, &with_nan), vec![8, 5, 0]);
-    }
-
-    #[test]
-    fn topk_zero_k_retains_nothing() {
-        let mut sel = TopK::new(0);
-        sel.push(5.0, 1);
-        assert!(sel.is_empty());
-        assert_eq!(sel.len(), 0);
-        assert_eq!(sel.into_ids(), Vec::<u32>::new());
+        assert_eq!(top_k_ids(3, with_nan), vec![8, 5, 0]);
     }
 }

@@ -172,7 +172,7 @@ impl<S: RelevanceScorer> MiaCommunityAttack<S> {
             accs.push(community_accuracy(&top_k_users(k, candidates), truth, k));
             uppers.push(coverage(truth, k, |u| self.momentum.updates(u.index()) > 0));
         }
-        self.tracker.record(round, &accs, &uppers);
+        self.tracker.record(round, &accs, &uppers, &uppers);
 
         let precisions: Vec<f64> = member_frac.iter().flatten().map(|(_, p)| *p).collect();
         let mean_precision = if precisions.is_empty() {

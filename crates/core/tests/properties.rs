@@ -160,7 +160,7 @@ proptest! {
         let mut best = 0.0f64;
         for (r, accs) in rounds.iter().enumerate() {
             let uppers = vec![1.0; accs.len()];
-            tracker.record(r as u64, accs, &uppers);
+            tracker.record(r as u64, accs, &uppers, &uppers);
             // cia-lint: allow(D07, sequential left-to-right fold over a slice in index order; the reduction order is fixed)
             let aac = accs.iter().sum::<f64>() / accs.len() as f64;
             best = best.max(aac);

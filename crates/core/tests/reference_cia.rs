@@ -146,7 +146,7 @@ impl Oracle {
             let seen_live = seen.iter().filter(|u| self.live[u.index()]).count();
             uppers_online.push(seen_live as f64 / k);
         }
-        self.tracker.record_with_online(round, &accs, &uppers, &uppers_online);
+        self.tracker.record(round, &accs, &uppers, &uppers_online);
     }
 }
 

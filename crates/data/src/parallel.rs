@@ -30,30 +30,33 @@ pub fn num_threads() -> usize {
     std::thread::available_parallelism().map(std::num::NonZero::get).unwrap_or(4).min(16)
 }
 
-/// Applies `f` to paired elements of two equal-length slices in parallel.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn par_zip_mut<A: Send, B: Send, F>(a: &mut [A], b: &mut [B], f: F)
+/// Runs `f(i, &mut items[i])` for every index, on up to [`num_threads`]
+/// workers that each take one contiguous run of ⌈len / threads⌉ items.
+pub fn par_for_each_mut<T: Send, F>(items: &mut [T], f: F)
 where
-    F: Fn(usize, &mut A, &mut B) + Sync,
+    F: Fn(usize, &mut T) + Sync,
 {
-    assert_eq!(a.len(), b.len(), "par_zip_mut length mismatch");
-    let threads = num_threads();
-    if a.len() <= 1 || threads <= 1 {
-        for (i, (x, y)) in a.iter_mut().zip(b.iter_mut()).enumerate() {
-            f(i, x, y);
+    for_each_mut_on(num_threads(), items, f);
+}
+
+/// [`par_for_each_mut`] on at most `threads` workers.
+fn for_each_mut_on<T: Send, F>(threads: usize, items: &mut [T], f: F)
+where
+    F: Fn(usize, &mut T) + Sync,
+{
+    if items.len() <= 1 || threads <= 1 {
+        for (i, x) in items.iter_mut().enumerate() {
+            f(i, x);
         }
         return;
     }
-    let chunk = a.len().div_ceil(threads);
+    let chunk = items.len().div_ceil(threads);
     std::thread::scope(|s| {
-        for (c, (sa, sb)) in a.chunks_mut(chunk).zip(b.chunks_mut(chunk)).enumerate() {
+        for (c, group) in items.chunks_mut(chunk).enumerate() {
             let f = &f;
             s.spawn(move || {
-                for (i, (x, y)) in sa.iter_mut().zip(sb.iter_mut()).enumerate() {
-                    f(c * chunk + i, x, y);
+                for (o, x) in group.iter_mut().enumerate() {
+                    f(c * chunk + o, x);
                 }
             });
         }
@@ -325,41 +328,6 @@ where
     out
 }
 
-/// Applies `f` to consecutive `chunk`-sized windows of `items` in parallel;
-/// `f` receives the chunk index and the chunk (the last one may be shorter).
-/// Used to fill row-major matrices row-by-row without collecting row
-/// references.
-///
-/// # Panics
-///
-/// Panics if `chunk` is zero.
-pub fn par_chunks_mut<T: Send, F>(items: &mut [T], chunk: usize, f: F)
-where
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    assert!(chunk > 0, "chunk size must be positive");
-    let total = items.len().div_ceil(chunk);
-    let threads = num_threads();
-    if total <= 1 || threads <= 1 {
-        for (i, c) in items.chunks_mut(chunk).enumerate() {
-            f(i, c);
-        }
-        return;
-    }
-    // Chunks-per-thread groups stay contiguous so indices are recoverable.
-    let per_thread = total.div_ceil(threads);
-    std::thread::scope(|s| {
-        for (g, group) in items.chunks_mut(chunk * per_thread).enumerate() {
-            let f = &f;
-            s.spawn(move || {
-                for (i, c) in group.chunks_mut(chunk).enumerate() {
-                    f(g * per_thread + i, c);
-                }
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,23 +348,18 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_mut_indexes_every_chunk() {
-        let mut v: Vec<u64> = vec![0; 103]; // deliberately not a multiple
-        par_chunks_mut(&mut v, 10, |ci, chunk| {
-            for (o, x) in chunk.iter_mut().enumerate() {
-                *x = (ci * 10 + o) as u64;
+    fn par_for_each_mut_visits_every_index_once() {
+        for threads in 1..=4 {
+            for n in [0, 1, 7, 103] {
+                let mut v: Vec<(usize, u32)> = vec![(usize::MAX, 0); n];
+                for_each_mut_on(threads, &mut v, |i, (at, visits)| {
+                    *at = i;
+                    *visits += 1;
+                });
+                let want: Vec<(usize, u32)> = (0..n).map(|i| (i, 1)).collect();
+                assert_eq!(v, want, "{threads} threads, {n} items");
             }
-        });
-        for (i, x) in v.iter().enumerate() {
-            assert_eq!(*x, i as u64);
         }
-        // Degenerate cases: empty slice, chunk larger than the slice.
-        par_chunks_mut(&mut [] as &mut [u64], 4, |_, _| panic!("no chunks"));
-        let mut one = vec![7u64; 3];
-        par_chunks_mut(&mut one, 100, |ci, c| {
-            assert_eq!(ci, 0);
-            assert_eq!(c.len(), 3);
-        });
     }
 
     /// Busy work whose length varies with `i`, so blocks finish out of
@@ -571,20 +534,6 @@ mod tests {
                     assert_eq!(r.load(Ordering::Relaxed), 1, "{threads} threads: position {p}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn par_zip_mut_pairs_correctly() {
-        let mut a: Vec<usize> = (0..500).collect();
-        let mut b: Vec<usize> = vec![0; 500];
-        par_zip_mut(&mut a, &mut b, |i, x, y| {
-            *x += 1;
-            *y = i * 10;
-        });
-        for i in 0..500 {
-            assert_eq!(a[i], i + 1);
-            assert_eq!(b[i], i * 10);
         }
     }
 }

@@ -5,7 +5,8 @@
 //! perturbed with Gaussian noise `N(0, (ι·C)² I)`.
 
 use crate::RdpAccountant;
-use cia_models::params::{add_gaussian_noise, clip_l2};
+use cia_models::kernel::clip_l2;
+use cia_models::params::add_gaussian_noise;
 use rand::rngs::StdRng;
 
 pub use cia_models::UpdateTransform;

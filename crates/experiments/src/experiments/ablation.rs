@@ -14,8 +14,7 @@ use cia_core::{CiaConfig, FlCia, ItemSetEvaluator};
 use cia_data::presets::Scale;
 use cia_data::{GroundTruth, LeaveOneOut, SyntheticConfig, UserId};
 use cia_federated::{FedAvg, FedAvgConfig};
-use cia_models::SharingPolicy;
-use cia_scenarios::runner::gmf_scorer;
+use cia_models::{GmfSpec, SharingPolicy};
 use cia_scenarios::ScaleParams;
 
 fn fl_max_aac(scale: Scale, seed: u64, affinity: f64, beta: f32) -> (f64, f64) {
@@ -38,7 +37,7 @@ fn fl_max_aac(scale: Scale, seed: u64, affinity: f64, beta: f32) -> (f64, f64) {
     let split = LeaveOneOut::new(&data, params.eval_negatives, seed ^ 0x5EED).unwrap();
     let k = params.k.min(users - 2);
     let truth = GroundTruth::from_train_sets(split.train_sets(), k);
-    let spec = gmf_scorer(data.num_items(), params.dim);
+    let spec = GmfSpec::new(data.num_items(), params.dim);
     let clients = spec.build_clients(split.train_sets(), SharingPolicy::Full, seed);
     let evaluator = ItemSetEvaluator::new(spec, split.train_sets().to_vec(), false);
     let ids = (0..users).map(UserId::from_index);

@@ -6,8 +6,7 @@ use cia_core::{AiaCommunityAttack, CiaConfig, FlCia, ItemSetEvaluator};
 use cia_data::presets::{Preset, Scale};
 use cia_data::UserId;
 use cia_federated::{FedAvg, FedAvgConfig};
-use cia_models::SharingPolicy;
-use cia_scenarios::runner::gmf_scorer;
+use cia_models::{GmfSpec, SharingPolicy};
 use cia_scenarios::{build_setup, ScaleParams};
 
 /// Regenerates the AIA-vs-CIA comparison (single randomly selected target
@@ -16,7 +15,7 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
     let setup = build_setup(Preset::MovieLens, scale, None, seed);
     let params = ScaleParams::of(scale);
     let users = setup.data.num_users();
-    let spec = gmf_scorer(setup.data.num_items(), params.dim);
+    let spec = GmfSpec::new(setup.data.num_items(), params.dim);
     // "Randomly selected community": the target donor is derived from the
     // seed so reruns with other seeds pick other communities.
     let target_user = (seed as usize * 7 + 3) % users;

@@ -13,8 +13,7 @@ use cia_data::{
     GroundTruth, LeaveOneOut, SyntheticConfig, UserId, HEALTH_CATEGORY, HEALTH_COMMUNITY_SIZE,
 };
 use cia_federated::{FedAvg, FedAvgConfig};
-use cia_models::SharingPolicy;
-use cia_scenarios::runner::gmf_scorer;
+use cia_models::{GmfSpec, SharingPolicy};
 use cia_scenarios::ScaleParams;
 
 /// Regenerates the Figure 1 experiment.
@@ -44,7 +43,7 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
     let health_items = categories.items_in(HEALTH_CATEGORY);
     let truth = GroundTruth::for_target(&health_items, split.train_sets(), k);
 
-    let spec = gmf_scorer(data.num_items(), params.dim);
+    let spec = GmfSpec::new(data.num_items(), params.dim);
     let clients = spec.build_clients(split.train_sets(), SharingPolicy::Full, seed);
 
     let evaluator = ItemSetEvaluator::new(spec, vec![health_items.clone()], false);

@@ -5,8 +5,7 @@ use crate::tables::{pct, Table};
 use cia_core::{CiaConfig, MiaCommunityAttack, MiaConfig};
 use cia_data::presets::{Preset, Scale};
 use cia_federated::{FedAvg, FedAvgConfig};
-use cia_models::SharingPolicy;
-use cia_scenarios::runner::gmf_scorer;
+use cia_models::{GmfSpec, SharingPolicy};
 use cia_scenarios::{build_setup, run_quiet, ModelKind, ProtocolKind, ScaleParams, ScenarioSpec};
 
 /// The entropy thresholds of Table VIII.
@@ -17,7 +16,7 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
     let setup = build_setup(Preset::MovieLens, scale, None, seed);
     let params = ScaleParams::of(scale);
     let users = setup.data.num_users();
-    let spec = gmf_scorer(setup.data.num_items(), params.dim);
+    let spec = GmfSpec::new(setup.data.num_items(), params.dim);
 
     let mut t = Table::new(
         format!(

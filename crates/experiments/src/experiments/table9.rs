@@ -6,8 +6,7 @@ use crate::tables::Table;
 use cia_core::complexity::CostModel;
 use cia_core::{AIA_M_NONMEMBER, AIA_N_MEMBER};
 use cia_data::presets::{Preset, Scale};
-use cia_models::{Mlp, MlpHyper, MlpSpec, RelevanceScorer};
-use cia_scenarios::runner::gmf_scorer;
+use cia_models::{GmfSpec, Mlp, MlpHyper, MlpSpec, RelevanceScorer};
 use cia_scenarios::{build_setup, ScaleParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -17,7 +16,7 @@ use std::time::Instant;
 pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
     let setup = build_setup(Preset::MovieLens, scale, None, seed);
     let params = ScaleParams::of(scale);
-    let spec = gmf_scorer(setup.data.num_items(), params.dim);
+    let spec = GmfSpec::new(setup.data.num_items(), params.dim);
     let mut rng = StdRng::seed_from_u64(seed);
     let agg = spec.init_agg(&mut rng);
     let target = setup.split.train_sets()[0].clone();

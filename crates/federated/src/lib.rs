@@ -43,8 +43,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use cia_models::kernel::axpy;
 use cia_models::parallel::par_zip_fold;
-use cia_models::params::axpy;
 use cia_models::{
     apply_update_transform, MomentumRow, MomentumTable, Participant, SharedModel, UpdateTransform,
 };
@@ -275,11 +275,6 @@ impl<P: Participant> FedAvg<P> {
     /// simulations keep their own default recorder.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.obs = recorder;
-    }
-
-    /// The metrics/trace sink this simulation reports into.
-    pub fn recorder(&self) -> &Recorder {
-        &self.obs
     }
 
     /// Installs a local update transform (DP-SGD) applied to every outgoing

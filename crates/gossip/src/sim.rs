@@ -2,7 +2,7 @@
 
 use crate::graph::{sample_exp_interval, ViewTable};
 use cia_data::UserId;
-use cia_models::parallel::{par_claim, par_zip_mut};
+use cia_models::parallel::{par_claim, par_for_each_mut};
 use cia_models::{
     apply_update_transform, DeliveryPolicy, LivenessEvent, Participant, SharedModel,
     UpdateTransform,
@@ -272,11 +272,6 @@ impl<P: Participant> GossipSim<P> {
         self.obs = recorder;
     }
 
-    /// The metrics/trace sink this simulation reports into.
-    pub fn recorder(&self) -> &Recorder {
-        &self.obs
-    }
-
     /// Installs a local update transform (DP-SGD) applied to every outgoing
     /// model.
     pub fn set_update_transform(&mut self, transform: Box<dyn UpdateTransform>) {
@@ -373,7 +368,8 @@ impl<P: Participant> GossipSim<P> {
                 o.sent = self.pool.pop();
             }
         }
-        par_zip_mut(&mut self.nodes, &mut self.outbox, |i, node, o| {
+        let mut sends: Vec<_> = self.nodes.iter_mut().zip(&mut self.outbox).collect();
+        par_for_each_mut(&mut sends, |i, (node, o)| {
             if !wake[i] {
                 return;
             }

@@ -414,6 +414,19 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "axpy length mismatch")]
+    fn axpy_length_mismatch_panics() {
+        axpy(&mut [0.0], 1.0, &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn clip_l2_leaves_a_short_vector_untouched() {
+        let mut y = vec![0.1, 0.1];
+        assert_eq!(clip_l2(&mut y, 10.0), 1.0);
+        assert_eq!(y, vec![0.1, 0.1]);
+    }
+
+    #[test]
     fn axpy_and_ema_match_elementwise_reference() {
         let mut y = seq(21, 0.2);
         let x = seq(21, 3.3);

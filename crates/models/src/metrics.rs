@@ -5,8 +5,14 @@
 /// Rank of the positive among `[positive] + negatives`, 0-based: the number
 /// of negatives scoring strictly higher, plus half the ties (rounded down).
 /// The fractional tie handling keeps degenerate models — e.g. DP-noised ones
-/// whose scores all saturate to the same value — from scoring free hits.
+/// whose scores all saturate to the same value — from scoring free hits. A
+/// NaN positive (a destroyed model) ranks below every negative, as the
+/// attack's `rank_desc` sinks NaN; a NaN negative never ranks above a
+/// positive.
 pub fn rank_of_primary(pos_score: f32, neg_scores: &[f32]) -> usize {
+    if pos_score.is_nan() {
+        return neg_scores.len();
+    }
     let above = neg_scores.iter().filter(|&&s| s > pos_score).count();
     let ties = neg_scores.iter().filter(|&&s| s == pos_score).count();
     above + ties / 2
@@ -57,6 +63,15 @@ mod tests {
         assert_eq!(rank_of_primary(0.0, &[0.1, 0.2]), 2);
         // All-equal scores place the positive mid-pack, not on top.
         assert_eq!(rank_of_primary(1.0, &[1.0; 50]), 25);
+    }
+
+    #[test]
+    fn a_nan_positive_ranks_last_and_never_hits() {
+        assert_eq!(rank_of_primary(f32::NAN, &[0.1, f32::NAN, 0.3]), 3);
+        assert_eq!(rank_of_primary(f32::NAN, &[]), 0);
+        assert!(!hit_ratio(f32::NAN, &[0.1; 99], 20));
+        // A NaN negative stays below a finite positive.
+        assert_eq!(rank_of_primary(0.5, &[f32::NAN, 0.6]), 1);
     }
 
     #[test]

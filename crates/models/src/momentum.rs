@@ -5,11 +5,11 @@
 //! model *specialization*. The attack therefore ranks exponential moving
 //! averages `v_u^t = β·v_u^{t−1} + (1−β)·Θ_u^t` instead of raw models.
 //!
-//! The table lives here, next to [`crate::params::ema`], so a protocol can
-//! fold a sender's model into its momentum right where the model was
-//! trained, without materializing a snapshot first.
+//! The table lives in `cia-models`, with the [`crate::kernel::ema`] it folds
+//! with, so a protocol can fold a sender's model into its momentum right
+//! where the model was trained, without materializing a snapshot first.
 
-use crate::params::ema;
+use crate::kernel::ema;
 
 /// The EMA states `v_u` the adversary keeps: one zeroed slab of
 /// `users × (emb_len + agg_len)` floats, a row `[emb | agg]` per sender, and

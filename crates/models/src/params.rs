@@ -1,52 +1,19 @@
-//! Flat parameter-vector algebra.
+//! Flat parameter-vector helpers: the L2 norm, the sigmoid, uniform
+//! initialization and the DP noise sampler.
 //!
-//! Every linear operation the system needs — FedAvg aggregation, gossip
-//! averaging, the attack's momentum (Eq. 4), DP-SGD clipping and noising,
-//! update computation — is expressed over flat `f32` slices, so one
-//! property-tested code path serves every model.
+//! The linear operations — FedAvg aggregation, the attack's momentum
+//! (Eq. 4), DP-SGD clipping — are the [`crate::kernel`] functions, called
+//! directly over flat `f32` slices, so one property-tested code path serves
+//! every model.
 
 use crate::kernel;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// `y ← y + a · x` (BLAS `axpy`), backed by [`crate::kernel::axpy`].
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
-    kernel::axpy(y, a, x);
-}
-
-/// `y ← a · y`.
-pub fn scale(y: &mut [f32], a: f32) {
-    kernel::scale_in_place(y, a);
-}
-
-/// Exponential moving average, the attack's Eq. 4:
-/// `v ← β·v + (1−β)·θ`, backed by [`crate::kernel::ema`].
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn ema(v: &mut [f32], beta: f32, theta: &[f32]) {
-    kernel::ema(v, beta, theta);
-}
-
 /// Euclidean norm of `x` (f64 accumulation via [`crate::kernel::sq_norm`]).
 #[must_use]
 pub fn l2_norm(x: &[f32]) -> f32 {
     kernel::sq_norm(x).sqrt() as f32
-}
-
-/// Scales `x` in place so that its L2 norm is at most `c` (DP-SGD clipping).
-/// Returns the factor applied (1.0 when no clipping was needed).
-///
-/// # Panics
-///
-/// Panics if `c` is not positive.
-pub fn clip_l2(x: &mut [f32], c: f32) -> f32 {
-    kernel::clip_l2(x, c)
 }
 
 /// Batched Box–Muller noise (the DP write path) and its scalar reference,
@@ -73,42 +40,6 @@ pub fn sigmoid(x: f32) -> f32 {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-
-    #[test]
-    fn axpy_adds_scaled() {
-        let mut y = vec![1.0, 2.0];
-        axpy(&mut y, 2.0, &[10.0, 20.0]);
-        assert_eq!(y, vec![21.0, 42.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "axpy length mismatch")]
-    fn axpy_length_mismatch_panics() {
-        axpy(&mut [0.0], 1.0, &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn ema_interpolates() {
-        let mut v = vec![0.0, 1.0];
-        ema(&mut v, 0.9, &[1.0, 0.0]);
-        assert!((v[0] - 0.1).abs() < 1e-6);
-        assert!((v[1] - 0.9).abs() < 1e-6);
-        // beta = 0 replaces entirely.
-        ema(&mut v, 0.0, &[5.0, 5.0]);
-        assert_eq!(v, vec![5.0, 5.0]);
-    }
-
-    #[test]
-    fn clip_l2_caps_norm() {
-        let mut x = vec![3.0, 4.0]; // norm 5
-        let f = clip_l2(&mut x, 2.5);
-        assert!((f - 0.5).abs() < 1e-6);
-        assert!((l2_norm(&x) - 2.5).abs() < 1e-5);
-        // Already small: untouched.
-        let mut y = vec![0.1, 0.1];
-        assert_eq!(clip_l2(&mut y, 10.0), 1.0);
-        assert_eq!(y, vec![0.1, 0.1]);
-    }
 
     #[test]
     fn gaussian_moments_are_sane() {

@@ -6,7 +6,8 @@
 
 use cia_data::UserId;
 use cia_models::kernel;
-use cia_models::params::{axpy, clip_l2, ema, l2_norm, scale};
+use cia_models::kernel::{axpy, clip_l2, ema, scale_in_place};
+use cia_models::params::l2_norm;
 use cia_models::{GmfSpec, Participant, PrmeSpec, RelevanceScorer, SharedModel, SharingPolicy};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -45,7 +46,7 @@ proptest! {
     #[test]
     fn scale_one_is_identity(mut y in vec32(16)) {
         let before = y.clone();
-        scale(&mut y, 1.0);
+        scale_in_place(&mut y, 1.0);
         prop_assert_eq!(y, before);
     }
 

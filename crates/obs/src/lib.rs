@@ -3,8 +3,8 @@
 //! The paper's experiments live or die on knowing *where* round time and
 //! memory go. This crate is the one sink every layer reports into:
 //!
-//! * **Spans** — a scoped-timer API ([`Recorder::span`] / the [`span!`]
-//!   macro) producing hierarchical phase timings (`round` → `sample` →
+//! * **Spans** — a scoped-timer API ([`Recorder::span`]) producing
+//!   hierarchical phase timings (`round` → `sample` →
 //!   `train` → …) on a monotonic clock, with the recording thread and
 //!   nesting depth attached to every span.
 //! * **Counters** — a typed registry ([`Counter`]) of monotone event
@@ -15,8 +15,8 @@
 //!   microseconds.
 //! * **Histograms** — fixed log₂-bucket latency histograms ([`Metric`],
 //!   [`Histogram`]): bucket edges are powers of two, so bucket assignment is
-//!   deterministic and merging is a bucket-wise add (associative and
-//!   commutative by construction).
+//!   deterministic, and parallel workers record into the recorder's shared
+//!   buckets with atomic adds.
 //!
 //! A [`Recorder`] is an explicit, cheaply clonable handle (an `Arc` around
 //! the registry), **not** a process-global: simulations each own a default
@@ -141,9 +141,8 @@ pub fn nearest_rank(q: f64, n: u64) -> u64 {
 
 /// A fixed log₂-bucket histogram. Bucket edges are powers of two and never
 /// depend on the data, so bucket assignment is a pure function of the value
-/// ([`Histogram::bucket_of`]) and merging two histograms is a bucket-wise
-/// add — associative and commutative by construction, which is what lets
-/// parallel workers record into one shared histogram without coordination.
+/// ([`Histogram::bucket_of`]). It is the plain snapshot of the recorder's
+/// atomic buckets, which parallel workers add into without coordination.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     /// Per-bucket observation counts.
@@ -196,14 +195,6 @@ impl Histogram {
     pub fn record(&mut self, value: u64) {
         self.counts[Self::bucket_of(value)] += 1;
         self.sum += value;
-    }
-
-    /// Merges another histogram in (bucket-wise add).
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.sum += other.sum;
     }
 
     /// Total number of observations.
@@ -513,17 +504,6 @@ impl Drop for SpanGuard<'_> {
     }
 }
 
-/// Opens a scoped phase span on a recorder:
-/// `span!(rec, "train");` records a `"train"` span covering the rest of the
-/// enclosing scope. Sequential phases in one scope should use explicit
-/// guards (`let g = rec.span(...); ...; drop(g);`) or nested blocks.
-#[macro_export]
-macro_rules! span {
-    ($rec:expr, $name:literal) => {
-        let _span_guard = $rec.span($name);
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -656,37 +636,6 @@ mod tests {
             if b > 0 {
                 prop_assert!(v > Histogram::bucket_upper_edge(b - 1));
             }
-        }
-
-        #[test]
-        fn merge_is_associative_and_commutative(
-            a in proptest::collection::vec(0u64..1 << 40, 0..20),
-            b in proptest::collection::vec(0u64..1 << 40, 0..20),
-            c in proptest::collection::vec(0u64..1 << 40, 0..20),
-        ) {
-            let (ha, hb, hc) = (hist_of(&a), hist_of(&b), hist_of(&c));
-            // (a ⊕ b) ⊕ c
-            let mut left = ha.clone();
-            left.merge(&hb);
-            left.merge(&hc);
-            // a ⊕ (b ⊕ c)
-            let mut right_inner = hb.clone();
-            right_inner.merge(&hc);
-            let mut right = ha.clone();
-            right.merge(&right_inner);
-            prop_assert_eq!(&left, &right);
-            // b ⊕ a == a ⊕ b
-            let mut ab = ha.clone();
-            ab.merge(&hb);
-            let mut ba = hb.clone();
-            ba.merge(&ha);
-            prop_assert_eq!(&ab, &ba);
-            // Merging equals recording the concatenation.
-            let mut all = a.clone();
-            all.extend(&b);
-            let mut merged = ha;
-            merged.merge(&hb);
-            prop_assert_eq!(merged, hist_of(&all));
         }
 
         #[test]

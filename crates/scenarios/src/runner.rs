@@ -41,10 +41,10 @@ use crate::json::{Json, ObjBuilder};
 use crate::placement::{PlacementEngine, PlacementObserver};
 use crate::setup::{try_build_setup_traced, RecsysSetup, SETUP_STAGES};
 use crate::spec::{DefenseKind, ModelKind, ProtocolKind, ScenarioSpec, SuiteSpec};
-use cia_core::metrics::random_bound;
+use cia_core::metrics::{random_bound, top_k_ids};
 use cia_core::{
     AttackOutcome, CiaConfig, FlCia, GlCiaAllPlacements, GlCiaCoalition, ItemSetEvaluator,
-    Recorder, RoundPoint, TopK, TraceChunk,
+    Recorder, RoundPoint, TraceChunk,
 };
 use cia_data::presets::{Preset, Scale};
 use cia_defenses::{DpConfig, DpMechanism};
@@ -392,16 +392,16 @@ fn first_difference(stream: &Json, recomputed: &Json) -> String {
     "the keys are in another order than recomputed".to_string()
 }
 
-/// The GMF scorer every scenario run uses — public so the hand-wired
-/// experiments and the benchmark tracer (`perfbench/tracer`) train the exact
-/// spec a scenario run trains.
+/// `GmfSpec::new`, the GMF spec every scenario run trains. Its only caller
+/// is the benchmark tracer (`perfbench/tracer`); the next change to the
+/// benchmark moves the tracer onto `GmfSpec::new` and deletes it.
 #[must_use]
 pub fn gmf_scorer(num_items: u32, dim: usize) -> GmfSpec {
     GmfSpec::new(num_items, dim)
 }
 
 fn run_gmf(ctx: &Ctx, setup: &RecsysSetup, out: &mut Out) -> Result<ScenarioOutcome, String> {
-    let model_spec = gmf_scorer(setup.data.num_items(), setup.params.dim);
+    let model_spec = GmfSpec::new(setup.data.num_items(), setup.params.dim);
     let policy = ctx.spec.defense.policy();
     let clients = {
         let _clients = ctx.rec.span("clients");
@@ -441,42 +441,25 @@ fn run_prme(ctx: &Ctx, setup: &RecsysSetup, out: &mut Out) -> Result<ScenarioOut
     let utility = |clients: &[PrmeClient], deployed: Option<&[f32]>| -> f64 {
         // F1@20: rank the full catalog minus train items, compare the top 20
         // against the held-out positives (logit scores; ranking is
-        // sigmoid-free by monotonicity). The catalog is scored in cache-sized
-        // tiles fed through the bounded [`TopK`] selector, so evaluation
-        // never allocates a catalog-length score vector per user — `TopK` is
-        // exactly the full-sort prefix under the same total order, so the F1
-        // is unchanged. Clients evaluate independently in parallel chunks;
-        // the fold over per-client F1 values runs in client index order, so
-        // the mean is identical for every CIA_THREADS setting.
+        // sigmoid-free by monotonicity). The best 20 are selected under the
+        // attack's `rank_desc` order (NaN sinks, ties break on ascending
+        // id). Clients evaluate independently in parallel chunks; the fold
+        // over per-client F1 values runs in client index order, so the mean
+        // is identical for every CIA_THREADS setting.
         let n = clients.len().min(eval_instances.len()).min(train_sets.len());
         let f1s = par_map(n, |u| {
             let (c, (inst, train)) = (&clients[u], (&eval_instances[u], &train_sets[u]));
             let agg = deployed.unwrap_or(c.agg());
-            let mut sel = TopK::new(20);
-            let mut tile: Vec<u32> = Vec::with_capacity(EVAL_TILE);
-            let mut start = 0u32;
-            while start < num_items {
-                // cia-lint: allow(D05, EVAL_TILE is the constant 512)
-                let end = num_items.min(start + EVAL_TILE as u32);
-                tile.clear();
-                tile.extend((start..end).filter(|j| train.binary_search(j).is_err()));
-                for (s, &j) in c.score_candidates_with(agg, &tile).iter().zip(&tile) {
-                    sel.push(*s, j);
-                }
-                start = end;
-            }
-            f1_at_k(&sel.into_ids(), &inst.positives)
+            let items: Vec<u32> =
+                (0..num_items).filter(|j| train.binary_search(j).is_err()).collect();
+            let scores = c.score_candidates_with(agg, &items);
+            f1_at_k(&top_k_ids(20, scores.into_iter().zip(items)), &inst.positives)
         });
         // cia-lint: allow(D07, sequential left-to-right fold over a slice in index order; the reduction order is fixed)
         f1s.iter().sum::<f64>() / clients.len() as f64
     };
     run_protocol(ctx, setup, model_spec, clients, utility, "F1@20", out)
 }
-
-/// Items scored per tile during catalog evaluation: small enough that a
-/// tile's ids + scores stay cache-resident, large enough to amortize the
-/// per-call setup of the vectorized scoring kernels.
-const EVAL_TILE: usize = 512;
 
 fn build_dp(spec: &ScenarioSpec, rounds: u64) -> Option<DpMechanism> {
     match spec.defense {

@@ -380,13 +380,12 @@ fn fl_clients_hold_no_aggregate_between_rounds() {
     // an aggregate.
     use cia_core::{CiaConfig, FlCia, ItemSetEvaluator};
     use cia_federated::{FedAvg, FedAvgConfig};
-    use cia_models::Participant;
-    use cia_scenarios::runner::gmf_scorer;
+    use cia_models::{GmfSpec, Participant};
     use cia_scenarios::{build_setup, DefenseKind, FlDynamics, ParticipantDynamics};
     for spec in full_and_share_less_fl_cells() {
         let setup = build_setup(spec.preset, spec.scale, spec.k_override, spec.seed);
         let n = setup.data.num_users();
-        let model = gmf_scorer(setup.data.num_items(), setup.params.dim);
+        let model = GmfSpec::new(setup.data.num_items(), setup.params.dim);
         let clients =
             model.build_clients(setup.split.train_sets(), spec.defense.policy(), spec.seed);
         let rounds = setup.params.rounds(spec.protocol);

@@ -20,9 +20,9 @@ use cia_core::{CiaConfig, FlCia, ItemSetEvaluator, MomentumTable, RoundPoint};
 use cia_data::presets::Scale;
 use cia_defenses::DpMechanism;
 use cia_federated::{FedAvg, FedAvgConfig, LivenessEvent, RoundObserver, RoundStats};
-use cia_models::params::axpy;
+use cia_models::kernel;
 use cia_models::{GmfSpec, Participant, SharedModel};
-use cia_scenarios::runner::{gmf_scorer, run_suite, RunOptions};
+use cia_scenarios::runner::{run_suite, RunOptions};
 use cia_scenarios::{
     build_setup, named_suite, DefenseKind, FlDynamics, ParticipantDynamics, ScenarioSpec,
 };
@@ -83,7 +83,7 @@ struct RunEnd {
 fn run_fl(spec: &ScenarioSpec, lend: bool, reversed: bool) -> (RunEnd, u64, usize) {
     let setup = build_setup(spec.preset, spec.scale, spec.k_override, spec.seed);
     let n = setup.data.num_users();
-    let model = gmf_scorer(setup.data.num_items(), setup.params.dim);
+    let model = GmfSpec::new(setup.data.num_items(), setup.params.dim);
     let mut clients =
         model.build_clients(setup.split.train_sets(), spec.defense.policy(), spec.seed);
     if reversed {
@@ -237,7 +237,7 @@ fn weighted_mean(out: &mut [f32], rows: &[&[f32]], weights: &[f32]) {
     assert!(total > 0.0, "weights must sum to a positive value");
     out.fill(0.0);
     for (row, &w) in rows.iter().zip(weights) {
-        axpy(out, w / total, row);
+        kernel::axpy(out, w / total, row);
     }
 }
 

@@ -165,6 +165,11 @@ step scenario-smoke scripts/scenario_smoke.sh
 step perfbench-tests python3 -m unittest discover -s perfbench/tests
 # Keeps the benchmarks from bit-rotting: every bench body runs once.
 step bench-test cargo bench -p cia-bench -- --test
+# ... and the paper-shape bodies the step above skips (gated behind
+# CIA_BENCH_PAPER_SCALE), once each, so their `_scalar_ref` twins cannot rot
+# unseen.
+CIA_BENCH_PAPER_SCALE=1 step bench-test-paper \
+    cargo bench -p cia-bench --bench micro -- --test paper
 # Clippy over all targets, benches included.
 step clippy cargo clippy --workspace --all-targets -- -D warnings
 
